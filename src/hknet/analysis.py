@@ -189,9 +189,7 @@ def place_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     transposed = [[c[p][t] for p in range(len(g.places))]
                   for t in range(len(g.transitions))]
     basis = nullspace(transposed, len(g.places))
-    for vec in basis:
-        for t in range(len(g.transitions)):
-            assert sum(vec[p] * c[p][t] for p in range(len(g.places))) == 0
+    _verify("place", basis, transposed)
     return basis
 
 
@@ -199,10 +197,17 @@ def transition_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {j : C j = 0}; each vector is re-verified."""
     c = g.incidence
     basis = nullspace(c, len(g.transitions))
-    for vec in basis:
-        for p in range(len(g.places)):
-            assert sum(c[p][t] * vec[t] for t in range(len(g.transitions))) == 0
+    _verify("transition", basis, c)
     return basis
+
+
+def _verify(kind: str, basis: Sequence[Sequence[int]],
+            matrix: Sequence[Sequence[int]]) -> None:
+    """Raise unless ``matrix @ vec = 0`` for every basis vector."""
+    for i, vec in enumerate(basis):
+        if any(sum(a * x for a, x in zip(row, vec)) for row in matrix):
+            raise ModelError(
+                f"{kind} invariant {i} is not in the null-space of the incidence matrix")
 
 
 def in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:

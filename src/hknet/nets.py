@@ -14,18 +14,19 @@ function signatures, and records the full variable list per transition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import EvalError, FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
-                        TupleSort, carrier_of, render_sort, sorts_compatible,
-                        value_in_sort)
+                        TupleSort, carrier_of, carrier_rank, render_sort,
+                        sorts_compatible, value_in_sort)
 from .spans import SourceSpan
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
                     SetTerm, SymbolRef, Term, TupleTerm, Var, eval_guard,
-                    evaluate, guard_variables, inscription_tokens, render_term,
-                    term_variables)
-from .values import Multiset, SetValue, Value, render_value
+                    guard_variables, inscription_tokens, render_term,
+                    term_tokens, term_variables)
+from .values import Multiset, TupleValue, Value, render_value
 
 
 # ---------------------------------------------------------------------------
@@ -73,32 +74,116 @@ class SchematicNet:
     transitions: tuple[Transition, ...] = ()
     arcs: tuple[Arc, ...] = ()
 
+    @cached_property
+    def index(self) -> "NetIndex":
+        """Lookups built once from the net's immutable fields."""
+        return NetIndex(self)
+
     def place(self, name: str) -> Place:
-        for p in self.places:
-            if p.name == name:
-                return p
-        raise KeyError(f"no place {name!r}")
+        try:
+            return self.index.places[name]
+        except KeyError:
+            raise KeyError(f"no place {name!r}") from None
 
     def transition(self, name: str) -> Transition:
-        for t in self.transitions:
-            if t.name == name:
-                return t
-        raise KeyError(f"no transition {name!r}")
+        try:
+            return self.index.transitions[name]
+        except KeyError:
+            raise KeyError(f"no transition {name!r}") from None
 
     def has_place(self, name: str) -> bool:
-        return any(p.name == name for p in self.places)
+        return name in self.index.places
 
     def has_transition(self, name: str) -> bool:
-        return any(t.name == name for t in self.transitions)
+        return name in self.index.transitions
 
     def arcs_into(self, transition: str) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.target == transition)
+        return self.index.arcs_into.get(transition, ())
 
     def arcs_out_of(self, transition: str) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.source == transition)
+        return self.index.arcs_out_of.get(transition, ())
 
     def is_empty(self) -> bool:
         return not (self.places or self.transitions or self.arcs)
+
+
+class NetIndex:
+    """Places and transitions by name, arcs by endpoint, and one
+    :class:`MatchPlan` per resolved transition.  The first of several
+    equally named nodes wins, as in a linear scan."""
+
+    def __init__(self, net: SchematicNet):
+        self.places: dict[str, Place] = {}
+        for p in net.places:
+            self.places.setdefault(p.name, p)
+        self.transitions: dict[str, Transition] = {}
+        for t in net.transitions:
+            self.transitions.setdefault(t.name, t)
+        into: dict[str, list[Arc]] = {}
+        out_of: dict[str, list[Arc]] = {}
+        for a in net.arcs:
+            into.setdefault(a.target, []).append(a)
+            out_of.setdefault(a.source, []).append(a)
+        self.arcs_into = {node: tuple(arcs) for node, arcs in into.items()}
+        self.arcs_out_of = {node: tuple(arcs) for node, arcs in out_of.items()}
+        self.plans = {t.name: MatchPlan(t, self.arcs_into.get(t.name, ()))
+                      for t in self.transitions.values() if t.variables is not None}
+
+
+def _is_pattern(term: Term) -> bool:
+    """Variables and constants, possibly nested in tuples: terms whose
+    variables can be read off a token instead of being enumerated."""
+    if isinstance(term, TupleTerm):
+        return all(_is_pattern(item) for item in term.items)
+    return isinstance(term, (Var, ConstRef))
+
+
+class MatchPlan:
+    """How :func:`enabled_bindings` binds one resolved transition.
+
+    ``steps`` bind variables in order.  ``(place, pattern)`` matches a
+    pattern that still has unbound variables against the distinct tokens
+    on its input place; ``(None, name)`` enumerates the carrier of a
+    variable no pattern binds (``unmatched``: free-choice variables and
+    those occurring only under a function, in a set term or in ``elm``).
+    ``checks[i]`` holds what becomes decidable once ``steps[:i]`` have
+    bound their variables: single guard atoms, and input terms that are
+    not matched, given as ``(place, term)`` and counted against the
+    tokens still available.
+    """
+
+    def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
+        self.transition = t
+        self.names = tuple(n for n, _ in t.variables or ())
+        self.places = tuple(dict.fromkeys(a.source for a in arcs))
+        stage: dict[str, int] = {}   # variable -> index of the step binding it
+        steps: list[tuple[str | None, Term | str]] = []
+        pending: list[tuple[set[str], object]] = []
+        for arc in arcs:
+            for term in arc.inscription:
+                used = term_variables(term)
+                fresh = used - stage.keys()
+                if fresh and _is_pattern(term) and used <= set(self.names):
+                    for name in fresh:
+                        stage[name] = len(steps)
+                    steps.append((arc.source, term))
+                else:
+                    pending.append((used, (arc.source, term)))
+        self.unmatched = tuple(n for n in self.names if n not in stage)
+        for name in self.unmatched:
+            stage[name] = len(steps)
+            steps.append((None, name))
+        for atom in t.guard.atoms:
+            pending.append((term_variables(atom.left) | term_variables(atom.right),
+                            Guard((atom,))))
+        checks: list[list[object]] = [[] for _ in range(len(steps) + 1)]
+        for used, check in pending:
+            # a variable outside t.variables never gets bound: its check
+            # goes last and fails there with an unbound-variable error
+            ready = max((stage.get(n, len(steps) - 1) for n in used), default=-1)
+            checks[ready + 1].append(check)
+        self.steps = tuple(steps)
+        self.checks = tuple(tuple(c) for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +307,8 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
             _check_sort_declared(sort, sig, f"free variable {name!r}", t.span, violations)
             env[name] = sort
 
-        ins = [a for a in net.arcs if a.target == t.name and net.has_place(a.source)]
-        outs = [a for a in net.arcs if a.source == t.name and net.has_place(a.target)]
+        ins = [a for a in net.arcs_into(t.name) if net.has_place(a.source)]
+        outs = [a for a in net.arcs_out_of(t.name) if net.has_place(a.target)]
 
         resolved_arcs: dict[tuple[str, str], tuple[Term, ...]] = {}
         for arc, place_name in [(a, a.source) for a in ins] + [(a, a.target) for a in outs]:
@@ -453,80 +538,106 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     guard holds and every evaluated input inscription is contained in
     the marking.
 
-    Enumerates variable domains in lexicographic name order with early
-    pruning: as soon as all variables of an input-arc term or guard atom
-    are assigned, the partial requirement is checked.  A candidate that
-    makes a function application fall outside its table is simply not
-    enabled.
+    Variables are bound by matching the input-arc patterns (variables
+    and constants, possibly in tuples) against the distinct tokens still
+    available on their places: a bound variable must agree with the
+    token, a fresh one takes the token's component if it lies in the
+    variable's carrier.  Only variables that no pattern binds are
+    enumerated over their carriers.  Guard atoms and the remaining input
+    terms are checked as soon as their variables are bound, the terms
+    against the tokens left over; a function application outside its
+    table makes the candidate not enabled.
+
+    The result is in lexicographic carrier order: by variable name, then
+    by each value's position in the carrier of the variable's sort.
     """
     t = net.transition(transition) if isinstance(transition, str) else transition
     t = _require_resolved(net, t)
-    variables = t.variables or ()
-    names = [n for n, _ in variables]
-    domains = [carrier_of(sort, s) for _, sort in variables]
-    index = {n: i for i, n in enumerate(names)}
+    plan = net.index.plans.get(t.name)
+    if plan is None or plan.transition is not t:
+        plan = MatchPlan(t, net.arcs_into(t.name))
+    ranks = [carrier_rank(sort, s) for _, sort in t.variables]
+    members = dict(zip(plan.names, ranks))
+    domains = {name: carrier_of(sort, s) for name, sort in t.variables
+               if name in plan.unmatched}
+    have = {place: dict(m.get(place).pairs()) for place in plan.places}
+    taken: dict[str, dict[Value, int]] = {place: {} for place in plan.places}
+    binding: dict[str, Value] = {}
+    found: list[tuple[Value, ...]] = []
 
-    def ready_at(vars_used: set[str]) -> int:
-        return max((index[v] for v in vars_used), default=-1)
-
-    term_checks: dict[int, list[tuple[str, Term]]] = {}
-    for arc in net.arcs_into(t.name):
-        for term in arc.inscription:
-            term_checks.setdefault(
-                ready_at(term_variables(term)), []).append((arc.source, term))
-    atom_checks: dict[int, list[Guard]] = {}
-    for atom in t.guard.atoms:
-        used = term_variables(atom.left) | term_variables(atom.right)
-        atom_checks.setdefault(ready_at(used), []).append(Guard((atom,)))
-
-    available = {place: dict(m.get(place).pairs()) for place, _ in m.items()}
-    results: list[Binding] = []
-
-    def feasible(level: int, partial: dict[str, Value],
-                 taken: dict[str, dict[Value, int]]) -> bool:
+    def admit(checks, took: list[tuple[str, Value]]) -> bool:
         # a plain dict stands in for a Binding here: evaluation only
         # needs .get, and building a sorted Binding per probe is costly
         try:
-            for single in atom_checks.get(level, ()):
-                if not eval_guard(single, s, partial):
-                    return False
-            for place, term in term_checks.get(level, ()):
-                if isinstance(term, Elm):
-                    value = evaluate(term.inner, s, partial)
-                    if not isinstance(value, SetValue):
-                        raise EvalError("elm expects a set value")
-                    needed: tuple[Value, ...] = value.elements
-                else:
-                    needed = (evaluate(term, s, partial),)
-                have = available.get(place, {})
-                bucket = taken.setdefault(place, {})
-                for v in needed:
-                    bucket[v] = bucket.get(v, 0) + 1
-                    if bucket[v] > have.get(v, 0):
+            for check in checks:
+                if isinstance(check, Guard):
+                    if not eval_guard(check, s, binding):
+                        return False
+                    continue
+                place, term = check
+                for v in term_tokens(term, s, binding):
+                    count = taken[place][v] = taken[place].get(v, 0) + 1
+                    took.append((place, v))
+                    if count > have[place].get(v, 0):
                         return False
         except EvalError:
             return False
         return True
 
-    def descend(level: int, partial: dict[str, Value],
-                taken: dict[str, dict[Value, int]]) -> None:
-        if level == len(names):
-            results.append(Binding(partial))
-            return
-        name = names[level]
-        for value in domains[level]:
-            partial[name] = value
-            snapshot = {p: dict(c) for p, c in taken.items()}
-            if feasible(level, partial, taken):
-                descend(level + 1, partial, taken)
-            taken.clear()
-            taken.update(snapshot)
-        partial.pop(name, None)
+    def descend(level: int) -> None:
+        took: list[tuple[str, Value]] = []
+        if admit(plan.checks[level], took):
+            if level == len(plan.steps):
+                found.append(tuple(binding[n] for n in plan.names))
+            else:
+                step(level)
+        for place, v in took:
+            taken[place][v] -= 1
 
-    root_taken: dict[str, dict[Value, int]] = {}
-    if feasible(-1, {}, root_taken):
-        descend(0, {}, root_taken)
-    return results
+    def step(level: int) -> None:
+        place, what = plan.steps[level]
+        if place is None:
+            for value in domains[what]:
+                binding[what] = value
+                descend(level + 1)
+            binding.pop(what, None)
+            return
+        counts = taken[place]
+        for value, available in have[place].items():
+            if counts.get(value, 0) >= available:
+                continue
+            fresh: list[str] = []
+            if _match(what, value, binding, members, s, fresh):
+                counts[value] = counts.get(value, 0) + 1
+                descend(level + 1)
+                counts[value] -= 1
+            for name in fresh:
+                del binding[name]
+
+    descend(0)
+    found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
+    return [Binding(zip(plan.names, values)) for values in found]
+
+
+def _match(term: Term, value: Value, binding: dict[str, Value],
+           members: Mapping[str, Mapping[Value, int]], s: Structure,
+           fresh: list[str]) -> bool:
+    """Extend ``binding`` so that the pattern evaluates to ``value``;
+    names it binds are appended to ``fresh``, also when it fails."""
+    if isinstance(term, Var):
+        known = binding.get(term.name)
+        if known is not None:
+            return known == value
+        if value not in members[term.name]:
+            return False
+        binding[term.name] = value
+        fresh.append(term.name)
+        return True
+    if isinstance(term, TupleTerm):
+        return (isinstance(value, TupleValue) and len(value.items) == len(term.items)
+                and all(_match(item, v, binding, members, s, fresh)
+                        for item, v in zip(term.items, value.items)))
+    return s.constants.get(term.name) == value
 
 
 def fire(net: SchematicNet, m: Marking, transition: Transition | str,

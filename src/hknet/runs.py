@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CompositionError, ModelError, ScriptError, Violation
+from .errors import (CompositionError, EvalError, ModelError, ScriptError,
+                     Violation)
 from .modules import Module, PLACE, InterfaceElement, compose
 from .nets import (Condition, Event, Marking, OccurrenceNet,
                    enabled_bindings)
@@ -303,7 +304,7 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
             expected_post = {
                 arc.target: inscription_tokens(arc.inscription, s, e.binding)
                 for arc in net.arcs_out_of(e.transition)}
-        except Exception as exc:  # evaluation failure under this binding
+        except EvalError as exc:  # evaluation failure under this binding
             out.append(Violation(
                 "binding", f"event {e.id}: {exc}"))
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import EvalError, SortError, Violation
@@ -181,7 +182,9 @@ class Structure:
 
     Function tables are keyed by argument tuples; carriers are stored in
     canonical value order.  Structures are immutable after construction
-    and safe to share between concurrent readers.
+    and safe to share between concurrent readers: the carrier tables
+    below are derived from the fields on first use, and an entry, once
+    added, is never changed.
     """
 
     name: str
@@ -199,6 +202,11 @@ class Structure:
 
     def carrier_value(self, symbol: str) -> SetValue:
         return SetValue(self.carrier(symbol))
+
+    @cached_property
+    def _carrier_tables(self) -> dict[Sort, tuple[tuple[Value, ...], dict[Value, int]]]:
+        """Per sort: :func:`carrier_of` and each value's position in it."""
+        return {}
 
 
 def make_structure(name: str,
@@ -220,29 +228,48 @@ def make_structure(name: str,
     return Structure(name, signature, carr, fns, dict(constants or {}), powerset_cap)
 
 
-def carrier_of(sort: Sort, s: Structure, cap: int | None = None) -> tuple[Value, ...]:
+def carrier_of(sort: Sort, s: Structure) -> tuple[Value, ...]:
     """All values of a sort under a structure, in canonical order.
 
     Powerset sorts are materialized explicitly and are capped: a base
-    carrier larger than the cap (default 16) is rejected rather than
-    silently exploding.
+    carrier larger than ``s.powerset_cap`` (default 16) is rejected
+    rather than silently exploding.  The result is memoised on ``s``.
     """
-    cap = s.powerset_cap if cap is None else cap
+    return _carrier_table(sort, s)[0]
+
+
+def carrier_rank(sort: Sort, s: Structure) -> Mapping[Value, int]:
+    """Position of every value of ``carrier_of(sort, s)``: a membership
+    table that also orders values as the carrier does.  Memoised on
+    ``s``, and capped like :func:`carrier_of`."""
+    return _carrier_table(sort, s)[1]
+
+
+def _carrier_table(sort: Sort, s: Structure) -> tuple[tuple[Value, ...], dict[Value, int]]:
+    table = s._carrier_tables.get(sort)
+    if table is None:
+        values = _build_carrier(sort, s)
+        table = (values, {v: i for i, v in enumerate(values)})
+        s._carrier_tables[sort] = table
+    return table
+
+
+def _build_carrier(sort: Sort, s: Structure) -> tuple[Value, ...]:
     if isinstance(sort, SortName):
         return s.carrier(sort.name)
     if isinstance(sort, PowSort):
         base = s.carrier(sort.base)
-        if len(base) > cap:
+        if len(base) > s.powerset_cap:
             raise EvalError(
                 f"powerset of {sort.base!r} has base size {len(base)}, "
-                f"which exceeds the cap of {cap}")
+                f"which exceeds the cap of {s.powerset_cap}")
         subsets = []
         for r in range(len(base) + 1):
             for combo in itertools.combinations(base, r):
                 subsets.append(SetValue(combo))
         return tuple(sorted(subsets, key=lambda v: v.key()))
     if isinstance(sort, TupleSort):
-        components = [carrier_of(c, s, cap) for c in sort.components]
+        components = [carrier_of(c, s) for c in sort.components]
         return tuple(TupleValue(items) for items in itertools.product(*components))
     raise TypeError(f"not a sort: {sort!r}")
 
@@ -250,11 +277,11 @@ def carrier_of(sort: Sort, s: Structure, cap: int | None = None) -> tuple[Value,
 def value_in_sort(v: Value, sort: Sort, s: Structure) -> bool:
     """Membership test that never materializes powersets."""
     if isinstance(sort, SortName):
-        return v in set(s.carrier(sort.name))
+        return v in carrier_rank(sort, s)
     if isinstance(sort, PowSort):
         if not isinstance(v, SetValue):
             return False
-        base = set(s.carrier(sort.base))
+        base = carrier_rank(SortName(sort.base), s)
         return all(e in base for e in v)
     if isinstance(sort, TupleSort):
         if not isinstance(v, TupleValue) or len(v.items) != len(sort.components):

@@ -276,21 +276,23 @@ def expand_elm(v: Value) -> Multiset:
     return Multiset(v.elements)
 
 
+def term_tokens(t: Term, s: Structure, b: Binding = EMPTY_BINDING) -> tuple[Value, ...]:
+    """The tokens one inscription term stands for: its value, or, for an
+    ``elm`` term, the elements of its set value."""
+    if isinstance(t, Elm):
+        value = evaluate(t.inner, s, b)
+        if not isinstance(value, SetValue):
+            raise EvalError(
+                f"elm expects a set value, got {render_value(value)}", t.span)
+        return value.elements
+    return (evaluate(t, s, b),)
+
+
 def inscription_tokens(terms: Iterable[Term], s: Structure,
                        b: Binding = EMPTY_BINDING) -> Multiset:
     """Evaluate an inscription (a multiset of terms, each possibly
     elm-wrapped at top level) into a multiset of tokens."""
-    out: list[Value] = []
-    for t in terms:
-        if isinstance(t, Elm):
-            value = evaluate(t.inner, s, b)
-            if not isinstance(value, SetValue):
-                raise EvalError(
-                    f"elm expects a set value, got {render_value(value)}", t.span)
-            out.extend(value.elements)
-        else:
-            out.append(evaluate(t, s, b))
-    return Multiset(out)
+    return Multiset(v for t in terms for v in term_tokens(t, s, b))
 
 
 def eval_guard(g: Guard, s: Structure, b: Binding = EMPTY_BINDING) -> bool:

@@ -1,15 +1,17 @@
-"""Seeded random generators shared by property and acceptance tests."""
+"""Seeded random generators and reference oracles shared by property and
+acceptance tests."""
 
 from __future__ import annotations
 
 import random
 import zlib
 
-from hknet import (Arc, Atom, Binding, Condition, Event, Guard, GuardAtom,
-                   Ident, InterfaceElement, Marking, Module, Multiset,
-                   OccurrenceNet, Place, PowSort, SchematicNet, SetTerm,
-                   SetValue, Signature, SortName, Transition, TupleSort,
-                   TupleTerm, TupleValue, render_term)
+from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, Guard,
+                   GuardAtom, Ident, InterfaceElement, Marking, Module,
+                   Multiset, OccurrenceNet, Place, PowSort, SchematicNet,
+                   SetTerm, SetValue, Signature, SortName, Transition,
+                   TupleSort, TupleTerm, TupleValue, enumerate_bindings,
+                   eval_guard, inscription_tokens, render_term)
 from hknet.modules import PLACE, TRANSITION
 from hknet.parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc
 
@@ -340,3 +342,28 @@ def replay(system, steps) -> Marking:
     for name, binding in steps:
         m = system.fire(m, name, binding)
     return m
+
+
+# ---------------------------------------------------------------------------
+# Enabling oracle
+# ---------------------------------------------------------------------------
+
+def brute_force_bindings(net, m, t, s) -> list[Binding]:
+    """The definition of enabling, by carrier enumeration: every
+    sort-respecting total binding, in lexicographic carrier order, whose
+    guard holds and whose evaluated input inscriptions the marking
+    contains.  A binding under which evaluation fails is not enabled."""
+    out = []
+    for b in enumerate_bindings(t.variables, s):
+        try:
+            if not eval_guard(t.guard, s, b):
+                continue
+            needed: dict[str, Multiset] = {}
+            for arc in net.arcs_into(t.name):
+                tokens = inscription_tokens(arc.inscription, s, b)
+                needed[arc.source] = needed.get(arc.source, Multiset()) + tokens
+        except EvalError:
+            continue
+        if all(ms <= m.get(place) for place, ms in needed.items()):
+            out.append(b)
+    return out

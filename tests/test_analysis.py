@@ -1,10 +1,13 @@
 import random
 
-from hknet import (Arc, Atom, Ident, Module, Place, SchematicNet,
+import pytest
+
+from hknet import (Arc, Atom, Ident, ModelError, Module, Place, SchematicNet,
                    Signature, SortName, Transition, TupleValue, explore,
                    explore_grounded, ground, in_span, instantiate,
                    make_structure, nullspace, place_invariants,
                    transition_invariants)
+from hknet import analysis
 
 
 def test_ground_expands_free_tables_per_carrier(sys0):
@@ -93,7 +96,8 @@ def test_per_table_conservation_along_random_walks(sys_small):
     assert in_span(place_invariants(g), vec)
 
 
-def test_transition_invariants_of_acyclic_net_are_trivial():
+def ground_line():
+    """p -> step -> q over a one-element carrier: C = (-1, 1)^T."""
     sig = Signature("line", sets=("A",), constants=(("k", SortName("A")),))
     s = make_structure("s", sig, {"A": (Atom("a"),)}, constants={"k": Atom("a")})
     net = SchematicNet(
@@ -101,8 +105,22 @@ def test_transition_invariants_of_acyclic_net_are_trivial():
         transitions=(Transition("step"),),
         arcs=(Arc("p", "step", (Ident("x"),)), Arc("step", "q", (Ident("x"),))),
     )
-    g = ground(instantiate(Module("m", "line", net), s))
-    assert transition_invariants(g) == []
+    return ground(instantiate(Module("m", "line", net), s))
+
+
+def test_transition_invariants_of_acyclic_net_are_trivial():
+    assert transition_invariants(ground_line()) == []
+
+
+def test_invariant_self_check_rejects_a_wrong_basis(monkeypatch):
+    # a first unit vector is in neither null-space of C = (-1, 1)^T
+    g = ground_line()
+    monkeypatch.setattr(analysis, "nullspace",
+                        lambda matrix, width: [(1,) + (0,) * (width - 1)])
+    with pytest.raises(ModelError, match="place invariant 0 "):
+        place_invariants(g)
+    with pytest.raises(ModelError, match="transition invariant 0 "):
+        transition_invariants(g)
 
 
 def test_transition_invariants_of_a_cycle():

@@ -1,12 +1,18 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hknet import (Arc, Atom, Binding, FiringError, Ident,
-                   Marking, Multiset, Place, SchematicNet, SetValue, Signature,
-                   SortName, Transition, TupleValue, enabled_bindings, fire,
-                   make_structure, marking_violations, resolve_net, successors)
+from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
+                   Marking, Multiset, Place, PowSort, SchematicNet, SetValue,
+                   Signature, SortName, Transition, TupleValue, bind_structure,
+                   carrier_of, enabled_bindings, fire, instantiate,
+                   make_structure, marking_violations, parse, resolve_net,
+                   successors)
 from hknet.terms import Elm
+
+from support import brute_force_bindings
 
 
 def marking(**kwargs):
@@ -187,37 +193,146 @@ def test_resolved_variables_are_recorded(sys0):
     assert [n for n, _ in select.variables] == ["X", "c", "m", "t"]
 
 
-def test_enabled_bindings_matches_brute_force_definition(sys0):
+def test_enabled_bindings_matches_brute_force_definition(sys0, sys_small):
     # oracle: enumerate every sort-respecting total binding, keep those
-    # whose guard holds and whose evaluated inputs the marking contains
-    import random as rnd
-    from hknet import enumerate_bindings, eval_guard
-    from hknet.terms import inscription_tokens
+    # whose guard holds and whose evaluated inputs the marking contains;
+    # the order must agree too
+    for system in (sys0, sys_small):
+        rng = random.Random(5)
+        m = system.initial
+        for _ in range(12):
+            for t in system.net.transitions:
+                fast = enabled_bindings(system.net, m, t, system.structure)
+                slow = brute_force_bindings(system.net, m, t, system.structure)
+                assert fast == slow, (system.name, t.name, m)
+            succ = successors(system.net, m, system.structure)
+            if not succ:
+                break
+            m = succ[rng.randrange(len(succ))][2]
 
-    def brute_force(net, m, t, s):
-        out = []
-        for b in enumerate_bindings(t.variables, s):
-            try:
-                if not eval_guard(t.guard, s, b):
-                    continue
-                needed = {}
-                for arc in net.arcs_into(t.name):
-                    tokens = inscription_tokens(arc.inscription, s, b)
-                    needed[arc.source] = needed.get(arc.source, Multiset()) + tokens
-                if all(ms <= m.get(place) for place, ms in needed.items()):
-                    out.append(b)
-            except Exception:
-                continue
-        return out
 
-    rng = rnd.Random(5)
-    m = sys0.initial
-    for _ in range(12):
-        for t in sys0.net.transitions:
-            fast = enabled_bindings(sys0.net, m, t, sys0.structure)
-            slow = brute_force(sys0.net, m, t, sys0.structure)
-            assert fast == slow, (t.name, m)
-        succ = successors(sys0.net, m, sys0.structure)
-        if not succ:
-            break
-        m = succ[rng.randrange(len(succ))][2]
+# Each transition exercises one way of binding a variable:
+#   twice           one input term needing two copies of one token
+#   two_of          two patterns drawing on the tokens of one place
+#   split           token components outside the variables' carriers
+#   const_in_tuple  a constant inside a tuple pattern
+#   under_fn        y bound only under h(y), Y only under elm(Y)
+#   chosen          a declared free variable, constrained by the guard
+#   free_bound      a declared free variable that a pattern also binds
+HAND_BUILT = ("""
+signature hand {
+  sets A, B;
+  consts k: A;
+  fns h: B -> A;
+}
+""", """
+structure hand_s of hand {
+  A = {a1, a2, a3};
+  B = {b1, b2};
+  k = a2;
+  h = {b1 -> a1, b2 -> a1};
+}
+""", """
+module hand_m of hand {
+  places { p : A; q : A; pair : (A, B); loose; out : A; }
+  trans {
+    twice;
+    two_of;
+    split;
+    const_in_tuple;
+    under_fn;
+    chosen guard h(z) = x free z : B;
+    free_bound free x : A;
+  }
+  arcs {
+    p -> twice : x, x;
+    twice -> out : x;
+    p -> two_of : x, y;
+    two_of -> out : x;
+    pair -> split : (x, y);
+    split -> out : x;
+    pair -> const_in_tuple : (k, y);
+    const_in_tuple -> out : h(y);
+    p -> under_fn : h(y);
+    q -> under_fn : elm(Y);
+    under_fn -> out : k;
+    p -> chosen : x;
+    chosen -> pair : (x, z);
+    loose -> free_bound : x;
+    free_bound -> out : x;
+  }
+}
+""")
+
+
+@pytest.fixture(scope="module")
+def hand_built():
+    sig_text, structure_text, module_text = HAND_BUILT
+    sig = parse(sig_text).body
+    structure = bind_structure(parse(structure_text).body, sig)
+    return instantiate(parse(module_text).body, structure)
+
+
+def test_hand_built_nets_bind_each_kind_of_variable(hand_built):
+    net, s = hand_built.net, hand_built.structure
+
+    def bindings(name, **tokens):
+        return [b.pairs() for b in enabled_bindings(net, marking(**tokens), name, s)]
+
+    a1, a2, b1, zzz = Atom("a1"), Atom("a2"), Atom("b1"), Atom("zzz")
+    assert bindings("twice", p=[a1]) == []
+    assert bindings("twice", p=[a1, a1, a2]) == [(("x", a1),)]
+    assert bindings("two_of", p=[a1, a2]) == [(("x", a1), ("y", a2)),
+                                              (("x", a2), ("y", a1))]
+    assert bindings("split", pair=[TupleValue([zzz, b1]), TupleValue([a1, zzz])]) == []
+    assert bindings("const_in_tuple", pair=[TupleValue([a1, b1]),
+                                           TupleValue([a2, b1])]) == [(("y", b1),)]
+    # h maps both dishes to a1; Y may be empty, which consumes nothing
+    assert len(bindings("under_fn", p=[a1], q=[a2])) == 2 * 2
+    assert bindings("chosen", p=[a1, a2]) == [(("x", a1), ("z", b1)),
+                                              (("x", a1), ("z", Atom("b2")))]
+    assert bindings("free_bound", loose=[zzz, a2]) == [(("x", a2),)]
+
+
+def test_hand_built_nets_match_brute_force_on_random_markings(hand_built):
+    net, s = hand_built.net, hand_built.structure
+    atoms = [Atom(n) for n in ("a1", "a2", "a3", "b1", "b2", "zzz")]
+    pool = {"p": atoms, "q": atoms, "loose": atoms, "out": atoms,
+            "pair": [TupleValue([x, y]) for x in atoms for y in atoms]}
+    rng = random.Random(11)
+    for _ in range(150):
+        m = Marking({place: [v for v in rng.sample(values, 3)
+                             for _ in range(rng.randrange(3))]
+                     for place, values in pool.items()})
+        for t in net.transitions:
+            assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s), \
+                (t.name, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_enabled_bindings_match_brute_force_on_random_markings(data, sys_tiny, sys_small):
+    system = data.draw(st.sampled_from([sys_tiny, sys_small]), label="system")
+    net, s = system.net, system.structure
+    per_place = {}
+    for place in net.places:
+        values = carrier_of(place.sort, s)
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=len(values),
+                                    max_size=len(values)), label=place.name)
+        per_place[place.name] = [v for v, n in zip(values, counts) for _ in range(n)]
+    m = Marking(per_place)
+    for t in net.transitions:
+        assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s)
+
+
+def test_enabled_bindings_enforce_the_powerset_cap():
+    # X is bound from the token alone, yet pow(W) is still over the cap
+    sig = Signature("wide", sets=("W",))
+    s = make_structure("big", sig, {"W": tuple(Atom(f"w{i:02d}") for i in range(17))})
+    net, problems = resolve_net(SchematicNet(
+        places=(Place("p", PowSort("W")),),
+        transitions=(Transition("take"),),
+        arcs=(Arc("p", "take", (Ident("X"),)),)), sig)
+    assert problems == []
+    with pytest.raises(EvalError, match="exceeds the cap of 16"):
+        enabled_bindings(net, marking(p=[SetValue([Atom("w00")])]), "take", s)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hknet import (Arc, Atom, Binding, CompositionError, Ident, ModelError,
@@ -248,3 +250,15 @@ def test_validate_rejects_unknown_places(sys0, a0):
         a0.left, a0.right)
     codes = {v.code for v in validate_run(bad, sys0)}
     assert "unknown-place" in codes
+
+
+def test_event_outside_a_function_table_is_a_binding_violation(sys0, a0_simulated):
+    # f has no entry for pizza, so cook's input f(y) cannot be evaluated
+    inner = a0_simulated.inner
+    cook = next(e for e in inner.events if e.transition == "cook")
+    bad = replace(cook, binding=Binding({"y": Atom("pizza")}))
+    events = tuple(bad if e is cook else e for e in inner.events)
+    run = replace(a0_simulated, inner=replace(inner, events=events))
+    report = validate_run(run, sys0)
+    assert [v.code for v in report] == ["binding"]
+    assert cook.id in report[0].message and "pizza" in report[0].message
