@@ -5,24 +5,24 @@ one grounded place per (place, carrier value), one grounded transition
 per (transition, guard-satisfying binding), with integer incidence
 entries read off the evaluated arc inscriptions.  Place and transition
 invariants are integer bases of the left and right null-spaces of the
-incidence matrix, computed with exact rational elimination and verified
-by multiplication.  Reachability exploration is plain breadth-first
-search over canonical markings with node/edge caps.
+incidence matrix, read off one sparse, fraction-free elimination over
+integer rows and verified by multiplication.  Reachability exploration
+is plain breadth-first search over canonical markings with node/edge caps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from typing import Callable, Sequence
+from functools import cached_property
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
-from .errors import ModelError
+from .errors import EvalError, ModelError
 from .nets import Marking
-from .signature import carrier_of
+from .signature import Structure, carrier_of
 from .systems import System
-from .terms import (Binding, enumerate_bindings, eval_guard,
+from .terms import (Binding, Term, enumerate_bindings, eval_guard,
                     inscription_tokens, render_binding)
 from .values import Value, render_value
 
@@ -41,14 +41,20 @@ class GroundedNet:
     post: tuple[tuple[int, ...], ...]  # places x transitions
     initial: tuple[int, ...]
 
-    @property
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.post[p][t] - self.pre[p][t]
-                           for t in range(len(self.transitions)))
-                     for p in range(len(self.places)))
+        return tuple(tuple(b - a for a, b in zip(pre_row, post_row))
+                     for pre_row, post_row in zip(self.pre, self.post))
 
-    def place_index(self, place: str, value: Value) -> int:
-        return self.places.index((place, value))
+    @cached_property
+    def pre_columns(self) -> tuple[dict[int, int], ...]:
+        """Per transition, the tokens it consumes: {place index: count}."""
+        return tuple(map(_sparse, _transpose(self.pre, len(self.transitions))))
+
+    @cached_property
+    def incidence_columns(self) -> tuple[dict[int, int], ...]:
+        """Per transition, its nonzero effect: {place index: post - pre}."""
+        return tuple(map(_sparse, _transpose(self.incidence, len(self.transitions))))
 
     def place_label(self, index: int) -> str:
         place, value = self.places[index]
@@ -62,13 +68,24 @@ class GroundedNet:
         return tuple(m.get(place).count(value) for place, value in self.places)
 
 
+def _sparse(row: Iterable[int]) -> dict[int, int]:
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def _transpose(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
+    """The ``width`` columns of a dense matrix, also when it has no rows."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
 def ground(sys: System) -> GroundedNet:
     """Expand a system into its grounded elementary net.
 
     Place domains are over-approximated by the full carrier of the place
     sort, which is sound for invariants; every place must therefore be
     sorted.  Binding domains run through the same powerset cap as
-    enumeration.
+    enumeration.  A binding under which evaluation fails, or which puts
+    a token outside a place's carrier, can never fire and gets no
+    column.
     """
     net, s = sys.net, sys.structure
     places: list[tuple[str, Value]] = []
@@ -81,160 +98,143 @@ def ground(sys: System) -> GroundedNet:
     place_index = {pv: i for i, pv in enumerate(places)}
 
     transitions: list[tuple[str, Binding]] = []
-    pre_cols: list[dict[int, int]] = []
-    post_cols: list[dict[int, int]] = []
+    pre_cols: list[list[int]] = []   # transitions x places
+    post_cols: list[list[int]] = []
     for t in sorted(net.transitions, key=lambda t: t.name):
+        inputs = [(arc.source, arc.inscription) for arc in net.arcs_into(t.name)]
+        outputs = [(arc.target, arc.inscription) for arc in net.arcs_out_of(t.name)]
         for b in enumerate_bindings(t.variables or (), s):
             try:
                 if not eval_guard(t.guard, s, b):
                     continue
-                pre: dict[int, int] = {}
-                for arc in net.arcs_into(t.name):
-                    for v, n in inscription_tokens(arc.inscription, s, b).pairs():
-                        idx = place_index[(arc.source, v)]
-                        pre[idx] = pre.get(idx, 0) + n
-                post: dict[int, int] = {}
-                for arc in net.arcs_out_of(t.name):
-                    for v, n in inscription_tokens(arc.inscription, s, b).pairs():
-                        idx = place_index[(arc.target, v)]
-                        post[idx] = post.get(idx, 0) + n
-            except KeyError:
-                # an inscription evaluates outside the place's carrier:
-                # the binding can never fire, so it contributes no column
+                pre = _ground_column(inputs, s, b, place_index)
+                post = _ground_column(outputs, s, b, place_index)
+            except EvalError:
                 continue
-            except ModelError:
+            if pre is None or post is None:
                 continue
             transitions.append((t.name, b))
             pre_cols.append(pre)
             post_cols.append(post)
 
-    n_places, n_trans = len(places), len(transitions)
-    pre_rows = [[0] * n_trans for _ in range(n_places)]
-    post_rows = [[0] * n_trans for _ in range(n_places)]
-    for col, (pre, post) in enumerate(zip(pre_cols, post_cols)):
-        for idx, n in pre.items():
-            pre_rows[idx][col] = n
-        for idx, n in post.items():
-            post_rows[idx][col] = n
     initial = tuple(sys.initial.get(place).count(value) for place, value in places)
     return GroundedNet(tuple(places), tuple(transitions),
-                       tuple(tuple(r) for r in pre_rows),
-                       tuple(tuple(r) for r in post_rows), initial)
+                       _transpose(pre_cols, len(places)),
+                       _transpose(post_cols, len(places)), initial)
+
+
+def _ground_column(arcs: list[tuple[str, tuple[Term, ...]]], s: Structure, b: Binding,
+                   place_index: dict[tuple[str, Value], int]) -> list[int] | None:
+    """Tokens the arcs carry under ``b``, per place index, or None when
+    one of them lies outside its place's carrier."""
+    column = [0] * len(place_index)
+    for place, inscription in arcs:
+        for v, n in inscription_tokens(inscription, s, b).pairs():
+            idx = place_index.get((place, v))
+            if idx is None:
+                return None
+            column[idx] += n
+    return column
 
 
 # ---------------------------------------------------------------------------
 # Exact integer null-spaces
 # ---------------------------------------------------------------------------
 
+def _rref(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduced row-echelon form of sparse integer rows, up to row scaling,
+    as {pivot column: primitive row}, by fraction-free Gauss-Jordan
+    elimination: each new pivot row back-reduces the earlier ones."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduce(row, pivots)
+        if not row:
+            continue
+        col = min(row)
+        for p in [p for p, other in pivots.items() if col in other]:
+            pivots[p] = _eliminate(pivots[p], row, col)
+        pivots[col] = row
+    return pivots
+
+
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """``row`` with every pivot column of ``pivots`` eliminated."""
+    for col in [c for c in row if c in pivots]:
+        row = _eliminate(row, pivots[col], col)
+    return row
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """The primitive integer combination of ``row`` and ``pivot`` that is
+    zero in column ``col``."""
+    g = gcd(row[col], pivot[col])
+    a, b = row[col] // g, pivot[col] // g
+    out = {c: b * v for c, v in row.items()}
+    for c, v in pivot.items():
+        w = out.get(c, 0) - a * v
+        if w:
+            out[c] = w
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
 def nullspace(matrix: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
     """Integer basis of {x : matrix @ x = 0} for a matrix with ``width``
-    columns, via exact rational elimination.
-
-    Each basis vector is scaled to coprime integers with a positive
-    first nonzero entry.
+    columns: one vector per free column of its reduced row-echelon form,
+    scaled to coprime integers with a positive first nonzero entry.
     """
-    rows = [[Fraction(v) for v in row] for row in matrix if any(row)]
-    n = width
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][col] != 0:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        factor = rows[r][col]
-        rows[r] = [v / factor for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                coef = rows[k][col]
-                rows[k] = [a - coef * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free_cols = [c for c in range(n) if c not in pivots]
+    pivots = _rref(_sparse(row) for row in matrix)
     basis: list[tuple[int, ...]] = []
-    for free in free_cols:
-        x = [Fraction(0)] * n
-        x[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            x[col] = -rows[row_idx][free]
-        basis.append(_to_integer(x))
+    for free in range(width):
+        if free in pivots:
+            continue
+        uses = [(p, row) for p, row in pivots.items() if free in row]
+        scale = lcm(*(row[p] for p, row in uses))
+        x = [0] * width
+        x[free] = scale
+        for p, row in uses:
+            x[p] = -row[free] * scale // row[p]
+        g = gcd(*x)
+        sign = -1 if next(v for v in x if v) < 0 else 1
+        basis.append(tuple(sign * v // g for v in x))
     return basis
-
-
-def _to_integer(vector: list[Fraction]) -> tuple[int, ...]:
-    denom = 1
-    for v in vector:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vector]
-    common = 0
-    for v in ints:
-        common = gcd(common, abs(v))
-    if common > 1:
-        ints = [v // common for v in ints]
-    first = next((v for v in ints if v != 0), 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
 
 
 def place_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {i : i^T C = 0}; each vector is re-verified."""
-    c = g.incidence
-    transposed = [[c[p][t] for p in range(len(g.places))]
-                  for t in range(len(g.transitions))]
-    basis = nullspace(transposed, len(g.places))
-    _verify("place", basis, transposed)
+    basis = nullspace(_transpose(g.incidence, len(g.transitions)), len(g.places))
+    _verify("place", basis, [_sparse(row) for row in g.incidence])
     return basis
 
 
 def transition_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {j : C j = 0}; each vector is re-verified."""
-    c = g.incidence
-    basis = nullspace(c, len(g.transitions))
-    _verify("transition", basis, c)
+    basis = nullspace(g.incidence, len(g.transitions))
+    _verify("transition", basis, g.incidence_columns)
     return basis
 
 
 def _verify(kind: str, basis: Sequence[Sequence[int]],
-            matrix: Sequence[Sequence[int]]) -> None:
-    """Raise unless ``matrix @ vec = 0`` for every basis vector."""
+            columns: Sequence[dict[int, int]]) -> None:
+    """Raise unless ``matrix @ vec = 0`` for every basis vector, where
+    ``columns[k]`` is the sparse column ``k`` of the matrix."""
     for i, vec in enumerate(basis):
-        if any(sum(a * x for a, x in zip(row, vec)) for row in matrix):
+        total: dict[int, int] = {}
+        for k, x in enumerate(vec):
+            if x:
+                for r, a in columns[k].items():
+                    total[r] = total.get(r, 0) + a * x
+        if any(total.values()):
             raise ModelError(
                 f"{kind} invariant {i} is not in the null-space of the incidence matrix")
 
 
 def in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    """Exact test that ``vector`` is a rational combination of ``basis``."""
-    if not basis:
-        return all(v == 0 for v in vector)
-    n = len(vector)
-    rows = [[Fraction(b[i]) for b in basis] + [Fraction(vector[i])]
-            for i in range(n)]
-    cols = len(basis)
-    r = 0
-    for col in range(cols):
-        pivot = next((k for k in range(r, n) if rows[k][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        factor = rows[r][col]
-        rows[r] = [v / factor for v in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][col] != 0:
-                coef = rows[k][col]
-                rows[k] = [a - coef * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-    for k in range(r, n):
-        if rows[k][cols] != 0 and all(rows[k][c] == 0 for c in range(cols)):
-            return False
-    return True
+    """Exact test that ``vector`` is a rational combination of ``basis``:
+    it reduces to zero against the echelon form of the basis vectors."""
+    return not _reduce(_sparse(vector), _rref(_sparse(b) for b in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,6 @@ class GroundedReachabilityGraph:
 def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                      max_edges: int = 100000) -> GroundedReachabilityGraph:
     """BFS over the grounded net's marking vectors."""
-    n_trans = len(g.transitions)
     vectors: list[tuple[int, ...]] = [g.initial]
     index: dict[tuple[int, ...], int] = {g.initial: 0}
     edges: list[tuple[int, int, int]] = []
@@ -317,14 +316,11 @@ def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
         node = frontier.popleft()
         vec = vectors[node]
         fired_any = False
-        for t in range(n_trans):
-            enabled = all(vec[p] >= g.pre[p][t] for p in range(len(g.places))
-                          if g.pre[p][t])
-            if not enabled:
+        for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns)):
+            if any(vec[p] < n for p, n in pre.items()):
                 continue
             fired_any = True
-            succ = tuple(v - g.pre[p][t] + g.post[p][t]
-                         for p, v in enumerate(vec))
+            succ = tuple(v + delta.get(p, 0) for p, v in enumerate(vec))
             target = index.get(succ)
             if target is None:
                 if len(vectors) >= max_nodes:

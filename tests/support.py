@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, Guard,
                    GuardAtom, Ident, InterfaceElement, Marking, Module,
@@ -367,3 +370,91 @@ def brute_force_bindings(net, m, t, s) -> list[Binding]:
         if all(ms <= m.get(place) for place, ms in needed.items()):
             out.append(b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Rational elimination oracle
+# ---------------------------------------------------------------------------
+
+def rational_nullspace(matrix: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Integer basis of {x : matrix @ x = 0} for a matrix with ``width``
+    columns, via exact rational elimination.
+
+    Each basis vector is scaled to coprime integers with a positive
+    first nonzero entry.
+    """
+    rows = [[Fraction(v) for v in row] for row in matrix if any(row)]
+    n = width
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot_row = None
+        for k in range(r, len(rows)):
+            if rows[k][col] != 0:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        factor = rows[r][col]
+        rows[r] = [v / factor for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != 0:
+                coef = rows[k][col]
+                rows[k] = [a - coef * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    free_cols = [c for c in range(n) if c not in pivots]
+    basis: list[tuple[int, ...]] = []
+    for free in free_cols:
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for row_idx, col in enumerate(pivots):
+            x[col] = -rows[row_idx][free]
+        basis.append(_to_integer(x))
+    return basis
+
+
+def _to_integer(vector: list[Fraction]) -> tuple[int, ...]:
+    denom = 1
+    for v in vector:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vector]
+    common = 0
+    for v in ints:
+        common = gcd(common, abs(v))
+    if common > 1:
+        ints = [v // common for v in ints]
+    first = next((v for v in ints if v != 0), 0)
+    if first < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def rational_in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    """Exact test that ``vector`` is a rational combination of ``basis``."""
+    if not basis:
+        return all(v == 0 for v in vector)
+    n = len(vector)
+    rows = [[Fraction(b[i]) for b in basis] + [Fraction(vector[i])]
+            for i in range(n)]
+    cols = len(basis)
+    r = 0
+    for col in range(cols):
+        pivot = next((k for k in range(r, n) if rows[k][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        factor = rows[r][col]
+        rows[r] = [v / factor for v in rows[r]]
+        for k in range(n):
+            if k != r and rows[k][col] != 0:
+                coef = rows[k][col]
+                rows[k] = [a - coef * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    for k in range(r, n):
+        if rows[k][cols] != 0 and all(rows[k][c] == 0 for c in range(cols)):
+            return False
+    return True

@@ -1,13 +1,18 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hknet import (Arc, Atom, Ident, ModelError, Module, Place, SchematicNet,
-                   Signature, SortName, Transition, TupleValue, explore,
+from hknet import (Arc, Atom, EvalError, Ident, ModelError, Module, Place,
+                   SchematicNet, SetTerm, SetValue, Signature, SortError,
+                   SortName, Transition, TupleValue, explore,
                    explore_grounded, ground, in_span, instantiate,
                    make_structure, nullspace, place_invariants,
                    transition_invariants)
 from hknet import analysis
+
+from support import rational_in_span, rational_nullspace
 
 
 def test_ground_expands_free_tables_per_carrier(sys0):
@@ -25,6 +30,44 @@ def test_ground_without_transitions_has_zero_columns():
     assert len(g.transitions) == 0
     assert g.incidence == ((),)
     assert g.initial == (1,)
+
+
+def singleton_system():
+    """p -> step -> q, where step puts {x} on q of sort S = {{a}} <= pow(A)."""
+    a_sort = SortName("A")
+    sig = Signature("sub", sets=("A",), subsets=(("S", "A"),), constants=(("k", a_sort),))
+    s = make_structure("s", sig, {"A": (Atom("a"), Atom("b")), "S": (SetValue([Atom("a")]),)},
+                       constants={"k": Atom("a")})
+    net = SchematicNet(
+        places=(Place("p", a_sort, (Ident("k"),)), Place("q", SortName("S"))),
+        transitions=(Transition("step"),),
+        arcs=(Arc("p", "step", (Ident("x"),)), Arc("step", "q", (SetTerm((Ident("x"),)),))),
+    )
+    return instantiate(Module("m", "sub", net), s)
+
+
+def test_ground_drops_bindings_with_tokens_outside_a_carrier():
+    # x = b would put {b} on q, outside the carrier of S: no column
+    g = ground(singleton_system())
+    assert [b["x"] for _, b in g.transitions] == [Atom("a")]
+
+
+def failing_inscriptions(monkeypatch, error):
+    def failing(*args):
+        raise error
+    monkeypatch.setattr(analysis, "inscription_tokens", failing)
+
+
+def test_ground_drops_bindings_whose_evaluation_fails(monkeypatch):
+    failing_inscriptions(monkeypatch, EvalError("undefined"))
+    assert ground(singleton_system()).transitions == ()
+
+
+@pytest.mark.parametrize("error", [KeyError("x"), SortError("ill-sorted")])
+def test_ground_propagates_errors_other_than_evaluation(monkeypatch, error):
+    failing_inscriptions(monkeypatch, error)
+    with pytest.raises(type(error)):
+        ground(singleton_system())
 
 
 def test_grounded_transitions_respect_guards(sys_tiny):
@@ -56,6 +99,72 @@ def test_nullspace_known_kernel():
 def test_nullspace_vectors_are_primitive_integers():
     basis = nullspace([[2, -4]], width=2)
     assert basis == [(2, 1)]
+
+
+SMALL = st.integers(-3, 3)
+# mostly small entries, some large ones so that rows need gcd normalisation
+ENTRY = st.one_of(SMALL, SMALL, SMALL, st.integers(-10**6, 10**6))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 rows x 10 columns, with zero, duplicate and scaled rows."""
+    width = draw(st.integers(0, 10))
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "scaled"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([0] * width)
+        elif kind == "fresh":
+            rows.append(draw(st.lists(ENTRY, min_size=width, max_size=width)))
+        else:
+            earlier = rows[draw(st.integers(0, len(rows) - 1))]
+            factor = 1 if kind == "copy" else draw(st.integers(-10**6, 10**6))
+            rows.append([factor * v for v in earlier])
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_nullspace_matches_rational_oracle(case):
+    matrix, width = case
+    assert nullspace(matrix, width) == rational_nullspace(matrix, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_in_span_matches_rational_oracle(data):
+    width = data.draw(st.integers(0, 10))
+    basis = data.draw(st.lists(st.lists(SMALL, min_size=width, max_size=width),
+                               max_size=5))
+    coefs = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                               max_size=len(basis)))
+    combination = [sum(c * b[i] for c, b in zip(coefs, basis)) for i in range(width)]
+    assert in_span(basis, combination)
+    assert rational_in_span(basis, combination)
+    if width:
+        combination[data.draw(st.integers(0, width - 1))] += data.draw(SMALL)
+    assert in_span(basis, combination) == rational_in_span(basis, combination)
+
+
+def test_elimination_of_empty_bases_and_zero_width():
+    assert nullspace([], 0) == nullspace([[], []], 0) == []
+    assert nullspace([], 2) == rational_nullspace([], 2) == [(1, 0), (0, 1)]
+    assert in_span([], [])
+    assert in_span([], [0, 0])
+    assert not in_span([], [0, 1])
+    assert in_span([[], []], [])
+    for vector in ([], [0, 0], [0, 1]):
+        assert in_span([], vector) == rational_in_span([], vector)
+
+
+def test_invariants_of_corpus_s0(sys0):
+    # digest of the bases the former rational elimination computed
+    g = ground(sys0)
+    places, transitions = place_invariants(g), transition_invariants(g)
+    assert (len(places), len(transitions)) == (47, 512)
+    digest = hashlib.sha256(repr((places, transitions)).encode()).hexdigest()
+    assert digest[:32] == "12b1a0a9063204e9f1a2cf4c782b12e4"
 
 
 def test_place_invariants_annihilate_incidence(sys_tiny):

@@ -7,6 +7,8 @@ from hknet.cli import main
 
 from conftest import CORPUS
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -135,6 +137,17 @@ def test_invariants_report(workdir, capsys):
     out = capsys.readouterr().out
     assert "place invariants:" in out
     assert "transition invariants:" in out
+
+
+def test_invariants_report_is_byte_identical_on_s0_small(workdir, capsys):
+    run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
+            workdir / "kitchen.hk", "-o", workdir / "branch.hk")
+    run_cli("instantiate", workdir / "branch.hk", workdir / "s0_small.hks",
+            "--name", "branch_small", "-o", workdir / "small.hksys")
+    capsys.readouterr()
+    assert run_cli("invariants", workdir / "small.hksys", "--transitions") == 0
+    golden = GOLDEN / "invariants_s0_small.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_reach_report_with_predicate(workdir, capsys):
