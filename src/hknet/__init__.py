@@ -14,7 +14,7 @@ from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         validate_structure, value_in_sort)
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
                     SetTerm, SymbolRef, Term, TupleTerm, Var,
-                    enumerate_bindings, eval_guard, evaluate, expand_elm,
+                    enumerate_bindings, eval_guard, evaluate,
                     inscription_tokens, render_binding, render_term)
 from .nets import (Arc, Condition, Event, Marking, OccurrenceNet, Place,
                    SchematicNet, Transition, check_net, enabled_bindings,
@@ -22,7 +22,7 @@ from .nets import (Arc, Condition, Event, Marking, OccurrenceNet, Place,
 from .modules import (InterfaceElement, Module, canonical_equal, canonicalize,
                       compose, compose_all, empty_module, empty_run,
                       interface_of, interface_violations, rename_elements)
-from .systems import System, instantiate, reinstantiate
+from .systems import System, instantiate
 from .runs import (SchedulingPolicy, compose_runs, final_cut, find_event,
                    initial_cut, linearize, ordered, random_policy,
                    scripted_policy, simulate, validate_run)

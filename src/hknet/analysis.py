@@ -12,11 +12,10 @@ is plain breadth-first search over canonical markings with node/edge caps.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import EvalError, ModelError
 from .nets import Marking
@@ -261,38 +260,8 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
     Hitting a cap sets the truncated flag instead of raising; deadlock
     markings and predicate hits are reported by node index.
     """
-    markings: list[Marking] = [sys.initial]
-    index: dict[Marking, int] = {sys.initial: 0}
-    edges: list[tuple[int, str, Binding, int]] = []
-    deadlocks: list[int] = []
-    hits: list[int] = []
-    truncated = False
-    frontier = deque([0])
-    if predicate is not None and predicate(sys.initial):
-        hits.append(0)
-    while frontier:
-        node = frontier.popleft()
-        succs = sys.successors(markings[node])
-        if not succs:
-            deadlocks.append(node)
-        for name, binding, target_marking in succs:
-            target = index.get(target_marking)
-            if target is None:
-                if len(markings) >= max_nodes:
-                    truncated = True
-                    continue
-                target = len(markings)
-                markings.append(target_marking)
-                index[target_marking] = target
-                frontier.append(target)
-                if predicate is not None and predicate(target_marking):
-                    hits.append(target)
-            if len(edges) >= max_edges:
-                truncated = True
-                continue
-            edges.append((node, name, binding, target))
-    return ReachabilityGraph(tuple(markings), tuple(edges), truncated,
-                             tuple(deadlocks), tuple(hits))
+    return ReachabilityGraph(*_bfs(sys.initial, sys.successors, max_nodes,
+                                   max_edges, predicate))
 
 
 @dataclass(frozen=True)
@@ -306,35 +275,51 @@ class GroundedReachabilityGraph:
 def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                      max_edges: int = 100000) -> GroundedReachabilityGraph:
     """BFS over the grounded net's marking vectors."""
-    vectors: list[tuple[int, ...]] = [g.initial]
-    index: dict[tuple[int, ...], int] = {g.initial: 0}
-    edges: list[tuple[int, int, int]] = []
+    def successors(vec: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        return [(t, tuple(v + delta.get(p, 0) for p, v in enumerate(vec)))
+                for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns))
+                if all(vec[p] >= n for p, n in pre.items())]
+
+    vectors, edges, truncated, deadlocks, _ = _bfs(g.initial, successors,
+                                                   max_nodes, max_edges)
+    return GroundedReachabilityGraph(vectors, edges, truncated, deadlocks)
+
+
+def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
+         max_nodes: int, max_edges: int,
+         predicate: Callable[[Any], bool] | None = None) -> tuple:
+    """Capped breadth-first search from ``root``.
+
+    ``successors(node)`` lists tuples ``(*label, target)``.  Returns the
+    nodes in discovery order, the edges ``(source, *label, target)`` by
+    node index, whether a cap was hit, and the indices of deadlocks and
+    of predicate hits.  A new node over ``max_nodes`` is dropped with
+    its edge; an edge over ``max_edges`` is dropped, its new target kept.
+    """
+    nodes = [root]
+    index = {root: 0}
+    edges: list[tuple] = []
     deadlocks: list[int] = []
+    hits = [0] if predicate is not None and predicate(root) else []
     truncated = False
-    frontier = deque([0])
-    while frontier:
-        node = frontier.popleft()
-        vec = vectors[node]
-        fired_any = False
-        for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns)):
-            if any(vec[p] < n for p, n in pre.items()):
-                continue
-            fired_any = True
-            succ = tuple(v + delta.get(p, 0) for p, v in enumerate(vec))
+    # nodes only grow at the end, so visiting them in list order is FIFO
+    for source, node in enumerate(nodes):
+        succs = successors(node)
+        if not succs:
+            deadlocks.append(source)
+        for *label, succ in succs:
             target = index.get(succ)
             if target is None:
-                if len(vectors) >= max_nodes:
+                if len(nodes) >= max_nodes:
                     truncated = True
                     continue
-                target = len(vectors)
-                vectors.append(succ)
+                target = len(nodes)
+                nodes.append(succ)
                 index[succ] = target
-                frontier.append(target)
+                if predicate is not None and predicate(succ):
+                    hits.append(target)
             if len(edges) >= max_edges:
                 truncated = True
                 continue
-            edges.append((node, t, target))
-        if not fired_any:
-            deadlocks.append(node)
-    return GroundedReachabilityGraph(tuple(vectors), tuple(edges), truncated,
-                                     tuple(deadlocks))
+            edges.append((source, *label, target))
+    return tuple(nodes), tuple(edges), truncated, tuple(deadlocks), tuple(hits)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import reduce
 from pathlib import Path
 
 from .analysis import explore, ground, place_invariants, transition_invariants
@@ -25,7 +26,6 @@ from .runs import compose_runs, random_policy, scripted_policy, simulate, \
     validate_run
 from .signature import Signature, validate_structure
 from .systems import System, instantiate
-from .values import render_value
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -302,9 +302,7 @@ def _cmd_compose_runs(args) -> int:
         doc = load_document(name)
         _expect_kind(doc, "run", name)
         runs.append(doc.body)
-    result = runs[0]
-    for r in runs[1:]:
-        result = compose_runs(result, r)
+    result = reduce(compose_runs, runs)
     if args.output:
         result = Module(Path(args.output).stem, result.sig, result.inner,
                         result.left, result.right)
@@ -347,22 +345,15 @@ def _cmd_reach(args) -> int:
     print(f"nodes: {len(graph.markings)}")
     print(f"edges: {len(graph.edges)}")
     print(f"truncated: {'yes' if graph.truncated else 'no'}")
-    print(f"deadlocks: {len(graph.deadlocks)}")
-    for idx in graph.deadlocks:
-        print(f"  #{idx} {_render_marking(graph.markings[idx])}")
+    listed = [("deadlocks", graph.deadlocks)]
     if predicate is not None:
-        print(f"predicate hits: {len(graph.predicate_hits)}")
-        for idx in graph.predicate_hits:
-            print(f"  #{idx} {_render_marking(graph.markings[idx])}")
+        listed.append(("predicate hits", graph.predicate_hits))
+    for title, nodes in listed:
+        print(f"{title}: {len(nodes)}")
+        for idx in nodes:
+            entries = "; ".join(graph.markings[idx].rendered_entries())
+            print(f"  #{idx} {{ {entries} }}" if entries else f"  #{idx} {{ }}")
     return 0
-
-
-def _render_marking(m) -> str:
-    parts = []
-    for place, tokens in m.items():
-        values = ", ".join(render_value(v) for v in tokens)
-        parts.append(f"{place}: {values}")
-    return "{ " + "; ".join(parts) + " }" if parts else "{ }"
 
 
 def _cmd_export(args) -> int:

@@ -13,6 +13,7 @@ function signatures, and records the full variable list per transition.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -234,11 +235,13 @@ class Marking:
     def __hash__(self) -> int:
         return hash(self._entries)
 
+    def rendered_entries(self) -> list[str]:
+        """``place: v1, v2`` per marked place, in canonical order."""
+        return [f"{p}: " + ", ".join(render_value(v) for v in ms)
+                for p, ms in self._entries]
+
     def __repr__(self) -> str:
-        inner = "; ".join(
-            f"{p}: " + ", ".join(render_value(v) for v in ms)
-            for p, ms in self._entries)
-        return f"Marking({inner})"
+        return f"Marking({'; '.join(self.rendered_entries())})"
 
 
 def marking_violations(net: SchematicNet, m: Marking, s: Structure) -> list[Violation]:
@@ -714,52 +717,69 @@ class OccurrenceNet:
     events: tuple[Event, ...] = ()
     flow: tuple[tuple[str, str], ...] = ()
 
+    @cached_property
+    def index(self) -> "OccurrenceIndex":
+        """Lookups built once from the net's immutable fields."""
+        return OccurrenceIndex(self)
+
     def condition(self, node_id: str) -> Condition:
-        for c in self.conditions:
-            if c.id == node_id:
-                return c
-        raise KeyError(f"no condition {node_id!r}")
+        try:
+            return self.index.conditions[node_id]
+        except KeyError:
+            raise KeyError(f"no condition {node_id!r}") from None
 
     def event(self, node_id: str) -> Event:
-        for e in self.events:
-            if e.id == node_id:
-                return e
-        raise KeyError(f"no event {node_id!r}")
-
-    def has_node(self, node_id: str) -> bool:
-        return any(c.id == node_id for c in self.conditions) or \
-            any(e.id == node_id for e in self.events)
+        try:
+            return self.index.events[node_id]
+        except KeyError:
+            raise KeyError(f"no event {node_id!r}") from None
 
     def pre(self, node_id: str) -> tuple[str, ...]:
-        return tuple(src for src, tgt in self.flow if tgt == node_id)
+        return self.index.pre.get(node_id, ())
 
     def post(self, node_id: str) -> tuple[str, ...]:
-        return tuple(tgt for src, tgt in self.flow if src == node_id)
+        return self.index.post.get(node_id, ())
 
     def is_empty(self) -> bool:
         return not (self.conditions or self.events or self.flow)
 
     def topo_levels(self) -> list[str] | None:
-        """All node ids in one topological order, or None if cyclic."""
-        succ: dict[str, list[str]] = {}
-        indeg: dict[str, int] = {}
+        """All node ids in one topological order, smallest ready id
+        first, or None if cyclic.  Arcs into unknown nodes are ignored."""
         ids = [c.id for c in self.conditions] + [e.id for e in self.events]
-        for i in ids:
-            indeg[i] = 0
-        for src, tgt in self.flow:
-            succ.setdefault(src, []).append(tgt)
+        indeg = dict.fromkeys(ids, 0)
+        for _, tgt in self.flow:
             if tgt in indeg:
                 indeg[tgt] += 1
-        frontier = sorted(i for i in ids if indeg[i] == 0)
+        frontier = [i for i in ids if indeg[i] == 0]
+        heapq.heapify(frontier)
         order: list[str] = []
         while frontier:
-            node = frontier.pop(0)
+            node = heapq.heappop(frontier)
             order.append(node)
-            for nxt in sorted(succ.get(node, ())):
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    frontier.append(nxt)
-            frontier.sort()
-        if len(order) != len(ids):
-            return None
-        return order
+            for nxt in self.index.post.get(node, ()):
+                if nxt in indeg:
+                    indeg[nxt] -= 1
+                    if indeg[nxt] == 0:
+                        heapq.heappush(frontier, nxt)
+        return order if len(order) == len(ids) else None
+
+
+class OccurrenceIndex:
+    """Conditions and events by id, and each node's pre- and post-set in
+    flow order.  The first of several equal ids wins, as in a linear scan."""
+
+    def __init__(self, net: OccurrenceNet):
+        self.conditions: dict[str, Condition] = {}
+        for c in net.conditions:
+            self.conditions.setdefault(c.id, c)
+        self.events: dict[str, Event] = {}
+        for e in net.events:
+            self.events.setdefault(e.id, e)
+        pre: dict[str, list[str]] = {}
+        post: dict[str, list[str]] = {}
+        for src, tgt in net.flow:
+            pre.setdefault(tgt, []).append(src)
+            post.setdefault(src, []).append(tgt)
+        self.pre = {node: tuple(ids) for node, ids in pre.items()}
+        self.post = {node: tuple(ids) for node, ids in post.items()}

@@ -138,12 +138,9 @@ def _render_guard(g: Guard) -> str:
 
 
 def print_marking_block(marking, indent: str) -> list[str]:
-    lines = [f"{indent}marking {{"]
-    for place, tokens in marking.items():
-        values = ", ".join(render_value(v) for v in tokens)
-        lines.append(f"{indent}  {place}: {values};")
-    lines.append(f"{indent}}}")
-    return lines
+    return [f"{indent}marking {{",
+            *(f"{indent}  {entry};" for entry in marking.rendered_entries()),
+            f"{indent}}}"]
 
 
 def print_system(doc: SystemDoc, indent: str = "") -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .errors import (CompositionError, EvalError, ModelError, ScriptError,
                      Violation)
@@ -165,18 +166,21 @@ def _cut_interface(conds: list[Condition],
 
 def initial_cut(run: Module) -> Marking:
     inner = _occurrence(run)
-    per_place: dict[str, list[Value]] = {}
-    for c in inner.conditions:
-        if not inner.pre(c.id):
-            per_place.setdefault(c.place, []).append(c.value)
-    return Marking({p: Multiset(vs) for p, vs in per_place.items()})
+    return _cut(inner.conditions, inner.pre)
 
 
 def final_cut(run: Module) -> Marking:
     inner = _occurrence(run)
+    return _cut(inner.conditions, inner.post)
+
+
+def _cut(conditions: Iterable[Condition],
+         linked: Callable[[str], tuple[str, ...]]) -> Marking:
+    """The tokens of the conditions that ``linked`` (a pre- or post-set
+    lookup) connects to no event."""
     per_place: dict[str, list[Value]] = {}
-    for c in inner.conditions:
-        if not inner.post(c.id):
+    for c in conditions:
+        if not linked(c.id):
             per_place.setdefault(c.place, []).append(c.value)
     return Marking({p: Multiset(vs) for p, vs in per_place.items()})
 
@@ -265,12 +269,10 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
                 f"condition {c.id} carries {render_value(c.value)}, outside "
                 f"the sort of {c.place!r}"))
 
-    cond_ids = {c.id for c in inner.conditions}
-    event_ids = {e.id for e in inner.events}
+    conditions, events = inner.index.conditions, inner.index.events
     for src, tgt in inner.flow:
-        src_cond, tgt_cond = src in cond_ids, tgt in cond_ids
-        src_event, tgt_event = src in event_ids, tgt in event_ids
-        if not ((src_cond and tgt_event) or (src_event and tgt_cond)):
+        if not ((src in conditions and tgt in events)
+                or (src in events and tgt in conditions)):
             out.append(Violation(
                 "flow", f"flow arc {src} -> {tgt} must connect a condition "
                 "and an event"))
@@ -308,18 +310,13 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
             out.append(Violation(
                 "binding", f"event {e.id}: {exc}"))
             continue
-        actual_pre: dict[str, list[Value]] = {}
-        for cid in inner.pre(e.id):
-            if cid in cond_ids:
-                c = inner.condition(cid)
-                actual_pre.setdefault(c.place, []).append(c.value)
-        actual_post: dict[str, list[Value]] = {}
-        for cid in inner.post(e.id):
-            if cid in cond_ids:
-                c = inner.condition(cid)
-                actual_post.setdefault(c.place, []).append(c.value)
-        for label, expected, actual in (("pre", expected_pre, actual_pre),
-                                        ("post", expected_post, actual_post)):
+        for label, expected, linked in (("pre", expected_pre, inner.pre(e.id)),
+                                        ("post", expected_post, inner.post(e.id))):
+            actual: dict[str, list[Value]] = {}
+            for cid in linked:
+                c = conditions.get(cid)
+                if c is not None:
+                    actual.setdefault(c.place, []).append(c.value)
             expected = {p: ms for p, ms in expected.items() if ms}
             got = {p: Multiset(vs) for p, vs in actual.items()}
             if expected != got:
@@ -362,16 +359,12 @@ def linearize(run: Module, seed: int = 0) -> list[tuple[str, Binding]]:
     inner = _occurrence(run)
     if inner.topo_levels() is None:
         raise ModelError("cannot linearize a cyclic run")
-    condition_ids = {c.id for c in inner.conditions}
-    producer = {}
-    for src, tgt in inner.flow:
-        if tgt in condition_ids:
-            producer[tgt] = src
-    deps: dict[str, set[str]] = {e.id: set() for e in inner.events}
-    for e in inner.events:
-        for cid in inner.pre(e.id):
-            if cid in producer:
-                deps[e.id].add(producer[cid])
+    # an event waits for the producer of each condition it consumes; of
+    # several producers, the last in flow order counts
+    conditions = inner.index.conditions
+    deps = {e.id: {inner.pre(cid)[-1] for cid in inner.pre(e.id)
+                   if cid in conditions and inner.pre(cid)}
+            for e in inner.events}
     rng = random.Random(seed)
     done: set[str] = set()
     result: list[tuple[str, Binding]] = []

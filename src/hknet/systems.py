@@ -83,9 +83,3 @@ def instantiate(module: Module, structure: Structure,
 
     return System(name or f"{module.name}_{structure.name}",
                   module, structure, initial, net)
-
-
-def reinstantiate(module: Module, s1: Structure,
-                  s2: Structure) -> tuple[System, System]:
-    """Two systems over the very same schematic module object."""
-    return instantiate(module, s1), instantiate(module, s2)

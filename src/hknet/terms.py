@@ -269,13 +269,6 @@ def evaluate(t: Term, s: Structure, b: Binding = EMPTY_BINDING) -> Value:
     raise TypeError(f"not a term: {t!r}")
 
 
-def expand_elm(v: Value) -> Multiset:
-    """One token per element of a set value."""
-    if not isinstance(v, SetValue):
-        raise EvalError(f"elm expects a set value, got {render_value(v)}")
-    return Multiset(v.elements)
-
-
 def term_tokens(t: Term, s: Structure, b: Binding = EMPTY_BINDING) -> tuple[Value, ...]:
     """The tokens one inscription term stands for: its value, or, for an
     ``elm`` term, the elements of its set value."""

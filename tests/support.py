@@ -348,6 +348,59 @@ def replay(system, steps) -> Marking:
 
 
 # ---------------------------------------------------------------------------
+# Occurrence-net lookup oracle: linear scans over the net's fields
+# ---------------------------------------------------------------------------
+
+def scan_condition(net: OccurrenceNet, node_id: str) -> Condition:
+    for c in net.conditions:
+        if c.id == node_id:
+            return c
+    raise KeyError(f"no condition {node_id!r}")
+
+
+def scan_event(net: OccurrenceNet, node_id: str) -> Event:
+    for e in net.events:
+        if e.id == node_id:
+            return e
+    raise KeyError(f"no event {node_id!r}")
+
+
+def scan_pre(net: OccurrenceNet, node_id: str) -> tuple[str, ...]:
+    return tuple(src for src, tgt in net.flow if tgt == node_id)
+
+
+def scan_post(net: OccurrenceNet, node_id: str) -> tuple[str, ...]:
+    return tuple(tgt for src, tgt in net.flow if src == node_id)
+
+
+def scan_topo_levels(net: OccurrenceNet) -> list[str] | None:
+    """All node ids in one topological order, or None if cyclic; raises
+    KeyError on a flow arc into an unknown node."""
+    succ: dict[str, list[str]] = {}
+    indeg: dict[str, int] = {}
+    ids = [c.id for c in net.conditions] + [e.id for e in net.events]
+    for i in ids:
+        indeg[i] = 0
+    for src, tgt in net.flow:
+        succ.setdefault(src, []).append(tgt)
+        if tgt in indeg:
+            indeg[tgt] += 1
+    frontier = sorted(i for i in ids if indeg[i] == 0)
+    order: list[str] = []
+    while frontier:
+        node = frontier.pop(0)
+        order.append(node)
+        for nxt in sorted(succ.get(node, ())):
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                frontier.append(nxt)
+        frontier.sort()
+    if len(order) != len(ids):
+        return None
+    return order
+
+
+# ---------------------------------------------------------------------------
 # Enabling oracle
 # ---------------------------------------------------------------------------
 

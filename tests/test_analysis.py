@@ -1,15 +1,16 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hknet import (Arc, Atom, EvalError, Ident, ModelError, Module, Place,
-                   SchematicNet, SetTerm, SetValue, Signature, SortError,
-                   SortName, Transition, TupleValue, explore,
+from hknet import (Arc, Atom, EvalError, Ident, Marking, ModelError, Module,
+                   Place, SchematicNet, SetTerm, SetValue, Signature,
+                   SortError, SortName, Transition, TupleValue, explore,
                    explore_grounded, ground, in_span, instantiate,
-                   make_structure, nullspace, place_invariants,
-                   transition_invariants)
+                   make_structure, nullspace, parse_predicate,
+                   place_invariants, transition_invariants)
 from hknet import analysis
 
 from support import rational_in_span, rational_nullspace
@@ -302,3 +303,42 @@ def test_invariants_hold_on_every_reachable_marking(sys_tiny):
         weights = {sum(a * b for a, b in zip(vec, g.marking_vector(m)))
                    for m in graph.markings}
         assert len(weights) == 1
+
+
+# sha256(repr(graph))[:32] of explore (with the predicate below) and of
+# explore_grounded, recorded before the two shared one search loop;
+# the comments give nodes, edges, truncated, deadlocks and hits
+GRAPH_DIGESTS = {
+    ("tiny", 10000, 100000): ("8838a577e3d65c658b7b9427e8a5ba50",
+                              "da9e356ef4c1d77bb3dd3a0b854179c8"),  # 9 10 no 0 1
+    ("tiny", 5, 100): ("2bebfc98f44aabda6bec92043077847c",
+                       "899865c2b0395d766053d7ecdbf0dde9"),  # 5 4 yes 0 0
+    ("tiny", 100, 4): ("d88bf9a1b70182d6b80d206615a9ee8a",
+                       "c6765b62a4e3788ae0b6ec9e5831922d"),  # 9 4 yes 0 1
+    ("small", 10000, 100000): ("041fd657fb53ed679ea4dd04a87c8ee5",
+                               "f6f3cdd88b184bc1641d8c067d09aa59"),  # 956 2448 no 0 32
+    ("small", 40, 1000): ("cbfb260170146de67c4184407bcd2242",
+                          "00bb9f489aba4da77c9fb03cc3629948"),  # 40 52 yes 0 0
+    ("small", 1000, 30): ("363062d8d249745c1d3a439f08b70588",
+                          "94060e59e9f73915fa40f2d5d010219f"),  # 956 30 yes 0 32
+    ("no_menu", 10000, 100000): ("fe6d8a14a116f7dfd77f4db18439868e",
+                                 "55ec3b7a59b5ecc71e073e3ce550bafd"),  # 16 24 no 4 0
+    ("no_menu", 6, 100): ("3390e359c367c1cbcd7e89d09f025686",
+                          "b185581afef4e99c049d7977a82c1f5b"),  # 6 6 yes 0 0
+}
+
+
+def test_explored_graphs_are_unchanged(sys_tiny, sys_small):
+    def digest(graph) -> str:
+        return hashlib.sha256(repr(graph).encode("utf-8")).hexdigest()[:32]
+
+    # without a menu every client who enters waits forever: deadlocks
+    no_menu = replace(sys_small, initial=Marking(
+        {"free_tables": sys_small.initial.get("free_tables")}))
+    systems = {"tiny": sys_tiny, "small": sys_small, "no_menu": no_menu}
+    grounded = {name: ground(system) for name, system in systems.items()}
+    predicate = parse_predicate("contains(eating, (Alice, t1))")
+    for (name, max_nodes, max_edges), expected in GRAPH_DIGESTS.items():
+        graph = explore(systems[name], max_nodes, max_edges, predicate)
+        vectors = explore_grounded(grounded[name], max_nodes, max_edges)
+        assert (digest(graph), digest(vectors)) == expected, (name, max_nodes, max_edges)

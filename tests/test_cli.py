@@ -118,6 +118,13 @@ def test_compose_runs_cli(workdir, capsys):
     assert "16 events" in out and "29 conditions" in out
 
 
+def test_compose_runs_output_is_byte_identical(workdir, capsys):
+    assert run_cli("compose-runs", workdir / "a0_begin.hkrun",
+                   workdir / "a0_middle.hkrun", workdir / "a0_end.hkrun") == 0
+    golden = GOLDEN / "compose_runs_a0.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_simulation_is_deterministic_per_seed(workdir, capsys):
     system = build_system(workdir)
     for name in ("one.hkrun", "two.hkrun"):
@@ -164,6 +171,7 @@ def test_reach_report_with_predicate(workdir, capsys):
     assert "truncated: no" in out
     assert "deadlocks: 0" in out
     assert "predicate hits: 1" in out
+    assert out == (GOLDEN / "reach_tiny_pred.txt").read_text(encoding="utf-8")
 
 
 def test_reach_truncation_flag(workdir, capsys):

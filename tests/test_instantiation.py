@@ -2,7 +2,7 @@ import pytest
 
 from hknet import (Atom, Ident, Marking, ModelError, Module, Multiset, Place,
                    SchematicNet, SetValue, Signature, SortName, instantiate,
-                   make_structure, reinstantiate)
+                   make_structure)
 from hknet.terms import Elm
 
 
@@ -38,19 +38,19 @@ def test_elm_inscribed_place_counts_the_carrier(branch, s0, s0_small, s0_tiny):
 
 
 def test_reinstantiate_shares_the_schematic_module(branch, s0, s0_small):
-    big, small = reinstantiate(branch, s0, s0_small)
+    big, small = instantiate(branch, s0), instantiate(branch, s0_small)
     assert big.module is small.module is branch
     assert big.initial.get("free_tables").total() == 4
     assert small.initial.get("free_tables").total() == 2
 
 
 def test_reinstantiate_with_same_structure_gives_equal_systems(branch, s0):
-    one, two = reinstantiate(branch, s0, s0)
+    one, two = instantiate(branch, s0), instantiate(branch, s0)
     assert one == two
 
 
 def test_interfaces_survive_instantiation(branch, s0, s0_small):
-    big, small = reinstantiate(branch, s0, s0_small)
+    big, small = instantiate(branch, s0), instantiate(branch, s0_small)
     assert big.module.left == small.module.left == branch.left
     assert big.module.right == small.module.right == branch.right
 

@@ -1,16 +1,21 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from hknet import (Arc, Atom, Binding, CompositionError, Ident, ModelError,
-                   Module, Multiset, Place, SchematicNet, ScriptError,
-                   SetValue, Signature, SortName, Transition, canonical_equal,
-                   compose_runs, empty_run, final_cut, find_event, initial_cut,
-                   instantiate, linearize, make_structure, ordered,
-                   random_policy, scripted_policy, simulate, validate_run)
+from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
+                   Ident, ModelError, Module, Multiset, Place, SchematicNet,
+                   ScriptError, SetValue, Signature, SortName, Transition,
+                   canonical_equal, compose_runs, empty_run, final_cut,
+                   find_event, initial_cut, instantiate, linearize,
+                   make_structure, ordered, random_policy, render_binding,
+                   scripted_policy, simulate, validate_run)
 from hknet.nets import OccurrenceNet
 
-from support import replay
+from support import (replay, scan_condition, scan_event, scan_post, scan_pre,
+                     scan_topo_levels)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def one_shot_system(place: str, transition: str, out: str, token: str):
@@ -262,3 +267,91 @@ def test_event_outside_a_function_table_is_a_binding_violation(sys0, a0_simulate
     report = validate_run(run, sys0)
     assert [v.code for v in report] == ["binding"]
     assert cook.id in report[0].message and "pizza" in report[0].message
+
+
+# ---------------------------------------------------------------------------
+# Indexed occurrence-net lookups against the linear-scan oracle
+# ---------------------------------------------------------------------------
+
+def assert_lookups_match_scans(net: OccurrenceNet) -> None:
+    nodes = {c.id for c in net.conditions} | {e.id for e in net.events}
+    nodes |= {node for arc in net.flow for node in arc} | {"nowhere"}
+    for node in sorted(nodes):
+        assert net.pre(node) == scan_pre(net, node)
+        assert net.post(node) == scan_post(net, node)
+        for indexed, scan in ((net.condition, scan_condition),
+                              (net.event, scan_event)):
+            try:
+                expected = scan(net, node)
+            except KeyError as exc:
+                with pytest.raises(KeyError) as got:
+                    indexed(node)
+                assert str(got.value) == str(exc)
+            else:
+                assert indexed(node) is expected
+    assert net.topo_levels() == scan_topo_levels(net)
+
+
+def test_lookups_match_scans_on_simulated_runs(sys0, sys_small):
+    for system in (sys0, sys_small):
+        for seed in range(5):
+            run = simulate(system, random_policy(seed=seed, steps=20))
+            assert_lookups_match_scans(run.inner)
+
+
+def test_lookups_match_scans_on_the_reference_run_and_its_segments(a0, a0_segments):
+    begin, middle, end = a0_segments
+    for run in (a0, begin, middle, end, compose_runs(begin, middle),
+                compose_runs(middle, end),
+                compose_runs(compose_runs(begin, middle), end)):
+        assert_lookups_match_scans(run.inner)
+
+
+def hand_built_occurrence_nets() -> list[OccurrenceNet]:
+    a, b = Atom("a"), Atom("b")
+    # ids shared by two conditions, two events, and a condition and an
+    # event; a doubled arc; acyclic, so topo_levels gives an order
+    duplicate_ids = OccurrenceNet(
+        conditions=(Condition("b0", "p", a), Condition("b0", "q", b),
+                    Condition("b1", "p", a)),
+        events=(Event("e0", "t", Binding()), Event("e1", "u", Binding()),
+                Event("e1", "t", Binding()), Event("b0", "t", Binding())),
+        flow=(("b0", "e0"), ("e0", "b1"), ("b0", "e0"), ("e1", "b1")))
+    branched = OccurrenceNet(
+        conditions=(Condition("c0", "p", a), Condition("c1", "p", a),
+                    Condition("c2", "q", b)),
+        events=(Event("e2", "t", Binding()), Event("e1", "t", Binding()),
+                Event("e0", "u", Binding())),
+        flow=(("c0", "e1"), ("c0", "e2"), ("e2", "c2"), ("e1", "c2"),
+              ("e0", "c2"), ("c1", "e0")))
+    cycle = OccurrenceNet(
+        conditions=(Condition("c1", "p", a), Condition("c2", "p", a),
+                    Condition("c3", "p", b)),
+        events=(Event("e1", "t", Binding()), Event("e2", "t", Binding())),
+        flow=(("c1", "e1"), ("e1", "c2"), ("c2", "e2"), ("e2", "c1"),
+              ("c3", "e2")))
+    return [duplicate_ids, branched, cycle, OccurrenceNet()]
+
+
+def test_lookups_match_scans_on_hand_built_nets():
+    for net in hand_built_occurrence_nets():
+        assert_lookups_match_scans(net)
+
+
+def test_linearizations_of_the_reference_run_are_unchanged(a0):
+    golden = (GOLDEN / "linearize_a0.txt").read_text(encoding="utf-8").splitlines()
+    got = [" ; ".join(f"{name} {render_binding(b)}" for name, b in linearize(a0, seed))
+           for seed in range(20)]
+    assert got == golden
+
+
+def test_flow_arc_to_an_unknown_node_is_reported_not_raised(sys0):
+    inner = OccurrenceNet((Condition("b0", "free_tables", Atom("t1")),), (),
+                          (("b0", "zz"),))
+    run = Module("stray", sys0.name, inner)
+    assert inner.topo_levels() == ["b0"]
+    report = validate_run(run, sys0)
+    assert [v.code for v in report] == ["flow"]
+    assert "b0 -> zz" in report[0].message
+    assert linearize(run) == []
+    assert compose_runs(run, empty_run()).inner == inner
