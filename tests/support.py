@@ -3,20 +3,26 @@ acceptance tests."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
+import re
 import zlib
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, Guard,
                    GuardAtom, Ident, InterfaceElement, Marking, Module,
-                   Multiset, OccurrenceNet, Place, PowSort, SchematicNet,
+                   Multiset, OccurrenceNet, ParseError, Place, PowSort,
+                   SchematicNet,
                    SetTerm, SetValue, Signature, SortName, Transition,
                    TupleSort, TupleTerm, TupleValue, enumerate_bindings,
                    eval_guard, inscription_tokens, render_term)
 from hknet.modules import PLACE, TRANSITION
 from hknet.parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc
+from hknet.spans import SourceSpan
 
 ATOMS = ["a", "b", "c", "d", "e1", "e2"]
 
@@ -511,3 +517,156 @@ def rational_in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> b
         if rows[k][cols] != 0 and all(rows[k][c] == 0 for c in range(cols)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Lexer oracle: the character-by-character scanner the parser used before
+# its regular-expression lexer, kept unchanged
+# ---------------------------------------------------------------------------
+
+_TWO_CHAR = ("->", "<=", ">=", "!=")
+_ONE_CHAR = "{}()[],;:=<>"
+
+
+@dataclass(frozen=True)
+class _Token:
+    type: str  # IDENT | STRING | INT | punctuation text | EOF
+    text: str
+    line: int
+    col: int
+
+    @property
+    def end_col(self) -> int:
+        return self.col + max(len(self.text), 1)
+
+    def span(self, filename: str) -> SourceSpan:
+        return SourceSpan(filename, self.line, self.col, self.line, self.end_col)
+
+
+def reference_lex(source: str, filename: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source[i:i + 2] in _TWO_CHAR:
+            tokens.append(_Token(source[i:i + 2], source[i:i + 2], line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _ONE_CHAR:
+            tokens.append(_Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            start_col = col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and source[i] != '"':
+                if source[i] == "\n":
+                    raise ParseError("unterminated string",
+                                     SourceSpan(filename, line, start_col,
+                                                line, col))
+                if source[i] == "\\" and i + 1 < n:
+                    i += 1
+                    col += 1
+                buf.append(source[i])
+                i += 1
+                col += 1
+            if i == n:
+                raise ParseError("unterminated string",
+                                 SourceSpan(filename, line, start_col, line, col))
+            i += 1
+            col += 1
+            tokens.append(_Token("STRING", "".join(buf), line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            start_col = col
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(_Token("IDENT", source[start:i], line, start_col))
+            continue
+        if ch.isdigit():
+            start = i
+            start_col = col
+            while i < n and source[i].isdigit():
+                i += 1
+                col += 1
+            tokens.append(_Token("INT", source[start:i], line, start_col))
+            continue
+        raise ParseError(f"unexpected character {ch!r}",
+                         SourceSpan(filename, line, col, line, col + 1))
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of source text, and what a parse attaches to its result
+# ---------------------------------------------------------------------------
+
+_WORDS = re.compile(r'"[^"\n]*"|\w+|->|\S')
+
+
+def mutate_source(text: str, rng: random.Random, alphabet: str) -> str:
+    """One to three character or token edits: delete or insert a few
+    characters drawn from ``alphabet``, or delete, duplicate, swap or
+    replace whole tokens."""
+    for _ in range(rng.randrange(1, 4)):
+        words = [m.span() for m in _WORDS.finditer(text)]
+        op = rng.randrange(6)
+        if op == 0 and text:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + rng.randrange(1, 4):]
+        elif op == 1 or not words:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + "".join(
+                rng.choice(alphabet) for _ in range(rng.randrange(1, 4))) + text[i:]
+        else:
+            k = rng.randrange(len(words))
+            a, b = words[k]
+            if op == 2:
+                text = text[:a] + text[b:]
+            elif op == 3:
+                text = text[:b] + " " + text[a:b] + text[b:]
+            elif op == 4 and k + 1 < len(words):
+                c, d = words[k + 1]
+                text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+            else:
+                c, d = words[rng.randrange(len(words))]
+                text = text[:a] + text[c:d] + text[b:]
+    return text
+
+
+def attached_spans(obj, path: str = "") -> list[str]:
+    """Every source span reachable from a parse result, with the field
+    path that leads to it, in field order."""
+    if isinstance(obj, SourceSpan):
+        return [f"{path}={obj.file}:{obj.line}:{obj.col}-{obj.end_line}:{obj.end_col}"]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return [s for f in dataclasses.fields(obj)
+                for s in attached_spans(getattr(obj, f.name), f"{path}.{f.name}")]
+    if isinstance(obj, (tuple, list)):
+        return [s for i, item in enumerate(obj)
+                for s in attached_spans(item, f"{path}[{i}]")]
+    return []
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
