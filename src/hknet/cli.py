@@ -19,7 +19,7 @@ from .dot import export_dot
 from .errors import ModelError, ParseError
 from .modules import Module, compose_all, interface_violations
 from .nets import SchematicNet, check_net
-from .parser import (ModelDocument, StructureDoc, SystemDoc, bind_structure,
+from .parser import (ModelDocument, SystemDoc, bind_structure,
                      parse, parse_predicate, parse_script, structure_to_doc)
 from .printer import print_module, print_run, print_system
 from .runs import compose_runs, random_policy, scripted_policy, simulate, \
@@ -165,7 +165,6 @@ def load_system_file(path: str | Path) -> System:
     doc = load_document(path)
     _expect_kind(doc, "system", path)
     body = doc.body
-    assert isinstance(body, SystemDoc)
     structure = bind_structure(body.structure, body.signature)
     system = instantiate(body.module, structure, name=body.name)
     if system.initial != body.marking:
@@ -199,13 +198,11 @@ def _cmd_check(args) -> int:
         problems = []
         if doc.kind == "structure":
             body = doc.body
-            assert isinstance(body, StructureDoc)
             sig = _find_signature(body.sig_name, Path(name), args.sig)
             structure = bind_structure(body, sig)
             problems = validate_structure(sig, structure)
         elif doc.kind == "module":
             module = doc.body
-            assert isinstance(module, Module)
             problems = list(interface_violations(module))
             if module.sig:
                 try:
@@ -255,7 +252,6 @@ def _cmd_instantiate(args) -> int:
     struct_doc = load_document(args.structure)
     _expect_kind(struct_doc, "structure", args.structure)
     body = struct_doc.body
-    assert isinstance(body, StructureDoc)
     sig = _find_signature(body.sig_name, Path(args.structure), args.sig)
     structure = bind_structure(body, sig)
     system = instantiate(module_doc.body, structure, name=args.name)

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from .modules import Module
 from .nets import OccurrenceNet, SchematicNet
-from .printer import render_binding_text
 from .systems import System
-from .terms import render_term
+from .terms import render_binding, render_term
 from .values import render_value
 
 
@@ -63,7 +62,7 @@ def _module_dot(module: Module, marking, title: str) -> str:
             label = f"{c.place}\\n{render_value(c.value)}"
             lines.append(node_attrs(c.id, "ellipse", label))
         for e in inner.events:
-            label = f"{e.transition}\\n{render_binding_text(e.binding)}"
+            label = f"{e.transition}\\n{render_binding(e.binding)}"
             lines.append(node_attrs(e.id, "box", label))
         for src, tgt in inner.flow:
             lines.append(f"    {_quote(src)} -> {_quote(tgt)};")

@@ -29,7 +29,7 @@ from .nets import (Arc, Condition, Event, OccurrenceNet, Place, SchematicNet,
                    Transition)
 from .signature import render_sort
 from .spans import SourceSpan
-from .terms import (App, Elm, Guard, GuardAtom, SetTerm, TupleTerm,
+from .terms import (App, Elm, GuardAtom, SetTerm, TupleTerm, canonical_guard,
                     conjoin, render_binding, render_term)
 from .values import render_value
 
@@ -435,11 +435,9 @@ def _normalize_module(m: Module) -> Module:
                    for p in inner.places)
     transitions = []
     for t in inner.transitions:
-        atoms = tuple(GuardAtom(a.op, _normalize_term(a.left),
-                                _normalize_term(a.right))
-                      for a in t.guard.atoms)
-        key = lambda a: (render_term(a.left), a.op, render_term(a.right))
-        guard = Guard(tuple(sorted(atoms, key=key)))
+        guard = canonical_guard(
+            GuardAtom(a.op, _normalize_term(a.left), _normalize_term(a.right))
+            for a in t.guard.atoms)
         transitions.append(replace(t, guard=guard, free=tuple(sorted(t.free))))
     arcs = tuple(replace(a, inscription=_normalize_terms(a.inscription))
                  for a in inner.arcs)

@@ -267,6 +267,16 @@ def marking_violations(net: SchematicNet, m: Marking, s: Structure) -> list[Viol
 # Resolution: identifier classification and variable sort inference
 # ---------------------------------------------------------------------------
 
+def arc_endpoint_violations(net: SchematicNet) -> list[Violation]:
+    """Arcs that do not lead from a place to a transition or back."""
+    return [Violation("arc-endpoints",
+                      f"arc {a.source} -> {a.target} must connect a place and "
+                      "a transition", a.span)
+            for a in net.arcs
+            if not (net.has_place(a.source) and net.has_transition(a.target)
+                    or net.has_transition(a.source) and net.has_place(a.target))]
+
+
 def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[Violation]]:
     """Classify identifiers, infer variable sorts, and well-form the net.
 
@@ -279,16 +289,7 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
         if p.sort is not None:
             _check_sort_declared(p.sort, sig, f"place {p.name!r}", p.span, violations)
 
-    for a in net.arcs:
-        src_place = net.has_place(a.source)
-        tgt_place = net.has_place(a.target)
-        src_trans = net.has_transition(a.source)
-        tgt_trans = net.has_transition(a.target)
-        if not ((src_place and tgt_trans) or (src_trans and tgt_place)):
-            violations.append(Violation(
-                "arc-endpoints",
-                f"arc {a.source} -> {a.target} must connect a place and a "
-                "transition", a.span))
+    violations += arc_endpoint_violations(net)
 
     new_places = []
     for p in net.places:
@@ -745,11 +746,12 @@ class OccurrenceNet:
 
     def topo_levels(self) -> list[str] | None:
         """All node ids in one topological order, smallest ready id
-        first, or None if cyclic.  Arcs into unknown nodes are ignored."""
+        first, or None if cyclic.  Arcs from or into unknown nodes are
+        ignored."""
         ids = [c.id for c in self.conditions] + [e.id for e in self.events]
         indeg = dict.fromkeys(ids, 0)
-        for _, tgt in self.flow:
-            if tgt in indeg:
+        for src, tgt in self.flow:
+            if src in indeg and tgt in indeg:
                 indeg[tgt] += 1
         frontier = [i for i in ids if indeg[i] == 0]
         heapq.heapify(frontier)

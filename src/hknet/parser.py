@@ -40,6 +40,16 @@ Terms are identifiers, applications ``f(x)``, tuples ``(a, b)``, set
 literals ``{a, b}``, and top-level ``elm(...)``.  Guard atoms are
 ``true``, ``t = t``, ``t in t``, or ``t sub t``.
 
+Lexically, an identifier is a letter or ``_`` followed by letters, digits
+and ``_`` (``str.isalpha``, ``str.isalnum``); an integer is a run of
+decimal digits (``str.isdecimal``); a quoted label ``"..."`` holds any
+characters but a newline, a backslash taking the next character
+literally (``\\"``, ``\\\\``); ``#`` starts a comment that runs to the end
+of the line; blanks are space, tab, carriage return and newline; and
+the punctuation is ``-> <= >= != { } ( ) [ ] , ; : = < >``.  Any other
+character, a digit that is not decimal among them, is an ``unexpected
+character``.
+
 Parsing normalizes entry order (sorted by name or id) everywhere except
 interfaces, which keep declaration order; together with the canonical
 printer this makes parse/print round-trips stable.  Every parse error
@@ -49,20 +59,23 @@ carries a span pointing into the offending token.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import ParseError
-from .modules import InterfaceElement, Module, PLACE, TRANSITION
+from .modules import InterfaceElement, Module, PLACE, TRANSITION, \
+    interface_violations
 from .nets import Arc, Condition, Event, Marking, OccurrenceNet, Place, \
-    SchematicNet, Transition
+    SchematicNet, Transition, arc_endpoint_violations
 from .signature import PowSort, Signature, Sort, SortName, Structure, \
-    TupleSort, make_structure
+    TupleSort, make_structure, sort_symbols
 from .spans import SourceSpan
 from .terms import App, Binding, Elm, Guard, GuardAtom, Ident, SetTerm, Term, \
-    TupleTerm, render_term
+    TupleTerm, canonical_guard, render_term
 from .values import Atom, Multiset, SetValue, TupleValue, Value
 
-SECTION_KEYWORDS = ("left", "right", "places", "trans", "arcs")
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +121,21 @@ class ModelDocument:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TWO_CHAR = ("->", "<=", ">=", "!=")
-_ONE_CHAR = "{}()[],;:=<>"
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<comment>\#[^\n]*)
+  | [ \t\r]+
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+  | (?P<unterminated>"(?:[^"\\\n]|\\.)*\\?)
+  | (?P<INT>\d+)
+  | (?P<IDENT>\w+)
+  | (?P<punctuation>->|<=|>=|!=|[{}()\[\],;:=<>])
+  | (?P<other>.)
+""", re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str  # IDENT | STRING | INT | punctuation text | EOF
     text: str
     line: int
@@ -127,77 +149,38 @@ class _Token:
         return SourceSpan(filename, self.line, self.col, self.line, self.end_col)
 
 
-def _lex(source: str, filename: str) -> list[_Token]:
+def _lex(source: str, filename: str, line: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0
+    comment_at: int | None = None
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            kind = "other"  # \w also matches digits that are not decimal
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source[i:i + 2] in _TWO_CHAR:
-            tokens.append(_Token(source[i:i + 2], source[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_col = col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    raise ParseError("unterminated string",
-                                     SourceSpan(filename, line, start_col,
-                                                line, col))
-                if source[i] == "\\" and i + 1 < n:
-                    i += 1
-                    col += 1
-                buf.append(source[i])
-                i += 1
-                col += 1
-            if i == n:
-                raise ParseError("unterminated string",
-                                 SourceSpan(filename, line, start_col, line, col))
-            i += 1
-            col += 1
-            tokens.append(_Token("STRING", "".join(buf), line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("IDENT", source[start:i], line, start_col))
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and source[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(_Token("INT", source[start:i], line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}",
-                         SourceSpan(filename, line, col, line, col + 1))
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = m.end()
+            comment_at = None
+        elif kind == "comment":
+            comment_at = m.start()
+        elif kind in ("IDENT", "INT"):
+            tokens.append(_Token(kind, text, line, col))
+        elif kind == "punctuation":
+            tokens.append(_Token(text, text, line, col))
+        elif kind == "STRING":
+            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", text[1:-1]), line, col))
+        elif kind == "unterminated":
+            raise ParseError("unterminated string", SourceSpan(
+                filename, line, col, line, col + len(text)))
+        else:
+            raise ParseError(f"unexpected character {text[0]!r}",
+                             SourceSpan(filename, line, col, line, col + 1))
+    # a comment that ends the input leaves the end position at its '#'
+    end = len(source) if comment_at is None else comment_at
+    tokens.append(_Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -205,24 +188,18 @@ def _lex(source: str, filename: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _sort_symbol_names(sort: Sort):
-    if isinstance(sort, SortName):
-        yield sort.name
-    elif isinstance(sort, PowSort):
-        yield sort.base
-    elif isinstance(sort, TupleSort):
-        for c in sort.components:
-            yield from _sort_symbol_names(c)
-
-
 def _id_key(node_id: str) -> tuple[int, str]:
     return (len(node_id), node_id)
 
 
+def _table_key(pair: tuple[Value, Value]) -> tuple:
+    return (pair[0].key(), pair[1].key())
+
+
 class _Parser:
-    def __init__(self, source: str, filename: str):
+    def __init__(self, source: str, filename: str, line: int = 1):
         self.filename = filename
-        self.tokens = _lex(source, filename)
+        self.tokens = _lex(source, filename, line)
         self.pos = 0
 
     # token plumbing -------------------------------------------------------
@@ -237,11 +214,8 @@ class _Parser:
         return tok
 
     def at(self, type_: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.type == type_ and (text is None or tok.text == text)
-
-    def at_keyword(self, word: str) -> bool:
-        return self.at("IDENT", word)
 
     def accept(self, type_: str, text: str | None = None) -> _Token | None:
         if self.at(type_, text):
@@ -250,8 +224,8 @@ class _Parser:
 
     def expect(self, type_: str, text: str | None = None,
                what: str | None = None) -> _Token:
-        tok = self.peek()
         if not self.at(type_, text):
+            tok = self.tokens[self.pos]
             wanted = what if what is not None else repr(text or type_)
             found = tok.text if tok.type != "EOF" else "end of input"
             raise self.error(f"expected {wanted}, found {found!r}")
@@ -269,109 +243,146 @@ class _Parser:
         return SourceSpan(self.filename, start.line, start.col,
                           end.line, end.end_col)
 
+    # grammar helpers ------------------------------------------------------
+
+    def comma_list(self, item: Callable[[], T], first: T | None = None,
+                   stop: Callable[[], bool] | None = None) -> list[T]:
+        """``item (, item)*``.  ``first`` is an item the caller already
+        parsed; ``stop`` is asked before each comma is taken."""
+        items = [item() if first is None else first]
+        while self.at(",") and not (stop and stop()):
+            self.next()
+            items.append(item())
+        return items
+
+    def block(self, item: Callable[[], T]) -> list[T]:
+        """``{ item* }``."""
+        self.expect("{")
+        items = []
+        while not self.at("}"):
+            items.append(item())
+        self.expect("}")
+        return items
+
+    def named_block(self, what: str, duplicate: str,
+                    item: Callable[[_Token], T]) -> list[T]:
+        """``{ (<name> item)* }`` with every name at most once; ``item``
+        parses what follows the name."""
+        seen: set[str] = set()
+
+        def entry() -> T:
+            tok = self.expect("IDENT", what=what)
+            if tok.text in seen:
+                raise self.error(f"{duplicate} {tok.text!r}", tok)
+            seen.add(tok.text)
+            return item(tok)
+        return self.block(entry)
+
+    def sections(self, owner: str, parsers: dict[str, Callable[[], list]]
+                 ) -> dict[str, list]:
+        """``{ (<section> ...)* }`` where each section name is one of
+        ``parsers`` and appears at most once."""
+        found: dict[str, list] = {}
+
+        def section() -> None:
+            tok = self.expect("IDENT", what=f"a {owner} section "
+                              f"({', '.join(parsers)})")
+            if tok.text not in parsers:
+                raise self.error(f"unknown {owner} section {tok.text!r}", tok)
+            if tok.text in found:
+                raise self.error(f"duplicate {tok.text} section", tok)
+            found[tok.text] = parsers[tok.text]()
+        self.block(section)
+        return found
+
+    def of_name(self, what: str) -> str:
+        """An optional ``of <name>``."""
+        if self.accept("IDENT", "of"):
+            return self.expect("IDENT", what=what).text
+        return ""
+
     # entry point ----------------------------------------------------------
 
     def document(self) -> ModelDocument:
-        tok = self.peek()
-        if tok.type == "EOF":
+        if self.at("EOF"):
             raise self.error("expected document kind")
-        if self.at_keyword("signature"):
-            body: object = self.signature_doc()
-            kind = "signature"
-        elif self.at_keyword("structure"):
-            body = self.structure_doc()
-            kind = "structure"
-        elif self.at_keyword("module"):
-            body = self.module_doc()
-            kind = "module"
-        elif self.at_keyword("system"):
-            body = self.system_doc()
-            kind = "system"
-        elif self.at_keyword("run"):
-            body = self.run_doc()
-            kind = "run"
-        else:
+        kinds = {"signature": self.signature_doc, "structure": self.structure_doc,
+                 "module": self.module_doc, "system": self.system_doc,
+                 "run": self.run_doc}
+        kind = self.peek().text if self.at("IDENT") else ""
+        if kind not in kinds:
             raise self.error("expected document kind (signature, structure, "
                              "module, system, or run)")
+        body = kinds[kind]()
         self.expect("EOF", what="end of document")
-        return ModelDocument(kind, body, body.span)  # type: ignore[union-attr]
+        return ModelDocument(kind, body, body.span)
 
     # signatures -----------------------------------------------------------
 
     def signature_doc(self) -> Signature:
         start = self.expect_keyword("signature")
         name = self.expect("IDENT", what="signature name").text
-        self.expect("{")
         sets: list[str] = []
         subsets: list[tuple[str, str]] = []
         consts: list[tuple[str, Sort]] = []
         fns: list[tuple[str, tuple[Sort, ...], Sort]] = []
-        spans: dict[str, _Token] = {}
+        declared: dict[str, _Token] = {}
         sort_starts: dict[str, _Token] = {}
 
-        def declare(tok: _Token) -> str:
-            if tok.text in spans:
+        def declare(what: str) -> str:
+            tok = self.expect("IDENT", what=what)
+            if tok.text in declared:
                 raise self.error(f"duplicate symbol name {tok.text!r}", tok)
-            spans[tok.text] = tok
+            declared[tok.text] = tok
             return tok.text
 
-        while not self.at("}"):
-            if self.at_keyword("sets"):
-                self.next()
-                while True:
-                    sets.append(declare(self.expect("IDENT", what="set symbol")))
-                    if not self.accept(","):
-                        break
-                self.expect(";")
-            elif self.at_keyword("subsets"):
-                self.next()
-                sym = declare(self.expect("IDENT", what="subset symbol"))
+        def typed(what: str) -> str:
+            sym = declare(what)
+            self.expect(":")
+            sort_starts[sym] = self.peek()
+            return sym
+
+        def next_is_declaration() -> bool:
+            return self.peek(1).type == "IDENT" and self.peek(2).type == ":"
+
+        def function() -> tuple[str, tuple[Sort, ...], Sort]:
+            sym = typed("function symbol")
+            args = self.comma_list(self.sort, stop=next_is_declaration)
+            self.expect("->")
+            return (sym, tuple(args), self.sort())
+
+        def declaration() -> None:
+            if self.accept("IDENT", "sets"):
+                sets.extend(self.comma_list(lambda: declare("set symbol")))
+            elif self.accept("IDENT", "subsets"):
+                sym = declare("subset symbol")
                 self.expect_keyword("of")
                 self.expect_keyword("pow")
                 self.expect("(")
-                base = self.expect("IDENT", what="base set symbol")
+                subsets.append(
+                    (sym, self.expect("IDENT", what="base set symbol").text))
                 self.expect(")")
-                self.expect(";")
-                subsets.append((sym, base.text))
-            elif self.at_keyword("consts"):
-                self.next()
-                while True:
-                    sym = declare(self.expect("IDENT", what="constant symbol"))
-                    self.expect(":")
-                    sort_starts[sym] = self.peek()
-                    consts.append((sym, self.sort()))
-                    if not self.accept(","):
-                        break
-                self.expect(";")
-            elif self.at_keyword("fns"):
-                self.next()
-                while True:
-                    sym = declare(self.expect("IDENT", what="function symbol"))
-                    self.expect(":")
-                    sort_starts[sym] = self.peek()
-                    args = [self.sort()]
-                    while self.accept(","):
-                        if self.peek().type == "IDENT" and self.peek(1).type == ":":
-                            self.pos -= 1  # this comma separates declarations
-                            break
-                        args.append(self.sort())
-                    self.expect("->")
-                    result = self.sort()
-                    fns.append((sym, tuple(args), result))
-                    if not self.accept(","):
-                        break
-                self.expect(";")
+            elif self.accept("IDENT", "consts"):
+                consts.extend(self.comma_list(
+                    lambda: (typed("constant symbol"), self.sort())))
+            elif self.accept("IDENT", "fns"):
+                fns.extend(self.comma_list(function))
             else:
                 raise self.error("expected sets, subsets, consts, or fns")
-        self.expect("}")
+            self.expect(";")
+
+        self.block(declaration)
         for sym, base in subsets:
             if base not in sets:
                 raise self.error(f"subset base {base!r} is not a declared set "
-                                 "symbol", spans[sym])
-        declared = set(sets) | {n for n, _ in subsets}
-        for sym, sort in [(n, s) for n, s in consts] + \
-                [(n, s) for n, args, res in fns for s in (*args, res)]:
-            self._check_sort_symbols(sort, declared, sort_starts.get(sym))
+                                 "symbol", declared[sym])
+        carriers = set(sets) | {n for n, _ in subsets}
+        for sym, sort in [*consts, *((n, s) for n, args, res in fns
+                                     for s in (*args, res))]:
+            for symbol in sort_symbols(sort):
+                if symbol not in carriers:
+                    raise self.error(f"unknown sort symbol {symbol!r}",
+                                     sort_starts[sym])
         return Signature(
             name,
             sets=tuple(sorted(sets)),
@@ -381,31 +392,19 @@ class _Parser:
             span=self.span_from(start),
         )
 
-    def _check_sort_symbols(self, sort: Sort, declared: set[str],
-                            at: _Token | None) -> None:
-        for name in _sort_symbol_names(sort):
-            if name not in declared:
-                raise ParseError(
-                    f"unknown sort symbol {name!r}",
-                    at.span(self.filename) if at is not None else None)
-
     def sort(self) -> Sort:
-        if self.at_keyword("pow"):
-            self.next()
+        if self.accept("IDENT", "pow"):
             self.expect("(")
             base = self.expect("IDENT", what="sort symbol").text
             self.expect(")")
             return PowSort(base)
         if self.accept("("):
-            components = [self.sort()]
-            while self.accept(","):
-                components.append(self.sort())
+            components = self.comma_list(self.sort)
             self.expect(")")
             if len(components) < 2:
                 raise self.error("a tuple sort needs at least two components")
             return TupleSort(tuple(components))
-        name = self.expect("IDENT", what="sort").text
-        return SortName(name)
+        return SortName(self.expect("IDENT", what="sort").text)
 
     # structures -----------------------------------------------------------
 
@@ -414,60 +413,46 @@ class _Parser:
         name = self.expect("IDENT", what="structure name").text
         self.expect_keyword("of")
         sig_name = self.expect("IDENT", what="signature name").text
-        self.expect("{")
-        entries: list[StructureEntry] = []
-        seen: set[str] = set()
-        while not self.at("}"):
-            sym_tok = self.expect("IDENT", what="symbol name")
-            if sym_tok.text in seen:
-                raise self.error(f"duplicate entry for {sym_tok.text!r}", sym_tok)
-            seen.add(sym_tok.text)
+
+        def entry(sym_tok: _Token) -> StructureEntry:
             self.expect("=")
-            entry = self._structure_rhs(sym_tok)
+            rhs = self._structure_rhs(sym_tok.text, sym_tok.span(self.filename))
             self.expect(";")
-            entries.append(entry)
-        self.expect("}")
-        entries.sort(key=lambda e: e.symbol)
-        return StructureDoc(name, sig_name, tuple(entries),
+            return rhs
+        entries = self.named_block("symbol name", "duplicate entry for", entry)
+        return StructureDoc(name, sig_name,
+                            tuple(sorted(entries, key=lambda e: e.symbol)),
                             span=self.span_from(start))
 
-    def _structure_rhs(self, sym_tok: _Token) -> StructureEntry:
-        span = sym_tok.span(self.filename)
-        if self.at_keyword("pow") and self.peek(1).type == "(":
+    def _structure_rhs(self, symbol: str, span: SourceSpan) -> StructureEntry:
+        if self.at("IDENT", "pow") and self.peek(1).type == "(":
             self.next()
             self.expect("(")
             base = self.expect("IDENT", what="set symbol").text
             self.expect(")")
-            return StructureEntry(sym_tok.text, "pow", pow_of=base, span=span)
-        if self.at("{"):
-            self.next()
-            if self.accept("}"):
-                return StructureEntry(sym_tok.text, "value", value=SetValue(),
-                                      span=span)
-            first = self.value()
-            if self.at("->"):
-                pairs = []
-                self.expect("->")
-                pairs.append((first, self.value()))
-                while self.accept(","):
-                    key = self.value()
-                    self.expect("->")
-                    pairs.append((key, self.value()))
-                self.expect("}")
-                pairs.sort(key=lambda kv: (kv[0].key(), kv[1].key()))
-                return StructureEntry(sym_tok.text, "table", table=tuple(pairs),
-                                      span=span)
-            elements = [first]
-            while self.accept(","):
-                elements.append(self.value())
+            return StructureEntry(symbol, "pow", pow_of=base, span=span)
+        if not self.accept("{"):
+            return StructureEntry(symbol, "value", value=self.value(), span=span)
+        if self.accept("}"):
+            return StructureEntry(symbol, "value", value=SetValue(), span=span)
+        first = self.value()
+        if self.accept("->"):
+            pairs = self.comma_list(self._table_pair, first=(first, self.value()))
             self.expect("}")
-            return StructureEntry(sym_tok.text, "value",
-                                  value=SetValue(elements), span=span)
-        return StructureEntry(sym_tok.text, "value", value=self.value(), span=span)
+            return StructureEntry(symbol, "table",
+                                  table=tuple(sorted(pairs, key=_table_key)),
+                                  span=span)
+        elements = self.comma_list(self.value, first=first)
+        self.expect("}")
+        return StructureEntry(symbol, "value", value=SetValue(elements), span=span)
+
+    def _table_pair(self) -> tuple[Value, Value]:
+        key = self.value()
+        self.expect("->")
+        return (key, self.value())
 
     def value(self) -> Value:
-        term = self.term()
-        return self._term_to_value(term)
+        return self._term_to_value(self.term())
 
     def _term_to_value(self, term: Term) -> Value:
         if isinstance(term, Ident):
@@ -484,148 +469,89 @@ class _Parser:
     def term(self) -> Term:
         tok = self.peek()
         if tok.type == "IDENT" and self.peek(1).type == "(":
-            name = self.next()
+            self.next()
             self.expect("(")
-            args = [self.term()]
-            while self.accept(","):
-                args.append(self.term())
+            args = self.comma_list(self.term)
             self.expect(")")
-            span = self.span_from(name)
-            if name.text == "elm":
+            span = self.span_from(tok)
+            if tok.text == "elm":
                 if len(args) != 1:
                     raise ParseError("elm takes exactly one argument", span)
                 return Elm(args[0], span)
-            return App(name.text, tuple(args), span)
-        if tok.type == "IDENT":
-            self.next()
+            return App(tok.text, tuple(args), span)
+        if self.accept("IDENT"):
             return Ident(tok.text, tok.span(self.filename))
-        if tok.type == "(":
-            start = self.next()
-            items = [self.term()]
-            while self.accept(","):
-                items.append(self.term())
+        if self.accept("("):
+            items = self.comma_list(self.term)
             self.expect(")")
             if len(items) < 2:
                 raise ParseError("a tuple needs at least two components",
-                                 self.span_from(start))
-            return TupleTerm(tuple(items), self.span_from(start))
-        if tok.type == "{":
-            start = self.next()
-            elements = []
-            if not self.at("}"):
-                elements.append(self.term())
-                while self.accept(","):
-                    elements.append(self.term())
+                                 self.span_from(tok))
+            return TupleTerm(tuple(items), self.span_from(tok))
+        if self.accept("{"):
+            elements = [] if self.at("}") else self.comma_list(self.term)
             self.expect("}")
-            return SetTerm(tuple(elements), self.span_from(start))
+            return SetTerm(tuple(elements), self.span_from(tok))
         raise self.error("expected a term")
 
     def guard(self) -> Guard:
         start = self.peek()
         atoms: list[GuardAtom] = []
         while True:
-            if self.at_keyword("true"):
-                self.next()
-            else:
+            if not self.accept("IDENT", "true"):
                 left = self.term()
                 op_tok = self.peek()
-                if self.accept("="):
-                    op = "="
-                elif self.accept("IDENT", "in"):
-                    op = "in"
-                elif self.accept("IDENT", "sub"):
-                    op = "sub"
-                else:
+                if not (self.accept("=") or self.accept("IDENT", "in")
+                        or self.accept("IDENT", "sub")):
                     raise self.error("expected '=', 'in', or 'sub'", op_tok)
-                right = self.term()
-                atoms.append(GuardAtom(op, left, right,
+                atoms.append(GuardAtom(op_tok.text, left, self.term(),
                                        op_tok.span(self.filename)))
             if not self.accept("IDENT", "and"):
-                break
-        key = lambda a: (render_term(a.left), a.op, render_term(a.right))
-        return Guard(tuple(sorted(atoms, key=key)),
-                     span=start.span(self.filename))
+                return canonical_guard(atoms, start.span(self.filename))
 
     # modules --------------------------------------------------------------
 
     def module_doc(self) -> Module:
         start = self.expect_keyword("module")
         name = self.expect("IDENT", what="module name").text
-        sig_name = ""
-        if self.accept("IDENT", "of"):
-            sig_name = self.expect("IDENT", what="signature name").text
-        self.expect("{")
-        left: list[InterfaceElement] | None = None
-        right: list[InterfaceElement] | None = None
-        places: list[Place] | None = None
-        transitions: list[Transition] | None = None
-        arcs: list[Arc] | None = None
-        while not self.at("}"):
-            section = self.expect("IDENT", what="a module section "
-                                  "(left, right, places, trans, arcs)")
-            if section.text not in SECTION_KEYWORDS:
-                raise self.error(f"unknown module section {section.text!r}",
-                                 section)
-            if section.text == "left":
-                if left is not None:
-                    raise self.error("duplicate left section", section)
-                left = self.interface_items()
-            elif section.text == "right":
-                if right is not None:
-                    raise self.error("duplicate right section", section)
-                right = self.interface_items()
-            elif section.text == "places":
-                if places is not None:
-                    raise self.error("duplicate places section", section)
-                places = self.place_items()
-            elif section.text == "trans":
-                if transitions is not None:
-                    raise self.error("duplicate trans section", section)
-                transitions = self.trans_items()
-            else:
-                if arcs is not None:
-                    raise self.error("duplicate arcs section", section)
-                arcs = self.arc_items()
-        close = self.expect("}")
-        module = Module(
-            name, sig_name,
-            SchematicNet(
-                places=tuple(sorted(places or [], key=lambda p: p.name)),
-                transitions=tuple(sorted(transitions or [], key=lambda t: t.name)),
-                arcs=tuple(sorted(arcs or [], key=lambda a: (a.source, a.target))),
-            ),
-            left=tuple(left or []),
-            right=tuple(right or []),
-            span=self.span_from(start),
+        sig_name = self.of_name("signature name")
+        found = self.sections("module", {
+            "left": self.interface_items, "right": self.interface_items,
+            "places": lambda: self.block(self.place_item),
+            "trans": lambda: self.block(self.trans_item),
+            "arcs": self.arc_items})
+        net = SchematicNet(
+            places=tuple(sorted(found.get("places", ()), key=lambda p: p.name)),
+            transitions=tuple(sorted(found.get("trans", ()), key=lambda t: t.name)),
+            arcs=tuple(sorted(found.get("arcs", ()),
+                              key=lambda a: (a.source, a.target))),
         )
-        self._check_module(module, close)
+        module = Module(name, sig_name, net, tuple(found.get("left", ())),
+                        tuple(found.get("right", ())), span=self.span_from(start))
+        _check_module(module, net)
         return module
 
     def interface_items(self) -> list[InterfaceElement]:
-        self.expect("{")
-        items: list[InterfaceElement] = []
         seen: set[tuple[str, str]] = set()
         seen_refs: set[str] = set()
-        while not self.at("}"):
+
+        def item() -> InterfaceElement:
             kind_tok = self.expect("IDENT", what="'place' or 'trans'")
-            if kind_tok.text == "place":
-                kind = PLACE
-            elif kind_tok.text == "trans":
-                kind = TRANSITION
-            else:
+            kinds = {"place": PLACE, "trans": TRANSITION}
+            if kind_tok.text not in kinds:
                 raise self.error("expected 'place' or 'trans'", kind_tok)
+            kind = kinds[kind_tok.text]
             label_tok = self.peek()
-            if self.at("STRING"):
-                label = self.next().text
-                if not label:
+            if self.accept("STRING"):
+                if not label_tok.text:
                     raise self.error("interface labels must be non-empty",
                                      label_tok)
             else:
-                label = self.expect("IDENT", what="interface label").text
-            if (kind, label) in seen:
-                raise self.error(f"duplicate {kind} label {label!r} in interface",
-                                 label_tok)
-            seen.add((kind, label))
+                self.expect("IDENT", what="interface label")
+            if (kind, label_tok.text) in seen:
+                raise self.error(f"duplicate {kind} label {label_tok.text!r} "
+                                 "in interface", label_tok)
+            seen.add((kind, label_tok.text))
             self.expect("=")
             ref_tok = self.expect("IDENT", what="inner element name")
             if ref_tok.text in seen_refs:
@@ -633,108 +559,52 @@ class _Parser:
                                  "this interface", ref_tok)
             seen_refs.add(ref_tok.text)
             self.expect(";")
-            items.append(InterfaceElement(kind, label, ref_tok.text,
-                                          label_tok.span(self.filename)))
-        self.expect("}")
-        return items
+            return InterfaceElement(kind, label_tok.text, ref_tok.text,
+                                    label_tok.span(self.filename))
+        return self.block(item)
 
-    def place_items(self) -> list[Place]:
-        self.expect("{")
-        items: list[Place] = []
-        while not self.at("}"):
-            name_tok = self.expect("IDENT", what="place name")
-            sort = None
-            init: tuple[Term, ...] = ()
-            if self.accept(":"):
-                sort = self.sort()
-            if self.accept("IDENT", "init"):
-                terms = [self.term()]
-                while self.accept(","):
-                    terms.append(self.term())
-                init = tuple(sorted(terms, key=render_term))
-            self.expect(";")
-            items.append(Place(name_tok.text, sort, init,
-                               span=name_tok.span(self.filename)))
-        self.expect("}")
-        return items
+    def place_item(self) -> Place:
+        name_tok = self.expect("IDENT", what="place name")
+        sort = self.sort() if self.accept(":") else None
+        init: tuple[Term, ...] = ()
+        if self.accept("IDENT", "init"):
+            init = tuple(sorted(self.comma_list(self.term), key=render_term))
+        self.expect(";")
+        return Place(name_tok.text, sort, init, span=name_tok.span(self.filename))
 
-    def trans_items(self) -> list[Transition]:
-        self.expect("{")
-        items: list[Transition] = []
-        while not self.at("}"):
-            name_tok = self.expect("IDENT", what="transition name")
-            guard = Guard()
-            free: list[tuple[str, Sort]] = []
-            if self.accept("IDENT", "guard"):
-                guard = self.guard()
-            if self.accept("IDENT", "free"):
-                while True:
-                    var = self.expect("IDENT", what="variable name").text
-                    self.expect(":")
-                    free.append((var, self.sort()))
-                    if not self.accept(","):
-                        break
-            self.expect(";")
-            items.append(Transition(name_tok.text, guard,
-                                    tuple(sorted(free)),
-                                    span=name_tok.span(self.filename)))
-        self.expect("}")
-        return items
+    def trans_item(self) -> Transition:
+        name_tok = self.expect("IDENT", what="transition name")
+        guard = self.guard() if self.accept("IDENT", "guard") else Guard()
+        free: list[tuple[str, Sort]] = []
+        if self.accept("IDENT", "free"):
+            free = self.comma_list(self._free_variable)
+        self.expect(";")
+        return Transition(name_tok.text, guard, tuple(sorted(free)),
+                          span=name_tok.span(self.filename))
+
+    def _free_variable(self) -> tuple[str, Sort]:
+        var = self.expect("IDENT", what="variable name").text
+        self.expect(":")
+        return (var, self.sort())
 
     def arc_items(self) -> list[Arc]:
-        self.expect("{")
         merged: dict[tuple[str, str], Arc] = {}
-        while not self.at("}"):
+
+        def item() -> None:
             src_tok = self.expect("IDENT", what="arc source")
             self.expect("->")
             tgt = self.expect("IDENT", what="arc target").text
             self.expect(":")
-            terms = [self.term()]
-            while self.accept(","):
-                terms.append(self.term())
+            inscription = tuple(self.comma_list(self.term))
             self.expect(";")
             key = (src_tok.text, tgt)
-            inscription = tuple(terms)
             if key in merged:
                 inscription = merged[key].inscription + inscription
             merged[key] = Arc(src_tok.text, tgt,
                               tuple(sorted(inscription, key=render_term)),
                               span=src_tok.span(self.filename))
-        self.expect("}")
+        self.block(item)
         return list(merged.values())
-
-    def _check_module(self, module: Module, close: _Token) -> None:
-        inner = module.inner
-        assert isinstance(inner, SchematicNet)
-        names: dict[str, _Token | None] = {}
-        for p in inner.places:
-            if p.name in names:
-                raise ParseError(f"duplicate element name {p.name!r}", p.span)
-            names[p.name] = None
-        for t in inner.transitions:
-            if t.name in names:
-                raise ParseError(f"duplicate element name {t.name!r}", t.span)
-            names[t.name] = None
-        for a in inner.arcs:
-            src_place, tgt_place = inner.has_place(a.source), inner.has_place(a.target)
-            src_trans, tgt_trans = inner.has_transition(a.source), \
-                inner.has_transition(a.target)
-            if not ((src_place and tgt_trans) or (src_trans and tgt_place)):
-                raise ParseError(
-                    f"arc {a.source} -> {a.target} must connect a place and "
-                    "a transition", a.span)
-        for side_name, side in (("left", module.left), ("right", module.right)):
-            for e in side:
-                if e.ref not in names:
-                    raise ParseError(
-                        f"{side_name} interface exposes unknown element {e.ref!r}",
-                        e.span)
-                is_place = inner.has_place(e.ref)
-                if (e.kind == PLACE) != is_place:
-                    raise ParseError(
-                        f"{side_name} interface exposes {e.ref!r} as {e.kind}, "
-                        f"but it is a {'place' if is_place else 'transition'}",
-                        e.span)
 
     # systems ----------------------------------------------------------------
 
@@ -746,23 +616,16 @@ class _Parser:
         structure = self.structure_doc()
         module = self.module_doc()
         self.expect_keyword("marking")
-        self.expect("{")
-        per_place: dict[str, list[Value]] = {}
-        while not self.at("}"):
-            place_tok = self.expect("IDENT", what="place name")
-            if place_tok.text in per_place:
-                raise self.error(f"duplicate marking entry for {place_tok.text!r}",
-                                 place_tok)
+
+        def entry(place_tok: _Token) -> tuple[str, Multiset]:
             self.expect(":")
-            tokens = [self.value()]
-            while self.accept(","):
-                tokens.append(self.value())
+            tokens = self.comma_list(self.value)
             self.expect(";")
-            per_place[place_tok.text] = tokens
+            return (place_tok.text, Multiset(tokens))
+        marking = Marking(dict(self.named_block(
+            "place name", "duplicate marking entry for", entry)))
         self.expect("}")
-        self.expect("}")
-        return SystemDoc(name, signature, structure, module,
-                         Marking({p: Multiset(vs) for p, vs in per_place.items()}),
+        return SystemDoc(name, signature, structure, module, marking,
                          span=self.span_from(start))
 
     # runs -------------------------------------------------------------------
@@ -770,89 +633,43 @@ class _Parser:
     def run_doc(self) -> Module:
         start = self.expect_keyword("run")
         name = self.expect("IDENT", what="run name").text
-        of_name = ""
-        if self.accept("IDENT", "of"):
-            of_name = self.expect("IDENT", what="system name").text
-        self.expect("{")
-        conditions: list[Condition] | None = None
-        events: list[Event] | None = None
-        flow: list[tuple[str, str]] | None = None
-        left: list[InterfaceElement] | None = None
-        right: list[InterfaceElement] | None = None
-        while not self.at("}"):
-            section = self.expect("IDENT", what="a run section (conditions, "
-                                  "events, flow, left, right)")
-            if section.text == "conditions":
-                if conditions is not None:
-                    raise self.error("duplicate conditions section", section)
-                conditions = self.condition_items()
-            elif section.text == "events":
-                if events is not None:
-                    raise self.error("duplicate events section", section)
-                events = self.event_items()
-            elif section.text == "flow":
-                if flow is not None:
-                    raise self.error("duplicate flow section", section)
-                flow = self.flow_items()
-            elif section.text == "left":
-                if left is not None:
-                    raise self.error("duplicate left section", section)
-                left = self.interface_items()
-            elif section.text == "right":
-                if right is not None:
-                    raise self.error("duplicate right section", section)
-                right = self.interface_items()
-            else:
-                raise self.error(f"unknown run section {section.text!r}", section)
-        self.expect("}")
-        inner = OccurrenceNet(
-            conditions=tuple(sorted(conditions or [], key=lambda c: _id_key(c.id))),
-            events=tuple(sorted(events or [], key=lambda e: _id_key(e.id))),
-            flow=tuple(sorted(set(flow or []),
+        of_name = self.of_name("system name")
+        found = self.sections("run", {
+            "conditions": lambda: self.named_block(
+                "condition id", "duplicate condition id", self.condition_item),
+            "events": lambda: self.named_block(
+                "event id", "duplicate event id", self.event_item),
+            "flow": lambda: self.block(self.flow_item),
+            "left": self.interface_items, "right": self.interface_items})
+        net = OccurrenceNet(
+            conditions=tuple(sorted(found.get("conditions", ()),
+                                    key=lambda c: _id_key(c.id))),
+            events=tuple(sorted(found.get("events", ()),
+                                key=lambda e: _id_key(e.id))),
+            flow=tuple(sorted(set(found.get("flow", ())),
                               key=lambda f: (_id_key(f[0]), _id_key(f[1])))),
         )
-        run = Module(name, of_name, inner, tuple(left or []), tuple(right or []),
-                     span=self.span_from(start))
-        self._check_run(run)
+        run = Module(name, of_name, net, tuple(found.get("left", ())),
+                     tuple(found.get("right", ())), span=self.span_from(start))
+        _check_run(run, net)
         return run
 
-    def condition_items(self) -> list[Condition]:
-        self.expect("{")
-        items: list[Condition] = []
-        seen: set[str] = set()
-        while not self.at("}"):
-            id_tok = self.expect("IDENT", what="condition id")
-            if id_tok.text in seen:
-                raise self.error(f"duplicate condition id {id_tok.text!r}", id_tok)
-            seen.add(id_tok.text)
-            self.expect("=")
-            place = self.expect("IDENT", what="place name").text
-            value = self.value()
-            self.expect(";")
-            items.append(Condition(id_tok.text, place, value,
-                                   span=id_tok.span(self.filename)))
-        self.expect("}")
-        return items
+    def condition_item(self, id_tok: _Token) -> Condition:
+        self.expect("=")
+        place = self.expect("IDENT", what="place name").text
+        value = self.value()
+        self.expect(";")
+        return Condition(id_tok.text, place, value, span=id_tok.span(self.filename))
 
-    def event_items(self) -> list[Event]:
-        self.expect("{")
-        items: list[Event] = []
-        seen: set[str] = set()
-        while not self.at("}"):
-            id_tok = self.expect("IDENT", what="event id")
-            if id_tok.text in seen:
-                raise self.error(f"duplicate event id {id_tok.text!r}", id_tok)
-            seen.add(id_tok.text)
-            self.expect("=")
-            transition = self.expect("IDENT", what="transition name").text
-            self.expect("[")
-            binding = self.binding_pairs(closing="]")
-            self.expect("]")
-            self.expect(";")
-            items.append(Event(id_tok.text, transition, binding,
-                               span=id_tok.span(self.filename)))
-        self.expect("}")
-        return items
+    def event_item(self, id_tok: _Token) -> Event:
+        self.expect("=")
+        transition = self.expect("IDENT", what="transition name").text
+        self.expect("[")
+        binding = self.binding_pairs(closing="]")
+        self.expect("]")
+        self.expect(";")
+        return Event(id_tok.text, transition, binding,
+                     span=id_tok.span(self.filename))
 
     def binding_pairs(self, closing: str) -> Binding:
         pairs: dict[str, Value] = {}
@@ -866,35 +683,37 @@ class _Parser:
             self.accept(",")
         return Binding(pairs)
 
-    def flow_items(self) -> list[tuple[str, str]]:
-        self.expect("{")
-        items: list[tuple[str, str]] = []
-        while not self.at("}"):
-            src = self.expect("IDENT", what="flow source").text
-            self.expect("->")
-            tgt = self.expect("IDENT", what="flow target").text
-            self.expect(";")
-            items.append((src, tgt))
-        self.expect("}")
-        return items
+    def flow_item(self) -> tuple[str, str]:
+        src = self.expect("IDENT", what="flow source").text
+        self.expect("->")
+        tgt = self.expect("IDENT", what="flow target").text
+        self.expect(";")
+        return (src, tgt)
 
-    def _check_run(self, run: Module) -> None:
-        inner = run.inner
-        assert isinstance(inner, OccurrenceNet)
-        ids = {c.id for c in inner.conditions} | {e.id for e in inner.events}
-        if len(ids) != len(inner.conditions) + len(inner.events):
-            raise ParseError("condition and event ids overlap", run.span)
-        for src, tgt in inner.flow:
-            for node in (src, tgt):
-                if node not in ids:
-                    raise ParseError(f"flow mentions unknown node {node!r}",
-                                     run.span)
-        for side_name, side in (("left", run.left), ("right", run.right)):
-            for e in side:
-                if e.ref not in ids:
-                    raise ParseError(
-                        f"{side_name} interface exposes unknown node {e.ref!r}",
-                        e.span)
+
+def _check_module(module: Module, net: SchematicNet) -> None:
+    names: set[str] = set()
+    for node in (*net.places, *net.transitions):
+        if node.name in names:
+            raise ParseError(f"duplicate element name {node.name!r}", node.span)
+        names.add(node.name)
+    for v in (*arc_endpoint_violations(net), *interface_violations(module)):
+        raise ParseError(v.message, v.span)
+
+
+def _check_run(run: Module, net: OccurrenceNet) -> None:
+    ids = {c.id for c in net.conditions} | {e.id for e in net.events}
+    if len(ids) != len(net.conditions) + len(net.events):
+        raise ParseError("condition and event ids overlap", run.span)
+    for node in (node for arc in net.flow for node in arc):
+        if node not in ids:
+            raise ParseError(f"flow mentions unknown node {node!r}", run.span)
+    for side_name, side in (("left", run.left), ("right", run.right)):
+        for e in side:
+            if e.ref not in ids:
+                raise ParseError(
+                    f"{side_name} interface exposes unknown node {e.ref!r}",
+                    e.span)
 
 
 def parse(text: str, filename: str = "<input>") -> ModelDocument:
@@ -955,9 +774,7 @@ def bind_structure(doc: StructureDoc, sig: Signature,
                 raise ParseError(
                     f"{entry.symbol!r} is a function symbol and needs a "
                     "table {a -> x, ...}", entry.span)
-            fsig = sig.function_signature(entry.symbol)
-            assert fsig is not None
-            arg_sorts, _ = fsig
+            arg_sorts, _ = sig.function_signature(entry.symbol)
             table: dict[tuple[Value, ...], Value] = {}
             for key, result in entry.table:
                 if len(arg_sorts) == 1:
@@ -989,12 +806,10 @@ def structure_to_doc(s: Structure) -> StructureDoc:
         entries.append(StructureEntry(sym, "value",
                                       value=SetValue(s.carriers[sym])))
     for sym, table in s.functions.items():
-        pairs = []
-        for args, result in table.items():
-            key: Value = args[0] if len(args) == 1 else TupleValue(args)
-            pairs.append((key, result))
-        pairs.sort(key=lambda kv: (kv[0].key(), kv[1].key()))
-        entries.append(StructureEntry(sym, "table", table=tuple(pairs)))
+        pairs = [(args[0] if len(args) == 1 else TupleValue(args), result)
+                 for args, result in table.items()]
+        entries.append(StructureEntry(sym, "table",
+                                      table=tuple(sorted(pairs, key=_table_key))))
     for sym, value in s.constants.items():
         entries.append(StructureEntry(sym, "value", value=value))
     entries.sort(key=lambda e: e.symbol)
@@ -1008,15 +823,11 @@ def structure_to_doc(s: Structure) -> StructureDoc:
 def parse_script(text: str, filename: str = "<script>") -> list[tuple[str, Binding]]:
     """A simulation script: one ``transition [name=value ...]`` per line."""
     steps: list[tuple[str, Binding]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        p = _Parser(line, filename)
-        p.tokens = [_Token(t.type, t.text, lineno, t.col) for t in p.tokens]
-        name = p.expect("IDENT", what="transition name").text
-        binding = p.binding_pairs(closing="EOF")
-        steps.append((name, binding))
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        p = _Parser(line.strip(), filename, lineno)
+        if not p.at("EOF"):
+            name = p.expect("IDENT", what="transition name").text
+            steps.append((name, p.binding_pairs(closing="EOF")))
     return steps
 
 
@@ -1068,30 +879,21 @@ def _parse_pred_unary(p: _Parser):
         p.expect(")")
         return inner
     head = p.expect("IDENT", what="contains, count, or tokens")
+    if head.text not in ("contains", "count", "tokens"):
+        raise p.error("expected contains, count, or tokens", head)
+    p.expect("(")
+    place = p.expect("IDENT", what="place name").text
+    if head.text != "count":
+        p.expect(",")
+        value = p.value()
+    p.expect(")")
     if head.text == "contains":
-        p.expect("(")
-        place = p.expect("IDENT", what="place name").text
-        p.expect(",")
-        value = p.value()
-        p.expect(")")
         return lambda m: m.get(place).count(value) > 0
+    op = _parse_cmp(p)
+    n = int(p.expect("INT", what="a number").text)
     if head.text == "count":
-        p.expect("(")
-        place = p.expect("IDENT", what="place name").text
-        p.expect(")")
-        op = _parse_cmp(p)
-        n = int(p.expect("INT", what="a number").text)
         return lambda m: op(m.get(place).total(), n)
-    if head.text == "tokens":
-        p.expect("(")
-        place = p.expect("IDENT", what="place name").text
-        p.expect(",")
-        value = p.value()
-        p.expect(")")
-        op = _parse_cmp(p)
-        n = int(p.expect("INT", what="a number").text)
-        return lambda m: op(m.get(place).count(value), n)
-    raise p.error("expected contains, count, or tokens", head)
+    return lambda m: op(m.get(place).count(value), n)
 
 
 def _parse_cmp(p: _Parser):

@@ -12,7 +12,7 @@ from .modules import Module
 from .nets import OccurrenceNet, SchematicNet
 from .parser import ModelDocument, StructureDoc, SystemDoc
 from .signature import Signature, render_sort
-from .terms import Binding, Guard, render_term
+from .terms import render_binding, render_guard, render_term
 from .values import render_value
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -25,69 +25,82 @@ def _label(text: str) -> str:
     return f'"{escaped}"'
 
 
-def render_binding_text(b: Binding) -> str:
-    return "[" + ", ".join(f"{n}={render_value(v)}" for n, v in b.pairs()) + "]"
+def _block(head: str, entries, indent: str, always: bool = False) -> list[str]:
+    """``head {``, one ``entry;`` per line, ``}``; nothing for no entries
+    unless ``always``."""
+    lines = [f"{indent}  {e};" for e in entries]
+    if not (lines or always):
+        return []
+    return [f"{indent}{head} {{", *lines, f"{indent}}}"]
+
+
+def _finish(lines: list[str], indent: str) -> str:
+    """A nested document is a piece of its parent; a top-level one ends
+    with a newline."""
+    return "\n".join(lines) + ("\n" if not indent else "")
 
 
 def print_document(doc: ModelDocument) -> str:
-    if doc.kind == "signature":
-        return print_signature(doc.body)  # type: ignore[arg-type]
-    if doc.kind == "structure":
-        return print_structure(doc.body)  # type: ignore[arg-type]
-    if doc.kind == "module":
-        return print_module(doc.body)  # type: ignore[arg-type]
-    if doc.kind == "system":
-        return print_system(doc.body)  # type: ignore[arg-type]
-    if doc.kind == "run":
-        return print_run(doc.body)  # type: ignore[arg-type]
-    raise ValueError(f"unknown document kind {doc.kind!r}")
+    printers = {"signature": print_signature, "structure": print_structure,
+                "module": print_module, "system": print_system, "run": print_run}
+    if doc.kind not in printers:
+        raise ValueError(f"unknown document kind {doc.kind!r}")
+    return printers[doc.kind](doc.body)  # type: ignore[operator]
 
 
 def print_signature(sig: Signature, indent: str = "") -> str:
-    lines = [f"{indent}signature {sig.name} {{"]
-    inner = indent + "  "
-    if sig.sets:
-        lines.append(f"{inner}sets " + ", ".join(sig.sets) + ";")
-    for sym, base in sig.subsets:
-        lines.append(f"{inner}subsets {sym} of pow({base});")
+    entries = [f"sets {', '.join(sig.sets)}"] if sig.sets else []
+    entries += [f"subsets {sym} of pow({base})" for sym, base in sig.subsets]
     if sig.constants:
-        decls = ", ".join(f"{n}: {render_sort(s)}" for n, s in sig.constants)
-        lines.append(f"{inner}consts {decls};")
+        entries.append("consts " + ", ".join(
+            f"{n}: {render_sort(s)}" for n, s in sig.constants))
     if sig.functions:
-        decls = ", ".join(
+        entries.append("fns " + ", ".join(
             f"{n}: " + ", ".join(render_sort(a) for a in args)
             + f" -> {render_sort(res)}"
-            for n, args, res in sig.functions)
-        lines.append(f"{inner}fns {decls};")
-    lines.append(f"{indent}}}")
-    return "\n".join(lines) + ("\n" if not indent else "")
+            for n, args, res in sig.functions))
+    return _finish(_block(f"signature {sig.name}", entries, indent, always=True),
+                   indent)
+
+
+def _structure_rhs(entry) -> str:
+    if entry.kind == "pow":
+        return f"pow({entry.pow_of})"
+    if entry.kind == "table":
+        return "{" + ", ".join(f"{render_value(k)} -> {render_value(v)}"
+                               for k, v in entry.table) + "}"
+    return render_value(entry.value)
 
 
 def print_structure(doc: StructureDoc, indent: str = "") -> str:
-    lines = [f"{indent}structure {doc.name} of {doc.sig_name} {{"]
-    inner = indent + "  "
-    for entry in doc.entries:
-        if entry.kind == "pow":
-            rhs = f"pow({entry.pow_of})"
-        elif entry.kind == "table":
-            rhs = "{" + ", ".join(
-                f"{render_value(k)} -> {render_value(v)}" for k, v in entry.table) + "}"
-        else:
-            rhs = render_value(entry.value)  # type: ignore[arg-type]
-        lines.append(f"{inner}{entry.symbol} = {rhs};")
-    lines.append(f"{indent}}}")
-    return "\n".join(lines) + ("\n" if not indent else "")
+    return _finish(_block(
+        f"structure {doc.name} of {doc.sig_name}",
+        (f"{e.symbol} = {_structure_rhs(e)}" for e in doc.entries),
+        indent, always=True), indent)
 
 
 def _print_interface(side_name: str, elements, indent: str) -> list[str]:
-    if not elements:
-        return []
-    lines = [f"{indent}{side_name} {{"]
-    for e in elements:
-        kind = "place" if e.kind == "place" else "trans"
-        lines.append(f"{indent}  {kind} {_label(e.label)} = {e.ref};")
-    lines.append(f"{indent}}}")
-    return lines
+    return _block(side_name, (
+        f"{'place' if e.kind == 'place' else 'trans'} {_label(e.label)} = {e.ref}"
+        for e in elements), indent)
+
+
+def _place_text(p) -> str:
+    text = p.name
+    if p.sort is not None:
+        text += f" : {render_sort(p.sort)}"
+    if p.init:
+        text += " init " + ", ".join(render_term(t) for t in p.init)
+    return text
+
+
+def _transition_text(t) -> str:
+    text = t.name
+    if not t.guard.is_true():
+        text += " guard " + render_guard(t.guard)
+    if t.free:
+        text += " free " + ", ".join(f"{n}: {render_sort(s)}" for n, s in t.free)
+    return text
 
 
 def print_module(module: Module, indent: str = "") -> str:
@@ -95,63 +108,32 @@ def print_module(module: Module, indent: str = "") -> str:
     if not isinstance(inner_net, SchematicNet):
         return print_run(module, indent)
     of = f" of {module.sig}" if module.sig else ""
-    lines = [f"{indent}module {module.name}{of} {{"]
     body = indent + "  "
-    lines += _print_interface("left", module.left, body)
-    lines += _print_interface("right", module.right, body)
-    if inner_net.places:
-        lines.append(f"{body}places {{")
-        for p in inner_net.places:
-            text = p.name
-            if p.sort is not None:
-                text += f" : {render_sort(p.sort)}"
-            if p.init:
-                text += " init " + ", ".join(render_term(t) for t in p.init)
-            lines.append(f"{body}  {text};")
-        lines.append(f"{body}}}")
-    if inner_net.transitions:
-        lines.append(f"{body}trans {{")
-        for t in inner_net.transitions:
-            text = t.name
-            if not t.guard.is_true():
-                text += " guard " + _render_guard(t.guard)
-            if t.free:
-                text += " free " + ", ".join(
-                    f"{n}: {render_sort(s)}" for n, s in t.free)
-            lines.append(f"{body}  {text};")
-        lines.append(f"{body}}}")
-    if inner_net.arcs:
-        lines.append(f"{body}arcs {{")
-        for a in inner_net.arcs:
-            terms = ", ".join(render_term(t) for t in a.inscription)
-            lines.append(f"{body}  {a.source} -> {a.target} : {terms};")
-        lines.append(f"{body}}}")
-    lines.append(f"{indent}}}")
-    return "\n".join(lines) + ("\n" if not indent else "")
-
-
-def _render_guard(g: Guard) -> str:
-    if g.is_true():
-        return "true"
-    return " and ".join(
-        f"{render_term(a.left)} {a.op} {render_term(a.right)}" for a in g.atoms)
+    return _finish([
+        f"{indent}module {module.name}{of} {{",
+        *_print_interface("left", module.left, body),
+        *_print_interface("right", module.right, body),
+        *_block("places", map(_place_text, inner_net.places), body),
+        *_block("trans", map(_transition_text, inner_net.transitions), body),
+        *_block("arcs", (f"{a.source} -> {a.target} : "
+                         + ", ".join(render_term(t) for t in a.inscription)
+                         for a in inner_net.arcs), body),
+        f"{indent}}}"], indent)
 
 
 def print_marking_block(marking, indent: str) -> list[str]:
-    return [f"{indent}marking {{",
-            *(f"{indent}  {entry};" for entry in marking.rendered_entries()),
-            f"{indent}}}"]
+    return _block("marking", marking.rendered_entries(), indent, always=True)
 
 
 def print_system(doc: SystemDoc, indent: str = "") -> str:
     body = indent + "  "
-    lines = [f"{indent}system {doc.name} {{"]
-    lines.append(print_signature(doc.signature, body))
-    lines.append(print_structure(doc.structure, body))
-    lines.append(print_module(doc.module, body))
-    lines += print_marking_block(doc.marking, body)
-    lines.append(f"{indent}}}")
-    return "\n".join(lines) + ("\n" if not indent else "")
+    return _finish([
+        f"{indent}system {doc.name} {{",
+        print_signature(doc.signature, body),
+        print_structure(doc.structure, body),
+        print_module(doc.module, body),
+        *print_marking_block(doc.marking, body),
+        f"{indent}}}"], indent)
 
 
 def print_run(run: Module, indent: str = "") -> str:
@@ -159,25 +141,14 @@ def print_run(run: Module, indent: str = "") -> str:
     if not isinstance(inner, OccurrenceNet):
         raise ValueError(f"module {run.name!r} is not a run")
     of = f" of {run.sig}" if run.sig else ""
-    lines = [f"{indent}run {run.name}{of} {{"]
     body = indent + "  "
-    if inner.conditions:
-        lines.append(f"{body}conditions {{")
-        for c in inner.conditions:
-            lines.append(f"{body}  {c.id} = {c.place} {render_value(c.value)};")
-        lines.append(f"{body}}}")
-    if inner.events:
-        lines.append(f"{body}events {{")
-        for e in inner.events:
-            lines.append(f"{body}  {e.id} = {e.transition} "
-                         f"{render_binding_text(e.binding)};")
-        lines.append(f"{body}}}")
-    if inner.flow:
-        lines.append(f"{body}flow {{")
-        for src, tgt in inner.flow:
-            lines.append(f"{body}  {src} -> {tgt};")
-        lines.append(f"{body}}}")
-    lines += _print_interface("left", run.left, body)
-    lines += _print_interface("right", run.right, body)
-    lines.append(f"{indent}}}")
-    return "\n".join(lines) + ("\n" if not indent else "")
+    return _finish([
+        f"{indent}run {run.name}{of} {{",
+        *_block("conditions", (f"{c.id} = {c.place} {render_value(c.value)}"
+                               for c in inner.conditions), body),
+        *_block("events", (f"{e.id} = {e.transition} {render_binding(e.binding)}"
+                           for e in inner.events), body),
+        *_block("flow", (f"{src} -> {tgt}" for src, tgt in inner.flow), body),
+        *_print_interface("left", run.left, body),
+        *_print_interface("right", run.right, body),
+        f"{indent}}}"], indent)

@@ -95,7 +95,7 @@ class Signature:
             self._check_sort(res, f"function {name!r}")
 
     def _check_sort(self, sort: Sort, where: str) -> None:
-        for name in _sort_symbols(sort):
+        for name in sort_symbols(sort):
             if not self.declares_carrier(name):
                 raise SortError(f"{where} mentions undeclared sort symbol {name!r}")
 
@@ -144,14 +144,14 @@ def _first_duplicate(names: Iterable[str]) -> str | None:
     return None
 
 
-def _sort_symbols(sort: Sort) -> Iterable[str]:
+def sort_symbols(sort: Sort) -> Iterable[str]:
     if isinstance(sort, SortName):
         yield sort.name
     elif isinstance(sort, PowSort):
         yield sort.base
     elif isinstance(sort, TupleSort):
         for c in sort.components:
-            yield from _sort_symbols(c)
+            yield from sort_symbols(c)
 
 
 def sorts_compatible(a: Sort, b: Sort, sig: Signature) -> bool:
@@ -361,4 +361,4 @@ def validate_structure(sig: Signature, s: Structure) -> list[Violation]:
 
 def _sort_ready(sort: Sort, s: Structure) -> bool:
     """True when every symbol the sort mentions has a carrier."""
-    return all(sym in s.carriers for sym in _sort_symbols(sort))
+    return all(sym in s.carriers for sym in sort_symbols(sort))

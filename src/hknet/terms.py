@@ -153,13 +153,17 @@ def render_guard(g: Guard) -> str:
         f"{render_term(a.left)} {a.op} {render_term(a.right)}" for a in g.atoms)
 
 
+def canonical_guard(atoms: Iterable[GuardAtom],
+                    span: SourceSpan | None = None) -> Guard:
+    """The conjunction of ``atoms`` in canonical order: by rendered left
+    side, operator and rendered right side."""
+    return Guard(tuple(sorted(
+        atoms, key=lambda a: (render_term(a.left), a.op, render_term(a.right)))),
+        span)
+
+
 def conjoin(a: Guard, b: Guard) -> Guard:
-    atoms: list[GuardAtom] = []
-    for atom in (*a.atoms, *b.atoms):
-        if atom not in atoms:
-            atoms.append(atom)
-    key = lambda at: (render_term(at.left), at.op, render_term(at.right))
-    return Guard(tuple(sorted(atoms, key=key)))
+    return canonical_guard(dict.fromkeys((*a.atoms, *b.atoms)))
 
 
 def guard_variables(g: Guard) -> set[str]:

@@ -174,6 +174,17 @@ def test_reach_report_with_predicate(workdir, capsys):
     assert out == (GOLDEN / "reach_tiny_pred.txt").read_text(encoding="utf-8")
 
 
+def test_reach_rejects_a_non_decimal_digit_in_a_predicate(workdir, capsys):
+    run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
+            workdir / "kitchen.hk", "-o", workdir / "branch.hk")
+    run_cli("instantiate", workdir / "branch.hk", workdir / "s0_tiny.hks",
+            "--name", "branch_tiny", "-o", workdir / "tiny.hksys")
+    capsys.readouterr()
+    assert run_cli("reach", workdir / "tiny.hksys", "--pred", "count(p) = ²") == 2
+    assert capsys.readouterr().err == \
+        "error: <predicate>:1:12: unexpected character '²'\n"
+
+
 def test_reach_truncation_flag(workdir, capsys):
     system = build_system(workdir)
     assert run_cli("reach", system, "--max-nodes", "1", "--max-edges", "0") == 0

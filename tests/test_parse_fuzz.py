@@ -278,9 +278,8 @@ def test_hand_written_inputs_parse_as_recorded(kind, text, expected):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([s for s in sources() if s[1] != "predicate"]),
-       st.randoms(use_true_random=False))
-def test_mutated_corpus_files_parse_or_fail_with_a_span(source, rng):
+@given(st.sampled_from(sources()), st.randoms(use_true_random=False))
+def test_mutated_sources_parse_or_fail_with_a_span(source, rng):
     name, kind, text = source
     try:
         parse_as(kind, mutate_source(text, rng, ALPHABET + "²"), name)

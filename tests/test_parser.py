@@ -228,3 +228,33 @@ def test_binding_rendering_parses_back_in_scripts():
         inner = render_binding(binding)[1:-1]
         steps = parse_script(f"fire {inner}")
         assert steps == [("fire", binding)]
+
+
+def test_non_decimal_digits_start_no_token():
+    for text, col in (("count(p) = ²", 12), ("count(p) = 1²", 13)):
+        with pytest.raises(ParseError) as err:
+            parse_predicate(text)
+        assert err.value.message == "unexpected character '²'"
+        span = err.value.span
+        assert (span.line, span.col, span.end_line, span.end_col) == (1, col, 1, col + 1)
+    pred = parse_predicate("count(p) = 12")
+    assert pred(Marking({"p": Multiset([Atom(f"a{i}") for i in range(12)])}))
+
+
+def test_backslash_newline_in_a_quoted_label_is_unterminated():
+    escaped = 'module m { left { place "a\\\nb" = p; } places { p; } }'
+    plain = 'module m { left { place "ax\nb" = p; } places { p; } }'
+    spans = []
+    for text in (escaped, plain):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.message == "unterminated string"
+        spans.append(err.value.span)
+    assert spans[0] == spans[1]
+    assert (spans[0].line, spans[0].col, spans[0].end_col) == (1, 25, 28)
+
+
+def test_script_lexer_errors_report_their_own_line():
+    with pytest.raises(ParseError) as err:
+        parse_script("offer_table t=t1\n\nenter c=@\n", "steps")
+    assert str(err.value) == "steps:3:9: unexpected character '@'"

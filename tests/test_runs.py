@@ -355,3 +355,14 @@ def test_flow_arc_to_an_unknown_node_is_reported_not_raised(sys0):
     assert "b0 -> zz" in report[0].message
     assert linearize(run) == []
     assert compose_runs(run, empty_run()).inner == inner
+
+
+def test_flow_arc_from_an_unknown_node_is_reported_not_a_cycle(sys0):
+    inner = OccurrenceNet((Condition("b0", "free_tables", Atom("t1")),), (),
+                          (("zz", "b0"),))
+    run = Module("stray", sys0.name, inner)
+    assert inner.topo_levels() == ["b0"]
+    report = validate_run(run, sys0)
+    assert [v.code for v in report] == ["flow"]
+    assert "zz -> b0" in report[0].message
+    assert linearize(run) == []
