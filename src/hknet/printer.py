@@ -121,10 +121,6 @@ def print_module(module: Module, indent: str = "") -> str:
         f"{indent}}}"], indent)
 
 
-def print_marking_block(marking, indent: str) -> list[str]:
-    return _block("marking", marking.rendered_entries(), indent, always=True)
-
-
 def print_system(doc: SystemDoc, indent: str = "") -> str:
     body = indent + "  "
     return _finish([
@@ -132,7 +128,7 @@ def print_system(doc: SystemDoc, indent: str = "") -> str:
         print_signature(doc.signature, body),
         print_structure(doc.structure, body),
         print_module(doc.module, body),
-        *print_marking_block(doc.marking, body),
+        *_block("marking", doc.marking.rendered_entries(), body, always=True),
         f"{indent}}}"], indent)
 
 

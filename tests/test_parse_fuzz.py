@@ -22,11 +22,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hknet import (ParseError, explore, parse, parse_predicate, parse_script,
+from hknet import (ParseError, bind_structure, compose_all, explore,
+                   instantiate, parse, parse_predicate, parse_script,
                    print_document)
 from hknet.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, load
 from support import attached_spans, digest, mutate_source
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_mutants.txt"
@@ -257,8 +258,6 @@ def golden_lines(markings) -> list[str]:
 
 @functools.cache
 def tiny_markings():
-    from conftest import load
-    from hknet import bind_structure, compose_all, instantiate
     sig = load("sigma0.hksig").body
     structure = bind_structure(load("s0_tiny.hks").body, sig)
     branch = compose_all([load(f).body for f in
