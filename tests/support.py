@@ -11,16 +11,18 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, Guard,
-                   GuardAtom, Ident, InterfaceElement, Marking, Module,
+from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
+                   Guard, GuardAtom, Ident, InterfaceElement, Marking, Module,
                    Multiset, OccurrenceNet, ParseError, Place, PowSort,
                    SchematicNet,
                    SetTerm, SetValue, Signature, SortName, Transition,
-                   TupleSort, TupleTerm, TupleValue, enumerate_bindings,
-                   eval_guard, inscription_tokens, render_term)
+                   TupleSort, TupleTerm, TupleValue, Value, enumerate_bindings,
+                   eval_guard, inscription_tokens, render_sort, render_term,
+                   render_value, value_in_sort)
 from hknet.modules import PLACE, TRANSITION
+from hknet.terms import term_tokens
 from hknet.parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc
 from hknet.spans import SourceSpan
 
@@ -429,6 +431,167 @@ def brute_force_bindings(net, m, t, s) -> list[Binding]:
         if all(ms <= m.get(place) for place, ms in needed.items()):
             out.append(b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Multiset, marking and firing oracle: the sorted-pair representation
+# ---------------------------------------------------------------------------
+
+class ReferenceMultiset:
+    """An immutable multiset of values with canonical iteration order."""
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, values: Iterable[Value] = ()):
+        counts: dict[Value, int] = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        self._pairs = tuple(sorted(counts.items(), key=lambda kv: kv[0].key()))
+
+    @classmethod
+    def _from_pairs(cls, pairs: Iterable[tuple[Value, int]]) -> "ReferenceMultiset":
+        m = cls.__new__(cls)
+        m._pairs = tuple(sorted(
+            ((v, n) for v, n in pairs if n > 0), key=lambda kv: kv[0].key()))
+        return m
+
+    def pairs(self) -> tuple[tuple[Value, int], ...]:
+        return self._pairs
+
+    def count(self, v: Value) -> int:
+        for w, n in self._pairs:
+            if w == v:
+                return n
+        return 0
+
+    def total(self) -> int:
+        return sum(n for _, n in self._pairs)
+
+    def distinct(self) -> tuple[Value, ...]:
+        return tuple(v for v, _ in self._pairs)
+
+    def __iter__(self) -> Iterator[Value]:
+        for v, n in self._pairs:
+            for _ in range(n):
+                yield v
+
+    def __len__(self) -> int:
+        return self.total()
+
+    def __bool__(self) -> bool:
+        return bool(self._pairs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ReferenceMultiset) and other._pairs == self._pairs
+
+    def __hash__(self) -> int:
+        return hash(self._pairs)
+
+    def __add__(self, other: "ReferenceMultiset") -> "ReferenceMultiset":
+        counts = dict(self._pairs)
+        for v, n in other._pairs:
+            counts[v] = counts.get(v, 0) + n
+        return ReferenceMultiset._from_pairs(counts.items())
+
+    def __sub__(self, other: "ReferenceMultiset") -> "ReferenceMultiset":
+        counts = dict(self._pairs)
+        for v, n in other._pairs:
+            have = counts.get(v, 0)
+            if have < n:
+                raise ValueError(f"cannot remove {n} of {render_value(v)}, have {have}")
+            counts[v] = have - n
+        return ReferenceMultiset._from_pairs(counts.items())
+
+    def __le__(self, other: "ReferenceMultiset") -> bool:
+        """Multiset containment."""
+        return all(other.count(v) >= n for v, n in self._pairs)
+
+    def __repr__(self) -> str:
+        return f"Multiset([{', '.join(render_value(v) for v in self)}])"
+
+
+class ReferenceMarking:
+    """An immutable per-place multiset of values; hashable, canonical."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, per_place: Mapping[str, ReferenceMultiset | Iterable[Value]] = ()):
+        entries = []
+        items = per_place.items() if isinstance(per_place, Mapping) else per_place
+        for place, tokens in items:
+            ms = tokens if isinstance(tokens, ReferenceMultiset) else ReferenceMultiset(tokens)
+            if ms:
+                entries.append((place, ms))
+        self._entries = tuple(sorted(entries))
+
+    def get(self, place: str) -> ReferenceMultiset:
+        for name, ms in self._entries:
+            if name == place:
+                return ms
+        return ReferenceMultiset()
+
+    def items(self) -> tuple[tuple[str, ReferenceMultiset], ...]:
+        return self._entries
+
+    def updated(self, remove: Mapping[str, ReferenceMultiset],
+                add: Mapping[str, ReferenceMultiset]) -> "ReferenceMarking":
+        per_place = {name: ms for name, ms in self._entries}
+        for place, ms in remove.items():
+            per_place[place] = per_place.get(place, ReferenceMultiset()) - ms
+        for place, ms in add.items():
+            per_place[place] = per_place.get(place, ReferenceMultiset()) + ms
+        return ReferenceMarking(per_place)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ReferenceMarking) and other._entries == self._entries
+
+    def __hash__(self) -> int:
+        return hash(self._entries)
+
+    def rendered_entries(self) -> list[str]:
+        """``place: v1, v2`` per marked place, in canonical order."""
+        return [f"{p}: " + ", ".join(render_value(v) for v in ms)
+                for p, ms in self._entries]
+
+    def __repr__(self) -> str:
+        return f"Marking({'; '.join(self.rendered_entries())})"
+
+
+def _reference_tokens(terms, s, b) -> ReferenceMultiset:
+    return ReferenceMultiset(v for t in terms for v in term_tokens(t, s, b))
+
+
+def reference_fire(net, m: ReferenceMarking, transition, b: Binding, s) -> ReferenceMarking:
+    """Fire one transition occurrence; pure, raises if not enabled."""
+    t = net.transition(transition) if isinstance(transition, str) else transition
+    for name, _ in t.variables or ():
+        if name not in b:
+            raise FiringError(
+                f"binding does not assign variable {name!r} of {t.name!r}")
+    if not eval_guard(t.guard, s, b):
+        raise FiringError(f"guard of {t.name!r} is false under {b!r}")
+    consumed: dict[str, ReferenceMultiset] = {}
+    for arc in net.arcs_into(t.name):
+        tokens = _reference_tokens(arc.inscription, s, b)
+        consumed[arc.source] = consumed.get(arc.source, ReferenceMultiset()) + tokens
+    for place, needed in consumed.items():
+        if not needed <= m.get(place):
+            raise FiringError(
+                f"{t.name!r} is not enabled: {place!r} lacks required tokens")
+    produced: dict[str, ReferenceMultiset] = {}
+    for arc in net.arcs_out_of(t.name):
+        tokens = _reference_tokens(arc.inscription, s, b)
+        produced[arc.target] = produced.get(arc.target, ReferenceMultiset()) + tokens
+    for place_name, tokens in produced.items():
+        place = net.place(place_name)
+        if place.sort is None:
+            continue
+        for v in tokens.distinct():
+            if not value_in_sort(v, place.sort, s):
+                raise FiringError(
+                    f"{t.name!r} would put {render_value(v)} on {place_name!r}, "
+                    f"outside sort {render_sort(place.sort)}")
+    return m.updated(consumed, produced)
 
 
 # ---------------------------------------------------------------------------

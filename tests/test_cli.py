@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,26 @@ def test_reach_report_with_predicate(workdir, capsys):
     assert "deadlocks: 0" in out
     assert "predicate hits: 1" in out
     assert out == (GOLDEN / "reach_tiny_pred.txt").read_text(encoding="utf-8")
+
+
+def test_reach_output_does_not_depend_on_the_hash_seed(workdir, capsys):
+    run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
+            workdir / "kitchen.hk", "-o", workdir / "branch.hk")
+    run_cli("instantiate", workdir / "branch.hk", workdir / "s0_small.hks",
+            "--name", "branch_small", "-o", workdir / "small.hksys")
+    capsys.readouterr()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "hknet", "reach", str(workdir / "small.hksys"),
+             "--pred", "contains(eating, (Alice, t1)) and count(free_tables) <= 1"],
+            env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"predicate hits: 0" not in outputs[0] and b"nodes: 956" in outputs[0]
 
 
 def test_reach_rejects_a_non_decimal_digit_in_a_predicate(workdir, capsys):

@@ -12,7 +12,8 @@ from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
                    successors)
 from hknet.terms import Elm
 
-from support import brute_force_bindings
+from support import (ReferenceMarking, ReferenceMultiset, brute_force_bindings,
+                     reference_fire)
 
 
 def marking(**kwargs):
@@ -323,6 +324,60 @@ def test_enabled_bindings_match_brute_force_on_random_markings(data, sys_tiny, s
     m = Marking(per_place)
     for t in net.transitions:
         assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s)
+
+
+def _same_marking(got, want) -> None:
+    """A marking equal to, hashing like and printing like a reference one."""
+    assert repr(got) == repr(want)
+    assert got.rendered_entries() == want.rendered_entries()
+    assert [(p, ms.pairs()) for p, ms in got.items()] == \
+        [(p, ms.pairs()) for p, ms in want.items()]
+    rebuilt = Marking({p: list(ms) for p, ms in want.items()})
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+def _outcome(step):
+    try:
+        return step()
+    except (FiringError, EvalError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fire_matches_the_sorted_pair_reference_on_random_markings(data, sys_tiny, sys_small):
+    system = data.draw(st.sampled_from([sys_tiny, sys_small]), label="system")
+    net, s = system.net, system.structure
+    per_place = {}
+    for place in net.places:
+        values = carrier_of(place.sort, s)
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=len(values),
+                                    max_size=len(values)), label=place.name)
+        per_place[place.name] = [v for v, n in zip(values, counts) for _ in range(n)]
+    m, ref = Marking(per_place), ReferenceMarking(per_place)
+    _same_marking(m, ref)
+    for t in net.transitions:
+        drawn = Binding((name, data.draw(st.sampled_from(carrier_of(sort, s)), label=name))
+                        for name, sort in t.variables)
+        partial = Binding(drawn.pairs()[1:])
+        for b in enabled_bindings(net, m, t, s) + [drawn, partial]:
+            got = _outcome(lambda: fire(net, m, t, b, s))
+            want = _outcome(lambda: reference_fire(net, ref, t, b, s))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                _same_marking(got, want)
+    # updated itself, with removals that the marking may not cover
+    place = data.draw(st.sampled_from([p.name for p in net.places]), label="place")
+    taken = data.draw(st.lists(st.sampled_from(carrier_of(net.place(place).sort, s)),
+                               max_size=3), label="taken")
+    got = _outcome(lambda: m.updated({place: Multiset(taken)}, {place: Multiset(taken[:1])}))
+    want = _outcome(lambda: ref.updated({place: ReferenceMultiset(taken)},
+                                        {place: ReferenceMultiset(taken[:1])}))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _same_marking(got, want)
 
 
 def test_enabled_bindings_enforce_the_powerset_cap():

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hknet import Atom, Multiset, SetValue, TupleValue, render_value
+
+from support import ReferenceMultiset
 
 values = st.recursive(
     st.sampled_from("abcxyz").map(Atom),
@@ -76,3 +78,36 @@ def test_multiset_keeps_equal_values_apart_by_count():
     two_rice = Multiset([Atom("rice"), Atom("rice")])
     assert two_rice.count(Atom("rice")) == 2
     assert list(two_rice) == [Atom("rice"), Atom("rice")]
+
+
+def _difference(a, b):
+    try:
+        return (a - b).pairs()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200)
+@given(st.lists(values, max_size=8), st.lists(values, max_size=8), values)
+def test_multiset_matches_the_sorted_pair_reference(xs, ys, probe):
+    a, b = Multiset(xs), Multiset(ys)
+    ra, rb = ReferenceMultiset(xs), ReferenceMultiset(ys)
+    for m, r in ((a, ra), (b, rb), (a + b, ra + rb), (b + a, rb + ra)):
+        assert m.pairs() == r.pairs()
+        assert list(m) == list(r)
+        assert m.distinct() == r.distinct()
+        assert (m.total(), len(m), bool(m)) == (r.total(), len(r), bool(r))
+        assert repr(m) == repr(r)
+        for v in xs + ys + [probe]:
+            assert m.count(v) == r.count(v)
+    assert _difference(a, b) == _difference(ra, rb)
+    assert _difference(b, a) == _difference(rb, ra)
+    assert _difference(a + b, b) == _difference(ra + rb, rb)
+    assert (a <= b, b <= a) == (ra <= rb, rb <= ra)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    # equal multisets built along different paths hash alike
+    for same in ((a + b) - b, Multiset(reversed(xs)), Multiset(list(a))):
+        assert same == a and hash(same) == hash(a)
+    assert a != ra and a != list(a)
