@@ -21,8 +21,8 @@ from .errors import EvalError, ModelError
 from .nets import Marking
 from .signature import Structure, carrier_of
 from .systems import System
-from .terms import (Binding, Term, enumerate_bindings, eval_guard,
-                    inscription_tokens, render_binding)
+from .terms import (Binding, Term, add_tokens, enumerate_bindings,
+                    eval_guard, render_binding)
 from .values import Value, render_value
 
 
@@ -128,7 +128,7 @@ def _ground_column(arcs: list[tuple[str, tuple[Term, ...]]], s: Structure, b: Bi
     one of them lies outside its place's carrier."""
     column = [0] * len(place_index)
     for place, inscription in arcs:
-        for v, n in inscription_tokens(inscription, s, b).pairs():
+        for v, n in add_tokens({}, inscription, s, b).items():
             idx = place_index.get((place, v))
             if idx is None:
                 return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import EvalError, FiringError, SortError, Violation
@@ -24,9 +25,9 @@ from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         sorts_compatible, value_in_sort)
 from .spans import SourceSpan
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
-                    SetTerm, SymbolRef, Term, TupleTerm, Var, eval_guard,
-                    guard_variables, inscription_tokens, render_term,
-                    term_tokens, term_variables)
+                    SetTerm, SymbolRef, Term, TupleTerm, Var, add_tokens,
+                    eval_guard, guard_variables, render_term, term_tokens,
+                    term_variables)
 from .values import Multiset, TupleValue, Value, render_value
 
 
@@ -192,56 +193,71 @@ class MatchPlan:
 # ---------------------------------------------------------------------------
 
 class Marking:
-    """An immutable per-place multiset of values; hashable, canonical."""
+    """An immutable per-place multiset of values; hashable, canonical.
 
-    __slots__ = ("_entries",)
+    It holds one ``{place: Multiset}`` dict of the marked places; the
+    canonical place order and the hash are computed on first use."""
+
+    __slots__ = ("_places", "_entries", "_hash")
 
     def __init__(self, per_place: Mapping[str, Multiset | Iterable[Value]] = ()):
-        entries = []
+        places: dict[str, Multiset] = {}
         items = per_place.items() if isinstance(per_place, Mapping) else per_place
         for place, tokens in items:
             ms = tokens if isinstance(tokens, Multiset) else Multiset(tokens)
             if ms:
-                entries.append((place, ms))
-        self._entries = tuple(sorted(entries))
+                places[place] = ms
+        self._places = places
+        self._entries: tuple[tuple[str, Multiset], ...] | None = None
+        self._hash: int | None = None
 
     def get(self, place: str) -> Multiset:
-        for name, ms in self._entries:
-            if name == place:
-                return ms
-        return Multiset()
+        return self._places.get(place, _NO_TOKENS)
 
     def items(self) -> tuple[tuple[str, Multiset], ...]:
+        """``(place, tokens)`` per marked place, by place name."""
+        if self._entries is None:
+            self._entries = tuple(sorted(self._places.items(), key=itemgetter(0)))
         return self._entries
 
     def places(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._entries)
+        return tuple(name for name, _ in self.items())
 
     def total(self) -> int:
-        return sum(ms.total() for _, ms in self._entries)
+        return sum(ms.total() for ms in self._places.values())
 
     def updated(self, remove: Mapping[str, Multiset],
                 add: Mapping[str, Multiset]) -> "Marking":
-        per_place = {name: ms for name, ms in self._entries}
+        """The marking with ``remove`` taken off and ``add`` put on; the
+        places neither names are shared with this marking."""
+        per_place = self._places.copy()
         for place, ms in remove.items():
-            per_place[place] = per_place.get(place, Multiset()) - ms
+            per_place[place] = per_place.get(place, _NO_TOKENS) - ms
         for place, ms in add.items():
-            per_place[place] = per_place.get(place, Multiset()) + ms
+            per_place[place] = per_place.get(place, _NO_TOKENS) + ms
         return Marking(per_place)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Marking) and other._entries == self._entries
+        return isinstance(other, Marking) and other._places == self._places
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        if self._hash is None:
+            self._hash = hash(frozenset(self._places.items()))
+        return self._hash
+
+    def __reduce__(self):
+        return (Marking, (self._places,))
 
     def rendered_entries(self) -> list[str]:
         """``place: v1, v2`` per marked place, in canonical order."""
         return [f"{p}: " + ", ".join(render_value(v) for v in ms)
-                for p, ms in self._entries]
+                for p, ms in self.items()]
 
     def __repr__(self) -> str:
         return f"Marking({'; '.join(self.rendered_entries())})"
+
+
+_NO_TOKENS = Multiset()
 
 
 def marking_violations(net: SchematicNet, m: Marking, s: Structure) -> list[Violation]:
@@ -550,7 +566,8 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     enumerated over their carriers.  Guard atoms and the remaining input
     terms are checked as soon as their variables are bound, the terms
     against the tokens left over; a function application outside its
-    table makes the candidate not enabled.
+    table makes the candidate not enabled.  A pattern on an empty input
+    place enables nothing, so no carrier is built then.
 
     The result is in lexicographic carrier order: by variable name, then
     by each value's position in the carrier of the variable's sort.
@@ -560,11 +577,13 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     plan = net.index.plans.get(t.name)
     if plan is None or plan.transition is not t:
         plan = MatchPlan(t, net.arcs_into(t.name))
+    have = {place: m.get(place).counts() for place in plan.places}
+    if any(place is not None and not have[place] for place, _ in plan.steps):
+        return []
     ranks = [carrier_rank(sort, s) for _, sort in t.variables]
     members = dict(zip(plan.names, ranks))
     domains = {name: carrier_of(sort, s) for name, sort in t.variables
                if name in plan.unmatched}
-    have = {place: dict(m.get(place).pairs()) for place in plan.places}
     taken: dict[str, dict[Value, int]] = {place: {} for place in plan.places}
     binding: dict[str, Value] = {}
     found: list[tuple[Value, ...]] = []
@@ -655,28 +674,28 @@ def fire(net: SchematicNet, m: Marking, transition: Transition | str,
                 f"binding does not assign variable {name!r} of {t.name!r}")
     if not eval_guard(t.guard, s, b):
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    consumed: dict[str, Multiset] = {}
+    consumed: dict[str, dict[Value, int]] = {}
     for arc in net.arcs_into(t.name):
-        tokens = inscription_tokens(arc.inscription, s, b)
-        consumed[arc.source] = consumed.get(arc.source, Multiset()) + tokens
+        add_tokens(consumed.setdefault(arc.source, {}), arc.inscription, s, b)
     for place, needed in consumed.items():
-        if not needed <= m.get(place):
+        have = m.get(place).counts()
+        if any(have.get(v, 0) < n for v, n in needed.items()):
             raise FiringError(
                 f"{t.name!r} is not enabled: {place!r} lacks required tokens")
-    produced: dict[str, Multiset] = {}
+    produced: dict[str, dict[Value, int]] = {}
     for arc in net.arcs_out_of(t.name):
-        tokens = inscription_tokens(arc.inscription, s, b)
-        produced[arc.target] = produced.get(arc.target, Multiset()) + tokens
+        add_tokens(produced.setdefault(arc.target, {}), arc.inscription, s, b)
     for place_name, tokens in produced.items():
-        place = net.place(place_name)
-        if place.sort is None:
+        sort = net.place(place_name).sort
+        if sort is None or all(value_in_sort(v, sort, s) for v in tokens):
             continue
-        for v in tokens.distinct():
-            if not value_in_sort(v, place.sort, s):
+        for v in sorted(tokens, key=lambda v: v.key()):  # the first one, canonically
+            if not value_in_sort(v, sort, s):
                 raise FiringError(
                     f"{t.name!r} would put {render_value(v)} on {place_name!r}, "
-                    f"outside sort {render_sort(place.sort)}")
-    return m.updated(consumed, produced)
+                    f"outside sort {render_sort(sort)}")
+    return m.updated({p: Multiset._from_pairs(c) for p, c in consumed.items()},
+                     {p: Multiset._from_pairs(c) for p, c in produced.items()})
 
 
 def successors(net: SchematicNet, m: Marking,

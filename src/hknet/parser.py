@@ -575,17 +575,19 @@ class _Parser:
     def trans_item(self) -> Transition:
         name_tok = self.expect("IDENT", what="transition name")
         guard = self.guard() if self.accept("IDENT", "guard") else Guard()
-        free: list[tuple[str, Sort]] = []
+        free: dict[str, Sort] = {}
         if self.accept("IDENT", "free"):
-            free = self.comma_list(self._free_variable)
+            self.comma_list(lambda: self._free_variable(free))
         self.expect(";")
-        return Transition(name_tok.text, guard, tuple(sorted(free)),
+        return Transition(name_tok.text, guard, tuple(sorted(free.items())),
                           span=name_tok.span(self.filename))
 
-    def _free_variable(self) -> tuple[str, Sort]:
-        var = self.expect("IDENT", what="variable name").text
+    def _free_variable(self, free: dict[str, Sort]) -> None:
+        var_tok = self.expect("IDENT", what="variable name")
+        if var_tok.text in free:
+            raise self.error(f"duplicate free variable {var_tok.text!r}", var_tok)
         self.expect(":")
-        return (var, self.sort())
+        free[var_tok.text] = self.sort()
 
     def arc_items(self) -> list[Arc]:
         merged: dict[tuple[str, str], Arc] = {}
@@ -824,7 +826,7 @@ def parse_script(text: str, filename: str = "<script>") -> list[tuple[str, Bindi
     """A simulation script: one ``transition [name=value ...]`` per line."""
     steps: list[tuple[str, Binding]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        p = _Parser(line.strip(), filename, lineno)
+        p = _Parser(line, filename, lineno)
         if not p.at("EOF"):
             name = p.expect("IDENT", what="transition name").text
             steps.append((name, p.binding_pairs(closing="EOF")))

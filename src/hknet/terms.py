@@ -292,6 +292,16 @@ def inscription_tokens(terms: Iterable[Term], s: Structure,
     return Multiset(v for t in terms for v in term_tokens(t, s, b))
 
 
+def add_tokens(counts: dict[Value, int], terms: Iterable[Term], s: Structure,
+               b: Binding = EMPTY_BINDING) -> dict[Value, int]:
+    """Add the tokens of an inscription to the ``{value: count}`` dict
+    ``counts`` and return it."""
+    for t in terms:
+        for v in term_tokens(t, s, b):
+            counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
 def eval_guard(g: Guard, s: Structure, b: Binding = EMPTY_BINDING) -> bool:
     for atom in g.atoms:
         if not _eval_atom(atom, s, b):

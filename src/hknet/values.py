@@ -5,11 +5,16 @@ key: atoms by name, tuples lexicographically, sets by their sorted
 element sequence, with the kind as first tie-breaker.  This single order
 is what makes enumeration, marking iteration, and printing deterministic
 everywhere in the kernel.
+
+Hashing is cheap because it happens on every marking lookup: a value
+computes its hash once, when it is built, and a multiset keeps a
+``{value: count}`` dict, sorting it only when its canonical order is
+asked for.  Dict and set order never reaches output.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class Value:
@@ -30,10 +35,11 @@ class Value:
 class Atom(Value):
     """An opaque named element, e.g. ``t1`` or ``Alice``."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         self.name = name
+        self._hash = hash((Atom, name))
 
     def key(self) -> tuple:
         return (0, self.name)
@@ -42,7 +48,10 @@ class Atom(Value):
         return isinstance(other, Atom) and other.name == self.name
 
     def __hash__(self) -> int:
-        return hash((Atom, self.name))
+        return self._hash
+
+    def __reduce__(self):
+        return (Atom, (self.name,))
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
@@ -51,10 +60,11 @@ class Atom(Value):
 class TupleValue(Value):
     """An ordered, fixed-arity grouping of values."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hash")
 
     def __init__(self, items: Iterable[Value]):
         self.items = tuple(items)
+        self._hash = hash((TupleValue, self.items))
 
     def key(self) -> tuple:
         return (1, tuple(v.key() for v in self.items))
@@ -63,7 +73,10 @@ class TupleValue(Value):
         return isinstance(other, TupleValue) and other.items == self.items
 
     def __hash__(self) -> int:
-        return hash((TupleValue, self.items))
+        return self._hash
+
+    def __reduce__(self):
+        return (TupleValue, (self.items,))
 
     def __repr__(self) -> str:
         return f"TupleValue({list(self.items)!r})"
@@ -76,13 +89,15 @@ class SetValue(Value):
     deterministic and equality is structural.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_hash", "_members")
 
     def __init__(self, elements: Iterable[Value] = ()):
         seen = {}
         for v in elements:
             seen[v] = None
         self.elements = tuple(sorted(seen, key=lambda v: v.key()))
+        self._hash = hash((SetValue, self.elements))
+        self._members: frozenset[Value] | None = None
 
     def key(self) -> tuple:
         return (2, tuple(v.key() for v in self.elements))
@@ -91,10 +106,18 @@ class SetValue(Value):
         return isinstance(other, SetValue) and other.elements == self.elements
 
     def __hash__(self) -> int:
-        return hash((SetValue, self.elements))
+        return self._hash
+
+    def __reduce__(self):
+        return (SetValue, (self.elements,))
+
+    def _member_set(self) -> frozenset[Value]:
+        if self._members is None:
+            self._members = frozenset(self.elements)
+        return self._members
 
     def __contains__(self, v: Value) -> bool:
-        return v in set(self.elements)
+        return v in self._member_set()
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -103,7 +126,7 @@ class SetValue(Value):
         return iter(self.elements)
 
     def issubset(self, other: "SetValue") -> bool:
-        return set(self.elements) <= set(other.elements)
+        return self._member_set() <= other._member_set()
 
     def __repr__(self) -> str:
         return f"SetValue({list(self.elements)!r})"
@@ -119,41 +142,60 @@ def render_value(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-class Multiset:
-    """An immutable multiset of values with canonical iteration order."""
+def _value_key(pair: tuple[Value, int]) -> tuple:
+    return pair[0].key()
 
-    __slots__ = ("_pairs",)
+
+class Multiset:
+    """An immutable multiset of values with canonical iteration order.
+
+    It holds one ``{value: count}`` dict of positive counts.  The
+    canonical sorted pairs, and the hash, are computed on first use and
+    kept; both depend only on the dict, which never changes.
+    """
+
+    __slots__ = ("_counts", "_pairs", "_hash")
 
     def __init__(self, values: Iterable[Value] = ()):
         counts: dict[Value, int] = {}
         for v in values:
             counts[v] = counts.get(v, 0) + 1
-        self._pairs = tuple(sorted(counts.items(), key=lambda kv: kv[0].key()))
+        self._counts = counts
+        self._pairs: tuple[tuple[Value, int], ...] | None = None
+        self._hash: int | None = None
 
     @classmethod
-    def _from_pairs(cls, pairs: Iterable[tuple[Value, int]]) -> "Multiset":
+    def _from_pairs(cls, counts: dict[Value, int]) -> "Multiset":
+        """The multiset that takes over ``counts``, whose counts are all
+        positive; the caller must not change the dict afterwards."""
         m = cls.__new__(cls)
-        m._pairs = tuple(sorted(
-            ((v, n) for v, n in pairs if n > 0), key=lambda kv: kv[0].key()))
+        m._counts = counts
+        m._pairs = None
+        m._hash = None
         return m
 
     def pairs(self) -> tuple[tuple[Value, int], ...]:
+        """``(value, count)`` pairs in canonical value order."""
+        if self._pairs is None:
+            self._pairs = tuple(sorted(self._counts.items(), key=_value_key))
         return self._pairs
 
+    def counts(self) -> Mapping[Value, int]:
+        """The ``{value: count}`` dict itself, in no particular order;
+        read it, never change it."""
+        return self._counts
+
     def count(self, v: Value) -> int:
-        for w, n in self._pairs:
-            if w == v:
-                return n
-        return 0
+        return self._counts.get(v, 0)
 
     def total(self) -> int:
-        return sum(n for _, n in self._pairs)
+        return sum(self._counts.values())
 
     def distinct(self) -> tuple[Value, ...]:
-        return tuple(v for v, _ in self._pairs)
+        return tuple(v for v, _ in self.pairs())
 
     def __iter__(self) -> Iterator[Value]:
-        for v, n in self._pairs:
+        for v, n in self.pairs():
             for _ in range(n):
                 yield v
 
@@ -161,32 +203,44 @@ class Multiset:
         return self.total()
 
     def __bool__(self) -> bool:
-        return bool(self._pairs)
+        return bool(self._counts)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Multiset) and other._pairs == self._pairs
+        return isinstance(other, Multiset) and other._counts == self._counts
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        if self._hash is None:
+            self._hash = hash(frozenset(self._counts.items()))
+        return self._hash
 
     def __add__(self, other: "Multiset") -> "Multiset":
-        counts = dict(self._pairs)
-        for v, n in other._pairs:
+        counts = self._counts.copy()
+        for v, n in other._counts.items():
             counts[v] = counts.get(v, 0) + n
-        return Multiset._from_pairs(counts.items())
+        return Multiset._from_pairs(counts)
 
     def __sub__(self, other: "Multiset") -> "Multiset":
-        counts = dict(self._pairs)
-        for v, n in other._pairs:
-            have = counts.get(v, 0)
-            if have < n:
-                raise ValueError(f"cannot remove {n} of {render_value(v)}, have {have}")
-            counts[v] = have - n
-        return Multiset._from_pairs(counts.items())
+        if not other <= self:
+            for v, n in other.pairs():  # the first missing value, canonically
+                have = self.count(v)
+                if have < n:
+                    raise ValueError(f"cannot remove {n} of {render_value(v)}, have {have}")
+        counts = self._counts.copy()
+        for v, n in other._counts.items():
+            left = counts[v] - n
+            if left:
+                counts[v] = left
+            else:
+                del counts[v]
+        return Multiset._from_pairs(counts)
 
     def __le__(self, other: "Multiset") -> bool:
         """Multiset containment."""
-        return all(other.count(v) >= n for v, n in self._pairs)
+        have = other._counts
+        return all(have.get(v, 0) >= n for v, n in self._counts.items())
+
+    def __reduce__(self):
+        return (Multiset, (list(self),))
 
     def __repr__(self) -> str:
         return f"Multiset([{', '.join(render_value(v) for v in self)}])"

@@ -234,3 +234,24 @@ def test_marking_block_mismatch_is_a_validation_error(workdir, capsys):
     (workdir / "edited.hksys").write_text(text)
     assert run_cli("check", workdir / "edited.hksys") == 1
     assert "marking block" in capsys.readouterr().err
+
+
+def test_simulate_script_caret_sits_under_the_offending_character(workdir, capsys):
+    system = build_system(workdir)
+    script = workdir / "indented.steps"
+    script.write_text("offer_table t=t1\n    enter c=@ t=t1\n")
+    capsys.readouterr()
+    assert run_cli("simulate", system, "--script", script) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {script}:2:13: unexpected character '@'"
+    assert err[1] == "      enter c=@ t=t1"
+    assert err[2].index("^") == err[1].index("@")
+
+
+def test_check_rejects_a_free_variable_declared_twice(workdir, capsys):
+    bad = workdir / "twice.hk"
+    bad.write_text("module m { trans { t free x: A, x: B; } }\n")
+    assert run_cli("check", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1:33: duplicate free variable 'x'")
+    assert "\n  " + " " * 32 + "^\n" in err

@@ -391,3 +391,5 @@ def test_enabled_bindings_enforce_the_powerset_cap():
     assert problems == []
     with pytest.raises(EvalError, match="exceeds the cap of 16"):
         enabled_bindings(net, marking(p=[SetValue([Atom("w00")])]), "take", s)
+    # an empty input place of a pattern decides before any carrier is built
+    assert enabled_bindings(net, marking(), "take", s) == []

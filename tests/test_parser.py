@@ -258,3 +258,29 @@ def test_script_lexer_errors_report_their_own_line():
     with pytest.raises(ParseError) as err:
         parse_script("offer_table t=t1\n\nenter c=@\n", "steps")
     assert str(err.value) == "steps:3:9: unexpected character '@'"
+
+
+def test_script_columns_count_from_the_start_of_an_indented_line():
+    with pytest.raises(ParseError) as err:
+        parse_script("  fire x=@")
+    assert str(err.value) == "<script>:1:10: unexpected character '@'"
+    with pytest.raises(ParseError) as err:
+        parse_script("offer_table t=t1\n\tenter c=\n", "steps")
+    assert str(err.value) == "steps:2:10: expected a term"
+
+
+@pytest.mark.parametrize("second", ["B", "A"])
+def test_a_free_variable_declared_twice_is_a_parse_error(second):
+    # with two sorts or with one: either way the second name is reported
+    text = f"module m {{ trans {{ t free x: A, x: {second}; }} }}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == "duplicate free variable 'x'"
+    span = err.value.span
+    assert (span.line, span.col, span.end_line, span.end_col) == (1, 33, 1, 34)
+    assert text[span.col - 1] == "x"
+
+
+def test_distinct_free_variables_are_kept_sorted_by_name():
+    doc = parse("module m { trans { t free y: B, x: A; } }")
+    assert [name for name, _ in doc.body.inner.transitions[0].free] == ["x", "y"]

@@ -1,7 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hknet import Atom, Multiset, SetValue, TupleValue, render_value
+from hknet import Atom, Marking, Multiset, SetValue, TupleValue, render_value
 
 from support import ReferenceMultiset
 
@@ -111,3 +117,31 @@ def test_multiset_matches_the_sorted_pair_reference(xs, ys, probe):
     for same in ((a + b) - b, Multiset(reversed(xs)), Multiset(list(a))):
         assert same == a and hash(same) == hash(a)
     assert a != ra and a != list(a)
+
+
+def test_set_membership_and_subsets():
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    ab = SetValue([b, a])
+    assert a in ab and c not in ab and TupleValue([a, b]) not in ab
+    assert SetValue([a]).issubset(ab) and SetValue().issubset(ab)
+    assert not ab.issubset(SetValue([a, c]))
+    assert SetValue([SetValue([a])]).issubset(SetValue([SetValue([a]), ab]))
+
+
+def test_pickled_values_and_markings_hash_like_fresh_ones():
+    # hashes are cached at construction; a pickle made under another
+    # hash seed must not carry them over
+    built = ("Marking({'p': [Atom('a'), TupleValue([Atom('a'), SetValue([Atom('b')])])],"
+             " 'q': [SetValue([Atom('a'), Atom('c')])] * 2})")
+    code = ("import pickle, sys; from hknet import *; "
+            f"sys.stdout.buffer.write(pickle.dumps({built}))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    dumped = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, check=True).stdout
+    loaded, fresh = pickle.loads(dumped), eval(built)
+    assert loaded == fresh and hash(loaded) == hash(fresh) and loaded in {fresh}
+    for place in ("p", "q"):
+        assert hash(loaded.get(place)) == hash(fresh.get(place))
+        assert [hash(v) for v in loaded.get(place)] == [hash(v) for v in fresh.get(place)]
