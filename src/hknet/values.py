@@ -6,10 +6,10 @@ element sequence, with the kind as first tie-breaker.  This single order
 is what makes enumeration, marking iteration, and printing deterministic
 everywhere in the kernel.
 
-Hashing is cheap because it happens on every marking lookup: a value
+Values and multisets are hashed on every marking lookup, so a value
 computes its hash once, when it is built, and a multiset keeps a
-``{value: count}`` dict, sorting it only when its canonical order is
-asked for.  Dict and set order never reaches output.
+``{value: count}`` dict whose sorted view and hash are computed on first
+use.  Dict and set order never reaches output.
 """
 
 from __future__ import annotations
