@@ -408,6 +408,32 @@ def scan_topo_levels(net: OccurrenceNet) -> list[str] | None:
     return order
 
 
+def reference_linearize(net: OccurrenceNet, seed: int = 0) -> list[tuple[str, Binding]]:
+    """``linearize`` by rescanning every pending event at each step: the
+    sorted ready events, one drawn with ``randrange``; raises ValueError
+    when events are left but none is ready."""
+    conditions = {}
+    for c in net.conditions:
+        conditions.setdefault(c.id, c)
+    deps = {e.id: {scan_pre(net, cid)[-1] for cid in scan_pre(net, e.id)
+                   if cid in conditions and scan_pre(net, cid)}
+            for e in net.events}
+    rng = random.Random(seed)
+    done: set[str] = set()
+    result: list[tuple[str, Binding]] = []
+    pending = {e.id: e for e in net.events}
+    while pending:
+        ready = sorted(eid for eid, need in deps.items()
+                       if eid in pending and need <= done)
+        if not ready:
+            raise ValueError("cyclic event dependencies")
+        eid = ready[rng.randrange(len(ready))]
+        event = pending.pop(eid)
+        done.add(eid)
+        result.append((event.transition, event.binding))
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Enabling oracle
 # ---------------------------------------------------------------------------

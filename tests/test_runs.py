@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,14 +9,15 @@ from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
                    ScriptError, SetValue, Signature, SortName, Transition,
                    canonical_equal, compose_runs, empty_run, final_cut,
                    find_event, initial_cut, instantiate, linearize,
-                   make_structure, ordered, random_policy, render_binding,
-                   scripted_policy, simulate, validate_run)
+                   make_structure, ordered, print_run, random_policy,
+                   render_binding, scripted_policy, simulate, validate_run)
 from hknet.nets import OccurrenceNet
 
-from support import (replay, scan_condition, scan_event, scan_post, scan_pre,
-                     scan_topo_levels)
+from support import (digest, reference_linearize, replay, scan_condition,
+                     scan_event, scan_post, scan_pre, scan_topo_levels)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = GOLDEN.parent.parent / "corpus"
 
 
 def one_shot_system(place: str, transition: str, out: str, token: str):
@@ -51,6 +53,21 @@ def test_simulated_runs_validate_for_any_seed(sys0):
     for seed in range(6):
         run = simulate(sys0, random_policy(seed=seed, steps=12))
         assert validate_run(run, sys0) == []
+
+
+def simulation_lines(sys_tiny, sys_small, sys0, a0_script) -> list[str]:
+    """A digest of the printed run per system and seed, and of the a0 script."""
+    lines = [f"{system.name} seed {seed}: "
+             + digest(print_run(simulate(system, random_policy(seed=seed, steps=20))))
+             for system in (sys_tiny, sys_small, sys0) for seed in range(10)]
+    lines.append("branch_s0 a0.steps: "
+                 + digest(print_run(simulate(sys0, scripted_policy(a0_script)))))
+    return lines
+
+
+def test_simulated_runs_are_unchanged(sys_tiny, sys_small, sys0, a0_script):
+    golden = (GOLDEN / "simulate_runs.txt").read_text(encoding="utf-8")
+    assert simulation_lines(sys_tiny, sys_small, sys0, a0_script) == golden.splitlines()
 
 
 def test_final_cut_equals_sequential_replay(sys0):
@@ -99,7 +116,11 @@ def test_validate_reference_run(sys0, a0):
     assert validate_run(a0, sys0) == []
 
 
-def test_validate_rejects_false_guard(sys0, a0):
+# ---------------------------------------------------------------------------
+# Broken runs: each builder changes one thing in a valid run
+# ---------------------------------------------------------------------------
+
+def with_false_guard(a0):
     inner = a0.inner
     bad_events = []
     for e in inner.events:
@@ -108,34 +129,146 @@ def test_validate_rejects_false_guard(sys0, a0):
             pairs["Y"] = SetValue([Atom("salad")])
             e = type(e)(e.id, e.transition, Binding(pairs))
         bad_events.append(e)
-    bad = Module(a0.name, a0.sig, OccurrenceNet(
+    return Module(a0.name, a0.sig, OccurrenceNet(
         inner.conditions, tuple(bad_events), inner.flow), a0.left, a0.right)
-    codes = {v.code for v in validate_run(bad, sys0)}
-    assert "guard" in codes
 
 
-def test_validate_rejects_branching_conditions(sys0, a0):
+def with_branching_condition(a0):
     inner = a0.inner
     # let one menu condition be consumed by both selects
     menu_start = next(c for c in inner.conditions
                       if c.place == "menu" and not inner.pre(c.id))
     selects = [e for e in inner.events if e.transition == "select"]
     extra = (menu_start.id, selects[1].id)
-    bad = Module(a0.name, a0.sig, OccurrenceNet(
+    return Module(a0.name, a0.sig, OccurrenceNet(
         inner.conditions, inner.events, inner.flow + (extra,)),
         a0.left, a0.right)
-    codes = {v.code for v in validate_run(bad, sys0)}
+
+
+def with_oversized_initial_cut(a0):
+    inner = a0.inner
+    ghost = type(inner.conditions[0])("b_extra", "free_tables", Atom("t1"))
+    return Module(a0.name, a0.sig, OccurrenceNet(
+        inner.conditions + (ghost,), inner.events, inner.flow),
+        a0.left, a0.right)
+
+
+def with_ill_sorted_condition(a0):
+    inner = a0.inner
+    changed = tuple(
+        Condition(c.id, c.place, Atom("pizza"))
+        if c.id == "b13" else c  # an ordered_items entry
+        for c in inner.conditions)
+    return Module(a0.name, a0.sig, OccurrenceNet(
+        changed, inner.events, inner.flow), a0.left, a0.right)
+
+
+def with_unknown_place(a0):
+    inner = a0.inner
+    ghost = Condition("bx", "warehouse", Atom("t1"))
+    return Module(a0.name, a0.sig, OccurrenceNet(
+        inner.conditions + (ghost,), inner.events, inner.flow),
+        a0.left, a0.right)
+
+
+def with_event_outside_a_function_table(a0_simulated):
+    # f has no entry for pizza, so cook's input f(y) cannot be evaluated
+    inner = a0_simulated.inner
+    cook = next(e for e in inner.events if e.transition == "cook")
+    bad = replace(cook, binding=Binding({"y": Atom("pizza")}))
+    events = tuple(bad if e is cook else e for e in inner.events)
+    return replace(a0_simulated, inner=replace(inner, events=events))
+
+
+def with_dropped_input(a0):
+    # the first cook no longer consumes its ordered item, which then
+    # stays in the final cut
+    inner = a0.inner
+    cook = next(e for e in inner.events if e.transition == "cook")
+    return replace(a0, inner=replace(inner, flow=tuple(
+        arc for arc in inner.flow if arc[1] != cook.id)))
+
+
+def with_wrong_output(a0):
+    # the first cook produces a dish other than the one it was bound to
+    inner = a0.inner
+    cook = next(e for e in inner.events if e.transition == "cook")
+    produced = inner.post(cook.id)[0]
+    other = Atom("salad" if inner.condition(produced).value != Atom("salad") else "rice")
+    return replace(a0, inner=replace(inner, conditions=tuple(
+        replace(c, value=other) if c.id == produced else c
+        for c in inner.conditions)))
+
+
+def with_flow_to_an_unknown_node(sys0):
+    inner = OccurrenceNet((Condition("b0", "free_tables", Atom("t1")),), (),
+                          (("b0", "zz"),))
+    return Module("stray", sys0.name, inner)
+
+
+def with_flow_from_an_unknown_node(sys0):
+    inner = OccurrenceNet((Condition("b0", "free_tables", Atom("t1")),), (),
+                          (("zz", "b0"),))
+    return Module("stray", sys0.name, inner)
+
+
+def with_cycle():
+    inner = OccurrenceNet(
+        conditions=(Condition("c1", "p", Atom("a")),
+                    Condition("c2", "p", Atom("a"))),
+        events=(Event("e1", "t", Binding()), Event("e2", "t", Binding())),
+        flow=(("c1", "e1"), ("e1", "c2"), ("c2", "e2"), ("e2", "c1")),
+    )
+    return Module("loop", "", inner)
+
+
+def broken_runs(sys0, a0, a0_simulated) -> dict[str, Module]:
+    return {"false-guard": with_false_guard(a0),
+            "branching": with_branching_condition(a0),
+            "oversized-initial-cut": with_oversized_initial_cut(a0),
+            "ill-sorted-condition": with_ill_sorted_condition(a0),
+            "unknown-place": with_unknown_place(a0),
+            "outside-a-function-table": with_event_outside_a_function_table(a0_simulated),
+            "dropped-input": with_dropped_input(a0),
+            "wrong-output": with_wrong_output(a0),
+            "flow-to-unknown": with_flow_to_an_unknown_node(sys0),
+            "flow-from-unknown": with_flow_from_an_unknown_node(sys0),
+            "cycle": with_cycle()}
+
+
+def validation_lines(sys0, a0, a0_simulated) -> list[str]:
+    """Every violation ``validate_run`` reports on each broken run, with
+    corpus paths made relative."""
+    return [f"{name}: {violation}".replace(f"{CORPUS}{os.sep}", "")
+            for name, run in broken_runs(sys0, a0, a0_simulated).items()
+            for violation in validate_run(run, sys0) or ["ok"]]
+
+
+def test_validation_reports_on_broken_runs_are_unchanged(sys0, a0, a0_simulated):
+    golden = (GOLDEN / "validate_run_broken.txt").read_text(encoding="utf-8")
+    assert validation_lines(sys0, a0, a0_simulated) == golden.splitlines()
+
+
+def test_validate_rejects_false_guard(sys0, a0):
+    codes = {v.code for v in validate_run(with_false_guard(a0), sys0)}
+    assert "guard" in codes
+
+
+def test_validate_rejects_branching_conditions(sys0, a0):
+    codes = {v.code for v in validate_run(with_branching_condition(a0), sys0)}
     assert "branching" in codes
 
 
 def test_validate_rejects_oversized_initial_cut(sys0, a0):
-    inner = a0.inner
-    ghost = type(inner.conditions[0])("b_extra", "free_tables", Atom("t1"))
-    bad = Module(a0.name, a0.sig, OccurrenceNet(
-        inner.conditions + (ghost,), inner.events, inner.flow),
-        a0.left, a0.right)
-    codes = {v.code for v in validate_run(bad, sys0)}
+    codes = {v.code for v in validate_run(with_oversized_initial_cut(a0), sys0)}
     assert "initial-cut" in codes
+
+
+def test_validate_rejects_mismatched_pre_and_post_sets(sys0, a0):
+    assert [v.code for v in validate_run(with_dropped_input(a0), sys0)] == ["pre-set"]
+    # the changed dish is also what hand_over then finds in its pre-set
+    assert [v.code for v in validate_run(with_wrong_output(a0), sys0)] == \
+        ["post-set", "pre-set"]
 
 
 def test_compose_with_empty_run_is_neutral(a0):
@@ -221,50 +354,23 @@ def test_ordered_rejects_unknown_events(a0):
 
 
 def test_cyclic_run_cannot_linearize():
-    from hknet import Condition, Event
-    inner = OccurrenceNet(
-        conditions=(Condition("c1", "p", Atom("a")),
-                    Condition("c2", "p", Atom("a"))),
-        events=(Event("e1", "t", Binding()), Event("e2", "t", Binding())),
-        flow=(("c1", "e1"), ("e1", "c2"), ("c2", "e2"), ("e2", "c1")),
-    )
-    cyclic = Module("loop", "", inner)
     with pytest.raises(ModelError, match="cyclic|linearize"):
-        linearize(cyclic)
+        linearize(with_cycle())
 
 
 def test_validate_rejects_ill_sorted_condition_values(sys0, a0):
-    from hknet import Condition
-    inner = a0.inner
-    changed = tuple(
-        Condition(c.id, c.place, Atom("pizza"))
-        if c.id == "b13" else c  # an ordered_items entry
-        for c in inner.conditions)
-    bad = Module(a0.name, a0.sig, OccurrenceNet(
-        changed, inner.events, inner.flow), a0.left, a0.right)
-    codes = {v.code for v in validate_run(bad, sys0)}
+    codes = {v.code for v in validate_run(with_ill_sorted_condition(a0), sys0)}
     assert "token-sort" in codes
 
 
 def test_validate_rejects_unknown_places(sys0, a0):
-    from hknet import Condition
-    inner = a0.inner
-    ghost = Condition("bx", "warehouse", Atom("t1"))
-    bad = Module(a0.name, a0.sig, OccurrenceNet(
-        inner.conditions + (ghost,), inner.events, inner.flow),
-        a0.left, a0.right)
-    codes = {v.code for v in validate_run(bad, sys0)}
+    codes = {v.code for v in validate_run(with_unknown_place(a0), sys0)}
     assert "unknown-place" in codes
 
 
 def test_event_outside_a_function_table_is_a_binding_violation(sys0, a0_simulated):
-    # f has no entry for pizza, so cook's input f(y) cannot be evaluated
-    inner = a0_simulated.inner
-    cook = next(e for e in inner.events if e.transition == "cook")
-    bad = replace(cook, binding=Binding({"y": Atom("pizza")}))
-    events = tuple(bad if e is cook else e for e in inner.events)
-    run = replace(a0_simulated, inner=replace(inner, events=events))
-    report = validate_run(run, sys0)
+    cook = next(e for e in a0_simulated.inner.events if e.transition == "cook")
+    report = validate_run(with_event_outside_a_function_table(a0_simulated), sys0)
     assert [v.code for v in report] == ["binding"]
     assert cook.id in report[0].message and "pizza" in report[0].message
 
@@ -345,10 +451,31 @@ def test_linearizations_of_the_reference_run_are_unchanged(a0):
     assert got == golden
 
 
+def test_linearize_matches_the_rescanning_reference(sys0, sys_small, a0, a0_segments):
+    runs = [simulate(system, random_policy(seed=seed, steps=25))
+            for system in (sys0, sys_small) for seed in range(4)]
+    runs += [a0, *a0_segments]
+    for run in runs:
+        for seed in range(6):
+            assert linearize(run, seed) == reference_linearize(run.inner, seed)
+
+
+def test_linearize_waits_forever_on_a_missing_producer():
+    # e1 consumes c1, whose producer zz is no event: it can never be ready
+    inner = OccurrenceNet(
+        conditions=(Condition("c0", "p", Atom("a")), Condition("c1", "p", Atom("a"))),
+        events=(Event("e0", "t", Binding()), Event("e1", "t", Binding())),
+        flow=(("c0", "e0"), ("zz", "c1"), ("c1", "e1")))
+    assert inner.topo_levels() is not None
+    with pytest.raises(ValueError, match="cyclic event dependencies"):
+        reference_linearize(inner)
+    with pytest.raises(ModelError, match="cyclic event dependencies"):
+        linearize(Module("stray", "", inner))
+
+
 def test_flow_arc_to_an_unknown_node_is_reported_not_raised(sys0):
-    inner = OccurrenceNet((Condition("b0", "free_tables", Atom("t1")),), (),
-                          (("b0", "zz"),))
-    run = Module("stray", sys0.name, inner)
+    run = with_flow_to_an_unknown_node(sys0)
+    inner = run.inner
     assert inner.topo_levels() == ["b0"]
     report = validate_run(run, sys0)
     assert [v.code for v in report] == ["flow"]
@@ -358,9 +485,8 @@ def test_flow_arc_to_an_unknown_node_is_reported_not_raised(sys0):
 
 
 def test_flow_arc_from_an_unknown_node_is_reported_not_a_cycle(sys0):
-    inner = OccurrenceNet((Condition("b0", "free_tables", Atom("t1")),), (),
-                          (("zz", "b0"),))
-    run = Module("stray", sys0.name, inner)
+    run = with_flow_from_an_unknown_node(sys0)
+    inner = run.inner
     assert inner.topo_levels() == ["b0"]
     report = validate_run(run, sys0)
     assert [v.code for v in report] == ["flow"]
