@@ -18,11 +18,10 @@ from math import gcd, lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import EvalError, ModelError
-from .nets import Marking
-from .signature import Structure, carrier_of
+from .nets import Marking, occurrence
+from .signature import carrier_of
 from .systems import System
-from .terms import (Binding, Term, add_tokens, enumerate_bindings,
-                    eval_guard, render_binding)
+from .terms import Binding, enumerate_bindings, eval_guard, render_binding
 from .values import Value, render_value
 
 
@@ -97,43 +96,36 @@ def ground(sys: System) -> GroundedNet:
     place_index = {pv: i for i, pv in enumerate(places)}
 
     transitions: list[tuple[str, Binding]] = []
-    pre_cols: list[list[int]] = []   # transitions x places
-    post_cols: list[list[int]] = []
+    pre_cols: list[dict[int, int]] = []   # per transition, {place index: count}
+    post_cols: list[dict[int, int]] = []
     for t in sorted(net.transitions, key=lambda t: t.name):
-        inputs = [(arc.source, arc.inscription) for arc in net.arcs_into(t.name)]
-        outputs = [(arc.target, arc.inscription) for arc in net.arcs_out_of(t.name)]
         for b in enumerate_bindings(t.variables or (), s):
             try:
                 if not eval_guard(t.guard, s, b):
                     continue
-                pre = _ground_column(inputs, s, b, place_index)
-                post = _ground_column(outputs, s, b, place_index)
+                consumed, produced = occurrence(net, t.name, b, s)
             except EvalError:
                 continue
-            if pre is None or post is None:
-                continue
+            pre, post = ({place_index.get((place, v)): n for place, counts in tokens.items()
+                          for v, n in counts.items()} for tokens in (consumed, produced))
+            if None in pre or None in post:
+                continue  # a token outside its place's carrier
             transitions.append((t.name, b))
             pre_cols.append(pre)
             post_cols.append(post)
 
     initial = tuple(sys.initial.get(place).count(value) for place, value in places)
-    return GroundedNet(tuple(places), tuple(transitions),
-                       _transpose(pre_cols, len(places)),
-                       _transpose(post_cols, len(places)), initial)
+    return GroundedNet(tuple(places), tuple(transitions), _rows(pre_cols, len(places)),
+                       _rows(post_cols, len(places)), initial)
 
 
-def _ground_column(arcs: list[tuple[str, tuple[Term, ...]]], s: Structure, b: Binding,
-                   place_index: dict[tuple[str, Value], int]) -> list[int] | None:
-    """Tokens the arcs carry under ``b``, per place index, or None when
-    one of them lies outside its place's carrier."""
-    column = [0] * len(place_index)
-    for place, inscription in arcs:
-        for v, n in add_tokens({}, inscription, s, b).items():
-            idx = place_index.get((place, v))
-            if idx is None:
-                return None
-            column[idx] += n
-    return column
+def _rows(columns: list[dict[int, int]], height: int) -> tuple[tuple[int, ...], ...]:
+    """The dense ``height`` x ``len(columns)`` matrix of sparse columns."""
+    rows = [[0] * len(columns) for _ in range(height)]
+    for j, column in enumerate(columns):
+        for i, n in column.items():
+            rows[i][j] = n
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -226,15 +226,15 @@ class Marking:
     def total(self) -> int:
         return sum(ms.total() for ms in self._places.values())
 
-    def updated(self, remove: Mapping[str, Multiset],
-                add: Mapping[str, Multiset]) -> "Marking":
-        """The marking with ``remove`` taken off and ``add`` put on; the
-        places neither names are shared with this marking."""
+    def updated(self, remove: Mapping[str, Mapping[Value, int]],
+                add: Mapping[str, Mapping[Value, int]]) -> "Marking":
+        """The marking with the ``{place: {value: count}}`` maps ``remove``
+        taken off and ``add`` put on.  Each place they name is copied
+        once; the others are shared with this marking."""
         per_place = self._places.copy()
-        for place, ms in remove.items():
-            per_place[place] = per_place.get(place, _NO_TOKENS) - ms
-        for place, ms in add.items():
-            per_place[place] = per_place.get(place, _NO_TOKENS) + ms
+        for place in dict.fromkeys([*remove, *add]):
+            per_place[place] = per_place.get(place, _NO_TOKENS).updated(
+                remove.get(place, {}), add.get(place, {}))
         return Marking(per_place)
 
     def __eq__(self, other: object) -> bool:
@@ -545,7 +545,9 @@ def check_net(net: SchematicNet, sig: Signature) -> list[Violation]:
 # Enabling and firing
 # ---------------------------------------------------------------------------
 
-def _require_resolved(net: SchematicNet, t: Transition) -> Transition:
+def _resolved(net: SchematicNet, transition: Transition | str) -> Transition:
+    """The transition, given or named, after checking it is resolved."""
+    t = net.transition(transition) if isinstance(transition, str) else transition
     if t.variables is None:
         raise SortError(
             f"transition {t.name!r} is unresolved; call resolve_net first")
@@ -572,8 +574,7 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     The result is in lexicographic carrier order: by variable name, then
     by each value's position in the carrier of the variable's sort.
     """
-    t = net.transition(transition) if isinstance(transition, str) else transition
-    t = _require_resolved(net, t)
+    t = _resolved(net, transition)
     plan = net.index.plans.get(t.name)
     if plan is None or plan.transition is not t:
         plan = MatchPlan(t, net.arcs_into(t.name))
@@ -663,39 +664,58 @@ def _match(term: Term, value: Value, binding: dict[str, Value],
     return s.constants.get(term.name) == value
 
 
-def fire(net: SchematicNet, m: Marking, transition: Transition | str,
-         b: Binding, s: Structure) -> Marking:
-    """Fire one transition occurrence; pure, raises if not enabled."""
-    t = net.transition(transition) if isinstance(transition, str) else transition
-    t = _require_resolved(net, t)
-    for name, _ in t.variables or ():
+Tokens = dict[str, dict[Value, int]]  # {place: {value: count}}
+
+
+def occurrence(net: SchematicNet, transition: str, b: Binding,
+               s: Structure) -> tuple[Tokens, Tokens]:
+    """The occurrence rule: the tokens ``transition`` under ``b`` takes
+    from each input place and puts on each output place.  Each arc
+    inscription is evaluated once, inputs first; an EvalError propagates."""
+    consumed: Tokens = {}
+    for arc in net.arcs_into(transition):
+        add_tokens(consumed.setdefault(arc.source, {}), arc.inscription, s, b)
+    produced: Tokens = {}
+    for arc in net.arcs_out_of(transition):
+        add_tokens(produced.setdefault(arc.target, {}), arc.inscription, s, b)
+    return consumed, produced
+
+
+def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | str,
+                       b: Binding, s: Structure) -> tuple[Tokens, Tokens]:
+    """The :func:`occurrence` of an enabled ``(transition, b)`` at ``m``, or
+    a FiringError for the first failing check of: ``b`` assigns every
+    variable, the guard holds, ``m`` holds the consumed tokens, and the
+    produced ones lie in their places' sorts (the first, canonically)."""
+    t = _resolved(net, transition)
+    for name, _ in t.variables:
         if name not in b:
             raise FiringError(
                 f"binding does not assign variable {name!r} of {t.name!r}")
     if not eval_guard(t.guard, s, b):
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    consumed: dict[str, dict[Value, int]] = {}
-    for arc in net.arcs_into(t.name):
-        add_tokens(consumed.setdefault(arc.source, {}), arc.inscription, s, b)
+    consumed, produced = occurrence(net, t.name, b, s)
     for place, needed in consumed.items():
         have = m.get(place).counts()
         if any(have.get(v, 0) < n for v, n in needed.items()):
             raise FiringError(
                 f"{t.name!r} is not enabled: {place!r} lacks required tokens")
-    produced: dict[str, dict[Value, int]] = {}
-    for arc in net.arcs_out_of(t.name):
-        add_tokens(produced.setdefault(arc.target, {}), arc.inscription, s, b)
     for place_name, tokens in produced.items():
         sort = net.place(place_name).sort
         if sort is None or all(value_in_sort(v, sort, s) for v in tokens):
             continue
-        for v in sorted(tokens, key=lambda v: v.key()):  # the first one, canonically
-            if not value_in_sort(v, sort, s):
-                raise FiringError(
-                    f"{t.name!r} would put {render_value(v)} on {place_name!r}, "
-                    f"outside sort {render_sort(sort)}")
-    return m.updated({p: Multiset._from_pairs(c) for p, c in consumed.items()},
-                     {p: Multiset._from_pairs(c) for p, c in produced.items()})
+        v = min((v for v in tokens if not value_in_sort(v, sort, s)),
+                key=lambda v: v.key())
+        raise FiringError(
+            f"{t.name!r} would put {render_value(v)} on {place_name!r}, "
+            f"outside sort {render_sort(sort)}")
+    return consumed, produced
+
+
+def fire(net: SchematicNet, m: Marking, transition: Transition | str,
+         b: Binding, s: Structure) -> Marking:
+    """Fire one transition occurrence; pure, raises if not enabled."""
+    return m.updated(*checked_occurrence(net, m, transition, b, s))
 
 
 def successors(net: SchematicNet, m: Marking,

@@ -58,18 +58,17 @@ carries a span pointing into the offending token.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TypeVar
 
-from .errors import ParseError
+from .errors import EvalError, ParseError
 from .modules import InterfaceElement, Module, PLACE, TRANSITION, \
     interface_violations
 from .nets import Arc, Condition, Event, Marking, OccurrenceNet, Place, \
     SchematicNet, Transition, arc_endpoint_violations
 from .signature import PowSort, Signature, Sort, SortName, Structure, \
-    TupleSort, make_structure, sort_symbols
+    TupleSort, make_structure, powerset, sort_symbols
 from .spans import SourceSpan
 from .terms import App, Binding, Elm, Guard, GuardAtom, Ident, SetTerm, Term, \
     TupleTerm, canonical_guard, render_term
@@ -726,13 +725,13 @@ def parse(text: str, filename: str = "<input>") -> ModelDocument:
 # Binding documents to semantic objects
 # ---------------------------------------------------------------------------
 
-def bind_structure(doc: StructureDoc, sig: Signature,
-                   powerset_cap: int | None = None) -> Structure:
+def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
     """Turn a parsed structure document into a Structure over ``sig``.
 
     Entry kinds are classified by the symbol's declaration: carriers for
-    set and subset symbols (``pow(S)`` expands to the full powerset),
-    tables for function symbols, plain values for constants.
+    set and subset symbols (``pow(S)`` expands to the full powerset,
+    capped as in :func:`signature.powerset`), tables for function
+    symbols, plain values for constants.
     """
     if doc.sig_name != sig.name:
         raise ParseError(
@@ -759,10 +758,10 @@ def bind_structure(doc: StructureDoc, sig: Signature,
                     raise ParseError(
                         f"carrier of {base_symbol!r} must be given before "
                         f"{entry.symbol!r} = pow({base_symbol})", entry.span)
-                carriers[entry.symbol] = [
-                    SetValue(combo)
-                    for r in range(len(base) + 1)
-                    for combo in itertools.combinations(base, r)]
+                try:
+                    carriers[entry.symbol] = list(powerset(base_symbol, base))
+                except EvalError as exc:
+                    raise ParseError(exc.message, entry.span) from None
             elif entry.kind == "value" and isinstance(entry.value, SetValue):
                 carriers[entry.symbol] = list(entry.value.elements)
             else:
@@ -797,8 +796,7 @@ def bind_structure(doc: StructureDoc, sig: Signature,
                 raise ParseError(
                     f"{entry.symbol!r} is a constant and needs a value", entry.span)
             constants[entry.symbol] = entry.value
-    kwargs = {} if powerset_cap is None else {"powerset_cap": powerset_cap}
-    return make_structure(doc.name, sig, carriers, functions, constants, **kwargs)
+    return make_structure(doc.name, sig, carriers, functions, constants)
 
 
 def structure_to_doc(s: Structure) -> StructureDoc:

@@ -14,6 +14,7 @@ linearization of a valid run replays as a firing sequence.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -21,10 +22,10 @@ from .errors import (CompositionError, EvalError, ModelError, ScriptError,
                      Violation)
 from .modules import Module, PLACE, InterfaceElement, compose
 from .nets import (Condition, Event, Marking, OccurrenceNet,
-                   enabled_bindings)
+                   checked_occurrence, enabled_bindings, occurrence)
 from .signature import value_in_sort
 from .systems import System
-from .terms import Binding, eval_guard, inscription_tokens, render_binding
+from .terms import Binding, eval_guard, render_binding
 from .values import Multiset, Value, render_value
 
 
@@ -60,23 +61,21 @@ def scripted_policy(steps) -> SchedulingPolicy:
 def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     """Execute up to ``step_limit`` firings and record them as a run.
 
-    The current cut is maintained explicitly; each firing appends one
+    The current cut is kept per place in creation order; each firing,
+    checked and evaluated once by :func:`checked_occurrence`, appends one
     event that consumes conditions holding its input tokens (among equal
-    tokens, the oldest condition) and produces fresh conditions for its
-    output tokens.  The final cut always equals the marking reached by
-    sequential replay.
+    tokens, the oldest) and produces fresh conditions for its output
+    tokens.  The final cut equals the marking reached by sequential replay.
     """
     net, s = sys.net, sys.structure
     conditions: list[Condition] = []
     events: list[Event] = []
     flow: list[tuple[str, str]] = []
     cut: dict[str, list[Condition]] = {}
-    order: dict[str, int] = {}
 
     def new_condition(place: str, value: Value) -> Condition:
         c = Condition(f"b{len(conditions)}", place, value)
         conditions.append(c)
-        order[c.id] = len(order)
         cut.setdefault(place, []).append(c)
         return c
 
@@ -112,50 +111,42 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
                 break
             name, binding = options[rng.randrange(len(options))]
 
+        consumed, produced = checked_occurrence(net, marking, name, binding, s)
         event = Event(f"e{len(events)}", name, binding)
         events.append(event)
-        transition = net.transition(name)
-        for arc in sorted(net.arcs_into(name), key=lambda a: a.source):
-            needed = inscription_tokens(arc.inscription, s, binding)
-            for value in needed:
-                candidates = [c for c in cut.get(arc.source, ()) if c.value == value]
-                chosen = min(candidates, key=lambda c: order[c.id])
-                cut[arc.source].remove(chosen)
-                flow.append((chosen.id, event.id))
-        for arc in sorted(net.arcs_out_of(name), key=lambda a: a.target):
-            produced = inscription_tokens(arc.inscription, s, binding)
-            for value in produced:
-                c = new_condition(arc.target, value)
-                flow.append((event.id, c.id))
-        marking = sys.fire(marking, transition.name, binding)
+        for place in sorted(consumed):
+            pool = cut.get(place, [])
+            for value in Multiset._from_pairs(consumed[place]):
+                i = next(i for i, c in enumerate(pool) if c.value == value)
+                flow.append((pool.pop(i).id, event.id))
+        for place in sorted(produced):
+            for value in Multiset._from_pairs(produced[place]):
+                flow.append((event.id, new_condition(place, value).id))
+        marking = marking.updated(consumed, produced)
         steps_taken += 1
 
     final_conditions = [c for place in sorted(cut) for c in cut[place]]
     inner = OccurrenceNet(tuple(conditions), tuple(events), tuple(flow))
     return Module(
         f"{sys.name}_run", sys.name, inner,
-        left=_cut_interface(initial_conditions, order),
-        right=_cut_interface(final_conditions, order),
+        left=_cut_interface(initial_conditions),
+        right=_cut_interface(final_conditions),
     )
 
 
-def _cut_interface(conds: list[Condition],
-                   order: dict[str, int]) -> tuple[InterfaceElement, ...]:
+def _cut_interface(conds: list[Condition]) -> tuple[InterfaceElement, ...]:
     """Label a cut deterministically: ``place:value``, with ``#k`` added
-    per creation order when several conditions carry equal labels."""
-    ordered = sorted(conds, key=lambda c: (c.place, c.value.key(), order[c.id]))
+    when several conditions carry equal labels.  ``conds`` lists each
+    place's conditions in creation order, which numbers them."""
+    ordered = sorted(conds, key=lambda c: (c.place, c.value.key()))
     by_label: dict[tuple[str, str], list[Condition]] = {}
     for c in ordered:
         by_label.setdefault((c.place, render_value(c.value)), []).append(c)
     elements = []
     for (place, value_text), group in by_label.items():
-        if len(group) == 1:
-            elements.append(InterfaceElement(PLACE, f"{place}:{value_text}",
-                                             group[0].id))
-        else:
-            for i, c in enumerate(group, start=1):
-                elements.append(InterfaceElement(PLACE, f"{place}:{value_text}#{i}",
-                                                 c.id))
+        for i, c in enumerate(group, start=1):
+            suffix = f"#{i}" if len(group) > 1 else ""
+            elements.append(InterfaceElement(PLACE, f"{place}:{value_text}{suffix}", c.id))
     elements.sort(key=lambda e: e.label)
     return tuple(elements)
 
@@ -300,26 +291,20 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
                     "guard", f"event {e.id}: guard of {e.transition!r} is false "
                     f"under {render_binding(e.binding)}"))
                 continue
-            expected_pre = {
-                arc.source: inscription_tokens(arc.inscription, s, e.binding)
-                for arc in net.arcs_into(e.transition)}
-            expected_post = {
-                arc.target: inscription_tokens(arc.inscription, s, e.binding)
-                for arc in net.arcs_out_of(e.transition)}
+            consumed, produced = occurrence(net, e.transition, e.binding, s)
         except EvalError as exc:  # evaluation failure under this binding
             out.append(Violation(
                 "binding", f"event {e.id}: {exc}"))
             continue
-        for label, expected, linked in (("pre", expected_pre, inner.pre(e.id)),
-                                        ("post", expected_post, inner.post(e.id))):
-            actual: dict[str, list[Value]] = {}
+        for label, expected, linked in (("pre", consumed, inner.pre(e.id)),
+                                        ("post", produced, inner.post(e.id))):
+            got: dict[str, dict[Value, int]] = {}
             for cid in linked:
                 c = conditions.get(cid)
                 if c is not None:
-                    actual.setdefault(c.place, []).append(c.value)
-            expected = {p: ms for p, ms in expected.items() if ms}
-            got = {p: Multiset(vs) for p, vs in actual.items()}
-            if expected != got:
+                    counts = got.setdefault(c.place, {})
+                    counts[c.value] = counts.get(c.value, 0) + 1
+            if got != {p: counts for p, counts in expected.items() if counts}:
                 out.append(Violation(
                     f"{label}-set",
                     f"event {e.id} ({e.transition}): {label}-set does not match "
@@ -359,23 +344,29 @@ def linearize(run: Module, seed: int = 0) -> list[tuple[str, Binding]]:
     inner = _occurrence(run)
     if inner.topo_levels() is None:
         raise ModelError("cannot linearize a cyclic run")
-    # an event waits for the producer of each condition it consumes; of
-    # several producers, the last in flow order counts
+    # an event waits for the producer of each condition it consumes (of
+    # several, the last in flow order); a producer that is no event never
+    # occurs, so its consumers stay pending
     conditions = inner.index.conditions
-    deps = {e.id: {inner.pre(cid)[-1] for cid in inner.pre(e.id)
-                   if cid in conditions and inner.pre(cid)}
-            for e in inner.events}
-    rng = random.Random(seed)
-    done: set[str] = set()
-    result: list[tuple[str, Binding]] = []
     pending = {e.id: e for e in inner.events}
-    while pending:
-        ready = sorted(eid for eid, need in deps.items()
-                       if eid in pending and need <= done)
-        if not ready:
-            raise ModelError("cannot linearize: cyclic event dependencies")
-        eid = ready[rng.randrange(len(ready))]
-        event = pending.pop(eid)
-        done.add(eid)
+    waiting: dict[str, int] = {}
+    consumers: dict[str, list[str]] = {}
+    for eid in pending:
+        producers = {inner.pre(cid)[-1] for cid in inner.pre(eid)
+                     if cid in conditions and inner.pre(cid)}
+        waiting[eid] = len(producers)
+        for producer in producers:
+            consumers.setdefault(producer, []).append(eid)
+    ready = sorted(eid for eid, n in waiting.items() if n == 0)
+    rng = random.Random(seed)
+    result: list[tuple[str, Binding]] = []
+    while ready:
+        event = pending.pop(ready.pop(rng.randrange(len(ready))))
         result.append((event.transition, event.binding))
+        for eid in consumers.get(event.id, ()):
+            waiting[eid] -= 1
+            if waiting[eid] == 0:
+                insort(ready, eid)
+    if pending:
+        raise ModelError("cannot linearize: cyclic event dependencies")
     return result

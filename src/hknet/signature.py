@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EvalError, SortError, Violation
 from .spans import SourceSpan
 from .values import SetValue, TupleValue, Value, render_value
 
-DEFAULT_POWERSET_CAP = 16
+POWERSET_CAP = 16  # the largest base carrier whose powerset is built
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,6 @@ class Structure:
     carriers: Mapping[str, tuple[Value, ...]]
     functions: Mapping[str, Mapping[tuple[Value, ...], Value]]
     constants: Mapping[str, Value]
-    powerset_cap: int = DEFAULT_POWERSET_CAP
 
     def carrier(self, symbol: str) -> tuple[Value, ...]:
         try:
@@ -213,8 +212,7 @@ def make_structure(name: str,
                    signature: Signature,
                    carriers: Mapping[str, Iterable[Value]],
                    functions: Mapping[str, Mapping] | None = None,
-                   constants: Mapping[str, Value] | None = None,
-                   powerset_cap: int = DEFAULT_POWERSET_CAP) -> Structure:
+                   constants: Mapping[str, Value] | None = None) -> Structure:
     """Normalize plain dicts into a Structure (sorted carriers, tuple keys)."""
     carr = {sym: tuple(sorted(set(vals), key=lambda v: v.key())) for sym, vals in carriers.items()}
     fns: dict[str, dict[tuple[Value, ...], Value]] = {}
@@ -225,15 +223,15 @@ def make_structure(name: str,
                 args = (args,)
             norm[tuple(args)] = result
         fns[fname] = norm
-    return Structure(name, signature, carr, fns, dict(constants or {}), powerset_cap)
+    return Structure(name, signature, carr, fns, dict(constants or {}))
 
 
 def carrier_of(sort: Sort, s: Structure) -> tuple[Value, ...]:
     """All values of a sort under a structure, in canonical order.
 
     Powerset sorts are materialized explicitly and are capped: a base
-    carrier larger than ``s.powerset_cap`` (default 16) is rejected
-    rather than silently exploding.  The result is memoised on ``s``.
+    carrier larger than :data:`POWERSET_CAP` is rejected rather than
+    silently exploding.  The result is memoised on ``s``.
     """
     return _carrier_table(sort, s)[0]
 
@@ -258,20 +256,24 @@ def _build_carrier(sort: Sort, s: Structure) -> tuple[Value, ...]:
     if isinstance(sort, SortName):
         return s.carrier(sort.name)
     if isinstance(sort, PowSort):
-        base = s.carrier(sort.base)
-        if len(base) > s.powerset_cap:
-            raise EvalError(
-                f"powerset of {sort.base!r} has base size {len(base)}, "
-                f"which exceeds the cap of {s.powerset_cap}")
-        subsets = []
-        for r in range(len(base) + 1):
-            for combo in itertools.combinations(base, r):
-                subsets.append(SetValue(combo))
-        return tuple(sorted(subsets, key=lambda v: v.key()))
+        return powerset(sort.base, s.carrier(sort.base))
     if isinstance(sort, TupleSort):
         components = [carrier_of(c, s) for c in sort.components]
         return tuple(TupleValue(items) for items in itertools.product(*components))
     raise TypeError(f"not a sort: {sort!r}")
+
+
+def powerset(symbol: str, base: Sequence[Value]) -> tuple[SetValue, ...]:
+    """Every subset of the carrier ``base`` of ``symbol``, in canonical
+    order; an :class:`EvalError` when ``base`` has more than
+    :data:`POWERSET_CAP` values."""
+    if len(base) > POWERSET_CAP:
+        raise EvalError(
+            f"powerset of {symbol!r} has base size {len(base)}, "
+            f"which exceeds the cap of {POWERSET_CAP}")
+    subsets = (SetValue(combo) for r in range(len(base) + 1)
+               for combo in itertools.combinations(base, r))
+    return tuple(sorted(subsets, key=lambda v: v.key()))
 
 
 def value_in_sort(v: Value, sort: Sort, s: Structure) -> bool:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EvalError, ModelError
+from .errors import ModelError
 from .modules import Module
 from .nets import (Marking, SchematicNet, enabled_bindings, fire,
                    resolve_net, successors)
 from .signature import Structure, validate_structure
-from .terms import Binding, EMPTY_BINDING, inscription_tokens, term_variables
-from .values import Multiset
+from .terms import Binding, inscription_tokens
 
 
 @dataclass(frozen=True)
@@ -67,19 +66,9 @@ def instantiate(module: Module, structure: Structure,
             f"module {module.name!r} does not resolve against {sig.name!r}: "
             + "; ".join(str(v) for v in violations))
 
-    per_place: dict[str, Multiset] = {}
-    for place in net.places:
-        if not place.init:
-            continue
-        for term in place.init:
-            for var in sorted(term_variables(term)):
-                raise EvalError(
-                    f"initial inscription of {place.name!r} is open: "
-                    f"variable {var!r}", place.span)
-        tokens = inscription_tokens(place.init, structure, EMPTY_BINDING)
-        if tokens:
-            per_place[place.name] = tokens
-    initial = Marking(per_place)
+    # resolve_net has rejected open initial inscriptions
+    initial = Marking({place.name: inscription_tokens(place.init, structure)
+                       for place in net.places})
 
     return System(name or f"{module.name}_{structure.name}",
                   module, structure, initial, net)

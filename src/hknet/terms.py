@@ -289,7 +289,7 @@ def inscription_tokens(terms: Iterable[Term], s: Structure,
                        b: Binding = EMPTY_BINDING) -> Multiset:
     """Evaluate an inscription (a multiset of terms, each possibly
     elm-wrapped at top level) into a multiset of tokens."""
-    return Multiset(v for t in terms for v in term_tokens(t, s, b))
+    return Multiset._from_pairs(add_tokens({}, terms, s, b))
 
 
 def add_tokens(counts: dict[Value, int], terms: Iterable[Term], s: Structure,

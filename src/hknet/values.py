@@ -213,26 +213,31 @@ class Multiset:
             self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
-    def __add__(self, other: "Multiset") -> "Multiset":
+    def updated(self, remove: Mapping[Value, int], add: Mapping[Value, int]) -> "Multiset":
+        """The multiset with the ``{value: count}`` dict ``remove`` taken
+        off and ``add`` put on; a ``ValueError`` names the first value,
+        canonically, of which ``remove`` asks more than there is."""
         counts = self._counts.copy()
-        for v, n in other._counts.items():
-            counts[v] = counts.get(v, 0) + n
-        return Multiset._from_pairs(counts)
-
-    def __sub__(self, other: "Multiset") -> "Multiset":
-        if not other <= self:
-            for v, n in other.pairs():  # the first missing value, canonically
-                have = self.count(v)
-                if have < n:
-                    raise ValueError(f"cannot remove {n} of {render_value(v)}, have {have}")
-        counts = self._counts.copy()
-        for v, n in other._counts.items():
-            left = counts[v] - n
+        for v, n in remove.items():
+            left = counts.get(v, 0) - n
+            if left < 0:
+                first, wanted = next((w, k) for w, k in sorted(remove.items(), key=_value_key)
+                                     if self.count(w) < k)
+                raise ValueError(f"cannot remove {wanted} of {render_value(first)}, "
+                                 f"have {self.count(first)}")
             if left:
                 counts[v] = left
             else:
-                del counts[v]
+                counts.pop(v, None)
+        for v, n in add.items():
+            counts[v] = counts.get(v, 0) + n
         return Multiset._from_pairs(counts)
+
+    def __add__(self, other: "Multiset") -> "Multiset":
+        return self.updated({}, other._counts)
+
+    def __sub__(self, other: "Multiset") -> "Multiset":
+        return self.updated(other._counts, {})
 
     def __le__(self, other: "Multiset") -> bool:
         """Multiset containment."""

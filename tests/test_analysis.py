@@ -56,7 +56,7 @@ def test_ground_drops_bindings_with_tokens_outside_a_carrier():
 def failing_inscriptions(monkeypatch, error):
     def failing(*args):
         raise error
-    monkeypatch.setattr(analysis, "add_tokens", failing)
+    monkeypatch.setattr(analysis, "occurrence", failing)
 
 
 def test_ground_drops_bindings_whose_evaluation_fails(monkeypatch):

@@ -255,3 +255,25 @@ def test_check_rejects_a_free_variable_declared_twice(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1:33: duplicate free variable 'x'")
     assert "\n  " + " " * 32 + "^\n" in err
+
+
+def test_check_rejects_a_powerset_over_the_cap(workdir, capsys):
+    # 17 menu entries would make 131 072 orders: refused before any is built
+    wide = workdir / "wide.hks"
+    menu = ", ".join(f"m{i:02d}" for i in range(17))
+    wide.write_text(f"""structure wide of sigma0 {{
+      Clients = {{Alice}};
+      Tables = {{t1}};
+      Menu = {{{menu}}};
+      Meal_items = {{rice}};
+      Orders = pow(Menu);
+      Meals = pow(Meal_items);
+      f = {{}};
+      g = {{}};
+    }}""")
+    assert run_cli("check", wide) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"error: {wide}:6:7: powerset of 'Menu' has base size 17, "
+                      "which exceeds the cap of 16")
+    assert err[1] == "        Orders = pow(Menu);"
+    assert err[2].index("^") == err[1].index("Orders")

@@ -11,6 +11,7 @@ from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
                    find_event, initial_cut, instantiate, linearize,
                    make_structure, ordered, print_run, random_policy,
                    render_binding, scripted_policy, simulate, validate_run)
+from hknet import nets
 from hknet.nets import OccurrenceNet
 
 from support import (digest, reference_linearize, replay, scan_condition,
@@ -68,6 +69,21 @@ def simulation_lines(sys_tiny, sys_small, sys0, a0_script) -> list[str]:
 def test_simulated_runs_are_unchanged(sys_tiny, sys_small, sys0, a0_script):
     golden = (GOLDEN / "simulate_runs.txt").read_text(encoding="utf-8")
     assert simulation_lines(sys_tiny, sys_small, sys0, a0_script) == golden.splitlines()
+
+
+def test_simulate_evaluates_each_event_once(sys0, a0_script, monkeypatch):
+    calls = []
+    evaluate = nets.occurrence
+
+    def counting(net, transition, b, s):
+        calls.append(transition)
+        return evaluate(net, transition, b, s)
+
+    monkeypatch.setattr(nets, "occurrence", counting)
+    for policy in (random_policy(seed=3, steps=20), scripted_policy(a0_script)):
+        calls.clear()
+        run = simulate(sys0, policy)
+        assert calls == [e.transition for e in run.inner.events]
 
 
 def test_final_cut_equals_sequential_replay(sys0):
