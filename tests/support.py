@@ -18,8 +18,8 @@ from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
                    Multiset, OccurrenceNet, ParseError, Place, PowSort,
                    SchematicNet,
                    SetTerm, SetValue, Signature, SortName, Transition,
-                   TupleSort, TupleTerm, TupleValue, Value, enumerate_bindings,
-                   eval_guard, inscription_tokens, render_sort, render_term,
+                   TupleSort, TupleTerm, TupleValue, Value, enabled_bindings,
+                   enumerate_bindings, eval_guard, fire, inscription_tokens, render_sort, render_term,
                    render_value, value_in_sort)
 from hknet.modules import PLACE, TRANSITION
 from hknet.terms import term_tokens
@@ -618,6 +618,17 @@ def reference_fire(net, m: ReferenceMarking, transition, b: Binding, s) -> Refer
                     f"{t.name!r} would put {render_value(v)} on {place_name!r}, "
                     f"outside sort {render_sort(place.sort)}")
     return m.updated(consumed, produced)
+
+
+def reference_successors(net, m: Marking, s) -> list[tuple[str, Binding, Marking]]:
+    """All enabled (transition, binding) pairs with their successor
+    markings, in deterministic order: every transition enabled and every
+    binding fired afresh at ``m``, remembering nothing between calls."""
+    out = []
+    for t in sorted(net.transitions, key=lambda t: t.name):
+        for b in enabled_bindings(net, m, t, s):
+            out.append((t.name, b, fire(net, m, t, b, s)))
+    return out
 
 
 # ---------------------------------------------------------------------------
