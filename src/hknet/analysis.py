@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import EvalError, ModelError
-from .nets import Marking, occurrence
+from .nets import Marking, Stepper, occurrence
 from .signature import carrier_of
 from .systems import System
 from .terms import Binding, enumerate_bindings, eval_guard, render_binding
@@ -252,8 +252,9 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
     Hitting a cap sets the truncated flag instead of raising; deadlock
     markings and predicate hits are reported by node index.
     """
-    return ReachabilityGraph(*_bfs(sys.initial, sys.successors, max_nodes,
-                                   max_edges, predicate))
+    successors = Stepper(sys.net, sys.structure).successors
+    return ReachabilityGraph(*_bfs(sys.initial, successors, max_nodes, max_edges,
+                                   predicate))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ function signatures, and records the full variable list per transition.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .errors import EvalError, FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
@@ -695,11 +695,7 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
     if not eval_guard(t.guard, s, b):
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
     consumed, produced = occurrence(net, t.name, b, s)
-    for place, needed in consumed.items():
-        have = m.get(place).counts()
-        if any(have.get(v, 0) < n for v, n in needed.items()):
-            raise FiringError(
-                f"{t.name!r} is not enabled: {place!r} lacks required tokens")
+    _require_tokens(m, t.name, consumed)
     for place_name, tokens in produced.items():
         sort = net.place(place_name).sort
         if sort is None or all(value_in_sort(v, sort, s) for v in tokens):
@@ -718,15 +714,87 @@ def fire(net: SchematicNet, m: Marking, transition: Transition | str,
     return m.updated(*checked_occurrence(net, m, transition, b, s))
 
 
+def _require_tokens(m: Marking, transition: str, consumed: Tokens) -> None:
+    """Raise the FiringError of a transition that ``m`` does not enable
+    because some place lacks the ``consumed`` tokens."""
+    for place, needed in consumed.items():
+        have = m.get(place).counts()
+        if any(have.get(v, 0) < n for v, n in needed.items()):
+            raise FiringError(
+                f"{transition!r} is not enabled: {place!r} lacks required tokens")
+
+
+class Stepper:
+    """Enabling and firing of one net under one structure, remembered
+    for the life of this object (one ``explore`` or ``simulate`` call).
+
+    The bindings of a transition depend only on the tokens on its input
+    places, so they are kept per ``(name, tokens on each input place)``;
+    markings share untouched places, so a transition whose inputs did
+    not change is not matched again.  The checked occurrence of
+    ``(name, binding)`` is kept too, and a kept one is re-checked only
+    for containment, the one check that depends on the marking.  Errors
+    are not kept.  A transition whose name another one shares, whose
+    plan in ``net.index`` is therefore not its own, is never kept.
+    """
+
+    def __init__(self, net: SchematicNet, s: Structure):
+        self.net = net
+        self.structure = s
+        self.transitions = tuple(sorted(net.transitions, key=lambda t: t.name))
+        self._bindings: dict[tuple, list[Binding]] = {}
+        self._occurrences: dict[tuple[str, Binding], tuple[Tokens, Tokens]] = {}
+
+    def _plan(self, transition: Transition | str) -> MatchPlan | None:
+        """The plan of a transition that owns its name, else None."""
+        net = self.net
+        t = net.transition(transition) if isinstance(transition, str) else transition
+        plan = net.index.plans.get(t.name)
+        return plan if plan is not None and plan.transition is t else None
+
+    def enabled(self, m: Marking, transition: Transition | str) -> list[Binding]:
+        """:func:`enabled_bindings` at ``m``; read the list, never change it."""
+        plan = self._plan(transition)
+        if plan is None:
+            return enabled_bindings(self.net, m, transition, self.structure)
+        key = (plan.transition.name, *map(m.get, plan.places))
+        found = self._bindings.get(key)
+        if found is None:
+            found = enabled_bindings(self.net, m, transition, self.structure)
+            self._bindings[key] = found
+        return found
+
+    def occurrence(self, m: Marking, transition: Transition | str,
+                   b: Binding) -> tuple[Tokens, Tokens]:
+        """:func:`checked_occurrence` at ``m``; read the maps, never change
+        them."""
+        plan = self._plan(transition)
+        if plan is None:
+            return checked_occurrence(self.net, m, transition, b, self.structure)
+        key = (plan.transition.name, b)
+        found = self._occurrences.get(key)
+        if found is None:
+            found = checked_occurrence(self.net, m, transition, b, self.structure)
+            self._occurrences[key] = found
+        else:
+            _require_tokens(m, plan.transition.name, found[0])
+        return found
+
+    def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
+        """All enabled (transition, binding) pairs with their successor
+        markings, in deterministic order."""
+        out = []
+        for t in self.transitions:
+            for b in self.enabled(m, t):
+                out.append((t.name, b, m.updated(*self.occurrence(m, t, b))))
+        return out
+
+
 def successors(net: SchematicNet, m: Marking,
                s: Structure) -> list[tuple[str, Binding, Marking]]:
     """All enabled (transition, binding) pairs with their successor
     markings, in deterministic order."""
-    out = []
-    for t in sorted(net.transitions, key=lambda t: t.name):
-        for b in enabled_bindings(net, m, t, s):
-            out.append((t.name, b, fire(net, m, t, b, s)))
-    return out
+    return Stepper(net, s).successors(m)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Callable, Iterable
 from .errors import (CompositionError, EvalError, ModelError, ScriptError,
                      Violation)
 from .modules import Module, PLACE, InterfaceElement, compose
-from .nets import (Condition, Event, Marking, OccurrenceNet,
-                   checked_occurrence, enabled_bindings, occurrence)
+from .nets import (Condition, Event, Marking, OccurrenceNet, Stepper,
+                   occurrence)
 from .signature import value_in_sort
 from .systems import System
 from .terms import Binding, eval_guard, render_binding
@@ -43,6 +43,9 @@ class SchedulingPolicy:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         if self.step_limit < 0:
             raise ValueError("step_limit must be >= 0")
+        if self.mode == "script" and self.step_limit > len(self.script):
+            raise ValueError(f"step_limit {self.step_limit} exceeds the "
+                             f"{len(self.script)} steps of the script")
 
 
 def random_policy(seed: int, steps: int) -> SchedulingPolicy:
@@ -61,11 +64,14 @@ def scripted_policy(steps) -> SchedulingPolicy:
 def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     """Execute up to ``step_limit`` firings and record them as a run.
 
-    The current cut is kept per place in creation order; each firing,
-    checked and evaluated once by :func:`checked_occurrence`, appends one
-    event that consumes conditions holding its input tokens (among equal
-    tokens, the oldest) and produces fresh conditions for its output
-    tokens.  The final cut equals the marking reached by sequential replay.
+    The current cut is kept per place in creation order.  One
+    :class:`Stepper` enables and checks every step, so a transition
+    whose input tokens did not change is not matched again, and a
+    repeated (transition, binding) is evaluated only once.  Each firing
+    appends one event that consumes conditions holding its input tokens
+    (among equal tokens, the oldest) and produces fresh conditions for
+    its output tokens.  The final cut equals the marking reached by
+    sequential replay.
     """
     net, s = sys.net, sys.structure
     conditions: list[Condition] = []
@@ -84,6 +90,7 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
             new_condition(place, v)
     initial_conditions = list(conditions)
 
+    stepper = Stepper(net, s)
     marking = sys.initial
     rng = random.Random(policy.seed)
     steps_taken = 0
@@ -91,7 +98,7 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
         if policy.mode == "script":
             wanted_name, wanted = policy.script[steps_taken]
             matches = [(wanted_name, b)
-                       for b in enabled_bindings(net, marking, wanted_name, s)
+                       for b in stepper.enabled(marking, wanted_name)
                        if b.extends(wanted)]
             if not matches:
                 raise ScriptError(
@@ -104,14 +111,13 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
                     "add assignments to disambiguate")
             name, binding = matches[0]
         else:
-            options = [(t.name, b)
-                       for t in sorted(net.transitions, key=lambda t: t.name)
-                       for b in enabled_bindings(net, marking, t, s)]
+            options = [(t.name, b) for t in stepper.transitions
+                       for b in stepper.enabled(marking, t)]
             if not options:
                 break
             name, binding = options[rng.randrange(len(options))]
 
-        consumed, produced = checked_occurrence(net, marking, name, binding, s)
+        consumed, produced = stepper.occurrence(marking, name, binding)
         event = Event(f"e{len(events)}", name, binding)
         events.append(event)
         for place in sorted(consumed):

@@ -13,8 +13,8 @@ element.  :func:`evaluate` therefore rejects ``elm`` terms.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EvalError
 from .signature import Sort, Structure, carrier_of

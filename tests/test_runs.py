@@ -6,8 +6,8 @@ import pytest
 
 from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
                    Ident, ModelError, Module, Multiset, Place, SchematicNet,
-                   ScriptError, SetValue, Signature, SortName, Transition,
-                   canonical_equal, compose_runs, empty_run, final_cut,
+                   SchedulingPolicy, ScriptError, SetValue, Signature, SortName,
+                   Transition, canonical_equal, compose_runs, empty_run, final_cut,
                    find_event, initial_cut, instantiate, linearize,
                    make_structure, ordered, print_run, random_policy,
                    render_binding, scripted_policy, simulate, validate_run)
@@ -72,18 +72,21 @@ def test_simulated_runs_are_unchanged(sys_tiny, sys_small, sys0, a0_script):
 
 
 def test_simulate_evaluates_each_event_once(sys0, a0_script, monkeypatch):
+    # at most once: an event repeating an earlier (transition, binding)
+    # reuses its evaluated tokens
     calls = []
     evaluate = nets.occurrence
 
     def counting(net, transition, b, s):
-        calls.append(transition)
+        calls.append((transition, b))
         return evaluate(net, transition, b, s)
 
     monkeypatch.setattr(nets, "occurrence", counting)
     for policy in (random_policy(seed=3, steps=20), scripted_policy(a0_script)):
         calls.clear()
         run = simulate(sys0, policy)
-        assert calls == [e.transition for e in run.inner.events]
+        assert calls == list(dict.fromkeys((e.transition, e.binding)
+                                           for e in run.inner.events))
 
 
 def test_final_cut_equals_sequential_replay(sys0):
@@ -91,6 +94,15 @@ def test_final_cut_equals_sequential_replay(sys0):
         run = simulate(sys0, random_policy(seed=seed, steps=15))
         seq = linearize(run, seed)
         assert replay(sys0, seq) == final_cut(run)
+
+
+def test_script_policy_rejects_more_steps_than_its_script():
+    with pytest.raises(ValueError, match="step_limit 2 exceeds the 0 steps"):
+        SchedulingPolicy("script", step_limit=2, script=())
+    step = ("enter", Binding({"c": Atom("Alice"), "t": Atom("t1")}))
+    with pytest.raises(ValueError, match="step_limit 2 exceeds the 1 steps"):
+        SchedulingPolicy("script", step_limit=2, script=(step,))
+    assert SchedulingPolicy("script", step_limit=1, script=(step, step)).step_limit == 1
 
 
 def test_script_must_be_enabled(sys0):
