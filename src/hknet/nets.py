@@ -5,8 +5,9 @@ on a place are the values the predicate currently holds of.  Arcs carry
 multisets of terms (each possibly ``elm``-wrapped at top level) and
 transitions carry a guard plus declarations of free-choice variables.
 
-Enabling and firing are pure functions of (net, marking, structure).
-Nets must be *resolved* against a signature first: resolution classifies
+Enabling and firing are pure functions of (net, marking, structure);
+a :class:`Stepper` remembers their results for one caller.  Nets must
+be *resolved* against a signature first: resolution classifies
 identifier leaves, infers variable sorts from input-arc terms and
 function signatures, and records the full variable list per transition.
 """
