@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in _caret_lines(exc):
             print(line, file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ModelError as exc:
@@ -64,6 +64,14 @@ def _caret_lines(exc: ParseError) -> list[str]:
     width = max(span.end_col - span.col, 1) if span.end_line == span.line else 1
     return ["  " + source_line,
             "  " + " " * (span.col - 1) + "^" + "~" * (width - 1)]
+
+
+def count(text: str) -> int:
+    """A command-line count: an integer that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a system into a run")
     p.add_argument("system")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=count, default=10)
     p.add_argument("--script", help="script file: one 'transition x=v ...' per line")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_simulate)
@@ -117,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="bounded reachability exploration")
     p.add_argument("system")
-    p.add_argument("--max-nodes", type=int, default=10000)
-    p.add_argument("--max-edges", type=int, default=100000)
+    p.add_argument("--max-nodes", type=count, default=10000)
+    p.add_argument("--max-edges", type=count, default=100000)
     p.add_argument("--pred", help="marking predicate, e.g. "
                    "'contains(eating, (Alice, t1)) and count(free_tables) >= 1'")
     p.set_defaults(handler=_cmd_reach)

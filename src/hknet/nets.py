@@ -112,8 +112,9 @@ class SchematicNet:
 
 class NetIndex:
     """Places and transitions by name, arcs by endpoint, and one
-    :class:`MatchPlan` per resolved transition.  The first of several
-    equally named nodes wins, as in a linear scan."""
+    :class:`MatchPlan` per resolved transition.  Names identify nodes
+    (:func:`name_violations`); in a net that breaks this, the first of
+    several equally named nodes wins, as in a linear scan."""
 
     def __init__(self, net: SchematicNet):
         self.places: dict[str, Place] = {}
@@ -156,7 +157,6 @@ class MatchPlan:
     """
 
     def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
-        self.transition = t
         self.names = tuple(n for n, _ in t.variables or ())
         self.places = tuple(dict.fromkeys(a.source for a in arcs))
         stage: dict[str, int] = {}   # variable -> index of the step binding it
@@ -294,13 +294,26 @@ def arc_endpoint_violations(net: SchematicNet) -> list[Violation]:
                     or net.has_transition(a.source) and net.has_place(a.target))]
 
 
+def name_violations(net: SchematicNet) -> list[Violation]:
+    """Places and transitions that reuse the name of an earlier node:
+    names identify nodes, across places and transitions."""
+    names: set[str] = set()
+    out: list[Violation] = []
+    for node in (*net.places, *net.transitions):
+        if node.name in names:
+            out.append(Violation("duplicate-name",
+                                 f"duplicate element name {node.name!r}", node.span))
+        names.add(node.name)
+    return out
+
+
 def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[Violation]]:
     """Classify identifiers, infer variable sorts, and well-form the net.
 
     Returns the resolved net together with all violations found.  The
     returned net is usable only if the violation list is empty.
     """
-    violations: list[Violation] = []
+    violations = name_violations(net)
 
     for p in net.places:
         if p.sort is not None:
@@ -321,26 +334,29 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
         new_places.append(replace(p, init=init))
 
     new_transitions = []
-    new_arcs: dict[tuple[str, str], Arc] = {}
+    # (source, target) -> the first arc between them and the resolved
+    # terms of all of them
+    merged: dict[tuple[str, str], tuple[Arc, list[Term]]] = {}
     for t in net.transitions:
         env: dict[str, Sort | None] = {}
         for name, sort in t.free:
             _check_sort_declared(sort, sig, f"free variable {name!r}", t.span, violations)
             env[name] = sort
 
-        ins = [a for a in net.arcs_into(t.name) if net.has_place(a.source)]
-        outs = [a for a in net.arcs_out_of(t.name) if net.has_place(a.target)]
-
-        resolved_arcs: dict[tuple[str, str], tuple[Term, ...]] = {}
-        for arc, place_name in [(a, a.source) for a in ins] + [(a, a.target) for a in outs]:
-            place = net.place(place_name)
-            terms = []
+        input_vars: set[str] = set()
+        used_later: set[str] = set()
+        ins = [(a, a.source, input_vars) for a in net.arcs_into(t.name)
+               if net.has_place(a.source)]
+        outs = [(a, a.target, used_later) for a in net.arcs_out_of(t.name)
+                if net.has_place(a.target)]
+        for arc, place_name, seen in ins + outs:
+            sort = net.place(place_name).sort
+            _, terms = merged.setdefault((arc.source, arc.target), (arc, []))
             for raw in arc.inscription:
                 term = _resolve_term(raw, sig, top_level=True, violations=violations)
-                _infer(term, place.sort, env, sig, violations, top_level=True)
+                _infer(term, sort, env, sig, violations, top_level=True)
+                seen |= term_variables(term)
                 terms.append(term)
-            key = (arc.source, arc.target)
-            resolved_arcs[key] = resolved_arcs.get(key, ()) + tuple(terms)
 
         guard_atoms = []
         for atom in t.guard.atoms:
@@ -348,17 +364,7 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
             right = _resolve_term(atom.right, sig, top_level=False, violations=violations)
             guard_atoms.append(GuardAtom(atom.op, left, right, atom.span))
         guard = Guard(tuple(guard_atoms), t.guard.span)
-
-        input_vars: set[str] = set()
-        for a in ins:
-            key = (a.source, a.target)
-            for term in resolved_arcs.get(key, ()):
-                input_vars |= term_variables(term)
-        used_later: set[str] = set(guard_variables(guard))
-        for a in outs:
-            key = (a.source, a.target)
-            for term in resolved_arcs.get(key, ()):
-                used_later |= term_variables(term)
+        used_later |= guard_variables(guard)
         free_names = {name for name, _ in t.free}
         for name in sorted(used_later - input_vars - free_names):
             violations.append(Violation(
@@ -379,12 +385,8 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
         variables = tuple((n, s_) for n, s_ in sorted(env.items()) if s_ is not None)
         new_transitions.append(replace(t, guard=guard, variables=variables))
 
-        for (src, tgt), terms in resolved_arcs.items():
-            old = next(a for a in net.arcs if a.source == src and a.target == tgt)
-            key_fn = render_term
-            merged = tuple(sorted(terms, key=key_fn))
-            new_arcs[(src, tgt)] = replace(old, inscription=merged)
-
+    new_arcs = {key: replace(first, inscription=tuple(sorted(terms, key=render_term)))
+                for key, (first, terms) in merged.items()}
     # keep arcs that failed endpoint checks so printing stays faithful
     for a in net.arcs:
         new_arcs.setdefault((a.source, a.target), a)
@@ -547,8 +549,9 @@ def check_net(net: SchematicNet, sig: Signature) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def _resolved(net: SchematicNet, transition: Transition | str) -> Transition:
-    """The transition, given or named, after checking it is resolved."""
-    t = net.transition(transition) if isinstance(transition, str) else transition
+    """The net's transition of the given name, after checking it is
+    resolved; a Transition stands for the net's node of its name."""
+    t = net.transition(transition if isinstance(transition, str) else transition.name)
     if t.variables is None:
         raise SortError(
             f"transition {t.name!r} is unresolved; call resolve_net first")
@@ -576,9 +579,7 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     by each value's position in the carrier of the variable's sort.
     """
     t = _resolved(net, transition)
-    plan = net.index.plans.get(t.name)
-    if plan is None or plan.transition is not t:
-        plan = MatchPlan(t, net.arcs_into(t.name))
+    plan = net.index.plans[t.name]
     have = {place: m.get(place).counts() for place in plan.places}
     if any(place is not None and not have[place] for place, _ in plan.steps):
         return []
@@ -728,6 +729,7 @@ def _require_tokens(m: Marking, transition: str, consumed: Tokens) -> None:
 class Stepper:
     """Enabling and firing of one net under one structure, remembered
     for the life of this object (one ``explore`` or ``simulate`` call).
+    A Transition argument stands for the net's node of its name.
 
     The bindings of a transition depend only on the tokens on its input
     places, so they are kept per ``(name, tokens on each input place)``;
@@ -735,8 +737,7 @@ class Stepper:
     not change is not matched again.  The checked occurrence of
     ``(name, binding)`` is kept too, and a kept one is re-checked only
     for containment, the one check that depends on the marking.  Errors
-    are not kept.  A transition whose name another one shares, whose
-    plan in ``net.index`` is therefore not its own, is never kept.
+    are not kept.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
@@ -746,22 +747,13 @@ class Stepper:
         self._bindings: dict[tuple, list[Binding]] = {}
         self._occurrences: dict[tuple[str, Binding], tuple[Tokens, Tokens]] = {}
 
-    def _plan(self, transition: Transition | str) -> MatchPlan | None:
-        """The plan of a transition that owns its name, else None."""
-        net = self.net
-        t = net.transition(transition) if isinstance(transition, str) else transition
-        plan = net.index.plans.get(t.name)
-        return plan if plan is not None and plan.transition is t else None
-
     def enabled(self, m: Marking, transition: Transition | str) -> list[Binding]:
         """:func:`enabled_bindings` at ``m``; read the list, never change it."""
-        plan = self._plan(transition)
-        if plan is None:
-            return enabled_bindings(self.net, m, transition, self.structure)
-        key = (plan.transition.name, *map(m.get, plan.places))
+        t = _resolved(self.net, transition)
+        key = (t.name, *map(m.get, self.net.index.plans[t.name].places))
         found = self._bindings.get(key)
         if found is None:
-            found = enabled_bindings(self.net, m, transition, self.structure)
+            found = enabled_bindings(self.net, m, t, self.structure)
             self._bindings[key] = found
         return found
 
@@ -769,16 +761,14 @@ class Stepper:
                    b: Binding) -> tuple[Tokens, Tokens]:
         """:func:`checked_occurrence` at ``m``; read the maps, never change
         them."""
-        plan = self._plan(transition)
-        if plan is None:
-            return checked_occurrence(self.net, m, transition, b, self.structure)
-        key = (plan.transition.name, b)
+        t = _resolved(self.net, transition)
+        key = (t.name, b)
         found = self._occurrences.get(key)
         if found is None:
-            found = checked_occurrence(self.net, m, transition, b, self.structure)
+            found = checked_occurrence(self.net, m, t, b, self.structure)
             self._occurrences[key] = found
         else:
-            _require_tokens(m, plan.transition.name, found[0])
+            _require_tokens(m, t.name, found[0])
         return found
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:

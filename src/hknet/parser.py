@@ -66,7 +66,7 @@ from .errors import EvalError, ParseError
 from .modules import InterfaceElement, Module, PLACE, TRANSITION, \
     interface_violations
 from .nets import Arc, Condition, Event, Marking, OccurrenceNet, Place, \
-    SchematicNet, Transition, arc_endpoint_violations
+    SchematicNet, Transition, arc_endpoint_violations, name_violations
 from .signature import PowSort, Signature, Sort, SortName, Structure, \
     TupleSort, make_structure, powerset, sort_symbols
 from .spans import SourceSpan
@@ -693,12 +693,8 @@ class _Parser:
 
 
 def _check_module(module: Module, net: SchematicNet) -> None:
-    names: set[str] = set()
-    for node in (*net.places, *net.transitions):
-        if node.name in names:
-            raise ParseError(f"duplicate element name {node.name!r}", node.span)
-        names.add(node.name)
-    for v in (*arc_endpoint_violations(net), *interface_violations(module)):
+    for v in (*name_violations(net), *arc_endpoint_violations(net),
+              *interface_violations(module)):
         raise ParseError(v.message, v.span)
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import ModelError
 from .modules import Module
-from .nets import (Marking, SchematicNet, enabled_bindings, fire,
-                   resolve_net, successors)
+from .nets import Marking, SchematicNet, fire, resolve_net, successors
 from .signature import Structure, validate_structure
 from .terms import Binding, inscription_tokens
 
@@ -28,9 +27,6 @@ class System:
     initial: Marking
     # resolved copy of module.inner; behavior operations run on this
     net: SchematicNet = field(compare=False, repr=False)
-
-    def enabled(self, marking: Marking, transition: str) -> list[Binding]:
-        return enabled_bindings(self.net, marking, transition, self.structure)
 
     def fire(self, marking: Marking, transition: str, binding: Binding) -> Marking:
         return fire(self.net, marking, transition, binding, self.structure)

@@ -143,9 +143,6 @@ class Guard:
         return not self.atoms
 
 
-TRUE_GUARD = Guard()
-
-
 def render_guard(g: Guard) -> str:
     if g.is_true():
         return "true"
@@ -189,9 +186,6 @@ class Binding:
     def pairs(self) -> tuple[tuple[str, Value], ...]:
         return self._pairs
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self._pairs)
-
     def get(self, name: str) -> Value | None:
         for n, v in self._pairs:
             if n == name:
@@ -218,9 +212,6 @@ class Binding:
 
     def __hash__(self) -> int:
         return hash(self._pairs)
-
-    def key(self) -> tuple:
-        return tuple((n, v.key()) for n, v in self._pairs)
 
     def __repr__(self) -> str:
         return f"Binding({render_binding(self)})"

@@ -277,3 +277,29 @@ def test_check_rejects_a_powerset_over_the_cap(workdir, capsys):
                       "which exceeds the cap of 16")
     assert err[1] == "        Orders = pow(Menu);"
     assert err[2].index("^") == err[1].index("Orders")
+
+
+def test_unreadable_inputs_exit_2_with_one_error_line(workdir, capsys):
+    system = build_system(workdir)
+    latin1 = workdir / "latin1.hk"
+    latin1.write_bytes("module m { places { caf\xe9; } }\n".encode("latin-1"))
+    capsys.readouterr()
+    for args in (("check", workdir), ("check", latin1),
+                 ("simulate", system, "--script", workdir)):
+        assert run_cli(*args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--steps", "-3", "must not be negative: -3"),
+    ("reach", "--max-nodes", "-1", "must not be negative: -1"),
+    ("reach", "--max-edges", "-1", "must not be negative: -1"),
+    ("reach", "--max-edges", "x", "invalid count value: 'x'"),
+])
+def test_negative_counts_are_usage_errors(capsys, command, flag, value, message):
+    # argparse rejects the value before the system file is read
+    assert run_cli(command, "no_such.hksys", flag, value) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: hknet {command}")
+    assert err[-1] == f"hknet {command}: error: argument {flag}: {message}"

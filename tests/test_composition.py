@@ -85,6 +85,20 @@ def test_unsorted_side_adopts_the_sorted_one():
     assert fused.inner.place("p").sort == SortName("T")
 
 
+def test_fused_transition_merges_free_variables():
+    def module(name, side, free):
+        net = SchematicNet(transitions=(Transition("t", free=free),))
+        return Module(name, "", net, **{side: (InterfaceElement(TRANSITION, "u", "t"),)})
+
+    a = module("a", "right", (("x", SortName("A")),))
+    b = module("b", "left", (("x", SortName("A")), ("y", SortName("B"))))
+    fused = compose(a, b).inner.transition("t")
+    assert fused.free == (("x", SortName("A")), ("y", SortName("B")))
+    clash = module("c", "left", (("x", SortName("B")),))
+    with pytest.raises(CompositionError, match="free variable 'x' with two different sorts"):
+        compose(a, clash)
+
+
 def test_duplicate_result_labels_rejected():
     a = Module("a", "", SchematicNet(places=(Place("p"),)),
                left=(InterfaceElement(PLACE, "x", "p"),))

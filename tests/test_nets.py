@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
-                   Marking, Multiset, Place, PowSort, SchematicNet, SetValue,
-                   Signature, SortName, Transition, TupleValue, bind_structure,
-                   carrier_of, enabled_bindings, fire, instantiate,
-                   make_structure, marking_violations, parse, resolve_net,
-                   successors)
+                   Marking, ModelError, Module, Multiset, Place, PowSort,
+                   SchematicNet, SetValue, Signature, SortName, Transition,
+                   TupleValue, bind_structure, carrier_of, enabled_bindings,
+                   fire, instantiate, make_structure, marking_violations,
+                   parse, resolve_net, successors)
+from hknet.spans import SourceSpan
 from hknet.terms import Elm
 
 from support import (ReferenceMarking, ReferenceMultiset, brute_force_bindings,
@@ -185,6 +186,40 @@ def test_resolution_reports_unknown_sorts(sigma0):
     net = SchematicNet(places=(Place("p", SortName("Nowhere")),))
     _, problems = resolve_net(net, sigma0)
     assert any(v.code == "undeclared-sort" for v in problems)
+
+
+def test_resolution_rejects_equally_named_nodes():
+    # names identify nodes: a second transition t, and a transition named
+    # like the place q, are each reported at their own span
+    sig = Signature("twin", sets=("A",))
+    s = make_structure("twin_s", sig, {"A": (Atom("a"), Atom("b"))})
+    second, third = SourceSpan("m.hk", 3, 5, 3, 6), SourceSpan("m.hk", 4, 5, 4, 6)
+    net = SchematicNet(
+        places=(Place("p", SortName("A")), Place("q", SortName("A"))),
+        transitions=(Transition("t"), Transition("t", span=second),
+                     Transition("q", span=third)),
+        arcs=(Arc("p", "t", (Ident("x"),)), Arc("t", "q", (Ident("x"),))))
+    _, problems = resolve_net(net, sig)
+    assert [(v.message, v.span) for v in problems if v.code == "duplicate-name"] == [
+        ("duplicate element name 't'", second), ("duplicate element name 'q'", third)]
+    with pytest.raises(ModelError, match=r"m\.hk:3:5: \[duplicate-name\] "
+                                         "duplicate element name 't'"):
+        instantiate(Module("twin_m", "twin", net), s)
+
+
+def test_resolution_merges_arcs_between_the_same_endpoints(sigma0):
+    # the first arc's span stays; the terms of both come out sorted
+    first = SourceSpan("m.hk", 2, 1, 2, 9)
+    net, problems = resolve_net(SchematicNet(
+        places=(Place("p", SortName("Tables")), Place("q", SortName("Tables"))),
+        transitions=(Transition("t0"),),
+        arcs=(Arc("p", "t0", (Ident("y"),), first), Arc("t0", "q", (Ident("x"),)),
+              Arc("p", "t0", (Ident("x"),)))), sigma0)
+    assert problems == []
+    (into,) = net.arcs_into("t0")
+    assert into.span == first
+    assert [v.name for v in into.inscription] == ["x", "y"]
+    assert [n for n, _ in net.transition("t0").variables] == ["x", "y"]
 
 
 def test_resolved_variables_are_recorded(sys0):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from hknet import (Atom, Binding, Marking, Multiset, ParseError, SetValue,
-                   parse, parse_predicate, parse_script, print_document)
+                   bind_structure, parse, parse_predicate, parse_script,
+                   print_document, print_structure, structure_to_doc)
 
 from conftest import CORPUS
 from support import random_document
@@ -131,6 +132,25 @@ def test_function_declarations_with_multiple_arguments():
     sig = parse("signature s { sets A, B; fns f: A, B -> A, g: B -> B; }").body
     assert [name for name, _, _ in sig.functions] == ["f", "g"]
     assert len(sig.functions[0][1]) == 2
+
+
+def test_two_argument_tables_and_constants_bind_and_round_trip():
+    sig = parse("signature sg { sets A, B; consts k: A; fns h: A, B -> B; }").body
+    a1, a2, b = Atom("a1"), Atom("a2"), Atom("b")
+    text = """structure st of sg {
+      A = {a1, a2};
+      B = {b};
+      h = {(a1, b) -> b, (a2, b) -> b};
+      k = a2;
+    }"""
+    s = bind_structure(parse(text).body, sig)
+    assert s.functions["h"] == {(a1, b): b, (a2, b): b}
+    assert s.constants == {"k": a2}
+    printed = print_structure(structure_to_doc(s))
+    assert bind_structure(parse(printed).body, sig) == s
+    for key in ("a2", "(a2, b, b)"):
+        with pytest.raises(ParseError, match="table key for 'h' must be a 2-tuple"):
+            bind_structure(parse(text.replace("(a2, b)", key)).body, sig)
 
 
 def test_empty_module_prints_valid_text():

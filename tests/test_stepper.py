@@ -6,12 +6,12 @@ and call counts that show what it saves."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hknet import (App, Arc, Atom, Binding, EvalError, FiringError, Guard,
-                   GuardAtom, Ident, Marking, Module, Place, PowSort,
-                   SchematicNet, SetValue, Signature, SortName, Transition,
-                   carrier_of, explore, fire, instantiate, make_structure,
-                   random_policy, resolve_net, scripted_policy, simulate,
-                   successors)
+from hknet import (App, Arc, Atom, Binding, EvalError, FiringError, Ident,
+                   Marking, Module, Place, PowSort, SchematicNet, SetValue,
+                   Signature, SortName, Transition, carrier_of,
+                   enabled_bindings, explore, fire, instantiate,
+                   make_structure, random_policy, resolve_net,
+                   scripted_policy, simulate, successors)
 from hknet import nets
 from hknet.nets import Stepper, checked_occurrence
 
@@ -62,50 +62,17 @@ def test_successors_match_reference_on_random_markings(data, sys_tiny, sys_small
         assert _outcome(lambda: stepper.successors(m)) == want
 
 
-@pytest.fixture(scope="module")
-def twin():
-    """Two transitions named ``t`` that share their arcs ``p -> t -> q``
-    and differ in the guard: the first fires ``a``, the second ``b``."""
-    sig = Signature("twin", sets=("A",),
-                    constants=(("ka", SortName("A")), ("kb", SortName("A"))))
-    a, b = Atom("a"), Atom("b")
-    s = make_structure("twin_s", sig, {"A": (a, b)}, constants={"ka": a, "kb": b})
-
-    def twin_transition(const):
-        return Transition("t", Guard((GuardAtom("=", Ident("x"), Ident(const)),)))
-
-    net = SchematicNet(
-        places=(Place("p", SortName("A")), Place("q", SortName("A"))),
-        transitions=(twin_transition("ka"), twin_transition("kb")),
-        arcs=(Arc("p", "t", (Ident("x"),)), Arc("t", "q", (Ident("x"),))))
-    return instantiate(Module("twin_m", "twin", net), s)
-
-
-def test_equally_named_transitions_match_reference(twin):
-    net, s = twin.net, twin.structure
-    a, b = Atom("a"), Atom("b")
-    stepper = Stepper(net, s)
-    for tokens in ([a, b], [b, a, a], [b], [], [a, b]):
-        m = Marking({"p": tokens})
-        want = reference_successors(net, m, s)
-        assert successors(net, m, s) == want
-        assert stepper.successors(m) == want
-    both = stepper.successors(Marking({"p": [a, b]}))
-    assert [(name, binding["x"]) for name, binding, _ in both] == [("t", a), ("t", b)]
-
-
-def test_equally_named_transitions_are_not_remembered_for_each_other(twin):
-    # the second t fires x=b; the first t, asked the same, has a false guard
-    net, s = twin.net, twin.structure
-    first, second = net.transitions
-    m, xb = Marking({"p": [Atom("a"), Atom("b")]}), Binding({"x": Atom("b")})
-    stepper = Stepper(net, s)
-    assert stepper.enabled(m, second) == [xb]
-    assert stepper.enabled(m, first) == [Binding({"x": Atom("a")})]
-    assert stepper.occurrence(m, second, xb) == checked_occurrence(net, m, second, xb, s)
-    for _ in range(2):
-        with pytest.raises(FiringError, match="guard of 't' is false"):
-            stepper.occurrence(m, first, xb)
+def test_a_transition_argument_stands_for_the_node_of_its_name(sys0):
+    # an unresolved Transition("enter") is a handle to the net's resolved one
+    net, s = sys0.net, sys0.structure
+    m = Marking({"offered_tables": [Atom("t1")]})
+    handle = Transition("enter")
+    want = enabled_bindings(net, m, "enter", s)
+    assert want and handle.variables is None
+    assert enabled_bindings(net, m, handle, s) == want
+    assert Stepper(net, s).enabled(m, handle) == want
+    assert Stepper(net, s).occurrence(m, handle, want[0]) == \
+        checked_occurrence(net, m, "enter", want[0], s)
 
 
 def test_a_remembered_occurrence_is_checked_against_the_current_marking(sys0):
