@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
 import re
 import zlib
@@ -20,8 +21,9 @@ from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
                    SetTerm, SetValue, Signature, SortName, Transition,
                    TupleSort, TupleTerm, TupleValue, Value, enabled_bindings,
                    enumerate_bindings, eval_guard, fire, inscription_tokens, render_sort, render_term,
-                   render_value, value_in_sort)
-from hknet.modules import PLACE, TRANSITION
+                   render_binding, render_value, value_in_sort)
+from hknet.modules import (PLACE, TRANSITION, _inner_ids, _normalize_module,
+                           compose_all, rename_elements)
 from hknet.terms import term_tokens
 from hknet.parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc
 from hknet.spans import SourceSpan
@@ -870,3 +872,230 @@ def attached_spans(obj, path: str = "") -> list[str]:
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Canonical labelling oracle
+# ---------------------------------------------------------------------------
+#
+# ``reference_canonicalize`` is ``modules.canonicalize`` as it stood before
+# incremental refinement and automorphism pruning: full colour refinement
+# each round, and an individualisation search that visits every leaf.  It
+# is factorial in interchangeable nodes, so keep its inputs small.
+
+def reference_module_graph(m: Module):
+    """Id-free node decorations and adjacency for canonical labeling."""
+    decor: dict[str, str] = {}
+    kinds: dict[str, str] = {}
+    out_adj: dict[str, list[tuple[str, str]]] = {}
+    in_adj: dict[str, list[tuple[str, str]]] = {}
+    anchors: dict[str, list[str]] = {}
+    for side_name, side in (("L", m.left), ("R", m.right)):
+        for e in side:
+            anchors.setdefault(e.ref, []).append(f"{side_name}:{e.kind}:{e.label}")
+
+    inner = m.inner
+    if isinstance(inner, SchematicNet):
+        for p in inner.places:
+            sort = render_sort(p.sort) if p.sort is not None else ""
+            init = ",".join(sorted(render_term(t) for t in p.init))
+            decor[p.name] = f"place|{sort}|{init}"
+            kinds[p.name] = PLACE
+        for t in inner.transitions:
+            guard = " and ".join(sorted(
+                f"{render_term(a.left)} {a.op} {render_term(a.right)}"
+                for a in t.guard.atoms))
+            free = ",".join(f"{n}:{render_sort(s)}" for n, s in sorted(t.free))
+            decor[t.name] = f"trans|{guard}|{free}"
+            kinds[t.name] = TRANSITION
+        edges = [(a.source, a.target,
+                  ",".join(sorted(render_term(t) for t in a.inscription)))
+                 for a in inner.arcs]
+    else:
+        for c in inner.conditions:
+            decor[c.id] = f"cond|{c.place}|{render_value(c.value)}"
+            kinds[c.id] = PLACE
+        for e in inner.events:
+            decor[e.id] = f"event|{e.transition}|{render_binding(e.binding)}"
+            kinds[e.id] = TRANSITION
+        edges = [(s, t, "") for s, t in inner.flow]
+
+    for node, tags in anchors.items():
+        if node in decor:
+            decor[node] += "|" + ";".join(sorted(tags))
+    ids = sorted(decor)
+    for n in ids:
+        out_adj[n] = []
+        in_adj[n] = []
+    for src, tgt, label in edges:
+        if src in decor and tgt in decor:
+            out_adj[src].append((tgt, label))
+            in_adj[tgt].append((src, label))
+    return ids, kinds, decor, out_adj, in_adj
+
+
+def _rank(keys: dict[str, object]) -> dict[str, int]:
+    # all keys passed in share one shape, so plain tuple order applies
+    ordered = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    return {n: ordered[keys[n]] for n in keys}
+
+
+def _refine(ids, colors, out_adj, in_adj) -> dict[str, int]:
+    while True:
+        keys = {}
+        for n in ids:
+            outs = tuple(sorted((label, colors[t]) for t, label in out_adj[n]))
+            ins = tuple(sorted((label, colors[s]) for s, label in in_adj[n]))
+            keys[n] = (colors[n], outs, ins)
+        new_colors = _rank(keys)
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _canonical_search(ids, colors, decor, out_adj, in_adj):
+    colors = _refine(ids, colors, out_adj, in_adj)
+    groups: dict[int, list[str]] = {}
+    for n in ids:
+        groups.setdefault(colors[n], []).append(n)
+    tie = None
+    for color in sorted(groups):
+        if len(groups[color]) > 1:
+            tie = groups[color]
+            break
+    if tie is None:
+        order = sorted(ids, key=lambda n: colors[n])
+        return _certificate(order, decor, out_adj), order
+    best = None
+    for candidate in tie:
+        trial = dict(colors)
+        trial[candidate] = -1
+        trial = _rank({n: (trial[n],) for n in ids})
+        cert, order = _canonical_search(ids, trial, decor, out_adj, in_adj)
+        if best is None or cert < best[0]:
+            best = (cert, order)
+    return best
+
+
+def _certificate(order, decor, out_adj):
+    index = {n: i for i, n in enumerate(order)}
+    nodes = tuple(decor[n] for n in order)
+    edges = tuple(sorted((index[s], index[t], label)
+                         for s in order for t, label in out_adj[s]))
+    return (nodes, edges)
+
+
+def reference_canonicalize(m: Module) -> Module:
+    """The canonical form of ``m`` by the exhaustive search above."""
+    m = _normalize_module(m)
+    ids, kinds, decor, out_adj, in_adj = reference_module_graph(m)
+    if not ids:
+        base = SchematicNet() if not m.is_run() else OccurrenceNet()
+        return Module("_", "", base,
+                      tuple(sorted(m.left, key=lambda e: (e.kind, e.label))),
+                      tuple(sorted(m.right, key=lambda e: (e.kind, e.label))))
+
+    initial = _rank({n: decor[n] for n in ids})
+    _, order = _canonical_search(ids, initial, decor, out_adj, in_adj)
+
+    mapping: dict[str, str] = {}
+    run = m.is_run()
+    p_count = t_count = 0
+    for node in order:
+        if kinds[node] == PLACE:
+            mapping[node] = ("b" if run else "p") + str(p_count)
+            p_count += 1
+        else:
+            mapping[node] = ("e" if run else "t") + str(t_count)
+            t_count += 1
+
+    renamed = rename_elements(m, mapping)
+    index = {mapping[n]: i for i, n in enumerate(order)}
+    inner = renamed.inner
+    if isinstance(inner, SchematicNet):
+        inner = SchematicNet(
+            places=tuple(sorted(inner.places, key=lambda p: index[p.name])),
+            transitions=tuple(sorted(inner.transitions, key=lambda t: index[t.name])),
+            arcs=tuple(sorted(inner.arcs,
+                              key=lambda a: (index[a.source], index[a.target]))),
+        )
+    else:
+        inner = OccurrenceNet(
+            conditions=tuple(sorted(inner.conditions, key=lambda c: index[c.id])),
+            events=tuple(sorted(inner.events, key=lambda e: index[e.id])),
+            flow=tuple(sorted(inner.flow, key=lambda f: (index[f[0]], index[f[1]]))),
+        )
+    return Module(
+        "_", "", inner,
+        left=tuple(sorted(renamed.left, key=lambda e: (e.kind, e.label))),
+        right=tuple(sorted(renamed.right, key=lambda e: (e.kind, e.label))),
+    )
+
+
+def reference_leaves(m: Module, limit: int) -> int:
+    """How many leaves ``reference_canonicalize`` visits on ``m``, counting
+    no further than ``limit + 1``."""
+    ids, _, decor, out_adj, in_adj = reference_module_graph(_normalize_module(m))
+    count = 0
+
+    def visit(colors) -> None:
+        nonlocal count
+        colors = _refine(ids, colors, out_adj, in_adj)
+        groups: dict[int, list[str]] = {}
+        for n in ids:
+            groups.setdefault(colors[n], []).append(n)
+        tie = next((groups[c] for c in sorted(groups) if len(groups[c]) > 1), None)
+        if tie is None:
+            count += 1
+            return
+        for candidate in tie:
+            if count > limit:
+                return
+            trial = dict(colors)
+            trial[candidate] = -1
+            visit(_rank({n: (trial[n],) for n in ids}))
+
+    if ids:
+        visit(_rank({n: decor[n] for n in ids}))
+    return count
+
+
+def identical_copies(m: Module, count: int) -> Module:
+    """``m`` composed with ``count - 1`` copies of its inner net that expose
+    no interface, so the copies are interchangeable."""
+    bare = Module(m.name, m.sig, m.inner)
+    return compose_all([m] + [bare] * (count - 1))
+
+
+def random_relabeling(m: Module, rng: random.Random) -> Module:
+    """``m`` with every inner id replaced by a fresh random one."""
+    ids = sorted(_inner_ids(m.inner))
+    rng.shuffle(ids)
+    return rename_elements(m, {old: f"n{rng.randrange(10**6)}_{i}"
+                               for i, old in enumerate(ids)})
+
+
+def structure_text(n: int, k: int) -> str:
+    """The ``.hks`` text of a restaurant branch over ``sigma0`` with n
+    clients, n tables and k menu entries; dishes share the menu's names,
+    so ``f`` and ``g`` are identity tables."""
+    def names(prefix: str, count: int) -> list[str]:
+        width = len(str(count))
+        return [f"{prefix}{i:0{width}d}" for i in range(1, count + 1)]
+
+    def set_text(items) -> str:
+        return "{" + ", ".join(items) + "}"
+
+    menu = names("m", k)
+    subsets = [c for r in range(k + 1) for c in itertools.combinations(menu, r)]
+    return "\n".join([
+        f"structure s_{n}_{k} of sigma0 {{",
+        f"  Clients = {set_text(names('c', n))};",
+        f"  Tables = {set_text(names('t', n))};",
+        f"  Menu = {set_text(menu)};",
+        "  Orders = pow(Menu);",
+        f"  Meal_items = {set_text(menu)};",
+        "  Meals = pow(Meal_items);",
+        "  f = {" + ", ".join(f"{m} -> {m}" for m in menu) + "};",
+        "  g = {" + ", ".join(f"{set_text(s)} -> {set_text(s)}" for s in subsets) + "};",
+        "}", ""])
