@@ -355,53 +355,81 @@ def canonicalize(m: Module) -> Module:
     non-structural order (inscription multisets, set-literal elements,
     guard conjunctions) carry no meaning and are normalized away.
 
-    Uses color refinement with individualization on ties, taking the
-    ordering with the least certificate, so the result does not depend
-    on the input's identifier choices.  Idempotent.
+    The order of the nodes is the leaf with the least certificate in an
+    individualisation-refinement search (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014), and among equal certificates the
+    first one found, so the result does not depend on the input's
+    identifier choices.  Colour refinement is incremental: a round
+    re-keys only the cells next to nodes whose cell split in the round
+    before (Paige & Tarjan, 1987), and names the colours as refining
+    every node every round would.  The search prunes a tie candidate in
+    the orbit of an explored one under the automorphisms it has found
+    that fix the current path; such a subtree holds no certificate that
+    an explored one lacks, so the least certificate and the first leaf
+    reaching it stay the same.  Idempotent.
     """
     m = _normalize_module(m)
-    ids, kinds, decor, out_adj, in_adj = _module_graph(m)
+    ids, kinds, decor, edges = _module_graph(m)
+    left = tuple(sorted(m.left, key=_interface_key))
+    right = tuple(sorted(m.right, key=_interface_key))
+    inner = m.inner
     if not ids:
-        base = SchematicNet() if not m.is_run() else OccurrenceNet()
-        return Module("_", "", base,
-                      tuple(sorted(m.left, key=lambda e: (e.kind, e.label))),
-                      tuple(sorted(m.right, key=lambda e: (e.kind, e.label))))
+        base = SchematicNet() if isinstance(inner, SchematicNet) else OccurrenceNet()
+        return Module("_", "", base, left, right)
 
-    initial = _rank({n: decor[n] for n in ids})
-    _, order = _canonical_search(ids, initial, decor, out_adj, in_adj)
-
-    mapping: dict[str, str] = {}
+    order, _ = _canonical_search(*_labelling_graph(ids, decor, edges))
     run = m.is_run()
-    p_count = t_count = 0
-    for node in order:
-        if kinds[node] == PLACE:
-            mapping[node] = ("b" if run else "p") + str(p_count)
-            p_count += 1
-        else:
-            mapping[node] = ("e" if run else "t") + str(t_count)
-            t_count += 1
+    prefix = {PLACE: "b" if run else "p", TRANSITION: "e" if run else "t"}
+    counts = {PLACE: 0, TRANSITION: 0}
+    names: dict[str, str] = {}
+    position: dict[str, int] = {}
+    for i, v in enumerate(order):
+        node = ids[v]
+        kind = kinds[node]
+        names[node] = prefix[kind] + str(counts[kind])
+        counts[kind] += 1
+        position[node] = i
 
-    renamed = rename_elements(m, mapping)
-    index = {mapping[n]: i for i, n in enumerate(order)}
-    inner = renamed.inner
     if isinstance(inner, SchematicNet):
         inner = SchematicNet(
-            places=tuple(sorted(inner.places, key=lambda p: index[p.name])),
-            transitions=tuple(sorted(inner.transitions, key=lambda t: index[t.name])),
-            arcs=tuple(sorted(inner.arcs,
-                              key=lambda a: (index[a.source], index[a.target]))),
+            places=tuple(Place(names[p.name], p.sort, p.init, p.span)
+                         for p in sorted(inner.places, key=lambda p: position[p.name])),
+            transitions=tuple(
+                Transition(names[t.name], t.guard, t.free, t.variables, t.span)
+                for t in sorted(inner.transitions, key=lambda t: position[t.name])),
+            arcs=tuple(Arc(names[a.source], names[a.target], a.inscription, a.span)
+                       for a in sorted(inner.arcs, key=lambda a: (position[a.source],
+                                                                  position[a.target]))),
         )
     else:
         inner = OccurrenceNet(
-            conditions=tuple(sorted(inner.conditions, key=lambda c: index[c.id])),
-            events=tuple(sorted(inner.events, key=lambda e: index[e.id])),
-            flow=tuple(sorted(inner.flow, key=lambda f: (index[f[0]], index[f[1]]))),
+            conditions=tuple(Condition(names[c.id], c.place, c.value, c.span)
+                             for c in sorted(inner.conditions, key=lambda c: position[c.id])),
+            events=tuple(Event(names[e.id], e.transition, e.binding, e.span)
+                         for e in sorted(inner.events, key=lambda e: position[e.id])),
+            flow=tuple((names[s], names[t])
+                       for s, t in sorted(inner.flow, key=lambda f: (position[f[0]],
+                                                                     position[f[1]]))),
         )
-    return Module(
-        "_", "", inner,
-        left=tuple(sorted(renamed.left, key=lambda e: (e.kind, e.label))),
-        right=tuple(sorted(renamed.right, key=lambda e: (e.kind, e.label))),
-    )
+
+    def exposed(side: tuple[InterfaceElement, ...]) -> tuple[InterfaceElement, ...]:
+        return tuple(InterfaceElement(e.kind, e.label, names.get(e.ref, e.ref), e.span)
+                     for e in side)
+
+    return Module("_", "", inner, exposed(left), exposed(right))
+
+
+def automorphisms(m: Module) -> list[dict[str, str]]:
+    """Generators of automorphisms of ``m``, as maps of inner ids, found by
+    the search under :func:`canonicalize`.  Every map keeps kinds,
+    decorations, arcs and interface labels.  The generators that fix the
+    first leaf's path up to any depth generate that path's pointwise
+    stabiliser, so they generate the whole group."""
+    ids, _, decor, edges = _module_graph(_normalize_module(m))
+    if not ids:
+        return []
+    _, generators = _canonical_search(*_labelling_graph(ids, decor, edges))
+    return [{ids[v]: ids[w] for v, w in enumerate(g)} for g in generators]
 
 
 def canonical_equal(a: Module, b: Module) -> bool:
@@ -446,12 +474,16 @@ def _normalize_module(m: Module) -> Module:
                   m.left, m.right)
 
 
+def _interface_key(e: InterfaceElement) -> tuple[str, str]:
+    return (e.kind, e.label)
+
+
 def _module_graph(m: Module):
-    """Id-free node decorations and adjacency for canonical labeling."""
+    """Id-free node decorations and labelled edges for canonical labeling:
+    the node ids in order, each node's kind and decoration, and the edges
+    ``(source, target, label)`` between nodes."""
     decor: dict[str, str] = {}
     kinds: dict[str, str] = {}
-    out_adj: dict[str, list[tuple[str, str]]] = {}
-    in_adj: dict[str, list[tuple[str, str]]] = {}
     anchors: dict[str, list[str]] = {}
     for side_name, side in (("L", m.left), ("R", m.right)):
         for e in side:
@@ -486,63 +518,205 @@ def _module_graph(m: Module):
     for node, tags in anchors.items():
         if node in decor:
             decor[node] += "|" + ";".join(sorted(tags))
-    ids = sorted(decor)
-    for n in ids:
-        out_adj[n] = []
-        in_adj[n] = []
-    for src, tgt, label in edges:
-        if src in decor and tgt in decor:
-            out_adj[src].append((tgt, label))
-            in_adj[tgt].append((src, label))
-    return ids, kinds, decor, out_adj, in_adj
+    edges = [e for e in edges if e[0] in decor and e[1] in decor]
+    return sorted(decor), kinds, decor, edges
 
 
-def _rank(keys: dict[str, object]) -> dict[str, int]:
-    # all keys passed in share one shape, so plain tuple order applies
-    ordered = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    return {n: ordered[keys[n]] for n in keys}
+def _labelling_graph(ids: list[str], decor: dict[str, str],
+                     edges: list[tuple[str, str, str]]):
+    """Node ``i`` stands for ``ids[i]``.  Returns each node's decoration
+    rank, the edges as ``(source, target, label rank)``, and per node its
+    out- and in-neighbours as ``(base, neighbour)``.
+
+    Ranks follow the order of what they stand for.  A node's colour lies
+    in ``[-n, n)``, so ``base + colour`` with ``base = label * (2n + 1) + n``
+    orders the neighbours of one node as ``(label, colour)`` pairs do."""
+    n = len(ids)
+    index = {node: i for i, node in enumerate(ids)}
+    ranks = {d: r for r, d in enumerate(sorted(set(decor.values())))}
+    labels = {label: r for r, label in enumerate(sorted({e[2] for e in edges}))}
+    arcs = [(index[s], index[t], labels[label]) for s, t, label in edges]
+    outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, t, label in arcs:
+        base = label * (2 * n + 1) + n
+        outs[s].append((base, t))
+        ins[t].append((base, s))
+    return [ranks[decor[node]] for node in ids], arcs, outs, ins
 
 
-def _refine(ids, colors, out_adj, in_adj) -> dict[str, int]:
-    while True:
-        keys = {}
-        for n in ids:
-            outs = tuple(sorted((label, colors[t]) for t, label in out_adj[n]))
-            ins = tuple(sorted((label, colors[s]) for s, label in in_adj[n]))
-            keys[n] = (colors[n], outs, ins)
-        new_colors = _rank(keys)
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+def _refine(color: list[int], cells: dict[int, list[int]], changed,
+            outs, ins) -> None:
+    """Refine an ordered partition in place until it is equitable.
+
+    ``color[v]`` orders the cells: it is the position at which ``v``'s
+    cell starts, or, for a node individualised at depth ``d``, ``-1 - d``.
+    ``cells`` maps the colour of each cell of two or more nodes to its
+    members.  ``changed`` holds the nodes whose cell lost members since
+    the partition was last equitable.
+
+    A round keys the nodes of each cell next to a changed node by the
+    sorted ``(label, colour)`` pairs of their out- and then in-neighbours,
+    and splits the cell by key, parts in key order.  Members with no
+    changed neighbour share one key, as their cell was equitable towards
+    the cells they see.  Only the parts other than a largest one count as
+    changed for the next round (Hopcroft): a neighbour count into the
+    largest part follows from the counts into the old cell and the other
+    parts.  The colours equal those of re-keying every node every round,
+    up to an order-keeping renaming."""
+    while changed:
+        touched: dict[int, set[int]] = {}
+        for v in changed:
+            for neighbours in (outs[v], ins[v]):
+                for _, w in neighbours:
+                    c = color[w]
+                    if c in cells:
+                        touched.setdefault(c, set()).add(w)
+
+        def key(v: int) -> tuple:
+            return (tuple(sorted([base + color[w] for base, w in outs[v]])),
+                    tuple(sorted([base + color[w] for base, w in ins[v]])))
+
+        splits = []
+        for c, near in touched.items():
+            members = cells[c]
+            parts: dict[tuple, list[int]] = {}
+            if len(near) < len(members):
+                rest = [v for v in members if v not in near]
+                parts[key(rest[0])] = rest
+            for v in near:
+                parts.setdefault(key(v), []).append(v)
+            if len(parts) > 1:
+                splits.append((c, [parts[k] for k in sorted(parts)]))
+
+        changed = []
+        for c, parts in splits:
+            del cells[c]
+            largest = max(parts, key=len)
+            for part in parts:
+                for v in part:
+                    color[v] = c
+                if len(part) > 1:
+                    cells[c] = part
+                if part is not largest:
+                    changed += part
+                c += len(part)
 
 
-def _canonical_search(ids, colors, decor, out_adj, in_adj):
-    colors = _refine(ids, colors, out_adj, in_adj)
-    groups: dict[int, list[str]] = {}
-    for n in ids:
-        groups.setdefault(colors[n], []).append(n)
-    tie = None
-    for color in sorted(groups):
-        if len(groups[color]) > 1:
-            tie = groups[color]
-            break
-    if tie is None:
-        order = sorted(ids, key=lambda n: colors[n])
-        return _certificate(order, decor, out_adj), order
-    best = None
-    for candidate in tie:
-        trial = dict(colors)
-        trial[candidate] = -1
-        trial = _rank({n: (trial[n],) for n in ids})
-        cert, order = _canonical_search(ids, trial, decor, out_adj, in_adj)
-        if best is None or cert < best[0]:
-            best = (cert, order)
-    return best
+def _canonical_search(decor_rank: list[int], arcs, outs, ins):
+    """The node order of the canonical form, and the automorphisms found.
+
+    Refines the colouring by decoration; while a cell has two or more
+    nodes, branches on each member of the first such cell in node order,
+    individualising it (it takes a colour below all others) and refining
+    again.  Each discrete colouring is a leaf; the result is the first
+    leaf found with the least :func:`_certificate`.
+
+    Two leaves with equal certificates differ by an automorphism
+    ``gamma`` (``gamma[v]`` is the node in ``v``'s place).  A candidate
+    in the orbit of an explored sibling under the automorphisms that fix
+    the current path is skipped.  When ``gamma`` maps the earlier leaf's
+    path onto the new leaf's, the subtree where the two paths part is
+    ``gamma``'s image of one already searched, and the search returns to
+    the node where they part."""
+    n = len(decor_rank)
+    color = [0] * n
+    cells: dict[int, list[int]] = {}
+    classes: dict[int, list[int]] = {}
+    for v, rank in enumerate(decor_rank):
+        classes.setdefault(rank, []).append(v)
+    start = 0
+    for rank in sorted(classes):
+        members = classes[rank]
+        for v in members:
+            color[v] = start
+        if len(members) > 1:
+            cells[start] = members
+        start += len(members)
+    _refine(color, cells, range(n), outs, ins)
+    if not cells:
+        return _order(color), []
+
+    generators: list[list[int]] = []
+    first = best = None  # (certificate, order, path) of a leaf
+
+    def leaf(color: list[int], path: list[int]) -> int:
+        nonlocal first, best
+        order = _order(color)
+        cert = _certificate(order, decor_rank, arcs)
+        if first is None:
+            first = best = (cert, order, path)
+            return len(path)
+        if cert != first[0] and cert != best[0]:
+            if cert < best[0]:
+                best = (cert, order, path)
+            return len(path)
+        _, known, known_path = first if cert == first[0] else best
+        gamma = [0] * n
+        for v, w in zip(known, order):
+            gamma[v] = w
+        generators.append(gamma)
+        if len(known_path) == len(path) and all(
+                gamma[v] == w for v, w in zip(known_path, path)):
+            return next(d for d, (v, w) in enumerate(zip(known_path, path)) if v != w)
+        return len(path)
+
+    def visit(color: list[int], cells: dict[int, list[int]], path: list[int]) -> int:
+        """Search below ``path``; returns the depth to resume at."""
+        if not cells:
+            return leaf(color, path)
+        depth = len(path)
+        target = min(cells)
+        members = sorted(cells[target])
+        orbit = {v: v for v in members}  # union-find over the target cell
+
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        seen = 0
+        explored: list[int] = []
+        for v in members:
+            if explored:
+                for gamma in generators[seen:]:
+                    if all(gamma[u] == u for u in path):
+                        for u in members:
+                            orbit[find(u)] = find(gamma[u])
+                seen = len(generators)
+                if any(find(u) == find(v) for u in explored):
+                    continue
+            explored.append(v)
+            trial, trial_cells = color[:], dict(cells)
+            rest = trial_cells.pop(target)
+            rest = [u for u in rest if u != v]
+            trial[v] = -1 - depth
+            for u in rest:
+                trial[u] = target + 1
+            if len(rest) > 1:
+                trial_cells[target + 1] = rest
+            _refine(trial, trial_cells, [v], outs, ins)
+            resume = visit(trial, trial_cells, path + [v])
+            if resume < depth:
+                return resume
+        return depth
+
+    visit(color, cells, [])
+    return best[1], generators
 
 
-def _certificate(order, decor, out_adj):
-    index = {n: i for i, n in enumerate(order)}
-    nodes = tuple(decor[n] for n in order)
-    edges = tuple(sorted((index[s], index[t], label)
-                         for s in order for t, label in out_adj[s]))
-    return (nodes, edges)
+def _order(color: list[int]) -> list[int]:
+    return sorted(range(len(color)), key=color.__getitem__)
+
+
+def _certificate(order: list[int], decor_rank: list[int], arcs) -> tuple:
+    """What leaves of one search are compared by: the decorations in
+    ``order`` and the sorted arcs between positions.  Ranks follow the
+    order of the decorations and labels, so certificates compare as the
+    rendered ones would."""
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    return (tuple(decor_rank[v] for v in order),
+            tuple(sorted((position[s], position[t], label) for s, t, label in arcs)))

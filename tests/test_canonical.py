@@ -9,13 +9,19 @@ purpose) with
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hknet import (bind_structure, canonicalize, compose, compose_all,
-                   instantiate, parse, print_module, random_policy, simulate)
+from hknet import (Module, Place, SchematicNet, SortName, bind_structure,
+                   canonicalize, compose, compose_all, instantiate, parse,
+                   print_module, random_policy, rename_elements, simulate)
+from hknet import modules
 
 from conftest import load
 from support import (compatible_triple, digest, identical_copies, reference_leaves,
@@ -70,7 +76,7 @@ def test_reference_gives_the_golden_forms():
 
 
 @st.composite
-def modules(draw):
+def module_inputs(draw):
     """A random module or run, maybe relabelled, maybe as 2-4 copies."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["triple", "composed", "document", "run"]))
@@ -94,16 +100,139 @@ def modules(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(modules())
+@given(module_inputs())
 def test_canonicalize_equals_the_reference(m):
     assert canonicalize(m) == reference_canonicalize(m)
 
 
 @settings(max_examples=100, deadline=None)
-@given(modules(), st.integers(0, 2**32 - 1))
+@given(module_inputs(), st.integers(0, 2**32 - 1))
 def test_relabelled_modules_share_the_reference_form(m, seed):
     relabelled = random_relabeling(m, random.Random(seed))
     assert canonicalize(relabelled) == reference_canonicalize(m)
+
+
+# ---------------------------------------------------------------------------
+# Automorphism pruning, counted in leaves rather than timed
+# ---------------------------------------------------------------------------
+
+def unconnected_places(k: int) -> Module:
+    """k interchangeable places: their automorphism group is S_k."""
+    return Module("m", "", SchematicNet(
+        places=tuple(Place(f"p{i:02d}", SortName("Tables")) for i in range(k))))
+
+
+def kitchen_copies(kitchen, count: int = 4) -> Module:
+    """``count`` disjoint, renamed copies of kitchen's inner net, no interface."""
+    return identical_copies(Module("k", kitchen.sig, kitchen.inner), count)
+
+
+def count_leaves(monkeypatch, m: Module) -> int:
+    calls = 0
+    certificate = modules._certificate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return certificate(*args)
+
+    monkeypatch.setattr(modules, "_certificate", counting)
+    canonicalize(m)
+    monkeypatch.setattr(modules, "_certificate", certificate)
+    return calls
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_identical_places_take_a_linear_number_of_leaves(monkeypatch, k):
+    assert count_leaves(monkeypatch, unconnected_places(k)) <= 2 * k
+
+
+def test_copies_of_a_net_take_a_linear_number_of_leaves(monkeypatch, kitchen):
+    copies = kitchen_copies(kitchen)
+    assert count_leaves(monkeypatch, copies) <= 2 * 4
+    assert canonicalize(copies) == reference_canonicalize(copies)
+
+
+def test_a_discrete_colouring_builds_no_certificate(monkeypatch, branch, a0):
+    assert count_leaves(monkeypatch, branch) == 0
+    assert count_leaves(monkeypatch, a0) == 0
+
+
+def test_pruned_search_keeps_the_reference_form_on_ties():
+    m = unconnected_places(5)
+    assert canonicalize(m) == reference_canonicalize(m)
+
+
+def orbit_product(generators: list[dict[str, str]], base: list[str]) -> int:
+    """The product over ``base`` of each point's orbit under the generators
+    that fix the points before it.  It is at most the order of the group
+    they generate, and equals it for a strong generating set."""
+    product = 1
+    for i, point in enumerate(base):
+        fixing = [g for g in generators if all(g[b] == b for b in base[:i])]
+        orbit, frontier = {point}, [point]
+        while frontier:
+            x = frontier.pop()
+            for g in fixing:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    frontier.append(g[x])
+        product *= len(orbit)
+    return product
+
+
+def test_automorphisms_of_identical_places_generate_the_symmetric_group():
+    k = 8
+    m = unconnected_places(k)
+    generators = modules.automorphisms(m)
+    # the search individualises the places in id order, so the generators
+    # are strong for that base, and the group lies inside S_k
+    assert orbit_product(generators, sorted(p.name for p in m.inner.places)) == 40320
+    assert len(generators) < k
+
+
+def test_automorphisms_keep_every_node_and_arc(kitchen):
+    copies = kitchen_copies(kitchen)
+    inner = copies.inner
+    generators = modules.automorphisms(copies)
+    assert generators
+    for g in generators:
+        moved = rename_elements(copies, g).inner
+        assert set(moved.places) == set(inner.places)
+        assert set(moved.transitions) == set(inner.transitions)
+        assert set(moved.arcs) == set(inner.arcs)
+    assert modules.automorphisms(kitchen) == []
+
+
+# ---------------------------------------------------------------------------
+# Hash order
+# ---------------------------------------------------------------------------
+
+HASH_SCRIPT = """
+from hknet import *
+from conftest import load
+from support import structure_text
+branch = compose_all([load(f).body for f in ("entry.hk", "guest_area.hk", "kitchen.hk")])
+sigma0 = load("sigma0.hksig").body
+structure = bind_structure(parse(structure_text(2, 2), "s_2_2.hks").body, sigma0)
+system = instantiate(branch, structure, name="branch_s_2_2")
+print(print_module(canonicalize(branch)))
+print(print_run(canonicalize(simulate(system, random_policy(seed=0, steps=250)))))
+"""
+
+
+def test_canonical_forms_do_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", HASH_SCRIPT], env=env,
+                              capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") > 1000
 
 
 if __name__ == "__main__":
