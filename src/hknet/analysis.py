@@ -12,7 +12,7 @@ is plain breadth-first search over canonical markings with node/edge caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
@@ -239,6 +239,8 @@ class ReachabilityGraph:
     truncated: bool
     deadlocks: tuple[int, ...]
     predicate_hits: tuple[int, ...]
+    # the cap hit first, "nodes" or "edges", or ""
+    truncated_by: str = field(default="", repr=False)
 
     @property
     def root(self) -> int:
@@ -249,12 +251,15 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
             predicate: Callable[[Marking], bool] | None = None) -> ReachabilityGraph:
     """Breadth-first state space of a system, deterministic and capped.
 
-    Hitting a cap sets the truncated flag instead of raising; deadlock
-    markings and predicate hits are reported by node index.
+    Hitting a cap truncates the graph instead of raising, and
+    ``truncated_by`` names the cap hit first: ``"nodes"`` or ``"edges"``.
+    Deadlock markings and predicate hits are reported by node index.
     """
     successors = Stepper(sys.net, sys.structure).successors
-    return ReachabilityGraph(*_bfs(sys.initial, successors, max_nodes, max_edges,
-                                   predicate))
+    nodes, edges, truncated_by, deadlocks, hits = _bfs(
+        sys.initial, successors, max_nodes, max_edges, predicate)
+    return ReachabilityGraph(nodes, edges, bool(truncated_by), deadlocks, hits,
+                             truncated_by)
 
 
 @dataclass(frozen=True)
@@ -263,6 +268,8 @@ class GroundedReachabilityGraph:
     edges: tuple[tuple[int, int, int], ...]  # (source, transition index, target)
     truncated: bool
     deadlocks: tuple[int, ...]
+    # the cap hit first, "nodes" or "edges", or ""
+    truncated_by: str = field(default="", repr=False)
 
 
 def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
@@ -273,9 +280,10 @@ def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                 for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns))
                 if all(vec[p] >= n for p, n in pre.items())]
 
-    vectors, edges, truncated, deadlocks, _ = _bfs(g.initial, successors,
-                                                   max_nodes, max_edges)
-    return GroundedReachabilityGraph(vectors, edges, truncated, deadlocks)
+    vectors, edges, truncated_by, deadlocks, _ = _bfs(g.initial, successors,
+                                                      max_nodes, max_edges)
+    return GroundedReachabilityGraph(vectors, edges, bool(truncated_by), deadlocks,
+                                     truncated_by)
 
 
 def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
@@ -285,16 +293,17 @@ def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
 
     ``successors(node)`` lists tuples ``(*label, target)``.  Returns the
     nodes in discovery order, the edges ``(source, *label, target)`` by
-    node index, whether a cap was hit, and the indices of deadlocks and
-    of predicate hits.  A new node over ``max_nodes`` is dropped with
-    its edge; an edge over ``max_edges`` is dropped, its new target kept.
+    node index, which cap was hit first (``"nodes"``, ``"edges"`` or
+    ``""``), and the indices of deadlocks and of predicate hits.  A new
+    node over ``max_nodes`` is dropped with its edge; an edge over
+    ``max_edges`` is dropped, its new target kept.
     """
     nodes = [root]
     index = {root: 0}
     edges: list[tuple] = []
     deadlocks: list[int] = []
     hits = [0] if predicate is not None and predicate(root) else []
-    truncated = False
+    truncated_by = ""
     # nodes only grow at the end, so visiting them in list order is FIFO
     for source, node in enumerate(nodes):
         succs = successors(node)
@@ -304,7 +313,7 @@ def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
             target = index.get(succ)
             if target is None:
                 if len(nodes) >= max_nodes:
-                    truncated = True
+                    truncated_by = truncated_by or "nodes"
                     continue
                 target = len(nodes)
                 nodes.append(succ)
@@ -312,7 +321,7 @@ def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
                 if predicate is not None and predicate(succ):
                     hits.append(target)
             if len(edges) >= max_edges:
-                truncated = True
+                truncated_by = truncated_by or "edges"
                 continue
             edges.append((source, *label, target))
-    return tuple(nodes), tuple(edges), truncated, tuple(deadlocks), tuple(hits)
+    return tuple(nodes), tuple(edges), truncated_by, tuple(deadlocks), tuple(hits)

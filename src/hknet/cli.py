@@ -25,6 +25,7 @@ from .printer import print_module, print_run, print_system
 from .runs import compose_runs, random_policy, scripted_policy, simulate, \
     validate_run
 from .signature import Signature, validate_structure
+from .spans import SourceSpan
 from .systems import System, instantiate
 
 USAGE_ERROR = 2
@@ -44,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in _caret_lines(exc):
             print(line, file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ModelError as exc:
@@ -59,7 +60,7 @@ def _caret_lines(exc: ParseError) -> list[str]:
     try:
         source_line = Path(span.file).read_text(
             encoding="utf-8").splitlines()[span.line - 1]
-    except (OSError, IndexError):
+    except (OSError, IndexError, UnicodeDecodeError):
         return []
     width = max(span.end_col - span.col, 1) if span.end_line == span.line else 1
     return ["  " + source_line,
@@ -144,9 +145,24 @@ def _build_parser() -> argparse.ArgumentParser:
 # Loading helpers
 # ---------------------------------------------------------------------------
 
+def _read_source(path: str | Path) -> str:
+    """The text of a UTF-8 file with universal newlines, as text mode
+    reads it.  A file that is not UTF-8 is a :class:`ParseError` at its
+    first undecodable byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        col = len(data[line_start:exc.start].decode("utf-8")) + 1
+        raise ParseError(f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
+                         SourceSpan(str(path), line, col, line, col + 1)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_document(path: str | Path) -> ModelDocument:
-    path = Path(path)
-    return parse(path.read_text(encoding="utf-8"), str(path))
+    return parse(_read_source(path), str(path))
 
 
 def _expect_kind(doc: ModelDocument, kind: str, path: str | Path) -> None:
@@ -273,8 +289,7 @@ def _cmd_instantiate(args) -> int:
 def _cmd_simulate(args) -> int:
     system = load_system_file(args.system)
     if args.script:
-        steps = parse_script(Path(args.script).read_text(encoding="utf-8"),
-                             args.script)
+        steps = parse_script(_read_source(args.script), args.script)
         policy = scripted_policy(steps)
     else:
         policy = random_policy(args.seed, args.steps)

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from hknet import (Arc, Atom, EvalError, Ident, Marking, ModelError, Module,
                    Place, SchematicNet, SetTerm, SetValue, Signature,
-                   SortError, SortName, Transition, TupleValue, explore,
-                   explore_grounded, ground, in_span, instantiate,
-                   make_structure, nullspace, parse_predicate,
+                   SortError, SortName, Transition, TupleValue, bind_structure,
+                   explore, explore_grounded, ground, in_span, instantiate,
+                   make_structure, nullspace, parse, parse_predicate,
                    place_invariants, transition_invariants)
 from hknet import analysis
 
-from support import rational_in_span, rational_nullspace
+from support import rational_in_span, rational_nullspace, structure_text
 
 
 def test_ground_expands_free_tables_per_carrier(sys0):
@@ -255,6 +255,17 @@ def test_explore_truncates_at_caps(sys0):
     assert len(graph.markings) == 1
     assert graph.edges == ()
     assert graph.truncated
+
+
+def test_a_truncated_search_names_the_cap_it_hit(sys0, sigma0, branch):
+    assert explore(sys0, max_nodes=120, max_edges=1_000_000).truncated_by == "nodes"
+    structure = bind_structure(parse(structure_text(2, 1), "s_2_1.hks").body, sigma0)
+    s_2_1 = instantiate(branch, structure, name="branch_s_2_1")
+    assert explore(s_2_1, max_nodes=100_000, max_edges=400).truncated_by == "edges"
+    full = explore(s_2_1)
+    assert full.truncated_by == "" and not full.truncated
+    assert explore_grounded(ground(s_2_1), max_edges=400).truncated_by == "edges"
+    assert explore_grounded(ground(s_2_1), max_nodes=10).truncated_by == "nodes"
 
 
 def test_explore_edge_count_is_successor_sum(sys_tiny):

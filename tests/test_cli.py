@@ -291,6 +291,15 @@ def test_unreadable_inputs_exit_2_with_one_error_line(workdir, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_file_that_is_not_utf8_is_named_in_the_error(workdir, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.hk"
+    latin1.write_bytes("module m {\n  places { caf\xe9; }\n}\n".encode("latin-1"))
+    assert run_cli("check", workdir / "s0.hks", latin1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{workdir / 's0.hks'}: ok (structure)\n"
+    assert captured.err == f"error: {latin1}:2:15: not UTF-8 text: cannot decode byte 0xe9\n"
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("simulate", "--steps", "-3", "must not be negative: -3"),
     ("reach", "--max-nodes", "-1", "must not be negative: -1"),
