@@ -420,11 +420,11 @@ def canonicalize(m: Module) -> Module:
 
 
 def automorphisms(m: Module) -> list[dict[str, str]]:
-    """Generators of automorphisms of ``m``, as maps of inner ids, found by
-    the search under :func:`canonicalize`.  Every map keeps kinds,
-    decorations, arcs and interface labels.  The generators that fix the
-    first leaf's path up to any depth generate that path's pointwise
-    stabiliser, so they generate the whole group."""
+    """The automorphisms of ``m`` that the search under :func:`canonicalize`
+    found, as maps of inner ids.  Each keeps kinds, decorations, arcs and
+    interface labels; together they generate the group the search prunes
+    by, a subgroup of all automorphisms (all of them for interchangeable
+    places, see the tests).  For symmetry reduction."""
     ids, _, decor, edges = _module_graph(_normalize_module(m))
     if not ids:
         return []
@@ -689,8 +689,7 @@ def _canonical_search(decor_rank: list[int], arcs, outs, ins):
                     continue
             explored.append(v)
             trial, trial_cells = color[:], dict(cells)
-            rest = trial_cells.pop(target)
-            rest = [u for u in rest if u != v]
+            rest = [u for u in trial_cells.pop(target) if u != v]
             trial[v] = -1 - depth
             for u in rest:
                 trial[u] = target + 1
