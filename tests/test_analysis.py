@@ -53,6 +53,33 @@ def test_ground_drops_bindings_with_tokens_outside_a_carrier():
     assert [b["x"] for _, b in g.transitions] == [Atom("a")]
 
 
+# sha256(repr((places, transitions, pre, post, incidence, initial)))[:32]
+# of the grounded net, recorded while ground built the dense matrices
+GROUNDED_DIGESTS = {
+    "s0_tiny": "da1f7a901681b4accf857a66574c93b4",  # 14 places, 12 transitions
+    "s0_small": "d1c92a5be839a8fbd9f7e8bb733ffdfb",  # 52, 100
+    "s0": "8a0926c08f0e65760127f45c3989e40d",  # 166, 631
+    "s_2_2": "09d6e86ac923397851de5c287b58953b",  # 52, 100
+}
+
+
+def test_grounded_nets_are_unchanged(sys_tiny, sys_small, sys0, sigma0, branch):
+    structure = bind_structure(parse(structure_text(2, 2), "s_2_2.hks").body, sigma0)
+    systems = {"s0_tiny": sys_tiny, "s0_small": sys_small, "s0": sys0,
+               "s_2_2": instantiate(branch, structure)}
+    for name, system in systems.items():
+        g = ground(system)
+        text = repr((g.places, g.transitions, g.pre, g.post, g.incidence, g.initial))
+        assert hashlib.sha256(text.encode()).hexdigest()[:32] == GROUNDED_DIGESTS[name], name
+
+
+def test_grounded_exploration_counts(sys_tiny, sys_small):
+    for system, counts in ((sys_tiny, (9, 10, 0)), (sys_small, (956, 2448, 0))):
+        graph = explore_grounded(ground(system))
+        assert not graph.truncated
+        assert (len(graph.vectors), len(graph.edges), len(graph.deadlocks)) == counts
+
+
 def failing_inscriptions(monkeypatch, error):
     def failing(*args):
         raise error
