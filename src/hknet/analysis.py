@@ -31,28 +31,38 @@ from .values import Value, render_value
 
 @dataclass(frozen=True)
 class GroundedNet:
-    """Elementary place/transition view of one instantiation."""
+    """Elementary place/transition view of one instantiation, kept by
+    column: ``pre_columns[t]`` and ``post_columns[t]`` map the index of each
+    place that transition ``t`` consumes from or produces on to its nonzero
+    count.  The dense places x transitions views are derived on first use."""
 
     places: tuple[tuple[str, Value], ...]
     transitions: tuple[tuple[str, Binding], ...]
-    pre: tuple[tuple[int, ...], ...]   # places x transitions
-    post: tuple[tuple[int, ...], ...]  # places x transitions
+    pre_columns: tuple[dict[int, int], ...]
+    post_columns: tuple[dict[int, int], ...]
     initial: tuple[int, ...]
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(b - a for a, b in zip(pre_row, post_row))
-                     for pre_row, post_row in zip(self.pre, self.post))
-
-    @cached_property
-    def pre_columns(self) -> tuple[dict[int, int], ...]:
-        """Per transition, the tokens it consumes: {place index: count}."""
-        return tuple(map(_sparse, _transpose(self.pre, len(self.transitions))))
 
     @cached_property
     def incidence_columns(self) -> tuple[dict[int, int], ...]:
         """Per transition, its nonzero effect: {place index: post - pre}."""
-        return tuple(map(_sparse, _transpose(self.incidence, len(self.transitions))))
+        return tuple({p: n for p in {**pre, **post} if (n := post.get(p, 0) - pre.get(p, 0))}
+                     for pre, post in zip(self.pre_columns, self.post_columns))
+
+    @cached_property
+    def pre(self) -> tuple[tuple[int, ...], ...]:
+        return self._dense(self.pre_columns)
+
+    @cached_property
+    def post(self) -> tuple[tuple[int, ...], ...]:
+        return self._dense(self.post_columns)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        return self._dense(self.incidence_columns)
+
+    def _dense(self, columns: Sequence[dict[int, int]]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(column.get(p, 0) for column in columns)
+                     for p in range(len(self.places)))
 
     def place_label(self, index: int) -> str:
         place, value = self.places[index]
@@ -66,13 +76,17 @@ class GroundedNet:
         return tuple(m.get(place).count(value) for place, value in self.places)
 
 
+def _rows(columns: Sequence[dict[int, int]], height: int) -> tuple[dict[int, int], ...]:
+    """The ``height`` sparse rows of the matrix with sparse ``columns``."""
+    rows: tuple[dict[int, int], ...] = tuple({} for _ in range(height))
+    for j, column in enumerate(columns):
+        for i, n in column.items():
+            rows[i][j] = n
+    return rows
+
+
 def _sparse(row: Iterable[int]) -> dict[int, int]:
     return {c: v for c, v in enumerate(row) if v}
-
-
-def _transpose(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
-    """The ``width`` columns of a dense matrix, also when it has no rows."""
-    return tuple(zip(*rows)) or ((),) * width
 
 
 def ground(sys: System) -> GroundedNet:
@@ -95,9 +109,7 @@ def ground(sys: System) -> GroundedNet:
             places.append((p.name, v))
     place_index = {pv: i for i, pv in enumerate(places)}
 
-    transitions: list[tuple[str, Binding]] = []
-    pre_cols: list[dict[int, int]] = []   # per transition, {place index: count}
-    post_cols: list[dict[int, int]] = []
+    kept: list[tuple[tuple[str, Binding], dict[int, int], dict[int, int]]] = []
     for t in sorted(net.transitions, key=lambda t: t.name):
         for b in enumerate_bindings(t.variables or (), s):
             try:
@@ -110,22 +122,11 @@ def ground(sys: System) -> GroundedNet:
                           for v, n in counts.items()} for tokens in (consumed, produced))
             if None in pre or None in post:
                 continue  # a token outside its place's carrier
-            transitions.append((t.name, b))
-            pre_cols.append(pre)
-            post_cols.append(post)
+            kept.append(((t.name, b), pre, post))
 
     initial = tuple(sys.initial.get(place).count(value) for place, value in places)
-    return GroundedNet(tuple(places), tuple(transitions), _rows(pre_cols, len(places)),
-                       _rows(post_cols, len(places)), initial)
-
-
-def _rows(columns: list[dict[int, int]], height: int) -> tuple[tuple[int, ...], ...]:
-    """The dense ``height`` x ``len(columns)`` matrix of sparse columns."""
-    rows = [[0] * len(columns) for _ in range(height)]
-    for j, column in enumerate(columns):
-        for i, n in column.items():
-            rows[i][j] = n
-    return tuple(map(tuple, rows))
+    transitions, pre_cols, post_cols = (tuple(k[i] for k in kept) for i in range(3))
+    return GroundedNet(tuple(places), transitions, pre_cols, post_cols, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +173,14 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int
 
 
 def nullspace(matrix: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Integer basis of {x : matrix @ x = 0} for a matrix with ``width``
-    columns: one vector per free column of its reduced row-echelon form,
-    scaled to coprime integers with a positive first nonzero entry.
-    """
-    pivots = _rref(_sparse(row) for row in matrix)
+    """Integer basis of {x : matrix @ x = 0} for a dense matrix of ``width`` columns."""
+    return _basis(_rref(_sparse(row) for row in matrix), width)
+
+
+def _basis(pivots: dict[int, dict[int, int]], width: int) -> list[tuple[int, ...]]:
+    """The null-space basis read off a reduced row-echelon form: one
+    vector per free column, scaled to coprime integers with a positive
+    first nonzero entry."""
     basis: list[tuple[int, ...]] = []
     for free in range(width):
         if free in pivots:
@@ -195,22 +199,21 @@ def nullspace(matrix: Sequence[Sequence[int]], width: int) -> list[tuple[int, ..
 
 def place_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {i : i^T C = 0}; each vector is re-verified."""
-    basis = nullspace(_transpose(g.incidence, len(g.transitions)), len(g.places))
-    _verify("place", basis, [_sparse(row) for row in g.incidence])
-    return basis
+    return _invariants("place", g.incidence_columns, len(g.places))
 
 
 def transition_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {j : C j = 0}; each vector is re-verified."""
-    basis = nullspace(g.incidence, len(g.transitions))
-    _verify("transition", basis, g.incidence_columns)
-    return basis
+    return _invariants("transition", _rows(g.incidence_columns, len(g.places)),
+                       len(g.transitions))
 
 
-def _verify(kind: str, basis: Sequence[Sequence[int]],
-            columns: Sequence[dict[int, int]]) -> None:
-    """Raise unless ``matrix @ vec = 0`` for every basis vector, where
-    ``columns[k]`` is the sparse column ``k`` of the matrix."""
+def _invariants(kind: str, rows: Sequence[dict[int, int]],
+                width: int) -> list[tuple[int, ...]]:
+    """Integer basis of {x : M x = 0} for M of sparse ``rows`` and ``width`` columns;
+    each vector is re-verified by summing ``columns[k] * x`` over its ``x != 0``."""
+    basis = _basis(_rref(rows), width)
+    columns = _rows(rows, width)
     for i, vec in enumerate(basis):
         total: dict[int, int] = {}
         for k, x in enumerate(vec):
@@ -220,6 +223,7 @@ def _verify(kind: str, basis: Sequence[Sequence[int]],
         if any(total.values()):
             raise ModelError(
                 f"{kind} invariant {i} is not in the null-space of the incidence matrix")
+    return basis
 
 
 def in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
@@ -241,10 +245,6 @@ class ReachabilityGraph:
     predicate_hits: tuple[int, ...]
     # the cap hit first, "nodes" or "edges", or ""
     truncated_by: str = field(default="", repr=False)
-
-    @property
-    def root(self) -> int:
-        return 0
 
 
 def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,

@@ -252,8 +252,8 @@ def test_transition_invariants_of_acyclic_net_are_trivial():
 def test_invariant_self_check_rejects_a_wrong_basis(monkeypatch):
     # a first unit vector is in neither null-space of C = (-1, 1)^T
     g = ground_line()
-    monkeypatch.setattr(analysis, "nullspace",
-                        lambda matrix, width: [(1,) + (0,) * (width - 1)])
+    monkeypatch.setattr(analysis, "_basis",
+                        lambda pivots, width: [(1,) + (0,) * (width - 1)])
     with pytest.raises(ModelError, match="place invariant 0 "):
         place_invariants(g)
     with pytest.raises(ModelError, match="transition invariant 0 "):
