@@ -13,6 +13,7 @@ import argparse
 import sys
 from functools import reduce
 from pathlib import Path
+from typing import Any
 
 from .analysis import explore, ground, place_invariants, transition_invariants
 from .dot import export_dot
@@ -40,17 +41,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ModelError) as exc:
+        return _report(exc)
+
+
+def _report(exc: OSError | ModelError) -> int:
+    """Print ``exc`` as an ``error:`` line, with caret lines under the span
+    of a parse error, and return its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, ParseError):
         for line in _caret_lines(exc):
             print(line, file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
+    return USAGE_ERROR if isinstance(exc, (OSError, ParseError)) else VALIDATION_ERROR
 
 
 def _caret_lines(exc: ParseError) -> list[str]:
@@ -165,30 +167,27 @@ def load_document(path: str | Path) -> ModelDocument:
     return parse(_read_source(path), str(path))
 
 
-def _expect_kind(doc: ModelDocument, kind: str, path: str | Path) -> None:
+def _load(path: str | Path, kind: str) -> Any:
+    """The body of the document at ``path``, which must be a ``kind`` document."""
+    doc = load_document(path)
     if doc.kind != kind:
         raise ModelError(f"{path}: expected a {kind} document, found {doc.kind}")
+    return doc.body
 
 
 def _find_signature(sig_name: str, near: Path, explicit: str | None) -> Signature:
     if explicit:
-        doc = load_document(explicit)
-        _expect_kind(doc, "signature", explicit)
-        return doc.body  # type: ignore[return-value]
+        return _load(explicit, "signature")
     candidate = near.parent / f"{sig_name}.hksig"
     if not candidate.exists():
         raise FileNotFoundError(
             f"cannot resolve signature {sig_name!r}: no {candidate} "
             "(use --sig to point at the signature file)")
-    doc = load_document(candidate)
-    _expect_kind(doc, "signature", candidate)
-    return doc.body  # type: ignore[return-value]
+    return _load(candidate, "signature")
 
 
 def load_system_file(path: str | Path) -> System:
-    doc = load_document(path)
-    _expect_kind(doc, "system", path)
-    body = doc.body
+    body = _load(path, "system")
     structure = bind_structure(body.structure, body.signature)
     system = instantiate(body.module, structure, name=body.name)
     if system.initial != body.marking:
@@ -216,44 +215,50 @@ def _write_output(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    failures = 0
+    """Check every file; exit 2 if one could not be read or parsed, else 1
+    if one failed validation."""
+    status = 0
     for name in args.files:
-        doc = load_document(name)
-        problems = []
-        if doc.kind == "structure":
-            body = doc.body
-            sig = _find_signature(body.sig_name, Path(name), args.sig)
-            structure = bind_structure(body, sig)
-            problems = validate_structure(sig, structure)
-        elif doc.kind == "module":
-            module = doc.body
-            problems = list(interface_violations(module))
-            if module.sig:
-                try:
-                    sig = _find_signature(module.sig, Path(name), args.sig)
-                except FileNotFoundError:
-                    sig = None
-                    print(f"{name}: note: signature {module.sig!r} not found "
-                          "nearby, syntactic check only")
-                if sig is not None and isinstance(module.inner, SchematicNet):
-                    problems += check_net(module.inner, sig)
-        elif doc.kind == "system":
-            load_system_file(name)
-        if problems:
-            failures += 1
-            for v in problems:
-                print(f"{name}: {v}")
-        else:
-            print(f"{name}: ok ({doc.kind})")
-    return VALIDATION_ERROR if failures else 0
+        try:
+            code = _check_file(name, args.sig)
+        except (OSError, ModelError) as exc:
+            code = _report(exc)
+        status = max(status, code)
+    return status
+
+
+def _check_file(name: str, explicit_sig: str | None) -> int:
+    doc = load_document(name)
+    problems = []
+    if doc.kind == "structure":
+        body = doc.body
+        sig = _find_signature(body.sig_name, Path(name), explicit_sig)
+        structure = bind_structure(body, sig)
+        problems = validate_structure(sig, structure)
+    elif doc.kind == "module":
+        module = doc.body
+        problems = list(interface_violations(module))
+        if module.sig:
+            try:
+                sig = _find_signature(module.sig, Path(name), explicit_sig)
+            except FileNotFoundError:
+                sig = None
+                print(f"{name}: note: signature {module.sig!r} not found "
+                      "nearby, syntactic check only")
+            if sig is not None and isinstance(module.inner, SchematicNet):
+                problems += check_net(module.inner, sig)
+    elif doc.kind == "system":
+        load_system_file(name)
+    for v in problems:
+        print(f"{name}: {v}")
+    if problems:
+        return VALIDATION_ERROR
+    print(f"{name}: ok ({doc.kind})")
+    return 0
 
 
 def _cmd_compose(args) -> int:
-    modules = []
-    for name in args.files:
-        doc = load_document(name)
-        _expect_kind(doc, "module", name)
-        modules.append(doc.body)
+    modules = [_load(name, "module") for name in args.files]
     result = compose_all(modules)
     if args.output:
         result = Module(Path(args.output).stem, result.sig, result.inner,
@@ -271,14 +276,11 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_instantiate(args) -> int:
-    module_doc = load_document(args.module)
-    _expect_kind(module_doc, "module", args.module)
-    struct_doc = load_document(args.structure)
-    _expect_kind(struct_doc, "structure", args.structure)
-    body = struct_doc.body
+    module = _load(args.module, "module")
+    body = _load(args.structure, "structure")
     sig = _find_signature(body.sig_name, Path(args.structure), args.sig)
     structure = bind_structure(body, sig)
-    system = instantiate(module_doc.body, structure, name=args.name)
+    system = instantiate(module, structure, name=args.name)
     _write_output(print_system(_system_to_doc(system)), args.output)
     if args.output:
         print(f"instantiated {system.name}: "
@@ -303,10 +305,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate_run(args) -> int:
-    run_doc = load_document(args.run)
-    _expect_kind(run_doc, "run", args.run)
+    run = _load(args.run, "run")
     system = load_system_file(args.system)
-    problems = validate_run(run_doc.body, system)
+    problems = validate_run(run, system)
     if problems:
         for v in problems:
             print(f"{args.run}: {v}")
@@ -316,11 +317,7 @@ def _cmd_validate_run(args) -> int:
 
 
 def _cmd_compose_runs(args) -> int:
-    runs = []
-    for name in args.files:
-        doc = load_document(name)
-        _expect_kind(doc, "run", name)
-        runs.append(doc.body)
+    runs = [_load(name, "run") for name in args.files]
     result = reduce(compose_runs, runs)
     if args.output:
         result = Module(Path(args.output).stem, result.sig, result.inner,

@@ -711,6 +711,8 @@ def _check_run(run: Module, net: OccurrenceNet) -> None:
                 raise ParseError(
                     f"{side_name} interface exposes unknown node {e.ref!r}",
                     e.span)
+    for v in interface_violations(run):
+        raise ParseError(v.message, v.span)
 
 
 def parse(text: str, filename: str = "<input>") -> ModelDocument:

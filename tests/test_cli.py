@@ -300,6 +300,49 @@ def test_a_file_that_is_not_utf8_is_named_in_the_error(workdir, tmp_path, capsys
     assert captured.err == f"error: {latin1}:2:15: not UTF-8 text: cannot decode byte 0xe9\n"
 
 
+def test_check_goes_on_after_a_file_it_cannot_read(workdir, capsys):
+    latin1 = workdir / "latin1.hk"
+    latin1.write_bytes("module m {\n  places { caf\xe9; }\n}\n".encode("latin-1"))
+    assert run_cli("check", latin1, workdir / "s0.hks") == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{workdir / 's0.hks'}: ok (structure)\n"
+    assert captured.err == f"error: {latin1}:2:15: not UTF-8 text: cannot decode byte 0xe9\n"
+
+
+def test_check_reports_every_failing_file_and_exits_with_the_worst(workdir, capsys):
+    bad = workdir / "bad.hk"
+    bad.write_text("module broken {\n  places { p q; }\n}\n")
+    system = build_system(workdir)
+    edited = workdir / "edited.hksys"
+    edited.write_text(system.read_text().replace(
+        "free_tables: t1, t2, t3, t4;", "free_tables: t1, t2, t3;"))
+    capsys.readouterr()
+    # a failed validation alone exits 1, and later files are still checked
+    assert run_cli("check", edited, workdir / "entry.hk") == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{workdir / 'entry.hk'}: ok (module)\n"
+    assert captured.err.startswith(f"error: {edited}: the marking block")
+    # a parse error keeps its caret lines and outranks the failed validation
+    assert run_cli("check", bad, edited, workdir / "s0.hks") == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{workdir / 's0.hks'}: ok (structure)\n"
+    err = captured.err.splitlines()
+    assert err[0].startswith(f"error: {bad}:2:")
+    assert err[1] == "    places { p q; }"
+    assert "^" in err[2]
+    assert err[3].startswith(f"error: {edited}: the marking block")
+    assert len(err) == 4
+
+
+def test_check_rejects_a_run_interface_of_the_wrong_kind(workdir, capsys):
+    run = workdir / "kinds.hkrun"
+    run.write_text("run r { conditions { b1 = p a; } right { trans x = b1; } }\n")
+    assert run_cli("check", run) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {run}:1:48: right interface exposes 'b1' as transition, "
+        "but it is a place\n")
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("simulate", "--steps", "-3", "must not be negative: -3"),
     ("reach", "--max-nodes", "-1", "must not be negative: -1"),

@@ -162,7 +162,7 @@ HAND_WRITTEN = [
     ('document', 'run r { conditions { b1 = p a; } left { place x = b2; } }',
      "error m.hk:1:47: left interface exposes unknown node 'b2' (to 1:48)"),
     ('document', 'run r { conditions { b1 = p a; } right { trans x = b1; } }',
-     'ok print=662ab4f1b33f2f79 spans=9006bbac76a3f881'),
+     "error m.hk:1:48: right interface exposes 'b1' as transition, but it is a place (to 1:49)"),
     ('document', 'run r of sys { conditions { b1 = p (a, {b, c}); } events { e1 = t [x=a]; } flow { b1 -> e1; } left { place "in put" = b1; } }',
      'ok print=071313ba011007ef spans=eaa4132011c61e29'),
     ('document', 'module m { left { place "a\\"b" = p; } places { p; } }',
