@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from hknet import (CompositionError, InterfaceElement, Module,
-                   Place, SchematicNet, SortName, Transition, canonical_equal,
+from hknet import (Atom, Binding, CompositionError, Condition, Event,
+                   InterfaceElement, Module, OccurrenceNet, Place, SchematicNet,
+                   SortName, Transition, canonical_equal,
                    canonicalize, compose, empty_module, interface_of,
                    interface_violations, rename_elements)
 from hknet.modules import PLACE, TRANSITION
@@ -72,7 +73,8 @@ def test_mismatched_sorts_refuse_to_fuse():
                right=(InterfaceElement(PLACE, "x", "p"),))
     b = Module("b", "", SchematicNet(places=(Place("p", SortName("T")),)),
                left=(InterfaceElement(PLACE, "x", "p"),))
-    with pytest.raises(CompositionError, match="incompatible sorts"):
+    with pytest.raises(CompositionError,
+                       match=r"^fused place 'p' has incompatible sorts S and T$"):
         compose(a, b)
 
 
@@ -95,8 +97,29 @@ def test_fused_transition_merges_free_variables():
     fused = compose(a, b).inner.transition("t")
     assert fused.free == (("x", SortName("A")), ("y", SortName("B")))
     clash = module("c", "left", (("x", SortName("B")),))
-    with pytest.raises(CompositionError, match="free variable 'x' with two different sorts"):
+    with pytest.raises(CompositionError, match=r"^fused transition 't' declares free "
+                       r"variable 'x' with two different sorts$"):
         compose(a, clash)
+
+
+def twice(node) -> tuple:
+    return (node, node)
+
+
+@pytest.mark.parametrize("a_inner, b_inner, what, name", [
+    (SchematicNet(places=(Place("x"),)),
+     SchematicNet(places=twice(Place("q"))), "place", "q"),
+    (SchematicNet(transitions=(Transition("x"),)),
+     SchematicNet(transitions=twice(Transition("u"))), "transition", "u"),
+    (OccurrenceNet(conditions=(Condition("x", "p", Atom("v")),)),
+     OccurrenceNet(conditions=twice(Condition("c", "p", Atom("v")))), "condition", "c"),
+    (OccurrenceNet(events=(Event("x", "t", Binding({})),)),
+     OccurrenceNet(events=twice(Event("e", "t", Binding({})))), "event", "e"),
+])
+def test_unfused_shared_ids_collide(a_inner, b_inner, what, name):
+    # only a module built through the API can hold two equally named nodes
+    with pytest.raises(CompositionError, match=rf"^id collision on {what} '{name}'$"):
+        compose(Module("a", "", a_inner), Module("b", "", b_inner))
 
 
 def test_duplicate_result_labels_rejected():

@@ -1,17 +1,19 @@
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
-                   Ident, ModelError, Module, Multiset, Place, SchematicNet,
-                   SchedulingPolicy, ScriptError, SetValue, Signature, SortName,
-                   Transition, canonical_equal, compose_runs, empty_run, final_cut,
-                   find_event, initial_cut, instantiate, linearize,
-                   make_structure, ordered, print_run, random_policy,
+                   Ident, InterfaceElement, ModelError, Module, Multiset, Place,
+                   SchematicNet, SchedulingPolicy, ScriptError, SetValue, Signature,
+                   SortName, Transition, canonical_equal, compose, compose_runs,
+                   empty_run, final_cut, find_event, initial_cut, instantiate,
+                   linearize, make_structure, ordered, print_run, random_policy,
                    render_binding, scripted_policy, simulate, validate_run)
 from hknet import nets
+from hknet.modules import TRANSITION
 from hknet.nets import OccurrenceNet
 
 from support import (digest, reference_linearize, replay, scan_condition,
@@ -325,6 +327,17 @@ def test_fused_conditions_must_agree_on_values(a0_segments):
         changed, inner.events, inner.flow), middle.left, middle.right)
     with pytest.raises(CompositionError, match="disagree"):
         compose_runs(begin, tampered)
+
+
+def test_fused_events_must_agree_on_bindings():
+    def exposing(side: str, node: str, value: str) -> Module:
+        event = Event(node, "t", Binding({"x": Atom(value)}))
+        return Module(node, "", OccurrenceNet(events=(event,)),
+                      **{side: (InterfaceElement(TRANSITION, "u", node),)})
+
+    with pytest.raises(CompositionError,
+                       match=re.escape("fused events 'e' disagree: t[x=v] vs t[x=w]")):
+        compose(exposing("right", "e", "v"), exposing("left", "f", "w"))
 
 
 def test_composing_runs_must_not_branch():
