@@ -18,7 +18,7 @@ from typing import Any
 from .analysis import explore, ground, place_invariants, transition_invariants
 from .dot import export_dot
 from .errors import ModelError, ParseError
-from .modules import Module, compose_all, interface_violations
+from .modules import Module, compose_all
 from .nets import SchematicNet, check_net
 from .parser import (ModelDocument, SystemDoc, bind_structure,
                      parse, parse_predicate, parse_script, structure_to_doc)
@@ -187,7 +187,11 @@ def _find_signature(sig_name: str, near: Path, explicit: str | None) -> Signatur
 
 
 def load_system_file(path: str | Path) -> System:
-    body = _load(path, "system")
+    return _system_of(_load(path, "system"), path)
+
+
+def _system_of(body: SystemDoc, path: str | Path) -> System:
+    """The system a parsed system document at ``path`` describes."""
     structure = bind_structure(body.structure, body.signature)
     system = instantiate(body.module, structure, name=body.name)
     if system.initial != body.marking:
@@ -237,7 +241,6 @@ def _check_file(name: str, explicit_sig: str | None) -> int:
         problems = validate_structure(sig, structure)
     elif doc.kind == "module":
         module = doc.body
-        problems = list(interface_violations(module))
         if module.sig:
             try:
                 sig = _find_signature(module.sig, Path(name), explicit_sig)
@@ -248,7 +251,7 @@ def _check_file(name: str, explicit_sig: str | None) -> int:
             if sig is not None and isinstance(module.inner, SchematicNet):
                 problems += check_net(module.inner, sig)
     elif doc.kind == "system":
-        load_system_file(name)
+        _system_of(doc.body, name)
     for v in problems:
         print(f"{name}: {v}")
     if problems:
@@ -375,7 +378,7 @@ def _cmd_reach(args) -> int:
 def _cmd_export(args) -> int:
     doc = load_document(args.file)
     if doc.kind == "system":
-        entity: Module | System = load_system_file(args.file)
+        entity: Module | System = _system_of(doc.body, args.file)
     elif doc.kind in ("module", "run"):
         entity = doc.body  # type: ignore[assignment]
     else:

@@ -22,6 +22,8 @@ identifiers into a form that is equal for exactly the isomorphic modules
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import CompositionError, Violation
@@ -30,7 +32,7 @@ from .nets import (Arc, Condition, Event, OccurrenceNet, Place, SchematicNet,
 from .signature import render_sort
 from .spans import SourceSpan
 from .terms import (App, Elm, GuardAtom, SetTerm, TupleTerm, canonical_guard,
-                    conjoin, render_binding, render_term)
+                    canonical_terms, conjoin, render_binding, render_term)
 from .values import render_value
 
 PLACE = "place"
@@ -235,38 +237,37 @@ def compose(a: Module, b: Module) -> Module:
                   tuple(left), tuple(right))
 
 
+def _union(what: str, mine, theirs, fused: set[str], fuse, key) -> tuple:
+    """The elements of ``mine`` and ``theirs`` in id order: a fused id joins
+    through ``fuse``, any other id on both sides is a collision."""
+    union = {key(x): x for x in mine}
+    for x in theirs:
+        k = key(x)
+        if k not in union:
+            union[k] = x
+        elif k in fused:
+            union[k] = fuse(union[k], x)
+        else:
+            raise CompositionError(f"id collision on {what} {k!r}")
+    return tuple(union[k] for k in sorted(union))
+
+
 def _merge_schematic(a: SchematicNet, b: SchematicNet,
                      fused: set[str]) -> SchematicNet:
-    places: dict[str, Place] = {p.name: p for p in a.places}
-    for p in b.places:
-        if p.name in fused and p.name in places:
-            places[p.name] = _fuse_places(places[p.name], p)
-        elif p.name in places:
-            raise CompositionError(f"id collision on place {p.name!r}")
-        else:
-            places[p.name] = p
-    transitions: dict[str, Transition] = {t.name: t for t in a.transitions}
-    for t in b.transitions:
-        if t.name in fused and t.name in transitions:
-            transitions[t.name] = _fuse_transitions(transitions[t.name], t)
-        elif t.name in transitions:
-            raise CompositionError(f"id collision on transition {t.name!r}")
-        else:
-            transitions[t.name] = t
+    name = attrgetter("name")
+    places = _union("place", a.places, b.places, fused, _fuse_places, name)
+    transitions = _union("transition", a.transitions, b.transitions, fused,
+                         _fuse_transitions, name)
+    # every shared arc merges: an arc between fused nodes unites inscriptions
     arcs: dict[tuple[str, str], Arc] = {(x.source, x.target): x for x in a.arcs}
     for x in b.arcs:
         key = (x.source, x.target)
         if key in arcs:
-            merged = tuple(sorted(arcs[key].inscription + x.inscription,
-                                  key=render_term))
+            merged = canonical_terms(arcs[key].inscription + x.inscription)
             arcs[key] = replace(arcs[key], inscription=merged)
         else:
             arcs[key] = x
-    return SchematicNet(
-        places=tuple(sorted(places.values(), key=lambda p: p.name)),
-        transitions=tuple(sorted(transitions.values(), key=lambda t: t.name)),
-        arcs=tuple(sorted(arcs.values(), key=lambda x: (x.source, x.target))),
-    )
+    return SchematicNet(places, transitions, tuple(arcs[k] for k in sorted(arcs)))
 
 
 def _fuse_places(p: Place, q: Place) -> Place:
@@ -278,8 +279,7 @@ def _fuse_places(p: Place, q: Place) -> Place:
         raise CompositionError(
             f"fused place {p.name!r} has incompatible sorts "
             f"{render_sort(p.sort)} and {render_sort(q.sort)}")
-    init = tuple(sorted(p.init + q.init, key=render_term))
-    return Place(p.name, sort, init)
+    return Place(p.name, sort, canonical_terms(p.init + q.init))
 
 
 def _fuse_transitions(t: Transition, u: Transition) -> Transition:
@@ -294,39 +294,32 @@ def _fuse_transitions(t: Transition, u: Transition) -> Transition:
     return Transition(t.name, guard, tuple(sorted(free.items())))  # type: ignore[arg-type]
 
 
+def _fuse_conditions(c: Condition, d: Condition) -> Condition:
+    if c.place != d.place or c.value != d.value:
+        raise CompositionError(
+            f"fused conditions {c.id!r} disagree: "
+            f"({c.place}, {render_value(c.value)}) vs "
+            f"({d.place}, {render_value(d.value)})")
+    return c
+
+
+def _fuse_events(e: Event, f: Event) -> Event:
+    if e.transition != f.transition or e.binding != f.binding:
+        raise CompositionError(
+            f"fused events {e.id!r} disagree: "
+            f"{e.transition}{render_binding(e.binding)} vs "
+            f"{f.transition}{render_binding(f.binding)}")
+    return e
+
+
 def _merge_occurrence(a: OccurrenceNet, b: OccurrenceNet,
                       fused: set[str]) -> OccurrenceNet:
-    conditions: dict[str, Condition] = {c.id: c for c in a.conditions}
-    for c in b.conditions:
-        if c.id in fused and c.id in conditions:
-            old = conditions[c.id]
-            if old.place != c.place or old.value != c.value:
-                raise CompositionError(
-                    f"fused conditions {c.id!r} disagree: "
-                    f"({old.place}, {render_value(old.value)}) vs "
-                    f"({c.place}, {render_value(c.value)})")
-        elif c.id in conditions:
-            raise CompositionError(f"id collision on condition {c.id!r}")
-        else:
-            conditions[c.id] = c
-    events: dict[str, Event] = {e.id: e for e in a.events}
-    for e in b.events:
-        if e.id in fused and e.id in events:
-            old = events[e.id]
-            if old.transition != e.transition or old.binding != e.binding:
-                raise CompositionError(
-                    f"fused events {e.id!r} disagree: "
-                    f"{old.transition}{render_binding(old.binding)} vs "
-                    f"{e.transition}{render_binding(e.binding)}")
-        elif e.id in events:
-            raise CompositionError(f"id collision on event {e.id!r}")
-        else:
-            events[e.id] = e
-    flow = tuple(sorted(set(a.flow) | set(b.flow)))
+    node_id = attrgetter("id")
     return OccurrenceNet(
-        conditions=tuple(sorted(conditions.values(), key=lambda c: c.id)),
-        events=tuple(sorted(events.values(), key=lambda e: e.id)),
-        flow=flow,
+        _union("condition", a.conditions, b.conditions, fused, _fuse_conditions,
+               node_id),
+        _union("event", a.events, b.events, fused, _fuse_events, node_id),
+        tuple(sorted(set(a.flow) | set(b.flow))),
     )
 
 
@@ -369,15 +362,16 @@ def canonicalize(m: Module) -> Module:
     reaching it stay the same.  Idempotent.
     """
     m = _normalize_module(m)
-    ids, kinds, decor, edges = _module_graph(m)
-    left = tuple(sorted(m.left, key=_interface_key))
-    right = tuple(sorted(m.right, key=_interface_key))
+    ids, kinds, graph = _labelling_graph(m)
+    by_label = attrgetter("kind", "label")
+    left = tuple(sorted(m.left, key=by_label))
+    right = tuple(sorted(m.right, key=by_label))
     inner = m.inner
     if not ids:
         base = SchematicNet() if isinstance(inner, SchematicNet) else OccurrenceNet()
         return Module("_", "", base, left, right)
 
-    order, _ = _canonical_search(*_labelling_graph(ids, decor, edges))
+    order, _ = _canonical_search(*graph)
     run = m.is_run()
     prefix = {PLACE: "b" if run else "p", TRANSITION: "e" if run else "t"}
     counts = {PLACE: 0, TRANSITION: 0}
@@ -425,10 +419,8 @@ def automorphisms(m: Module) -> list[dict[str, str]]:
     interface labels; together they generate the group the search prunes
     by, a subgroup of all automorphisms (all of them for interchangeable
     places, see the tests).  For symmetry reduction."""
-    ids, _, decor, edges = _module_graph(_normalize_module(m))
-    if not ids:
-        return []
-    _, generators = _canonical_search(*_labelling_graph(ids, decor, edges))
+    ids, _, graph = _labelling_graph(_normalize_module(m))
+    _, generators = _canonical_search(*graph)
     return [{ids[v]: ids[w] for v, w in enumerate(g)} for g in generators]
 
 
@@ -439,9 +431,7 @@ def canonical_equal(a: Module, b: Module) -> bool:
 def _normalize_term(t):
     """Sort set-literal elements; the rest of the term is order-rigid."""
     if isinstance(t, SetTerm):
-        elements = tuple(sorted((_normalize_term(e) for e in t.elements),
-                                key=render_term))
-        return SetTerm(elements)
+        return SetTerm(canonical_terms(map(_normalize_term, t.elements)))
     if isinstance(t, TupleTerm):
         return TupleTerm(tuple(_normalize_term(e) for e in t.items))
     if isinstance(t, App):
@@ -451,15 +441,11 @@ def _normalize_term(t):
     return t
 
 
-def _normalize_terms(terms) -> tuple:
-    return tuple(sorted((_normalize_term(t) for t in terms), key=render_term))
-
-
 def _normalize_module(m: Module) -> Module:
     inner = m.inner
     if not isinstance(inner, SchematicNet):
         return m
-    places = tuple(replace(p, init=_normalize_terms(p.init))
+    places = tuple(replace(p, init=canonical_terms(map(_normalize_term, p.init)))
                    for p in inner.places)
     transitions = []
     for t in inner.transitions:
@@ -467,28 +453,27 @@ def _normalize_module(m: Module) -> Module:
             GuardAtom(a.op, _normalize_term(a.left), _normalize_term(a.right))
             for a in t.guard.atoms)
         transitions.append(replace(t, guard=guard, free=tuple(sorted(t.free))))
-    arcs = tuple(replace(a, inscription=_normalize_terms(a.inscription))
+    arcs = tuple(replace(a, inscription=canonical_terms(map(_normalize_term, a.inscription)))
                  for a in inner.arcs)
     return Module(m.name, m.sig,
                   SchematicNet(places, tuple(transitions), arcs),
                   m.left, m.right)
 
 
-def _interface_key(e: InterfaceElement) -> tuple[str, str]:
-    return (e.kind, e.label)
+def _labelling_graph(m: Module):
+    """The id-free graph that canonical labelling reads, in one pass: the
+    node ids in order (node ``i`` stands for ``ids[i]``), each id's kind,
+    and for :func:`_canonical_search` each node's decoration rank, the
+    edges as ``(source, target, label rank)``, and per node its out- and
+    in-neighbours as ``(base, neighbour)``.
 
-
-def _module_graph(m: Module):
-    """Id-free node decorations and labelled edges for canonical labeling:
-    the node ids in order, each node's kind and decoration, and the edges
-    ``(source, target, label)`` between nodes."""
+    A decoration renders a node's kind, labels and interface tags; an
+    edge label renders its inscription.  Ranks follow the order of these
+    strings.  A node's colour lies in ``[-n, n)``, so ``base + colour``
+    with ``base = label * (2n + 1) + n`` orders the neighbours of one node
+    as ``(label, colour)`` pairs do."""
     decor: dict[str, str] = {}
     kinds: dict[str, str] = {}
-    anchors: dict[str, list[str]] = {}
-    for side_name, side in (("L", m.left), ("R", m.right)):
-        for e in side:
-            anchors.setdefault(e.ref, []).append(f"{side_name}:{e.kind}:{e.label}")
-
     inner = m.inner
     if isinstance(inner, SchematicNet):
         for p in inner.places:
@@ -503,9 +488,9 @@ def _module_graph(m: Module):
             free = ",".join(f"{n}:{render_sort(s)}" for n, s in sorted(t.free))
             decor[t.name] = f"trans|{guard}|{free}"
             kinds[t.name] = TRANSITION
-        edges = [(a.source, a.target,
-                  ",".join(sorted(render_term(t) for t in a.inscription)))
-                 for a in inner.arcs]
+        labelled = ((a.source, a.target,
+                     ",".join(sorted(render_term(t) for t in a.inscription)))
+                    for a in inner.arcs)
     else:
         for c in inner.conditions:
             decor[c.id] = f"cond|{c.place}|{render_value(c.value)}"
@@ -513,36 +498,31 @@ def _module_graph(m: Module):
         for e in inner.events:
             decor[e.id] = f"event|{e.transition}|{render_binding(e.binding)}"
             kinds[e.id] = TRANSITION
-        edges = [(s, t, "") for s, t in inner.flow]
+        labelled = ((s, t, "") for s, t in inner.flow)
 
+    anchors: dict[str, list[str]] = {}
+    for side_name, side in (("L", m.left), ("R", m.right)):
+        for e in side:
+            anchors.setdefault(e.ref, []).append(f"{side_name}:{e.kind}:{e.label}")
     for node, tags in anchors.items():
         if node in decor:
             decor[node] += "|" + ";".join(sorted(tags))
-    edges = [e for e in edges if e[0] in decor and e[1] in decor]
-    return sorted(decor), kinds, decor, edges
 
-
-def _labelling_graph(ids: list[str], decor: dict[str, str],
-                     edges: list[tuple[str, str, str]]):
-    """Node ``i`` stands for ``ids[i]``.  Returns each node's decoration
-    rank, the edges as ``(source, target, label rank)``, and per node its
-    out- and in-neighbours as ``(base, neighbour)``.
-
-    Ranks follow the order of what they stand for.  A node's colour lies
-    in ``[-n, n)``, so ``base + colour`` with ``base = label * (2n + 1) + n``
-    orders the neighbours of one node as ``(label, colour)`` pairs do."""
+    ids = sorted(decor)
     n = len(ids)
     index = {node: i for i, node in enumerate(ids)}
+    edges = [(index[s], index[t], label) for s, t, label in labelled
+             if s in index and t in index]
     ranks = {d: r for r, d in enumerate(sorted(set(decor.values())))}
     labels = {label: r for r, label in enumerate(sorted({e[2] for e in edges}))}
-    arcs = [(index[s], index[t], labels[label]) for s, t, label in edges]
+    arcs = [(s, t, labels[label]) for s, t, label in edges]
     outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, t, label in arcs:
         base = label * (2 * n + 1) + n
         outs[s].append((base, t))
         ins[t].append((base, s))
-    return [ranks[decor[node]] for node in ids], arcs, outs, ins
+    return ids, kinds, ([ranks[decor[node]] for node in ids], arcs, outs, ins)
 
 
 def _refine(color: list[int], cells: dict[int, list[int]], changed,
@@ -618,21 +598,18 @@ def _canonical_search(decor_rank: list[int], arcs, outs, ins):
     the current path is skipped.  When ``gamma`` maps the earlier leaf's
     path onto the new leaf's, the subtree where the two paths part is
     ``gamma``'s image of one already searched, and the search returns to
-    the node where they part."""
+    the node where they part.
+
+    The search does not recurse: ``stack[d]`` holds the tree node at
+    depth ``d`` on the current path as its suspended ``children`` loop,
+    and returning to depth ``r`` drops the entries below ``r``."""
     n = len(decor_rank)
-    color = [0] * n
-    cells: dict[int, list[int]] = {}
-    classes: dict[int, list[int]] = {}
+    classes: list[list[int]] = [[] for _ in range(max(decor_rank, default=-1) + 1)]
     for v, rank in enumerate(decor_rank):
-        classes.setdefault(rank, []).append(v)
-    start = 0
-    for rank in sorted(classes):
-        members = classes[rank]
-        for v in members:
-            color[v] = start
-        if len(members) > 1:
-            cells[start] = members
-        start += len(members)
+        classes[rank].append(v)
+    starts = list(accumulate(map(len, classes), initial=0))  # ranks are 0, 1, ...
+    color = [starts[rank] for rank in decor_rank]
+    cells = {starts[r]: members for r, members in enumerate(classes) if len(members) > 1}
     _refine(color, cells, range(n), outs, ins)
     if not cells:
         return _order(color), []
@@ -661,10 +638,9 @@ def _canonical_search(decor_rank: list[int], arcs, outs, ins):
             return next(d for d, (v, w) in enumerate(zip(known_path, path)) if v != w)
         return len(path)
 
-    def visit(color: list[int], cells: dict[int, list[int]], path: list[int]) -> int:
-        """Search below ``path``; returns the depth to resume at."""
-        if not cells:
-            return leaf(color, path)
+    def children(color: list[int], cells: dict[int, list[int]], path: list[int]):
+        """Each member of the target cell that no explored member maps to,
+        individualised and refined, as ``(colouring, cells, path)``."""
         depth = len(path)
         target = min(cells)
         members = sorted(cells[target])
@@ -696,12 +672,17 @@ def _canonical_search(decor_rank: list[int], arcs, outs, ins):
             if len(rest) > 1:
                 trial_cells[target + 1] = rest
             _refine(trial, trial_cells, [v], outs, ins)
-            resume = visit(trial, trial_cells, path + [v])
-            if resume < depth:
-                return resume
-        return depth
+            yield trial, trial_cells, path + [v]
 
-    visit(color, cells, [])
+    stack = [children(color, cells, [])]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child[1]:
+            stack.append(children(*child))
+        else:
+            del stack[leaf(child[0], child[2]) + 1:]
     return best[1], generators
 
 

@@ -27,7 +27,7 @@ from .signature import (PowSort, Signature, Sort, SortName, Structure,
 from .spans import SourceSpan
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
                     SetTerm, SymbolRef, Term, TupleTerm, Var, add_tokens,
-                    eval_guard, guard_variables, render_term, term_tokens,
+                    canonical_terms, eval_guard, guard_variables, term_tokens,
                     term_variables)
 from .values import Multiset, TupleValue, Value, render_value
 
@@ -385,7 +385,7 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
         variables = tuple((n, s_) for n, s_ in sorted(env.items()) if s_ is not None)
         new_transitions.append(replace(t, guard=guard, variables=variables))
 
-    new_arcs = {key: replace(first, inscription=tuple(sorted(terms, key=render_term)))
+    new_arcs = {key: replace(first, inscription=canonical_terms(terms))
                 for key, (first, terms) in merged.items()}
     # keep arcs that failed endpoint checks so printing stays faithful
     for a in net.arcs:

@@ -71,7 +71,7 @@ from .signature import PowSort, Signature, Sort, SortName, Structure, \
     TupleSort, make_structure, powerset, sort_symbols
 from .spans import SourceSpan
 from .terms import App, Binding, Elm, Guard, GuardAtom, Ident, SetTerm, Term, \
-    TupleTerm, canonical_guard, render_term
+    TupleTerm, canonical_guard, canonical_terms, render_term
 from .values import Atom, Multiset, SetValue, TupleValue, Value
 
 T = TypeVar("T")
@@ -567,7 +567,7 @@ class _Parser:
         sort = self.sort() if self.accept(":") else None
         init: tuple[Term, ...] = ()
         if self.accept("IDENT", "init"):
-            init = tuple(sorted(self.comma_list(self.term), key=render_term))
+            init = canonical_terms(self.comma_list(self.term))
         self.expect(";")
         return Place(name_tok.text, sort, init, span=name_tok.span(self.filename))
 
@@ -601,8 +601,7 @@ class _Parser:
             key = (src_tok.text, tgt)
             if key in merged:
                 inscription = merged[key].inscription + inscription
-            merged[key] = Arc(src_tok.text, tgt,
-                              tuple(sorted(inscription, key=render_term)),
+            merged[key] = Arc(src_tok.text, tgt, canonical_terms(inscription),
                               span=src_tok.span(self.filename))
         self.block(item)
         return list(merged.values())

@@ -97,6 +97,9 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     while steps_taken < policy.step_limit:
         if policy.mode == "script":
             wanted_name, wanted = policy.script[steps_taken]
+            if not net.has_transition(wanted_name):
+                raise ScriptError(f"script step {steps_taken + 1}: "
+                                  f"no transition {wanted_name!r}")
             matches = [(wanted_name, b)
                        for b in stepper.enabled(marking, wanted_name)
                        if b.extends(wanted)]

@@ -102,6 +102,11 @@ def render_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+def canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """The one order of inscriptions and initial terms: by rendering."""
+    return tuple(sorted(terms, key=render_term))
+
+
 def term_variables(t: Term) -> set[str]:
     """Names of variables (and unresolved identifiers) occurring in t."""
     if isinstance(t, (Var, Ident)):

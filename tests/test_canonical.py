@@ -221,18 +221,44 @@ print(print_run(canonicalize(simulate(system, random_policy(seed=0, steps=250)))
 """
 
 
-def test_canonical_forms_do_not_depend_on_the_hash_seed():
+def run_script(script: str, **env: str) -> bytes:
+    """The standard output of ``script`` in a fresh interpreter that
+    imports hknet from this tree and the test helpers from this folder."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
                                          os.environ.get("PYTHONPATH")]))
-    outputs = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, "-c", HASH_SCRIPT], env=env,
-                              capture_output=True, check=True)
-        outputs.append(done.stdout)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, check=True)
+    return done.stdout
+
+
+def test_canonical_forms_do_not_depend_on_the_hash_seed():
+    outputs = [run_script(HASH_SCRIPT, PYTHONHASHSEED=seed) for seed in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") > 1000
+
+
+# ---------------------------------------------------------------------------
+# Search depth
+# ---------------------------------------------------------------------------
+
+RECURSION_SCRIPT = """
+import sys
+from hknet import canonicalize
+from test_canonical import unconnected_places
+m = unconnected_places(120)
+sys.setrecursionlimit(100)
+print(repr(canonicalize(m)))
+"""
+
+
+def test_the_search_depth_does_not_reach_the_recursion_limit():
+    # the search individualises one of 120 interchangeable places per
+    # level, so a search that recursed per level would need more than 100
+    # frames
+    out = run_script(RECURSION_SCRIPT)
+    assert out.decode().strip() == repr(canonicalize(unconnected_places(120)))
 
 
 if __name__ == "__main__":

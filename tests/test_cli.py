@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hknet import cli
 from hknet.cli import main
 
 from conftest import CORPUS
@@ -227,6 +228,22 @@ def test_export_dot(workdir, capsys):
     capsys.readouterr()
 
 
+def test_check_and_export_parse_a_system_once(workdir, capsys, monkeypatch):
+    system = build_system(workdir)
+    parsed = []
+    parse = cli.parse
+
+    def counting(text, filename):
+        parsed.append(filename)
+        return parse(text, filename)
+
+    monkeypatch.setattr(cli, "parse", counting)
+    assert run_cli("check", system) == 0
+    assert run_cli("export", system, "--dot", "-o", workdir / "branch_s0.dot") == 0
+    assert parsed == [str(system), str(system)]
+    capsys.readouterr()
+
+
 def test_marking_block_mismatch_is_a_validation_error(workdir, capsys):
     system = build_system(workdir)
     text = system.read_text().replace(
@@ -246,6 +263,16 @@ def test_simulate_script_caret_sits_under_the_offending_character(workdir, capsy
     assert err[0] == f"error: {script}:2:13: unexpected character '@'"
     assert err[1] == "      enter c=@ t=t1"
     assert err[2].index("^") == err[1].index("@")
+
+
+def test_simulate_reports_a_script_step_naming_no_transition(workdir, capsys):
+    system = build_system(workdir)
+    script = workdir / "bad.steps"
+    script.write_text("no_such_transition\n")
+    capsys.readouterr()
+    assert run_cli("simulate", system, "--script", script) == 1
+    assert capsys.readouterr().err == \
+        "error: script step 1: no transition 'no_such_transition'\n"
 
 
 def test_check_rejects_a_free_variable_declared_twice(workdir, capsys):

@@ -113,6 +113,13 @@ def test_script_must_be_enabled(sys0):
         simulate(sys0, scripted_policy(steps))
 
 
+def test_script_step_must_name_a_transition(sys0):
+    steps = [("no_such_transition", Binding({}))]
+    with pytest.raises(ScriptError,
+                       match=r"^script step 1: no transition 'no_such_transition'$"):
+        simulate(sys0, scripted_policy(steps))
+
+
 def test_ambiguous_script_step_is_rejected(sys0):
     steps = [("offer_table", Binding({"t": Atom("t1")})),
              ("enter", Binding({"t": Atom("t1")}))]  # c left open: two clients
