@@ -30,9 +30,9 @@ from .analysis import (GroundedNet, ReachabilityGraph, explore,
                        explore_grounded, ground, in_span, nullspace,
                        place_invariants, transition_invariants)
 from .parser import (ModelDocument, StructureDoc, SystemDoc, bind_structure,
-                     parse, parse_predicate, parse_script, structure_to_doc)
+                     parse, parse_predicate, parse_script)
 from .printer import print_document, print_module, print_run, print_signature, \
-    print_structure, print_system
+    print_structure, print_system, structure_to_doc
 from .dot import export_dot
 
 __version__ = "0.1.0"

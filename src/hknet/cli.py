@@ -21,8 +21,8 @@ from .errors import ModelError, ParseError
 from .modules import Module, compose_all
 from .nets import SchematicNet, check_net
 from .parser import (ModelDocument, SystemDoc, bind_structure,
-                     parse, parse_predicate, parse_script, structure_to_doc)
-from .printer import print_module, print_run, print_system
+                     parse, parse_predicate, parse_script)
+from .printer import print_module, print_run, print_system, structure_to_doc
 from .runs import compose_runs, random_policy, scripted_policy, simulate, \
     validate_run
 from .signature import Signature, validate_structure

@@ -50,6 +50,11 @@ the punctuation is ``-> <= >= != { } ( ) [ ] , ; : = < >``.  Any other
 character, a digit that is not decimal among them, is an ``unexpected
 character``.
 
+The lexer makes one regular-expression match per token, blanks and
+comments included, into ``(type, text, offset)`` tuples; a line and
+column are worked out only where a span is built, by bisection over the
+offsets where lines start.
+
 Parsing normalizes entry order (sorted by name or id) everywhere except
 interfaces, which keep declaration order; together with the canonical
 printer this makes parse/print round-trips stable.  Every parse error
@@ -58,9 +63,11 @@ carries a span pointing into the offending token.
 
 from __future__ import annotations
 
+import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import EvalError, ParseError
 from .modules import InterfaceElement, Module, PLACE, TRANSITION, \
@@ -120,72 +127,78 @@ class ModelDocument:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One match per token, its prefix taking the blanks and comments before it.
+# A comment runs to the end of its line and some alternative (at worst
+# ``other`` or ``EOF``) matches after the prefix, so it never backtracks.
 _TOKEN_RE = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<comment>\#[^\n]*)
-  | [ \t\r]+
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-  | (?P<unterminated>"(?:[^"\\\n]|\\.)*\\?)
-  | (?P<INT>\d+)
-  | (?P<IDENT>\w+)
-  | (?P<punctuation>->|<=|>=|!=|[{}()\[\],;:=<>])
-  | (?P<other>.)
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?: (?P<IDENT>[A-Za-z_]\w*)
+      | (?P<punctuation>->|<=|>=|!=|[{}()\[\],;:=<>])
+      | (?P<INT>\d+)
+      | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+      | (?P<word>\w+)
+      | (?P<unterminated>"(?:[^"\\\n]|\\.)*\\?)
+      | (?P<EOF>\Z)
+      | (?P<other>.))
 """, re.VERBOSE)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
+# (type, text, offset): type IDENT, STRING (text unescaped), INT, EOF or punctuation
+_Token = tuple[str, str, int]
 
-class _Token(NamedTuple):
-    type: str  # IDENT | STRING | INT | punctuation text | EOF
-    text: str
-    line: int
-    col: int
 
-    @property
-    def end_col(self) -> int:
-        return self.col + max(len(self.text), 1)
+class _Lines:
+    """Spans from source offsets: one scan finds where the lines start, a
+    bisection which line holds an offset.  ``first`` numbers the first line."""
 
-    def span(self, filename: str) -> SourceSpan:
-        return SourceSpan(filename, self.line, self.col, self.line, self.end_col)
+    def __init__(self, source: str, first: int = 1):
+        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+        self.first = first
+
+    def span(self, filename: str, start: int, end: int, width: int) -> SourceSpan:
+        """From offset ``start`` to ``width`` characters past offset ``end``."""
+        starts = self.starts
+        i, j = bisect_right(starts, start) - 1, bisect_right(starts, end) - 1
+        return SourceSpan(filename, self.first + i, start - starts[i] + 1,
+                          self.first + j, end - starts[j] + 1 + width)
 
 
 def _lex(source: str, filename: str, line: int = 1) -> list[_Token]:
     tokens: list[_Token] = []
-    line_start = 0
-    comment_at: int | None = None
+    append = tokens.append
     for m in _TOKEN_RE.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
-            kind = "other"  # \w also matches digits that are not decimal
-        if kind is None:
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            comment_at = None
-        elif kind == "comment":
-            comment_at = m.start()
-        elif kind in ("IDENT", "INT"):
-            tokens.append(_Token(kind, text, line, col))
+        kind = m.lastgroup
+        text = m[kind]
+        at = m.start(kind)
+        if kind == "IDENT" or kind == "INT":
+            append((kind, text, at))
         elif kind == "punctuation":
-            tokens.append(_Token(text, text, line, col))
+            append((text, text, at))
         elif kind == "STRING":
-            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", text[1:-1]), line, col))
+            append((kind, _ESCAPE_RE.sub(r"\1", text[1:-1]), at))
+        elif kind == "word" and text[0].isalpha():  # a letter beyond ASCII
+            append(("IDENT", text, at))
+        elif kind == "EOF":
+            break
         elif kind == "unterminated":
-            raise ParseError("unterminated string", SourceSpan(
-                filename, line, col, line, col + len(text)))
-        else:
+            raise ParseError("unterminated string",
+                             _Lines(source, line).span(filename, at, at, len(text)))
+        else:  # \w also matches digits that are not decimal
             raise ParseError(f"unexpected character {text[0]!r}",
-                             SourceSpan(filename, line, col, line, col + 1))
+                             _Lines(source, line).span(filename, at, at, 1))
     # a comment that ends the input leaves the end position at its '#'
-    end = len(source) if comment_at is None else comment_at
-    tokens.append(_Token("EOF", "", line, end - line_start + 1))
+    comment = source.find("#", max(source.rfind("\n", 0, at) + 1, m.start()))
+    append(("EOF", "", at if comment < 0 else comment))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+class _NotGround(Exception):
+    """An application (its token index) where ``_Parser.term`` reads a value."""
+
 
 def _id_key(node_id: str) -> tuple[int, str]:
     return (len(node_id), node_id)
@@ -196,9 +209,13 @@ def _table_key(pair: tuple[Value, Value]) -> tuple:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  The paths that read most of a
+    printed run (values, bindings, blocks) index ``tokens[pos]`` directly."""
+
     def __init__(self, source: str, filename: str, line: int = 1):
         self.filename = filename
         self.tokens = _lex(source, filename, line)
+        self.lines = _Lines(source, line)
         self.pos = 0
 
     # token plumbing -------------------------------------------------------
@@ -206,41 +223,35 @@ class _Parser:
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "EOF":
-            self.pos += 1
-        return tok
-
-    def at(self, type_: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.type == type_ and (text is None or tok.text == text)
-
     def accept(self, type_: str, text: str | None = None) -> _Token | None:
-        if self.at(type_, text):
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok[0] != type_ or (text is not None and tok[1] != text):
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, type_: str, text: str | None = None,
                what: str | None = None) -> _Token:
-        if not self.at(type_, text):
-            tok = self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok[0] != type_ or (text is not None and tok[1] != text):
             wanted = what if what is not None else repr(text or type_)
-            found = tok.text if tok.type != "EOF" else "end of input"
+            found = tok[1] if tok[0] != "EOF" else "end of input"
             raise self.error(f"expected {wanted}, found {found!r}")
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> _Token:
         return self.expect("IDENT", word, what=f"keyword {word!r}")
 
     def error(self, message: str, token: _Token | None = None) -> ParseError:
-        tok = token or self.peek()
-        return ParseError(message, tok.span(self.filename))
+        return ParseError(message, self.span(token or self.peek()))
+
+    def span(self, tok: _Token) -> SourceSpan:
+        return self.lines.span(self.filename, tok[2], tok[2], max(len(tok[1]), 1))
 
     def span_from(self, start: _Token) -> SourceSpan:
         end = self.tokens[max(self.pos - 1, 0)]
-        return SourceSpan(self.filename, start.line, start.col,
-                          end.line, end.end_col)
+        return self.lines.span(self.filename, start[2], end[2], max(len(end[1]), 1))
 
     # grammar helpers ------------------------------------------------------
 
@@ -248,19 +259,21 @@ class _Parser:
                    stop: Callable[[], bool] | None = None) -> list[T]:
         """``item (, item)*``.  ``first`` is an item the caller already
         parsed; ``stop`` is asked before each comma is taken."""
+        tokens = self.tokens
         items = [item() if first is None else first]
-        while self.at(",") and not (stop and stop()):
-            self.next()
+        while tokens[self.pos][0] == "," and not (stop and stop()):
+            self.pos += 1
             items.append(item())
         return items
 
     def block(self, item: Callable[[], T]) -> list[T]:
         """``{ item* }``."""
         self.expect("{")
+        tokens = self.tokens
         items = []
-        while not self.at("}"):
+        while tokens[self.pos][0] != "}":
             items.append(item())
-        self.expect("}")
+        self.pos += 1
         return items
 
     def named_block(self, what: str, duplicate: str,
@@ -271,9 +284,9 @@ class _Parser:
 
         def entry() -> T:
             tok = self.expect("IDENT", what=what)
-            if tok.text in seen:
-                raise self.error(f"{duplicate} {tok.text!r}", tok)
-            seen.add(tok.text)
+            if tok[1] in seen:
+                raise self.error(f"{duplicate} {tok[1]!r}", tok)
+            seen.add(tok[1])
             return item(tok)
         return self.block(entry)
 
@@ -286,29 +299,30 @@ class _Parser:
         def section() -> None:
             tok = self.expect("IDENT", what=f"a {owner} section "
                               f"({', '.join(parsers)})")
-            if tok.text not in parsers:
-                raise self.error(f"unknown {owner} section {tok.text!r}", tok)
-            if tok.text in found:
-                raise self.error(f"duplicate {tok.text} section", tok)
-            found[tok.text] = parsers[tok.text]()
+            if tok[1] not in parsers:
+                raise self.error(f"unknown {owner} section {tok[1]!r}", tok)
+            if tok[1] in found:
+                raise self.error(f"duplicate {tok[1]} section", tok)
+            found[tok[1]] = parsers[tok[1]]()
         self.block(section)
         return found
 
     def of_name(self, what: str) -> str:
         """An optional ``of <name>``."""
         if self.accept("IDENT", "of"):
-            return self.expect("IDENT", what=what).text
+            return self.expect("IDENT", what=what)[1]
         return ""
 
     # entry point ----------------------------------------------------------
 
     def document(self) -> ModelDocument:
-        if self.at("EOF"):
+        tok = self.peek()
+        if tok[0] == "EOF":
             raise self.error("expected document kind")
         kinds = {"signature": self.signature_doc, "structure": self.structure_doc,
                  "module": self.module_doc, "system": self.system_doc,
                  "run": self.run_doc}
-        kind = self.peek().text if self.at("IDENT") else ""
+        kind = tok[1] if tok[0] == "IDENT" else ""
         if kind not in kinds:
             raise self.error("expected document kind (signature, structure, "
                              "module, system, or run)")
@@ -320,7 +334,7 @@ class _Parser:
 
     def signature_doc(self) -> Signature:
         start = self.expect_keyword("signature")
-        name = self.expect("IDENT", what="signature name").text
+        name = self.expect("IDENT", what="signature name")[1]
         sets: list[str] = []
         subsets: list[tuple[str, str]] = []
         consts: list[tuple[str, Sort]] = []
@@ -330,10 +344,10 @@ class _Parser:
 
         def declare(what: str) -> str:
             tok = self.expect("IDENT", what=what)
-            if tok.text in declared:
-                raise self.error(f"duplicate symbol name {tok.text!r}", tok)
-            declared[tok.text] = tok
-            return tok.text
+            if tok[1] in declared:
+                raise self.error(f"duplicate symbol name {tok[1]!r}", tok)
+            declared[tok[1]] = tok
+            return tok[1]
 
         def typed(what: str) -> str:
             sym = declare(what)
@@ -342,7 +356,7 @@ class _Parser:
             return sym
 
         def next_is_declaration() -> bool:
-            return self.peek(1).type == "IDENT" and self.peek(2).type == ":"
+            return self.peek(1)[0] == "IDENT" and self.peek(2)[0] == ":"
 
         def function() -> tuple[str, tuple[Sort, ...], Sort]:
             sym = typed("function symbol")
@@ -359,7 +373,7 @@ class _Parser:
                 self.expect_keyword("pow")
                 self.expect("(")
                 subsets.append(
-                    (sym, self.expect("IDENT", what="base set symbol").text))
+                    (sym, self.expect("IDENT", what="base set symbol")[1]))
                 self.expect(")")
             elif self.accept("IDENT", "consts"):
                 consts.extend(self.comma_list(
@@ -394,7 +408,7 @@ class _Parser:
     def sort(self) -> Sort:
         if self.accept("IDENT", "pow"):
             self.expect("(")
-            base = self.expect("IDENT", what="sort symbol").text
+            base = self.expect("IDENT", what="sort symbol")[1]
             self.expect(")")
             return PowSort(base)
         if self.accept("("):
@@ -403,19 +417,19 @@ class _Parser:
             if len(components) < 2:
                 raise self.error("a tuple sort needs at least two components")
             return TupleSort(tuple(components))
-        return SortName(self.expect("IDENT", what="sort").text)
+        return SortName(self.expect("IDENT", what="sort")[1])
 
     # structures -----------------------------------------------------------
 
     def structure_doc(self) -> StructureDoc:
         start = self.expect_keyword("structure")
-        name = self.expect("IDENT", what="structure name").text
+        name = self.expect("IDENT", what="structure name")[1]
         self.expect_keyword("of")
-        sig_name = self.expect("IDENT", what="signature name").text
+        sig_name = self.expect("IDENT", what="signature name")[1]
 
         def entry(sym_tok: _Token) -> StructureEntry:
             self.expect("=")
-            rhs = self._structure_rhs(sym_tok.text, sym_tok.span(self.filename))
+            rhs = self._structure_rhs(sym_tok[1], self.span(sym_tok))
             self.expect(";")
             return rhs
         entries = self.named_block("symbol name", "duplicate entry for", entry)
@@ -424,10 +438,9 @@ class _Parser:
                             span=self.span_from(start))
 
     def _structure_rhs(self, symbol: str, span: SourceSpan) -> StructureEntry:
-        if self.at("IDENT", "pow") and self.peek(1).type == "(":
-            self.next()
-            self.expect("(")
-            base = self.expect("IDENT", what="set symbol").text
+        if self.peek()[:2] == ("IDENT", "pow") and self.peek(1)[0] == "(":
+            self.pos += 2
+            base = self.expect("IDENT", what="set symbol")[1]
             self.expect(")")
             return StructureEntry(symbol, "pow", pow_of=base, span=span)
         if not self.accept("{"):
@@ -451,47 +464,55 @@ class _Parser:
         return (key, self.value())
 
     def value(self) -> Value:
-        return self._term_to_value(self.term())
-
-    def _term_to_value(self, term: Term) -> Value:
-        if isinstance(term, Ident):
-            return Atom(term.name)
-        if isinstance(term, TupleTerm):
-            return TupleValue(self._term_to_value(t) for t in term.items)
-        if isinstance(term, SetTerm):
-            return SetValue(self._term_to_value(t) for t in term.elements)
-        raise ParseError(f"expected a ground value, found {render_term(term)}",
-                         getattr(term, "span", None))
+        start = self.pos
+        try:
+            return self.term(ground=True)
+        except _NotGround as exc:
+            app_at = exc.args[0]
+        # an error anywhere in the whole term comes first; else its first
+        # application is what makes it no ground value
+        self.pos = start
+        self.term()
+        self.pos = app_at
+        app = self.term()
+        raise ParseError(f"expected a ground value, found {render_term(app)}", app.span)
 
     # terms ----------------------------------------------------------------
 
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.type == "IDENT" and self.peek(1).type == "(":
-            self.next()
-            self.expect("(")
+    def term(self, ground: bool = False) -> Term:
+        """A term.  With ``ground``, the value of a ground term, built
+        without terms or spans; ``_NotGround`` at an application."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok[0]
+        if kind == "IDENT":
+            self.pos += 1
+            if tokens[self.pos][0] != "(":
+                return Atom(tok[1]) if ground else Ident(tok[1], self.span(tok))
+            if ground:
+                raise _NotGround(self.pos - 1)
+            self.pos += 1
             args = self.comma_list(self.term)
             self.expect(")")
             span = self.span_from(tok)
-            if tok.text == "elm":
+            if tok[1] == "elm":
                 if len(args) != 1:
                     raise ParseError("elm takes exactly one argument", span)
                 return Elm(args[0], span)
-            return App(tok.text, tuple(args), span)
-        if self.accept("IDENT"):
-            return Ident(tok.text, tok.span(self.filename))
-        if self.accept("("):
-            items = self.comma_list(self.term)
-            self.expect(")")
-            if len(items) < 2:
-                raise ParseError("a tuple needs at least two components",
-                                 self.span_from(tok))
-            return TupleTerm(tuple(items), self.span_from(tok))
-        if self.accept("{"):
-            elements = [] if self.at("}") else self.comma_list(self.term)
+            return App(tok[1], tuple(args), span)
+        if kind != "(" and kind != "{":
+            raise self.error("expected a term")
+        self.pos += 1
+        part = (lambda: self.term(True)) if ground else self.term
+        items = [] if kind == "{" and tokens[self.pos][0] == "}" else self.comma_list(part)
+        if kind == "{":
             self.expect("}")
-            return SetTerm(tuple(elements), self.span_from(tok))
-        raise self.error("expected a term")
+            return SetValue(items) if ground else SetTerm(tuple(items), self.span_from(tok))
+        self.expect(")")
+        if len(items) < 2:
+            raise ParseError("a tuple needs at least two components",
+                             self.span_from(tok))
+        return TupleValue(items) if ground else TupleTerm(tuple(items), self.span_from(tok))
 
     def guard(self) -> Guard:
         start = self.peek()
@@ -503,16 +524,16 @@ class _Parser:
                 if not (self.accept("=") or self.accept("IDENT", "in")
                         or self.accept("IDENT", "sub")):
                     raise self.error("expected '=', 'in', or 'sub'", op_tok)
-                atoms.append(GuardAtom(op_tok.text, left, self.term(),
-                                       op_tok.span(self.filename)))
+                atoms.append(GuardAtom(op_tok[1], left, self.term(),
+                                       self.span(op_tok)))
             if not self.accept("IDENT", "and"):
-                return canonical_guard(atoms, start.span(self.filename))
+                return canonical_guard(atoms, self.span(start))
 
     # modules --------------------------------------------------------------
 
     def module_doc(self) -> Module:
         start = self.expect_keyword("module")
-        name = self.expect("IDENT", what="module name").text
+        name = self.expect("IDENT", what="module name")[1]
         sig_name = self.of_name("signature name")
         found = self.sections("module", {
             "left": self.interface_items, "right": self.interface_items,
@@ -537,29 +558,29 @@ class _Parser:
         def item() -> InterfaceElement:
             kind_tok = self.expect("IDENT", what="'place' or 'trans'")
             kinds = {"place": PLACE, "trans": TRANSITION}
-            if kind_tok.text not in kinds:
+            if kind_tok[1] not in kinds:
                 raise self.error("expected 'place' or 'trans'", kind_tok)
-            kind = kinds[kind_tok.text]
+            kind = kinds[kind_tok[1]]
             label_tok = self.peek()
             if self.accept("STRING"):
-                if not label_tok.text:
+                if not label_tok[1]:
                     raise self.error("interface labels must be non-empty",
                                      label_tok)
             else:
                 self.expect("IDENT", what="interface label")
-            if (kind, label_tok.text) in seen:
-                raise self.error(f"duplicate {kind} label {label_tok.text!r} "
+            if (kind, label_tok[1]) in seen:
+                raise self.error(f"duplicate {kind} label {label_tok[1]!r} "
                                  "in interface", label_tok)
-            seen.add((kind, label_tok.text))
+            seen.add((kind, label_tok[1]))
             self.expect("=")
             ref_tok = self.expect("IDENT", what="inner element name")
-            if ref_tok.text in seen_refs:
-                raise self.error(f"element {ref_tok.text!r} appears twice in "
+            if ref_tok[1] in seen_refs:
+                raise self.error(f"element {ref_tok[1]!r} appears twice in "
                                  "this interface", ref_tok)
-            seen_refs.add(ref_tok.text)
+            seen_refs.add(ref_tok[1])
             self.expect(";")
-            return InterfaceElement(kind, label_tok.text, ref_tok.text,
-                                    label_tok.span(self.filename))
+            return InterfaceElement(kind, label_tok[1], ref_tok[1],
+                                    self.span(label_tok))
         return self.block(item)
 
     def place_item(self) -> Place:
@@ -569,7 +590,7 @@ class _Parser:
         if self.accept("IDENT", "init"):
             init = canonical_terms(self.comma_list(self.term))
         self.expect(";")
-        return Place(name_tok.text, sort, init, span=name_tok.span(self.filename))
+        return Place(name_tok[1], sort, init, span=self.span(name_tok))
 
     def trans_item(self) -> Transition:
         name_tok = self.expect("IDENT", what="transition name")
@@ -578,15 +599,15 @@ class _Parser:
         if self.accept("IDENT", "free"):
             self.comma_list(lambda: self._free_variable(free))
         self.expect(";")
-        return Transition(name_tok.text, guard, tuple(sorted(free.items())),
-                          span=name_tok.span(self.filename))
+        return Transition(name_tok[1], guard, tuple(sorted(free.items())),
+                          span=self.span(name_tok))
 
     def _free_variable(self, free: dict[str, Sort]) -> None:
         var_tok = self.expect("IDENT", what="variable name")
-        if var_tok.text in free:
-            raise self.error(f"duplicate free variable {var_tok.text!r}", var_tok)
+        if var_tok[1] in free:
+            raise self.error(f"duplicate free variable {var_tok[1]!r}", var_tok)
         self.expect(":")
-        free[var_tok.text] = self.sort()
+        free[var_tok[1]] = self.sort()
 
     def arc_items(self) -> list[Arc]:
         merged: dict[tuple[str, str], Arc] = {}
@@ -594,15 +615,15 @@ class _Parser:
         def item() -> None:
             src_tok = self.expect("IDENT", what="arc source")
             self.expect("->")
-            tgt = self.expect("IDENT", what="arc target").text
+            tgt = self.expect("IDENT", what="arc target")[1]
             self.expect(":")
             inscription = tuple(self.comma_list(self.term))
             self.expect(";")
-            key = (src_tok.text, tgt)
+            key = (src_tok[1], tgt)
             if key in merged:
                 inscription = merged[key].inscription + inscription
-            merged[key] = Arc(src_tok.text, tgt, canonical_terms(inscription),
-                              span=src_tok.span(self.filename))
+            merged[key] = Arc(src_tok[1], tgt, canonical_terms(inscription),
+                              span=self.span(src_tok))
         self.block(item)
         return list(merged.values())
 
@@ -610,7 +631,7 @@ class _Parser:
 
     def system_doc(self) -> SystemDoc:
         start = self.expect_keyword("system")
-        name = self.expect("IDENT", what="system name").text
+        name = self.expect("IDENT", what="system name")[1]
         self.expect("{")
         signature = self.signature_doc()
         structure = self.structure_doc()
@@ -621,7 +642,7 @@ class _Parser:
             self.expect(":")
             tokens = self.comma_list(self.value)
             self.expect(";")
-            return (place_tok.text, Multiset(tokens))
+            return (place_tok[1], Multiset(tokens))
         marking = Marking(dict(self.named_block(
             "place name", "duplicate marking entry for", entry)))
         self.expect("}")
@@ -632,7 +653,7 @@ class _Parser:
 
     def run_doc(self) -> Module:
         start = self.expect_keyword("run")
-        name = self.expect("IDENT", what="run name").text
+        name = self.expect("IDENT", what="run name")[1]
         of_name = self.of_name("system name")
         found = self.sections("run", {
             "conditions": lambda: self.named_block(
@@ -656,37 +677,39 @@ class _Parser:
 
     def condition_item(self, id_tok: _Token) -> Condition:
         self.expect("=")
-        place = self.expect("IDENT", what="place name").text
+        place = self.expect("IDENT", what="place name")[1]
         value = self.value()
         self.expect(";")
-        return Condition(id_tok.text, place, value, span=id_tok.span(self.filename))
+        return Condition(id_tok[1], place, value, span=self.span(id_tok))
 
     def event_item(self, id_tok: _Token) -> Event:
         self.expect("=")
-        transition = self.expect("IDENT", what="transition name").text
+        transition = self.expect("IDENT", what="transition name")[1]
         self.expect("[")
         binding = self.binding_pairs(closing="]")
         self.expect("]")
         self.expect(";")
-        return Event(id_tok.text, transition, binding,
-                     span=id_tok.span(self.filename))
+        return Event(id_tok[1], transition, binding,
+                     span=self.span(id_tok))
 
     def binding_pairs(self, closing: str) -> Binding:
+        tokens = self.tokens
         pairs: dict[str, Value] = {}
-        while not self.at(closing):
+        while tokens[self.pos][0] != closing:
             name_tok = self.expect("IDENT", what="variable name")
-            if name_tok.text in pairs:
-                raise self.error(f"duplicate binding for {name_tok.text!r}",
+            if name_tok[1] in pairs:
+                raise self.error(f"duplicate binding for {name_tok[1]!r}",
                                  name_tok)
             self.expect("=")
-            pairs[name_tok.text] = self.value()
-            self.accept(",")
+            pairs[name_tok[1]] = self.value()
+            if tokens[self.pos][0] == ",":
+                self.pos += 1
         return Binding(pairs)
 
     def flow_item(self) -> tuple[str, str]:
-        src = self.expect("IDENT", what="flow source").text
+        src = self.expect("IDENT", what="flow source")[1]
         self.expect("->")
-        tgt = self.expect("IDENT", what="flow target").text
+        tgt = self.expect("IDENT", what="flow target")[1]
         self.expect(";")
         return (src, tgt)
 
@@ -796,23 +819,6 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
     return make_structure(doc.name, sig, carriers, functions, constants)
 
 
-def structure_to_doc(s: Structure) -> StructureDoc:
-    """Inverse of :func:`bind_structure`, used when printing systems."""
-    entries: list[StructureEntry] = []
-    for sym in s.carriers:
-        entries.append(StructureEntry(sym, "value",
-                                      value=SetValue(s.carriers[sym])))
-    for sym, table in s.functions.items():
-        pairs = [(args[0] if len(args) == 1 else TupleValue(args), result)
-                 for args, result in table.items()]
-        entries.append(StructureEntry(sym, "table",
-                                      table=tuple(sorted(pairs, key=_table_key))))
-    for sym, value in s.constants.items():
-        entries.append(StructureEntry(sym, "value", value=value))
-    entries.sort(key=lambda e: e.symbol)
-    return StructureDoc(s.name, s.signature.name, tuple(entries))
-
-
 # ---------------------------------------------------------------------------
 # Scripts and predicates
 # ---------------------------------------------------------------------------
@@ -822,8 +828,8 @@ def parse_script(text: str, filename: str = "<script>") -> list[tuple[str, Bindi
     steps: list[tuple[str, Binding]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         p = _Parser(line, filename, lineno)
-        if not p.at("EOF"):
-            name = p.expect("IDENT", what="transition name").text
+        if p.peek()[0] != "EOF":
+            name = p.expect("IDENT", what="transition name")[1]
             steps.append((name, p.binding_pairs(closing="EOF")))
     return steps
 
@@ -841,14 +847,8 @@ def parse_predicate(text: str, filename: str = "<predicate>"):
     return pred
 
 
-_CMP = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _parse_pred_or(p: _Parser):
@@ -876,25 +876,21 @@ def _parse_pred_unary(p: _Parser):
         p.expect(")")
         return inner
     head = p.expect("IDENT", what="contains, count, or tokens")
-    if head.text not in ("contains", "count", "tokens"):
+    if head[1] not in ("contains", "count", "tokens"):
         raise p.error("expected contains, count, or tokens", head)
     p.expect("(")
-    place = p.expect("IDENT", what="place name").text
-    if head.text != "count":
+    place = p.expect("IDENT", what="place name")[1]
+    if head[1] != "count":
         p.expect(",")
         value = p.value()
     p.expect(")")
-    if head.text == "contains":
+    if head[1] == "contains":
         return lambda m: m.get(place).count(value) > 0
-    op = _parse_cmp(p)
-    n = int(p.expect("INT", what="a number").text)
-    if head.text == "count":
+    op = _CMP.get(p.peek()[0])
+    if op is None:
+        raise p.error("expected a comparison operator")
+    p.pos += 1
+    n = int(p.expect("INT", what="a number")[1])
+    if head[1] == "count":
         return lambda m: op(m.get(place).total(), n)
     return lambda m: op(m.get(place).count(value), n)
-
-
-def _parse_cmp(p: _Parser):
-    for text in ("<=", ">=", "!=", "=", "<", ">"):
-        if p.accept(text):
-            return _CMP[text]
-    raise p.error("expected a comparison operator")

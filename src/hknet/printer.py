@@ -10,10 +10,11 @@ import re
 
 from .modules import Module
 from .nets import OccurrenceNet, SchematicNet
-from .parser import ModelDocument, StructureDoc, SystemDoc
-from .signature import Signature, render_sort
+from .parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc, \
+    _table_key
+from .signature import Signature, Structure, render_sort
 from .terms import render_binding, render_guard, render_term
-from .values import render_value
+from .values import SetValue, TupleValue, render_value
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -77,6 +78,24 @@ def print_structure(doc: StructureDoc, indent: str = "") -> str:
         f"structure {doc.name} of {doc.sig_name}",
         (f"{e.symbol} = {_structure_rhs(e)}" for e in doc.entries),
         indent, always=True), indent)
+
+
+def structure_to_doc(s: Structure) -> StructureDoc:
+    """The document that prints ``s``: the inverse of
+    :func:`parser.bind_structure`, used when printing systems."""
+    entries: list[StructureEntry] = []
+    for sym in s.carriers:
+        entries.append(StructureEntry(sym, "value",
+                                      value=SetValue(s.carriers[sym])))
+    for sym, table in s.functions.items():
+        pairs = [(args[0] if len(args) == 1 else TupleValue(args), result)
+                 for args, result in table.items()]
+        entries.append(StructureEntry(sym, "table",
+                                      table=tuple(sorted(pairs, key=_table_key))))
+    for sym, value in s.constants.items():
+        entries.append(StructureEntry(sym, "value", value=value))
+    entries.sort(key=lambda e: e.symbol)
+    return StructureDoc(s.name, s.signature.name, tuple(entries))
 
 
 def _print_interface(side_name: str, elements, indent: str) -> list[str]:

@@ -2,7 +2,8 @@
 
 ``support.reference_lex`` is the character-by-character scanner the
 parser used before; the lexer must give the same ``(type, text, line,
-col)`` tokens, or a ``ParseError`` with the same text, except where one
+col)`` tokens (its own tokens hold an offset in place of the line and
+column), or a ``ParseError`` with the same text, except where one
 of two deliberate fixes applies: a digit that is not decimal (``²``)
 starts no token, and a backslash does not escape a newline inside a
 quoted label.
@@ -27,10 +28,21 @@ ALPHABET = string.punctuation + "\t\n" + string.ascii_letters + \
 
 
 def _outcome(lex, text: str):
+    """The ``(type, text, line, col)`` tokens ``lex`` makes of ``text``, or
+    its error.  The lexer's tokens carry an offset, turned into a line and
+    a column here by counting newlines, not by the parser's own code."""
     try:
-        return [(t.type, t.text, t.line, t.col) for t in lex(text, "f")]
+        tokens = lex(text, "f")
     except ParseError as exc:
         return str(exc)
+    if lex is reference_lex:
+        return [(t.type, t.text, t.line, t.col) for t in tokens]
+    return [(kind, word, *_line_col(text, at)) for kind, word, at in tokens]
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    before = text[:offset]
+    return before.count("\n") + 1, offset - before.rfind("\n")
 
 
 def _offset(text: str, line: int, col: int) -> int:

@@ -16,8 +16,9 @@ Regenerate, only for a deliberate change of spans, with
 from pathlib import Path
 
 from hknet import (bind_structure, compose_all, instantiate, parse,
-                   print_run, print_system, random_policy, simulate)
-from hknet.parser import SystemDoc, structure_to_doc
+                   print_run, print_system, random_policy, simulate,
+                   structure_to_doc)
+from hknet.parser import SystemDoc
 
 from conftest import CORPUS, load
 from support import attached_spans, structure_text

@@ -203,7 +203,7 @@ def test_predicate_syntax_errors_carry_spans():
 
 
 def test_system_documents_embed_everything(branch, s0, sys0):
-    from hknet.parser import SystemDoc, structure_to_doc
+    from hknet.parser import SystemDoc
     from hknet import print_system
     doc = SystemDoc(sys0.name, s0.signature, structure_to_doc(s0),
                     branch, sys0.initial)
