@@ -890,7 +890,11 @@ def _parse_pred_unary(p: _Parser):
     if op is None:
         raise p.error("expected a comparison operator")
     p.pos += 1
-    n = int(p.expect("INT", what="a number")[1])
+    number = p.expect("INT", what="a number")
+    try:
+        n = int(number[1])
+    except ValueError:  # more digits than int() converts
+        raise p.error(f"number too long: {len(number[1])} digits", number) from None
     if head[1] == "count":
         return lambda m: op(m.get(place).total(), n)
     return lambda m: op(m.get(place).count(value), n)

@@ -209,6 +209,20 @@ def test_reach_rejects_a_non_decimal_digit_in_a_predicate(workdir, capsys):
         "error: <predicate>:1:12: unexpected character '²'\n"
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="int() converts a 5000-digit number on this interpreter")
+def test_reach_rejects_a_number_too_long_to_convert(workdir, capsys):
+    run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
+            workdir / "kitchen.hk", "-o", workdir / "branch.hk")
+    run_cli("instantiate", workdir / "branch.hk", workdir / "s0_tiny.hks",
+            "--name", "branch_tiny", "-o", workdir / "tiny.hksys")
+    capsys.readouterr()
+    pred = "count(eating) < " + "9" * 5000
+    assert run_cli("reach", workdir / "tiny.hksys", "--pred", pred) == 2
+    assert capsys.readouterr().err == \
+        "error: <predicate>:1:17: number too long: 5000 digits\n"
+
+
 def test_reach_truncation_flag(workdir, capsys):
     system = build_system(workdir)
     assert run_cli("reach", system, "--max-nodes", "1", "--max-edges", "0") == 0
