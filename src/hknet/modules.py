@@ -90,6 +90,16 @@ def _inner_ids(inner: SchematicNet | OccurrenceNet) -> dict[str, str]:
     return ids
 
 
+def _shared_id(inner: SchematicNet | OccurrenceNet) -> str:
+    """The least id naming both a place and a transition (a condition and
+    an event), or ''."""
+    if isinstance(inner, SchematicNet):
+        nodes = ({p.name for p in inner.places}, {t.name for t in inner.transitions})
+    else:
+        nodes = ({c.id for c in inner.conditions}, {e.id for e in inner.events})
+    return min(nodes[0] & nodes[1], default="")
+
+
 def interface_violations(m: Module) -> list[Violation]:
     """Module invariants: interface refs exist, kinds match, labels are
     unique per kind within each side."""
@@ -174,6 +184,12 @@ def _fresh_id(base: str, used: set[str]) -> str:
 
 def compose(a: Module, b: Module) -> Module:
     """Fuse equally labeled interface elements of ``a.right`` and ``b.left``."""
+    for m in (a, b):
+        shared = _shared_id(m.inner)
+        if shared:
+            kinds = "a place and a transition" if isinstance(m.inner, SchematicNet) \
+                else "a condition and an event"
+            raise CompositionError(f"module {m.name!r} names {kinds} {shared!r}")
     if a.is_empty():
         return b
     if b.is_empty():

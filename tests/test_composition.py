@@ -122,6 +122,23 @@ def test_unfused_shared_ids_collide(a_inner, b_inner, what, name):
         compose(Module("a", "", a_inner), Module("b", "", b_inner))
 
 
+@pytest.mark.parametrize("a_inner, b_inner, kinds", [
+    (SchematicNet(places=(Place("x"),)),
+     SchematicNet(places=(Place("q"),), transitions=(Transition("q"),)),
+     "a place and a transition"),
+    (OccurrenceNet(conditions=(Condition("x", "p", Atom("v")),)),
+     OccurrenceNet(conditions=(Condition("q", "p", Atom("v")),),
+                   events=(Event("q", "t", Binding({})),)),
+     "a condition and an event"),
+])
+def test_an_id_naming_two_kinds_of_element_is_rejected(a_inner, b_inner, kinds):
+    # only a module built through the API can hold such an id
+    a, b = Module("a", "", a_inner), Module("b", "", b_inner)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(CompositionError, match=rf"^module 'b' names {kinds} 'q'$"):
+            compose(left, right)
+
+
 def test_duplicate_result_labels_rejected():
     a = Module("a", "", SchematicNet(places=(Place("p"),)),
                left=(InterfaceElement(PLACE, "x", "p"),))
