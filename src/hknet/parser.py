@@ -159,8 +159,9 @@ class _Lines:
         """From offset ``start`` to ``width`` characters past offset ``end``."""
         starts = self.starts
         i, j = bisect_right(starts, start) - 1, bisect_right(starts, end) - 1
-        return SourceSpan(filename, self.first + i, start - starts[i] + 1,
-                          self.first + j, end - starts[j] + 1 + width)
+        line = self.first + i  # one int object for both ends of a one-line span
+        return SourceSpan(filename, line, start - starts[i] + 1,
+                          line if i == j else self.first + j, end - starts[j] + 1 + width)
 
 
 def _lex(source: str, filename: str, line: int = 1) -> list[_Token]:
@@ -259,9 +260,8 @@ class _Parser:
                    stop: Callable[[], bool] | None = None) -> list[T]:
         """``item (, item)*``.  ``first`` is an item the caller already
         parsed; ``stop`` is asked before each comma is taken."""
-        tokens = self.tokens
         items = [item() if first is None else first]
-        while tokens[self.pos][0] == "," and not (stop and stop()):
+        while self.tokens[self.pos][0] == "," and not (stop and stop()):
             self.pos += 1
             items.append(item())
         return items
