@@ -201,10 +201,6 @@ class _NotGround(Exception):
     """An application (its token index) where ``_Parser.term`` reads a value."""
 
 
-def _id_key(node_id: str) -> tuple[int, str]:
-    return (len(node_id), node_id)
-
-
 def _table_key(pair: tuple[Value, Value]) -> tuple:
     return (pair[0].key(), pair[1].key())
 
@@ -662,13 +658,14 @@ class _Parser:
                 "event id", "duplicate event id", self.event_item),
             "flow": lambda: self.block(self.flow_item),
             "left": self.interface_items, "right": self.interface_items})
+        # ids sort by length, then text: b2 before b10
         net = OccurrenceNet(
             conditions=tuple(sorted(found.get("conditions", ()),
-                                    key=lambda c: _id_key(c.id))),
+                                    key=lambda c: (len(c.id), c.id))),
             events=tuple(sorted(found.get("events", ()),
-                                key=lambda e: _id_key(e.id))),
+                                key=lambda e: (len(e.id), e.id))),
             flow=tuple(sorted(set(found.get("flow", ())),
-                              key=lambda f: (_id_key(f[0]), _id_key(f[1])))),
+                              key=lambda f: (len(f[0]), f[0], len(f[1]), f[1]))),
         )
         run = Module(name, of_name, net, tuple(found.get("left", ())),
                      tuple(found.get("right", ())), span=self.span_from(start))
