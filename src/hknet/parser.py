@@ -475,7 +475,7 @@ class _Parser:
 
     # terms ----------------------------------------------------------------
 
-    def term(self, ground: bool = False) -> Term:
+    def term(self, ground: bool = False) -> Term | Value:
         """A term.  With ``ground``, the value of a ground term, built
         without terms or spans; ``_NotGround`` at an application."""
         tokens = self.tokens
