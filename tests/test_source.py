@@ -2,6 +2,7 @@
 them for checks; CI also runs the suite under ``-O``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import hknet
@@ -94,3 +95,40 @@ def test_library_references_every_private_definition():
               if not any(ref == private and (module != name or owner != private)
                          for module, ref, owner in read)]
     assert unused == []
+
+
+# ---------------------------------------------------------------------------
+# Benchmark tracer targets
+# ---------------------------------------------------------------------------
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_targets() -> tuple:
+    """``perfbench/tracer.py``'s ``TARGETS``, read from its source without
+    importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets
+                                             if isinstance(t, ast.Name)] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no TARGETS in {TRACER}")
+
+
+def test_every_tracer_target_resolves():
+    # a renamed layer function would otherwise drop out of the traced
+    # metrics, or stop the traced benchmark, without a test failing
+    targets = tracer_targets()
+    assert targets
+    missing = []
+    for prefix, module_name, path, mode, _ in targets:
+        owner = importlib.import_module(module_name)
+        *owner_path, attr = path.split(".")
+        for part in owner_path:
+            owner = getattr(owner, part, None)
+        # the tracer patches a method in its class's own dict
+        found = (attr in vars(owner) if isinstance(owner, type)
+                 else callable(getattr(owner, attr, None)))
+        if not (module_name.startswith("hknet.") and found
+                and mode in ("timed", "counted")):
+            missing.append(f"{prefix}: {module_name}.{path} ({mode})")
+    assert missing == []
