@@ -22,13 +22,13 @@ from operator import itemgetter
 
 from .errors import EvalError, FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
-                        TupleSort, carrier_of, carrier_rank, render_sort,
-                        sorts_compatible, value_in_sort)
+                        TupleSort, carrier_of, carrier_rank, inverse_table,
+                        render_sort, sorts_compatible, value_in_sort)
 from .spans import SourceSpan
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
                     SetTerm, SymbolRef, Term, TupleTerm, Var, add_tokens,
-                    canonical_terms, eval_guard, guard_variables, term_tokens,
-                    term_variables)
+                    canonical_terms, eval_guard, evaluate, guard_variables,
+                    term_tokens, term_variables)
 from .values import Multiset, TupleValue, Value, render_value
 
 
@@ -145,22 +145,37 @@ def _is_pattern(term: Term) -> bool:
 class MatchPlan:
     """How :func:`enabled_bindings` binds one resolved transition.
 
-    ``steps`` bind variables in order.  ``(place, pattern)`` matches a
-    pattern that still has unbound variables against the distinct tokens
-    on its input place; ``(None, name)`` enumerates the carrier of a
-    variable no pattern binds (``unmatched``: free-choice variables and
-    those occurring only under a function, in a set term or in ``elm``).
+    ``names`` and ``sorts`` list the transition's variables by name.
+    ``steps`` bind them in order, each in one of three ways:
+
+    * ``("match", place, pattern)`` matches a pattern that still has
+      unbound variables against the distinct tokens on its input place;
+    * ``("preimage", name, function, term)`` draws a variable no pattern
+      binds from the arguments that the unary ``function`` maps to the
+      value of ``term``, read off the structure's inverse table
+      (:func:`signature.inverse_table`) and kept only inside the
+      variable's carrier.  The guard equates ``function(name)`` with
+      ``term``, either way round, and every variable of ``term`` is bound
+      by an earlier step; if ``term`` fails to evaluate, nothing is bound;
+    * ``("carrier", name, sort)`` enumerates the carrier of any other
+      variable no pattern binds (``unmatched``: free-choice variables and
+      those occurring only under a function, in a set term or in
+      ``elm``).
+
     ``checks[i]`` holds what becomes decidable once ``steps[:i]`` have
-    bound their variables: single guard atoms, and input terms that are
-    not matched, given as ``(place, term)`` and counted against the
-    tokens still available.
+    bound their variables: single guard atoms, the equation behind a
+    preimage step among them, and input terms that are not matched,
+    given as ``(place, term)`` and counted against the tokens still
+    available.
     """
 
     def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
-        self.names = tuple(n for n, _ in t.variables or ())
+        variables = sorted(t.variables or (), key=itemgetter(0))
+        self.names = tuple(n for n, _ in variables)
+        self.sorts = tuple(sort for _, sort in variables)
         self.places = tuple(dict.fromkeys(a.source for a in arcs))
         stage: dict[str, int] = {}   # variable -> index of the step binding it
-        steps: list[tuple[str | None, Term | str]] = []
+        steps: list[tuple] = []
         pending: list[tuple[set[str], object]] = []
         for arc in arcs:
             for term in arc.inscription:
@@ -169,13 +184,16 @@ class MatchPlan:
                 if fresh and _is_pattern(term) and used <= set(self.names):
                     for name in fresh:
                         stage[name] = len(steps)
-                    steps.append((arc.source, term))
+                    steps.append(("match", arc.source, term))
                 else:
                     pending.append((used, (arc.source, term)))
+        self.matched = tuple(dict.fromkeys(step[1] for step in steps))
         self.unmatched = tuple(n for n in self.names if n not in stage)
-        for name in self.unmatched:
-            stage[name] = len(steps)
-            steps.append((None, name))
+        for name, sort in variables:
+            if name in self.unmatched:
+                pin = _pinned_by(name, t.guard, stage.keys())
+                stage[name] = len(steps)
+                steps.append(("preimage", name, *pin) if pin else ("carrier", name, sort))
         for atom in t.guard.atoms:
             pending.append((term_variables(atom.left) | term_variables(atom.right),
                             Guard((atom,))))
@@ -187,6 +205,21 @@ class MatchPlan:
             checks[ready + 1].append(check)
         self.steps = tuple(steps)
         self.checks = tuple(tuple(c) for c in checks)
+
+
+def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple[str, Term] | None:
+    """``(f, e)`` for the first guard equation ``f(name) = e`` or
+    ``e = f(name)`` with a unary ``f`` and every variable of ``e`` in
+    ``bound``, or None."""
+    for atom in guard.atoms:
+        if atom.op != "=":
+            continue
+        for side, other in ((atom.left, atom.right), (atom.right, atom.left)):
+            if (isinstance(side, App) and len(side.args) == 1
+                    and isinstance(side.args[0], Var) and side.args[0].name == name
+                    and term_variables(other) <= set(bound)):
+                return side.function, other
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +260,31 @@ class Marking:
     def total(self) -> int:
         return sum(ms.total() for ms in self._places.values())
 
+    @classmethod
+    def _from_places(cls, places: dict[str, Multiset]) -> "Marking":
+        """The marking that takes over ``places``, whose multisets are all
+        non-empty; the caller must not change the dict afterwards."""
+        m = cls.__new__(cls)
+        m._places = places
+        m._entries = None
+        m._hash = None
+        return m
+
     def updated(self, remove: Mapping[str, Mapping[Value, int]],
                 add: Mapping[str, Mapping[Value, int]]) -> "Marking":
         """The marking with the ``{place: {value: count}}`` maps ``remove``
         taken off and ``add`` put on.  Each place they name is copied
-        once; the others are shared with this marking."""
-        per_place = self._places.copy()
-        for place in dict.fromkeys([*remove, *add]):
-            per_place[place] = per_place.get(place, _NO_TOKENS).updated(
-                remove.get(place, {}), add.get(place, {}))
-        return Marking(per_place)
+        once, and dropped if it ends up empty; the others are shared with
+        this marking."""
+        places = self._places.copy()
+        for place in (*remove, *(p for p in add if p not in remove)):
+            tokens = places.get(place, _NO_TOKENS).updated(
+                remove.get(place, _NO_COUNTS), add.get(place, _NO_COUNTS))
+            if tokens:
+                places[place] = tokens
+            else:
+                places.pop(place, None)
+        return Marking._from_places(places)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Marking) and other._places == self._places
@@ -259,6 +307,7 @@ class Marking:
 
 
 _NO_TOKENS = Multiset()
+_NO_COUNTS: Mapping[Value, int] = {}
 
 
 def marking_violations(net: SchematicNet, m: Marking, s: Structure) -> list[Violation]:
@@ -568,12 +617,14 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     and constants, possibly in tuples) against the distinct tokens still
     available on their places: a bound variable must agree with the
     token, a fresh one takes the token's component if it lies in the
-    variable's carrier.  Only variables that no pattern binds are
-    enumerated over their carriers.  Guard atoms and the remaining input
-    terms are checked as soon as their variables are bound, the terms
-    against the tokens left over; a function application outside its
-    table makes the candidate not enabled.  A pattern on an empty input
-    place enables nothing, so no carrier is built then.
+    variable's carrier.  A variable that no pattern binds but a guard
+    equation ``f(v) = e`` pins is drawn from the preimage of ``e``'s
+    value under ``f``; only the others are enumerated over their
+    carriers (see :class:`MatchPlan`).  Guard atoms and the remaining
+    input terms are checked as soon as their variables are bound, the
+    terms against the tokens left over; a function application outside
+    its table makes the candidate not enabled.  A pattern on an empty
+    input place enables nothing, so no carrier is built then.
 
     The result is in lexicographic carrier order: by variable name, then
     by each value's position in the carrier of the variable's sort.
@@ -581,21 +632,20 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     t = _resolved(net, transition)
     plan = net.index.plans[t.name]
     have = {place: m.get(place).counts() for place in plan.places}
-    if any(place is not None and not have[place] for place, _ in plan.steps):
+    if not all(have[place] for place in plan.matched):
         return []
-    ranks = [carrier_rank(sort, s) for _, sort in t.variables]
-    members = dict(zip(plan.names, ranks))
-    domains = {name: carrier_of(sort, s) for name, sort in t.variables
-               if name in plan.unmatched}
+    names, steps, checks = plan.names, plan.steps, plan.checks
+    ranks = [carrier_rank(sort, s) for sort in plan.sorts]
+    members = dict(zip(names, ranks))
     taken: dict[str, dict[Value, int]] = {place: {} for place in plan.places}
     binding: dict[str, Value] = {}
     found: list[tuple[Value, ...]] = []
 
-    def admit(checks, took: list[tuple[str, Value]]) -> bool:
+    def admit(level_checks, took: list[tuple[str, Value]]) -> bool:
         # a plain dict stands in for a Binding here: evaluation only
         # needs .get, and building a sorted Binding per probe is costly
         try:
-            for check in checks:
+            for check in level_checks:
                 if isinstance(check, Guard):
                     if not eval_guard(check, s, binding):
                         return False
@@ -611,38 +661,56 @@ def enabled_bindings(net: SchematicNet, m: Marking,
         return True
 
     def descend(level: int) -> None:
+        level_checks = checks[level]
+        if not level_checks:
+            step(level)
+            return
         took: list[tuple[str, Value]] = []
-        if admit(plan.checks[level], took):
-            if level == len(plan.steps):
-                found.append(tuple(binding[n] for n in plan.names))
-            else:
-                step(level)
+        if admit(level_checks, took):
+            step(level)
         for place, v in took:
             taken[place][v] -= 1
 
     def step(level: int) -> None:
-        place, what = plan.steps[level]
-        if place is None:
-            for value in domains[what]:
-                binding[what] = value
-                descend(level + 1)
-            binding.pop(what, None)
+        if level == len(steps):
+            found.append(tuple(map(binding.__getitem__, names)))
             return
-        counts = taken[place]
-        for value, available in have[place].items():
-            if counts.get(value, 0) >= available:
-                continue
-            fresh: list[str] = []
-            if _match(what, value, binding, members, s, fresh):
-                counts[value] = counts.get(value, 0) + 1
-                descend(level + 1)
-                counts[value] -= 1
-            for name in fresh:
-                del binding[name]
+        this = steps[level]
+        kind = this[0]
+        if kind == "match":
+            _, place, pattern = this
+            counts = taken[place]
+            for value, available in have[place].items():
+                if counts.get(value, 0) >= available:
+                    continue
+                fresh: list[str] = []
+                if _match(pattern, value, binding, members, s, fresh):
+                    counts[value] = counts.get(value, 0) + 1
+                    descend(level + 1)
+                    counts[value] -= 1
+                for name in fresh:
+                    del binding[name]
+            return
+        name = this[1]
+        if kind == "carrier":
+            candidates = carrier_of(this[2], s)
+        else:
+            try:
+                target = evaluate(this[3], s, binding)
+            except EvalError:
+                return
+            rank = members[name]
+            candidates = [v for v in inverse_table(this[2], s).get(target, ())
+                          if v in rank]
+        for value in candidates:
+            binding[name] = value
+            descend(level + 1)
+        binding.pop(name, None)
 
     descend(0)
-    found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
-    return [Binding(zip(plan.names, values)) for values in found]
+    if len(found) > 1:
+        found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
+    return [Binding._from_sorted(tuple(zip(names, values))) for values in found]
 
 
 def _match(term: Term, value: Value, binding: dict[str, Value],
@@ -660,9 +728,12 @@ def _match(term: Term, value: Value, binding: dict[str, Value],
         fresh.append(term.name)
         return True
     if isinstance(term, TupleTerm):
-        return (isinstance(value, TupleValue) and len(value.items) == len(term.items)
-                and all(_match(item, v, binding, members, s, fresh)
-                        for item, v in zip(term.items, value.items)))
+        if not isinstance(value, TupleValue) or len(value.items) != len(term.items):
+            return False
+        for item, v in zip(term.items, value.items):
+            if not _match(item, v, binding, members, s, fresh):
+                return False
+        return True
     return s.constants.get(term.name) == value
 
 
@@ -734,26 +805,33 @@ class Stepper:
     The bindings of a transition depend only on the tokens on its input
     places, so they are kept per ``(name, tokens on each input place)``;
     markings share untouched places, so a transition whose inputs did
-    not change is not matched again.  The checked occurrence of
-    ``(name, binding)`` is kept too, and a kept one is re-checked only
-    for containment, the one check that depends on the marking.  Errors
-    are not kept.
+    not change is not matched again.  The input places of each resolved
+    transition are looked up once, when the stepper is made.  The
+    checked occurrence of ``(name, binding)`` is kept too, and a kept
+    one is re-checked only for containment, the one check that depends
+    on the marking.  A transition is resolved, and an unknown or
+    unresolved one rejected, only when nothing is kept for it yet.
+    Errors are not kept.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
         self.net = net
         self.structure = s
         self.transitions = tuple(sorted(net.transitions, key=lambda t: t.name))
+        self._inputs = {name: plan.places for name, plan in net.index.plans.items()}
         self._bindings: dict[tuple, list[Binding]] = {}
         self._occurrences: dict[tuple[str, Binding], tuple[Tokens, Tokens]] = {}
 
     def enabled(self, m: Marking, transition: Transition | str) -> list[Binding]:
         """:func:`enabled_bindings` at ``m``; read the list, never change it."""
-        t = _resolved(self.net, transition)
-        key = (t.name, *map(m.get, self.net.index.plans[t.name].places))
+        name = transition if isinstance(transition, str) else transition.name
+        places = self._inputs.get(name)
+        if places is None:
+            places = self._inputs[_resolved(self.net, name).name]
+        key = (name, *map(m.get, places))
         found = self._bindings.get(key)
         if found is None:
-            found = enabled_bindings(self.net, m, t, self.structure)
+            found = enabled_bindings(self.net, m, name, self.structure)
             self._bindings[key] = found
         return found
 
@@ -761,14 +839,14 @@ class Stepper:
                    b: Binding) -> tuple[Tokens, Tokens]:
         """:func:`checked_occurrence` at ``m``; read the maps, never change
         them."""
-        t = _resolved(self.net, transition)
-        key = (t.name, b)
+        name = transition if isinstance(transition, str) else transition.name
+        key = (name, b)
         found = self._occurrences.get(key)
         if found is None:
-            found = checked_occurrence(self.net, m, t, b, self.structure)
+            found = checked_occurrence(self.net, m, name, b, self.structure)
             self._occurrences[key] = found
         else:
-            _require_tokens(m, t.name, found[0])
+            _require_tokens(m, name, found[0])
         return found
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
@@ -776,8 +854,9 @@ class Stepper:
         markings, in deterministic order."""
         out = []
         for t in self.transitions:
-            for b in self.enabled(m, t):
-                out.append((t.name, b, m.updated(*self.occurrence(m, t, b))))
+            name = t.name
+            for b in self.enabled(m, name):
+                out.append((name, b, m.updated(*self.occurrence(m, name, b))))
         return out
 
 

@@ -188,6 +188,13 @@ class Binding:
         items = assignment.items() if isinstance(assignment, Mapping) else assignment
         self._pairs = tuple(sorted(items))
 
+    @classmethod
+    def _from_sorted(cls, pairs: tuple[tuple[str, Value], ...]) -> "Binding":
+        """The binding of ``pairs``, which are already sorted by name."""
+        b = cls.__new__(cls)
+        b._pairs = pairs
+        return b
+
     def pairs(self) -> tuple[tuple[str, Value], ...]:
         return self._pairs
 

@@ -5,7 +5,9 @@ the kernel was made faster, so any change to an order, a binding or a
 marking shows; and the brute-force enabling oracle
 (``support.brute_force_bindings``) on a hand-built net whose guards pin
 a variable through a function table in every shape that binding by
-inverse tables must either handle or leave to carrier enumeration.
+inverse tables must either handle or leave to carrier enumeration,
+with the steps ``MatchPlan`` chooses for it and the guard evaluations
+they save.
 """
 
 import hashlib
@@ -13,9 +15,11 @@ import random
 
 import pytest
 
-from hknet import (Atom, Marking, SetValue, bind_structure, enabled_bindings,
-                   explore, instantiate, parse, parse_predicate, print_run,
-                   random_policy, resolve_net, simulate)
+from hknet import (Atom, EvalError, Marking, SetValue, bind_structure,
+                   enabled_bindings, explore, instantiate, parse, parse_predicate,
+                   print_run, random_policy, resolve_net, simulate)
+from hknet import nets
+from hknet.signature import inverse_table
 
 from conftest import load
 from support import brute_force_bindings, structure_text
@@ -208,6 +212,62 @@ def test_pinned_variables_match_brute_force_on_random_markings(pinned):
         for t in net.transitions:
             assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s), \
                 (t.name, m)
+
+
+def test_a_pinned_variable_is_drawn_from_the_inverse_table(pinned):
+    net, s = pinned
+    kinds = {name: plan.steps[-1][:2] for name, plan in net.index.plans.items()}
+    free = {"subset": "s", "unbound": "w"}
+    assert kinds == {name: ("carrier" if name in ("binary", "unbound") else "preimage",
+                            free.get(name, "y"))
+                     for name in kinds}
+    # unbound: v comes first and is enumerated, so w = f(v) has v bound
+    assert net.index.plans["unbound"].steps[-2][:2] == ("carrier", "v")
+    assert net.index.plans["reversed"].steps[-1][2:] == net.index.plans["noninj"].steps[-1][2:]
+
+
+def test_inverse_tables_list_every_argument_of_a_unary_function(pinned):
+    _, s = pinned
+    a1, a2, b1, b2, b3 = (Atom(n) for n in ("a1", "a2", "b1", "b2", "b3"))
+    assert inverse_table("f", s) == {a1: (b1, b2), a2: (b3,), Atom("a3"): (Atom("b4"),)}
+    assert inverse_table("g", s)[a1] == (b1, Atom("b9"))
+    assert inverse_table("part", s) == {a2: (b1, b3)}
+    assert inverse_table("bin", s) == {} and inverse_table("none", s) == {}
+    assert inverse_table("f", s) is inverse_table("f", s)
+
+
+def test_binding_through_the_inverse_skips_the_carrier(pinned, monkeypatch):
+    # f(y) = x at x = a1, a2, a3 has 2 + 1 + 1 candidates for y, not 3 x 4
+    net, s = pinned
+    calls = []
+    original = nets.eval_guard
+
+    def counting(guard, s_, b):
+        calls.append(guard)
+        return original(guard, s_, b)
+
+    monkeypatch.setattr(nets, "eval_guard", counting)
+    m = Marking({"p": [Atom("a1"), Atom("a2"), Atom("a3")]})
+    assert len(enabled_bindings(net, m, "noninj", s)) == 4
+    assert len(calls) == 4
+    calls.clear()
+    assert len(enabled_bindings(net, m, "binary", s)) == 3
+    assert len(calls) == 3 * 4
+
+
+def test_a_carrier_symbol_evaluates_to_one_shared_set(s0):
+    menu = s0.carrier_value("Menu")
+    assert menu == SetValue(s0.carrier("Menu")) and s0.carrier_value("Menu") is menu
+    with pytest.raises(EvalError, match="no carrier for symbol 'Nothing'"):
+        s0.carrier_value("Nothing")
+
+
+def test_hand_over_draws_the_meal_from_the_inverse_of_g(sys0):
+    plan = sys0.net.index.plans["hand_over"]
+    assert [step[:2] for step in plan.steps] == [
+        ("match", "pending_orders"), ("match", "waiting"), ("preimage", "Y")]
+    select = sys0.net.index.plans["select"]
+    assert select.steps[-1][:2] == ("carrier", "X")
 
 
 # ---------------------------------------------------------------------------
