@@ -255,16 +255,17 @@ def compose(a: Module, b: Module) -> Module:
 
 def _union(what: str, mine, theirs, fused: set[str], fuse, key) -> tuple:
     """The elements of ``mine`` and ``theirs`` in id order: a fused id joins
-    through ``fuse``, any other id on both sides is a collision."""
-    union = {key(x): x for x in mine}
-    for x in theirs:
-        k = key(x)
-        if k not in union:
-            union[k] = x
-        elif k in fused:
-            union[k] = fuse(union[k], x)
-        else:
-            raise CompositionError(f"id collision on {what} {k!r}")
+    through ``fuse``, any other id on both sides, or twice on one side, is
+    a collision."""
+    union: dict = {}
+    for side in (mine, theirs):
+        seen: set = set()
+        for x in side:
+            k = key(x)
+            if k in seen or k in union and k not in fused:
+                raise CompositionError(f"id collision on {what} {k!r}")
+            seen.add(k)
+            union[k] = fuse(union[k], x) if k in union else x
     return tuple(union[k] for k in sorted(union))
 
 

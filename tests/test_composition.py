@@ -106,7 +106,7 @@ def twice(node) -> tuple:
     return (node, node)
 
 
-@pytest.mark.parametrize("a_inner, b_inner, what, name", [
+REPEATED_IDS = [
     (SchematicNet(places=(Place("x"),)),
      SchematicNet(places=twice(Place("q"))), "place", "q"),
     (SchematicNet(transitions=(Transition("x"),)),
@@ -115,11 +115,32 @@ def twice(node) -> tuple:
      OccurrenceNet(conditions=twice(Condition("c", "p", Atom("v")))), "condition", "c"),
     (OccurrenceNet(events=(Event("x", "t", Binding({})),)),
      OccurrenceNet(events=twice(Event("e", "t", Binding({})))), "event", "e"),
-])
+]
+
+
+@pytest.mark.parametrize("a_inner, b_inner, what, name", REPEATED_IDS)
 def test_unfused_shared_ids_collide(a_inner, b_inner, what, name):
     # only a module built through the API can hold two equally named nodes
     with pytest.raises(CompositionError, match=rf"^id collision on {what} '{name}'$"):
         compose(Module("a", "", a_inner), Module("b", "", b_inner))
+
+
+@pytest.mark.parametrize("a_inner, b_inner, what, name", REPEATED_IDS)
+def test_an_id_repeated_in_the_left_operand_collides_too(a_inner, b_inner, what, name):
+    # the same pair of nodes as above, now in the left operand
+    with pytest.raises(CompositionError, match=rf"^id collision on {what} '{name}'$"):
+        compose(Module("b", "", b_inner), Module("a", "", a_inner))
+
+
+def test_a_fused_id_repeated_in_one_operand_collides():
+    ends = (InterfaceElement(PLACE, "x", "q"),)
+    once = Module("a", "", SchematicNet(places=(Place("q"),)), right=ends)
+    repeated = SchematicNet(places=twice(Place("q")))
+    with pytest.raises(CompositionError, match=r"^id collision on place 'q'$"):
+        compose(once, Module("b", "", repeated, left=ends))
+    with pytest.raises(CompositionError, match=r"^id collision on place 'q'$"):
+        compose(Module("b", "", repeated, right=ends),
+                Module("a", "", SchematicNet(places=(Place("q"),)), left=ends))
 
 
 @pytest.mark.parametrize("a_inner, b_inner, kinds", [
