@@ -158,9 +158,11 @@ class MatchPlan:
       ``term``, either way round, and every variable of ``term`` is bound
       by an earlier step; if ``term`` fails to evaluate, nothing is bound;
     * ``("carrier", name, sort)`` enumerates the carrier of any other
-      variable no pattern binds (``unmatched``: free-choice variables and
-      those occurring only under a function, in a set term or in
-      ``elm``).
+      variable no pattern binds: free-choice variables and those
+      occurring only under a function, in a set term or in ``elm``.
+
+    ``matched`` lists the places of the match steps; while one of them
+    is empty, nothing is enabled.
 
     ``checks[i]`` holds what becomes decidable once ``steps[:i]`` have
     bound their variables: single guard atoms, the equation behind a
@@ -188,9 +190,8 @@ class MatchPlan:
                 else:
                     pending.append((used, (arc.source, term)))
         self.matched = tuple(dict.fromkeys(step[1] for step in steps))
-        self.unmatched = tuple(n for n in self.names if n not in stage)
         for name, sort in variables:
-            if name in self.unmatched:
+            if name not in stage:
                 pin = _pinned_by(name, t.guard, stage.keys())
                 stage[name] = len(steps)
                 steps.append(("preimage", name, *pin) if pin else ("carrier", name, sort))
@@ -809,9 +810,10 @@ class Stepper:
     transition are looked up once, when the stepper is made.  The
     checked occurrence of ``(name, binding)`` is kept too, and a kept
     one is re-checked only for containment, the one check that depends
-    on the marking.  A transition is resolved, and an unknown or
-    unresolved one rejected, only when nothing is kept for it yet.
-    Errors are not kept.
+    on the marking; :meth:`successors` skips even that, as it fires only
+    bindings enabled at the marking.  A transition is resolved, and an
+    unknown or unresolved one rejected, only when nothing is kept for it
+    yet.  Errors are not kept.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
@@ -840,13 +842,16 @@ class Stepper:
         """:func:`checked_occurrence` at ``m``; read the maps, never change
         them."""
         name = transition if isinstance(transition, str) else transition.name
-        key = (name, b)
-        found = self._occurrences.get(key)
+        found = self._occurrences.get((name, b))
         if found is None:
-            found = checked_occurrence(self.net, m, name, b, self.structure)
-            self._occurrences[key] = found
-        else:
-            _require_tokens(m, name, found[0])
+            return self._check(m, name, b)
+        _require_tokens(m, name, found[0])
+        return found
+
+    def _check(self, m: Marking, name: str, b: Binding) -> tuple[Tokens, Tokens]:
+        """:func:`checked_occurrence`, kept."""
+        found = checked_occurrence(self.net, m, name, b, self.structure)
+        self._occurrences[(name, b)] = found
         return found
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
@@ -856,7 +861,9 @@ class Stepper:
         for t in self.transitions:
             name = t.name
             for b in self.enabled(m, name):
-                out.append((name, b, m.updated(*self.occurrence(m, name, b))))
+                # b is enabled at m, so m holds the tokens it consumes
+                found = self._occurrences.get((name, b)) or self._check(m, name, b)
+                out.append((name, b, m.updated(*found)))
         return out
 
 
