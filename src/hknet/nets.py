@@ -709,8 +709,7 @@ def enabled_bindings(net: SchematicNet, m: Marking,
         binding.pop(name, None)
 
     descend(0)
-    if len(found) > 1:
-        found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
+    found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
     return [Binding._from_sorted(tuple(zip(names, values))) for values in found]
 
 
