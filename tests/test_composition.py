@@ -3,13 +3,14 @@ import random
 import pytest
 
 from hknet import (Atom, Binding, CompositionError, Condition, Event,
-                   InterfaceElement, Module, OccurrenceNet, Place, SchematicNet,
-                   SortName, Transition, canonical_equal,
-                   canonicalize, compose, empty_module, interface_of,
-                   interface_violations, rename_elements)
-from hknet.modules import PLACE, TRANSITION
+                   InterfaceElement, Marking, Module, OccurrenceNet, Place,
+                   SchematicNet, SortName, Transition, canonical_equal,
+                   canonicalize, compose, enabled_bindings, empty_module,
+                   instantiate, interface_of, interface_violations,
+                   rename_elements)
+from hknet.modules import PLACE, TRANSITION, _inner_ids
 
-from support import compatible_triple
+from support import attached_spans, compatible_triple
 
 
 def elements(m: Module) -> int:
@@ -269,3 +270,86 @@ def test_canonicalize_invariant_under_random_relabelings():
         mapping = {old: f"n{rng.randrange(10**6)}_{i}"
                    for i, old in enumerate(shuffled)}
         assert canonicalize(rename_elements(m, mapping)) == canonicalize(m)
+
+
+# ---------------------------------------------------------------------------
+# Renaming keeps every field, the ones equality ignores included
+# ---------------------------------------------------------------------------
+
+def resolved_module(m: Module, system) -> Module:
+    """``m`` with its inner net replaced by the resolved net of ``system``."""
+    return Module(m.name, m.sig, system.net, m.left, m.right, m.span)
+
+
+def renamings(m: Module) -> list[dict[str, str]]:
+    """The identity map of ``m``'s inner ids and a bijection onto fresh ids."""
+    ids = sorted(_inner_ids(m.inner))
+    return [{x: x for x in ids}, {x: f"n{i}" for i, x in enumerate(reversed(ids))}]
+
+
+def renamed_enabling(net, mapping, system) -> list[list[Binding]]:
+    """The bindings of each transition of ``system`` at its initial marking,
+    read off ``net``, which names each node ``n`` as ``mapping[n]``."""
+    marking = Marking({mapping[p]: tokens for p, tokens in system.initial.items()})
+    return [enabled_bindings(net, marking, mapping[t.name], system.structure)
+            for t in system.net.transitions]
+
+
+def test_rename_elements_keeps_order_spans_and_variables(guest_area, branch, sys_tiny, a0):
+    resolved = resolved_module(branch, sys_tiny)
+    for m in (guest_area, resolved, a0):
+        for mapping in renamings(m):
+            renamed = rename_elements(m, mapping)
+            assert attached_spans((renamed.inner, renamed.left, renamed.right)) == \
+                attached_spans((m.inner, m.left, m.right))
+            if m.is_run():
+                nodes = [(x.id, y.id) for old, new in
+                         ((m.inner.conditions, renamed.inner.conditions),
+                          (m.inner.events, renamed.inner.events))
+                         for x, y in zip(old, new, strict=True)]
+            else:
+                nodes = [(x.name, y.name) for old, new in
+                         ((m.inner.places, renamed.inner.places),
+                          (m.inner.transitions, renamed.inner.transitions))
+                         for x, y in zip(old, new, strict=True)]
+                assert [t.variables for t in renamed.inner.transitions] == \
+                    [t.variables for t in m.inner.transitions]
+            assert all(mapping[old] == new for old, new in nodes)
+    for t in resolved.inner.transitions:
+        assert t.variables is not None
+
+
+def test_a_renamed_resolved_net_enables_as_before(branch, sys_tiny):
+    resolved = resolved_module(branch, sys_tiny)
+    identity = {x: x for x in _inner_ids(resolved.inner)}
+    before = renamed_enabling(sys_tiny.net, identity, sys_tiny)
+    assert any(before)
+    for mapping in renamings(resolved):
+        after = rename_elements(resolved, mapping).inner
+        assert renamed_enabling(after, mapping, sys_tiny) == before
+
+
+@pytest.mark.parametrize("name", ["entry", "guest_area", "kitchen"])
+def test_the_canonical_form_of_a_resolved_net_keeps_spans_and_variables(
+        request, s0_tiny, name):
+    m = request.getfixturevalue(name)
+    system = instantiate(m, s0_tiny)
+    net = system.net
+    canon = canonicalize(resolved_module(m, system))
+    # parsed nodes have distinct spans, which lead to their canonical ids
+    places = {p.span: p for p in canon.inner.places}
+    transitions = {t.span: t for t in canon.inner.transitions}
+    assert None not in places and None not in transitions
+    assert len(places) == len(net.places) and len(transitions) == len(net.transitions)
+    mapping = {p.name: places[p.span].name for p in net.places}
+    mapping.update({t.name: transitions[t.span].name for t in net.transitions})
+    for t in net.transitions:
+        assert transitions[t.span].variables == t.variables
+    assert sorted((mapping[a.source], mapping[a.target], str(a.span)) for a in net.arcs) \
+        == sorted((a.source, a.target, str(a.span)) for a in canon.inner.arcs)
+    for side, canonical_side in ((m.left, canon.left), (m.right, canon.right)):
+        assert sorted((mapping[e.ref], e.label, str(e.span)) for e in side) == \
+            sorted((e.ref, e.label, str(e.span)) for e in canonical_side)
+    identity = {x: x for x in mapping}
+    assert renamed_enabling(canon.inner, mapping, system) == \
+        renamed_enabling(net, identity, system)
