@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CompositionError, Violation
 from .nets import (Arc, Condition, Event, OccurrenceNet, Place, SchematicNet,
@@ -143,7 +143,16 @@ def interface_violations(m: Module) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def rename_elements(m: Module, mapping: Mapping[str, str]) -> Module:
-    """Rename inner element ids; interface labels stay untouched."""
+    """Rename inner element ids; an id the mapping lacks stays, and so do
+    interface labels.  Every element keeps its place in the order and
+    every field, the span and a resolved transition's variables too."""
+    return _rebuilt(m, mapping, lambda _: 0)
+
+
+def _rebuilt(m: Module, mapping: Mapping[str, str], rank: Callable[[str], int]) -> Module:
+    """``m`` with each inner id ``x`` renamed to ``mapping.get(x, x)`` and
+    every field kept.  Nodes are ordered by the ``rank`` of their old id,
+    arcs and flow by the ranks of their two ends; the sort is stable."""
 
     def ren(x: str) -> str:
         return mapping.get(x, x)
@@ -151,22 +160,25 @@ def rename_elements(m: Module, mapping: Mapping[str, str]) -> Module:
     inner = m.inner
     if isinstance(inner, SchematicNet):
         new_inner: SchematicNet | OccurrenceNet = SchematicNet(
-            places=tuple(replace(p, name=ren(p.name)) for p in inner.places),
-            transitions=tuple(replace(t, name=ren(t.name)) for t in inner.transitions),
-            arcs=tuple(replace(a, source=ren(a.source), target=ren(a.target))
-                       for a in inner.arcs),
-        )
+            tuple(Place(ren(p.name), p.sort, p.init, p.span)
+                  for p in sorted(inner.places, key=lambda p: rank(p.name))),
+            tuple(Transition(ren(t.name), t.guard, t.free, t.variables, t.span)
+                  for t in sorted(inner.transitions, key=lambda t: rank(t.name))),
+            tuple(Arc(ren(a.source), ren(a.target), a.inscription, a.span)
+                  for a in sorted(inner.arcs, key=lambda a: (rank(a.source), rank(a.target)))))
     else:
         new_inner = OccurrenceNet(
-            conditions=tuple(replace(c, id=ren(c.id)) for c in inner.conditions),
-            events=tuple(replace(e, id=ren(e.id)) for e in inner.events),
-            flow=tuple((ren(s), ren(t)) for s, t in inner.flow),
-        )
-    return Module(
-        m.name, m.sig, new_inner,
-        left=tuple(replace(e, ref=ren(e.ref)) for e in m.left),
-        right=tuple(replace(e, ref=ren(e.ref)) for e in m.right),
-    )
+            tuple(Condition(ren(c.id), c.place, c.value, c.span)
+                  for c in sorted(inner.conditions, key=lambda c: rank(c.id))),
+            tuple(Event(ren(e.id), e.transition, e.binding, e.span)
+                  for e in sorted(inner.events, key=lambda e: rank(e.id))),
+            tuple((ren(s), ren(t))
+                  for s, t in sorted(inner.flow, key=lambda f: (rank(f[0]), rank(f[1])))))
+
+    def exposed(side: tuple[InterfaceElement, ...]) -> tuple[InterfaceElement, ...]:
+        return tuple(InterfaceElement(e.kind, e.label, ren(e.ref), e.span) for e in side)
+
+    return Module(m.name, m.sig, new_inner, exposed(m.left), exposed(m.right), m.span)
 
 
 def _fresh_id(base: str, used: set[str]) -> str:
@@ -379,16 +391,15 @@ def canonicalize(m: Module) -> Module:
     reaching it stay the same.  Idempotent.
     """
     m = _normalize_module(m)
-    ids, kinds, graph = _labelling_graph(m)
     by_label = attrgetter("kind", "label")
-    left = tuple(sorted(m.left, key=by_label))
-    right = tuple(sorted(m.right, key=by_label))
-    inner = m.inner
+    m = Module("_", "", m.inner, tuple(sorted(m.left, key=by_label)),
+               tuple(sorted(m.right, key=by_label)))
+    ids, graph = _labelling_graph(m)
     if not ids:
-        base = SchematicNet() if isinstance(inner, SchematicNet) else OccurrenceNet()
-        return Module("_", "", base, left, right)
+        return Module("_", "", type(m.inner)(), m.left, m.right)
 
     order, _ = _canonical_search(*graph)
+    kinds = _inner_ids(m.inner)
     run = m.is_run()
     prefix = {PLACE: "b" if run else "p", TRANSITION: "e" if run else "t"}
     counts = {PLACE: 0, TRANSITION: 0}
@@ -400,34 +411,7 @@ def canonicalize(m: Module) -> Module:
         names[node] = prefix[kind] + str(counts[kind])
         counts[kind] += 1
         position[node] = i
-
-    if isinstance(inner, SchematicNet):
-        inner = SchematicNet(
-            places=tuple(Place(names[p.name], p.sort, p.init, p.span)
-                         for p in sorted(inner.places, key=lambda p: position[p.name])),
-            transitions=tuple(
-                Transition(names[t.name], t.guard, t.free, t.variables, t.span)
-                for t in sorted(inner.transitions, key=lambda t: position[t.name])),
-            arcs=tuple(Arc(names[a.source], names[a.target], a.inscription, a.span)
-                       for a in sorted(inner.arcs, key=lambda a: (position[a.source],
-                                                                  position[a.target]))),
-        )
-    else:
-        inner = OccurrenceNet(
-            conditions=tuple(Condition(names[c.id], c.place, c.value, c.span)
-                             for c in sorted(inner.conditions, key=lambda c: position[c.id])),
-            events=tuple(Event(names[e.id], e.transition, e.binding, e.span)
-                         for e in sorted(inner.events, key=lambda e: position[e.id])),
-            flow=tuple((names[s], names[t])
-                       for s, t in sorted(inner.flow, key=lambda f: (position[f[0]],
-                                                                     position[f[1]]))),
-        )
-
-    def exposed(side: tuple[InterfaceElement, ...]) -> tuple[InterfaceElement, ...]:
-        return tuple(InterfaceElement(e.kind, e.label, names.get(e.ref, e.ref), e.span)
-                     for e in side)
-
-    return Module("_", "", inner, exposed(left), exposed(right))
+    return _rebuilt(m, names, position.__getitem__)
 
 
 def automorphisms(m: Module) -> list[dict[str, str]]:
@@ -436,7 +420,7 @@ def automorphisms(m: Module) -> list[dict[str, str]]:
     interface labels; together they generate the group the search prunes
     by, a subgroup of all automorphisms (all of them for interchangeable
     places, see the tests).  For symmetry reduction."""
-    ids, _, graph = _labelling_graph(_normalize_module(m))
+    ids, graph = _labelling_graph(_normalize_module(m))
     _, generators = _canonical_search(*graph)
     return [{ids[v]: ids[w] for v, w in enumerate(g)} for g in generators]
 
@@ -479,8 +463,7 @@ def _normalize_module(m: Module) -> Module:
 
 def _labelling_graph(m: Module):
     """The id-free graph that canonical labelling reads, in one pass: the
-    node ids in order (node ``i`` stands for ``ids[i]``), each id's kind,
-    and for :func:`_canonical_search` each node's decoration rank, the
+    node ids in order (node ``i`` stands for ``ids[i]``), and for :func:`_canonical_search` each node's decoration rank, the
     edges as ``(source, target, label rank)``, and per node its out- and
     in-neighbours as ``(base, neighbour)``.
 
@@ -490,31 +473,26 @@ def _labelling_graph(m: Module):
     with ``base = label * (2n + 1) + n`` orders the neighbours of one node
     as ``(label, colour)`` pairs do."""
     decor: dict[str, str] = {}
-    kinds: dict[str, str] = {}
     inner = m.inner
     if isinstance(inner, SchematicNet):
         for p in inner.places:
             sort = render_sort(p.sort) if p.sort is not None else ""
             init = ",".join(sorted(render_term(t) for t in p.init))
             decor[p.name] = f"place|{sort}|{init}"
-            kinds[p.name] = PLACE
         for t in inner.transitions:
             guard = " and ".join(sorted(
                 f"{render_term(a.left)} {a.op} {render_term(a.right)}"
                 for a in t.guard.atoms))
             free = ",".join(f"{n}:{render_sort(s)}" for n, s in sorted(t.free))
             decor[t.name] = f"trans|{guard}|{free}"
-            kinds[t.name] = TRANSITION
         labelled = ((a.source, a.target,
                      ",".join(sorted(render_term(t) for t in a.inscription)))
                     for a in inner.arcs)
     else:
         for c in inner.conditions:
             decor[c.id] = f"cond|{c.place}|{render_value(c.value)}"
-            kinds[c.id] = PLACE
         for e in inner.events:
             decor[e.id] = f"event|{e.transition}|{render_binding(e.binding)}"
-            kinds[e.id] = TRANSITION
         labelled = ((s, t, "") for s, t in inner.flow)
 
     anchors: dict[str, list[str]] = {}
@@ -539,7 +517,7 @@ def _labelling_graph(m: Module):
         base = label * (2 * n + 1) + n
         outs[s].append((base, t))
         ins[t].append((base, s))
-    return ids, kinds, ([ranks[decor[node]] for node in ids], arcs, outs, ins)
+    return ids, ([ranks[decor[node]] for node in ids], arcs, outs, ins)
 
 
 def _refine(color: list[int], cells: dict[int, list[int]], changed,

@@ -23,7 +23,8 @@ from operator import itemgetter
 from .errors import EvalError, FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         TupleSort, carrier_of, carrier_rank, inverse_table,
-                        render_sort, sorts_compatible, value_in_sort)
+                        render_sort, sort_symbols, sorts_compatible,
+                        value_in_sort)
 from .spans import SourceSpan
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
                     SetTerm, SymbolRef, Term, TupleTerm, Var, add_tokens,
@@ -451,17 +452,10 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
 
 def _check_sort_declared(sort: Sort, sig: Signature, where: str,
                          span: SourceSpan | None, violations: list[Violation]) -> None:
-    if isinstance(sort, SortName):
-        if not sig.declares_carrier(sort.name):
+    for name in sort_symbols(sort):
+        if not sig.declares_carrier(name):
             violations.append(Violation(
-                "undeclared-sort", f"{where}: unknown sort symbol {sort.name!r}", span))
-    elif isinstance(sort, PowSort):
-        if not sig.declares_carrier(sort.base):
-            violations.append(Violation(
-                "undeclared-sort", f"{where}: unknown sort symbol {sort.base!r}", span))
-    elif isinstance(sort, TupleSort):
-        for c in sort.components:
-            _check_sort_declared(c, sig, where, span, violations)
+                "undeclared-sort", f"{where}: unknown sort symbol {name!r}", span))
 
 
 def _resolve_term(t: Term, sig: Signature, top_level: bool,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import EvalError, SortError, Violation
 from .spans import SourceSpan
@@ -66,7 +66,12 @@ def render_sort(s: Sort) -> str:
 
 @dataclass(frozen=True)
 class Signature:
-    """An alphabet of typed symbols from which terms are built."""
+    """An alphabet of typed symbols from which terms are built.
+
+    The lookups read one ``{symbol: (kind, detail)}`` table, built once
+    and kept, as :class:`Structure` keeps its tables.  The detail is None
+    for a set, the base for a subset, the sort for a constant, and
+    ``(argument sorts, result sort)`` for a function."""
 
     name: str
     sets: tuple[str, ...] = ()
@@ -77,22 +82,29 @@ class Signature:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = list(self.sets)
-        names += [n for n, _ in self.subsets]
-        names += [n for n, _ in self.constants]
-        names += [n for n, _, _ in self.functions]
-        dup = _first_duplicate(names)
-        if dup is not None:
-            raise SortError(f"duplicate symbol name {dup!r} in signature {self.name!r}")
+        self._symbols  # built first, so a repeated symbol name raises here
         for _, base in self.subsets:
             if base not in self.sets:
                 raise SortError(f"subset base {base!r} is not a declared set symbol")
         for name, sort in self.constants:
             self._check_sort(sort, f"constant {name!r}")
         for name, args, res in self.functions:
-            for a in args:
+            for a in (*args, res):
                 self._check_sort(a, f"function {name!r}")
-            self._check_sort(res, f"function {name!r}")
+
+    @cached_property
+    def _symbols(self) -> dict[str, tuple[str, Any]]:
+        """The symbol table; a name declared twice is a :class:`SortError`."""
+        table: dict[str, tuple[str, Any]] = {}
+        for name, entry in itertools.chain(
+                ((n, ("set", None)) for n in self.sets),
+                ((n, ("subset", base)) for n, base in self.subsets),
+                ((n, ("constant", sort)) for n, sort in self.constants),
+                ((n, ("function", (args, res))) for n, args, res in self.functions)):
+            if name in table:
+                raise SortError(f"duplicate symbol name {name!r} in signature {self.name!r}")
+            table[name] = entry
+        return table
 
     def _check_sort(self, sort: Sort, where: str) -> None:
         for name in sort_symbols(sort):
@@ -101,47 +113,25 @@ class Signature:
 
     # lookup helpers -------------------------------------------------------
 
+    def _detail(self, name: str, kind: str) -> Any:
+        found, detail = self._symbols.get(name, (None, None))
+        return detail if found == kind else None
+
     def declares_carrier(self, name: str) -> bool:
-        return name in self.sets or any(n == name for n, _ in self.subsets)
+        return self.symbol_kind(name) in ("set", "subset")
 
     def subset_base(self, name: str) -> str | None:
-        for n, base in self.subsets:
-            if n == name:
-                return base
-        return None
+        return self._detail(name, "subset")
 
     def constant_sort(self, name: str) -> Sort | None:
-        for n, sort in self.constants:
-            if n == name:
-                return sort
-        return None
+        return self._detail(name, "constant")
 
     def function_signature(self, name: str) -> tuple[tuple[Sort, ...], Sort] | None:
-        for n, args, res in self.functions:
-            if n == name:
-                return args, res
-        return None
+        return self._detail(name, "function")
 
     def symbol_kind(self, name: str) -> str | None:
         """One of 'set', 'subset', 'constant', 'function', or None."""
-        if name in self.sets:
-            return "set"
-        if any(n == name for n, _ in self.subsets):
-            return "subset"
-        if any(n == name for n, _ in self.constants):
-            return "constant"
-        if any(n == name for n, _, _ in self.functions):
-            return "function"
-        return None
-
-
-def _first_duplicate(names: Iterable[str]) -> str | None:
-    seen: set[str] = set()
-    for n in names:
-        if n in seen:
-            return n
-        seen.add(n)
-    return None
+        return self._symbols.get(name, (None,))[0]
 
 
 def sort_symbols(sort: Sort) -> Iterable[str]:
