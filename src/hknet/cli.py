@@ -20,7 +20,7 @@ from .dot import export_dot
 from .errors import ModelError, ParseError
 from .modules import Module, compose_all
 from .nets import SchematicNet, check_net
-from .parser import (ModelDocument, SystemDoc, bind_structure,
+from .parser import (ModelDocument, SystemDoc, bind_structure, is_identifier,
                      parse, parse_predicate, parse_script)
 from .printer import print_module, print_run, print_system, structure_to_doc
 from .runs import compose_runs, random_policy, scripted_policy, simulate, \
@@ -77,6 +77,24 @@ def count(text: str) -> int:
     return value
 
 
+def identifier(text: str) -> str:
+    """A document name: text the parser reads back as one identifier."""
+    if not is_identifier(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an identifier: a letter or _, then letters, "
+            "digits and _")
+    return text
+
+
+def named_output(text: str) -> str:
+    """An output file whose stem names the document written to it."""
+    if not is_identifier(Path(text).stem):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} would name the document {Path(text).stem!r}, which is "
+            "not an identifier: a letter or _, then letters, digits and _")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hknet",
@@ -90,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="compose module files left to right")
     p.add_argument("files", nargs="+")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", type=named_output)
     p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("instantiate", help="instantiate a module with a structure")
@@ -98,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("--sig", help="signature file (default: <name>.hksig "
                    "next to the structure)")
-    p.add_argument("--name", help="system name (default: <module>_<structure>)")
+    p.add_argument("--name", type=identifier,
+                   help="system name (default: <module>_<structure>)")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_instantiate)
 
@@ -117,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose-runs", help="compose run files left to right")
     p.add_argument("files", nargs="+")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", type=named_output)
     p.set_defaults(handler=_cmd_compose_runs)
 
     p = sub.add_parser("invariants", help="place/transition invariants of a system")

@@ -193,6 +193,14 @@ def _lex(source: str, filename: str, line: int = 1) -> list[_Token]:
     return tokens
 
 
+def is_identifier(text: str) -> bool:
+    """Whether the lexer reads ``text`` back as exactly one identifier."""
+    try:
+        return [tok[:2] for tok in _lex(text, "<name>")] == [("IDENT", text), ("EOF", "")]
+    except ParseError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------

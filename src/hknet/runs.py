@@ -245,8 +245,9 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
     """Check that ``run`` is a distributed run of ``sys``.
 
     Verifies graph shape (acyclic, unbranched conditions, bipartite
-    flow), per-event consistency (guard true under the binding, pre- and
-    post-sets matching the evaluated arc inscriptions), and that the
+    flow), per-event consistency (a binding of exactly the transition's
+    variables, guard true under it, pre- and post-sets matching the
+    evaluated arc inscriptions), and that the
     initial cut is part of the initial marking.  Empty report iff valid.
     """
     out: list[Violation] = []
@@ -293,6 +294,13 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
             out.append(Violation(
                 "unknown-transition",
                 f"event {e.id} is labeled with unknown transition {e.transition!r}"))
+            continue
+        assigned = [name for name, _ in e.binding.pairs()]
+        declared = [name for name, _ in transition.variables]
+        if assigned != declared:
+            out.append(Violation(
+                "binding", f"event {e.id}: the binding assigns [{', '.join(assigned)}], "
+                f"but {e.transition!r} has the variables [{', '.join(declared)}]"))
             continue
         try:
             if not eval_guard(transition.guard, s, e.binding):

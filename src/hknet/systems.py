@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .errors import ModelError
 from .modules import Module
-from .nets import Marking, SchematicNet, fire, resolve_net, successors
+from .nets import (Marking, SchematicNet, fire, marking_violations, resolve_net,
+                   successors)
 from .signature import Structure, validate_structure
 from .terms import Binding, inscription_tokens
 
@@ -41,8 +42,9 @@ def instantiate(module: Module, structure: Structure,
     """Build the executable system for one instantiation.
 
     Raises :class:`ModelError` when the structure does not model the
-    signature, the module does not resolve against it, or an initial
-    inscription is not closed.
+    signature, the module does not resolve against it, an initial
+    inscription is not closed, or an initial token lies outside its
+    place's sort.
     """
     if not isinstance(module.inner, SchematicNet):
         raise ModelError(f"module {module.name!r} is a run, not a schematic module")
@@ -65,6 +67,11 @@ def instantiate(module: Module, structure: Structure,
     # resolve_net has rejected open initial inscriptions
     initial = Marking({place.name: inscription_tokens(place.init, structure)
                        for place in net.places})
+    violations = marking_violations(net, initial, structure)
+    if violations:
+        raise ModelError(
+            f"initial marking of {module.name!r} under {structure.name!r}: "
+            + "; ".join(str(v) for v in violations))
 
     return System(name or f"{module.name}_{structure.name}",
                   module, structure, initial, net)

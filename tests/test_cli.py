@@ -81,6 +81,45 @@ def test_compose_pipeline_matches_case_study(workdir, capsys):
     assert "5 initial tokens" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("compose", "entry.hk", "guest_area.hk", "kitchen.hk", "-o", "my-branch.hk"),
+     "-o/--output"),
+    (("compose-runs", "a0_begin.hkrun", "a0_middle.hkrun", "-o", "2runs.hkrun"),
+     "-o/--output"),
+    (("instantiate", "entry.hk", "s0_tiny.hks", "--name", "tiny branch",
+      "-o", "tiny.hksys"), "--name"),
+])
+def test_a_name_the_parser_would_not_read_back_is_rejected(
+        workdir, capsys, monkeypatch, args, flag):
+    monkeypatch.chdir(workdir)
+    before = sorted(workdir.iterdir())
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "not an identifier" in err
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_initial_tokens_outside_their_place_sort_exit_1(workdir, capsys):
+    assert run_cli("instantiate", workdir / "entry.hk", workdir / "s0_tiny.hks",
+                   "-o", workdir / "entry.hksys") == 0
+    capsys.readouterr()
+    # free_tables holds Tables: fill it with the clients instead
+    text = (workdir / "entry.hksys").read_text(encoding="utf-8")
+    bad = text.replace("init elm(Tables)", "init elm(Clients)") \
+        .replace("free_tables: t1;", "free_tables: Alice;")
+    assert bad.count("Clients)") == 1 and "free_tables: Alice;" in bad
+    (workdir / "bad.hksys").write_text(bad, encoding="utf-8")
+    (workdir / "bad.hk").write_text((workdir / "entry.hk").read_text(
+        encoding="utf-8").replace("init elm(Tables)", "init elm(Clients)"),
+        encoding="utf-8")
+    for args in (("instantiate", workdir / "bad.hk", workdir / "s0_tiny.hks",
+                  "-o", workdir / "bad_again.hksys"),
+                 ("check", workdir / "bad.hksys")):
+        assert run_cli(*args) == 1
+        assert "token-sort] token Alice on 'free_tables'" in capsys.readouterr().err
+    assert not (workdir / "bad_again.hksys").exists()
+
+
 def build_system(workdir) -> Path:
     run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
             workdir / "kitchen.hk", "-o", workdir / "branch.hk")

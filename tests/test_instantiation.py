@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hknet import (Atom, Ident, Marking, ModelError, Module, Multiset, Place,
@@ -80,3 +82,13 @@ def test_signature_name_mismatch_is_rejected(branch):
     s = make_structure("s", other, {"A": (Atom("a"),)})
     with pytest.raises(ModelError, match="signature"):
         instantiate(branch, s)
+
+
+def test_initial_tokens_outside_their_place_sort_are_rejected(entry, s0_tiny):
+    # free_tables holds Tables, but is filled with the clients
+    places = tuple(replace(p, init=(Elm(Ident("Clients")),)) if p.name == "free_tables"
+                   else p for p in entry.inner.places)
+    module = Module(entry.name, entry.sig, replace(entry.inner, places=places),
+                    entry.left, entry.right)
+    with pytest.raises(ModelError, match=r"token-sort\] token Alice on 'free_tables'"):
+        instantiate(module, s0_tiny)

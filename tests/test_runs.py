@@ -416,6 +416,26 @@ def test_validate_rejects_unknown_places(sys0, a0):
     assert "unknown-place" in codes
 
 
+def with_rebound_first_event(a0, pairs: dict) -> Module:
+    """``a0`` with the binding of its event ``ev1`` (offer_table, t=t1)
+    replaced by ``pairs``."""
+    inner = a0.inner
+    events = tuple(replace(e, binding=Binding(pairs)) if e.id == "ev1" else e
+                   for e in inner.events)
+    return Module(a0.name, a0.sig, replace(inner, events=events), a0.left, a0.right)
+
+
+@pytest.mark.parametrize("pairs, assigned", [
+    ({"t": Atom("t1"), "zz": Atom("foo")}, "[t, zz]"),
+    ({}, "[]"),
+])
+def test_a_binding_of_other_variables_is_a_binding_violation(sys0, a0, pairs, assigned):
+    report = validate_run(with_rebound_first_event(a0, pairs), sys0)
+    assert [str(v) for v in report] == [
+        f"[binding] event ev1: the binding assigns {assigned}, but 'offer_table' "
+        "has the variables [t]"]
+
+
 def test_event_outside_a_function_table_is_a_binding_violation(sys0, a0_simulated):
     cook = next(e for e in a0_simulated.inner.events if e.transition == "cook")
     report = validate_run(with_event_outside_a_function_table(a0_simulated), sys0)
