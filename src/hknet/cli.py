@@ -81,17 +81,13 @@ def identifier(text: str) -> str:
     """A document name: text the parser reads back as one identifier."""
     if not is_identifier(text):
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not an identifier: a letter or _, then letters, "
-            "digits and _")
+            f"{text!r} is not an identifier: a letter or _, then letters, digits and _")
     return text
 
 
 def named_output(text: str) -> str:
-    """An output file whose stem names the document written to it."""
-    if not is_identifier(Path(text).stem):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} would name the document {Path(text).stem!r}, which is "
-            "not an identifier: a letter or _, then letters, digits and _")
+    """An output file whose stem, which names the document, is an identifier."""
+    identifier(Path(text).stem)
     return text
 
 

@@ -463,8 +463,9 @@ def _normalize_module(m: Module) -> Module:
 
 def _labelling_graph(m: Module):
     """The id-free graph that canonical labelling reads, in one pass: the
-    node ids in order (node ``i`` stands for ``ids[i]``), and for :func:`_canonical_search` each node's decoration rank, the
-    edges as ``(source, target, label rank)``, and per node its out- and
+    node ids in order (node ``i`` stands for ``ids[i]``), and for
+    :func:`_canonical_search` each node's decoration rank, the edges as
+    ``(source, target, label rank)``, and per node its out- and
     in-neighbours as ``(base, neighbour)``.
 
     A decoration renders a node's kind, labels and interface tags; an

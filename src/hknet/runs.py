@@ -247,8 +247,8 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
     Verifies graph shape (acyclic, unbranched conditions, bipartite
     flow), per-event consistency (a binding of exactly the transition's
     variables, guard true under it, pre- and post-sets matching the
-    evaluated arc inscriptions), and that the
-    initial cut is part of the initial marking.  Empty report iff valid.
+    evaluated arc inscriptions), and that the initial cut is part of the
+    initial marking.  Empty report iff valid.
     """
     out: list[Violation] = []
     if not isinstance(run.inner, OccurrenceNet):
