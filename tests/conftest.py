@@ -5,12 +5,22 @@ import pytest
 from hknet import (bind_structure, compose_all, instantiate, parse,
                    parse_script, scripted_policy, simulate)
 
+from support import structure_text
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def load(name: str):
     path = CORPUS / name
     return parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def synthetic(branch, n: int, k: int):
+    """The composed branch module instantiated on the synthetic
+    structure ``s_n_k`` (``support.structure_text``)."""
+    sigma0 = load("sigma0.hksig").body
+    structure = bind_structure(parse(structure_text(n, k), f"s_{n}_{k}.hks").body, sigma0)
+    return instantiate(branch, structure, name=f"branch_s_{n}_{k}")
 
 
 @pytest.fixture(scope="session")

@@ -16,55 +16,53 @@ import random
 import pytest
 
 from hknet import (Atom, EvalError, Marking, SetValue, bind_structure,
-                   enabled_bindings, explore, instantiate, parse, parse_predicate,
+                   enabled_bindings, explore, parse, parse_predicate,
                    print_run, random_policy, resolve_net, simulate)
 from hknet import nets
 from hknet.signature import inverse_table
 
-from conftest import load
-from support import brute_force_bindings, structure_text
+from conftest import synthetic
+from support import brute_force_bindings
 
 
 def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()[:32]
 
 
-def _synthetic(branch, n: int, k: int):
-    sigma0 = load("sigma0.hksig").body
-    structure = bind_structure(parse(structure_text(n, k), f"s_{n}_{k}.hks").body, sigma0)
-    return instantiate(branch, structure, name=f"branch_s_{n}_{k}")
-
-
 # ---------------------------------------------------------------------------
 # Explored graphs
 # ---------------------------------------------------------------------------
 
-# (system, max_nodes, predicate) -> digest of markings, edges, deadlocks,
-# predicate hits and truncated_by
+# (system, max_nodes, max_edges, predicate) -> digest of markings, edges,
+# deadlocks, predicate hits and truncated_by
 EXPLORE_DIGESTS = {
-    ("tiny", 10000, "contains(eating, (Alice, t1))"):
+    ("tiny", 10000, 100000, "contains(eating, (Alice, t1))"):
         "9ff2666a126b547898729881a3385800",  # 9 states, 10 edges, 1 hit
-    ("small", 10000, "contains(eating, (Alice, t1))"):
+    ("small", 10000, 100000, "contains(eating, (Alice, t1))"):
         "07ef66b0afbe96f38a75ed17428fa3aa",  # 956 states, 2448 edges, 32 hits
-    ("small", 10000, "count(free_tables) = 0 and count(orders) >= 1"):
+    ("small", 10000, 100000, "count(free_tables) = 0 and count(orders) >= 1"):
         "a7389e2186d67e581a84ff4eecfc4d39",  # 956 states, 2448 edges, 432 hits
-    ("s_2_1", 10000, "contains(eating, (c1, t1))"):
+    ("s_2_1", 10000, 100000, "contains(eating, (c1, t1))"):
         "a8b843e341f75cbdeec3db6fddc33637",  # 252 states, 600 edges, 16 hits
-    ("s_2_1", 10000, "tokens(cooked, m1) >= 1 or not contains(offered_tables, t1)"):
+    ("s_2_1", 10000, 100000,
+     "tokens(cooked, m1) >= 1 or not contains(offered_tables, t1)"):
         "738168645747b7c9d298021768a04306",  # 252 states, 600 edges, 238 hits
-    ("s0", 120, "count(orders) >= 1 or count(waiting) >= 2"):
+    ("s_2_1", 100000, 400, "contains(eating, (c1, t1))"):
+        "db17d510128792fdd57b8276c2e45672",  # 252 states, 400 edges, 16 hits, edges cap
+    ("s0", 120, 100000, "count(orders) >= 1 or count(waiting) >= 2"):
         "01eb4e8806dbce5c2604936974fa3108",  # 120 states, 168 edges, 69 hits, nodes cap
 }
 
 
 def test_explored_graphs_are_pinned(branch, sys_tiny, sys_small, sys0):
     systems = {"tiny": sys_tiny, "small": sys_small, "s0": sys0,
-               "s_2_1": _synthetic(branch, 2, 1)}
+               "s_2_1": synthetic(branch, 2, 1)}
     got = {}
-    for (name, max_nodes, predicate), _ in EXPLORE_DIGESTS.items():
-        graph = explore(systems[name], max_nodes=max_nodes,
+    for key in EXPLORE_DIGESTS:
+        name, max_nodes, max_edges, predicate = key
+        graph = explore(systems[name], max_nodes=max_nodes, max_edges=max_edges,
                         predicate=parse_predicate(predicate))
-        got[(name, max_nodes, predicate)] = _digest(
+        got[key] = _digest(
             (graph.markings, graph.edges, graph.deadlocks, graph.predicate_hits,
              graph.truncated_by))
     assert got == EXPLORE_DIGESTS
@@ -90,7 +88,7 @@ A0_STEPS_DIGEST = "dd48831384c26e2b87250a02df8e4dc7"
 
 
 def test_simulated_runs_are_pinned(branch, sys0, a0_simulated):
-    systems = {(n, k): _synthetic(branch, n, k) for n, k in {(n, k) for n, k, _ in
+    systems = {(n, k): synthetic(branch, n, k) for n, k in {(n, k) for n, k, _ in
                                                              SIMULATE_DIGESTS}}
     got = {(n, k, seed): _digest(print_run(simulate(systems[(n, k)],
                                                     random_policy(seed=seed, steps=24))))

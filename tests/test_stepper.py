@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hknet import (App, Arc, Atom, Binding, EvalError, FiringError, Ident,
-                   Marking, Module, Place, PowSort, SchematicNet, SetValue,
-                   Signature, SortName, Transition, carrier_of,
+                   Marking, Module, Multiset, Place, PowSort, SchematicNet, SetValue,
+                   Signature, SortName, System, Transition, carrier_of,
                    enabled_bindings, explore, fire, instantiate,
                    make_structure, random_policy, resolve_net,
                    scripted_policy, simulate, successors)
 from hknet import nets
 from hknet.nets import Stepper, checked_occurrence
 
+from conftest import synthetic
 from support import reference_successors
 
 
@@ -25,8 +26,8 @@ def _outcome(step):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_explore_edges_match_reference_successors(sys_tiny, sys_small):
-    for system in (sys_tiny, sys_small):
+def test_explore_edges_match_reference_successors(branch, sys_tiny, sys_small):
+    for system in (sys_tiny, sys_small, synthetic(branch, 1, 3), synthetic(branch, 2, 1)):
         net, s = system.net, system.structure
         graph = explore(system)
         assert not graph.truncated
@@ -62,6 +63,18 @@ def test_successors_match_reference_on_random_markings(data, sys_tiny, sys_small
         assert _outcome(lambda: stepper.successors(m)) == want
 
 
+def test_a_place_outside_the_net_is_kept_in_every_successor(sys_small):
+    net, s = sys_small.net, sys_small.structure
+    elsewhere = Multiset([Atom("x"), Atom("x"), Atom("y")])
+    m = Marking({**dict(sys_small.initial.items()), "elsewhere": elsewhere})
+    assert not net.has_place("elsewhere")
+    want = reference_successors(net, m, s)
+    assert want
+    for got in (Stepper(net, s).successors(m), successors(net, m, s)):
+        assert got == want
+        assert all(succ.get("elsewhere") == elsewhere for _, _, succ in got)
+
+
 def test_a_transition_argument_stands_for_the_node_of_its_name(sys0):
     # an unresolved Transition("enter") is a handle to the net's resolved one
     net, s = sys0.net, sys0.structure
@@ -89,9 +102,10 @@ def test_a_remembered_occurrence_is_checked_against_the_current_marking(sys0):
         checked_occurrence(net, sys0.initial, "offer_table", b, s)
 
 
-def test_failed_attempts_are_not_remembered(monkeypatch):
-    # f(a) lies outside A and f(b) is undefined: the first binding fails
-    # the sort check, the second evaluation
+def _partial():
+    """A net whose transition t moves x from p to f(x) on q, where f(a)
+    lies outside A and f(b) is undefined: firing x=a fails the sort check,
+    x=b the evaluation."""
     sig = Signature("partial", sets=("A",),
                     functions=(("f", (SortName("A"),), SortName("A")),))
     a, b = Atom("a"), Atom("b")
@@ -102,6 +116,23 @@ def test_failed_attempts_are_not_remembered(monkeypatch):
         arcs=(Arc("p", "t", (Ident("x"),)), Arc("t", "q", (App("f", (Ident("x"),)),)))),
         sig)
     assert problems == []
+    return net, s, a, b
+
+
+def test_explore_raises_the_first_failing_occurrence():
+    net, s, a, b = _partial()
+
+    def explored(tokens):
+        system = System("partial", Module("partial_m", "partial", net), s,
+                        Marking({"p": tokens}), net)
+        return _outcome(lambda: explore(system))
+
+    assert explored([a, b]) == "FiringError: 't' would put z on 'q', outside sort A"
+    assert explored([b]) == "EvalError: function 'f' is undefined on (b)"
+
+
+def test_failed_attempts_are_not_remembered(monkeypatch):
+    net, s, a, b = _partial()
     m, xa, xb = Marking({"p": [a, b]}), Binding({"x": a}), Binding({"x": b})
     wants = {xa: _outcome(lambda: fire(net, m, "t", xa, s)),
              xb: _outcome(lambda: fire(net, m, "t", xb, s))}
