@@ -255,9 +255,10 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
     ``truncated_by`` names the cap hit first: ``"nodes"`` or ``"edges"``.
     Deadlock markings and predicate hits are reported by node index.
     """
-    successors = Stepper(sys.net, sys.structure).successors
+    stepper = Stepper(sys.net, sys.structure)
+    root, decode = stepper.encoding(sys.initial)
     nodes, edges, truncated_by, deadlocks, hits = _bfs(
-        sys.initial, successors, max_nodes, max_edges, predicate)
+        root, stepper.step, max_nodes, max_edges, predicate, decode)
     return ReachabilityGraph(nodes, edges, bool(truncated_by), deadlocks, hits,
                              truncated_by)
 
@@ -275,7 +276,7 @@ class GroundedReachabilityGraph:
 def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                      max_edges: int = 100000) -> GroundedReachabilityGraph:
     """BFS over the grounded net's marking vectors."""
-    def successors(vec: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    def successors(vec: tuple[int, ...], _) -> list[tuple[int, tuple[int, ...]]]:
         return [(t, tuple(v + delta.get(p, 0) for p, v in enumerate(vec)))
                 for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns))
                 if all(vec[p] >= n for p, n in pre.items())]
@@ -286,27 +287,31 @@ def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                                      truncated_by)
 
 
-def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
+def _bfs(root: Hashable, successors: Callable[[Any, Any], Sequence[tuple]],
          max_nodes: int, max_edges: int,
-         predicate: Callable[[Any], bool] | None = None) -> tuple:
+         predicate: Callable[[Any], bool] | None = None,
+         decode: Callable[[Any], Any] | None = None) -> tuple:
     """Capped breadth-first search from ``root``.
 
-    ``successors(node)`` lists tuples ``(*label, target)``.  Returns the
-    nodes in discovery order, the edges ``(source, *label, target)`` by
-    node index, which cap was hit first (``"nodes"``, ``"edges"`` or
-    ``""``), and the indices of deadlocks and of predicate hits.  A new
-    node over ``max_nodes`` is dropped with its edge; an edge over
-    ``max_edges`` is dropped, its new target kept.
+    A kept node is decoded once, by ``decode`` if given; the decoded
+    nodes are what ``predicate`` sees and what is returned.
+    ``successors(node, decoded)`` lists tuples ``(*label, target)``.
+    Returns the decoded nodes in discovery order, the edges ``(source,
+    *label, target)`` by node index, which cap was hit first
+    (``"nodes"``, ``"edges"`` or ``""``), and the indices of deadlocks
+    and of predicate hits.  A new node over ``max_nodes`` is dropped with
+    its edge; an edge over ``max_edges`` is dropped, its new target kept.
     """
     nodes = [root]
+    decoded = nodes if decode is None else [decode(root)]
     index = {root: 0}
     edges: list[tuple] = []
     deadlocks: list[int] = []
-    hits = [0] if predicate is not None and predicate(root) else []
+    hits = [0] if predicate is not None and predicate(decoded[0]) else []
     truncated_by = ""
     # nodes only grow at the end, so visiting them in list order is FIFO
     for source, node in enumerate(nodes):
-        succs = successors(node)
+        succs = successors(node, decoded[source])
         if not succs:
             deadlocks.append(source)
         for *label, succ in succs:
@@ -317,11 +322,13 @@ def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
                     continue
                 target = len(nodes)
                 nodes.append(succ)
+                if decode is not None:
+                    decoded.append(decode(succ))
                 index[succ] = target
-                if predicate is not None and predicate(succ):
+                if predicate is not None and predicate(decoded[target]):
                     hits.append(target)
             if len(edges) >= max_edges:
                 truncated_by = truncated_by or "edges"
                 continue
             edges.append((source, *label, target))
-    return tuple(nodes), tuple(edges), truncated_by, tuple(deadlocks), tuple(hits)
+    return tuple(decoded), tuple(edges), truncated_by, tuple(deadlocks), tuple(hits)

@@ -15,7 +15,7 @@ function signatures, and records the full variable list per transition.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
@@ -115,7 +115,12 @@ class NetIndex:
     """Places and transitions by name, arcs by endpoint, and one
     :class:`MatchPlan` per resolved transition.  Names identify nodes
     (:func:`name_violations`); in a net that breaks this, the first of
-    several equally named nodes wins, as in a linear scan."""
+    several equally named nodes wins, as in a linear scan.
+
+    ``slots`` names every place, and every arc endpoint a firing
+    touches, once, in name order: a :class:`Stepper` state holds one
+    multiset id per slot.  ``input_slots`` gives, per resolved
+    transition, the slots of its plan's input places."""
 
     def __init__(self, net: SchematicNet):
         self.places: dict[str, Place] = {}
@@ -133,6 +138,12 @@ class NetIndex:
         self.arcs_out_of = {node: tuple(arcs) for node, arcs in out_of.items()}
         self.plans = {t.name: MatchPlan(t, self.arcs_into.get(t.name, ()))
                       for t in self.transitions.values() if t.variables is not None}
+        touched = {a.source for a in net.arcs if a.target in self.transitions}
+        touched.update(a.target for a in net.arcs if a.source in self.transitions)
+        self.slots = tuple(sorted(touched.union(self.places)))
+        self.slot_of = {name: i for i, name in enumerate(self.slots)}
+        self.input_slots = {name: tuple(map(self.slot_of.__getitem__, plan.places))
+                            for name, plan in self.plans.items()}
 
 
 def _is_pattern(term: Term) -> bool:
@@ -763,15 +774,7 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
     consumed, produced = occurrence(net, t.name, b, s)
     _require_tokens(m, t.name, consumed)
-    for place_name, tokens in produced.items():
-        sort = net.place(place_name).sort
-        if sort is None or all(value_in_sort(v, sort, s) for v in tokens):
-            continue
-        v = min((v for v in tokens if not value_in_sort(v, sort, s)),
-                key=lambda v: v.key())
-        raise FiringError(
-            f"{t.name!r} would put {render_value(v)} on {place_name!r}, "
-            f"outside sort {render_sort(sort)}")
+    _require_sorts(net, t.name, produced, s)
     return consumed, produced
 
 
@@ -791,73 +794,215 @@ def _require_tokens(m: Marking, transition: str, consumed: Tokens) -> None:
                 f"{transition!r} is not enabled: {place!r} lacks required tokens")
 
 
+def _require_sorts(net: SchematicNet, transition: str, produced: Tokens,
+                   s: Structure) -> None:
+    """Raise the FiringError of a transition that would put a value
+    outside its place's sort, naming the first such value canonically."""
+    for place_name, tokens in produced.items():
+        sort = net.place(place_name).sort
+        if sort is None or all(value_in_sort(v, sort, s) for v in tokens):
+            continue
+        v = min((v for v in tokens if not value_in_sort(v, sort, s)),
+                key=lambda v: v.key())
+        raise FiringError(
+            f"{transition!r} would put {render_value(v)} on {place_name!r}, "
+            f"outside sort {render_sort(sort)}")
+
+
 class Stepper:
     """Enabling and firing of one net under one structure, remembered
     for the life of this object (one ``explore`` or ``simulate`` call).
     A Transition argument stands for the net's node of its name.
 
-    The bindings of a transition depend only on the tokens on its input
-    places, so they are kept per ``(name, tokens on each input place)``;
-    markings share untouched places, so a transition whose inputs did
-    not change is not matched again.  The input places of each resolved
-    transition are looked up once, when the stepper is made.  The
-    checked occurrence of ``(name, binding)`` is kept too, and a kept
-    one is re-checked only for containment, the one check that depends
-    on the marking; :meth:`successors` skips even that, as it fires only
-    bindings enabled at the marking.  A transition is resolved, and an
+    It steps on interned states: each distinct multiset on a place gets
+    a small int id, and a state is the tuple of ids on the net's slots
+    (:attr:`NetIndex.slots`).  The bindings of a transition depend only
+    on the tokens on its input places, so they are kept per ``(name, ids
+    on its input slots)``.  Each enabled ``(name, binding)`` gets an int
+    move id, and once fired, one :class:`_Delta` per place it changes:
+    the tokens it takes off and puts on there, shared by every equal
+    change, with the id each id it was applied to leads to.  A repeated
+    change therefore builds no multiset and hashes no binding.
+    :meth:`enabled` and :meth:`successors` go through the same memo, and
+    :meth:`successors` through the same step as ``explore``.
+
+    A move's occurrence is evaluated once.  A binding that
+    :func:`enabled_bindings` returned assigns every variable, satisfies
+    the guard and finds its input tokens, so only the sorts of its
+    output tokens are checked then; :meth:`occurrence` checks any other
+    binding in full, and re-checks a kept one for containment, the one
+    check that depends on the marking.  A transition is resolved, and an
     unknown or unresolved one rejected, only when nothing is kept for it
-    yet.  Errors are not kept.
+    yet.  Errors are not kept.  Nothing outlives the stepper.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
         self.net = net
         self.structure = s
         self.transitions = tuple(sorted(net.transitions, key=lambda t: t.name))
-        self._inputs = {name: plan.places for name, plan in net.index.plans.items()}
-        self._bindings: dict[tuple, list[Binding]] = {}
-        self._occurrences: dict[tuple[str, Binding], tuple[Tokens, Tokens]] = {}
+        index = net.index
+        self._slots, self._slot_of = index.slots, index.slot_of
+        self._keys = {name: _ids_at(slots) for name, slots in index.input_slots.items()}
+        self._order = [(t.name, self._keys.get(t.name)) for t in self.transitions]
+        self._ids = _Ids()
+        self._bindings: dict[tuple, list] = {}
+        self._move_ids: dict[tuple[str, Binding], int] = {}
+        self._occurrences: list[tuple[Tokens, Tokens] | None] = []
+        self._fired: list[tuple[tuple[int, _Delta], ...] | None] = []
+        self._deltas: dict[tuple, _Delta] = {}
+        self._last: tuple[Marking | None, tuple[int, ...]] = (None, ())
 
     def enabled(self, m: Marking, transition: Transition | str) -> list[Binding]:
         """:func:`enabled_bindings` at ``m``; read the list, never change it."""
         name = transition if isinstance(transition, str) else transition.name
-        places = self._inputs.get(name)
-        if places is None:
-            places = self._inputs[_resolved(self.net, name).name]
-        key = (name, *map(m.get, places))
-        found = self._bindings.get(key)
-        if found is None:
-            found = enabled_bindings(self.net, m, name, self.structure)
-            self._bindings[key] = found
-        return found
+        key = self._keys.get(name)
+        if key is None:
+            key = self._keys[_resolved(self.net, name).name]
+        last, state = self._last
+        ids = (name, key(state if m is last else self._state(m)))
+        return (self._bindings.get(ids) or self._enable(ids, m))[0]
 
     def occurrence(self, m: Marking, transition: Transition | str,
                    b: Binding) -> tuple[Tokens, Tokens]:
         """:func:`checked_occurrence` at ``m``; read the maps, never change
         them."""
         name = transition if isinstance(transition, str) else transition.name
-        found = self._occurrences.get((name, b))
+        move = self._move(name, b)
+        found = self._occurrences[move]
         if found is None:
-            return self._check(m, name, b)
-        _require_tokens(m, name, found[0])
-        return found
-
-    def _check(self, m: Marking, name: str, b: Binding) -> tuple[Tokens, Tokens]:
-        """:func:`checked_occurrence`, kept."""
-        found = checked_occurrence(self.net, m, name, b, self.structure)
-        self._occurrences[(name, b)] = found
+            found = self._occurrences[move] = checked_occurrence(
+                self.net, m, name, b, self.structure)
+        else:
+            _require_tokens(m, name, found[0])
         return found
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
         """All enabled (transition, binding) pairs with their successor
         markings, in deterministic order."""
+        state, decode = self.encoding(m)
+        return [(name, b, decode(succ)) for name, b, succ in self.step(state, m)]
+
+    def encoding(self, m: Marking) -> tuple[tuple[int, ...], Callable]:
+        """The state of ``m`` and the function that turns a state back
+        into a marking, keeping ``m``'s places outside the slots, which no
+        firing touches."""
+        outside = {p: ms for p, ms in m._places.items() if p not in self._slot_of}
+        slots, multisets = self._slots, self._ids.multisets
+
+        def decode(state: tuple[int, ...]) -> Marking:
+            places = {p: multisets[i] for p, i in zip(slots, state) if i}
+            places.update(outside)
+            return Marking._from_places(places)
+
+        return self._state(m), decode
+
+    def step(self, state: tuple[int, ...],
+             m: Marking) -> list[tuple[str, Binding, tuple[int, ...]]]:
+        """``(name, binding, successor state)`` of every enabled
+        occurrence at ``state``, in deterministic order; ``m`` is the
+        marking of ``state``, read only to enable what is not kept."""
         out = []
-        for t in self.transitions:
-            name = t.name
-            for b in self.enabled(m, name):
-                # b is enabled at m, so m holds the tokens it consumes
-                found = self._occurrences.get((name, b)) or self._check(m, name, b)
-                out.append((name, b, m.updated(*found)))
+        bindings, fired = self._bindings, self._fired
+        for name, key in self._order:
+            if key is None:
+                _resolved(self.net, name)
+            ids = (name, key(state))
+            entry = bindings.get(ids) or self._enable(ids, m)
+            moves = entry[1]
+            if moves is None:
+                moves = entry[1] = [self._move(name, b) for b in entry[0]]
+            for b, move in zip(entry[0], moves):
+                changes = fired[move]
+                if changes is None:
+                    changes = self._fire(move, name, b)
+                succ = list(state)
+                for i, delta in changes:
+                    succ[i] = delta[succ[i]]
+                out.append((name, b, tuple(succ)))
         return out
+
+    def _state(self, m: Marking) -> tuple[int, ...]:
+        """The ids of ``m``'s tokens on each slot, kept for the last
+        marking asked about."""
+        last, state = self._last
+        if m is not last:
+            get, ids = m._places.get, self._ids
+            state = tuple([ids[get(p, _NO_TOKENS)] for p in self._slots])
+            self._last = (m, state)
+        return state
+
+    def _enable(self, ids: tuple, m: Marking) -> list:
+        """Enable the transition named first in ``ids`` at ``m`` and keep
+        ``[bindings, None]`` under ``ids``; :meth:`step` fills in their
+        move ids when it first fires them."""
+        entry = self._bindings[ids] = [enabled_bindings(self.net, m, ids[0], self.structure),
+                                       None]
+        return entry
+
+    def _move(self, name: str, b: Binding) -> int:
+        label = (name, b)
+        move = self._move_ids.get(label)
+        if move is None:
+            move = self._move_ids[label] = len(self._occurrences)
+            self._occurrences.append(None)
+            self._fired.append(None)
+        return move
+
+    def _fire(self, move: int, name: str, b: Binding) -> tuple[tuple[int, _Delta], ...]:
+        """The ``(slot, delta)`` pairs of the enabled move ``(name, b)``, one
+        per slot it changes; equal changes share one :class:`_Delta`."""
+        found = self._occurrences[move]
+        if found is None:
+            found = occurrence(self.net, name, b, self.structure)
+            _require_sorts(self.net, name, found[1], self.structure)
+            self._occurrences[move] = found
+        consumed, produced = found
+        changes = []
+        for p in dict.fromkeys((*consumed, *produced)):
+            remove, add = consumed.get(p, _NO_COUNTS), produced.get(p, _NO_COUNTS)
+            if not (remove or add):
+                continue
+            key = (frozenset(remove.items()), frozenset(add.items()))
+            delta = self._deltas.get(key)
+            if delta is None:
+                delta = self._deltas[key] = _Delta(self._ids, remove, add)
+            changes.append((self._slot_of[p], delta))
+        entry = self._fired[move] = tuple(changes)
+        return entry
+
+
+class _Ids(dict):
+    """Multisets numbered from 0 in the order first looked up; the empty
+    one is 0, and ``multisets[i]`` is the one numbered i."""
+
+    def __init__(self) -> None:
+        super().__init__({_NO_TOKENS: 0})
+        self.multisets = [_NO_TOKENS]
+
+    def __missing__(self, ms: Multiset) -> int:
+        found = self[ms] = len(self.multisets)
+        self.multisets.append(ms)
+        return found
+
+
+class _Delta(dict):
+    """The id of a multiset with ``remove`` taken off and ``add`` put on,
+    by the id of the multiset before; built and interned on first use."""
+
+    def __init__(self, ids: _Ids, remove: Mapping[Value, int], add: Mapping[Value, int]):
+        super().__init__()
+        self.ids, self.remove, self.add = ids, remove, add
+
+    def __missing__(self, before: int) -> int:
+        ids = self.ids
+        after = self[before] = ids[ids.multisets[before].updated(self.remove, self.add)]
+        return after
+
+
+def _ids_at(slots: tuple[int, ...]) -> Callable:
+    """The function giving a state's ids on ``slots``: one id, a tuple
+    of them, or ``()``; a key, not a sequence."""
+    return itemgetter(*slots) if slots else lambda state: ()
 
 
 def successors(net: SchematicNet, m: Marking,

@@ -226,3 +226,21 @@ def test_simulate_enables_again_only_transitions_whose_inputs_changed(sys0, monk
     simulate(sys0, scripted_policy(steps))
     keys = [key for key, _ in calls]
     assert len(keys) == len(set(keys))
+
+
+def test_explore_fires_on_interned_states(sys_small, monkeypatch):
+    # successors are built from remembered ids, not from markings: no
+    # Marking.updated, and a multiset only for a change of tokens not yet
+    # applied to the multiset it changes
+    calls = {Marking: 0, Multiset: 0}
+    for cls in calls:
+        original = cls.updated
+
+        def counting(self, *args, cls=cls, original=original):
+            calls[cls] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "updated", counting)
+    graph = explore(sys_small)
+    assert calls[Marking] == 0
+    assert 0 < calls[Multiset] < len(graph.edges)
