@@ -308,7 +308,7 @@ def _fuse_places(p: Place, q: Place) -> Place:
         raise CompositionError(
             f"fused place {p.name!r} has incompatible sorts "
             f"{render_sort(p.sort)} and {render_sort(q.sort)}")
-    return Place(p.name, sort, canonical_terms(p.init + q.init))
+    return Place(p.name, sort, canonical_terms(p.init + q.init), p.span)
 
 
 def _fuse_transitions(t: Transition, u: Transition) -> Transition:
@@ -320,7 +320,8 @@ def _fuse_transitions(t: Transition, u: Transition) -> Transition:
                 "with two different sorts")
         free[name] = sort
     guard = conjoin(t.guard, u.guard)
-    return Transition(t.name, guard, tuple(sorted(free.items())))  # type: ignore[arg-type]
+    return Transition(t.name, guard, tuple(sorted(free.items())),  # type: ignore[arg-type]
+                      span=t.span)
 
 
 def _fuse_conditions(c: Condition, d: Condition) -> Condition:

@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from hknet import (Atom, Binding, CompositionError, Condition, Event,
+from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event, Ident,
                    InterfaceElement, Marking, Module, OccurrenceNet, Place,
-                   SchematicNet, SortName, Transition, canonical_equal,
+                   SchematicNet, Signature, SortName, Transition, canonical_equal,
                    canonicalize, compose, enabled_bindings, empty_module,
                    instantiate, interface_of, interface_violations,
-                   rename_elements)
+                   rename_elements, resolve_net)
 from hknet.modules import PLACE, TRANSITION, _inner_ids
 
 from support import attached_spans, compatible_triple
@@ -353,3 +355,26 @@ def test_the_canonical_form_of_a_resolved_net_keeps_spans_and_variables(
     identity = {x: x for x in mapping}
     assert renamed_enabling(canon.inner, mapping, system) == \
         renamed_enabling(net, identity, system)
+
+
+def test_fused_nodes_keep_the_left_operands_span(branch, sigma0):
+    # entry . guest_area fuses the two table places, and (entry .
+    # guest_area) . kitchen fuses orders and hand_over
+    net = branch.inner
+    fused = {"free_tables": "entry.hk", "offered_tables": "entry.hk",
+             "orders": "guest_area.hk", "hand_over": "guest_area.hk"}
+    nodes = {n.name: n for n in (*net.places, *net.transitions)}
+    assert all(n.span is not None for n in nodes.values())
+    assert {name: Path(nodes[name].span.file).name for name in fused} == fused
+    # an undeclared sort on a fused place, and an output-only variable on
+    # the fused transition, are reported where the left operand declares them
+    _, violations = resolve_net(net, Signature("empty"))
+    stray = replace(net, arcs=net.arcs + (Arc("hand_over", "cooked", (Ident("stray"),)),))
+    violations += resolve_net(stray, sigma0)[1]
+    on_fused = {name: [v for v in violations if f"{name!r}" in v.message] for name in fused}
+    assert all(on_fused.values())
+    for name, found in on_fused.items():
+        for v in found:
+            assert (v.span.file, v.span.line, v.span.col) == \
+                (nodes[name].span.file, nodes[name].span.line, nodes[name].span.col)
+            assert str(v).startswith(f"{nodes[name].span.file}:{nodes[name].span.line}:")
