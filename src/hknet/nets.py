@@ -818,20 +818,19 @@ class Stepper:
     a small int id, and a state is the tuple of ids on the net's slots
     (:attr:`NetIndex.slots`).  The bindings of a transition depend only
     on the tokens on its input places, so they are kept per ``(name, ids
-    on its input slots)``.  Each enabled ``(name, binding)`` gets an int
-    move id, and once fired, one :class:`_Delta` per place it changes:
-    the tokens it takes off and puts on there, shared by every equal
-    change, with the id each id it was applied to leads to.  A repeated
-    change therefore builds no multiset and hashes no binding.
-    :meth:`enabled` and :meth:`successors` go through the same memo, and
-    :meth:`successors` through the same step as ``explore``.
+    on its input slots)``, each with one :class:`_Delta` per place it
+    changes once fired: the tokens it takes off and puts on there, shared
+    by every equal change, with the id each id it was applied to leads
+    to.  A repeated change therefore builds no multiset and hashes no
+    binding.  :meth:`enabled` and :meth:`successors` go through the same
+    memo, and :meth:`successors` through the same step as ``explore``.
 
-    A move's occurrence is evaluated once.  A binding that
-    :func:`enabled_bindings` returned assigns every variable, satisfies
-    the guard and finds its input tokens, so only the sorts of its
-    output tokens are checked then; :meth:`occurrence` checks any other
-    binding in full, and re-checks a kept one for containment, the one
-    check that depends on the marking.  A transition is resolved, and an
+    The occurrence of a ``(name, binding)`` is evaluated once.  A binding
+    that :func:`enabled_bindings` returned assigns every variable,
+    satisfies the guard and finds its input tokens, so only the sorts of
+    its output tokens are checked then; :meth:`occurrence` checks any
+    other binding in full, and re-checks a kept one for containment, the
+    one check that depends on the marking.  A transition is resolved, and an
     unknown or unresolved one rejected, only when nothing is kept for it
     yet.  Errors are not kept.  Nothing outlives the stepper.
     """
@@ -846,9 +845,8 @@ class Stepper:
         self._order = [(t.name, self._keys.get(t.name)) for t in self.transitions]
         self._ids = _Ids()
         self._bindings: dict[tuple, list] = {}
-        self._move_ids: dict[tuple[str, Binding], int] = {}
-        self._occurrences: list[tuple[Tokens, Tokens] | None] = []
-        self._fired: list[tuple[tuple[int, _Delta], ...] | None] = []
+        # (name, binding) -> [its occurrence, its (slot, delta) pairs or None]
+        self._moves: dict[tuple[str, Binding], list] = {}
         self._deltas: dict[tuple, _Delta] = {}
         self._last: tuple[Marking | None, tuple[int, ...]] = (None, ())
 
@@ -867,14 +865,13 @@ class Stepper:
         """:func:`checked_occurrence` at ``m``; read the maps, never change
         them."""
         name = transition if isinstance(transition, str) else transition.name
-        move = self._move(name, b)
-        found = self._occurrences[move]
-        if found is None:
-            found = self._occurrences[move] = checked_occurrence(
-                self.net, m, name, b, self.structure)
-        else:
-            _require_tokens(m, name, found[0])
-        return found
+        move = self._moves.get((name, b))
+        if move is None:
+            found = checked_occurrence(self.net, m, name, b, self.structure)
+            self._moves[(name, b)] = [found, None]
+            return found
+        _require_tokens(m, name, move[0][0])
+        return move[0]
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
         """All enabled (transition, binding) pairs with their successor
@@ -902,19 +899,16 @@ class Stepper:
         occurrence at ``state``, in deterministic order; ``m`` is the
         marking of ``state``, read only to enable what is not kept."""
         out = []
-        bindings, fired = self._bindings, self._fired
+        bindings = self._bindings
         for name, key in self._order:
             if key is None:
                 _resolved(self.net, name)
             ids = (name, key(state))
             entry = bindings.get(ids) or self._enable(ids, m)
-            moves = entry[1]
-            if moves is None:
-                moves = entry[1] = [self._move(name, b) for b in entry[0]]
-            for b, move in zip(entry[0], moves):
-                changes = fired[move]
-                if changes is None:
-                    changes = self._fire(move, name, b)
+            fired = entry[1]
+            if fired is None:
+                fired = entry[1] = [self._changes(name, b) for b in entry[0]]
+            for b, changes in zip(entry[0], fired):
                 succ = list(state)
                 for i, delta in changes:
                     succ[i] = delta[succ[i]]
@@ -934,29 +928,22 @@ class Stepper:
     def _enable(self, ids: tuple, m: Marking) -> list:
         """Enable the transition named first in ``ids`` at ``m`` and keep
         ``[bindings, None]`` under ``ids``; :meth:`step` fills in their
-        move ids when it first fires them."""
+        changes when it first fires them."""
         entry = self._bindings[ids] = [enabled_bindings(self.net, m, ids[0], self.structure),
                                        None]
         return entry
 
-    def _move(self, name: str, b: Binding) -> int:
-        label = (name, b)
-        move = self._move_ids.get(label)
+    def _changes(self, name: str, b: Binding) -> tuple[tuple[int, _Delta], ...]:
+        """The ``(slot, delta)`` pairs of the enabled ``(name, b)``, one per
+        slot it changes; equal changes share one :class:`_Delta`."""
+        move = self._moves.get((name, b))
         if move is None:
-            move = self._move_ids[label] = len(self._occurrences)
-            self._occurrences.append(None)
-            self._fired.append(None)
-        return move
-
-    def _fire(self, move: int, name: str, b: Binding) -> tuple[tuple[int, _Delta], ...]:
-        """The ``(slot, delta)`` pairs of the enabled move ``(name, b)``, one
-        per slot it changes; equal changes share one :class:`_Delta`."""
-        found = self._occurrences[move]
-        if found is None:
             found = occurrence(self.net, name, b, self.structure)
             _require_sorts(self.net, name, found[1], self.structure)
-            self._occurrences[move] = found
-        consumed, produced = found
+            move = self._moves[(name, b)] = [found, None]
+        if move[1] is not None:
+            return move[1]
+        consumed, produced = move[0]
         changes = []
         for p in dict.fromkeys((*consumed, *produced)):
             remove, add = consumed.get(p, _NO_COUNTS), produced.get(p, _NO_COUNTS)
@@ -967,8 +954,8 @@ class Stepper:
             if delta is None:
                 delta = self._deltas[key] = _Delta(self._ids, remove, add)
             changes.append((self._slot_of[p], delta))
-        entry = self._fired[move] = tuple(changes)
-        return entry
+        move[1] = tuple(changes)
+        return move[1]
 
 
 class _Ids(dict):
