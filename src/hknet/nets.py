@@ -120,7 +120,8 @@ class NetIndex:
     ``slots`` names every place, and every arc endpoint a firing
     touches, once, in name order: a :class:`Stepper` state holds one
     multiset id per slot.  ``input_slots`` gives, per resolved
-    transition, the slots of its plan's input places."""
+    transition, the slots of its plan's input places.  These tables are
+    built on first use, as only stepping reads them."""
 
     def __init__(self, net: SchematicNet):
         self.places: dict[str, Place] = {}
@@ -138,12 +139,21 @@ class NetIndex:
         self.arcs_out_of = {node: tuple(arcs) for node, arcs in out_of.items()}
         self.plans = {t.name: MatchPlan(t, self.arcs_into.get(t.name, ()))
                       for t in self.transitions.values() if t.variables is not None}
-        touched = {a.source for a in net.arcs if a.target in self.transitions}
-        touched.update(a.target for a in net.arcs if a.source in self.transitions)
-        self.slots = tuple(sorted(touched.union(self.places)))
-        self.slot_of = {name: i for i, name in enumerate(self.slots)}
-        self.input_slots = {name: tuple(map(self.slot_of.__getitem__, plan.places))
-                            for name, plan in self.plans.items()}
+
+    @cached_property
+    def slots(self) -> tuple[str, ...]:
+        touched = {a.source for t in self.transitions for a in self.arcs_into.get(t, ())}
+        touched.update(a.target for t in self.transitions for a in self.arcs_out_of.get(t, ()))
+        return tuple(sorted(touched.union(self.places)))
+
+    @cached_property
+    def slot_of(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.slots)}
+
+    @cached_property
+    def input_slots(self) -> dict[str, tuple[int, ...]]:
+        return {name: tuple(map(self.slot_of.__getitem__, plan.places))
+                for name, plan in self.plans.items()}
 
 
 def _is_pattern(term: Term) -> bool:
