@@ -119,9 +119,10 @@ class NetIndex:
 
     ``slots`` names every place, and every arc endpoint a firing
     touches, once, in name order: a :class:`Stepper` state holds one
-    multiset id per slot.  ``input_slots`` gives, per resolved
-    transition, the slots of its plan's input places.  These tables are
-    built on first use, as only stepping reads them."""
+    multiset id per slot.  ``input_ids`` gives, per resolved transition,
+    the function that reads a state's ids on its plan's input places: one
+    id, a tuple of them or ``()``, a memo key rather than a sequence.
+    These tables are built on first use, as only stepping reads them."""
 
     def __init__(self, net: SchematicNet):
         self.places: dict[str, Place] = {}
@@ -151,8 +152,9 @@ class NetIndex:
         return {name: i for i, name in enumerate(self.slots)}
 
     @cached_property
-    def input_slots(self) -> dict[str, tuple[int, ...]]:
-        return {name: tuple(map(self.slot_of.__getitem__, plan.places))
+    def input_ids(self) -> dict[str, Callable]:
+        return {name: itemgetter(*map(self.slot_of.__getitem__, plan.places))
+                if plan.places else lambda state: ()
                 for name, plan in self.plans.items()}
 
 
@@ -838,7 +840,8 @@ class Stepper:
     The occurrence of a ``(name, binding)`` is evaluated once.  A binding
     that :func:`enabled_bindings` returned assigns every variable,
     satisfies the guard and finds its input tokens, so only the sorts of
-    its output tokens are checked then; :meth:`occurrence` checks any
+    its output tokens are checked then, also by :meth:`occurrence` for a
+    binding :meth:`enabled` returned at the same marking; it checks any
     other binding in full, and re-checks a kept one for containment, the
     one check that depends on the marking.  A transition is resolved, and an
     unknown or unresolved one rejected, only when nothing is kept for it
@@ -851,14 +854,17 @@ class Stepper:
         self.transitions = tuple(sorted(net.transitions, key=lambda t: t.name))
         index = net.index
         self._slots, self._slot_of = index.slots, index.slot_of
-        self._keys = {name: _ids_at(slots) for name, slots in index.input_slots.items()}
+        self._keys = index.input_ids
         self._order = [(t.name, self._keys.get(t.name)) for t in self.transitions]
         self._ids = _Ids()
-        self._bindings: dict[tuple, list] = {}
+        self._bindings: dict[tuple, list[Binding]] = {}
+        # (name, ids on its input slots) -> [(binding, its changes)], for step
+        self._fired: dict[tuple, list[tuple[Binding, tuple]]] = {}
         # (name, binding) -> [its occurrence, its (slot, delta) pairs or None]
         self._moves: dict[tuple[str, Binding], list] = {}
         self._deltas: dict[tuple, _Delta] = {}
-        self._last: tuple[Marking | None, tuple[int, ...]] = (None, ())
+        self._last_marking: Marking | None = None
+        self._last_state: tuple[int, ...] = ()
 
     def enabled(self, m: Marking, transition: Transition | str) -> list[Binding]:
         """:func:`enabled_bindings` at ``m``; read the list, never change it."""
@@ -866,9 +872,12 @@ class Stepper:
         key = self._keys.get(name)
         if key is None:
             key = self._keys[_resolved(self.net, name).name]
-        last, state = self._last
-        ids = (name, key(state if m is last else self._state(m)))
-        return (self._bindings.get(ids) or self._enable(ids, m))[0]
+        state = self._last_state if m is self._last_marking else self._encode(m)
+        ids = (name, key(state))
+        found = self._bindings.get(ids)
+        if found is None:
+            found = self._enable(ids, m)
+        return found
 
     def occurrence(self, m: Marking, transition: Transition | str,
                    b: Binding) -> tuple[Tokens, Tokens]:
@@ -876,12 +885,14 @@ class Stepper:
         them."""
         name = transition if isinstance(transition, str) else transition.name
         move = self._moves.get((name, b))
-        if move is None:
-            found = checked_occurrence(self.net, m, name, b, self.structure)
-            self._moves[(name, b)] = [found, None]
-            return found
-        _require_tokens(m, name, move[0][0])
-        return move[0]
+        if move is not None:
+            _require_tokens(m, name, move[0][0])
+            return move[0]
+        if self._enabled_at(m, name, b):
+            return self._move(name, b)[0]
+        found = checked_occurrence(self.net, m, name, b, self.structure)
+        self._moves[(name, b)] = [found, None]
+        return found
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
         """All enabled (transition, binding) pairs with their successor
@@ -901,7 +912,7 @@ class Stepper:
             places.update(outside)
             return Marking._from_places(places)
 
-        return self._state(m), decode
+        return self._encode(m), decode
 
     def step(self, state: tuple[int, ...],
              m: Marking) -> list[tuple[str, Binding, tuple[int, ...]]]:
@@ -909,48 +920,62 @@ class Stepper:
         occurrence at ``state``, in deterministic order; ``m`` is the
         marking of ``state``, read only to enable what is not kept."""
         out = []
-        bindings = self._bindings
+        bindings, fired = self._bindings, self._fired
         for name, key in self._order:
             if key is None:
                 _resolved(self.net, name)
             ids = (name, key(state))
-            entry = bindings.get(ids) or self._enable(ids, m)
-            fired = entry[1]
-            if fired is None:
-                fired = entry[1] = [self._changes(name, b) for b in entry[0]]
-            for b, changes in zip(entry[0], fired):
+            moves = fired.get(ids)
+            if moves is None:
+                found = bindings.get(ids)
+                if found is None:
+                    found = self._enable(ids, m)
+                moves = fired[ids] = [(b, self._changes(name, b)) for b in found]
+            for b, changes in moves:
                 succ = list(state)
                 for i, delta in changes:
                     succ[i] = delta[succ[i]]
                 out.append((name, b, tuple(succ)))
         return out
 
-    def _state(self, m: Marking) -> tuple[int, ...]:
-        """The ids of ``m``'s tokens on each slot, kept for the last
-        marking asked about."""
-        last, state = self._last
-        if m is not last:
-            get, ids = m._places.get, self._ids
-            state = tuple([ids[get(p, _NO_TOKENS)] for p in self._slots])
-            self._last = (m, state)
+    def _encode(self, m: Marking) -> tuple[int, ...]:
+        """The ids of ``m``'s tokens on each slot, kept as the last
+        marking's."""
+        get, ids = m._places.get, self._ids
+        state = tuple([ids[get(p, _NO_TOKENS)] for p in self._slots])
+        self._last_marking, self._last_state = m, state
         return state
 
-    def _enable(self, ids: tuple, m: Marking) -> list:
+    def _enable(self, ids: tuple, m: Marking) -> list[Binding]:
         """Enable the transition named first in ``ids`` at ``m`` and keep
-        ``[bindings, None]`` under ``ids``; :meth:`step` fills in their
-        changes when it first fires them."""
-        entry = self._bindings[ids] = [enabled_bindings(self.net, m, ids[0], self.structure),
-                                       None]
-        return entry
+        its bindings under ``ids``."""
+        found = self._bindings[ids] = enabled_bindings(self.net, m, ids[0], self.structure)
+        return found
 
-    def _changes(self, name: str, b: Binding) -> tuple[tuple[int, _Delta], ...]:
-        """The ``(slot, delta)`` pairs of the enabled ``(name, b)``, one per
-        slot it changes; equal changes share one :class:`_Delta`."""
+    def _enabled_at(self, m: Marking, name: str, b: Binding) -> bool:
+        """Whether :meth:`enabled` has returned ``b`` for ``name`` at ``m``,
+        the last marking it was asked about."""
+        key = self._keys.get(name)
+        if key is None or m is not self._last_marking:
+            return False
+        found = self._bindings.get((name, key(self._last_state)))
+        return found is not None and b in found
+
+    def _move(self, name: str, b: Binding) -> list:
+        """``[occurrence, changes or None]`` of ``(name, b)``, which
+        :func:`enabled_bindings` returned, so that only the sorts of its
+        output tokens are left to check."""
         move = self._moves.get((name, b))
         if move is None:
             found = occurrence(self.net, name, b, self.structure)
             _require_sorts(self.net, name, found[1], self.structure)
             move = self._moves[(name, b)] = [found, None]
+        return move
+
+    def _changes(self, name: str, b: Binding) -> tuple[tuple[int, _Delta], ...]:
+        """The ``(slot, delta)`` pairs of the enabled ``(name, b)``, one per
+        slot it changes; equal changes share one :class:`_Delta`."""
+        move = self._move(name, b)
         if move[1] is not None:
             return move[1]
         consumed, produced = move[0]
@@ -994,12 +1019,6 @@ class _Delta(dict):
         ids = self.ids
         after = self[before] = ids[ids.multisets[before].updated(self.remove, self.add)]
         return after
-
-
-def _ids_at(slots: tuple[int, ...]) -> Callable:
-    """The function giving a state's ids on ``slots``: one id, a tuple
-    of them, or ``()``; a key, not a sequence."""
-    return itemgetter(*slots) if slots else lambda state: ()
 
 
 def successors(net: SchematicNet, m: Marking,

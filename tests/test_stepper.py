@@ -131,13 +131,8 @@ def test_explore_raises_the_first_failing_occurrence():
     assert explored([b]) == "EvalError: function 'f' is undefined on (b)"
 
 
-def test_failed_attempts_are_not_remembered(monkeypatch):
-    net, s, a, b = _partial()
-    m, xa, xb = Marking({"p": [a, b]}), Binding({"x": a}), Binding({"x": b})
-    wants = {xa: _outcome(lambda: fire(net, m, "t", xa, s)),
-             xb: _outcome(lambda: fire(net, m, "t", xb, s))}
-    assert wants[xa] == "FiringError: 't' would put z on 'q', outside sort A"
-    assert wants[xb].startswith("EvalError: ")
+def _count_checks(monkeypatch):
+    """The binding of each call of ``nets.checked_occurrence``."""
     calls = []
     original = nets.checked_occurrence
 
@@ -146,11 +141,37 @@ def test_failed_attempts_are_not_remembered(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(nets, "checked_occurrence", counting)
+    return calls
+
+
+def test_failed_attempts_are_not_remembered(monkeypatch):
+    net, s, a, b = _partial()
+    m, xa, xb = Marking({"p": [a, b]}), Binding({"x": a}), Binding({"x": b})
+    wants = {xa: _outcome(lambda: fire(net, m, "t", xa, s)),
+             xb: _outcome(lambda: fire(net, m, "t", xb, s))}
+    assert wants[xa] == "FiringError: 't' would put z on 'q', outside sort A"
+    assert wants[xb].startswith("EvalError: ")
+    calls = _count_checks(monkeypatch)
     stepper = Stepper(net, s)
     for binding, want in wants.items():
         for _ in range(2):
             assert _outcome(lambda: stepper.occurrence(m, "t", binding)) == want
     assert calls == [xa, xa, xb, xb]
+
+
+def test_a_binding_enabled_at_the_marking_is_checked_for_output_sorts_only(monkeypatch):
+    net, s, a, b = _partial()
+    m, xa, xb = Marking({"p": [a, b]}), Binding({"x": a}), Binding({"x": b})
+    wants = {x: _outcome(lambda: fire(net, m, "t", x, s)) for x in (xa, xb)}
+    calls = _count_checks(monkeypatch)
+    stepper = Stepper(net, s)
+    assert stepper.enabled(m, "t") == [xa, xb]
+    for x, want in wants.items():
+        assert _outcome(lambda: stepper.occurrence(m, "t", x)) == want
+    assert calls == []
+    # at another marking, even an equal one, nothing is known to be enabled
+    assert _outcome(lambda: stepper.occurrence(Marking({"p": [a, b]}), "t", xa)) == wants[xa]
+    assert calls == [xa]
 
 
 def test_failed_enabling_is_not_remembered():
