@@ -843,9 +843,9 @@ class Stepper:
     its output tokens are checked then, also by :meth:`occurrence` for a
     binding :meth:`enabled` returned at the same marking; it checks any
     other binding in full, and re-checks a kept one for containment, the
-    one check that depends on the marking.  A transition is resolved, and an
-    unknown or unresolved one rejected, only when nothing is kept for it
-    yet.  Errors are not kept.  Nothing outlives the stepper.
+    one check that depends on the marking.  A transition is resolved,
+    and an unknown or unresolved one rejected, only when nothing is kept
+    for it yet.  Errors are not kept.  Nothing outlives the stepper.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
@@ -953,8 +953,8 @@ class Stepper:
         return found
 
     def _enabled_at(self, m: Marking, name: str, b: Binding) -> bool:
-        """Whether :meth:`enabled` has returned ``b`` for ``name`` at ``m``,
-        the last marking it was asked about."""
+        """Whether ``m`` is the last marking encoded and the bindings kept
+        for ``name`` at its input tokens hold ``b``."""
         key = self._keys.get(name)
         if key is None or m is not self._last_marking:
             return False
