@@ -24,6 +24,7 @@ from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
                    render_binding, render_value, value_in_sort)
 from hknet.modules import (PLACE, TRANSITION, _inner_ids, _normalize_module,
                            compose_all, rename_elements)
+from hknet.nets import Stepper
 from hknet.terms import term_tokens
 from hknet.parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc
 from hknet.spans import SourceSpan
@@ -631,6 +632,19 @@ def reference_successors(net, m: Marking, s) -> list[tuple[str, Binding, Marking
         for b in enabled_bindings(net, m, t, s):
             out.append((t.name, b, fire(net, m, t, b, s)))
     return out
+
+
+def check_stepper_against_oracles(net, s, markings: Iterable[Marking]) -> None:
+    """Step one :class:`nets.Stepper` over ``markings`` in turn and assert
+    that at each its enabled bindings are the brute-force ones and its
+    successors the reference ones, so that whatever it kept from an
+    earlier marking must still hold at this one."""
+    stepper = Stepper(net, s)
+    for i, m in enumerate(markings):
+        for t in net.transitions:
+            assert stepper.enabled(m, t.name) == brute_force_bindings(net, m, t, s), \
+                (i, t.name, m)
+        assert stepper.successors(m) == reference_successors(net, m, s), (i, m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hknet.spans import SourceSpan
 from hknet.terms import Elm
 
 from support import (ReferenceMarking, ReferenceMultiset, brute_force_bindings,
-                     reference_fire)
+                     check_stepper_against_oracles, reference_fire)
 
 
 def marking(**kwargs):
@@ -343,6 +343,17 @@ def test_hand_built_nets_match_brute_force_on_random_markings(hand_built):
         for t in net.transitions:
             assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s), \
                 (t.name, m)
+
+
+def test_one_stepper_enables_under_fn_as_the_oracle_does_as_its_inputs_change(hand_built):
+    # under_fn has no pattern to match: every binding depends only on
+    # the tokens on p and q, which change from one marking to the next
+    net, s = hand_built.net, hand_built.structure
+    a1, a2, a3 = Atom("a1"), Atom("a2"), Atom("a3")
+    markings = [marking(p=p, q=q) for p in ([], [a1], [a1, a1], [a2, a3])
+                for q in ([], [a1], [a2, a3], [a1, a2, a3])]
+    assert any(enabled_bindings(net, m, "under_fn", s) for m in markings)
+    check_stepper_against_oracles(net, s, markings + markings[::-1])
 
 
 @settings(max_examples=60, deadline=None)

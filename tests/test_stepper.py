@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from hknet import (App, Arc, Atom, Binding, EvalError, FiringError, Ident,
                    Marking, Module, Multiset, Place, PowSort, SchematicNet, SetValue,
-                   Signature, SortName, System, Transition, carrier_of,
-                   enabled_bindings, explore, fire, instantiate,
-                   make_structure, random_policy, resolve_net,
-                   scripted_policy, simulate, successors)
+                   Signature, SortName, System, Transition, TupleValue,
+                   bind_structure, carrier_of, enabled_bindings, explore, fire,
+                   instantiate, make_structure, parse, random_policy,
+                   resolve_net, scripted_policy, simulate, successors)
 from hknet import nets
 from hknet.nets import Stepper, checked_occurrence
 
 from conftest import synthetic
-from support import reference_successors
+from support import check_stepper_against_oracles, reference_successors
 
 
 def _outcome(step):
@@ -61,6 +61,84 @@ def test_successors_match_reference_on_random_markings(data, sys_tiny, sys_small
         want = _outcome(lambda: reference_successors(net, m, s))
         assert _outcome(lambda: successors(net, m, s)) == want
         assert _outcome(lambda: stepper.successors(m)) == want
+
+
+def test_a_stepper_keeps_no_enabling_that_only_the_input_places_it_reads_decide(sys_small):
+    # hand_over matches waiting and pending_orders and only checks cooked
+    # for elm(Y); cook only checks ordered_items for f(y).  The tokens on
+    # the matched places stay, those on the checked ones change.
+    order = SetValue([Atom("meat"), Atom("rice")])
+    rice = SetValue([Atom("rice")])
+    fixed = {
+        "waiting": [TupleValue([Atom("Alice"), Atom("t1"), order]),
+                    TupleValue([Atom("Bob"), Atom("t2"), rice])],
+        "pending_orders": [TupleValue([Atom("t1"), order]),
+                           TupleValue([Atom("t2"), rice])],
+    }
+    meat, rice_ = Atom("meat"), Atom("rice")
+    varied = [([], []), ([meat], [rice_]), ([rice_], []), ([meat, rice_], [meat]),
+              ([rice_, rice_], [meat, rice_]), ([meat, meat, rice_], []), ([], [])]
+    markings = [Marking({**fixed, "cooked": cooked, "ordered_items": items})
+                for cooked, items in varied]
+    net, s = sys_small.net, sys_small.structure
+    # g is the identity, so hand_over takes an order's items from cooked
+    assert [len(enabled_bindings(net, m, "hand_over", s)) for m in markings] == \
+        [0, 0, 1, 2, 1, 2, 0]
+    check_stepper_against_oracles(net, s, markings + markings[::-1])
+
+
+# A net of its own: t matches y on src and binds z only under functions.
+# On r it needs h(y) and h(z), which h may map to one token, so both
+# count; on s it needs k(z), undefined at b3.
+SHARED_NEEDS = ("""
+signature needs {
+  sets A, B;
+  fns h: B -> A;
+  fns k: B -> A;
+}
+""", """
+structure needs_s of needs {
+  A = {a1, a2};
+  B = {b1, b2, b3};
+  h = {b1 -> a1, b2 -> a1, b3 -> a2};
+  k = {b1 -> a2, b2 -> a1};
+}
+""", """
+module needs_m of needs {
+  places { src : B; r : A; s : A; out : A; }
+  trans { t; }
+  arcs {
+    src -> t : y;
+    r -> t : h(y), h(z);
+    s -> t : k(z);
+    t -> out : h(z);
+  }
+}
+""")
+
+
+def test_needs_of_checked_places_add_up_and_a_partial_table_enables_nothing():
+    # k is partial, which instantiate refuses, so the net is resolved here
+    sig_text, structure_text, module_text = SHARED_NEEDS
+    sig = parse(sig_text).body
+    structure = bind_structure(parse(structure_text).body, sig)
+    net, problems = resolve_net(parse(module_text).body.inner, sig)
+    assert problems == []
+    a1, a2 = Atom("a1"), Atom("a2")
+    b1, b2, b3 = Atom("b1"), Atom("b2"), Atom("b3")
+    src = [b1, b2, b3]
+    rs = [[], [a1], [a1, a1], [a1, a2], [a1, a1, a2], [a2, a2], [a1, a1, a1]]
+    markings = [Marking({"src": src, "r": r, "s": s_}) for r in rs
+                for s_ in ([], [a2], [a1, a2])]
+    # y = b1 and z = b1 need two a1 on r and a2 on s; z = b3 is never enabled
+    want = Binding({"y": b1, "z": b1})
+    m = Marking({"src": src, "r": [a1, a1], "s": [a2]})
+    assert want in enabled_bindings(net, m, "t", structure)
+    assert want not in enabled_bindings(net, Marking({"src": src, "r": [a1], "s": [a2]}),
+                                        "t", structure)
+    assert all(b["z"] != b3 for m in markings
+               for b in enabled_bindings(net, m, "t", structure))
+    check_stepper_against_oracles(net, structure, markings + markings[::-1])
 
 
 def test_a_place_outside_the_net_is_kept_in_every_successor(sys_small):
