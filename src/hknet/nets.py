@@ -122,7 +122,10 @@ class NetIndex:
     multiset id per slot.  ``input_ids`` gives, per resolved transition,
     the function that reads a state's ids on its plan's input places: one
     id, a tuple of them or ``()``, a memo key rather than a sequence.
-    These tables are built on first use, as only stepping reads them."""
+    ``join_ids`` gives the same on the matched places, but only for
+    plans with residual checks; without them both keys name the same
+    tokens.  These tables are built on first use, as only stepping reads
+    them."""
 
     def __init__(self, net: SchematicNet):
         self.places: dict[str, Place] = {}
@@ -153,9 +156,17 @@ class NetIndex:
 
     @cached_property
     def input_ids(self) -> dict[str, Callable]:
-        return {name: itemgetter(*map(self.slot_of.__getitem__, plan.places))
-                if plan.places else lambda state: ()
-                for name, plan in self.plans.items()}
+        return {name: self._ids_on(plan.places) for name, plan in self.plans.items()}
+
+    @cached_property
+    def join_ids(self) -> dict[str, Callable]:
+        return {name: self._ids_on(plan.matched)
+                for name, plan in self.plans.items() if plan.residual}
+
+    def _ids_on(self, places: tuple[str, ...]) -> Callable:
+        if not places:
+            return lambda state: ()
+        return itemgetter(*map(self.slot_of.__getitem__, places))
 
 
 def _is_pattern(term: Term) -> bool:
@@ -167,7 +178,7 @@ def _is_pattern(term: Term) -> bool:
 
 
 class MatchPlan:
-    """How :func:`enabled_bindings` binds one resolved transition.
+    """How :func:`join_bindings` binds one resolved transition.
 
     ``names`` and ``sorts`` list the transition's variables by name.
     ``steps`` bind them in order, each in one of three ways:
@@ -190,9 +201,14 @@ class MatchPlan:
 
     ``checks[i]`` holds what becomes decidable once ``steps[:i]`` have
     bound their variables: single guard atoms, the equation behind a
-    preimage step among them, and input terms that are not matched,
-    given as ``(place, term)`` and counted against the tokens still
-    available.
+    preimage step among them, and input terms on matched places that
+    are not matched themselves, given as ``(place, term)`` and counted
+    against the tokens the match steps left.
+
+    ``residual`` holds the ``(place, term)`` input terms on the places
+    no match step reads, such as ``elm(Y)`` on a place only checked:
+    they are evaluated once every variable is bound, into the tokens a
+    binding needs there, which :func:`admit_bindings` looks up.
     """
 
     def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
@@ -223,13 +239,18 @@ class MatchPlan:
             pending.append((term_variables(atom.left) | term_variables(atom.right),
                             Guard((atom,))))
         checks: list[list[object]] = [[] for _ in range(len(steps) + 1)]
+        residual: list[tuple[str, Term]] = []
         for used, check in pending:
+            if isinstance(check, tuple) and check[0] not in self.matched:
+                residual.append(check)
+                continue
             # a variable outside t.variables never gets bound: its check
             # goes last and fails there with an unbound-variable error
             ready = max((stage.get(n, len(steps) - 1) for n in used), default=-1)
             checks[ready + 1].append(check)
         self.steps = tuple(steps)
         self.checks = tuple(tuple(c) for c in checks)
+        self.residual = tuple(residual)
 
 
 def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple[str, Term] | None:
@@ -615,6 +636,10 @@ def check_net(net: SchematicNet, sig: Signature) -> list[Violation]:
 # Enabling and firing
 # ---------------------------------------------------------------------------
 
+Tokens = dict[str, dict[Value, int]]  # {place: {value: count}}
+_NO_NEEDS: Tokens = {}  # what a plan without residual terms needs; never changed
+
+
 def _resolved(net: SchematicNet, transition: Transition | str) -> Transition:
     """The net's transition of the given name, after checking it is
     resolved; a Transition stands for the net's node of its name."""
@@ -629,7 +654,22 @@ def enabled_bindings(net: SchematicNet, m: Marking,
                      transition: Transition | str, s: Structure) -> list[Binding]:
     """All total bindings of the transition's variables such that the
     guard holds and every evaluated input inscription is contained in
-    the marking.
+    the marking: the candidates of :func:`join_bindings` that
+    :func:`admit_bindings` keeps.
+
+    The result is in lexicographic carrier order: by variable name, then
+    by each value's position in the carrier of the variable's sort.
+    """
+    return admit_bindings(m, join_bindings(net, m, transition, s))
+
+
+def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
+                  s: Structure) -> list[tuple[Binding, Tokens]]:
+    """The bindings that the tokens on the transition's matched places
+    allow (:attr:`MatchPlan.matched`), in the order of
+    :func:`enabled_bindings`, each with the ``{place: {value: count}}``
+    tokens its residual terms need (:attr:`MatchPlan.residual`).  Only
+    the matched places of ``m`` are read.
 
     Variables are bound by matching the input-arc patterns (variables
     and constants, possibly in tuples) against the distinct tokens still
@@ -638,26 +678,24 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     variable's carrier.  A variable that no pattern binds but a guard
     equation ``f(v) = e`` pins is drawn from the preimage of ``e``'s
     value under ``f``; only the others are enumerated over their
-    carriers (see :class:`MatchPlan`).  Guard atoms and the remaining
-    input terms are checked as soon as their variables are bound, the
-    terms against the tokens left over; a function application outside
-    its table makes the candidate not enabled.  A pattern on an empty
-    input place enables nothing, so no carrier is built then.
-
-    The result is in lexicographic carrier order: by variable name, then
-    by each value's position in the carrier of the variable's sort.
+    carriers (see :class:`MatchPlan`).  Guard atoms and the other input
+    terms on matched places are checked as soon as their variables are
+    bound, the terms against the tokens left over; a function
+    application outside its table leaves the candidate out, also in a
+    residual term.  A pattern on an empty input place joins nothing, so
+    no carrier is built then.
     """
     t = _resolved(net, transition)
     plan = net.index.plans[t.name]
-    have = {place: m.get(place).counts() for place in plan.places}
-    if not all(have[place] for place in plan.matched):
+    have = {place: m.get(place).counts() for place in plan.matched}
+    if not all(have.values()):
         return []
-    names, steps, checks = plan.names, plan.steps, plan.checks
+    names, steps, checks, residual = plan.names, plan.steps, plan.checks, plan.residual
     ranks = [carrier_rank(sort, s) for sort in plan.sorts]
     members = dict(zip(names, ranks))
-    taken: dict[str, dict[Value, int]] = {place: {} for place in plan.places}
+    taken: dict[str, dict[Value, int]] = {place: {} for place in plan.matched}
     binding: dict[str, Value] = {}
-    found: list[tuple[Value, ...]] = []
+    found: list[tuple[tuple[Value, ...], Tokens]] = []
 
     def admit(level_checks, took: list[tuple[str, Value]]) -> bool:
         # a plain dict stands in for a Binding here: evaluation only
@@ -691,7 +729,17 @@ def enabled_bindings(net: SchematicNet, m: Marking,
 
     def step(level: int) -> None:
         if level == len(steps):
-            found.append(tuple(map(binding.__getitem__, names)))
+            needs = _NO_NEEDS
+            if residual:
+                needs = {}
+                try:
+                    for place, term in residual:
+                        counts = needs.setdefault(place, {})
+                        for v in term_tokens(term, s, binding):
+                            counts[v] = counts.get(v, 0) + 1
+                except EvalError:
+                    return
+            found.append((tuple(map(binding.__getitem__, names)), needs))
             return
         this = steps[level]
         kind = this[0]
@@ -726,8 +774,24 @@ def enabled_bindings(net: SchematicNet, m: Marking,
         binding.pop(name, None)
 
     descend(0)
-    found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
-    return [Binding._from_sorted(tuple(zip(names, values))) for values in found]
+    found.sort(key=lambda entry: [rank[v] for rank, v in zip(ranks, entry[0])])
+    return [(Binding._from_sorted(tuple(zip(names, values))), needs)
+            for values, needs in found]
+
+
+def admit_bindings(m: Marking, candidates: Iterable[tuple[Binding, Tokens]]) -> list[Binding]:
+    """The bindings of ``(binding, needs)`` ``candidates``, in order,
+    whose needed ``{place: {value: count}}`` tokens ``m`` holds."""
+    return [b for b, needs in candidates if not needs or _holds(m, needs)]
+
+
+def _holds(m: Marking, needs: Tokens) -> bool:
+    """Whether ``m`` holds the ``{place: {value: count}}`` tokens ``needs``."""
+    for place, wanted in needs.items():
+        have = m.get(place).counts()
+        if any(have.get(v, 0) < n for v, n in wanted.items()):
+            return False
+    return True
 
 
 def _match(term: Term, value: Value, binding: dict[str, Value],
@@ -752,9 +816,6 @@ def _match(term: Term, value: Value, binding: dict[str, Value],
                 return False
         return True
     return s.constants.get(term.name) == value
-
-
-Tokens = dict[str, dict[Value, int]]  # {place: {value: count}}
 
 
 def occurrence(net: SchematicNet, transition: str, b: Binding,
@@ -837,8 +898,16 @@ class Stepper:
     binding.  :meth:`enabled` and :meth:`successors` go through the same
     memo, and :meth:`successors` through the same step as ``explore``.
 
+    It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
+    then :func:`admit_bindings`.  For a plan with residual checks it
+    also keeps each join per ``(name, ids on its matched slots)``
+    (:attr:`NetIndex.join_ids`): where only the tokens on a place the
+    transition checks change, the kept join is admitted again instead
+    of joined anew.  For a plan without them both keys name the same
+    tokens, so a miss of the first memo joins at once.
+
     The occurrence of a ``(name, binding)`` is evaluated once.  A binding
-    that :func:`enabled_bindings` returned assigns every variable,
+    that :func:`enabled_bindings` returns assigns every variable,
     satisfies the guard and finds its input tokens, so only the sorts of
     its output tokens are checked then, also by :meth:`occurrence` for a
     binding :meth:`enabled` returned at the same marking; it checks any
@@ -854,10 +923,13 @@ class Stepper:
         self.transitions = tuple(sorted(net.transitions, key=lambda t: t.name))
         index = net.index
         self._slots, self._slot_of = index.slots, index.slot_of
-        self._keys = index.input_ids
+        self._keys, self._join_keys = index.input_ids, index.join_ids
         self._order = [(t.name, self._keys.get(t.name)) for t in self.transitions]
         self._ids = _Ids()
         self._bindings: dict[tuple, list[Binding]] = {}
+        # (name, ids on its matched slots) -> join_bindings, for a plan
+        # with residual checks
+        self._joins: dict[tuple, list[tuple[Binding, Tokens]]] = {}
         # (name, ids on its input slots) -> [(binding, its changes)], for step
         self._fired: dict[tuple, list[tuple[Binding, tuple]]] = {}
         # (name, binding) -> [its occurrence, its (slot, delta) pairs or None]
@@ -876,7 +948,7 @@ class Stepper:
         ids = (name, key(state))
         found = self._bindings.get(ids)
         if found is None:
-            found = self._enable(ids, m)
+            found = self._enable(ids, state, m)
         return found
 
     def occurrence(self, m: Marking, transition: Transition | str,
@@ -929,7 +1001,7 @@ class Stepper:
             if moves is None:
                 found = bindings.get(ids)
                 if found is None:
-                    found = self._enable(ids, m)
+                    found = self._enable(ids, state, m)
                 moves = fired[ids] = [(b, self._changes(name, b)) for b in found]
             for b, changes in moves:
                 succ = list(state)
@@ -946,10 +1018,19 @@ class Stepper:
         self._last_marking, self._last_state = m, state
         return state
 
-    def _enable(self, ids: tuple, m: Marking) -> list[Binding]:
-        """Enable the transition named first in ``ids`` at ``m`` and keep
-        its bindings under ``ids``."""
-        found = self._bindings[ids] = enabled_bindings(self.net, m, ids[0], self.structure)
+    def _enable(self, ids: tuple, state: tuple[int, ...], m: Marking) -> list[Binding]:
+        """Enable the transition named first in ``ids`` at ``m``, whose
+        state is ``state``, and keep its bindings under ``ids``."""
+        name = ids[0]
+        join_key = self._join_keys.get(name)
+        if join_key is None:
+            joined = join_bindings(self.net, m, name, self.structure)
+        else:
+            at = (name, join_key(state))
+            joined = self._joins.get(at)
+            if joined is None:
+                joined = self._joins[at] = join_bindings(self.net, m, name, self.structure)
+        found = self._bindings[ids] = admit_bindings(m, joined)
         return found
 
     def _enabled_at(self, m: Marking, name: str, b: Binding) -> bool:

@@ -270,24 +270,39 @@ def _input_tokens(net, name, m):
     return (name, *map(m.get, net.index.plans[name].places))
 
 
+def _matched_tokens(net, name, m):
+    return (name, *map(m.get, net.index.plans[name].matched))
+
+
 def _count_enabling(monkeypatch, net):
-    """The (transition, tokens on its input places) of each call of
-    ``nets.enabled_bindings``, with the marking it was called at."""
-    calls = []
-    original = nets.enabled_bindings
+    """The enabling a stepper runs: the (transition, tokens on its input
+    places) of each call of ``nets.admit_bindings``, with the marking it
+    was called at, and the (transition, tokens on its matched places) of
+    each call of ``nets.join_bindings``."""
+    admissions, joins = [], []
+    join, admit = nets.join_bindings, nets.admit_bindings
+    joined = {}  # id of a join's result -> (transition, the result), kept alive
 
-    def counting(net_, m, transition, s):
+    def counting_join(net_, m, transition, s):
         name = transition if isinstance(transition, str) else transition.name
-        calls.append((_input_tokens(net, name, m), m))
-        return original(net_, m, transition, s)
+        joins.append(_matched_tokens(net, name, m))
+        found = join(net_, m, transition, s)
+        joined[id(found)] = (name, found)
+        return found
 
-    monkeypatch.setattr(nets, "enabled_bindings", counting)
-    return calls
+    def counting_admit(m, candidates):
+        name, _ = joined[id(candidates)]
+        admissions.append((_input_tokens(net, name, m), m))
+        return admit(m, candidates)
+
+    monkeypatch.setattr(nets, "join_bindings", counting_join)
+    monkeypatch.setattr(nets, "admit_bindings", counting_admit)
+    return admissions, joins
 
 
 def test_explore_enables_once_per_transition_and_input_tokens(sys_small, monkeypatch):
     net = sys_small.net
-    calls = _count_enabling(monkeypatch, net)
+    calls, joins = _count_enabling(monkeypatch, net)
     graph = explore(sys_small)
     keys = [key for key, _ in calls]
     distinct = {_input_tokens(net, t.name, m)
@@ -295,11 +310,19 @@ def test_explore_enables_once_per_transition_and_input_tokens(sys_small, monkeyp
     assert len(keys) == len(set(keys)) == len(distinct)
     assert set(keys) == distinct
     assert len(keys) < len(graph.markings) * len(net.transitions) / 5
+    # and joins once per transition and tokens on its matched places, so
+    # that hand_over, which only checks cooked, joins less than it admits
+    matched = {_matched_tokens(net, t.name, m)
+               for m in graph.markings for t in net.transitions}
+    assert len(joins) == len(set(joins)) == len(matched)
+    assert set(joins) == matched
+    hand_over_joins = sum(name == "hand_over" for name, *_ in joins)
+    assert 0 < hand_over_joins < sum(name == "hand_over" for (name, *_), _ in calls)
 
 
 def test_simulate_enables_again_only_transitions_whose_inputs_changed(sys0, monkeypatch):
     net, s = sys0.net, sys0.structure
-    calls = _count_enabling(monkeypatch, net)
+    calls, joins = _count_enabling(monkeypatch, net)
     run = simulate(sys0, random_policy(seed=3, steps=40))
     events = run.inner.events
     assert len(events) == 40
@@ -319,12 +342,17 @@ def test_simulate_enables_again_only_transitions_whose_inputs_changed(sys0, monk
             before = enabled_at[k - 1]
             assert any(before.get(p) != m.get(p) for p in net.index.plans[name].places)
     assert len(keys) < len(enabled_at) * len(net.transitions) / 2
+    matched = {_matched_tokens(net, t.name, m) for m in enabled_at for t in net.transitions}
+    assert len(joins) == len(set(joins)) == len(matched)
+    assert set(joins) == matched
     # a scripted run repeats none of its enabling either
     calls.clear()
+    joins.clear()
     steps = [(e.transition, e.binding) for e in events]
     simulate(sys0, scripted_policy(steps))
     keys = [key for key, _ in calls]
     assert len(keys) == len(set(keys))
+    assert len(joins) == len(set(joins))
 
 
 def test_explore_fires_on_interned_states(sys_small, monkeypatch):
