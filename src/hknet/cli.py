@@ -373,7 +373,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_reach(args) -> int:
     system = load_system_file(args.system)
-    predicate = parse_predicate(args.pred) if args.pred else None
+    predicate = (parse_predicate(args.pred, places=system.net.index.places)
+                 if args.pred else None)
     graph = explore(system, max_nodes=args.max_nodes, max_edges=args.max_edges,
                     predicate=predicate)
     print(f"nodes: {len(graph.markings)}")

@@ -66,6 +66,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_right
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -839,15 +840,18 @@ def parse_script(text: str, filename: str = "<script>") -> list[tuple[str, Bindi
     return steps
 
 
-def parse_predicate(text: str, filename: str = "<predicate>"):
+def parse_predicate(text: str, filename: str = "<predicate>",
+                    places: Collection[str] | None = None):
     """Marking predicates for reachability reports.
 
     Grammar: ``contains(place, value)``, ``count(place) <cmp> n``,
     ``tokens(place, value) <cmp> n`` combined with ``and``, ``or``,
     ``not``, and parentheses.  Returns a ``Marking -> bool`` callable.
+    Given ``places``, a place name outside them is a ParseError at the
+    name; without, any name is read.
     """
     p = _Parser(text, filename)
-    pred = _parse_pred_or(p)
+    pred = _parse_pred_or(p, places)
     p.expect("EOF", what="end of predicate")
     return pred
 
@@ -856,35 +860,38 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _parse_pred_or(p: _Parser):
-    left = _parse_pred_and(p)
+def _parse_pred_or(p: _Parser, places: Collection[str] | None):
+    left = _parse_pred_and(p, places)
     while p.accept("IDENT", "or"):
-        right = _parse_pred_and(p)
+        right = _parse_pred_and(p, places)
         left = (lambda f, g: lambda m: f(m) or g(m))(left, right)
     return left
 
 
-def _parse_pred_and(p: _Parser):
-    left = _parse_pred_unary(p)
+def _parse_pred_and(p: _Parser, places: Collection[str] | None):
+    left = _parse_pred_unary(p, places)
     while p.accept("IDENT", "and"):
-        right = _parse_pred_unary(p)
+        right = _parse_pred_unary(p, places)
         left = (lambda f, g: lambda m: f(m) and g(m))(left, right)
     return left
 
 
-def _parse_pred_unary(p: _Parser):
+def _parse_pred_unary(p: _Parser, places: Collection[str] | None):
     if p.accept("IDENT", "not"):
-        inner = _parse_pred_unary(p)
+        inner = _parse_pred_unary(p, places)
         return lambda m: not inner(m)
     if p.accept("("):
-        inner = _parse_pred_or(p)
+        inner = _parse_pred_or(p, places)
         p.expect(")")
         return inner
     head = p.expect("IDENT", what="contains, count, or tokens")
     if head[1] not in ("contains", "count", "tokens"):
         raise p.error("expected contains, count, or tokens", head)
     p.expect("(")
-    place = p.expect("IDENT", what="place name")[1]
+    name = p.expect("IDENT", what="place name")
+    place = name[1]
+    if places is not None and place not in places:
+        raise p.error(f"unknown place {place!r}", name)
     if head[1] != "count":
         p.expect(",")
         value = p.value()

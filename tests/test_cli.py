@@ -248,6 +248,22 @@ def test_reach_rejects_a_non_decimal_digit_in_a_predicate(workdir, capsys):
         "error: <predicate>:1:12: unexpected character '²'\n"
 
 
+def test_reach_rejects_a_predicate_on_an_unknown_place(workdir, capsys):
+    run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
+            workdir / "kitchen.hk", "-o", workdir / "branch.hk")
+    run_cli("instantiate", workdir / "branch.hk", workdir / "s0_small.hks",
+            "--name", "branch_small", "-o", workdir / "small.hksys")
+    capsys.readouterr()
+    for pred in ("contains(nowhere, (Alice, t1))",
+                 "count(eating) >= 0 and not (tokens(nowhere, t1) = 1)"):
+        assert run_cli("reach", workdir / "small.hksys", "--pred", pred) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        column = pred.index("nowhere") + 1
+        assert captured.err == \
+            f"error: <predicate>:1:{column}: unknown place 'nowhere'\n"
+
+
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
                     reason="int() converts a 5000-digit number on this interpreter")
 def test_reach_rejects_a_number_too_long_to_convert(workdir, capsys):

@@ -202,6 +202,18 @@ def test_predicate_syntax_errors_carry_spans():
     assert err.value.span is not None
 
 
+def test_a_predicate_given_the_places_rejects_any_other_at_its_name():
+    text = "count(p) >= 1 or contains(q, a)"
+    assert parse_predicate(text, places=("p", "q"))(Marking({"q": Multiset([Atom("a")])}))
+    with pytest.raises(ParseError) as err:
+        parse_predicate(text, places=("p",))
+    assert err.value.message == "unknown place 'q'"
+    span = err.value.span
+    assert (span.line, span.col, span.end_line, span.end_col) == (1, 27, 1, 28)
+    # without places any name is read, and a missing place holds nothing
+    assert not parse_predicate(text)(Marking())
+
+
 def test_system_documents_embed_everything(branch, s0, sys0):
     from hknet.parser import SystemDoc
     from hknet import print_system
