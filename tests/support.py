@@ -634,17 +634,21 @@ def reference_successors(net, m: Marking, s) -> list[tuple[str, Binding, Marking
     return out
 
 
-def check_stepper_against_oracles(net, s, markings: Iterable[Marking]) -> None:
-    """Step one :class:`nets.Stepper` over ``markings`` in turn and assert
-    that at each its enabled bindings are the brute-force ones and its
-    successors the reference ones, so that whatever it kept from an
-    earlier marking must still hold at this one."""
+def stepper_disagreements(net, s, markings: Iterable[Marking]) -> list[tuple]:
+    """Step one :class:`nets.Stepper` over ``markings`` in turn and list
+    ``(index, transition or None, marking)`` wherever its enabled
+    bindings differ from the brute-force ones or its successors (None)
+    from the reference ones, so that whatever it kept from an earlier
+    marking must still hold at this one."""
     stepper = Stepper(net, s)
+    out = []
     for i, m in enumerate(markings):
         for t in net.transitions:
-            assert stepper.enabled(m, t.name) == brute_force_bindings(net, m, t, s), \
-                (i, t.name, m)
-        assert stepper.successors(m) == reference_successors(net, m, s), (i, m)
+            if stepper.enabled(m, t.name) != brute_force_bindings(net, m, t, s):
+                out.append((i, t.name, m))
+        if stepper.successors(m) != reference_successors(net, m, s):
+            out.append((i, None, m))
+    return out
 
 
 # ---------------------------------------------------------------------------
