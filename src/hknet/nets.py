@@ -637,7 +637,6 @@ def check_net(net: SchematicNet, sig: Signature) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 Tokens = dict[str, dict[Value, int]]  # {place: {value: count}}
-_NO_NEEDS: Tokens = {}  # what a plan without residual terms needs; never changed
 
 
 def _resolved(net: SchematicNet, transition: Transition | str) -> Transition:
@@ -729,16 +728,12 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
 
     def step(level: int) -> None:
         if level == len(steps):
-            needs = _NO_NEEDS
-            if residual:
-                needs = {}
-                try:
-                    for place, term in residual:
-                        counts = needs.setdefault(place, {})
-                        for v in term_tokens(term, s, binding):
-                            counts[v] = counts.get(v, 0) + 1
-                except EvalError:
-                    return
+            needs: Tokens = {}
+            try:
+                for place, term in residual:
+                    add_tokens(needs.setdefault(place, {}), (term,), s, binding)
+            except EvalError:
+                return
             found.append((tuple(map(binding.__getitem__, names)), needs))
             return
         this = steps[level]
@@ -782,16 +777,9 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
 def admit_bindings(m: Marking, candidates: Iterable[tuple[Binding, Tokens]]) -> list[Binding]:
     """The bindings of ``(binding, needs)`` ``candidates``, in order,
     whose needed ``{place: {value: count}}`` tokens ``m`` holds."""
-    return [b for b, needs in candidates if not needs or _holds(m, needs)]
-
-
-def _holds(m: Marking, needs: Tokens) -> bool:
-    """Whether ``m`` holds the ``{place: {value: count}}`` tokens ``needs``."""
-    for place, wanted in needs.items():
-        have = m.get(place).counts()
-        if any(have.get(v, 0) < n for v, n in wanted.items()):
-            return False
-    return True
+    return [b for b, needs in candidates
+            if not needs or all(m.get(place).count(v) >= n for place, wanted in needs.items()
+                                for v, n in wanted.items())]
 
 
 def _match(term: Term, value: Value, binding: dict[str, Value],
