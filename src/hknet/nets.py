@@ -663,12 +663,13 @@ def enabled_bindings(net: SchematicNet, m: Marking,
 
 
 def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
-                  s: Structure) -> list[tuple[Binding, Tokens]]:
+                  s: Structure) -> tuple[list[Binding], list[Tokens] | None]:
     """The bindings that the tokens on the transition's matched places
     allow (:attr:`MatchPlan.matched`), in the order of
-    :func:`enabled_bindings`, each with the ``{place: {value: count}}``
-    tokens its residual terms need (:attr:`MatchPlan.residual`).  Only
-    the matched places of ``m`` are read.
+    :func:`enabled_bindings`, and the ``{place: {value: count}}`` tokens
+    the residual terms of each need (:attr:`MatchPlan.residual`), in the
+    same order, or None for a plan without residual terms.  Only the
+    matched places of ``m`` are read.
 
     Variables are bound by matching the input-arc patterns (variables
     and constants, possibly in tuples) against the distinct tokens still
@@ -688,13 +689,13 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
     plan = net.index.plans[t.name]
     have = {place: m.get(place).counts() for place in plan.matched}
     if not all(have.values()):
-        return []
+        return [], None
     names, steps, checks, residual = plan.names, plan.steps, plan.checks, plan.residual
     ranks = [carrier_rank(sort, s) for sort in plan.sorts]
     members = dict(zip(names, ranks))
     taken: dict[str, dict[Value, int]] = {place: {} for place in plan.matched}
     binding: dict[str, Value] = {}
-    found: list[tuple[tuple[Value, ...], Tokens]] = []
+    found: list[tuple[Value, ...]] = []
 
     def admit(level_checks, took: list[tuple[str, Value]]) -> bool:
         # a plain dict stands in for a Binding here: evaluation only
@@ -728,13 +729,7 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
 
     def step(level: int) -> None:
         if level == len(steps):
-            needs: Tokens = {}
-            try:
-                for place, term in residual:
-                    add_tokens(needs.setdefault(place, {}), (term,), s, binding)
-            except EvalError:
-                return
-            found.append((tuple(map(binding.__getitem__, names)), needs))
+            found.append(tuple(map(binding.__getitem__, names)))
             return
         this = steps[level]
         kind = this[0]
@@ -769,17 +764,32 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
         binding.pop(name, None)
 
     descend(0)
-    found.sort(key=lambda entry: [rank[v] for rank, v in zip(ranks, entry[0])])
-    return [(Binding._from_sorted(tuple(zip(names, values))), needs)
-            for values, needs in found]
+    found.sort(key=lambda values: [rank[v] for rank, v in zip(ranks, values)])
+    bindings = [Binding._from_sorted(tuple(zip(names, values))) for values in found]
+    if not residual:
+        return bindings, None
+    joined, needs = [], []
+    for b in bindings:
+        wanted: Tokens = {}
+        try:
+            for place, term in residual:
+                add_tokens(wanted.setdefault(place, {}), (term,), s, b)
+        except EvalError:
+            continue
+        joined.append(b)
+        needs.append(wanted)
+    return joined, needs
 
 
-def admit_bindings(m: Marking, candidates: Iterable[tuple[Binding, Tokens]]) -> list[Binding]:
-    """The bindings of ``(binding, needs)`` ``candidates``, in order,
-    whose needed ``{place: {value: count}}`` tokens ``m`` holds."""
-    return [b for b, needs in candidates
-            if not needs or all(m.get(place).count(v) >= n for place, wanted in needs.items()
-                                for v, n in wanted.items())]
+def admit_bindings(m: Marking, joined: tuple[list[Binding], list[Tokens] | None]) -> list[Binding]:
+    """The bindings of a :func:`join_bindings` result, in order, whose
+    needed tokens ``m`` holds: all of them if none are needed."""
+    bindings, needs = joined
+    if needs is None:
+        return bindings
+    return [b for b, wanted in zip(bindings, needs)
+            if all(m.get(place).count(v) >= n for place, counts in wanted.items()
+                   for v, n in counts.items())]
 
 
 def _match(term: Term, value: Value, binding: dict[str, Value],
@@ -917,7 +927,7 @@ class Stepper:
         self._bindings: dict[tuple, list[Binding]] = {}
         # (name, ids on its matched slots) -> join_bindings, for a plan
         # with residual checks
-        self._joins: dict[tuple, list[tuple[Binding, Tokens]]] = {}
+        self._joins: dict[tuple, tuple[list[Binding], list[Tokens]]] = {}
         # (name, ids on its input slots) -> [(binding, its changes)], for step
         self._fired: dict[tuple, list[tuple[Binding, tuple]]] = {}
         # (name, binding) -> [its occurrence, its (slot, delta) pairs or None]

@@ -290,10 +290,10 @@ def _count_enabling(monkeypatch, net):
         joined[id(found)] = (name, found)
         return found
 
-    def counting_admit(m, candidates):
-        name, _ = joined[id(candidates)]
+    def counting_admit(m, found):
+        name, _ = joined[id(found)]
         admissions.append((_input_tokens(net, name, m), m))
-        return admit(m, candidates)
+        return admit(m, found)
 
     monkeypatch.setattr(nets, "join_bindings", counting_join)
     monkeypatch.setattr(nets, "admit_bindings", counting_admit)
