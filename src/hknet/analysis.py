@@ -18,10 +18,10 @@ from math import gcd, lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import EvalError, ModelError
-from .nets import Marking, Stepper, occurrence
+from .nets import Marking, Stepper, guarded_occurrence
 from .signature import carrier_of
 from .systems import System
-from .terms import Binding, enumerate_bindings, eval_guard, render_binding
+from .terms import Binding, enumerate_bindings, render_binding
 from .values import Value, render_value
 
 
@@ -113,11 +113,12 @@ def ground(sys: System) -> GroundedNet:
     for t in sorted(net.transitions, key=lambda t: t.name):
         for b in enumerate_bindings(t.variables or (), s):
             try:
-                if not eval_guard(t.guard, s, b):
-                    continue
-                consumed, produced = occurrence(net, t.name, b, s)
+                found = guarded_occurrence(net, t.name, b, s)
             except EvalError:
                 continue
+            if found is None:
+                continue
+            consumed, produced = found
             pre, post = ({place_index.get((place, v)): n for place, counts in tokens.items()
                           for v, n in counts.items()} for tokens in (consumed, produced))
             if None in pre or None in post:

@@ -22,10 +22,10 @@ from .errors import (CompositionError, EvalError, ModelError, ScriptError,
                      Violation)
 from .modules import Module, PLACE, InterfaceElement, compose
 from .nets import (Condition, Event, Marking, OccurrenceNet, Stepper,
-                   occurrence)
+                   guarded_occurrence)
 from .signature import value_in_sort
 from .systems import System
-from .terms import Binding, eval_guard, render_binding
+from .terms import Binding, render_binding
 from .values import Multiset, Value, render_value
 
 
@@ -303,16 +303,17 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
                 f"but {e.transition!r} has the variables [{', '.join(declared)}]"))
             continue
         try:
-            if not eval_guard(transition.guard, s, e.binding):
-                out.append(Violation(
-                    "guard", f"event {e.id}: guard of {e.transition!r} is false "
-                    f"under {render_binding(e.binding)}"))
-                continue
-            consumed, produced = occurrence(net, e.transition, e.binding, s)
+            found = guarded_occurrence(net, e.transition, e.binding, s)
         except EvalError as exc:  # evaluation failure under this binding
             out.append(Violation(
                 "binding", f"event {e.id}: {exc}"))
             continue
+        if found is None:
+            out.append(Violation(
+                "guard", f"event {e.id}: guard of {e.transition!r} is false "
+                f"under {render_binding(e.binding)}"))
+            continue
+        consumed, produced = found
         for label, expected, linked in (("pre", consumed, inner.pre(e.id)),
                                         ("post", produced, inner.post(e.id))):
             got: dict[str, dict[Value, int]] = {}

@@ -173,9 +173,10 @@ class Structure:
     Function tables are keyed by argument tuples; carriers are stored in
     canonical value order.  Structures are immutable after construction
     and safe to share between concurrent readers: the tables below --
-    carrier tables per sort, each carrier symbol's set value, and the
-    inverse table of each unary function -- are derived from the fields
-    on first use, and an entry, once added, is never changed.
+    carrier tables per sort, each carrier symbol's set value, the
+    inverse table of each unary function and the compiled kernel of
+    each transition enabled or fired under it -- are derived from the
+    fields on first use, and an entry, once added, is never changed.
     """
 
     name: str
@@ -210,6 +211,12 @@ class Structure:
     @cached_property
     def _inverse_tables(self) -> dict[str, dict[Value, tuple[Value, ...]]]:
         """Per function symbol: :func:`inverse_table`."""
+        return {}
+
+    @cached_property
+    def _kernels(self) -> dict[Any, Any]:
+        """Per resolved transition's match plan: the transition compiled
+        against this structure (``nets._kernel``)."""
         return {}
 
 

@@ -83,7 +83,7 @@ def test_grounded_exploration_counts(sys_tiny, sys_small):
 def failing_inscriptions(monkeypatch, error):
     def failing(*args):
         raise error
-    monkeypatch.setattr(analysis, "occurrence", failing)
+    monkeypatch.setattr(analysis, "guarded_occurrence", failing)
 
 
 def test_ground_drops_bindings_whose_evaluation_fails(monkeypatch):
