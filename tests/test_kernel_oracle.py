@@ -11,6 +11,9 @@ nested in a value.  What ``occurrence``, ``fire`` and
 ``enabled_bindings`` give, values and raised errors alike (type,
 message and span), must be what ``term_tokens`` and ``eval_guard``
 give (``support.reference_fire``, ``support.brute_force_bindings``).
+The closures a transition's kernel compiles (``hknet.compiled``) are
+held to ``evaluate``, ``term_tokens`` and ``eval_guard`` directly, and a
+structure compiles each transition of a net once.
 """
 
 import dataclasses
@@ -19,12 +22,15 @@ import random
 import pytest
 
 from hknet import (Atom, EvalError, FiringError, Marking, PowSort, SchematicNet,
-                   SetValue, Signature, TupleValue, carrier_of, enabled_bindings,
-                   enumerate_bindings, fire, make_structure, parse, resolve_net)
-from hknet import nets
+                   SetValue, Signature, TupleValue, bind_structure, carrier_of,
+                   enabled_bindings, enumerate_bindings, evaluate, explore, fire,
+                   ground, instantiate, make_structure, parse, random_policy,
+                   resolve_net, simulate)
+from hknet import compiled, nets
 from hknet.terms import Binding, GuardAtom, eval_guard, term_tokens
 
-from support import ReferenceMarking, brute_force_bindings, reference_fire
+from support import (ReferenceMarking, brute_force_bindings, reference_fire,
+                     structure_text)
 
 
 SIGNATURE = """
@@ -295,3 +301,57 @@ def test_tuple_tokens_of_the_wrong_shape_match_no_pattern(kinds):
         t = net.transition(name)
         assert enabled_bindings(net, m, name, s) == brute_force_bindings(net, m, t, s)
     assert [b["x"] for b in enabled_bindings(net, m, "same", s)] == [a2]
+
+
+# ---------------------------------------------------------------------------
+# The compiled closures themselves
+# ---------------------------------------------------------------------------
+
+def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
+    # every arc term and guard of the net, compiled as a kernel compiles
+    # them, under every total binding: values and errors alike
+    net, s = kinds
+    for t in net.transitions:
+        names = frozenset(name for name, _ in t.variables)
+        terms = [term for arc in (*net.arcs_into(t.name), *net.arcs_out_of(t.name))
+                 for term in arc.inscription]
+        terms += [side for atom in t.guard.atoms for side in (atom.left, atom.right)]
+        values = [(compiled._value(term, s, names), term) for term in terms]
+        tokens = [(compiled._tokens(term, s, names), term) for term in terms]
+        guard = compiled._guard(t.guard, s, names)
+        for b in enumerate_bindings(t.variables, s):
+            env = dict(b.pairs())
+            for closure, term in values:
+                assert outcome(lambda: closure(env)) == \
+                    outcome(lambda: evaluate(term, s, b)), (t.name, term, b)
+            for closure, term in tokens:
+                assert outcome(lambda: closure(env)) == \
+                    outcome(lambda: term_tokens(term, s, b)), (t.name, term, b)
+            assert outcome(lambda: guard(env)) == outcome(lambda: eval_guard(t.guard, s, b)), \
+                (t.name, b)
+
+
+def test_a_second_explore_compiles_nothing(branch, sigma0, monkeypatch):
+    # kernels are kept on the structure: the first explore of a freshly
+    # bound one compiles each transition once, later calls on any
+    # system over it compile none
+    builds = []
+
+    class Counting(nets.Kernel):
+        def __init__(self, index, name, s):
+            builds.append(name)
+            super().__init__(index, name, s)
+
+    monkeypatch.setattr(nets, "Kernel", Counting)
+    s = bind_structure(parse(structure_text(1, 2), "s_1_2.hks").body, sigma0)
+    system = instantiate(branch, s)
+    first = explore(system)
+    assert sorted(builds) == sorted(t.name for t in system.net.transitions)
+    builds.clear()
+    assert explore(system) == first
+    simulate(system, random_policy(seed=1, steps=12))
+    ground(system)
+    assert builds == []
+    # another net over the same structure has kernels of its own
+    explore(instantiate(branch, s))
+    assert len(builds) == len(system.net.transitions)

@@ -18,7 +18,7 @@ import pytest
 from hknet import (Atom, EvalError, Marking, SetValue, bind_structure,
                    enabled_bindings, explore, parse, parse_predicate,
                    print_run, random_policy, resolve_net, simulate)
-from hknet import nets
+from hknet import compiled
 from hknet.signature import inverse_table
 
 from conftest import synthetic
@@ -242,17 +242,17 @@ def test_binding_through_the_inverse_skips_the_carrier(pinned, monkeypatch):
     sig = parse(PINNED[0]).body
     s = bind_structure(parse(PINNED[1]).body, sig)
     calls = []
-    original = nets._guard
+    original = compiled._guard
 
-    def counting(guard, s_, bound):
-        compiled = original(guard, s_, bound)
+    def counting(guard, s_, names):
+        holds = original(guard, s_, names)
 
         def counted(env):
             calls.append(guard)
-            return compiled(env)
+            return holds(env)
         return counted
 
-    monkeypatch.setattr(nets, "_guard", counting)
+    monkeypatch.setattr(compiled, "_guard", counting)
     m = Marking({"p": [Atom("a1"), Atom("a2"), Atom("a3")]})
     assert len(enabled_bindings(net, m, "noninj", s)) == 4
     assert len(calls) == 4
