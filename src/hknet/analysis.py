@@ -254,8 +254,11 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
 
     Hitting a cap truncates the graph instead of raising, and
     ``truncated_by`` names the cap hit first: ``"nodes"`` or ``"edges"``.
-    Deadlock markings and predicate hits are reported by node index.
+    The initial marking is always kept, so ``max_nodes`` must be at
+    least 1 (a ValueError otherwise).  Deadlock markings and predicate
+    hits are reported by node index.
     """
+    _check_node_cap(max_nodes)
     stepper = Stepper(sys.net, sys.structure)
     root, decode = stepper.encoding(sys.initial)
     nodes, edges, truncated_by, deadlocks, hits = _bfs(
@@ -276,7 +279,10 @@ class GroundedReachabilityGraph:
 
 def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                      max_edges: int = 100000) -> GroundedReachabilityGraph:
-    """BFS over the grounded net's marking vectors."""
+    """BFS over the grounded net's marking vectors, capped as
+    :func:`explore` is."""
+    _check_node_cap(max_nodes)
+
     def successors(vec: tuple[int, ...], _) -> list[tuple[int, tuple[int, ...]]]:
         return [(t, tuple(v + delta.get(p, 0) for p, v in enumerate(vec)))
                 for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns))
@@ -286,6 +292,11 @@ def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
                                                       max_nodes, max_edges)
     return GroundedReachabilityGraph(vectors, edges, bool(truncated_by), deadlocks,
                                      truncated_by)
+
+
+def _check_node_cap(max_nodes: int) -> None:
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, the initial marking: {max_nodes}")
 
 
 def _bfs(root: Hashable, successors: Callable[[Any, Any], Sequence[tuple]],

@@ -77,6 +77,14 @@ def count(text: str) -> int:
     return value
 
 
+def positive(text: str) -> int:
+    """A command-line count of at least 1."""
+    value = count(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def identifier(text: str) -> str:
     """A document name: text the parser reads back as one identifier."""
     if not is_identifier(text):
@@ -143,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="bounded reachability exploration")
     p.add_argument("system")
-    p.add_argument("--max-nodes", type=count, default=10000)
+    p.add_argument("--max-nodes", type=positive, default=10000)
     p.add_argument("--max-edges", type=count, default=100000)
     p.add_argument("--pred", help="marking predicate, e.g. "
                    "'contains(eating, (Alice, t1)) and count(free_tables) >= 1'")

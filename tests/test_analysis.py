@@ -284,6 +284,17 @@ def test_explore_truncates_at_caps(sys0):
     assert graph.truncated
 
 
+def test_a_node_cap_below_one_is_rejected(sys_tiny):
+    # the initial marking is always kept, so no search fits under 1 node
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=f"max_nodes must be at least 1.*: {cap}$"):
+            explore(sys_tiny, max_nodes=cap)
+        with pytest.raises(ValueError, match=f"max_nodes must be at least 1.*: {cap}$"):
+            explore_grounded(ground(sys_tiny), max_nodes=cap)
+    assert len(explore(sys_tiny, max_nodes=1).markings) == 1
+    assert len(explore_grounded(ground(sys_tiny), max_nodes=1).vectors) == 1
+
+
 def test_a_truncated_search_names_the_cap_it_hit(sys0, sigma0, branch):
     assert explore(sys0, max_nodes=120, max_edges=1_000_000).truncated_by == "nodes"
     structure = bind_structure(parse(structure_text(2, 1), "s_2_1.hks").body, sigma0)

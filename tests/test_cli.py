@@ -442,6 +442,7 @@ def test_check_rejects_a_run_interface_of_the_wrong_kind(workdir, capsys):
 @pytest.mark.parametrize("command, flag, value, message", [
     ("simulate", "--steps", "-3", "must not be negative: -3"),
     ("reach", "--max-nodes", "-1", "must not be negative: -1"),
+    ("reach", "--max-nodes", "0", "must be at least 1: 0"),
     ("reach", "--max-edges", "-1", "must not be negative: -1"),
     ("reach", "--max-edges", "x", "invalid count value: 'x'"),
 ])
