@@ -6,7 +6,9 @@ multisets of terms (each possibly ``elm``-wrapped at top level) and
 transitions carry a guard plus declarations of free-choice variables.
 
 Enabling and firing are pure functions of (net, marking, structure);
-a :class:`Stepper` remembers their results for one caller.  Nets must
+they run through each transition's kernel, compiled once per structure
+(:mod:`hknet.compiled`), and a :class:`Stepper` remembers their results
+for one caller.  Nets must
 be *resolved* against a signature first: resolution classifies
 identifier leaves, infers variable sorts from input-arc terms and
 function signatures, and records the full variable list per transition.
@@ -208,6 +210,10 @@ class MatchPlan:
     no match step reads, such as ``elm(Y)`` on a place only checked:
     they are evaluated once every variable is bound, into the tokens a
     binding needs there, which :func:`admit_bindings` looks up.
+
+    A plan is fixed per net; under each structure, the transition's
+    kernel (:class:`compiled.Kernel`) compiles its steps and checks into
+    closures once, and :func:`join_bindings` runs those.
     """
 
     def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
@@ -693,8 +699,13 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
     terms on matched places are checked as soon as their variables are
     bound, the terms against the tokens left over; a function
     application outside its table leaves the candidate out, also in a
-    residual term.  A pattern on an empty input place joins nothing, so
-    no carrier is built then.
+    residual term.
+
+    The transition's kernel (:class:`compiled.Kernel`) runs the plan.  It
+    is built on the first call under ``s``, which looks up the carriers,
+    and kept on ``s``; a carrier that cannot be built, such as a
+    powerset over the cap, raises on every call whose matched places
+    all hold tokens.  A pattern on an empty input place joins nothing.
     """
     name = transition if isinstance(transition, str) else transition.name
     return _kernel(net, name, s).join(m)
@@ -837,7 +848,10 @@ class Stepper:
     other binding in full, and re-checks a kept one for containment, the
     one check that depends on the marking.  A transition is resolved,
     and an unknown or unresolved one rejected, only when nothing is kept
-    for it yet.  Errors are not kept.  Nothing outlives the stepper.
+    for it yet.  Errors are not kept.  Nothing it keeps outlives the
+    stepper; the kernels it joins and evaluates occurrences through
+    (:class:`compiled.Kernel`) are kept on the structure, for every
+    later caller.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
