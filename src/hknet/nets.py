@@ -8,10 +8,10 @@ transitions carry a guard plus declarations of free-choice variables.
 Enabling and firing are pure functions of (net, marking, structure);
 they run through each transition's kernel, compiled once per structure
 (:mod:`hknet.compiled`), and a :class:`Stepper` remembers their results
-for one caller.  Nets must
-be *resolved* against a signature first: resolution classifies
-identifier leaves, infers variable sorts from input-arc terms and
-function signatures, and records the full variable list per transition.
+for one caller.  Nets must be *resolved* against a signature first:
+resolution classifies identifier leaves, infers variable sorts from
+input-arc terms and function signatures, and records the full variable
+list per transition.
 """
 
 from __future__ import annotations
