@@ -92,27 +92,13 @@ def _application(term: App, table: Mapping[tuple[Value, ...], Value],
                  args: list[Callable[[Env], Value]]) -> Callable[[Env], Value]:
     function, span = term.function, term.span
 
-    def undefined(key: tuple[Value, ...]) -> EvalError:
-        return EvalError(f"function {function!r} is undefined on "
-                         f"({', '.join(map(render_value, key))})", span)
-
-    if len(args) == 1:
-        (arg,) = args
-
-        def unary(env: Env) -> Value:
-            key = (arg(env),)
-            try:
-                return table[key]
-            except KeyError:
-                raise undefined(key) from None
-        return unary
-
     def apply(env: Env) -> Value:
         key = tuple([arg(env) for arg in args])
         try:
             return table[key]
         except KeyError:
-            raise undefined(key) from None
+            raise EvalError(f"function {function!r} is undefined on "
+                            f"({', '.join(map(render_value, key))})", span) from None
     return apply
 
 
@@ -281,11 +267,9 @@ def _leaf(plan: MatchPlan, s: Structure, variables: frozenset[str]) -> Level:
     its residual terms need if the plan has any; a binding under which
     one of them raises is left out."""
     names = plan.names
-    if len(names) > 1:
-        values = itemgetter(*names)
-    else:
-        def values(binding: Env) -> tuple[Value, ...]:
-            return tuple(map(binding.__getitem__, names))
+
+    def values(binding: Env) -> tuple[Value, ...]:
+        return tuple(map(binding.__getitem__, names))
     if not plan.residual:
         def leaf(binding, have, taken, found):
             found.append(values(binding))
