@@ -44,7 +44,9 @@ class Kernel:
       its sort (:func:`signature.value_in_sort`).
 
     The closures keep nothing between calls, and a kernel never changes
-    once built."""
+    once built.  They keep neither the net nor its plan, so that the
+    structure, which holds a kernel only as long as its plan lives,
+    drops it with the net."""
 
     __slots__ = ("join", "holds", "occurrence", "sorts")
 
@@ -247,13 +249,15 @@ def _join(plan: MatchPlan, s: Structure,
     def key(values: tuple[Value, ...]) -> list[int]:
         return [rank[v] for rank, v in zip(ranks, values)]
 
+    residual = bool(plan.residual)  # the closure must not keep the plan
+
     def join(m: Marking) -> tuple:
         have = [m.get(place).counts() for place in matched]
         if not all(have):
             return [], None
         found: list = []
         run({}, have, [{} for _ in matched], found)
-        if not plan.residual:
+        if not residual:
             found.sort(key=key)
             return [Binding._from_sorted(tuple(zip(names, v))) for v in found], None
         found.sort(key=lambda entry: key(entry[0]))

@@ -12,6 +12,7 @@ instead of raising.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
@@ -214,10 +215,11 @@ class Structure:
         return {}
 
     @cached_property
-    def _kernels(self) -> dict[Any, Any]:
+    def _kernels(self) -> weakref.WeakKeyDictionary:
         """Per resolved transition's match plan: the transition compiled
-        against this structure (``nets._kernel``)."""
-        return {}
+        against this structure (``nets._kernel``), kept while the plan,
+        and so its net, lives."""
+        return weakref.WeakKeyDictionary()
 
 
 def make_structure(name: str,

@@ -17,6 +17,7 @@ structure compiles each transition of a net once.
 """
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -333,8 +334,8 @@ def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
 
 def test_a_second_explore_compiles_nothing(branch, sigma0, monkeypatch):
     # kernels are kept on the structure: the first explore of a freshly
-    # bound one compiles each transition once, later calls on any
-    # system over it compile none
+    # bound one compiles each transition once, later calls on the same
+    # system compile none
     builds = []
 
     class Counting(nets.Kernel):
@@ -352,6 +353,9 @@ def test_a_second_explore_compiles_nothing(branch, sigma0, monkeypatch):
     simulate(system, random_policy(seed=1, steps=12))
     ground(system)
     assert builds == []
-    # another net over the same structure has kernels of its own
+    # another net over the same structure has kernels of its own, which
+    # the structure drops with that net
     explore(instantiate(branch, s))
     assert len(builds) == len(system.net.transitions)
+    gc.collect()
+    assert len(s._kernels) == len(system.net.transitions)
