@@ -176,8 +176,9 @@ class Structure:
     and safe to share between concurrent readers: the tables below --
     carrier tables per sort, each carrier symbol's set value, the
     inverse table of each unary function and the compiled kernel of
-    each transition enabled or fired under it -- are derived from the
-    fields on first use, and an entry, once added, is never changed.
+    each transition enabled or fired under it, dropped with its net --
+    are derived from the fields on first use, and an entry, once added,
+    is never changed.
     """
 
     name: str

@@ -22,8 +22,8 @@ import random
 
 import pytest
 
-from hknet import (Atom, EvalError, FiringError, Marking, PowSort, SchematicNet,
-                   SetValue, Signature, TupleValue, bind_structure, carrier_of,
+from hknet import (Atom, EvalError, FiringError, Marking, SchematicNet,
+                   SetValue, TupleValue, bind_structure, carrier_of,
                    enabled_bindings, enumerate_bindings, evaluate, explore, fire,
                    ground, instantiate, make_structure, parse, random_policy,
                    resolve_net, simulate)
@@ -257,27 +257,6 @@ def test_a_check_on_a_variable_outside_the_transition_rejects_every_binding():
     m = Marking({"p": [Atom("a1"), Atom("a2")]})
     assert enabled_bindings(net, m, "stray", s) == brute_force_bindings(
         net, m, net.transition("stray"), s) == []
-
-
-def test_a_powerset_over_the_cap_raises_at_join_time_on_every_join():
-    # the first join sees an empty place and decides before any carrier
-    # is built; every later join over a token raises afresh
-    sig = Signature("wide", sets=("W",))
-    s = make_structure("big", sig, {"W": tuple(Atom(f"w{i:02d}") for i in range(17))})
-    net, problems = resolve_net(parse("""
-    module wide_m of wide {
-      places { p : pow(W); }
-      trans { take; }
-      arcs { p -> take : X; }
-    }
-    """).body.inner, sig)
-    assert problems == [] and net.place("p").sort == PowSort("W")
-    full = Marking({"p": [SetValue([Atom("w00")])]})
-    assert enabled_bindings(net, Marking(), "take", s) == []
-    for _ in range(2):
-        with pytest.raises(EvalError, match="exceeds the cap of 16"):
-            enabled_bindings(net, full, "take", s)
-        assert enabled_bindings(net, Marking(), "take", s) == []
 
 
 def test_tuple_tokens_of_the_wrong_shape_match_no_pattern(kinds):
