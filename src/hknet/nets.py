@@ -653,12 +653,16 @@ def _resolved(net: SchematicNet, transition: Transition | str) -> Transition:
     return t
 
 
-def _kernel(net: SchematicNet, name: str, s: Structure) -> Kernel:
+def _kernel(net: SchematicNet, name: Transition | str, s: Structure) -> Kernel:
     """The net's transition ``name`` compiled against ``s``: built on
-    first use and kept on ``s`` per :class:`MatchPlan`.  An unknown or
-    unresolved transition is rejected as by :func:`_resolved`."""
+    first use and kept on ``s`` per :class:`MatchPlan`.  A Transition
+    stands for the net's node of its name, and an unknown or unresolved
+    transition is rejected, as by :func:`_resolved`."""
     plans = net.index.plans
-    plan = plans.get(name) or plans[_resolved(net, name).name]
+    plan = plans.get(name)
+    if plan is None:
+        name = _resolved(net, name).name
+        plan = plans[name]
     kernel = s._kernels.get(plan)
     if kernel is None:
         # two threads racing here build equal kernels; the first stored stays
