@@ -18,7 +18,10 @@ structure compiles each transition of a net once.
 
 import dataclasses
 import gc
+import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -338,3 +341,41 @@ def test_a_second_explore_compiles_nothing(branch, sigma0, monkeypatch):
     assert len(builds) == len(system.net.transitions)
     gc.collect()
     assert len(s._kernels) == len(system.net.transitions)
+
+
+def test_threads_racing_on_first_use_share_one_kernel_per_transition(branch, sigma0):
+    # a freshly bound structure, explored by more threads than cores at
+    # once with a short switch interval: every thread sees the graph that
+    # one thread alone sees, and each transition keeps one kernel
+    def fresh_system():
+        return instantiate(branch, bind_structure(
+            parse(structure_text(1, 2), "s_1_2.hks").body, sigma0))
+
+    want = explore(fresh_system())
+    system = fresh_system()
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(50):
+                results.append(explore(system))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=work) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 50 * len(threads) and all(graph == want for graph in results)
+    net, s = system.net, system.structure
+    assert len(s._kernels) == len(net.transitions)
+    for t in net.transitions:
+        assert nets._kernel(net, t.name, s) is s._kernels[net.index.plans[t.name]]
