@@ -46,8 +46,9 @@ signature kinds {
 }
 """
 
-# (arc or guard text, what it exercises); every transition reads x from
-# p, y from q and Y from sets, and puts its term on the unsorted place out
+# transition name -> the term it puts on the unsorted place out, or its
+# guard; every transition reads x from p, y from q and Y from sets, and
+# each guarded one puts x on out
 OUTPUTS = {
     "var": "x",
     "const": "k",
