@@ -358,6 +358,34 @@ def replay(system, steps) -> Marking:
     return m
 
 
+def reference_simulate(system, policy) -> tuple[list[tuple[str, Binding]], Marking]:
+    """The ``(transition, binding)`` steps that ``simulate`` takes under
+    ``policy`` and the marking they reach, by the definitional loop: the
+    options are the :func:`enabled_bindings` of each transition in name
+    order (or a script step's one matching binding), one seeded
+    ``random.Random`` picks among them, and :func:`fire` advances the
+    marking.  Remembers nothing between steps."""
+    net, s = system.net, system.structure
+    rng = random.Random(policy.seed)
+    m, steps = system.initial, []
+    for k in range(policy.step_limit):
+        if policy.mode == "script":
+            name, wanted = policy.script[k]
+            options = [(name, b) for b in enabled_bindings(net, m, name, s)
+                       if b.extends(wanted)]
+            if len(options) != 1:
+                raise ValueError(f"script step {k + 1} matches {len(options)} bindings")
+        else:
+            options = [(t.name, b) for t in sorted(net.transitions, key=lambda t: t.name)
+                       for b in enabled_bindings(net, m, t, s)]
+            if not options:
+                break
+        name, b = options[rng.randrange(len(options))]
+        m = fire(net, m, name, b, s)
+        steps.append((name, b))
+    return steps, m
+
+
 # ---------------------------------------------------------------------------
 # Occurrence-net lookup oracle: linear scans over the net's fields
 # ---------------------------------------------------------------------------

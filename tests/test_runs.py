@@ -16,8 +16,10 @@ from hknet import nets
 from hknet.modules import TRANSITION
 from hknet.nets import OccurrenceNet
 
-from support import (digest, reference_linearize, replay, scan_condition,
-                     scan_event, scan_post, scan_pre, scan_topo_levels)
+from conftest import synthetic
+from support import (digest, reference_linearize, reference_simulate, replay,
+                     scan_condition, scan_event, scan_post, scan_pre,
+                     scan_topo_levels)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN.parent.parent / "corpus"
@@ -96,6 +98,20 @@ def test_final_cut_equals_sequential_replay(sys0):
         run = simulate(sys0, random_policy(seed=seed, steps=15))
         seq = linearize(run, seed)
         assert replay(sys0, seq) == final_cut(run)
+
+
+def test_simulate_takes_the_steps_of_the_definitional_loop(branch, sys_tiny, sys_small,
+                                                          sys0, a0_script):
+    systems = [sys_tiny, sys_small, sys0] + [synthetic(branch, n, 3) for n in (1, 2, 4, 8)]
+    cases = [(system, random_policy(seed=seed, steps=30))
+             for system in systems for seed in range(8)]
+    cases.append((sys0, scripted_policy(a0_script)))
+    for system, policy in cases:
+        run = simulate(system, policy)
+        steps, reached = reference_simulate(system, policy)
+        assert [(e.transition, e.binding) for e in run.inner.events] == steps, \
+            (system.name, policy.seed)
+        assert final_cut(run) == reached, (system.name, policy.seed)
 
 
 def test_script_policy_rejects_more_steps_than_its_script():

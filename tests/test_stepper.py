@@ -209,6 +209,18 @@ def test_explore_raises_the_first_failing_occurrence():
     assert explored([b]) == "EvalError: function 'f' is undefined on (b)"
 
 
+def test_simulate_raises_the_error_of_the_firing_it_chose():
+    net, s, a, b = _partial()
+    system = System("partial", Module("partial_m", "partial", net), s,
+                    Marking({"p": [a, b]}), net)
+
+    def simulated(x):
+        return _outcome(lambda: simulate(system, scripted_policy([("t", Binding({"x": x}))])))
+
+    assert simulated(a) == "FiringError: 't' would put z on 'q', outside sort A"
+    assert simulated(b) == "EvalError: function 'f' is undefined on (b)"
+
+
 def _count_checks(monkeypatch):
     """The binding of each call of ``nets.checked_occurrence``."""
     calls = []
