@@ -20,6 +20,7 @@ import heapq
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 
 from .compiled import Kernel, Tokens
@@ -782,7 +783,9 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
     found = guarded_occurrence(net, t.name, b, s)
     if found is None:
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    _require_tokens(m, t.name, found[0])
+    place = _lacking(m, found[0])
+    if place is not None:
+        raise FiringError(f"{t.name!r} is not enabled: {place!r} lacks required tokens")
     _require_sorts(net, t.name, found[1], s)
     return found
 
@@ -791,14 +794,6 @@ def fire(net: SchematicNet, m: Marking, transition: Transition | str,
          b: Binding, s: Structure) -> Marking:
     """Fire one transition occurrence; pure, raises if not enabled."""
     return m.updated(*checked_occurrence(net, m, transition, b, s))
-
-
-def _require_tokens(m: Marking, transition: str, consumed: Tokens) -> None:
-    """Raise the FiringError of a transition that ``m`` does not enable
-    because some place lacks the ``consumed`` tokens."""
-    place = _lacking(m, consumed)
-    if place is not None:
-        raise FiringError(f"{transition!r} is not enabled: {place!r} lacks required tokens")
 
 
 def _require_sorts(net: SchematicNet, transition: str, produced: Tokens,
@@ -823,37 +818,35 @@ def _require_sorts(net: SchematicNet, transition: str, produced: Tokens,
 class Stepper:
     """Enabling and firing of one net under one structure, remembered
     for the life of this object (one ``explore`` or ``simulate`` call).
-    A Transition argument stands for the net's node of its name.
 
     It steps on interned states: each distinct multiset on a place gets
     a small int id, and a state is the tuple of ids on the net's slots
-    (:attr:`NetIndex.slots`).  The bindings of a transition depend only
-    on the tokens on its input places, so they are kept per ``(name, ids
-    on its input slots)``, each with one :class:`_Delta` per place it
-    changes once fired: the tokens it takes off and puts on there, shared
-    by every equal change, with the id each id it was applied to leads
-    to.  A repeated change therefore builds no multiset and hashes no
-    binding.  :meth:`enabled` and :meth:`successors` go through the same
-    memo, and :meth:`successors` through the same step as ``explore``.
+    (:attr:`NetIndex.slots`); :meth:`encoding` turns a marking into one
+    and back.  The bindings of a transition depend only on the tokens on
+    its input places, so they are kept per ``(name, ids on its input
+    slots)``.  The move of an enabled ``(name, binding)`` is kept once:
+    its occurrence and one :class:`_Delta` per place it changes, the
+    tokens it takes off and puts on there, shared by every equal change
+    (:meth:`_move`), with the id each id it was applied to leads to.  A repeated change
+    therefore builds no multiset.  :meth:`enabled` and :meth:`step` go
+    through the same memo, and :meth:`fire` and :meth:`step` apply the
+    same moves, so ``simulate`` and ``explore`` share one stepping path.
 
     It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
-    then :func:`admit_bindings`.  For a plan with residual checks it
+    then :func:`admit_bindings`, on the marking of the state, which is
+    read only when the memo misses.  For a plan with residual checks it
     also keeps each join per ``(name, ids on its matched slots)``
     (:attr:`NetIndex.join_ids`): where only the tokens on a place the
     transition checks change, the kept join is admitted again instead
     of joined anew.  For a plan without them both keys name the same
     tokens, so a miss of the first memo joins at once.
 
-    The occurrence of a ``(name, binding)`` is evaluated once.  A binding
-    that :func:`enabled_bindings` returns assigns every variable,
-    satisfies the guard and finds its input tokens, so only the sorts of
-    its output tokens are checked then, also by :meth:`occurrence` for a
-    binding :meth:`enabled` returned at the same marking; it checks any
-    other binding in full, and re-checks a kept one for containment, the
-    one check that depends on the marking.  A transition is resolved,
-    and an unknown or unresolved one rejected, only when nothing is kept
-    for it yet.  Errors are not kept.  Nothing it keeps outlives the
-    stepper; the kernels it joins and evaluates occurrences through
+    A binding that :func:`enabled_bindings` returns assigns every
+    variable, satisfies the guard and finds its input tokens, so a move
+    checks only the sorts of its output tokens; :meth:`fire` takes only
+    such bindings.  An unknown or unresolved transition is rejected.
+    Errors are not kept.  Nothing it keeps outlives the stepper; the
+    kernels it joins and evaluates occurrences through
     (:class:`compiled.Kernel`) are kept on the structure, for every
     later caller.
     """
@@ -873,39 +866,32 @@ class Stepper:
         self._joins: dict[tuple, tuple[list[Binding], list[Tokens] | None]] = {}
         # (name, ids on its input slots) -> [(binding, its changes)], for step
         self._fired: dict[tuple, list[tuple[Binding, tuple]]] = {}
-        # (name, binding) -> [its occurrence, its (slot, delta) pairs or None]
-        self._moves: dict[tuple[str, Binding], list] = {}
+        # (name, binding) -> (its occurrence, its (slot, delta) pairs)
+        self._moves: dict[tuple[str, Binding], tuple] = {}
         self._deltas: dict[tuple, _Delta] = {}
-        self._last_marking: Marking | None = None
-        self._last_state: tuple[int, ...] = ()
 
-    def enabled(self, m: Marking, transition: Transition | str) -> list[Binding]:
-        """:func:`enabled_bindings` at ``m``; read the list, never change it."""
-        name = transition if isinstance(transition, str) else transition.name
+    def enabled(self, state: tuple[int, ...], m: Marking, name: str) -> list[Binding]:
+        """:func:`enabled_bindings` of ``name`` at ``state``, whose marking
+        is ``m``; read the list, never change it."""
         key = self._keys.get(name)
         if key is None:
-            key = self._keys[_resolved(self.net, name).name]
-        state = self._last_state if m is self._last_marking else self._encode(m)
+            _resolved(self.net, name)
         ids = (name, key(state))
         found = self._bindings.get(ids)
         if found is None:
             found = self._enable(ids, state, m)
         return found
 
-    def occurrence(self, m: Marking, transition: Transition | str,
-                   b: Binding) -> tuple[Tokens, Tokens]:
-        """:func:`checked_occurrence` at ``m``; read the maps, never change
-        them."""
-        name = transition if isinstance(transition, str) else transition.name
-        move = self._moves.get((name, b))
-        if move is not None:
-            _require_tokens(m, name, move[0][0])
-            return move[0]
-        if self._enabled_at(m, name, b):
-            return self._move(name, b)[0]
-        found = checked_occurrence(self.net, m, name, b, self.structure)
-        self._moves[(name, b)] = [found, None]
-        return found
+    def fire(self, state: tuple[int, ...], name: str,
+             b: Binding) -> tuple[tuple[Tokens, Tokens], tuple[int, ...]]:
+        """The occurrence of ``(name, b)``, which :meth:`enabled` returned
+        at ``state``, and the state it leads to; read the maps, never
+        change them."""
+        found, changes = self._move(name, b)
+        succ = list(state)
+        for i, delta in changes:
+            succ[i] = delta[succ[i]]
+        return found, tuple(succ)
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
         """All enabled (transition, binding) pairs with their successor
@@ -921,11 +907,12 @@ class Stepper:
         slots, multisets = self._slots, self._ids.multisets
 
         def decode(state: tuple[int, ...]) -> Marking:
-            places = {p: multisets[i] for p, i in zip(slots, state) if i}
+            places = dict(compress(zip(slots, map(multisets.__getitem__, state)), state))
             places.update(outside)
             return Marking._from_places(places)
 
-        return self._encode(m), decode
+        get, ids = m._places.get, self._ids
+        return tuple([ids[get(p, _NO_TOKENS)] for p in slots]), decode
 
     def step(self, state: tuple[int, ...],
              m: Marking) -> list[tuple[str, Binding, tuple[int, ...]]]:
@@ -943,7 +930,7 @@ class Stepper:
                 found = bindings.get(ids)
                 if found is None:
                     found = self._enable(ids, state, m)
-                moves = fired[ids] = ([(b, self._changes(name, b)) for b in found]
+                moves = fired[ids] = ([(b, self._move(name, b)[1]) for b in found]
                                       if found else _EMPTY)
             for b, changes in moves:
                 succ = list(state)
@@ -951,14 +938,6 @@ class Stepper:
                     succ[i] = delta[succ[i]]
                 out.append((name, b, tuple(succ)))
         return out
-
-    def _encode(self, m: Marking) -> tuple[int, ...]:
-        """The ids of ``m``'s tokens on each slot, kept as the last
-        marking's."""
-        get, ids = m._places.get, self._ids
-        state = tuple([ids[get(p, _NO_TOKENS)] for p in self._slots])
-        self._last_marking, self._last_state = m, state
-        return state
 
     def _enable(self, ids: tuple, state: tuple[int, ...], m: Marking) -> list[Binding]:
         """Enable the transition named first in ``ids`` at ``m``, whose
@@ -975,45 +954,31 @@ class Stepper:
         found = self._bindings[ids] = admit_bindings(m, joined) or _EMPTY
         return found
 
-    def _enabled_at(self, m: Marking, name: str, b: Binding) -> bool:
-        """Whether ``m`` is the last marking encoded and the bindings kept
-        for ``name`` at its input tokens hold ``b``."""
-        key = self._keys.get(name)
-        if key is None or m is not self._last_marking:
-            return False
-        found = self._bindings.get((name, key(self._last_state)))
-        return found is not None and b in found
-
-    def _move(self, name: str, b: Binding) -> list:
-        """``[occurrence, changes or None]`` of ``(name, b)``, which
+    def _move(self, name: str, b: Binding) -> tuple:
+        """``(occurrence, (slot, delta) pairs)`` of ``(name, b)``, which
         :func:`enabled_bindings` returned, so that only the sorts of its
-        output tokens are left to check."""
+        output tokens are left to check; one pair per slot it changes.
+        Changes whose maps list the same tokens in the same order share
+        one :class:`_Delta`: tuples of the pairs key it, as hashing them
+        costs less than building multisets or frozensets would."""
         move = self._moves.get((name, b))
-        if move is None:
-            found = occurrence(self.net, name, b, self.structure)
-            _require_sorts(self.net, name, found[1], self.structure)
-            move = self._moves[(name, b)] = [found, None]
-        return move
-
-    def _changes(self, name: str, b: Binding) -> tuple[tuple[int, _Delta], ...]:
-        """The ``(slot, delta)`` pairs of the enabled ``(name, b)``, one per
-        slot it changes; equal changes share one :class:`_Delta`."""
-        move = self._move(name, b)
-        if move[1] is not None:
-            return move[1]
-        consumed, produced = move[0]
+        if move is not None:
+            return move
+        found = occurrence(self.net, name, b, self.structure)
+        consumed, produced = found
+        _require_sorts(self.net, name, produced, self.structure)
         changes = []
         for p in dict.fromkeys((*consumed, *produced)):
             remove, add = consumed.get(p, _NO_COUNTS), produced.get(p, _NO_COUNTS)
             if not (remove or add):
                 continue
-            key = (frozenset(remove.items()), frozenset(add.items()))
+            key = (tuple(remove.items()), tuple(add.items()))
             delta = self._deltas.get(key)
             if delta is None:
                 delta = self._deltas[key] = _Delta(self._ids, remove, add)
             changes.append((self._slot_of[p], delta))
-        move[1] = tuple(changes)
-        return move[1]
+        move = self._moves[(name, b)] = (found, tuple(changes))
+        return move
 
 
 class _Ids(dict):
@@ -1034,8 +999,9 @@ class _Delta(dict):
     """The id of a multiset with ``remove`` taken off and ``add`` put on,
     by the id of the multiset before; built and interned on first use."""
 
+    __slots__ = ("ids", "remove", "add")
+
     def __init__(self, ids: _Ids, remove: Mapping[Value, int], add: Mapping[Value, int]):
-        super().__init__()
         self.ids, self.remove, self.add = ids, remove, add
 
     def __missing__(self, before: int) -> int:

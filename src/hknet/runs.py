@@ -65,13 +65,16 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     """Execute up to ``step_limit`` firings and record them as a run.
 
     The current cut is kept per place in creation order.  One
-    :class:`Stepper` enables and checks every step, so a transition
-    whose input tokens did not change is not matched again, and a
-    repeated (transition, binding) is evaluated only once.  Each firing
-    appends one event that consumes conditions holding its input tokens
-    (among equal tokens, the oldest) and produces fresh conditions for
-    its output tokens.  The final cut equals the marking reached by
-    sequential replay.
+    :class:`Stepper` enables and fires every step on the interned states
+    ``explore`` steps on: the initial marking is encoded once, the
+    options at each state are :meth:`Stepper.enabled` of each transition
+    in name order, and :meth:`Stepper.fire` gives the chosen one's tokens
+    and the next state.  So a transition whose input tokens did not
+    change is not matched again, and a repeated (transition, binding) is
+    evaluated only once.  Each firing appends one event that consumes
+    conditions holding its input tokens (among equal tokens, the oldest)
+    and produces fresh conditions for its output tokens.  The final cut
+    equals the marking reached by sequential replay.
     """
     net, s = sys.net, sys.structure
     conditions: list[Condition] = []
@@ -91,19 +94,25 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     initial_conditions = list(conditions)
 
     stepper = Stepper(net, s)
-    marking = sys.initial
+    state, decode = stepper.encoding(sys.initial)
     rng = random.Random(policy.seed)
     steps_taken = 0
     while steps_taken < policy.step_limit:
+        m = decode(state)
         if policy.mode == "script":
             wanted_name, wanted = policy.script[steps_taken]
             if not net.has_transition(wanted_name):
                 raise ScriptError(f"script step {steps_taken + 1}: "
                                   f"no transition {wanted_name!r}")
             matches = [(wanted_name, b)
-                       for b in stepper.enabled(marking, wanted_name)
+                       for b in stepper.enabled(state, m, wanted_name)
                        if b.extends(wanted)]
             if not matches:
+                variables = dict(net.transition(wanted_name).variables)
+                for v, _ in wanted.pairs():
+                    if v not in variables:
+                        raise ScriptError(f"script step {steps_taken + 1}: "
+                                          f"{wanted_name} has no variable {v!r}")
                 raise ScriptError(
                     f"script step {steps_taken + 1}: {wanted_name} "
                     f"{render_binding(wanted)} is not enabled")
@@ -115,12 +124,12 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
             name, binding = matches[0]
         else:
             options = [(t.name, b) for t in stepper.transitions
-                       for b in stepper.enabled(marking, t)]
+                       for b in stepper.enabled(state, m, t.name)]
             if not options:
                 break
             name, binding = options[rng.randrange(len(options))]
 
-        consumed, produced = stepper.occurrence(marking, name, binding)
+        (consumed, produced), state = stepper.fire(state, name, binding)
         event = Event(f"e{len(events)}", name, binding)
         events.append(event)
         for place in sorted(consumed):
@@ -131,7 +140,6 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
         for place in sorted(produced):
             for value in Multiset._from_pairs(produced[place]):
                 flow.append((event.id, new_condition(place, value).id))
-        marking = marking.updated(consumed, produced)
         steps_taken += 1
 
     final_conditions = [c for place in sorted(cut) for c in cut[place]]

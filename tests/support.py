@@ -665,18 +665,33 @@ def reference_successors(net, m: Marking, s) -> list[tuple[str, Binding, Marking
 def stepper_disagreements(net, s, markings: Iterable[Marking]) -> list[tuple]:
     """Step one :class:`nets.Stepper` over ``markings`` in turn and list
     ``(index, transition or None, marking)`` wherever its enabled
-    bindings differ from the brute-force ones or its successors (None)
-    from the reference ones, so that whatever it kept from an earlier
-    marking must still hold at this one."""
+    bindings differ from the brute-force ones, a state it fires one to
+    decodes to another marking (or error) than :func:`fire` gives, or
+    its successors (None) differ from the reference ones, so that
+    whatever it kept from an earlier marking must still hold at this
+    one."""
     stepper = Stepper(net, s)
     out = []
     for i, m in enumerate(markings):
+        state, decode = stepper.encoding(m)
         for t in net.transitions:
-            if stepper.enabled(m, t.name) != brute_force_bindings(net, m, t, s):
+            found = stepper.enabled(state, m, t.name)
+            if found != brute_force_bindings(net, m, t, s) or any(
+                    _outcome(lambda: decode(stepper.fire(state, t.name, b)[1]))
+                    != _outcome(lambda: fire(net, m, t.name, b, s)) for b in found):
                 out.append((i, t.name, m))
         if stepper.successors(m) != reference_successors(net, m, s):
             out.append((i, None, m))
     return out
+
+
+def _outcome(step):
+    """What ``step()`` returns, or the type and message of the firing or
+    evaluation error it raises."""
+    try:
+        return step()
+    except (FiringError, EvalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

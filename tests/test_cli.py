@@ -344,6 +344,17 @@ def test_simulate_reports_a_script_step_naming_no_transition(workdir, capsys):
         "error: script step 1: no transition 'no_such_transition'\n"
 
 
+def test_simulate_reports_a_script_step_naming_no_variable_of_its_transition(
+        workdir, capsys):
+    system = build_system(workdir)
+    script = workdir / "bad.steps"
+    script.write_text("offer_table t=t1 zz=t2\n")
+    capsys.readouterr()
+    assert run_cli("simulate", system, "--script", script) == 1
+    assert capsys.readouterr().err == \
+        "error: script step 1: offer_table has no variable 'zz'\n"
+
+
 def test_check_rejects_a_free_variable_declared_twice(workdir, capsys):
     bad = workdir / "twice.hk"
     bad.write_text("module m { trans { t free x: A, x: B; } }\n")

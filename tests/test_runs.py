@@ -136,6 +136,13 @@ def test_script_step_must_name_a_transition(sys0):
         simulate(sys0, scripted_policy(steps))
 
 
+def test_a_script_step_naming_a_variable_its_transition_lacks_says_so(sys0):
+    steps = [("offer_table", Binding({"t": Atom("t1"), "zz": Atom("t2")}))]
+    with pytest.raises(ScriptError,
+                       match=r"^script step 1: offer_table has no variable 'zz'$"):
+        simulate(sys0, scripted_policy(steps))
+
+
 def test_ambiguous_script_step_is_rejected(sys0):
     steps = [("offer_table", Binding({"t": Atom("t1")})),
              ("enter", Binding({"t": Atom("t1")}))]  # c left open: two clients

@@ -13,7 +13,7 @@ from hknet import (App, Arc, Atom, Binding, EvalError, FiringError, Ident,
                    instantiate, make_structure, parse, random_policy,
                    resolve_net, scripted_policy, simulate, successors)
 from hknet import nets
-from hknet.nets import Stepper, checked_occurrence
+from hknet.nets import Stepper
 
 from conftest import synthetic
 from support import reference_successors, stepper_disagreements
@@ -161,23 +161,6 @@ def test_a_transition_argument_stands_for_the_node_of_its_name(sys0):
     want = enabled_bindings(net, m, "enter", s)
     assert want and handle.variables is None
     assert enabled_bindings(net, m, handle, s) == want
-    assert Stepper(net, s).enabled(m, handle) == want
-    assert Stepper(net, s).occurrence(m, handle, want[0]) == \
-        checked_occurrence(net, m, "enter", want[0], s)
-
-
-def test_a_remembered_occurrence_is_checked_against_the_current_marking(sys0):
-    net, s = sys0.net, sys0.structure
-    b = Binding({"t": Atom("t1")})
-    stepper = Stepper(net, s)
-    stepper.occurrence(sys0.initial, "offer_table", b)
-    lacking = Marking({"free_tables": [Atom("t2")]})
-    want = _outcome(lambda: fire(net, lacking, "offer_table", b, s))
-    assert want.startswith("FiringError: 'offer_table' is not enabled")
-    assert _outcome(lambda: stepper.occurrence(lacking, "offer_table", b)) == want
-    # and the remembered tokens still serve a marking that holds them
-    assert stepper.occurrence(sys0.initial, "offer_table", b) == \
-        checked_occurrence(net, sys0.initial, "offer_table", b, s)
 
 
 def _partial():
@@ -221,16 +204,16 @@ def test_simulate_raises_the_error_of_the_firing_it_chose():
     assert simulated(b) == "EvalError: function 'f' is undefined on (b)"
 
 
-def _count_checks(monkeypatch):
-    """The binding of each call of ``nets.checked_occurrence``."""
+def _count_calls(monkeypatch, name):
+    """The binding of each call of ``nets.<name>``."""
     calls = []
-    original = nets.checked_occurrence
+    original = getattr(nets, name)
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[-2])
         return original(*args)
 
-    monkeypatch.setattr(nets, "checked_occurrence", counting)
+    monkeypatch.setattr(nets, name, counting)
     return calls
 
 
@@ -241,11 +224,13 @@ def test_failed_attempts_are_not_remembered(monkeypatch):
              xb: _outcome(lambda: fire(net, m, "t", xb, s))}
     assert wants[xa] == "FiringError: 't' would put z on 'q', outside sort A"
     assert wants[xb].startswith("EvalError: ")
-    calls = _count_checks(monkeypatch)
+    calls = _count_calls(monkeypatch, "occurrence")
     stepper = Stepper(net, s)
+    state, _ = stepper.encoding(m)
+    assert stepper.enabled(state, m, "t") == [xa, xb]
     for binding, want in wants.items():
         for _ in range(2):
-            assert _outcome(lambda: stepper.occurrence(m, "t", binding)) == want
+            assert _outcome(lambda: stepper.fire(state, "t", binding)) == want
     assert calls == [xa, xa, xb, xb]
 
 
@@ -253,15 +238,13 @@ def test_a_binding_enabled_at_the_marking_is_checked_for_output_sorts_only(monke
     net, s, a, b = _partial()
     m, xa, xb = Marking({"p": [a, b]}), Binding({"x": a}), Binding({"x": b})
     wants = {x: _outcome(lambda: fire(net, m, "t", x, s)) for x in (xa, xb)}
-    calls = _count_checks(monkeypatch)
+    calls = _count_calls(monkeypatch, "checked_occurrence")
     stepper = Stepper(net, s)
-    assert stepper.enabled(m, "t") == [xa, xb]
+    state, _ = stepper.encoding(m)
+    assert stepper.enabled(state, m, "t") == [xa, xb]
     for x, want in wants.items():
-        assert _outcome(lambda: stepper.occurrence(m, "t", x)) == want
+        assert _outcome(lambda: stepper.fire(state, "t", x)) == want
     assert calls == []
-    # at another marking, even an equal one, nothing is known to be enabled
-    assert _outcome(lambda: stepper.occurrence(Marking({"p": [a, b]}), "t", xa)) == wants[xa]
-    assert calls == [xa]
 
 
 def test_failed_enabling_is_not_remembered():
@@ -273,9 +256,10 @@ def test_failed_enabling_is_not_remembered():
         arcs=(Arc("p", "take", (Ident("X"),)),))), s).net
     m = Marking({"p": [SetValue([Atom("w00")])]})
     stepper = Stepper(net, s)
+    state, _ = stepper.encoding(m)
     for _ in range(2):
         with pytest.raises(EvalError, match="exceeds the cap of 16"):
-            stepper.enabled(m, "take")
+            stepper.enabled(state, m, "take")
 
 
 def _input_tokens(net, name, m):
