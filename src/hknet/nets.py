@@ -827,10 +827,11 @@ class Stepper:
     slots)``.  The move of an enabled ``(name, binding)`` is kept once:
     its occurrence and one :class:`_Delta` per place it changes, the
     tokens it takes off and puts on there, shared by every equal change
-    (:meth:`_move`), with the id each id it was applied to leads to.  A repeated change
-    therefore builds no multiset.  :meth:`enabled` and :meth:`step` go
-    through the same memo, and :meth:`fire` and :meth:`step` apply the
-    same moves, so ``simulate`` and ``explore`` share one stepping path.
+    (:meth:`_move`), with the id each id it was applied to leads to.  A
+    repeated change therefore builds no multiset.  :meth:`enabled` and
+    :meth:`step` go through the same memo, and :meth:`fire` and
+    :meth:`step` apply the same moves, so ``simulate`` and ``explore``
+    share one stepping path.
 
     It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
     then :func:`admit_bindings`, on the marking of the state, which is
