@@ -161,6 +161,7 @@ def test_a_transition_argument_stands_for_the_node_of_its_name(sys0):
     want = enabled_bindings(net, m, "enter", s)
     assert want and handle.variables is None
     assert enabled_bindings(net, m, handle, s) == want
+    assert fire(net, m, handle, want[0], s) == fire(net, m, "enter", want[0], s)
 
 
 def _partial():
