@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hknet import (Module, Place, SchematicNet, SortName, bind_structure,
-                   canonicalize, compose, compose_all, instantiate, parse,
-                   print_module, random_policy, rename_elements, simulate)
+from hknet import (Arc, Ident, Module, Place, SchematicNet, SortName, Transition,
+                   bind_structure, canonicalize, compose, compose_all, instantiate,
+                   parse, print_module, random_policy, rename_elements, simulate)
 from hknet import modules
 
 from conftest import load
@@ -161,6 +161,41 @@ def test_a_discrete_colouring_builds_no_certificate(monkeypatch, branch, a0):
 def test_pruned_search_keeps_the_reference_form_on_ties():
     m = unconnected_places(5)
     assert canonicalize(m) == reference_canonicalize(m)
+
+
+def place_cycles(*sizes: int) -> Module:
+    """Disjoint place/transition cycles, one of ``size`` places each, every
+    arc inscribed ``x``: refinement cannot tell any two places apart."""
+    places, transitions, arcs = [], [], []
+    for c, size in enumerate(sizes):
+        for i in range(size):
+            place, transition = f"p{c}_{i}", f"t{c}_{i}"
+            places.append(Place(place))
+            transitions.append(Transition(transition))
+            arcs += [Arc(place, transition, (Ident("x"),)),
+                     Arc(transition, f"p{c}_{(i + 1) % size}", (Ident("x"),))]
+    return Module("m", "", SchematicNet(tuple(places), tuple(transitions), tuple(arcs)))
+
+
+def test_a_later_leaf_with_a_lesser_certificate_becomes_the_form(monkeypatch):
+    # individualising a place of the 6-cycle first gives a leaf whose
+    # certificate a place of a 3-cycle undercuts
+    m = place_cycles(6, 3, 3)
+    certificates = []
+    certificate = modules._certificate
+
+    def recording(*args):
+        certificates.append(certificate(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(modules, "_certificate", recording)
+    canon = canonicalize(m)
+    monkeypatch.undo()
+    assert min(certificates) < certificates[0]
+    assert canon == reference_canonicalize(m)
+    rng = random.Random(6)
+    for _ in range(5):
+        assert canonicalize(random_relabeling(m, rng)) == canon
 
 
 def orbit_product(generators: list[dict[str, str]], base: list[str]) -> int:

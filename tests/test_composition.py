@@ -6,11 +6,12 @@ import pytest
 
 from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event, Ident,
                    InterfaceElement, Marking, Module, OccurrenceNet, Place,
-                   SchematicNet, Signature, SortName, Transition, canonical_equal,
-                   canonicalize, compose, enabled_bindings, empty_module,
-                   instantiate, interface_of, interface_violations,
+                   SchematicNet, Signature, SortName, Transition, Violation,
+                   canonical_equal, canonicalize, compose, enabled_bindings,
+                   empty_module, instantiate, interface_of, interface_violations,
                    rename_elements, resolve_net)
 from hknet.modules import PLACE, TRANSITION, _inner_ids
+from hknet.spans import SourceSpan
 
 from support import attached_spans, compatible_triple
 
@@ -222,6 +223,35 @@ def test_interface_violations_catch_dangling_refs():
     m = Module("m", "", SchematicNet(places=(Place("p"),)),
                left=(InterfaceElement(PLACE, "x", "ghost"),))
     assert any(v.code == "interface-ref" for v in interface_violations(m))
+
+
+def at(col: int) -> SourceSpan:
+    return SourceSpan("m.hk", 1, col, 1, col + 1)
+
+
+# a schematic net and a run, each with two nodes a and b of place kind
+INNERS = {
+    "net": SchematicNet(places=(Place("a"), Place("b"))),
+    "run": OccurrenceNet(conditions=(Condition("a", "p", Atom("v")),
+                                     Condition("b", "p", Atom("v")))),
+}
+
+
+@pytest.mark.parametrize("inner", INNERS.values(), ids=INNERS.keys())
+@pytest.mark.parametrize("side, elements, code, message, col", [
+    ("left", [("", "a")], "interface-label",
+     "left interface has an empty label", 1),
+    ("right", [("x", "a"), ("x", "b")], "interface-duplicate",
+     "duplicate place label 'x' in right interface", 2),
+    ("left", [("x", "a"), ("y", "a")], "interface-ref-twice",
+     "element 'a' appears twice in the left interface", 2),
+])
+def test_interface_violations_report_labels_and_refs_at_the_element(
+        inner, side, elements, code, message, col):
+    exposed = tuple(InterfaceElement(PLACE, label, ref, at(i))
+                    for i, (label, ref) in enumerate(elements, start=1))
+    m = Module("m", "", inner, **{side: exposed})
+    assert interface_violations(m) == [Violation(code, message, at(col))]
 
 
 def test_associativity_on_seeded_triples():

@@ -287,6 +287,33 @@ def test_tuple_tokens_of_the_wrong_shape_match_no_pattern(kinds):
     assert [b["x"] for b in enabled_bindings(net, m, "same", s)] == [a2]
 
 
+def test_a_join_level_with_a_guard_atom_and_a_token_check(kinds):
+    # once y is bound, one level checks both the token part(y) on p, which
+    # raises outside part's table, and the guard f(y) = x
+    _, s = kinds
+    net, problems = resolve_net(parse("""
+    module mixed_m of kinds {
+      places { p : A; q : B; }
+      trans { mixed guard f(y) = x; }
+      arcs { p -> mixed : x, part(y); q -> mixed : y; }
+    }
+    """).body.inner, parse(SIGNATURE).body)
+    assert problems == []
+    level = net.index.plans["mixed"].checks[-1]
+    assert {type(check).__name__ for check in level} == {"Guard", "tuple"}
+    t = net.transition("mixed")
+    a1, a2, a3, b1, b2 = (Atom(n) for n in ("a1", "a2", "a3", "b1", "b2"))
+    rng = random.Random(20)
+    enabled = 0
+    for _ in range(60):
+        m = Marking({"p": [rng.choice((a1, a2, a3)) for _ in range(rng.randrange(4))],
+                     "q": rng.sample((b1, b2), rng.randrange(3))})
+        found = enabled_bindings(net, m, "mixed", s)
+        assert found == brute_force_bindings(net, m, t, s), m
+        enabled += len(found)
+    assert enabled
+
+
 # ---------------------------------------------------------------------------
 # The compiled closures themselves
 # ---------------------------------------------------------------------------

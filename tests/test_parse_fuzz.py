@@ -6,9 +6,11 @@ the benchmark: the ``ParseError`` text and the end of its span, or
 ``ok`` plus digests of the printed document and of every span the parser
 attaches (for a predicate, its verdicts on the reachable markings of
 ``sys_tiny``; for a script, its steps).  ``HAND_WRITTEN`` does the same
-for one input per error the parser can report.  The mutants avoid the two inputs whose lexing was fixed on
-purpose (see ``test_lexer.py``): digits that are not decimal, and a
-backslash before a newline.
+for one input per error the parser can report, and its ``structure``
+rows for one per error ``bind_structure`` can report.  The mutants avoid
+the two inputs whose lexing was fixed on purpose (see
+``test_lexer.py``): digits that are not decimal, and a backslash before
+a newline.
 
 Regenerate, only for a deliberate change of parse results, with
 ``PYTHONPATH=src python tests/test_parse_fuzz.py > tests/golden/parse_mutants.txt``.
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from hknet import (ParseError, bind_structure, compose_all, explore,
                    instantiate, parse, parse_predicate, parse_script,
-                   print_document)
+                   print_document, print_structure, structure_to_doc)
 from hknet.cli import main
 
 from conftest import CORPUS, load
@@ -40,6 +42,9 @@ PREDICATES = (
     "count(waiting) >= 2",
 )
 PER_FILE, PER_PREDICATE = 24, 28
+# what the 'structure' rows below are bound against
+STRUCTURE_SIGNATURE = ("signature g { sets A, B; subsets S of pow(B); "
+                       "consts k: A; fns f: A -> A; }")
 HAND_WRITTEN = [
     ('document', '',
      'error m.hk:1:1: expected document kind (to 1:2)'),
@@ -171,6 +176,22 @@ HAND_WRITTEN = [
      'error m.hk:1:25: unterminated string (to 1:47)'),
     ('document', 'module m { places { p @ } }',
      "error m.hk:1:23: unexpected character '@' (to 1:24)"),
+    ('structure', 'structure s of h { }',
+     "error m.hk:1:1: structure 's' interprets 'h', not 'g' (to 1:21)"),
+    ('structure', 'structure s of g { Z = {a}; }',
+     "error m.hk:1:20: unknown symbol 'Z' in structure (to 1:21)"),
+    ('structure', 'structure s of g { A = {a}; S = pow(A); }',
+     "error m.hk:1:29: 'S' is declared as a subset of pow(B), not pow(A) (to 1:30)"),
+    ('structure', 'structure s of g { A = a; }',
+     "error m.hk:1:20: carrier of 'A' must be a set (to 1:21)"),
+    ('structure', 'structure s of g { f = a; }',
+     "error m.hk:1:20: 'f' is a function symbol and needs a table {a -> x, ...} (to 1:21)"),
+    ('structure', 'structure s of g { f = {a -> a, a -> b}; }',
+     "error m.hk:1:20: duplicate table entry for 'f' (to 1:21)"),
+    ('structure', 'structure s of g { k = {a -> a}; }',
+     "error m.hk:1:20: 'k' is a constant and needs a value (to 1:21)"),
+    ('structure', 'structure s of g { A = {a}; B = {b}; S = pow(B); f = {a -> a}; k = a; }',
+     'ok print=062072d7bfa3b3ff'),
     ('predicate', '',
      "error m.hk:1:1: expected contains, count, or tokens, found 'end of input' (to 1:2)"),
     ('predicate', 'count(p) >=',
@@ -229,6 +250,8 @@ def parse_as(kind: str, text: str, name: str):
         return parse_predicate(text, name)
     if kind == "script":
         return parse_script(text, name)
+    if kind == "structure":
+        return bind_structure(parse(text, name).body, parse(STRUCTURE_SIGNATURE).body)
     return parse(text, name)
 
 
@@ -243,6 +266,8 @@ def outcome(kind: str, text: str, name: str, markings) -> str:
         return "ok verdicts=" + "".join("1" if result(m) else "0" for m in markings)
     if kind == "script":
         return f"ok steps={digest(repr(result))}"
+    if kind == "structure":
+        return f"ok print={digest(print_structure(structure_to_doc(result)))}"
     spans = "\n".join(attached_spans(result))
     return f"ok print={digest(print_document(result))} spans={digest(spans)}"
 

@@ -9,11 +9,12 @@ from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
                    Ident, InterfaceElement, ModelError, Module, Multiset, Place,
                    SchematicNet, SchedulingPolicy, ScriptError, SetValue, Signature,
                    SortName, Transition, canonical_equal, compose, compose_runs,
-                   empty_run, final_cut, find_event, initial_cut, instantiate,
-                   linearize, make_structure, ordered, print_run, random_policy,
-                   render_binding, scripted_policy, simulate, validate_run)
+                   empty_run, enabled_bindings, final_cut, find_event, initial_cut,
+                   instantiate, linearize, make_structure, ordered, print_run,
+                   random_policy, render_binding, scripted_policy, simulate,
+                   validate_run)
 from hknet import nets
-from hknet.modules import TRANSITION
+from hknet.modules import PLACE, TRANSITION
 from hknet.nets import OccurrenceNet
 
 from conftest import synthetic
@@ -112,6 +113,20 @@ def test_simulate_takes_the_steps_of_the_definitional_loop(branch, sys_tiny, sys
         assert [(e.transition, e.binding) for e in run.inner.events] == steps, \
             (system.name, policy.seed)
         assert final_cut(run) == reached, (system.name, policy.seed)
+
+
+def test_simulate_stops_at_a_deadlock_before_its_step_limit():
+    # no corpus system deadlocks; this one does after its one firing
+    system = one_shot_system("p", "go", "q", "v")
+    for seed in range(3):
+        policy = random_policy(seed=seed, steps=5)
+        run = simulate(system, policy)
+        steps, reached = reference_simulate(system, policy)
+        assert [(e.transition, e.binding) for e in run.inner.events] == steps
+        assert len(steps) == 1 < policy.step_limit
+        assert final_cut(run) == reached
+        assert not any(enabled_bindings(system.net, reached, t, system.structure)
+                       for t in system.net.transitions)
 
 
 def test_script_policy_rejects_more_steps_than_its_script():
@@ -380,6 +395,23 @@ def test_composing_runs_must_not_branch():
         compose_runs(run_a, twin)
 
 
+def test_composing_runs_must_not_create_a_cycle():
+    # b1 -> ea -> b2 and b3 -> eb -> b4, fused b1 with b4 and b2 with b3
+    def one_event(event, before, after, exposed):
+        inner = OccurrenceNet(
+            conditions=(Condition(before, "p", Atom("v")), Condition(after, "p", Atom("v"))),
+            events=(Event(event, "t", Binding({})),),
+            flow=((before, event), (event, after)))
+        return Module(event, "", inner, **exposed)
+
+    ea = one_event("ea", "b1", "b2", {"right": (InterfaceElement(PLACE, "u", "b1"),
+                                                InterfaceElement(PLACE, "w", "b2"))})
+    eb = one_event("eb", "b3", "b4", {"left": (InterfaceElement(PLACE, "u", "b4"),
+                                               InterfaceElement(PLACE, "w", "b3"))})
+    with pytest.raises(CompositionError, match="^composing runs creates a causal cycle$"):
+        compose_runs(ea, eb)
+
+
 def test_linearize_single_event_run():
     system = one_shot_system("p", "go", "q", "v")
     run = simulate(system, random_policy(seed=0, steps=1))
@@ -427,6 +459,18 @@ def test_ordered_rejects_unknown_events(a0):
 def test_cyclic_run_cannot_linearize():
     with pytest.raises(ModelError, match="cyclic|linearize"):
         linearize(with_cycle())
+
+
+def test_a_flow_arc_between_two_conditions_is_reported():
+    system = one_shot_system("p", "go", "q", "v")
+    run = simulate(system, random_policy(seed=0, steps=1))
+    inner = run.inner
+    assert inner.flow == (("b0", "e0"), ("e0", "b1"))
+    bad = replace(run, inner=replace(inner, flow=inner.flow + (("b0", "b1"),)))
+    assert [str(v) for v in validate_run(bad, system)] == [
+        "[flow] flow arc b0 -> b1 must connect a condition and an event",
+        "[branching] condition b0 is consumed by several events",
+        "[branching] condition b1 is produced by several events"]
 
 
 def test_validate_rejects_ill_sorted_condition_values(sys0, a0):
