@@ -30,8 +30,8 @@ from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         value_in_sort)
 from .spans import SourceSpan
 from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
-                    SetTerm, SymbolRef, Term, TupleTerm, Var, add_tokens,
-                    canonical_terms, guard_variables, term_variables)
+                    SetTerm, SymbolRef, Term, TupleTerm, Var, canonical_terms,
+                    guard_variables, term_variables)
 from .values import Multiset, Value, render_value
 
 
@@ -740,23 +740,12 @@ def _lacking(m: Marking, tokens: Tokens) -> str | None:
 
 def occurrence(net: SchematicNet, transition: str, b: Binding,
                s: Structure) -> tuple[Tokens, Tokens]:
-    """The occurrence rule: the tokens ``transition`` under ``b`` takes
-    from each input place and puts on each output place.  Each arc
-    inscription is evaluated once, inputs first, by the transition's
-    kernel, or by :func:`add_tokens` if ``b`` leaves some variable of the
-    transition unassigned; an EvalError propagates."""
-    kernel = _kernel(net, transition, s)
-    try:
-        return kernel.occurrence(dict(b.pairs()))
-    except KeyError:  # a variable b leaves unassigned
-        pass
-    consumed: Tokens = {}
-    for arc in net.arcs_into(transition):
-        add_tokens(consumed.setdefault(arc.source, {}), arc.inscription, s, b)
-    produced: Tokens = {}
-    for arc in net.arcs_out_of(transition):
-        add_tokens(produced.setdefault(arc.target, {}), arc.inscription, s, b)
-    return consumed, produced
+    """The occurrence rule: the tokens ``transition`` under ``b``, which
+    assigns every variable of the transition, takes from each input
+    place and puts on each output place.  Each arc inscription is
+    evaluated once, inputs first, by the transition's kernel; an
+    EvalError propagates."""
+    return _kernel(net, transition, s).occurrence(dict(b.pairs()))
 
 
 def guarded_occurrence(net: SchematicNet, transition: str, b: Binding,

@@ -557,34 +557,18 @@ class _Parser:
         return module
 
     def interface_items(self) -> list[InterfaceElement]:
-        seen: set[tuple[str, str]] = set()
-        seen_refs: set[str] = set()
-
         def item() -> InterfaceElement:
             kind_tok = self.expect("IDENT", what="'place' or 'trans'")
             kinds = {"place": PLACE, "trans": TRANSITION}
             if kind_tok[1] not in kinds:
                 raise self.error("expected 'place' or 'trans'", kind_tok)
-            kind = kinds[kind_tok[1]]
             label_tok = self.peek()
-            if self.accept("STRING"):
-                if not label_tok[1]:
-                    raise self.error("interface labels must be non-empty",
-                                     label_tok)
-            else:
+            if not self.accept("STRING"):
                 self.expect("IDENT", what="interface label")
-            if (kind, label_tok[1]) in seen:
-                raise self.error(f"duplicate {kind} label {label_tok[1]!r} "
-                                 "in interface", label_tok)
-            seen.add((kind, label_tok[1]))
             self.expect("=")
-            ref_tok = self.expect("IDENT", what="inner element name")
-            if ref_tok[1] in seen_refs:
-                raise self.error(f"element {ref_tok[1]!r} appears twice in "
-                                 "this interface", ref_tok)
-            seen_refs.add(ref_tok[1])
+            ref = self.expect("IDENT", what="inner element name")[1]
             self.expect(";")
-            return InterfaceElement(kind, label_tok[1], ref_tok[1],
+            return InterfaceElement(kinds[kind_tok[1]], label_tok[1], ref,
                                     self.span(label_tok))
         return self.block(item)
 
@@ -733,12 +717,6 @@ def _check_run(run: Module, net: OccurrenceNet) -> None:
     for node in (node for arc in net.flow for node in arc):
         if node not in ids:
             raise ParseError(f"flow mentions unknown node {node!r}", run.span)
-    for side_name, side in (("left", run.left), ("right", run.right)):
-        for e in side:
-            if e.ref not in ids:
-                raise ParseError(
-                    f"{side_name} interface exposes unknown node {e.ref!r}",
-                    e.span)
     for v in interface_violations(run):
         raise ParseError(v.message, v.span)
 

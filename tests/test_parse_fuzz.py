@@ -103,13 +103,13 @@ HAND_WRITTEN = [
     ('document', 'module m { left { node x = p; } }',
      "error m.hk:1:19: expected 'place' or 'trans' (to 1:23)"),
     ('document', 'module m { left { place "" = p; } places { p; } }',
-     'error m.hk:1:25: interface labels must be non-empty (to 1:26)'),
+     'error m.hk:1:25: left interface has an empty label (to 1:26)'),
     ('document', 'module m { left { place x = p; place x = q; } places { p; q; } }',
-     "error m.hk:1:38: duplicate place label 'x' in interface (to 1:39)"),
+     "error m.hk:1:38: duplicate place label 'x' in left interface (to 1:39)"),
     ('document', 'module m { left { place x = p; trans x = t; } places { p; } trans { t; } }',
      'ok print=14a4abb7359f2177 spans=db0cc77e7d653186'),
     ('document', 'module m { left { place x = p; place y = p; } places { p; } }',
-     "error m.hk:1:42: element 'p' appears twice in this interface (to 1:43)"),
+     "error m.hk:1:38: element 'p' appears twice in the left interface (to 1:39)"),
     ('document', 'module m { places { p; p; } }',
      "error m.hk:1:24: duplicate element name 'p' (to 1:25)"),
     ('document', 'module m { places { p; } trans { p; } }',
@@ -165,7 +165,7 @@ HAND_WRITTEN = [
     ('document', 'run r { conditions { b1 = p a; } flow { b1 -> e9; } }',
      "error m.hk:1:1: flow mentions unknown node 'e9' (to 1:54)"),
     ('document', 'run r { conditions { b1 = p a; } left { place x = b2; } }',
-     "error m.hk:1:47: left interface exposes unknown node 'b2' (to 1:48)"),
+     "error m.hk:1:47: left interface exposes unknown element 'b2' (to 1:48)"),
     ('document', 'run r { conditions { b1 = p a; } right { trans x = b1; } }',
      "error m.hk:1:48: right interface exposes 'b1' as transition, but it is a place (to 1:49)"),
     ('document', 'run r of sys { conditions { b1 = p (a, {b, c}); } events { e1 = t [x=a]; } flow { b1 -> e1; } left { place "in put" = b1; } }',
