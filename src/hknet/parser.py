@@ -733,9 +733,10 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
     """Turn a parsed structure document into a Structure over ``sig``.
 
     Entry kinds are classified by the symbol's declaration: carriers for
-    set and subset symbols (``pow(S)`` expands to the full powerset,
-    capped as in :func:`signature.powerset`), tables for function
-    symbols, plain values for constants.
+    set and subset symbols (``pow(S)`` expands to the full powerset of
+    the carrier the document gives ``S``, capped as in
+    :func:`signature.powerset`), tables for function symbols, plain
+    values for constants.
     """
     if doc.sig_name != sig.name:
         raise ParseError(
@@ -744,7 +745,8 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
     carriers: dict[str, list[Value]] = {}
     functions: dict[str, dict[tuple[Value, ...], Value]] = {}
     constants: dict[str, Value] = {}
-    for entry in doc.entries:
+    # the pow entries last: the base of a subset is a set, given as a value
+    for entry in sorted(doc.entries, key=lambda e: e.kind == "pow"):
         kind = sig.symbol_kind(entry.symbol)
         if kind is None:
             raise ParseError(f"unknown symbol {entry.symbol!r} in structure",
@@ -760,8 +762,8 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
                 base = carriers.get(base_symbol)
                 if base is None:
                     raise ParseError(
-                        f"carrier of {base_symbol!r} must be given before "
-                        f"{entry.symbol!r} = pow({base_symbol})", entry.span)
+                        f"structure {doc.name!r} gives no carrier of {base_symbol!r} "
+                        f"for {entry.symbol!r} = pow({base_symbol})", entry.span)
                 try:
                     carriers[entry.symbol] = list(powerset(base_symbol, base))
                 except EvalError as exc:

@@ -364,6 +364,19 @@ def test_check_rejects_a_free_variable_declared_twice(workdir, capsys):
     assert "\n  " + " " * 32 + "^\n" in err
 
 
+def test_check_of_a_subset_sorted_before_its_base(tmp_path, capsys):
+    (tmp_path / "s.hksig").write_text("signature s { sets B; subsets A of pow(B); }\n")
+    good = tmp_path / "t.hks"
+    good.write_text("structure t of s {\n  B = {b1, b2};\n  A = pow(B);\n}\n")
+    assert run_cli("check", good) == 0
+    assert capsys.readouterr().out == f"{good}: ok (structure)\n"
+    bad = tmp_path / "u.hks"
+    bad.write_text("structure u of s {\n  A = pow(B);\n}\n")
+    assert run_cli("check", bad) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}:2:3: structure 'u' gives no carrier of 'B' for 'A' = pow(B)\n")
+
+
 def test_check_rejects_a_powerset_over_the_cap(workdir, capsys):
     # 17 menu entries would make 131 072 orders: refused before any is built
     wide = workdir / "wide.hks"

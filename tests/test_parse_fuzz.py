@@ -182,6 +182,8 @@ HAND_WRITTEN = [
      "error m.hk:1:20: unknown symbol 'Z' in structure (to 1:21)"),
     ('structure', 'structure s of g { A = {a}; S = pow(A); }',
      "error m.hk:1:29: 'S' is declared as a subset of pow(B), not pow(A) (to 1:30)"),
+    ('structure', 'structure s of g { S = pow(B); }',
+     "error m.hk:1:20: structure 's' gives no carrier of 'B' for 'S' = pow(B) (to 1:21)"),
     ('structure', 'structure s of g { A = a; }',
      "error m.hk:1:20: carrier of 'A' must be a set (to 1:21)"),
     ('structure', 'structure s of g { f = a; }',
