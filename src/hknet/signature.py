@@ -147,12 +147,14 @@ def sort_symbols(sort: Sort) -> Iterable[str]:
 
 def sorts_compatible(a: Sort, b: Sort, sig: Signature) -> bool:
     """Structural equality, loosened so a subset symbol matches the
-    powerset it was carved out of.  Used for static checks only; runtime
-    carrier membership is the authority."""
+    powerset it was carved out of and every other subset of that
+    powerset, but not the base set.  Used for static checks only;
+    runtime carrier membership is the authority."""
     if a == b:
         return True
     if isinstance(a, SortName) and isinstance(b, SortName):
-        return sig.subset_base(a.name) == b.name or sig.subset_base(b.name) == a.name
+        base = sig.subset_base(a.name)
+        return base is not None and base == sig.subset_base(b.name)
     if isinstance(a, SortName) and isinstance(b, PowSort):
         return sig.subset_base(a.name) == b.base
     if isinstance(a, PowSort) and isinstance(b, SortName):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
                    Marking, ModelError, Module, Multiset, Place, PowSort,
                    SchematicNet, SetValue, Signature, SortName, Transition,
-                   TupleValue, bind_structure, carrier_of, enabled_bindings,
-                   fire, instantiate, make_structure, marking_violations,
-                   parse, resolve_net, successors)
+                   TupleValue, bind_structure, carrier_of, check_net,
+                   enabled_bindings, fire, instantiate, make_structure,
+                   marking_violations, parse, resolve_net, successors)
 from hknet.spans import SourceSpan
 from hknet.terms import Elm
 
@@ -180,6 +180,20 @@ def test_resolution_infers_variable_sorts_from_function(sigma0):
     # bare function symbol is rejected
     _, problems = resolve_net(net, sigma0)
     assert any(v.code == "bare-function" for v in problems)
+
+
+@pytest.mark.parametrize("first, second, conflict", [
+    ("Orders", "Menu", True), ("Menu", "Orders", True), ("Menu", "pow(Menu)", True),
+    ("Orders", "pow(Menu)", False), ("Orders", "Specials", False),
+])
+def test_a_subset_symbol_is_compatible_with_its_powerset_not_its_base(first, second,
+                                                                       conflict):
+    sig = parse("signature shop { sets Menu; subsets Orders of pow(Menu); "
+                "subsets Specials of pow(Menu); }").body
+    module = parse(f"module m of shop {{ places {{ p : {first}; q : {second}; }} "
+                   "trans { t; } arcs { p -> t : x; q -> t : x; } }").body
+    want = f"variable 'x' used both as {first} and as {second}"
+    assert [v.message for v in check_net(module.inner, sig)] == ([want] if conflict else [])
 
 
 def test_resolution_reports_unknown_sorts(sigma0):
