@@ -733,10 +733,9 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
     """Turn a parsed structure document into a Structure over ``sig``.
 
     Entry kinds are classified by the symbol's declaration: carriers for
-    set and subset symbols (``pow(S)`` expands to the full powerset of
-    the carrier the document gives ``S``, capped as in
-    :func:`signature.powerset`), tables for function symbols, plain
-    values for constants.
+    set and subset symbols (``pow(S)`` expands to the full powerset,
+    capped as in :func:`signature.powerset`), tables for function
+    symbols, plain values for constants.
     """
     if doc.sig_name != sig.name:
         raise ParseError(
