@@ -9,7 +9,9 @@ code lies in ``src/hknet`` get a line tracer.  Then, per file, the
 statements that never reported a line are printed as line ranges, as
 Markdown for a CI job summary.  A statement is one of the file's
 ``ast`` statements whose lines the compiler gives code, so docstrings,
-``else:`` and the like do not count.  Lines that only subprocesses run,
+``else:`` and the like do not count, nor do the bodies of ``if
+TYPE_CHECKING:`` and ``if __name__ == "__main__":``, which never run
+when the module is imported.  Other lines that only subprocesses run,
 such as those of the CLI tests that start a fresh interpreter, count as
 missed.  Tracing makes the suite about three times slower.  The exit
 status is pytest's.
@@ -38,14 +40,25 @@ def code_lines(code) -> set[int]:
     return lines
 
 
+def never_imported(test: ast.expr) -> bool:
+    """Whether an ``if`` with this test guards code that importing the
+    module never runs: ``TYPE_CHECKING`` or ``__name__ == "__main__"``."""
+    return ast.unparse(test) in ("TYPE_CHECKING", "__name__ == '__main__'")
+
+
 def statements(source: str, filename: str) -> dict[int, range]:
     """Each statement of the file that has code, by its first line, with
     the lines it owns: all of a simple statement, the header of a
-    compound one."""
+    compound one.  Statements in the body of an ``if`` that
+    :func:`never_imported` are left out."""
     executable = code_lines(compile(source, filename, "exec"))
+    tree = ast.parse(source, filename)
+    skipped = {line for node in ast.walk(tree)
+               if isinstance(node, ast.If) and never_imported(node.test)
+               for line in range(node.body[0].lineno, node.body[-1].end_lineno + 1)}
     out: dict[int, range] = {}
-    for node in ast.walk(ast.parse(source, filename)):
-        if not isinstance(node, ast.stmt):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or node.lineno in skipped:
             continue
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
                 and isinstance(node.value.value, str):

@@ -33,6 +33,16 @@ def test_ground_without_transitions_has_zero_columns():
     assert g.initial == (1,)
 
 
+def test_ground_rejects_an_unsorted_place():
+    sig = Signature("bare", sets=("A",), constants=(("k", SortName("A")),))
+    s = make_structure("s", sig, {"A": (Atom("a"),)}, constants={"k": Atom("a")})
+    module = Module("m", "bare", SchematicNet(
+        places=(Place("p", SortName("A"), (Ident("k"),)), Place("q", None, (Ident("k"),)))))
+    with pytest.raises(ModelError, match="^place 'q' has no sort; grounding needs every "
+                                         "place sorted$"):
+        ground(instantiate(module, s))
+
+
 def singleton_system():
     """p -> step -> q, where step puts {x} on q of sort S = {{a}} <= pow(A)."""
     a_sort = SortName("A")
@@ -326,12 +336,20 @@ def test_explore_is_deterministic(sys_tiny):
     assert g1 == g2
 
 
-def test_explore_reports_predicate_hits(sys_tiny):
+def test_explore_reports_predicate_hits(sys_tiny, sys_small):
     eating = lambda m: m.get("eating").total() > 0
     graph = explore(sys_tiny, max_nodes=1000, max_edges=10000, predicate=eating)
     assert graph.predicate_hits
-    for idx in graph.predicate_hits:
-        assert graph.markings[idx].get("eating").total() > 0
+    # exactly the kept markings it holds on, in node order, also under a cap
+    assert graph.predicate_hits == tuple(
+        i for i, m in enumerate(graph.markings) if eating(m))
+    full = explore(sys_small, predicate=eating)
+    capped = explore(sys_small, max_nodes=300, predicate=eating)
+    assert capped.truncated_by == "nodes"
+    assert capped.markings == full.markings[:300]
+    assert capped.predicate_hits == tuple(
+        i for i, m in enumerate(capped.markings) if eating(m))
+    assert 0 < len(capped.predicate_hits) < len(full.predicate_hits)
 
 
 def test_grounded_exploration_matches_high_level(sys_tiny):

@@ -3,12 +3,14 @@ successors against the oracle that enables and fires every transition
 afresh at each marking (``support.reference_successors``), its edges,
 and call counts that show what it saves."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hknet import (App, Arc, Atom, Binding, EvalError, FiringError, Ident,
                    Marking, Module, Multiset, Place, PowSort, SchematicNet, SetValue,
-                   Signature, SortName, System, Transition, TupleValue,
+                   Signature, SortError, SortName, System, Transition, TupleValue,
                    bind_structure, carrier_of, enabled_bindings, explore, fire,
                    instantiate, make_structure, parse, random_policy,
                    resolve_net, scripted_policy, simulate, successors)
@@ -368,3 +370,17 @@ def test_explore_fires_on_interned_states(sys_small, monkeypatch):
     graph = explore(sys_small)
     assert calls[Marking] == 0
     assert 0 < calls[Multiset] < len(graph.edges)
+
+
+def test_a_stepper_over_an_unresolved_net_raises_sort_error(sys_tiny):
+    # the parsed module's net, whose transitions resolve_net has not typed
+    net, s, m = sys_tiny.module.inner, sys_tiny.structure, sys_tiny.initial
+    first = min(t.name for t in net.transitions)
+    unresolved = f"^transition {first!r} is unresolved; call resolve_net first$"
+    with pytest.raises(SortError, match=unresolved):
+        successors(net, m, s)
+    system = replace(sys_tiny, net=net)
+    with pytest.raises(SortError, match=unresolved):
+        explore(system)
+    with pytest.raises(SortError, match=unresolved):
+        simulate(system, random_policy(seed=0, steps=3))
