@@ -261,9 +261,11 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
     _check_node_cap(max_nodes)
     stepper = Stepper(sys.net, sys.structure)
     root, decode = stepper.encoding(sys.initial)
-    nodes, edges, truncated_by, deadlocks, hits = _bfs(
-        root, stepper.step, max_nodes, max_edges, predicate, decode)
-    return ReachabilityGraph(nodes, edges, bool(truncated_by), deadlocks, hits,
+    states, edges, truncated_by, deadlocks = _bfs(root, stepper.step, max_nodes, max_edges)
+    markings = tuple(map(decode, states))
+    hits = () if predicate is None else tuple(
+        i for i, m in enumerate(markings) if predicate(m))
+    return ReachabilityGraph(markings, edges, bool(truncated_by), deadlocks, hits,
                              truncated_by)
 
 
@@ -283,13 +285,13 @@ def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
     :func:`explore` is."""
     _check_node_cap(max_nodes)
 
-    def successors(vec: tuple[int, ...], _) -> list[tuple[int, tuple[int, ...]]]:
+    def successors(vec: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         return [(t, tuple(v + delta.get(p, 0) for p, v in enumerate(vec)))
                 for t, (pre, delta) in enumerate(zip(g.pre_columns, g.incidence_columns))
                 if all(vec[p] >= n for p, n in pre.items())]
 
-    vectors, edges, truncated_by, deadlocks, _ = _bfs(g.initial, successors,
-                                                      max_nodes, max_edges)
+    vectors, edges, truncated_by, deadlocks = _bfs(g.initial, successors,
+                                                   max_nodes, max_edges)
     return GroundedReachabilityGraph(vectors, edges, bool(truncated_by), deadlocks,
                                      truncated_by)
 
@@ -299,31 +301,25 @@ def _check_node_cap(max_nodes: int) -> None:
         raise ValueError(f"max_nodes must be at least 1, the initial marking: {max_nodes}")
 
 
-def _bfs(root: Hashable, successors: Callable[[Any, Any], Sequence[tuple]],
-         max_nodes: int, max_edges: int,
-         predicate: Callable[[Any], bool] | None = None,
-         decode: Callable[[Any], Any] | None = None) -> tuple:
-    """Capped breadth-first search from ``root``.
+def _bfs(root: Hashable, successors: Callable[[Any], Sequence[tuple]],
+         max_nodes: int, max_edges: int) -> tuple:
+    """Capped breadth-first search from ``root``, where
+    ``successors(node)`` lists tuples ``(*label, target)``.
 
-    A kept node is decoded once, by ``decode`` if given; the decoded
-    nodes are what ``predicate`` sees and what is returned.
-    ``successors(node, decoded)`` lists tuples ``(*label, target)``.
-    Returns the decoded nodes in discovery order, the edges ``(source,
-    *label, target)`` by node index, which cap was hit first
-    (``"nodes"``, ``"edges"`` or ``""``), and the indices of deadlocks
-    and of predicate hits.  A new node over ``max_nodes`` is dropped with
-    its edge; an edge over ``max_edges`` is dropped, its new target kept.
+    Returns the nodes in discovery order, the edges ``(source, *label,
+    target)`` by node index, which cap was hit first (``"nodes"``,
+    ``"edges"`` or ``""``), and the indices of deadlocks.  A new node
+    over ``max_nodes`` is dropped with its edge; an edge over
+    ``max_edges`` is dropped, its new target kept.
     """
     nodes = [root]
-    decoded = nodes if decode is None else [decode(root)]
     index = {root: 0}
     edges: list[tuple] = []
     deadlocks: list[int] = []
-    hits = [0] if predicate is not None and predicate(decoded[0]) else []
     truncated_by = ""
     # nodes only grow at the end, so visiting them in list order is FIFO
     for source, node in enumerate(nodes):
-        succs = successors(node, decoded[source])
+        succs = successors(node)
         if not succs:
             deadlocks.append(source)
         for *label, succ in succs:
@@ -334,13 +330,9 @@ def _bfs(root: Hashable, successors: Callable[[Any, Any], Sequence[tuple]],
                     continue
                 target = len(nodes)
                 nodes.append(succ)
-                if decode is not None:
-                    decoded.append(decode(succ))
                 index[succ] = target
-                if predicate is not None and predicate(decoded[target]):
-                    hits.append(target)
             if len(edges) >= max_edges:
                 truncated_by = truncated_by or "edges"
                 continue
             edges.append((source, *label, target))
-    return tuple(decoded), tuple(edges), truncated_by, tuple(deadlocks), tuple(hits)
+    return tuple(nodes), tuple(edges), truncated_by, tuple(deadlocks)

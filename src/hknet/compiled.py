@@ -23,19 +23,21 @@ from .signature import (PowSort, Sort, SortName, Structure, TupleSort,
                         carrier_of, carrier_rank, inverse_table, value_in_sort)
 from .terms import (App, Binding, Elm, Guard, GuardAtom, SetTerm, Term,
                     TupleTerm, Var, eval_guard, evaluate, term_variables)
-from .values import SetValue, TupleValue, Value, render_value
+from .values import Multiset, SetValue, TupleValue, Value, render_value
 
 if TYPE_CHECKING:
-    from .nets import Arc, Marking, MatchPlan, NetIndex
+    from .nets import Arc, MatchPlan, NetIndex
 
 Tokens = dict[str, dict[Value, int]]  # {place: {value: count}}
+TokensOn = Callable[[str], Multiset]  # place -> the multiset on it
 Env = dict[str, Value]  # a binding as a plain dict; evaluate reads it too
 
 
 class Kernel:
     """One resolved transition compiled against one structure:
 
-    * ``join(m)`` is :func:`nets.join_bindings` at the marking ``m``;
+    * ``join(tokens_on)`` is :func:`nets.join_bindings` at the tokens
+      ``tokens_on(place)`` gives;
     * ``holds(env)`` is :func:`terms.eval_guard` of its guard and
       ``occurrence(env)`` is :func:`nets.occurrence`, under a binding
       given as a dict that assigns every variable of the transition; a
@@ -201,17 +203,17 @@ Level = Callable[[Env, list, list, list], None]
 
 
 def _join(plan: MatchPlan, s: Structure,
-          variables: frozenset[str]) -> Callable[[Marking], tuple]:
+          variables: frozenset[str]) -> Callable[[TokensOn], tuple]:
     """:func:`nets.join_bindings` of ``plan``, whose variables are
-    ``variables``, under ``s`` as a closure of the marking."""
+    ``variables``, under ``s`` as a closure of the tokens on each place."""
     names, matched, steps, checks = plan.names, plan.matched, plan.steps, plan.checks
     try:
         ranks = [carrier_rank(sort, s) for sort in plan.sorts]
     except EvalError as exc:
         message, span = exc.message, exc.span
 
-        def failing(m: Marking) -> tuple:
-            if all(m.get(place) for place in matched):
+        def failing(tokens_on: TokensOn) -> tuple:
+            if all(tokens_on(place) for place in matched):
                 raise EvalError(message, span)
             return [], None
         return failing
@@ -251,8 +253,8 @@ def _join(plan: MatchPlan, s: Structure,
 
     residual = bool(plan.residual)  # the closure must not keep the plan
 
-    def join(m: Marking) -> tuple:
-        have = [m.get(place).counts() for place in matched]
+    def join(tokens_on: TokensOn) -> tuple:
+        have = [tokens_on(place).counts() for place in matched]
         if not all(have):
             return [], None
         found: list = []

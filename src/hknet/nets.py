@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
-from .compiled import Kernel, Tokens
+from .compiled import Kernel, Tokens, TokensOn
 from .errors import FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         TupleSort, render_sort, sort_symbols, sorts_compatible,
@@ -681,17 +681,18 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     The result is in lexicographic carrier order: by variable name, then
     by each value's position in the carrier of the variable's sort.
     """
-    return admit_bindings(m, join_bindings(net, m, transition, s))
+    return admit_bindings(m.get, join_bindings(net, m.get, transition, s))
 
 
-def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
+def join_bindings(net: SchematicNet, tokens_on: TokensOn, transition: Transition | str,
                   s: Structure) -> tuple[list[Binding], list[Tokens] | None]:
     """The bindings that the tokens on the transition's matched places
     allow (:attr:`MatchPlan.matched`), in the order of
     :func:`enabled_bindings`, and the ``{place: {value: count}}`` tokens
     the residual terms of each need (:attr:`MatchPlan.residual`), in the
-    same order, or None for a plan without residual terms.  Only the
-    matched places of ``m`` are read.
+    same order, or None for a plan without residual terms.  The tokens
+    on a place are ``tokens_on(place)``, such as a marking's ``get``;
+    only the matched places are looked up.
 
     Variables are bound by matching the input-arc patterns (variables
     and constants, possibly in tuples) against the distinct tokens still
@@ -713,25 +714,26 @@ def join_bindings(net: SchematicNet, m: Marking, transition: Transition | str,
     all hold tokens.  A pattern on an empty input place joins nothing.
     """
     name = transition if isinstance(transition, str) else transition.name
-    return _kernel(net, name, s).join(m)
+    return _kernel(net, name, s).join(tokens_on)
 
 
-def admit_bindings(m: Marking,
+def admit_bindings(tokens_on: TokensOn,
                    joined: tuple[list[Binding], list[Tokens] | None]) -> list[Binding]:
     """The bindings of a :func:`join_bindings` result, in order, whose
-    needed tokens ``m`` holds: all of them if none are needed."""
+    needed tokens lie on their places, ``tokens_on(place)``: all of them
+    if none are needed."""
     bindings, needs = joined
     if needs is None:
         return bindings
-    return [b for b, wanted in zip(bindings, needs) if _lacking(m, wanted) is None]
+    return [b for b, wanted in zip(bindings, needs) if _lacking(tokens_on, wanted) is None]
 
 
-def _lacking(m: Marking, tokens: Tokens) -> str | None:
-    """The first place on which ``m`` holds fewer of some value than the
-    ``{place: {value: count}}`` ``tokens``, or None.  Plain loops: a
-    generator per call costs about twice the time."""
+def _lacking(tokens_on: TokensOn, tokens: Tokens) -> str | None:
+    """The first place on which ``tokens_on(place)`` holds fewer of some
+    value than the ``{place: {value: count}}`` ``tokens``, or None.  Plain
+    loops: a generator per call costs about twice the time."""
     for place, counts in tokens.items():
-        have = m.get(place).counts()
+        have = tokens_on(place).counts()
         for v, n in counts.items():
             if have.get(v, 0) < n:
                 return place
@@ -772,7 +774,7 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
     found = guarded_occurrence(net, t.name, b, s)
     if found is None:
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    place = _lacking(m, found[0])
+    place = _lacking(m.get, found[0])
     if place is not None:
         raise FiringError(f"{t.name!r} is not enabled: {place!r} lacks required tokens")
     _require_sorts(net, t.name, found[1], s)
@@ -820,12 +822,13 @@ class Stepper:
     repeated change therefore builds no multiset.  :meth:`enabled` and
     :meth:`step` go through the same memo, and :meth:`fire` and
     :meth:`step` apply the same moves, so ``simulate`` and ``explore``
-    share one stepping path.
+    share one stepping path.  None of them takes a marking: a state alone
+    says which multiset lies on each slot.
 
     It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
-    then :func:`admit_bindings`, on the marking of the state, which is
-    read only when the memo misses.  For a plan with residual checks it
-    also keeps each join per ``(name, ids on its matched slots)``
+    then :func:`admit_bindings`, on the multisets the state's ids number,
+    looked up only when the memo misses.  For a plan with residual checks
+    it also keeps each join per ``(name, ids on its matched slots)``
     (:attr:`NetIndex.join_ids`): where only the tokens on a place the
     transition checks change, the kept join is admitted again instead
     of joined anew.  For a plan without them both keys name the same
@@ -834,7 +837,8 @@ class Stepper:
     A binding that :func:`enabled_bindings` returns assigns every
     variable, satisfies the guard and finds its input tokens, so a move
     checks only the sorts of its output tokens; :meth:`fire` takes only
-    such bindings.  An unknown or unresolved transition is rejected.
+    such bindings.  A net with an unresolved transition is rejected when
+    the stepper is built, a name the net lacks when it is asked for.
     Errors are not kept.  Nothing it keeps outlives the stepper; the
     kernels it joins and evaluates occurrences through
     (:class:`compiled.Kernel`) are kept on the structure, for every
@@ -849,6 +853,9 @@ class Stepper:
         self._slots, self._slot_of = index.slots, index.slot_of
         self._keys, self._join_keys = index.input_ids, index.join_ids
         self._order = [(t.name, self._keys.get(t.name)) for t in self.transitions]
+        for name, key in self._order:
+            if key is None:
+                _resolved(net, name)
         self._ids = _Ids()
         self._bindings: dict[tuple, list[Binding]] = {}
         # (name, ids on its matched slots) -> join_bindings, for a plan
@@ -860,16 +867,16 @@ class Stepper:
         self._moves: dict[tuple[str, Binding], tuple] = {}
         self._deltas: dict[tuple, _Delta] = {}
 
-    def enabled(self, state: tuple[int, ...], m: Marking, name: str) -> list[Binding]:
-        """:func:`enabled_bindings` of ``name`` at ``state``, whose marking
-        is ``m``; read the list, never change it."""
+    def enabled(self, state: tuple[int, ...], name: str) -> list[Binding]:
+        """:func:`enabled_bindings` of ``name`` at ``state``; read the
+        list, never change it."""
         key = self._keys.get(name)
         if key is None:
             _resolved(self.net, name)
         ids = (name, key(state))
         found = self._bindings.get(ids)
         if found is None:
-            found = self._enable(ids, state, m)
+            found = self._enable(ids, state)
         return found
 
     def fire(self, state: tuple[int, ...], name: str,
@@ -887,7 +894,7 @@ class Stepper:
         """All enabled (transition, binding) pairs with their successor
         markings, in deterministic order."""
         state, decode = self.encoding(m)
-        return [(name, b, decode(succ)) for name, b, succ in self.step(state, m)]
+        return [(name, b, decode(succ)) for name, b, succ in self.step(state)]
 
     def encoding(self, m: Marking) -> tuple[tuple[int, ...], Callable]:
         """The state of ``m`` and the function that turns a state back
@@ -904,22 +911,18 @@ class Stepper:
         get, ids = m._places.get, self._ids
         return tuple([ids[get(p, _NO_TOKENS)] for p in slots]), decode
 
-    def step(self, state: tuple[int, ...],
-             m: Marking) -> list[tuple[str, Binding, tuple[int, ...]]]:
+    def step(self, state: tuple[int, ...]) -> list[tuple[str, Binding, tuple[int, ...]]]:
         """``(name, binding, successor state)`` of every enabled
-        occurrence at ``state``, in deterministic order; ``m`` is the
-        marking of ``state``, read only to enable what is not kept."""
+        occurrence at ``state``, in deterministic order."""
         out = []
         bindings, fired = self._bindings, self._fired
         for name, key in self._order:
-            if key is None:
-                _resolved(self.net, name)
             ids = (name, key(state))
             moves = fired.get(ids)
             if moves is None:
                 found = bindings.get(ids)
                 if found is None:
-                    found = self._enable(ids, state, m)
+                    found = self._enable(ids, state)
                 moves = fired[ids] = ([(b, self._move(name, b)[1]) for b in found]
                                       if found else _EMPTY)
             for b, changes in moves:
@@ -929,19 +932,25 @@ class Stepper:
                 out.append((name, b, tuple(succ)))
         return out
 
-    def _enable(self, ids: tuple, state: tuple[int, ...], m: Marking) -> list[Binding]:
-        """Enable the transition named first in ``ids`` at ``m``, whose
-        state is ``state``, and keep its bindings under ``ids``."""
+    def _enable(self, ids: tuple, state: tuple[int, ...]) -> list[Binding]:
+        """Enable the transition named first in ``ids`` at ``state``, and
+        keep its bindings under ``ids``."""
         name = ids[0]
+        multisets, slot_of = self._ids.multisets, self._slot_of
+
+        def tokens_on(place: str) -> Multiset:
+            return multisets[state[slot_of[place]]]
+
         join_key = self._join_keys.get(name)
         if join_key is None:
-            joined = join_bindings(self.net, m, name, self.structure)
+            joined = join_bindings(self.net, tokens_on, name, self.structure)
         else:
             at = (name, join_key(state))
             joined = self._joins.get(at)
             if joined is None:
-                joined = self._joins[at] = join_bindings(self.net, m, name, self.structure)
-        found = self._bindings[ids] = admit_bindings(m, joined) or _EMPTY
+                joined = self._joins[at] = join_bindings(self.net, tokens_on, name,
+                                                         self.structure)
+        found = self._bindings[ids] = admit_bindings(tokens_on, joined) or _EMPTY
         return found
 
     def _move(self, name: str, b: Binding) -> tuple:

@@ -94,18 +94,17 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     initial_conditions = list(conditions)
 
     stepper = Stepper(net, s)
-    state, decode = stepper.encoding(sys.initial)
+    state, _ = stepper.encoding(sys.initial)
     rng = random.Random(policy.seed)
     steps_taken = 0
     while steps_taken < policy.step_limit:
-        m = decode(state)
         if policy.mode == "script":
             wanted_name, wanted = policy.script[steps_taken]
             if not net.has_transition(wanted_name):
                 raise ScriptError(f"script step {steps_taken + 1}: "
                                   f"no transition {wanted_name!r}")
             matches = [(wanted_name, b)
-                       for b in stepper.enabled(state, m, wanted_name)
+                       for b in stepper.enabled(state, wanted_name)
                        if b.extends(wanted)]
             if not matches:
                 variables = dict(net.transition(wanted_name).variables)
@@ -124,7 +123,7 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
             name, binding = matches[0]
         else:
             options = [(t.name, b) for t in stepper.transitions
-                       for b in stepper.enabled(state, m, t.name)]
+                       for b in stepper.enabled(state, t.name)]
             if not options:
                 break
             name, binding = options[rng.randrange(len(options))]

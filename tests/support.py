@@ -675,7 +675,7 @@ def stepper_disagreements(net, s, markings: Iterable[Marking]) -> list[tuple]:
     for i, m in enumerate(markings):
         state, decode = stepper.encoding(m)
         for t in net.transitions:
-            found = stepper.enabled(state, m, t.name)
+            found = stepper.enabled(state, t.name)
             if found != brute_force_bindings(net, m, t, s) or any(
                     _outcome(lambda: decode(stepper.fire(state, t.name, b)[1]))
                     != _outcome(lambda: fire(net, m, t.name, b, s)) for b in found):

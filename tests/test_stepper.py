@@ -230,7 +230,7 @@ def test_failed_attempts_are_not_remembered(monkeypatch):
     calls = _count_calls(monkeypatch, "occurrence")
     stepper = Stepper(net, s)
     state, _ = stepper.encoding(m)
-    assert stepper.enabled(state, m, "t") == [xa, xb]
+    assert stepper.enabled(state, "t") == [xa, xb]
     for binding, want in wants.items():
         for _ in range(2):
             assert _outcome(lambda: stepper.fire(state, "t", binding)) == want
@@ -244,7 +244,7 @@ def test_a_binding_enabled_at_the_marking_is_checked_for_output_sorts_only(monke
     calls = _count_calls(monkeypatch, "checked_occurrence")
     stepper = Stepper(net, s)
     state, _ = stepper.encoding(m)
-    assert stepper.enabled(state, m, "t") == [xa, xb]
+    assert stepper.enabled(state, "t") == [xa, xb]
     for x, want in wants.items():
         assert _outcome(lambda: stepper.fire(state, "t", x)) == want
     assert calls == []
@@ -262,37 +262,42 @@ def test_failed_enabling_is_not_remembered():
     state, _ = stepper.encoding(m)
     for _ in range(2):
         with pytest.raises(EvalError, match="exceeds the cap of 16"):
-            stepper.enabled(state, m, "take")
+            stepper.enabled(state, "take")
 
 
-def _input_tokens(net, name, m):
-    return (name, *map(m.get, net.index.plans[name].places))
+def _input_tokens(net, name, tokens_on):
+    return (name, *map(tokens_on, net.index.plans[name].places))
 
 
-def _matched_tokens(net, name, m):
-    return (name, *map(m.get, net.index.plans[name].matched))
+def _matched_tokens(net, name, tokens_on):
+    return (name, *map(tokens_on, net.index.plans[name].matched))
+
+
+def _slot_tokens(net, tokens_on):
+    """The tokens on every slot of a stepper's states, in slot order."""
+    return tuple(map(tokens_on, net.index.slots))
 
 
 def _count_enabling(monkeypatch, net):
     """The enabling a stepper runs: the (transition, tokens on its input
-    places) of each call of ``nets.admit_bindings``, with the marking it
-    was called at, and the (transition, tokens on its matched places) of
-    each call of ``nets.join_bindings``."""
+    places) of each call of ``nets.admit_bindings``, with the tokens on
+    every slot it was called at, and the (transition, tokens on its
+    matched places) of each call of ``nets.join_bindings``."""
     admissions, joins = [], []
     join, admit = nets.join_bindings, nets.admit_bindings
     joined = {}  # id of a join's result -> (transition, the result), kept alive
 
-    def counting_join(net_, m, transition, s):
+    def counting_join(net_, tokens_on, transition, s):
         name = transition if isinstance(transition, str) else transition.name
-        joins.append(_matched_tokens(net, name, m))
-        found = join(net_, m, transition, s)
+        joins.append(_matched_tokens(net, name, tokens_on))
+        found = join(net_, tokens_on, transition, s)
         joined[id(found)] = (name, found)
         return found
 
-    def counting_admit(m, found):
+    def counting_admit(tokens_on, found):
         name, _ = joined[id(found)]
-        admissions.append((_input_tokens(net, name, m), m))
-        return admit(m, found)
+        admissions.append((_input_tokens(net, name, tokens_on), _slot_tokens(net, tokens_on)))
+        return admit(tokens_on, found)
 
     monkeypatch.setattr(nets, "join_bindings", counting_join)
     monkeypatch.setattr(nets, "admit_bindings", counting_admit)
@@ -304,14 +309,14 @@ def test_explore_enables_once_per_transition_and_input_tokens(sys_small, monkeyp
     calls, joins = _count_enabling(monkeypatch, net)
     graph = explore(sys_small)
     keys = [key for key, _ in calls]
-    distinct = {_input_tokens(net, t.name, m)
+    distinct = {_input_tokens(net, t.name, m.get)
                 for m in graph.markings for t in net.transitions}
     assert len(keys) == len(set(keys)) == len(distinct)
     assert set(keys) == distinct
     assert len(keys) < len(graph.markings) * len(net.transitions) / 5
     # and joins once per transition and tokens on its matched places, so
     # that hand_over, which only checks cooked, joins less than it admits
-    matched = {_matched_tokens(net, t.name, m)
+    matched = {_matched_tokens(net, t.name, m.get)
                for m in graph.markings for t in net.transitions}
     assert len(joins) == len(set(joins)) == len(matched)
     assert set(joins) == matched
@@ -330,18 +335,21 @@ def test_simulate_enables_again_only_transitions_whose_inputs_changed(sys0, monk
         trajectory.append(fire(net, trajectory[-1], e.transition, e.binding, s))
     enabled_at = trajectory[:-1]  # the step limit ends the run, not a deadlock
     keys = [key for key, _ in calls]
-    distinct = {_input_tokens(net, t.name, m) for m in enabled_at for t in net.transitions}
+    distinct = {_input_tokens(net, t.name, m.get) for m in enabled_at for t in net.transitions}
     assert len(keys) == len(set(keys)) == len(distinct)
     assert set(keys) == distinct
     # at a marking equal to an earlier one every transition is remembered,
     # so each call belongs to the first of its equal markings
-    for (name, *_), m in calls:
-        k = enabled_at.index(m)
+    at = [_slot_tokens(net, m.get) for m in enabled_at]
+    slot_of = net.index.slot_of
+    for (name, *_), tokens in calls:
+        k = at.index(tokens)
         if k > 0:
-            before = enabled_at[k - 1]
-            assert any(before.get(p) != m.get(p) for p in net.index.plans[name].places)
+            before = at[k - 1]
+            assert any(before[slot_of[p]] != tokens[slot_of[p]]
+                       for p in net.index.plans[name].places)
     assert len(keys) < len(enabled_at) * len(net.transitions) / 2
-    matched = {_matched_tokens(net, t.name, m) for m in enabled_at for t in net.transitions}
+    matched = {_matched_tokens(net, t.name, m.get) for m in enabled_at for t in net.transitions}
     assert len(joins) == len(set(joins)) == len(matched)
     assert set(joins) == matched
     # a scripted run repeats none of its enabling either
@@ -377,6 +385,8 @@ def test_a_stepper_over_an_unresolved_net_raises_sort_error(sys_tiny):
     net, s, m = sys_tiny.module.inner, sys_tiny.structure, sys_tiny.initial
     first = min(t.name for t in net.transitions)
     unresolved = f"^transition {first!r} is unresolved; call resolve_net first$"
+    with pytest.raises(SortError, match=unresolved):
+        Stepper(net, s)
     with pytest.raises(SortError, match=unresolved):
         successors(net, m, s)
     system = replace(sys_tiny, net=net)
