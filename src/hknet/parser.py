@@ -755,9 +755,10 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
                 base_symbol = entry.pow_of
                 declared_base = sig.subset_base(entry.symbol)
                 if declared_base != base_symbol:
-                    raise ParseError(
-                        f"{entry.symbol!r} is declared as a subset of "
-                        f"pow({declared_base}), not pow({base_symbol})", entry.span)
+                    declared = ("a set, not a subset of" if declared_base is None
+                                else f"a subset of pow({declared_base}), not")
+                    raise ParseError(f"{entry.symbol!r} is declared as {declared} "
+                                     f"pow({base_symbol})", entry.span)
                 base = carriers.get(base_symbol)
                 if base is None:
                     raise ParseError(

@@ -292,17 +292,11 @@ def inscription_tokens(terms: Iterable[Term], s: Structure,
                        b: Binding = EMPTY_BINDING) -> Multiset:
     """Evaluate an inscription (a multiset of terms, each possibly
     elm-wrapped at top level) into a multiset of tokens."""
-    return Multiset._from_pairs(add_tokens({}, terms, s, b))
-
-
-def add_tokens(counts: dict[Value, int], terms: Iterable[Term], s: Structure,
-               b: Binding = EMPTY_BINDING) -> dict[Value, int]:
-    """Add the tokens of an inscription to the ``{value: count}`` dict
-    ``counts`` and return it."""
+    counts: dict[Value, int] = {}
     for t in terms:
         for v in term_tokens(t, s, b):
             counts[v] = counts.get(v, 0) + 1
-    return counts
+    return Multiset._from_pairs(counts)
 
 
 def eval_guard(g: Guard, s: Structure, b: Binding = EMPTY_BINDING) -> bool:
