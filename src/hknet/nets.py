@@ -849,13 +849,12 @@ class Stepper:
         self.net = net
         self.structure = s
         self.transitions = tuple(sorted(net.transitions, key=lambda t: t.name))
+        for t in self.transitions:
+            _resolved(net, t)
         index = net.index
         self._slots, self._slot_of = index.slots, index.slot_of
         self._keys, self._join_keys = index.input_ids, index.join_ids
-        self._order = [(t.name, self._keys.get(t.name)) for t in self.transitions]
-        for name, key in self._order:
-            if key is None:
-                _resolved(net, name)
+        self._order = [(t.name, self._keys[t.name]) for t in self.transitions]
         self._ids = _Ids()
         self._bindings: dict[tuple, list[Binding]] = {}
         # (name, ids on its matched slots) -> join_bindings, for a plan

@@ -394,3 +394,10 @@ def test_a_stepper_over_an_unresolved_net_raises_sort_error(sys_tiny):
         explore(system)
     with pytest.raises(SortError, match=unresolved):
         simulate(system, random_policy(seed=0, steps=3))
+
+
+def test_enabled_rejects_a_name_the_net_lacks(sys_tiny):
+    stepper = Stepper(sys_tiny.net, sys_tiny.structure)
+    state, _ = stepper.encoding(sys_tiny.initial)
+    with pytest.raises(KeyError, match="no transition 'nope'"):
+        stepper.enabled(state, "nope")
