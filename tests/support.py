@@ -25,6 +25,7 @@ from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
 from hknet.modules import (PLACE, TRANSITION, _inner_ids, _normalize_module,
                            compose_all, rename_elements)
 from hknet.nets import Stepper
+from hknet.runs import _cut_interface
 from hknet.terms import term_tokens
 from hknet.parser import ModelDocument, StructureDoc, StructureEntry, SystemDoc
 from hknet.spans import SourceSpan
@@ -386,6 +387,51 @@ def reference_simulate(system, policy) -> tuple[list[tuple[str, Binding]], Marki
     return steps, m
 
 
+def reference_run(system, policy) -> Module:
+    """The run ``simulate`` records under ``policy``, by the recorder it
+    had before its cut became queues: :func:`reference_simulate`'s steps,
+    each step's tokens evaluated afresh from its arc inscriptions, and
+    the cut kept per place in creation order.  A step takes its tokens
+    place by place in name order, value by value in canonical order, and
+    finds each by a linear scan of its place's cut (of equal tokens, the
+    oldest); then it puts its output tokens on, in the same order, as
+    fresh conditions."""
+    net, s = system.net, system.structure
+    steps, _ = reference_simulate(system, policy)
+    conditions: list[Condition] = []
+    events: list[Event] = []
+    flow: list[tuple[str, str]] = []
+    cut: dict[str, list[Condition]] = {}
+
+    def new_condition(place: str, value: Value) -> Condition:
+        c = Condition(f"b{len(conditions)}", place, value)
+        conditions.append(c)
+        cut.setdefault(place, []).append(c)
+        return c
+
+    for place, tokens in system.initial.items():
+        for v in tokens:
+            new_condition(place, v)
+    initial = list(conditions)
+    for name, b in steps:
+        event = Event(f"e{len(events)}", name, b)
+        events.append(event)
+        consumed = _reference_arc_tokens(net.arcs_into(name), "source", s, b)
+        for place in sorted(consumed):
+            pool = cut.get(place, [])
+            for value in consumed[place]:
+                i = next(i for i, c in enumerate(pool) if c.value == value)
+                flow.append((pool.pop(i).id, event.id))
+        produced = _reference_arc_tokens(net.arcs_out_of(name), "target", s, b)
+        for place in sorted(produced):
+            for value in produced[place]:
+                flow.append((event.id, new_condition(place, value).id))
+    final = [c for place in sorted(cut) for c in cut[place]]
+    inner = OccurrenceNet(tuple(conditions), tuple(events), tuple(flow))
+    return Module(f"{system.name}_run", system.name, inner,
+                  left=_cut_interface(initial), right=_cut_interface(final))
+
+
 # ---------------------------------------------------------------------------
 # Occurrence-net lookup oracle: linear scans over the net's fields
 # ---------------------------------------------------------------------------
@@ -618,6 +664,16 @@ def _reference_tokens(terms, s, b) -> ReferenceMultiset:
     return ReferenceMultiset(v for t in terms for v in term_tokens(t, s, b))
 
 
+def _reference_arc_tokens(arcs, end: str, s, b) -> dict[str, ReferenceMultiset]:
+    """The tokens ``arcs`` carry under ``b``, summed per place at their
+    ``end`` (``"source"`` or ``"target"``)."""
+    out: dict[str, ReferenceMultiset] = {}
+    for arc in arcs:
+        place = getattr(arc, end)
+        out[place] = out.get(place, ReferenceMultiset()) + _reference_tokens(arc.inscription, s, b)
+    return out
+
+
 def reference_fire(net, m: ReferenceMarking, transition, b: Binding, s) -> ReferenceMarking:
     """Fire one transition occurrence; pure, raises if not enabled."""
     t = net.transition(transition) if isinstance(transition, str) else transition
@@ -627,18 +683,12 @@ def reference_fire(net, m: ReferenceMarking, transition, b: Binding, s) -> Refer
                 f"binding does not assign variable {name!r} of {t.name!r}")
     if not eval_guard(t.guard, s, b):
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    consumed: dict[str, ReferenceMultiset] = {}
-    for arc in net.arcs_into(t.name):
-        tokens = _reference_tokens(arc.inscription, s, b)
-        consumed[arc.source] = consumed.get(arc.source, ReferenceMultiset()) + tokens
+    consumed = _reference_arc_tokens(net.arcs_into(t.name), "source", s, b)
     for place, needed in consumed.items():
         if not needed <= m.get(place):
             raise FiringError(
                 f"{t.name!r} is not enabled: {place!r} lacks required tokens")
-    produced: dict[str, ReferenceMultiset] = {}
-    for arc in net.arcs_out_of(t.name):
-        tokens = _reference_tokens(arc.inscription, s, b)
-        produced[arc.target] = produced.get(arc.target, ReferenceMultiset()) + tokens
+    produced = _reference_arc_tokens(net.arcs_out_of(t.name), "target", s, b)
     for place_name, tokens in produced.items():
         place = net.place(place_name)
         if place.sort is None:

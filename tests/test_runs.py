@@ -9,7 +9,7 @@ from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
                    Ident, InterfaceElement, ModelError, Module, Multiset, Place,
                    SchematicNet, SchedulingPolicy, ScriptError, SetValue, Signature,
                    SortName, Transition, canonical_equal, compose, compose_runs,
-                   empty_run, enabled_bindings, final_cut, find_event, initial_cut,
+                   empty_module, empty_run, enabled_bindings, final_cut, find_event, initial_cut,
                    instantiate, linearize, make_structure, ordered, print_run,
                    random_policy, render_binding, scripted_policy, simulate,
                    validate_run)
@@ -18,7 +18,7 @@ from hknet.modules import PLACE, TRANSITION
 from hknet.nets import OccurrenceNet
 
 from conftest import synthetic
-from support import (digest, reference_linearize, reference_simulate, replay,
+from support import (digest, reference_linearize, reference_run, reference_simulate, replay,
                      scan_condition, scan_event, scan_post, scan_pre,
                      scan_topo_levels)
 
@@ -115,6 +115,60 @@ def test_simulate_takes_the_steps_of_the_definitional_loop(branch, sys_tiny, sys
         assert final_cut(run) == reached, (system.name, policy.seed)
 
 
+def equal_tokens_system():
+    """Two equal ``a`` tokens and a ``c`` on ``p`` at the start; ``feed``
+    puts a younger ``a`` on ``p`` whenever it fires, ``pair`` takes two
+    equal tokens off ``p`` and puts one back, and ``drain`` takes two."""
+    sig = Signature("ages", sets=("A",),
+                    constants=(("a", SortName("A")), ("c", SortName("A"))))
+    s = make_structure("ac", sig, {"A": (Atom("a"), Atom("c"))},
+                       constants={"a": Atom("a"), "c": Atom("c")})
+    x = Ident("x")
+    net = SchematicNet(
+        places=(Place("p", SortName("A"), (Ident("a"), Ident("a"), Ident("c"))),
+                Place("q", SortName("A"), (Ident("a"),)),
+                Place("r", SortName("A"))),
+        transitions=(Transition("feed"), Transition("pair"), Transition("drain")),
+        arcs=(Arc("q", "feed", (x,)), Arc("feed", "q", (x,)), Arc("feed", "p", (x,)),
+              Arc("p", "pair", (x, x)), Arc("pair", "p", (x,)), Arc("pair", "r", (x,)),
+              Arc("p", "drain", (x, x)), Arc("drain", "r", (x, x))),
+    )
+    return instantiate(Module("m_ages", sig.name, net), s)
+
+
+def test_simulate_records_the_run_of_the_reference_recorder(branch, sys_tiny, sys_small,
+                                                            sys0, a0_script):
+    cases = [(system, random_policy(seed=seed, steps=20))
+             for system in (sys_tiny, sys_small, sys0) for seed in range(4)]
+    cases.append((sys0, scripted_policy(a0_script)))
+    cases += [(synthetic(branch, n, 3), random_policy(seed=seed, steps=100))
+              for n in (1, 2, 4, 8) for seed in range(3)]
+    ages = equal_tokens_system()
+    a = Binding({"x": Atom("a")})
+    cases += [(ages, random_policy(seed=seed, steps=12)) for seed in range(6)]
+    cases.append((ages, scripted_policy([("feed", a), ("pair", a), ("feed", a),
+                                         ("drain", a), ("feed", a), ("pair", a)])))
+    for system, policy in cases:
+        assert print_run(simulate(system, policy)) == print_run(reference_run(system, policy)), \
+            (system.name, policy)
+
+
+def test_of_equal_tokens_of_different_ages_an_event_takes_the_oldest():
+    a = Binding({"x": Atom("a")})
+    run = simulate(equal_tokens_system(),
+                   scripted_policy([("feed", a), ("pair", a), ("pair", a)]))
+    inner = run.inner
+    # b0 and b1 are the initial a's on p, b4 is feed's; pair takes the
+    # two oldest, then the younger two: feed's b4 and its own b6
+    assert [(c.id, c.place, c.value) for c in inner.conditions[:2]] == \
+        [("b0", "p", Atom("a")), ("b1", "p", Atom("a"))]
+    assert inner.pre("e1") == ("b0", "b1")
+    assert inner.post("e1") == ("b6", "b7")
+    assert inner.pre("e2") == ("b4", "b6")
+    assert print_run(run) == print_run(reference_run(
+        equal_tokens_system(), scripted_policy([("feed", a), ("pair", a), ("pair", a)])))
+
+
 def test_simulate_stops_at_a_deadlock_before_its_step_limit():
     # no corpus system deadlocks; this one does after its one firing
     system = one_shot_system("p", "go", "q", "v")
@@ -189,6 +243,31 @@ def test_equal_tokens_are_consumed_oldest_first(sys0, a0_script):
 
 def test_validate_reference_run(sys0, a0):
     assert validate_run(a0, sys0) == []
+
+
+def test_a_policy_rejects_an_unknown_mode_and_a_negative_step_limit():
+    with pytest.raises(ValueError, match=r"^unknown policy mode 'sometimes'$"):
+        SchedulingPolicy("sometimes")
+    with pytest.raises(ValueError, match=r"^step_limit must be >= 0$"):
+        SchedulingPolicy("random", step_limit=-1)
+
+
+def test_find_event_without_a_match_says_how_many_matched(a0):
+    with pytest.raises(ModelError, match=r"^0 events match enter \[c=Nobody\]$"):
+        find_event(a0, "enter", Binding({"c": Atom("Nobody")}))
+
+
+def test_a_schematic_module_is_no_run(sys0, kitchen):
+    with pytest.raises(ModelError, match=r"^module 'kitchen' is not a run$"):
+        linearize(kitchen)
+    report = validate_run(kitchen, sys0)
+    assert [(v.code, v.message) for v in report] == \
+        [("not-a-run", "module 'kitchen' has a schematic inner net")]
+
+
+def test_composing_two_empty_modules_as_runs_gives_an_empty_module():
+    result = compose_runs(empty_module("left"), empty_module("right"))
+    assert result == empty_module("right") and result.is_empty()
 
 
 # ---------------------------------------------------------------------------
