@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -64,29 +65,31 @@ def scripted_policy(steps) -> SchedulingPolicy:
 def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     """Execute up to ``step_limit`` firings and record them as a run.
 
-    The current cut is kept per place in creation order.  One
-    :class:`Stepper` enables and fires every step on the interned states
-    ``explore`` steps on: the initial marking is encoded once, the
+    One :class:`Stepper` enables and fires every step on the interned
+    states ``explore`` steps on: the initial marking is encoded once, the
     options at each state are :meth:`Stepper.enabled` of each transition
     in name order, and :meth:`Stepper.fire` gives the chosen one's tokens
     and the next state.  So a transition whose input tokens did not
     change is not matched again, and a repeated (transition, binding) is
     evaluated only once.  Each firing appends one event that consumes
     conditions holding its input tokens (among equal tokens, the oldest)
-    and produces fresh conditions for its output tokens.  The final cut
+    and produces fresh conditions for its output tokens, place by place
+    in name order and value by value in canonical order.  The current
+    cut is one queue of conditions per (place, value) in creation order,
+    so the oldest equal token is the head of its queue.  The final cut
     equals the marking reached by sequential replay.
     """
     net, s = sys.net, sys.structure
     conditions: list[Condition] = []
     events: list[Event] = []
     flow: list[tuple[str, str]] = []
-    cut: dict[str, list[Condition]] = {}
+    cut: defaultdict[tuple[str, Value], deque[Condition]] = defaultdict(deque)
 
-    def new_condition(place: str, value: Value) -> Condition:
+    def new_condition(place: str, value: Value) -> str:
         c = Condition(f"b{len(conditions)}", place, value)
         conditions.append(c)
-        cut.setdefault(place, []).append(c)
-        return c
+        cut[place, value].append(c)
+        return c.id
 
     for place, tokens in sys.initial.items():
         for v in tokens:
@@ -129,19 +132,20 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
             name, binding = options[rng.randrange(len(options))]
 
         (consumed, produced), state = stepper.fire(state, name, binding)
-        event = Event(f"e{len(events)}", name, binding)
-        events.append(event)
+        eid = f"e{len(events)}"
+        events.append(Event(eid, name, binding))
         for place in sorted(consumed):
-            pool = cut.get(place, [])
-            for value in Multiset._from_pairs(consumed[place]):
-                i = next(i for i, c in enumerate(pool) if c.value == value)
-                flow.append((pool.pop(i).id, event.id))
+            for value, n in _in_order(consumed[place]):
+                queue = cut[place, value]
+                for _ in range(n):
+                    flow.append((queue.popleft().id, eid))
         for place in sorted(produced):
-            for value in Multiset._from_pairs(produced[place]):
-                flow.append((event.id, new_condition(place, value).id))
+            for value, n in _in_order(produced[place]):
+                for _ in range(n):
+                    flow.append((eid, new_condition(place, value)))
         steps_taken += 1
 
-    final_conditions = [c for place in sorted(cut) for c in cut[place]]
+    final_conditions = [c for queue in cut.values() for c in queue]
     inner = OccurrenceNet(tuple(conditions), tuple(events), tuple(flow))
     return Module(
         f"{sys.name}_run", sys.name, inner,
@@ -150,10 +154,19 @@ def simulate(sys: System, policy: SchedulingPolicy) -> Module:
     )
 
 
+def _in_order(counts: dict[Value, int]) -> Iterable[tuple[Value, int]]:
+    """The ``(value, count)`` pairs of a token map in canonical value
+    order; a map of one value needs no sort."""
+    if len(counts) == 1:
+        return counts.items()
+    return sorted(counts.items(), key=lambda pair: pair[0].key())
+
+
 def _cut_interface(conds: list[Condition]) -> tuple[InterfaceElement, ...]:
     """Label a cut deterministically: ``place:value``, with ``#k`` added
-    when several conditions carry equal labels.  ``conds`` lists each
-    place's conditions in creation order, which numbers them."""
+    when several conditions carry equal labels.  ``conds`` lists the
+    conditions of each (place, value) in creation order, which numbers
+    them; the stable sort keeps that order."""
     ordered = sorted(conds, key=lambda c: (c.place, c.value.key()))
     by_label: dict[tuple[str, str], list[Condition]] = {}
     for c in ordered:
