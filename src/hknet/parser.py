@@ -255,8 +255,10 @@ class _Parser:
     def span(self, tok: _Token) -> SourceSpan:
         return self.lines.span(self.filename, tok[2], tok[2], max(len(tok[1]), 1))
 
-    def span_from(self, start: _Token) -> SourceSpan:
-        end = self.tokens[max(self.pos - 1, 0)]
+    def span_from(self, start: _Token, end: _Token | None = None) -> SourceSpan:
+        """From ``start`` to ``end``, by default the last token read."""
+        if end is None:
+            end = self.tokens[max(self.pos - 1, 0)]
         return self.lines.span(self.filename, start[2], end[2], max(len(end[1]), 1))
 
     # grammar helpers ------------------------------------------------------
@@ -651,18 +653,23 @@ class _Parser:
                 "event id", "duplicate event id", self.event_item),
             "flow": lambda: self.block(self.flow_item),
             "left": self.interface_items, "right": self.interface_items})
+        # the first token of each flow pair's first item (the reversed
+        # items put the first last), so that an error can point at it
+        flow_at = dict(reversed(found.get("flow", ())))
+        tokens = self.tokens
         # ids sort by length, then text: b2 before b10
         net = OccurrenceNet(
             conditions=tuple(sorted(found.get("conditions", ()),
                                     key=lambda c: (len(c.id), c.id))),
             events=tuple(sorted(found.get("events", ()),
                                 key=lambda e: (len(e.id), e.id))),
-            flow=tuple(sorted(set(found.get("flow", ())),
+            flow=tuple(sorted(flow_at,
                               key=lambda f: (len(f[0]), f[0], len(f[1]), f[1]))),
         )
         run = Module(name, of_name, net, tuple(found.get("left", ())),
                      tuple(found.get("right", ())), span=self.span_from(start))
-        _check_run(run, net)
+        _check_run(run, net, lambda pair: self.span_from(
+            tokens[flow_at[pair]], tokens[flow_at[pair] + 2]))
         return run
 
     def condition_item(self, id_tok: _Token) -> Condition:
@@ -696,12 +703,14 @@ class _Parser:
                 self.pos += 1
         return Binding(pairs)
 
-    def flow_item(self) -> tuple[str, str]:
+    def flow_item(self) -> tuple[tuple[str, str], int]:
+        """A flow pair and the index of its first token."""
+        at = self.pos
         src = self.expect("IDENT", what="flow source")[1]
         self.expect("->")
         tgt = self.expect("IDENT", what="flow target")[1]
         self.expect(";")
-        return (src, tgt)
+        return (src, tgt), at
 
 
 def _check_module(module: Module, net: SchematicNet) -> None:
@@ -710,13 +719,24 @@ def _check_module(module: Module, net: SchematicNet) -> None:
         raise ParseError(v.message, v.span)
 
 
-def _check_run(run: Module, net: OccurrenceNet) -> None:
+def _check_run(run: Module, net: OccurrenceNet,
+               flow_span: Callable[[tuple[str, str]], SourceSpan]) -> None:
+    """Raise at the first entry, in source order, that repeats the id of
+    an entry of the other kind, then at the first flow pair, in flow
+    order, that names an unknown node."""
     ids = {c.id for c in net.conditions} | {e.id for e in net.events}
     if len(ids) != len(net.conditions) + len(net.events):
-        raise ParseError("condition and event ids overlap", run.span)
-    for node in (node for arc in net.flow for node in arc):
-        if node not in ids:
-            raise ParseError(f"flow mentions unknown node {node!r}", run.span)
+        events = {e.id: e for e in net.events}
+
+        def at(entry: Condition | Event) -> tuple[int, int]:
+            return (entry.span.line, entry.span.col)
+        repeat = min((max(c, events[c.id], key=at)
+                      for c in net.conditions if c.id in events), key=at)
+        raise ParseError("condition and event ids overlap", repeat.span)
+    for arc in net.flow:
+        for node in arc:
+            if node not in ids:
+                raise ParseError(f"flow mentions unknown node {node!r}", flow_span(arc))
     for v in interface_violations(run):
         raise ParseError(v.message, v.span)
 

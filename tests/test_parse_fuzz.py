@@ -161,9 +161,11 @@ HAND_WRITTEN = [
     ('document', 'run r { events { e1 = t; } }',
      "error m.hk:1:24: expected '[', found ';' (to 1:25)"),
     ('document', 'run r { conditions { b1 = p a; } events { b1 = t []; } }',
-     'error m.hk:1:1: condition and event ids overlap (to 1:57)'),
+     'error m.hk:1:43: condition and event ids overlap (to 1:45)'),
+    ('document', 'run r { events { b1 = t []; } conditions { b1 = p a; } }',
+     'error m.hk:1:44: condition and event ids overlap (to 1:46)'),
     ('document', 'run r { conditions { b1 = p a; } flow { b1 -> e9; } }',
-     "error m.hk:1:1: flow mentions unknown node 'e9' (to 1:54)"),
+     "error m.hk:1:41: flow mentions unknown node 'e9' (to 1:49)"),
     ('document', 'run r { conditions { b1 = p a; } left { place x = b2; } }',
      "error m.hk:1:47: left interface exposes unknown element 'b2' (to 1:48)"),
     ('document', 'run r { conditions { b1 = p a; } right { trans x = b1; } }',
