@@ -656,7 +656,6 @@ class _Parser:
         # the first token of each flow pair's first item (the reversed
         # items put the first last), so that an error can point at it
         flow_at = dict(reversed(found.get("flow", ())))
-        tokens = self.tokens
         # ids sort by length, then text: b2 before b10
         net = OccurrenceNet(
             conditions=tuple(sorted(found.get("conditions", ()),
@@ -669,7 +668,7 @@ class _Parser:
         run = Module(name, of_name, net, tuple(found.get("left", ())),
                      tuple(found.get("right", ())), span=self.span_from(start))
         _check_run(run, net, lambda pair: self.span_from(
-            tokens[flow_at[pair]], tokens[flow_at[pair] + 2]))
+            self.tokens[flow_at[pair]], self.tokens[flow_at[pair] + 2]))
         return run
 
     def condition_item(self, id_tok: _Token) -> Condition:
