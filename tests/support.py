@@ -388,10 +388,10 @@ def reference_simulate(system, policy) -> tuple[list[tuple[str, Binding]], Marki
 
 
 def reference_run(system, policy) -> Module:
-    """The run ``simulate`` records under ``policy``, by the recorder it
-    had before its cut became queues: :func:`reference_simulate`'s steps,
-    each step's tokens evaluated afresh from its arc inscriptions, and
-    the cut kept per place in creation order.  A step takes its tokens
+    """The run ``simulate`` records under ``policy``, by the definitional
+    recorder: :func:`reference_simulate`'s steps, each step's tokens
+    evaluated afresh from its arc inscriptions, and the cut kept as one
+    list per place in creation order.  A step takes its tokens
     place by place in name order, value by value in canonical order, and
     finds each by a linear scan of its place's cut (of equal tokens, the
     oldest); then it puts its output tokens on, in the same order, as
