@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
-from .errors import CompositionError, Violation
+from .errors import CompositionError, ModelError, Violation
 from .nets import (Arc, Condition, Event, OccurrenceNet, Place, SchematicNet,
                    Transition)
 from .signature import render_sort
@@ -151,34 +151,41 @@ def rename_elements(m: Module, mapping: Mapping[str, str]) -> Module:
 
 def _rebuilt(m: Module, mapping: Mapping[str, str], rank: Callable[[str], int]) -> Module:
     """``m`` with each inner id ``x`` renamed to ``mapping.get(x, x)`` and
-    every field kept.  Nodes are ordered by the ``rank`` of their old id,
-    arcs and flow by the ranks of their two ends; the sort is stable."""
+    every field kept, in :func:`_ordered`'s order."""
 
     def ren(x: str) -> str:
         return mapping.get(x, x)
 
-    inner = m.inner
-    if isinstance(inner, SchematicNet):
+    nodes, more, arcs = _ordered(m.inner, rank)
+    if isinstance(m.inner, SchematicNet):
         new_inner: SchematicNet | OccurrenceNet = SchematicNet(
-            tuple(Place(ren(p.name), p.sort, p.init, p.span)
-                  for p in sorted(inner.places, key=lambda p: rank(p.name))),
+            tuple(Place(ren(p.name), p.sort, p.init, p.span) for p in nodes),
             tuple(Transition(ren(t.name), t.guard, t.free, t.variables, t.span)
-                  for t in sorted(inner.transitions, key=lambda t: rank(t.name))),
-            tuple(Arc(ren(a.source), ren(a.target), a.inscription, a.span)
-                  for a in sorted(inner.arcs, key=lambda a: (rank(a.source), rank(a.target)))))
+                  for t in more),
+            tuple(Arc(ren(a.source), ren(a.target), a.inscription, a.span) for a in arcs))
     else:
         new_inner = OccurrenceNet(
-            tuple(Condition(ren(c.id), c.place, c.value, c.span)
-                  for c in sorted(inner.conditions, key=lambda c: rank(c.id))),
-            tuple(Event(ren(e.id), e.transition, e.binding, e.span)
-                  for e in sorted(inner.events, key=lambda e: rank(e.id))),
-            tuple((ren(s), ren(t))
-                  for s, t in sorted(inner.flow, key=lambda f: (rank(f[0]), rank(f[1])))))
+            tuple(Condition(ren(c.id), c.place, c.value, c.span) for c in nodes),
+            tuple(Event(ren(e.id), e.transition, e.binding, e.span) for e in more),
+            tuple((ren(s), ren(t)) for s, t in arcs))
 
     def exposed(side: tuple[InterfaceElement, ...]) -> tuple[InterfaceElement, ...]:
         return tuple(InterfaceElement(e.kind, e.label, ren(e.ref), e.span) for e in side)
 
     return Module(m.name, m.sig, new_inner, exposed(m.left), exposed(m.right), m.span)
+
+
+def _ordered(inner: SchematicNet | OccurrenceNet, rank: Callable[[str], int]) -> tuple:
+    """The places (conditions), transitions (events) and arcs (flow) of
+    ``inner`` as lists: nodes ordered by the ``rank`` of their id, arcs by
+    the ranks of their two ends; the sorts are stable."""
+    if isinstance(inner, SchematicNet):
+        return (sorted(inner.places, key=lambda p: rank(p.name)),
+                sorted(inner.transitions, key=lambda t: rank(t.name)),
+                sorted(inner.arcs, key=lambda a: (rank(a.source), rank(a.target))))
+    return (sorted(inner.conditions, key=lambda c: rank(c.id)),
+            sorted(inner.events, key=lambda e: rank(e.id)),
+            sorted(inner.flow, key=lambda f: (rank(f[0]), rank(f[1]))))
 
 
 def _fresh_id(base: str, used: set[str]) -> str:
@@ -377,6 +384,8 @@ def canonicalize(m: Module) -> Module:
     interface labels.  Inner identifiers, the module name, and any
     non-structural order (inscription multisets, set-literal elements,
     guard conjunctions) carry no meaning and are normalized away.
+    :func:`canonical_equal` compares two canonical forms without
+    building them.
 
     The order of the nodes is the leaf with the least certificate in an
     individualisation-refinement search (McKay & Piperno, "Practical
@@ -391,27 +400,7 @@ def canonicalize(m: Module) -> Module:
     an explored one lacks, so the least certificate and the first leaf
     reaching it stay the same.  Idempotent.
     """
-    m = _normalize_module(m)
-    by_label = attrgetter("kind", "label")
-    m = Module("_", "", m.inner, tuple(sorted(m.left, key=by_label)),
-               tuple(sorted(m.right, key=by_label)))
-    ids, graph = _labelling_graph(m)
-    if not ids:
-        return Module("_", "", type(m.inner)(), m.left, m.right)
-
-    order, _ = _canonical_search(*graph)
-    kinds = _inner_ids(m.inner)
-    run = m.is_run()
-    prefix = {PLACE: "b" if run else "p", TRANSITION: "e" if run else "t"}
-    counts = {PLACE: 0, TRANSITION: 0}
-    names: dict[str, str] = {}
-    position: dict[str, int] = {}
-    for i, v in enumerate(order):
-        node = ids[v]
-        kind = kinds[node]
-        names[node] = prefix[kind] + str(counts[kind])
-        counts[kind] += 1
-        position[node] = i
+    m, names, position = _canonical_renaming(m)
     return _rebuilt(m, names, position.__getitem__)
 
 
@@ -427,7 +416,55 @@ def automorphisms(m: Module) -> list[dict[str, str]]:
 
 
 def canonical_equal(a: Module, b: Module) -> bool:
-    return canonicalize(a) == canonicalize(b)
+    """``canonicalize(a) == canonicalize(b)``, without building either."""
+    return _compared(a) == _compared(b)
+
+
+def _canonical_renaming(m: Module) -> tuple[Module, dict[str, str], dict[str, int]]:
+    """``m`` normalized, named ``_`` with no signature and its interfaces
+    sorted by (kind, label); the canonical name of each inner id; and each
+    id's position in the canonical order."""
+    m = _normalize_module(m)
+    by_label = attrgetter("kind", "label")
+    m = Module("_", "", m.inner, tuple(sorted(m.left, key=by_label)),
+               tuple(sorted(m.right, key=by_label)))
+    ids, graph = _labelling_graph(m)
+    order, _ = _canonical_search(*graph)
+    kinds = _inner_ids(m.inner)
+    run = m.is_run()
+    prefix = {PLACE: "b" if run else "p", TRANSITION: "e" if run else "t"}
+    counts = {PLACE: 0, TRANSITION: 0}
+    names: dict[str, str] = {}
+    position: dict[str, int] = {}
+    for i, v in enumerate(order):
+        node = ids[v]
+        kind = kinds[node]
+        names[node] = prefix[kind] + str(counts[kind])
+        counts[kind] += 1
+        position[node] = i
+    return m, names, position
+
+
+def _compared(m: Module) -> tuple:
+    """What ``Module.__eq__`` compares of ``canonicalize(m)``, as plain
+    tuples in :func:`_rebuilt`'s order: the net's type, each element's
+    compared fields with its ids renamed, and each interface element's
+    (kind, label, renamed ref)."""
+    m, names, position = _canonical_renaming(m)
+    nodes, more, arcs = _ordered(m.inner, position.__getitem__)
+    if isinstance(m.inner, SchematicNet):
+        net = (tuple([(names[p.name], p.sort, p.init) for p in nodes]),
+               tuple([(names[t.name], t.guard, t.free) for t in more]),
+               tuple([(names[a.source], names[a.target], a.inscription) for a in arcs]))
+    else:
+        net = (tuple([(names[c.id], c.place, c.value) for c in nodes]),
+               tuple([(names[e.id], e.transition, e.binding) for e in more]),
+               tuple([(names[s], names[t]) for s, t in arcs]))
+
+    def exposed(side: tuple[InterfaceElement, ...]) -> tuple:
+        return tuple([(e.kind, e.label, names.get(e.ref, e.ref)) for e in side])
+
+    return type(m.inner), net, exposed(m.left), exposed(m.right)
 
 
 def _normalize_term(t):
@@ -471,31 +508,44 @@ def _labelling_graph(m: Module):
 
     A decoration renders a node's kind, labels and interface tags; an
     edge label renders its inscription.  Ranks follow the order of these
-    strings.  A node's colour lies in ``[-n, n)``, so ``base + colour``
-    with ``base = label * (2n + 1) + n`` orders the neighbours of one node
-    as ``(label, colour)`` pairs do."""
-    decor: dict[str, str] = {}
+    strings, and among equal strings that of the sorted tags, as a label
+    may hold the ``;`` that joins them.  A run renders each distinct
+    (place, value) and (transition, binding) once.  A node's colour lies
+    in ``[-n, n)``, so ``base + colour`` with ``base = label * (2n + 1) +
+    n`` orders the neighbours of one node as ``(label, colour)`` pairs
+    do.  An arc or flow pair naming an unknown node is an error."""
+    decor: dict[str, tuple[str, tuple[str, ...]]] = {}
     inner = m.inner
     if isinstance(inner, SchematicNet):
         for p in inner.places:
             sort = render_sort(p.sort) if p.sort is not None else ""
             init = ",".join(sorted(render_term(t) for t in p.init))
-            decor[p.name] = f"place|{sort}|{init}"
+            decor[p.name] = (f"place|{sort}|{init}", ())
         for t in inner.transitions:
             guard = " and ".join(sorted(
                 f"{render_term(a.left)} {a.op} {render_term(a.right)}"
                 for a in t.guard.atoms))
             free = ",".join(f"{n}:{render_sort(s)}" for n, s in sorted(t.free))
-            decor[t.name] = f"trans|{guard}|{free}"
-        labelled = ((a.source, a.target,
-                     ",".join(sorted(render_term(t) for t in a.inscription)))
-                    for a in inner.arcs)
+            decor[t.name] = (f"trans|{guard}|{free}", ())
+        labelled = [(a.source, a.target,
+                     ",".join(sorted(render_term(t) for t in a.inscription)), a)
+                    for a in inner.arcs]
     else:
+        conditions: dict = {}
         for c in inner.conditions:
-            decor[c.id] = f"cond|{c.place}|{render_value(c.value)}"
+            label = (c.place, c.value)
+            d = conditions.get(label)
+            if d is None:
+                d = conditions[label] = (f"cond|{c.place}|{render_value(c.value)}", ())
+            decor[c.id] = d
+        events: dict = {}
         for e in inner.events:
-            decor[e.id] = f"event|{e.transition}|{render_binding(e.binding)}"
-        labelled = ((s, t, "") for s, t in inner.flow)
+            label = (e.transition, e.binding)
+            d = events.get(label)
+            if d is None:
+                d = events[label] = (f"event|{e.transition}|{render_binding(e.binding)}", ())
+            decor[e.id] = d
+        labelled = [(s, t, "", None) for s, t in inner.flow]
 
     anchors: dict[str, list[str]] = {}
     for side_name, side in (("L", m.left), ("R", m.right)):
@@ -503,22 +553,28 @@ def _labelling_graph(m: Module):
             anchors.setdefault(e.ref, []).append(f"{side_name}:{e.kind}:{e.label}")
     for node, tags in anchors.items():
         if node in decor:
-            decor[node] += "|" + ";".join(sorted(tags))
+            tags.sort()
+            decor[node] = (decor[node][0] + "|" + ";".join(tags), tuple(tags))
 
     ids = sorted(decor)
     n = len(ids)
     index = {node: i for i, node in enumerate(ids)}
-    edges = [(index[s], index[t], label) for s, t, label in labelled
-             if s in index and t in index]
-    ranks = {d: r for r, d in enumerate(sorted(set(decor.values())))}
-    labels = {label: r for r, label in enumerate(sorted({e[2] for e in edges}))}
-    arcs = [(s, t, labels[label]) for s, t, label in edges]
+    labels = {label: r for r, label in enumerate(sorted({x[2] for x in labelled}))}
+    arcs = []
     outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, t, label in arcs:
-        base = label * (2 * n + 1) + n
-        outs[s].append((base, t))
-        ins[t].append((base, s))
+    for s, t, label, arc in labelled:
+        if s not in index or t not in index:
+            what = "flow" if arc is None else "arc"
+            raise ModelError(f"{what} {s} -> {t} mentions unknown node "
+                             f"{s if s not in index else t!r}",
+                             None if arc is None else arc.span)
+        i, j, r = index[s], index[t], labels[label]
+        arcs.append((i, j, r))
+        base = r * (2 * n + 1) + n
+        outs[i].append((base, j))
+        ins[j].append((base, i))
+    ranks = {d: r for r, d in enumerate(sorted(set(decor.values())))}
     return ids, ([ranks[decor[node]] for node in ids], arcs, outs, ins)
 
 
@@ -533,8 +589,9 @@ def _refine(color: list[int], cells: dict[int, list[int]], changed,
     the partition was last equitable.
 
     A round keys the nodes of each cell next to a changed node by the
-    sorted ``(label, colour)`` pairs of their out- and then in-neighbours,
-    and splits the cell by key, parts in key order.  Members with no
+    sorted ``(label, colour)`` pairs of their out- and then in-neighbours
+    (one pair needs no sort), and splits the cell by key, parts in key
+    order.  Members with no
     changed neighbour share one key, as their cell was equitable towards
     the cells they see.  Only the parts other than a largest one count as
     changed for the next round (Hopcroft): a neighbour count into the
@@ -551,8 +608,11 @@ def _refine(color: list[int], cells: dict[int, list[int]], changed,
                         touched.setdefault(c, set()).add(w)
 
         def key(v: int) -> tuple:
-            return (tuple(sorted([base + color[w] for base, w in outs[v]])),
-                    tuple(sorted([base + color[w] for base, w in ins[v]])))
+            out, into = outs[v], ins[v]
+            return ((out[0][0] + color[out[0][1]],) if len(out) == 1
+                    else tuple(sorted([base + color[w] for base, w in out])),
+                    (into[0][0] + color[into[0][1]],) if len(into) == 1
+                    else tuple(sorted([base + color[w] for base, w in into])))
 
         splits = []
         for c, near in touched.items():

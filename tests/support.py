@@ -995,8 +995,9 @@ def digest(text: str) -> str:
 # is factorial in interchangeable nodes, so keep its inputs small.
 
 def reference_module_graph(m: Module):
-    """Id-free node decorations and adjacency for canonical labeling."""
-    decor: dict[str, str] = {}
+    """Id-free node decorations, each a string and its sorted interface
+    tags, and adjacency for canonical labeling."""
+    decor: dict[str, object] = {}
     kinds: dict[str, str] = {}
     out_adj: dict[str, list[tuple[str, str]]] = {}
     in_adj: dict[str, list[tuple[str, str]]] = {}
@@ -1031,9 +1032,11 @@ def reference_module_graph(m: Module):
             kinds[e.id] = TRANSITION
         edges = [(s, t, "") for s, t in inner.flow]
 
-    for node, tags in anchors.items():
-        if node in decor:
-            decor[node] += "|" + ";".join(sorted(tags))
+    # a label may hold the ";" that joins the tags, so the sorted tags
+    # rank nodes whose strings are equal
+    for node in decor:
+        tags = tuple(sorted(anchors.get(node, ())))
+        decor[node] = (decor[node] + "|" + ";".join(tags) if tags else decor[node], tags)
     ids = sorted(decor)
     for n in ids:
         out_adj[n] = []

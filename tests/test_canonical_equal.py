@@ -14,13 +14,16 @@ import random
 from dataclasses import replace
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hknet import (Atom, Binding, Guard, GuardAtom, Ident, InterfaceElement,
-                   Module, SchematicNet, SortName, canonical_equal, canonicalize,
-                   compose_all, empty_module, empty_run, parse, print_run,
-                   random_policy, simulate)
+from hknet import (Arc, Atom, Binding, Condition, Event, Guard, GuardAtom, Ident,
+                   InterfaceElement, ModelError, Module, OccurrenceNet, Place,
+                   SchematicNet, SortName, Transition, canonical_equal,
+                   canonicalize, compose_all, empty_module, empty_run, parse,
+                   print_run, random_policy, simulate)
 from hknet.modules import PLACE, TRANSITION
+from hknet.spans import SourceSpan
 
 from conftest import load, synthetic
 from support import (_random_module_doc, _random_run_doc, compatible_triple,
@@ -170,3 +173,44 @@ def test_the_empty_module_and_the_empty_run():
                                                 InterfaceElement(PLACE, "a", "p")))
     assert agreed(labelled, replace(labelled, left=labelled.left[::-1]))
     assert not agreed(labelled, empty_module())
+
+
+# ---------------------------------------------------------------------------
+# Labels that hold the tag separator; arcs to unknown nodes
+# ---------------------------------------------------------------------------
+
+def colliding_labels(first: str, second: str) -> Module:
+    """Places ``first`` and ``second``, where ``first``'s one tag, the left
+    label ``x;R:place:y``, renders as ``second``'s two tags joined by ``;``."""
+    return Module("m", "", SchematicNet((Place("p"), Place("q"))),
+                  (InterfaceElement(PLACE, "x;R:place:y", first),
+                   InterfaceElement(PLACE, "x", second)),
+                  (InterfaceElement(PLACE, "y", second),))
+
+
+def test_labels_holding_the_tag_separator_keep_the_form_canonical():
+    a, b = colliding_labels("p", "q"), colliding_labels("q", "p")
+    assert agreed(a, b)
+    assert canonicalize(a) == canonicalize(b) == reference_canonicalize(b)
+    assert canonicalize(a).left == (InterfaceElement(PLACE, "x", "p0"),
+                                    InterfaceElement(PLACE, "x;R:place:y", "p1"))
+
+
+def test_an_arc_to_an_unknown_node_is_named():
+    run = Module("r", "", OccurrenceNet(
+        (Condition("b0", "p", Atom("a")),), (Event("e0", "t", Binding()),),
+        (("b0", "e0"), ("e0", "b9"))))
+    span = SourceSpan("m.hk", 3, 5, 3, 16)
+    net = Module("m", "", SchematicNet(
+        (Place("p"),), (Transition("t"),),
+        (Arc("p", "t", (Ident("x"),)), Arc("t9", "p", (Ident("x"),), span))))
+    for m, message in ((run, "flow e0 -> b9 mentions unknown node 'b9'"),
+                       (net, "arc t9 -> p mentions unknown node 't9'")):
+        for call in (lambda: canonicalize(m), lambda: canonical_equal(m, m),
+                     lambda: canonical_equal(empty_module(), m)):
+            with pytest.raises(ModelError) as caught:
+                call()
+            assert caught.value.message == message
+    with pytest.raises(ModelError) as caught:
+        canonicalize(net)
+    assert caught.value.span == span
