@@ -156,17 +156,17 @@ def _rebuilt(m: Module, mapping: Mapping[str, str], rank: Callable[[str], int]) 
     def ren(x: str) -> str:
         return mapping.get(x, x)
 
-    nodes, more, arcs = _ordered(m.inner, rank)
+    places, transitions, arcs = _ordered(m.inner, rank)
     if isinstance(m.inner, SchematicNet):
         new_inner: SchematicNet | OccurrenceNet = SchematicNet(
-            tuple(Place(ren(p.name), p.sort, p.init, p.span) for p in nodes),
+            tuple(Place(ren(p.name), p.sort, p.init, p.span) for p in places),
             tuple(Transition(ren(t.name), t.guard, t.free, t.variables, t.span)
-                  for t in more),
+                  for t in transitions),
             tuple(Arc(ren(a.source), ren(a.target), a.inscription, a.span) for a in arcs))
     else:
         new_inner = OccurrenceNet(
-            tuple(Condition(ren(c.id), c.place, c.value, c.span) for c in nodes),
-            tuple(Event(ren(e.id), e.transition, e.binding, e.span) for e in more),
+            tuple(Condition(ren(c.id), c.place, c.value, c.span) for c in places),
+            tuple(Event(ren(e.id), e.transition, e.binding, e.span) for e in transitions),
             tuple((ren(s), ren(t)) for s, t in arcs))
 
     def exposed(side: tuple[InterfaceElement, ...]) -> tuple[InterfaceElement, ...]:
@@ -176,9 +176,9 @@ def _rebuilt(m: Module, mapping: Mapping[str, str], rank: Callable[[str], int]) 
 
 
 def _ordered(inner: SchematicNet | OccurrenceNet, rank: Callable[[str], int]) -> tuple:
-    """The places (conditions), transitions (events) and arcs (flow) of
-    ``inner`` as lists: nodes ordered by the ``rank`` of their id, arcs by
-    the ranks of their two ends; the sorts are stable."""
+    """The places, transitions and arcs of ``inner`` (a run's conditions,
+    events and flow) as lists: nodes ordered by the ``rank`` of their id,
+    arcs by the ranks of their two ends; the sorts are stable."""
     if isinstance(inner, SchematicNet):
         return (sorted(inner.places, key=lambda p: rank(p.name)),
                 sorted(inner.transitions, key=lambda t: rank(t.name)),
@@ -451,14 +451,14 @@ def _compared(m: Module) -> tuple:
     compared fields with its ids renamed, and each interface element's
     (kind, label, renamed ref)."""
     m, names, position = _canonical_renaming(m)
-    nodes, more, arcs = _ordered(m.inner, position.__getitem__)
+    places, transitions, arcs = _ordered(m.inner, position.__getitem__)
     if isinstance(m.inner, SchematicNet):
-        net = (tuple([(names[p.name], p.sort, p.init) for p in nodes]),
-               tuple([(names[t.name], t.guard, t.free) for t in more]),
+        net = (tuple([(names[p.name], p.sort, p.init) for p in places]),
+               tuple([(names[t.name], t.guard, t.free) for t in transitions]),
                tuple([(names[a.source], names[a.target], a.inscription) for a in arcs]))
     else:
-        net = (tuple([(names[c.id], c.place, c.value) for c in nodes]),
-               tuple([(names[e.id], e.transition, e.binding) for e in more]),
+        net = (tuple([(names[c.id], c.place, c.value) for c in places]),
+               tuple([(names[e.id], e.transition, e.binding) for e in transitions]),
                tuple([(names[s], names[t]) for s, t in arcs]))
 
     def exposed(side: tuple[InterfaceElement, ...]) -> tuple:
@@ -533,17 +533,17 @@ def _labelling_graph(m: Module):
     else:
         conditions: dict = {}
         for c in inner.conditions:
-            label = (c.place, c.value)
-            d = conditions.get(label)
+            key = (c.place, c.value)
+            d = conditions.get(key)
             if d is None:
-                d = conditions[label] = (f"cond|{c.place}|{render_value(c.value)}", ())
+                d = conditions[key] = (f"cond|{c.place}|{render_value(c.value)}", ())
             decor[c.id] = d
         events: dict = {}
         for e in inner.events:
-            label = (e.transition, e.binding)
-            d = events.get(label)
+            key = (e.transition, e.binding)
+            d = events.get(key)
             if d is None:
-                d = events[label] = (f"event|{e.transition}|{render_binding(e.binding)}", ())
+                d = events[key] = (f"event|{e.transition}|{render_binding(e.binding)}", ())
             decor[e.id] = d
         labelled = [(s, t, "", None) for s, t in inner.flow]
 
