@@ -169,6 +169,19 @@ def test_nullspace_matches_rational_oracle(case):
     assert nullspace(matrix, width) == rational_nullspace(matrix, width)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=integer_matrices(), data=st.data())
+def test_elimination_ignores_the_order_of_rows(case, data):
+    # the reduced row-echelon form is unique for a row space, so reordering
+    # the rows may change the work done but never a basis or a verdict
+    matrix, width = case
+    shuffled = data.draw(st.permutations(matrix))
+    assert nullspace(shuffled, width) == nullspace(matrix, width)
+    vector = data.draw(st.lists(SMALL, min_size=width, max_size=width))
+    for candidate in (vector, [sum(row[i] for row in matrix) for i in range(width)]):
+        assert in_span(shuffled, candidate) == in_span(matrix, candidate)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_in_span_matches_rational_oracle(data):
