@@ -18,10 +18,10 @@ from math import gcd, lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import EvalError, ModelError
-from .nets import Marking, Stepper, guarded_occurrence
+from .nets import Marking, Stepper, _kernel
 from .signature import carrier_of
 from .systems import System
-from .terms import Binding, enumerate_bindings, render_binding
+from .terms import Binding, _carrier_product, render_binding
 from .values import Value, render_value
 
 
@@ -47,6 +47,15 @@ class GroundedNet:
         """Per transition, its nonzero effect: {place index: post - pre}."""
         return tuple({p: n for p in {**pre, **post} if (n := post.get(p, 0) - pre.get(p, 0))}
                      for pre, post in zip(self.pre_columns, self.post_columns))
+
+    @cached_property
+    def incidence_rows(self) -> tuple[dict[int, int], ...]:
+        """Per place, its nonzero effects: {transition index: post - pre}."""
+        rows: tuple[dict[int, int], ...] = tuple({} for _ in self.places)
+        for t, column in enumerate(self.incidence_columns):
+            for p, n in column.items():
+                rows[p][t] = n
+        return rows
 
     @cached_property
     def pre(self) -> tuple[tuple[int, ...], ...]:
@@ -76,15 +85,6 @@ class GroundedNet:
         return tuple(m.get(place).count(value) for place, value in self.places)
 
 
-def _rows(columns: Sequence[dict[int, int]], height: int) -> tuple[dict[int, int], ...]:
-    """The ``height`` sparse rows of the matrix with sparse ``columns``."""
-    rows: tuple[dict[int, int], ...] = tuple({} for _ in range(height))
-    for j, column in enumerate(columns):
-        for i, n in column.items():
-            rows[i][j] = n
-    return rows
-
-
 def _sparse(row: Iterable[int]) -> dict[int, int]:
     return {c: v for c, v in enumerate(row) if v}
 
@@ -97,7 +97,9 @@ def ground(sys: System) -> GroundedNet:
     sorted.  Binding domains run through the same powerset cap as
     enumeration.  A binding under which evaluation fails, or which puts
     a token outside a place's carrier, can never fire and gets no
-    column.
+    column.  Each transition's kernel evaluates its guard and then its
+    arcs on one plain dict per binding; a :class:`Binding` is built only
+    for the bindings that get a column.
     """
     net, s = sys.net, sys.structure
     places: list[tuple[str, Value]] = []
@@ -111,19 +113,21 @@ def ground(sys: System) -> GroundedNet:
 
     kept: list[tuple[tuple[str, Binding], dict[int, int], dict[int, int]]] = []
     for t in sorted(net.transitions, key=lambda t: t.name):
-        for b in enumerate_bindings(t.variables or (), s):
+        names, combos = _carrier_product(t.variables or (), s)
+        kernel = _kernel(net, t.name, s)
+        for combo in combos:
+            env = dict(zip(names, combo))
             try:
-                found = guarded_occurrence(net, t.name, b, s)
+                if not kernel.holds(env):
+                    continue
+                consumed, produced = kernel.occurrence(env)
             except EvalError:
                 continue
-            if found is None:
-                continue
-            consumed, produced = found
             pre, post = ({place_index.get((place, v)): n for place, counts in tokens.items()
                           for v, n in counts.items()} for tokens in (consumed, produced))
             if None in pre or None in post:
                 continue  # a token outside its place's carrier
-            kept.append(((t.name, b), pre, post))
+            kept.append(((t.name, Binding._from_sorted(tuple(zip(names, combo)))), pre, post))
 
     initial = tuple(sys.initial.get(place).count(value) for place, value in places)
     transitions, pre_cols, post_cols = (tuple(k[i] for k in kept) for i in range(3))
@@ -137,9 +141,17 @@ def ground(sys: System) -> GroundedNet:
 def _rref(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Reduced row-echelon form of sparse integer rows, up to row scaling,
     as {pivot column: primitive row}, by fraction-free Gauss-Jordan
-    elimination: each new pivot row back-reduces the earlier ones."""
+    elimination: each new pivot row back-reduces the earlier ones.
+
+    The form is unique for the row space, so the order in which rows are
+    taken changes only the fill-in on the way.  They are taken by
+    descending last column, a fixed fill-reducing order: on the grounded
+    incidence matrices of the corpus and of the synthetic structures
+    s_n_k, elimination then reads a third to a half fewer row entries
+    than in the given order, and fewer than in reversed order, by
+    ascending length or by first column."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=lambda row: max(row, default=-1), reverse=True):
         row = _reduce(row, pivots)
         if not row:
             continue
@@ -174,47 +186,59 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int
 
 
 def nullspace(matrix: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Integer basis of {x : matrix @ x = 0} for a dense matrix of ``width`` columns."""
+    """Integer basis of {x : matrix @ x = 0} for a dense matrix of ``width``
+    columns; a ValueError names a row of another length."""
+    for i, row in enumerate(matrix):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, not the width {width}")
     return _basis(_rref(_sparse(row) for row in matrix), width)
 
 
 def _basis(pivots: dict[int, dict[int, int]], width: int) -> list[tuple[int, ...]]:
     """The null-space basis read off a reduced row-echelon form: one
     vector per free column, scaled to coprime integers with a positive
-    first nonzero entry."""
+    first nonzero entry.  A pivot row's entries off its pivot lie in free
+    columns, so one pass indexes, per free column, the rows that use it."""
+    uses: dict[int, list[int]] = {}
+    for p, row in pivots.items():
+        for c in row:
+            if c != p:
+                uses.setdefault(c, []).append(p)
     basis: list[tuple[int, ...]] = []
     for free in range(width):
         if free in pivots:
             continue
-        uses = [(p, row) for p, row in pivots.items() if free in row]
-        scale = lcm(*(row[p] for p, row in uses))
+        rows = uses.get(free, ())
+        scale = lcm(*(pivots[p][p] for p in rows))
+        vec = {free: scale}
+        for p in rows:
+            vec[p] = -pivots[p][free] * scale // pivots[p][p]
+        g = gcd(*vec.values())
+        if vec[min(vec)] < 0:
+            g = -g
         x = [0] * width
-        x[free] = scale
-        for p, row in uses:
-            x[p] = -row[free] * scale // row[p]
-        g = gcd(*x)
-        sign = -1 if next(v for v in x if v) < 0 else 1
-        basis.append(tuple(sign * v // g for v in x))
+        for c, v in vec.items():
+            x[c] = v // g
+        basis.append(tuple(x))
     return basis
 
 
 def place_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {i : i^T C = 0}; each vector is re-verified."""
-    return _invariants("place", g.incidence_columns, len(g.places))
+    return _invariants("place", g.incidence_columns, g.incidence_rows)
 
 
 def transition_invariants(g: GroundedNet) -> list[tuple[int, ...]]:
     """Integer basis of {j : C j = 0}; each vector is re-verified."""
-    return _invariants("transition", _rows(g.incidence_columns, len(g.places)),
-                       len(g.transitions))
+    return _invariants("transition", g.incidence_rows, g.incidence_columns)
 
 
 def _invariants(kind: str, rows: Sequence[dict[int, int]],
-                width: int) -> list[tuple[int, ...]]:
-    """Integer basis of {x : M x = 0} for M of sparse ``rows`` and ``width`` columns;
-    each vector is re-verified by summing ``columns[k] * x`` over its ``x != 0``."""
-    basis = _basis(_rref(rows), width)
-    columns = _rows(rows, width)
+                columns: Sequence[dict[int, int]]) -> list[tuple[int, ...]]:
+    """Integer basis of {x : M x = 0} for M of sparse ``rows`` and the same
+    sparse ``columns``; each vector is re-verified by summing
+    ``columns[k] * x`` over its ``x != 0``."""
+    basis = _basis(_rref(rows), len(columns))
     for i, vec in enumerate(basis):
         total: dict[int, int] = {}
         for k, x in enumerate(vec):
@@ -229,7 +253,12 @@ def _invariants(kind: str, rows: Sequence[dict[int, int]],
 
 def in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
     """Exact test that ``vector`` is a rational combination of ``basis``:
-    it reduces to zero against the echelon form of the basis vectors."""
+    it reduces to zero against the echelon form of the basis vectors.  A
+    ValueError names a basis vector whose length differs from ``vector``'s."""
+    for i, b in enumerate(basis):
+        if len(b) != len(vector):
+            raise ValueError(f"basis vector {i} has {len(b)} entries, "
+                             f"the vector {len(vector)}")
     return not _reduce(_sparse(vector), _rref(_sparse(b) for b in basis))
 
 

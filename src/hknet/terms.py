@@ -335,10 +335,18 @@ def enumerate_bindings(variables: Sequence[tuple[str, Sort]],
     name and their carriers in canonical value order, so the stream is
     lexicographic overall.
     """
+    names, combos = _carrier_product(variables, s)
+    for combo in combos:
+        yield Binding(zip(names, combo))
+
+
+def _carrier_product(variables: Sequence[tuple[str, Sort]],
+                     s: Structure) -> tuple[list[str], Iterator[tuple[Value, ...]]]:
+    """The names of ``variables`` in sorted order, and the values of
+    each binding of :func:`enumerate_bindings` in its order, one per
+    name; an EvalError if a name occurs twice."""
     ordered = sorted(variables, key=lambda nv: nv[0])
     names = [n for n, _ in ordered]
     if len(set(names)) != len(names):
         raise EvalError(f"duplicate variable names in {names}")
-    domains = [carrier_of(sort, s) for _, sort in ordered]
-    for combo in itertools.product(*domains):
-        yield Binding(zip(names, combo))
+    return names, itertools.product(*[carrier_of(sort, s) for _, sort in ordered])

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from hknet import (Arc, Atom, EvalError, Ident, Marking, ModelError, Module,
                    explore, explore_grounded, ground, in_span, instantiate,
                    make_structure, nullspace, parse, parse_predicate,
                    place_invariants, transition_invariants)
-from hknet import analysis
+from hknet import analysis, nets
 
 from support import rational_in_span, rational_nullspace, structure_text
 
@@ -90,22 +91,34 @@ def test_grounded_exploration_counts(sys_tiny, sys_small):
         assert (len(graph.vectors), len(graph.edges), len(graph.deadlocks)) == counts
 
 
-def failing_inscriptions(monkeypatch, error):
-    def failing(*args):
+def failing_kernels(monkeypatch, closure, error):
+    """Make ``closure``, ``"holds"`` or ``"occurrence"``, of each kernel
+    that ground fetches raise ``error``."""
+    def failing(env):
         raise error
-    monkeypatch.setattr(analysis, "guarded_occurrence", failing)
+
+    def kernel(net, name, s):
+        real = nets._kernel(net, name, s)
+        closures = {"holds": real.holds, "occurrence": real.occurrence, closure: failing}
+        return SimpleNamespace(**closures)
+    monkeypatch.setattr(analysis, "_kernel", kernel)
 
 
 def test_ground_drops_bindings_whose_evaluation_fails(monkeypatch):
-    failing_inscriptions(monkeypatch, EvalError("undefined"))
-    assert ground(singleton_system()).transitions == ()
+    assert len(ground(singleton_system()).transitions) == 1
+    for closure in ("holds", "occurrence"):
+        with monkeypatch.context() as patched:
+            failing_kernels(patched, closure, EvalError("undefined"))
+            assert ground(singleton_system()).transitions == (), closure
 
 
 @pytest.mark.parametrize("error", [KeyError("x"), SortError("ill-sorted")])
 def test_ground_propagates_errors_other_than_evaluation(monkeypatch, error):
-    failing_inscriptions(monkeypatch, error)
-    with pytest.raises(type(error)):
-        ground(singleton_system())
+    for closure in ("holds", "occurrence"):
+        with monkeypatch.context() as patched:
+            failing_kernels(patched, closure, error)
+            with pytest.raises(type(error)):
+                ground(singleton_system())
 
 
 def test_grounded_transitions_respect_guards(sys_tiny):
@@ -207,6 +220,19 @@ def test_elimination_of_empty_bases_and_zero_width():
     assert in_span([[], []], [])
     for vector in ([], [0, 0], [0, 1]):
         assert in_span([], vector) == rational_in_span([], vector)
+
+
+def test_elimination_rejects_vectors_of_another_length():
+    with pytest.raises(ValueError, match=r"^row 0 has 3 entries, not the width 2$"):
+        nullspace([[1, 1, 1]], width=2)
+    with pytest.raises(ValueError, match=r"^row 1 has 1 entries, not the width 2$"):
+        nullspace([[1, 0], [1]], width=2)
+    for vector, n in (((1, 0), 2), ((1, 0, 0, 5), 4)):
+        with pytest.raises(ValueError, match=rf"^basis vector 0 has 3 entries, the vector {n}$"):
+            in_span([(1, 0, 0)], vector)
+    with pytest.raises(ValueError, match=r"^basis vector 1 has 2 entries, the vector 3$"):
+        in_span([(1, 0, 0), (0, 1)], (1, 0, 0))
+    assert in_span([], (0, 0, 0))
 
 
 def test_invariants_of_corpus_s0(sys0):
