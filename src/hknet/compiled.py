@@ -2,14 +2,18 @@
 
 The terms of a resolved transition and the structure that interprets
 them are fixed, so :class:`Kernel` turns each term into a closure once:
-carriers, constants and function tables are looked up when it is built,
-and a match step of the join knows which variables of its pattern
-earlier steps bind (:class:`nets.MatchPlan`).  :func:`terms.evaluate`,
-:func:`terms.eval_guard` and :func:`signature.value_in_sort` stay the
-definition: what these closures do not handle, and every lookup that
-fails when they are built, is left to them, so an error arises when and
-where they raise it.  ``nets`` keeps one kernel per transition on the
-structure (``nets._kernel``).
+carriers, constants and function tables are looked up when it is built.
+The join runs as one generated Python function per transition, written
+from the shape of its :class:`nets.MatchPlan` alone: a nested loop per
+step, pattern tests inline, each level's checks calling the guard and
+term closures.  Everything the model gives enters that function as an
+argument, so its source names nothing of the model, and the compiled
+code is kept once per process for every plan of the same shape.
+:func:`terms.evaluate`, :func:`terms.eval_guard` and
+:func:`signature.value_in_sort` stay the definition: what the closures
+do not handle, and every lookup that fails when they are built, is left
+to them, so an error arises when and where they raise it.  ``nets``
+keeps one kernel per transition on the structure (``nets._kernel``).
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import TYPE_CHECKING
 from .errors import EvalError
 from .signature import (PowSort, Sort, SortName, Structure, TupleSort,
                         carrier_of, carrier_rank, inverse_table, value_in_sort)
-from .terms import (App, Binding, Elm, Guard, GuardAtom, SetTerm, Term,
-                    TupleTerm, Var, eval_guard, evaluate, term_variables)
+from .terms import (App, Binding, Elm, Guard, GuardAtom, SetTerm, Term, TupleTerm,
+                    Var, eval_guard, evaluate, term_variables)
 from .values import Multiset, SetValue, TupleValue, Value, render_value
 
 if TYPE_CHECKING:
@@ -45,10 +49,13 @@ class Kernel:
     * ``sorts`` holds, per sorted output place, the membership test of
       its sort (:func:`signature.value_in_sort`).
 
-    The closures keep nothing between calls, and a kernel never changes
-    once built.  They keep neither the net nor its plan, so that the
-    structure, which holds a kernel only as long as its plan lives,
-    drops it with the net."""
+    ``join`` is a function generated from the shape of the transition's
+    plan; its compiled code, shared by every plan of that shape, holds
+    nothing of the model, which the function gets as arguments when the
+    kernel is built.  The functions keep nothing between calls, and a
+    kernel never changes once built.  They keep neither the net nor its
+    plan, so that the structure, which holds a kernel only as long as
+    its plan lives, drops it with the net."""
 
     __slots__ = ("join", "holds", "occurrence", "sorts")
 
@@ -194,19 +201,57 @@ def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc], s: Structure,
     return occurrence
 
 
-# A level of a compiled join runs the checks that become decidable there
-# and then its step, which calls the next level per candidate.  It is
-# called as run(binding, have, taken, found): the binding being built, as
-# a dict, and per matched place the tokens on it and the counts taken
-# off them by the steps and checks above; found collects the results.
-Level = Callable[[Env, list, list, list], None]
+# A join runs as Python source written from its plan's shape alone (see
+# _shape): one nested loop per step with its pattern tests inline, each
+# level's checks before its step, and a leaf that appends (rank key,
+# binding pairs[, needs]).  What the model gives (place and variable
+# names, ranks, carriers, constants, inverse tables, term and guard
+# closures) enters as an argument of the factory the source defines, so
+# the source names nothing of the model, and every plan of one shape,
+# under any structure, shares one compiled factory.
+
+_FACTORIES_MAX = 256  # join factories kept compiled per process
+_factories: dict[tuple, Callable] = {}
+
+
+def _factory(shape: tuple) -> Callable:
+    """The factory ``make`` of the join source of ``shape``, compiled on
+    first use."""
+    factory = _factories.get(shape)
+    if factory is None:
+        factory = _compile(_Source(shape).text)
+        if len(_factories) >= _FACTORIES_MAX:
+            _factories.clear()
+        # two threads racing here compile equal code; the first stored stays
+        factory = _factories.setdefault(shape, factory)
+    return factory
+
+
+def _compile(source: str) -> Callable:
+    namespace = {"EvalError": EvalError, "TupleValue": TupleValue, "take": _take,
+                 "first": itemgetter(0), "from_sorted": Binding._from_sorted,
+                 "NOTHING": object()}  # a preimage target no inverse table holds
+    exec(compile(source, "<hknet join>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _take(taken: dict[Value, int], have: Mapping[Value, int], tokens: Iterable[Value],
+          took: list) -> bool:
+    """Count ``tokens`` as taken off a matched place holding ``have``,
+    noting each in ``took``; whether they all were still there."""
+    for v in tokens:
+        n = taken[v] = taken.get(v, 0) + 1
+        took.append((taken, v))
+        if n > have.get(v, 0):
+            return False
+    return True
 
 
 def _join(plan: MatchPlan, s: Structure,
           variables: frozenset[str]) -> Callable[[TokensOn], tuple]:
     """:func:`nets.join_bindings` of ``plan``, whose variables are
-    ``variables``, under ``s`` as a closure of the tokens on each place."""
-    names, matched, steps, checks = plan.names, plan.matched, plan.steps, plan.checks
+    ``variables``, under ``s`` as a function of the tokens on each place."""
+    matched = plan.matched
     try:
         ranks = [carrier_rank(sort, s) for sort in plan.sorts]
     except EvalError as exc:
@@ -217,209 +262,296 @@ def _join(plan: MatchPlan, s: Structure,
                 raise EvalError(message, span)
             return [], None
         return failing
-    rank_of = dict(zip(names, ranks))
+    shape, args = _shape(plan, s, variables, ranks)
+    return _factory(shape)(*args)
+
+
+def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
+           ranks: list[Mapping[Value, int]]) -> tuple[tuple, list]:
+    """Every choice the join source of ``plan`` makes, as ints, strings
+    and tuples that name nothing of the model, and the arguments of the
+    factory that source defines, in the order it takes them.
+
+    The shape starts with the number of matched places and of
+    variables, whether closures are called (and so need the binding as
+    a dict) and the matched places whose taken tokens are counted, as
+    they are where a step is not alone in reading its place.  One entry
+    per level follows, its checks first:
+
+    * ``("K", kinds)``: one closure per check, ``-1`` for a guard atom,
+      else the matched place the term's tokens are taken off;
+    * ``("M", place, alone, pattern)``: a match step; ``pattern`` is
+      ``("f", k)`` for a fresh variable ``k`` of ``plan.names``,
+      ``("b", k)`` for a bound one, ``("c",)`` for a constant, taking its
+      value, and ``("t", *items)`` for a tuple;
+    * ``("P", k, j)``: a preimage step, taking its inverse table; its
+      target is variable ``j``, or a closure taken next where ``j`` is -1;
+    * ``("C", k)``: a carrier step, taking the (value, rank) pairs;
+    * ``("L", groups)``: the leaf, taking a closure per residual term
+      and then, per group of terms on one place, that place."""
+    names, matched, steps = plan.names, plan.matched, plan.steps
+    var = {name: k for k, name in enumerate(names)}
     slot = {place: i for i, place in enumerate(matched)}
-    # the levels whose step or checks count tokens taken off each place
     counted: dict[str, list[int]] = {place: [] for place in matched}
     for level, step in enumerate(steps):
         if step[0] == "match":
             counted[step[1]].append(level)
-    for level, level_checks in enumerate(checks):
+    for level, level_checks in enumerate(plan.checks):
         for check in level_checks:
-            if isinstance(check, tuple):
+            if not isinstance(check, Guard):
                 counted[check[0]].append(level)
-    bound_before, known = [], set()
-    for step in steps:
-        bound_before.append(set(known))
-        known |= term_variables(step[2]) if step[0] == "match" else {step[1]}
+    # whether closures are called; a preimage step may yet call one
+    shape: list = [len(matched), len(names), bool(plan.residual or any(plan.checks)),
+                   tuple(slot[place] for place, levels in counted.items() if len(levels) > 1)]
+    args: list = [matched, names, ranks]
+    bound: set[str] = set()
 
-    run = _leaf(plan, s, variables)
-    for level in reversed(range(len(steps) + 1)):
-        if level < len(steps):
-            step = steps[level]
-            if step[0] == "match":
-                _, place, pattern = step
-                run = _match_step(slot[place], _pattern(pattern, bound_before[level], rank_of, s),
-                                  counted[place] == [level], run)
-            elif step[0] == "preimage":
-                run = _preimage_step(step, rank_of[step[1]], s, variables, run)
+    def pattern(term: Term) -> tuple:
+        if isinstance(term, Var):
+            if term.name in bound:
+                return ("b", var[term.name])
+            bound.add(term.name)
+            return ("f", var[term.name])
+        if isinstance(term, TupleTerm):
+            return ("t", *[pattern(item) for item in term.items])
+        args.append(s.constants.get(term.name))  # None, which no token equals, if unset
+        return ("c",)
+
+    for level, level_checks in enumerate(plan.checks):
+        if level_checks:
+            kinds = []
+            for check in level_checks:
+                if isinstance(check, Guard):
+                    args.append(_guard(check, s, variables))
+                    kinds.append(-1)
+                else:
+                    args.append(_tokens(check[1], s, variables))
+                    kinds.append(slot[check[0]])
+            shape.append(("K", tuple(kinds)))
+        if level == len(steps):
+            break
+        step = steps[level]
+        if step[0] == "match":
+            shape.append(("M", slot[step[1]], counted[step[1]] == [level], pattern(step[2])))
+            continue
+        k = var[step[1]]
+        rank = ranks[k]
+        bound.add(step[1])
+        if step[0] == "preimage":
+            args.append({target: kept for target, values in inverse_table(step[2], s).items()
+                         if (kept := tuple(v for v in values if v in rank))})
+            term = step[3]
+            if _read(term, variables):
+                shape.append(("P", k, var[term.name]))
             else:
-                run = _carrier_step(step[1], carrier_of(step[2], s), run)
-        if checks[level]:
-            run = _checks(checks[level], slot, s, variables, run)
-
-    def key(values: tuple[Value, ...]) -> list[int]:
-        return [rank[v] for rank, v in zip(ranks, values)]
-
-    residual = bool(plan.residual)  # the closure must not keep the plan
-
-    def join(tokens_on: TokensOn) -> tuple:
-        have = [tokens_on(place).counts() for place in matched]
-        if not all(have):
-            return [], None
-        found: list = []
-        run({}, have, [{} for _ in matched], found)
-        if not residual:
-            found.sort(key=key)
-            return [Binding._from_sorted(tuple(zip(names, v))) for v in found], None
-        found.sort(key=lambda entry: key(entry[0]))
-        return ([Binding._from_sorted(tuple(zip(names, v))) for v, _ in found],
-                [wanted for _, wanted in found])
-    return join
+                args.append(_value(term, s, variables))
+                shape.append(("P", k, -1))
+                shape[2] = True
+        else:
+            values = carrier_of(step[2], s)
+            args.append(rank.items() if len(rank) == len(values)
+                        else tuple((v, rank[v]) for v in values))
+            shape.append(("C", k))
+    groups: dict[str, int] = {}
+    for place, term in plan.residual:
+        groups.setdefault(place, len(groups))
+        args.append(_tokens(term, s, variables))
+    args += groups
+    shape.append(("L", tuple(groups[place] for place, _ in plan.residual)))
+    return tuple(shape), args
 
 
-def _leaf(plan: MatchPlan, s: Structure, variables: frozenset[str]) -> Level:
-    """The last level: the values of a complete binding, with the tokens
-    its residual terms need if the plan has any; a binding under which
-    one of them raises is left out."""
-    names = plan.names
+def _read(term: Term, variables: frozenset[str]) -> bool:
+    """Whether ``term`` is one of ``variables``, which the join reads
+    from its local."""
+    return isinstance(term, Var) and term.name in variables
 
-    def values(binding: Env) -> tuple[Value, ...]:
-        return tuple(map(binding.__getitem__, names))
-    if not plan.residual:
-        def leaf(binding, have, taken, found):
-            found.append(values(binding))
-        return leaf
-    needs = [(place, _tokens(term, s, variables)) for place, term in plan.residual]
 
-    def leaf_with_needs(binding, have, taken, found):
-        wanted: Tokens = {}
-        try:
-            for place, tokens in needs:
-                counts = wanted.setdefault(place, {})
-                for v in tokens(binding):
-                    counts[v] = counts.get(v, 0) + 1
-        except EvalError:
+class _Source:
+    """The join source ``text`` of one shape (see :func:`_shape`): it
+    defines ``make``, which takes the arguments and returns the join.
+
+    In the join, ``h<i>`` holds the tokens on matched place ``i`` and
+    ``t<i>`` the counts taken off it, if they are counted; ``x<k>`` and
+    ``r<k>`` hold the value and the carrier rank of variable ``k``, and
+    ``b`` the same values by name, if closures are called.  A body
+    nested ``_SPLIT`` levels deep goes on in a nested function, as
+    Python limits how deep blocks nest."""
+
+    _SPLIT = 12
+
+    def __init__(self, shape: tuple):
+        places, self.count, self.env, counted = shape[:4]
+        self.ops = shape[4:]
+        self.params = ["places", "names", "ranks"]
+        self.temps = 0
+        self.frame: tuple[list[str], list[str]] = ([], [])  # (nested defs, body)
+        self.level(0, 2, 2)
+        lines = [f"def make({', '.join(self.params)}):"]
+        for prefix, size, given in (("p", places, "places"), ("n", self.count, "names"),
+                                    ("rk", self.count, "ranks")):
+            if size:
+                lines.append(f"    {', '.join(f'{prefix}{i}' for i in range(size))}, = {given}")
+        lines.append("    def join(tokens_on):")
+        lines += [f"        h{i} = tokens_on(p{i}).counts()" for i in range(places)]
+        if places:
+            empty = " or ".join(f"not h{i}" for i in range(places))
+            lines += [f"        if {empty}:", "            return [], None"]
+        lines += [f"        t{i} = {{}}" for i in counted]
+        if self.env:
+            lines.append("        b = {}")
+        lines += ["        found = []", "        append = found.append"]
+        lines += self.frame[0] + self.frame[1]
+        needs = "[e[2] for e in found]" if self.ops[-1][1] else "None"
+        lines += ["        found.sort(key=first)",
+                  f"        return [from_sorted(e[1]) for e in found], {needs}",
+                  "    return join", ""]
+        self.text = "\n".join(lines)
+
+    def arg(self, prefix: str) -> str:
+        name = f"{prefix}{len(self.params)}"
+        self.params.append(name)
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"v{self.temps}"
+
+    def line(self, depth: int, text: str) -> None:
+        self.frame[1].append("    " * depth + text)
+
+    def level(self, i: int, depth: int, base: int) -> None:
+        """Entry ``i`` of the shape and those after it, at ``depth`` in
+        a function whose body starts at ``base``."""
+        if depth - base >= self._SPLIT:
+            self.line(depth, f"k{i}()")
+            outer, self.frame = self.frame, ([], [])
+            self.level(i, base + 1, base + 1)
+            outer[0].append("    " * base + f"def k{i}():")
+            outer[0].extend(self.frame[0] + self.frame[1])
+            self.frame = outer
             return
-        found.append((values(binding), wanted))
-    return leaf_with_needs
+        op = self.ops[i]
+        getattr(self, op[0])(i, depth, base, *op[1:])
 
+    def K(self, i: int, depth: int, base: int, kinds: tuple[int, ...]) -> None:
+        """Run the levels below if every guard atom holds and the tokens
+        of every term are still on its matched place, taking them off
+        while they run; a check that raises fails."""
+        ok, took = f"ok{i}", f"took{i}"
+        calls = [f"{self.arg('g')}(b)" if place < 0
+                 else f"take(t{place}, h{place}, {self.arg('tk')}(b), {took})"
+                 for place in kinds]
+        counting = any(place >= 0 for place in kinds)
+        if counting:
+            self.line(depth, f"{took} = []")
+        self.line(depth, "try:")
+        self.line(depth + 1, f"{ok} = {' and '.join(calls)}")
+        self.line(depth, "except EvalError:")
+        self.line(depth + 1, f"{ok} = False")
+        self.line(depth, f"if {ok}:")
+        self.level(i + 1, depth + 1, base)
+        if counting:
+            self.line(depth, f"for taken, v in {took}:")
+            self.line(depth + 1, "taken[v] -= 1")
 
-def _pattern(term: Term, bound: set[str], rank_of: Mapping[str, Mapping[Value, int]],
-             s: Structure) -> Callable[[Value, Env], bool]:
-    """Whether a token matches a match step's pattern, binding the
-    pattern's fresh variables; ``bound`` holds the variables bound
-    before it and gains those it binds."""
-    if isinstance(term, Var):
-        name = term.name
-        if name in bound:
-            return lambda value, binding: binding[name] == value
-        bound.add(name)
-        rank = rank_of[name]
+    def M(self, i: int, depth: int, base: int, place: int, alone: bool,
+          pattern: tuple) -> None:
+        """Each distinct token on the place that the pattern matches;
+        unless the step is alone in reading the place, only those not yet
+        taken off it, counted as taken while the levels below run."""
+        token = f"x{pattern[1]}" if pattern[0] == "f" else self.temp()
+        if alone:
+            self.line(depth, f"for {token} in h{place}:")
+            tests = []
+        else:
+            self.line(depth, f"for {token}, n in h{place}.items():")
+            tests = [f"t{place}.get({token}, 0) < n"]
+        fresh: list[int] = []
+        depth = self.flush(tests, self.pattern(pattern, token, tests, depth + 1, fresh))
+        self.store(sorted(fresh), depth)
+        if not alone:
+            self.line(depth, f"t{place}[{token}] = t{place}.get({token}, 0) + 1")
+        self.level(i + 1, depth, base)
+        if not alone:
+            self.line(depth, f"t{place}[{token}] -= 1")
 
-        def fresh(value: Value, binding: Env) -> bool:
-            if value in rank:
-                binding[name] = value
-                return True
-            return False
-        return fresh
-    if isinstance(term, TupleTerm):
-        items = [_pattern(item, bound, rank_of, s) for item in term.items]
-        width = len(items)
+    def pattern(self, pattern: tuple, v: str, tests: list[str], depth: int,
+                fresh: list[int]) -> int:
+        """Add to ``tests`` that the value ``v`` matches ``pattern``,
+        noting its fresh variables in ``fresh``, and return the depth
+        they are tested at; a fresh variable ``k`` is already in ``x<k>``."""
+        kind = pattern[0]
+        if kind == "f":
+            k = pattern[1]
+            fresh.append(k)
+            tests.append(f"(r{k} := rk{k}.get({v})) is not None")
+        elif kind == "b":
+            tests.append(f"x{pattern[1]} == {v}")
+        elif kind == "c":
+            tests.append(f"{self.arg('c')} == {v}")
+        else:
+            items = pattern[1:]
+            tests.append(f"isinstance({v}, TupleValue) and len({v}.items) == {len(items)}")
+            depth = self.flush(tests, depth)
+            targets = [f"x{item[1]}" if item[0] == "f" else self.temp() for item in items]
+            self.line(depth, f"{', '.join(targets)}, = {v}.items")
+            for item, target in zip(items, targets):
+                depth = self.pattern(item, target, tests, depth, fresh)
+        return depth
 
-        def components(value: Value, binding: Env) -> bool:
-            if not isinstance(value, TupleValue) or len(value.items) != width:
-                return False
-            for item, v in zip(items, value.items):
-                if not item(v, binding):
-                    return False
-            return True
-        return components
-    constant = s.constants.get(term.name)  # None, which no token equals, if unset
-    return lambda value, binding: constant == value
+    def flush(self, tests: list[str], depth: int) -> int:
+        if not tests:
+            return depth
+        self.line(depth, f"if {' and '.join(tests)}:")
+        tests.clear()
+        return depth + 1
 
+    def store(self, ks: Iterable[int], depth: int) -> None:
+        """Put the variables ``ks`` just bound into ``b``."""
+        if self.env:
+            for k in ks:
+                self.line(depth, f"b[n{k}] = x{k}")
 
-def _match_step(i: int, matches: Callable[[Value, Env], bool], alone: bool,
-                then: Level) -> Level:
-    """Each distinct token on matched place ``i`` that the pattern
-    matches; unless the step is ``alone`` in reading the place, only
-    those not yet taken off it, counted as taken while ``then`` runs."""
-    if alone:
-        def match_alone(binding, have, taken, found):
-            for value in have[i]:
-                if matches(value, binding):
-                    then(binding, have, taken, found)
-        return match_alone
+    def P(self, i: int, depth: int, base: int, k: int, j: int) -> None:
+        """The arguments inside the variable's carrier that the function
+        maps to the target's value; none if the target raises."""
+        table = self.arg("iv")
+        if j >= 0:
+            self.line(depth, f"for x{k} in {table}.get(x{j}, ()):")
+        else:
+            self.line(depth, "try:")
+            self.line(depth + 1, f"y = {self.arg('tg')}(b)")
+            self.line(depth, "except EvalError:")
+            self.line(depth + 1, "y = NOTHING")
+            self.line(depth, f"for x{k} in {table}.get(y, ()):")
+        self.line(depth + 1, f"r{k} = rk{k}[x{k}]")
+        self.store((k,), depth + 1)
+        self.level(i + 1, depth + 1, base)
 
-    def match(binding, have, taken, found):
-        counts = taken[i]
-        for value, available in have[i].items():
-            if counts.get(value, 0) < available and matches(value, binding):
-                counts[value] = counts.get(value, 0) + 1
-                then(binding, have, taken, found)
-                counts[value] -= 1
-    return match
+    def C(self, i: int, depth: int, base: int, k: int) -> None:
+        self.line(depth, f"for x{k}, r{k} in {self.arg('cp')}:")
+        self.store((k,), depth + 1)
+        self.level(i + 1, depth + 1, base)
 
-
-def _preimage_step(step: tuple, rank: Mapping[Value, int], s: Structure,
-                   variables: frozenset[str], then: Level) -> Level:
-    """The arguments inside the variable's carrier that the function maps
-    to the term's value; nothing if the term raises."""
-    _, name, function, term = step
-    inverse = {target: kept for target, args in inverse_table(function, s).items()
-               if (kept := tuple(v for v in args if v in rank))}
-    target_of = _value(term, s, variables)
-
-    def preimage(binding, have, taken, found):
-        try:
-            target = target_of(binding)
-        except EvalError:
+    def L(self, i: int, depth: int, base: int, groups: tuple[int, ...]) -> None:
+        """The rank key and the name-value pairs of a complete binding,
+        with the tokens its residual terms need if the plan has any; a
+        binding under which one of them raises is left out."""
+        count = self.count
+        key = "r0" if count == 1 else f"({', '.join(f'r{k}' for k in range(count))})"
+        pairs = f"({''.join(f'(n{k}, x{k}), ' for k in range(count))})"
+        if not groups:
+            self.line(depth, f"append(({key}, {pairs}))")
             return
-        for value in inverse.get(target, ()):
-            binding[name] = value
-            then(binding, have, taken, found)
-    return preimage
-
-
-def _carrier_step(name: str, values: tuple[Value, ...], then: Level) -> Level:
-    def carrier(binding, have, taken, found):
-        for value in values:
-            binding[name] = value
-            then(binding, have, taken, found)
-    return carrier
-
-
-def _checks(level_checks: tuple, slot: Mapping[str, int], s: Structure,
-            variables: frozenset[str], then: Level) -> Level:
-    """Run ``then`` if every guard atom holds and every term's tokens are
-    still on its matched place, taking them off while it runs; a check
-    that raises fails."""
-    tests = [(None, _guard(c, s, variables)) if isinstance(c, Guard)
-             else (slot[c[0]], _tokens(c[1], s, variables)) for c in level_checks]
-    if all(i is None for i, _ in tests):
-        guards = [test for _, test in tests]
-
-        def guarded(binding, have, taken, found):
-            try:
-                for guard in guards:
-                    if not guard(binding):
-                        return
-            except EvalError:
-                return
-            then(binding, have, taken, found)
-        return guarded
-
-    def admitted(binding, have, taken, took) -> bool:
-        try:
-            for i, test in tests:
-                if i is None:
-                    if not test(binding):
-                        return False
-                    continue
-                counts, available = taken[i], have[i]
-                for v in test(binding):
-                    n = counts[v] = counts.get(v, 0) + 1
-                    took.append((counts, v))
-                    if n > available.get(v, 0):
-                        return False
-        except EvalError:
-            return False
-        return True
-
-    def checked(binding, have, taken, found):
-        took: list = []
-        if admitted(binding, have, taken, took):
-            then(binding, have, taken, found)
-        for counts, v in took:
-            counts[v] -= 1
-    return checked
+        self.line(depth, "try:")
+        for g in range(max(groups) + 1):
+            self.line(depth + 1, f"need{g} = {{}}")
+        for g in groups:
+            self.line(depth + 1, f"for v in {self.arg('q')}(b):")
+            self.line(depth + 2, f"need{g}[v] = need{g}.get(v, 0) + 1")
+        wanted = ", ".join(f"{self.arg('w')}: need{g}" for g in range(max(groups) + 1))
+        self.line(depth, "except EvalError:")
+        self.line(depth + 1, "pass")
+        self.line(depth, "else:")
+        self.line(depth + 1, f"append(({key}, {pairs}, {{{wanted}}}))")

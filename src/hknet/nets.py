@@ -213,8 +213,9 @@ class MatchPlan:
     binding needs there, which :func:`admit_bindings` looks up.
 
     A plan is fixed per net; under each structure, the transition's
-    kernel (:class:`compiled.Kernel`) compiles its steps and checks into
-    closures once, and :func:`join_bindings` runs those.
+    kernel (:class:`compiled.Kernel`) runs its steps and checks as one
+    function generated from the plan's shape, and :func:`join_bindings`
+    calls it.
     """
 
     def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
