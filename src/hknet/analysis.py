@@ -89,6 +89,13 @@ def _sparse(row: Iterable[int]) -> dict[int, int]:
     return {c: v for c, v in enumerate(row) if v}
 
 
+def _dense(vec: dict[int, int], width: int) -> tuple[int, ...]:
+    x = [0] * width
+    for c, v in vec.items():
+        x[c] = v
+    return tuple(x)
+
+
 def ground(sys: System) -> GroundedNet:
     """Expand a system into its grounded elementary net.
 
@@ -191,20 +198,21 @@ def nullspace(matrix: Sequence[Sequence[int]], width: int) -> list[tuple[int, ..
     for i, row in enumerate(matrix):
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} entries, not the width {width}")
-    return _basis(_rref(_sparse(row) for row in matrix), width)
+    return [_dense(vec, width) for vec in _basis(_rref(_sparse(row) for row in matrix), width)]
 
 
-def _basis(pivots: dict[int, dict[int, int]], width: int) -> list[tuple[int, ...]]:
-    """The null-space basis read off a reduced row-echelon form: one
-    vector per free column, scaled to coprime integers with a positive
-    first nonzero entry.  A pivot row's entries off its pivot lie in free
-    columns, so one pass indexes, per free column, the rows that use it."""
+def _basis(pivots: dict[int, dict[int, int]], width: int) -> list[dict[int, int]]:
+    """The null-space basis read off a reduced row-echelon form, as sparse
+    {column: entry} vectors: one per free column, scaled to coprime
+    integers with a positive first nonzero entry.  A pivot row's entries
+    off its pivot lie in free columns, so one pass indexes, per free
+    column, the rows that use it."""
     uses: dict[int, list[int]] = {}
     for p, row in pivots.items():
         for c in row:
             if c != p:
                 uses.setdefault(c, []).append(p)
-    basis: list[tuple[int, ...]] = []
+    basis: list[dict[int, int]] = []
     for free in range(width):
         if free in pivots:
             continue
@@ -216,10 +224,7 @@ def _basis(pivots: dict[int, dict[int, int]], width: int) -> list[tuple[int, ...
         g = gcd(*vec.values())
         if vec[min(vec)] < 0:
             g = -g
-        x = [0] * width
-        for c, v in vec.items():
-            x[c] = v // g
-        basis.append(tuple(x))
+        basis.append({c: v // g for c, v in vec.items()})
     return basis
 
 
@@ -237,18 +242,18 @@ def _invariants(kind: str, rows: Sequence[dict[int, int]],
                 columns: Sequence[dict[int, int]]) -> list[tuple[int, ...]]:
     """Integer basis of {x : M x = 0} for M of sparse ``rows`` and the same
     sparse ``columns``; each vector is re-verified by summing
-    ``columns[k] * x`` over its ``x != 0``."""
-    basis = _basis(_rref(rows), len(columns))
+    ``columns[k] * x`` over its nonzero entries ``x``."""
+    width = len(columns)
+    basis = _basis(_rref(rows), width)
     for i, vec in enumerate(basis):
         total: dict[int, int] = {}
-        for k, x in enumerate(vec):
-            if x:
-                for r, a in columns[k].items():
-                    total[r] = total.get(r, 0) + a * x
+        for k, x in vec.items():
+            for r, a in columns[k].items():
+                total[r] = total.get(r, 0) + a * x
         if any(total.values()):
             raise ModelError(
                 f"{kind} invariant {i} is not in the null-space of the incidence matrix")
-    return basis
+    return [_dense(vec, width) for vec in basis]
 
 
 def in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
