@@ -302,7 +302,7 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
                 counted[check[0]].append(level)
     # whether closures are called; a preimage step may yet call one
     shape: list = [len(matched), len(names), bool(plan.residual or any(plan.checks)),
-                   tuple(slot[place] for place, levels in counted.items() if len(levels) > 1)]
+                   tuple([slot[place] for place, levels in counted.items() if len(levels) > 1])]
     args: list = [matched, names, ranks]
     bound: set[str] = set()
 
@@ -341,7 +341,7 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
             args.append({target: kept for target, values in inverse_table(step[2], s).items()
                          if (kept := tuple(v for v in values if v in rank))})
             term = step[3]
-            if _read(term, variables):
+            if isinstance(term, Var) and term.name in variables:  # read from its local
                 shape.append(("P", k, var[term.name]))
             else:
                 args.append(_value(term, s, variables))
@@ -357,14 +357,8 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
         groups.setdefault(place, len(groups))
         args.append(_tokens(term, s, variables))
     args += groups
-    shape.append(("L", tuple(groups[place] for place, _ in plan.residual)))
+    shape.append(("L", tuple([groups[place] for place, _ in plan.residual])))
     return tuple(shape), args
-
-
-def _read(term: Term, variables: frozenset[str]) -> bool:
-    """Whether ``term`` is one of ``variables``, which the join reads
-    from its local."""
-    return isinstance(term, Var) and term.name in variables
 
 
 class _Source:
