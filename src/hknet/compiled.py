@@ -292,17 +292,17 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
     names, matched, steps = plan.names, plan.matched, plan.steps
     var = {name: k for k, name in enumerate(names)}
     slot = {place: i for i, place in enumerate(matched)}
-    counted: dict[str, list[int]] = {place: [] for place in matched}
-    for level, step in enumerate(steps):
+    readers = dict.fromkeys(matched, 0)  # the steps and checks reading each place
+    for step in steps:
         if step[0] == "match":
-            counted[step[1]].append(level)
-    for level, level_checks in enumerate(plan.checks):
+            readers[step[1]] += 1
+    for level_checks in plan.checks:
         for check in level_checks:
             if not isinstance(check, Guard):
-                counted[check[0]].append(level)
+                readers[check[0]] += 1
     # whether closures are called; a preimage step may yet call one
     shape: list = [len(matched), len(names), bool(plan.residual or any(plan.checks)),
-                   tuple([slot[place] for place, levels in counted.items() if len(levels) > 1])]
+                   tuple([slot[place] for place, n in readers.items() if n > 1])]
     args: list = [matched, names, ranks]
     bound: set[str] = set()
 
@@ -332,7 +332,7 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
             break
         step = steps[level]
         if step[0] == "match":
-            shape.append(("M", slot[step[1]], counted[step[1]] == [level], pattern(step[2])))
+            shape.append(("M", slot[step[1]], readers[step[1]] == 1, pattern(step[2])))
             continue
         k = var[step[1]]
         rank = ranks[k]

@@ -199,7 +199,8 @@ def test_a_shape_compiles_once_per_process(branch, sigma0, counted_compiles):
         enabled_bindings(system.net, system.initial, t, other)
     assert len(other._kernels) == len(system.net.transitions)
     again = instantiate(branch, fresh_structure(sigma0, 2, 1))
-    assert explore(again) != explore(system)
+    explore(again)
+    assert len(again.structure._kernels) == len(again.net.transitions)
     assert len(counted_compiles) == len(distinct)
 
 
