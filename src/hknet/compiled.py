@@ -1,15 +1,15 @@
 """Transitions compiled against a structure.
 
 The terms of a resolved transition and the structure that interprets
-them are fixed, so :class:`Kernel` turns each term into a closure once:
-carriers, constants and function tables are looked up when it is built.
-The join runs as one generated Python function per transition, written
-from the shape of its :class:`nets.MatchPlan` alone: a nested loop per
-step, pattern tests inline, each level's checks calling the guard and
-term closures.  Everything the model gives enters that function as an
-argument, so its source names nothing of the model, and the compiled
-code is kept once per process for every plan of the same shape.
-:func:`terms.evaluate`, :func:`terms.eval_guard` and
+them are fixed, so :class:`Kernel` turns each guard atom and arc term
+into one closure, once, looking up carriers, constants and function
+tables as it is built.  The join runs as one Python function per
+transition, generated from the shape of its :class:`nets.MatchPlan`
+alone: a nested loop per step, pattern tests inline, each level's
+checks calling those closures.  Everything the model gives enters that
+function as an argument, so its source names nothing of the model, and
+the compiled code is kept once per process for every plan of the same
+shape.  :func:`terms.evaluate`, :func:`terms.eval_atom` and
 :func:`signature.value_in_sort` stay the definition: what the closures
 do not handle, and every lookup that fails when they are built, is left
 to them, so an error arises when and where they raise it.  ``nets``
@@ -19,14 +19,15 @@ keeps one kernel per transition on the structure (``nets._kernel``).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
+from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import EvalError
 from .signature import (PowSort, Sort, SortName, Structure, TupleSort,
                         carrier_of, carrier_rank, inverse_table, value_in_sort)
-from .terms import (App, Binding, Elm, Guard, GuardAtom, SetTerm, Term, TupleTerm,
-                    Var, eval_guard, evaluate, term_variables)
+from .terms import (App, Binding, Elm, GuardAtom, SetTerm, Term, TupleTerm, Var,
+                    eval_atom, evaluate, term_variables)
 from .values import Multiset, SetValue, TupleValue, Value, render_value
 
 if TYPE_CHECKING:
@@ -49,30 +50,41 @@ class Kernel:
     * ``sorts`` holds, per sorted output place, the membership test of
       its sort (:func:`signature.value_in_sort`).
 
-    ``join`` is a function generated from the shape of the transition's
+    The three share one closure per guard atom and arc term
+    (:func:`_closures`).  ``join`` is generated from the shape of the
     plan; its compiled code, shared by every plan of that shape, holds
-    nothing of the model, which the function gets as arguments when the
-    kernel is built.  The functions keep nothing between calls, and a
-    kernel never changes once built.  They keep neither the net nor its
-    plan, so that the structure, which holds a kernel only as long as
-    its plan lives, drops it with the net."""
+    nothing of the model, which it gets as arguments.  The functions
+    keep nothing between calls, nor the net or its plan, so that the
+    structure, which holds a kernel only as long as its plan lives,
+    drops it with the net; a kernel never changes once built."""
 
     __slots__ = ("join", "holds", "occurrence", "sorts")
 
     def __init__(self, index: NetIndex, name: str, s: Structure):
         plan = index.plans[name]
         names = frozenset(plan.names)
-        self.join = _join(plan, s, names)
-        self.holds = _guard(index.transitions[name].guard, s, names)
-        out_of = index.arcs_out_of.get(name, ())
-        self.occurrence = _occurrence(index.arcs_into.get(name, ()), out_of, s, names)
+        atoms = index.transitions[name].guard.atoms
+        into, out_of = index.arcs_into.get(name, ()), index.arcs_out_of.get(name, ())
+        closures = _closures(atoms, into + out_of, s, names)
+        self.join = _join(plan, s, names, closures)
+        self.holds = _conjunction([closures[id(atom)] for atom in atoms])
+        self.occurrence = _occurrence(into, out_of, closures)
         self.sorts = {a.target: _member(place.sort, s) for a in out_of
                       if (place := index.places.get(a.target)) is not None
                       and place.sort is not None}
 
 
-def _interpreted(term: Term, s: Structure) -> Callable[[Env], Value]:
-    return lambda env: evaluate(term, s, env)
+def _closures(atoms: Iterable[GuardAtom], arcs: Iterable[Arc], s: Structure,
+              names: frozenset[str]) -> dict[int, Callable]:
+    """One closure per guard atom (:func:`_atom`) and per term on ``arcs``
+    (:func:`_tokens`), keyed by identity: hashing terms costs more."""
+    closures = {}
+    for atom in atoms:
+        closures[id(atom)] = _atom(atom, s, names)
+    for arc in arcs:
+        for term in arc.inscription:
+            closures[id(term)] = _tokens(term, s, names)
+    return closures
 
 
 def _value(term: Term, s: Structure, names: frozenset[str]) -> Callable[[Env], Value]:
@@ -80,12 +92,12 @@ def _value(term: Term, s: Structure, names: frozenset[str]) -> Callable[[Env], V
     each of ``names`` when called; any other variable is left to the
     interpreter.  A term without variables is evaluated here, once."""
     if isinstance(term, Var):
-        return itemgetter(term.name) if term.name in names else _interpreted(term, s)
+        return itemgetter(term.name) if term.name in names else partial(evaluate, term, s)
     if not term_variables(term):
         try:
             value = evaluate(term, s)
         except EvalError:
-            return _interpreted(term, s)
+            return partial(evaluate, term, s)
         return lambda env: value
     if isinstance(term, App) and term.function in s.functions:
         return _application(term, s.functions[term.function],
@@ -96,7 +108,7 @@ def _value(term: Term, s: Structure, names: frozenset[str]) -> Callable[[Env], V
     if isinstance(term, SetTerm):
         elements = [_value(e, s, names) for e in term.elements]
         return lambda env: SetValue([e(env) for e in elements])
-    return _interpreted(term, s)
+    return partial(evaluate, term, s)
 
 
 def _application(term: App, table: Mapping[tuple[Value, ...], Value],
@@ -129,9 +141,8 @@ def _tokens(term: Term, s: Structure,
     return elements
 
 
-def _guard(guard: Guard, s: Structure, names: frozenset[str]) -> Callable[[Env], bool]:
-    """``eval_guard(guard, s, env)`` as a closure of ``env``."""
-    atoms = [_atom(atom, s, names) for atom in guard.atoms]
+def _conjunction(atoms: list[Callable[[Env], bool]]) -> Callable[[Env], bool]:
+    """``eval_guard`` of a guard whose atoms compiled to ``atoms``."""
     if len(atoms) == 1:
         return atoms[0]
 
@@ -162,8 +173,7 @@ def _atom(atom: GuardAtom, s: Structure, names: frozenset[str]) -> Callable[[Env
                 raise EvalError("'sub' compares two set values", span)
             return part.issubset(whole)
         return subset
-    alone = Guard((atom,))  # an operator no parser produces
-    return lambda env: eval_guard(alone, s, env)
+    return lambda env: eval_atom(atom, s, env)  # an operator no parser produces
 
 
 def _member(sort: Sort, s: Structure) -> Callable[[Value], bool]:
@@ -183,10 +193,10 @@ def _member(sort: Sort, s: Structure) -> Callable[[Value], bool]:
     return lambda v: value_in_sort(v, sort, s)
 
 
-def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc], s: Structure,
-                names: frozenset[str]) -> Callable[[Env], tuple[Tokens, Tokens]]:
-    inputs = [(a.source, [_tokens(t, s, names) for t in a.inscription]) for a in into]
-    outputs = [(a.target, [_tokens(t, s, names) for t in a.inscription]) for a in out_of]
+def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc],
+                closures: Mapping[int, Callable]) -> Callable[[Env], tuple[Tokens, Tokens]]:
+    inputs = [(a.source, [closures[id(t)] for t in a.inscription]) for a in into]
+    outputs = [(a.target, [closures[id(t)] for t in a.inscription]) for a in out_of]
 
     def occurrence(env: Env) -> tuple[Tokens, Tokens]:
         consumed: Tokens = {}
@@ -247,10 +257,11 @@ def _take(taken: dict[Value, int], have: Mapping[Value, int], tokens: Iterable[V
     return True
 
 
-def _join(plan: MatchPlan, s: Structure,
-          variables: frozenset[str]) -> Callable[[TokensOn], tuple]:
+def _join(plan: MatchPlan, s: Structure, variables: frozenset[str],
+          closures: Mapping[int, Callable]) -> Callable[[TokensOn], tuple]:
     """:func:`nets.join_bindings` of ``plan``, whose variables are
-    ``variables``, under ``s`` as a function of the tokens on each place."""
+    ``variables``, under ``s`` as a function of the tokens on each place,
+    calling the :func:`_closures` of its checks and residual terms."""
     matched = plan.matched
     try:
         ranks = [carrier_rank(sort, s) for sort in plan.sorts]
@@ -262,12 +273,13 @@ def _join(plan: MatchPlan, s: Structure,
                 raise EvalError(message, span)
             return [], None
         return failing
-    shape, args = _shape(plan, s, variables, ranks)
+    shape, args = _shape(plan, s, variables, ranks, closures)
     return _factory(shape)(*args)
 
 
 def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
-           ranks: list[Mapping[Value, int]]) -> tuple[tuple, list]:
+           ranks: list[Mapping[Value, int]],
+           closures: Mapping[int, Callable]) -> tuple[tuple, list]:
     """Every choice the join source of ``plan`` makes, as ints, strings
     and tuples that name nothing of the model, and the arguments of the
     factory that source defines, in the order it takes them.
@@ -298,7 +310,7 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
             readers[step[1]] += 1
     for level_checks in plan.checks:
         for check in level_checks:
-            if not isinstance(check, Guard):
+            if not isinstance(check, GuardAtom):
                 readers[check[0]] += 1
     # whether closures are called; a preimage step may yet call one
     shape: list = [len(matched), len(names), bool(plan.residual or any(plan.checks)),
@@ -321,11 +333,11 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
         if level_checks:
             kinds = []
             for check in level_checks:
-                if isinstance(check, Guard):
-                    args.append(_guard(check, s, variables))
+                if isinstance(check, GuardAtom):
+                    args.append(closures[id(check)])
                     kinds.append(-1)
                 else:
-                    args.append(_tokens(check[1], s, variables))
+                    args.append(closures[id(check[1])])
                     kinds.append(slot[check[0]])
             shape.append(("K", tuple(kinds)))
         if level == len(steps):
@@ -355,7 +367,7 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
     groups: dict[str, int] = {}
     for place, term in plan.residual:
         groups.setdefault(place, len(groups))
-        args.append(_tokens(term, s, variables))
+        args.append(closures[id(term)])
     args += groups
     shape.append(("L", tuple([groups[place] for place, _ in plan.residual])))
     return tuple(shape), args
@@ -495,8 +507,6 @@ class _Source:
         return depth
 
     def flush(self, tests: list[str], depth: int) -> int:
-        if not tests:
-            return depth
         self.line(depth, f"if {' and '.join(tests)}:")
         tests.clear()
         return depth + 1

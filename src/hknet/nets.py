@@ -202,10 +202,10 @@ class MatchPlan:
     is empty, nothing is enabled.
 
     ``checks[i]`` holds what becomes decidable once ``steps[:i]`` have
-    bound their variables: single guard atoms, the equation behind a
-    preimage step among them, and input terms on matched places that
-    are not matched themselves, given as ``(place, term)`` and counted
-    against the tokens the match steps left.
+    bound their variables: guard atoms, but not the equation behind a
+    preimage step, which its inverse table guarantees, and input terms
+    on matched places that are not matched themselves, given as
+    ``(place, term)`` and counted against the tokens the match steps left.
 
     ``residual`` holds the ``(place, term)`` input terms on the places
     no match step reads, such as ``elm(Y)`` on a place only checked:
@@ -237,14 +237,15 @@ class MatchPlan:
                 else:
                     pending.append((used, (arc.source, term)))
         self.matched = tuple(dict.fromkeys(step[1] for step in steps))
+        implied: list[GuardAtom] = []  # the equations preimage steps guarantee
         for name, sort in variables:
             if name not in stage:
                 pin = _pinned_by(name, t.guard, stage.keys())
                 stage[name] = len(steps)
-                steps.append(("preimage", name, *pin) if pin else ("carrier", name, sort))
-        for atom in t.guard.atoms:
-            pending.append((term_variables(atom.left) | term_variables(atom.right),
-                            Guard((atom,))))
+                steps.append(("preimage", name, *pin[:2]) if pin else ("carrier", name, sort))
+                implied += pin[2:]
+        pending += [(term_variables(atom.left) | term_variables(atom.right), atom)
+                    for atom in t.guard.atoms if not any(atom is e for e in implied)]
         checks: list[list[object]] = [[] for _ in range(len(steps) + 1)]
         residual: list[tuple[str, Term]] = []
         for used, check in pending:
@@ -260,10 +261,10 @@ class MatchPlan:
         self.residual = tuple(residual)
 
 
-def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple[str, Term] | None:
-    """``(f, e)`` for the first guard equation ``f(name) = e`` or
-    ``e = f(name)`` with a unary ``f`` and every variable of ``e`` in
-    ``bound``, or None."""
+def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple:
+    """``(f, e, atom)`` for the first guard equation ``atom`` that reads
+    ``f(name) = e`` or ``e = f(name)`` with a unary ``f`` and every
+    variable of ``e`` in ``bound``, else ``()``."""
     for atom in guard.atoms:
         if atom.op != "=":
             continue
@@ -271,8 +272,8 @@ def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple[str, Term
             if (isinstance(side, App) and len(side.args) == 1
                     and isinstance(side.args[0], Var) and side.args[0].name == name
                     and term_variables(other) <= set(bound)):
-                return side.function, other
-    return None
+                return side.function, other, atom
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -695,18 +696,12 @@ def join_bindings(net: SchematicNet, tokens_on: TokensOn, transition: Transition
     on a place are ``tokens_on(place)``, such as a marking's ``get``;
     only the matched places are looked up.
 
-    Variables are bound by matching the input-arc patterns (variables
-    and constants, possibly in tuples) against the distinct tokens still
-    available on their places: a bound variable must agree with the
-    token, a fresh one takes the token's component if it lies in the
-    variable's carrier.  A variable that no pattern binds but a guard
-    equation ``f(v) = e`` pins is drawn from the preimage of ``e``'s
-    value under ``f``; only the others are enumerated over their
-    carriers (see :class:`MatchPlan`).  Guard atoms and the other input
-    terms on matched places are checked as soon as their variables are
-    bound, the terms against the tokens left over; a function
-    application outside its table leaves the candidate out, also in a
-    residual term.
+    The steps and checks of its plan (:class:`MatchPlan`) bind the
+    variables: a pattern's bound variable must agree with the token, a
+    fresh one takes the token's component if it lies in the variable's
+    carrier, and a check runs once its variables are bound, a term
+    against the tokens left over.  A function application outside its
+    table leaves the candidate out, also in a residual term.
 
     The transition's kernel (:class:`compiled.Kernel`) runs the plan.  It
     is built on the first call under ``s``, which looks up the carriers,
@@ -756,9 +751,8 @@ def guarded_occurrence(net: SchematicNet, transition: str, b: Binding,
     """The :func:`occurrence` of ``(transition, b)`` if ``b``, which
     assigns every variable of the transition, satisfies its guard, else
     None; an EvalError propagates."""
-    if not _kernel(net, transition, s).holds(dict(b.pairs())):
-        return None
-    return occurrence(net, transition, b, s)
+    kernel, env = _kernel(net, transition, s), dict(b.pairs())
+    return kernel.occurrence(env) if kernel.holds(env) else None
 
 
 def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | str,

@@ -300,15 +300,11 @@ def inscription_tokens(terms: Iterable[Term], s: Structure,
 
 
 def eval_guard(g: Guard, s: Structure, b: Binding = EMPTY_BINDING) -> bool:
-    for atom in g.atoms:
-        if not _eval_atom(atom, s, b):
-            return False
-    return True
+    return all(eval_atom(atom, s, b) for atom in g.atoms)
 
 
-def _eval_atom(atom: GuardAtom, s: Structure, b: Binding) -> bool:
-    left = evaluate(atom.left, s, b)
-    right = evaluate(atom.right, s, b)
+def eval_atom(atom: GuardAtom, s: Structure, b: Binding) -> bool:
+    left, right = evaluate(atom.left, s, b), evaluate(atom.right, s, b)
     if atom.op == "=":
         return left == right
     if atom.op == "in":

@@ -21,7 +21,7 @@ import re
 
 import pytest
 
-from hknet import (Atom, Guard, Marking, bind_structure, carrier_of, enabled_bindings,
+from hknet import (Atom, GuardAtom, Marking, bind_structure, carrier_of, enabled_bindings,
                    explore, explore_grounded, ground, instantiate, parse, resolve_net)
 from hknet import compiled
 from hknet.signature import carrier_rank
@@ -92,7 +92,7 @@ def test_the_keyword_net_takes_every_step_and_check_kind(keywords):
     steps = {step[0] for plan in plans.values() for step in plan.steps}
     checks = {type(check) for plan in plans.values() for level in plan.checks
               for check in level}
-    assert steps == {"match", "preimage", "carrier"} and checks == {Guard, tuple}
+    assert steps == {"match", "preimage", "carrier"} and checks == {GuardAtom, tuple}
     assert plans["try"].steps[1][2].items[0].name == "pass"  # bound before
     assert plans["with"].steps[0][2].items[0].name == "True"  # a constant
     assert plans["global"].residual
@@ -139,12 +139,21 @@ GENERATED = re.compile(r"(make|join|tokens_on|places|names|ranks|found|append|fi
                        r"|(p|n|rk|h|t|x|r|v|ok|took|k|need|g|tk|c|iv|tg|cp|q|w)[0-9]+)")
 
 
+def shape_of(net, name, s):
+    """The shape of the join of ``name`` under ``s``, and the arguments
+    of its factory, as the transition's kernel makes them."""
+    plan, t = net.index.plans[name], net.transition(name)
+    names = frozenset(plan.names)
+    closures = compiled._closures(t.guard.atoms, (*net.arcs_into(name), *net.arcs_out_of(name)),
+                                  s, names)
+    return compiled._shape(plan, s, names, [carrier_rank(sort, s) for sort in plan.sorts],
+                           closures)
+
+
 def shapes(system):
     net, s = system.net, system.structure
     for t in net.transitions:
-        plan = net.index.plans[t.name]
-        ranks = [carrier_rank(sort, s) for sort in plan.sorts]
-        yield t.name, compiled._shape(plan, s, frozenset(plan.names), ranks)
+        yield t.name, shape_of(net, t.name, s)
 
 
 def leaves(shape):
@@ -212,6 +221,47 @@ def test_instantiating_and_exploring_again_keeps_the_table_size(branch, sigma0):
     assert len(compiled._factories) == size
 
 
+def test_a_full_code_table_is_cleared_and_joins_stay_right(branch, sigma0, counted_compiles,
+                                                           monkeypatch):
+    # a table capped at two shapes: the third shape compiled clears it,
+    # and the kernels built meanwhile keep the factories they took
+    monkeypatch.setattr(compiled, "_FACTORIES_MAX", 2)
+    system = instantiate(branch, fresh_structure(sigma0, 1, 1))
+    net, s = system.net, system.structure
+    sizes = []
+    for t in net.transitions:
+        enabled_bindings(net, system.initial, t, s)
+        sizes.append(len(compiled._factories))
+    assert len({shape for _, (shape, _) in shapes(system)}) >= 3
+    assert max(sizes) == 2 and any(b < a for a, b in zip(sizes, sizes[1:])), sizes
+    graph = explore(system)
+    assert len(compiled._factories) <= 2
+    for m in graph.markings:
+        for t in net.transitions:
+            assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s), \
+                (t.name, m)
+
+
+def test_a_kernel_compiles_each_guard_atom_and_arc_term_once(keywords, sys0, monkeypatch):
+    # the join, holds and occurrence share one closure per guard atom and
+    # per term on the transition's arcs, whatever checks or steps use it
+    built = []
+    for helper in ("_atom", "_tokens"):
+        def counting(item, s, names, original=getattr(compiled, helper)):
+            built.append(item)
+            return original(item, s, names)
+        monkeypatch.setattr(compiled, helper, counting)
+    for system in (keywords, sys0):
+        net, s = system.net, system.structure
+        for t in net.transitions:
+            built.clear()
+            compiled.Kernel(net.index, t.name, s)
+            terms = [term for arc in (*net.arcs_into(t.name), *net.arcs_out_of(t.name))
+                     for term in arc.inscription]
+            assert sorted(map(id, built)) == sorted(map(id, (*t.guard.atoms, *terms))), \
+                (system.name, t.name)
+
+
 def test_a_plan_deeper_than_blocks_nest_still_joins():
     # one match step per input place, a guard atom and a second term on
     # the first place, each checked once its variables are bound: the
@@ -230,10 +280,8 @@ def test_a_plan_deeper_than_blocks_nest_still_joins():
     assert problems == []
     plan = net.index.plans["t"]
     assert len(plan.steps) == depth
-    assert {type(check) for level in plan.checks for check in level} == {Guard, tuple}
-    shape, _ = compiled._shape(plan, s, frozenset(plan.names),
-                               [carrier_rank(sort, s) for sort in plan.sorts])
-    assert "def k" in compiled._Source(shape).text
+    assert {type(check) for level in plan.checks for check in level} == {GuardAtom, tuple}
+    assert "def k" in compiled._Source(shape_of(net, "t", s)[0]).text
     a1, a2, b1 = Atom("a1"), Atom("a2"), Atom("b1")
     t = net.transition("t")
     rng = random.Random(3)

@@ -31,7 +31,8 @@ from hknet import (Atom, EvalError, FiringError, Marking, SchematicNet,
                    ground, instantiate, make_structure, parse, random_policy,
                    resolve_net, simulate)
 from hknet import compiled, nets
-from hknet.terms import Binding, GuardAtom, eval_guard, term_tokens
+from hknet.signature import SortName, value_in_sort
+from hknet.terms import Binding, GuardAtom, eval_atom, eval_guard, term_tokens
 
 from support import (ReferenceMarking, brute_force_bindings, reference_fire,
                      structure_text)
@@ -301,7 +302,7 @@ def test_a_join_level_with_a_guard_atom_and_a_token_check(kinds):
     """).body.inner, parse(SIGNATURE).body)
     assert problems == []
     level = net.index.plans["mixed"].checks[-1]
-    assert {type(check).__name__ for check in level} == {"Guard", "tuple"}
+    assert {type(check).__name__ for check in level} == {"GuardAtom", "tuple"}
     t = net.transition("mixed")
     a1, a2, a3, b1, b2 = (Atom(n) for n in ("a1", "a2", "a3", "b1", "b2"))
     rng = random.Random(20)
@@ -320,8 +321,9 @@ def test_a_join_level_with_a_guard_atom_and_a_token_check(kinds):
 # ---------------------------------------------------------------------------
 
 def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
-    # every arc term and guard of the net, compiled as a kernel compiles
-    # them, under every total binding: values and errors alike
+    # every arc term and guard atom of the net, compiled as a kernel
+    # compiles them, and each kernel's guard, under every total binding:
+    # values and errors alike
     net, s = kinds
     for t in net.transitions:
         names = frozenset(name for name, _ in t.variables)
@@ -330,7 +332,8 @@ def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
         terms += [side for atom in t.guard.atoms for side in (atom.left, atom.right)]
         values = [(compiled._value(term, s, names), term) for term in terms]
         tokens = [(compiled._tokens(term, s, names), term) for term in terms]
-        guard = compiled._guard(t.guard, s, names)
+        atoms = [(compiled._atom(atom, s, names), atom) for atom in t.guard.atoms]
+        holds = nets._kernel(net, t.name, s).holds
         for b in enumerate_bindings(t.variables, s):
             env = dict(b.pairs())
             for closure, term in values:
@@ -339,8 +342,31 @@ def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
             for closure, term in tokens:
                 assert outcome(lambda: closure(env)) == \
                     outcome(lambda: term_tokens(term, s, b)), (t.name, term, b)
-            assert outcome(lambda: guard(env)) == outcome(lambda: eval_guard(t.guard, s, b)), \
+            for closure, atom in atoms:
+                assert outcome(lambda: closure(env)) == \
+                    outcome(lambda: eval_atom(atom, s, b)), (t.name, atom, b)
+            assert outcome(lambda: holds(env)) == outcome(lambda: eval_guard(t.guard, s, b)), \
                 (t.name, b)
+
+
+def test_an_output_sort_the_structure_lacks_raises_as_value_in_sort_does():
+    # the kernel cannot build a membership table for C, so it leaves the
+    # test to value_in_sort, which raises when the transition fires
+    sig = parse("signature lack { sets A, C; consts c: C; }").body
+    a1 = Atom("a1")
+    s = make_structure("lack_s", sig, {"A": (a1,)}, constants={"c": a1})
+    net, problems = resolve_net(parse("""
+    module lack_m of lack {
+      places { p : A; out : C; }
+      trans { t; }
+      arcs { p -> t : x; t -> out : c; }
+    }
+    """).body.inner, sig)
+    assert problems == []
+    m, b = Marking({"p": [a1]}), Binding({"x": a1})
+    want = outcome(lambda: value_in_sort(a1, SortName("C"), s))
+    assert want[0] == "EvalError"
+    assert outcome(lambda: fire(net, m, "t", b, s)) == want
 
 
 def test_a_second_explore_compiles_nothing(branch, sigma0, monkeypatch):

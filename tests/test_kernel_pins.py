@@ -224,6 +224,19 @@ def test_a_pinned_variable_is_drawn_from_the_inverse_table(pinned):
     assert net.index.plans["reversed"].steps[-1][2:] == net.index.plans["noninj"].steps[-1][2:]
 
 
+def test_a_preimage_step_leaves_its_equation_unchecked(pinned):
+    # each transition has one guard atom: a preimage step makes it hold,
+    # else the join checks it once its variables are bound
+    net, _ = pinned
+    for name, plan in net.index.plans.items():
+        checked = [check for level in plan.checks for check in level]
+        (atom,) = net.transition(name).guard.atoms
+        if plan.steps[-1][0] == "preimage":
+            assert checked == [], name
+        else:
+            assert len(checked) == 1 and checked[0] is atom, name
+
+
 def test_inverse_tables_list_every_argument_of_a_unary_function(pinned):
     _, s = pinned
     a1, a2, b1, b2, b3 = (Atom(n) for n in ("a1", "a2", "b1", "b2", "b3"))
@@ -235,27 +248,29 @@ def test_inverse_tables_list_every_argument_of_a_unary_function(pinned):
 
 
 def test_binding_through_the_inverse_skips_the_carrier(pinned, monkeypatch):
-    # f(y) = x at x = a1, a2, a3 has 2 + 1 + 1 candidates for y, not 3 x 4;
-    # the guard evaluations are counted on the guards the kernel compiles,
-    # under a structure equal to the fixture's, which nothing compiled yet
+    # f(y) = x at x = a1, a2, a3 has 2 + 1 + 1 candidates for y, not 3 x 4,
+    # and the join evaluates f(y) = x for none of them, as the inverse
+    # table makes it hold; the evaluations are counted on the guard atoms
+    # the kernel compiles, under a structure equal to the fixture's, which
+    # nothing compiled yet
     net, _ = pinned
     sig = parse(PINNED[0]).body
     s = bind_structure(parse(PINNED[1]).body, sig)
     calls = []
-    original = compiled._guard
+    original = compiled._atom
 
-    def counting(guard, s_, names):
-        holds = original(guard, s_, names)
+    def counting(atom, s_, names):
+        holds = original(atom, s_, names)
 
         def counted(env):
-            calls.append(guard)
+            calls.append(atom)
             return holds(env)
         return counted
 
-    monkeypatch.setattr(compiled, "_guard", counting)
+    monkeypatch.setattr(compiled, "_atom", counting)
     m = Marking({"p": [Atom("a1"), Atom("a2"), Atom("a3")]})
     assert len(enabled_bindings(net, m, "noninj", s)) == 4
-    assert len(calls) == 4
+    assert len(calls) == 0
     calls.clear()
     assert len(enabled_bindings(net, m, "binary", s)) == 3
     assert len(calls) == 3 * 4
@@ -272,6 +287,9 @@ def test_hand_over_draws_the_meal_from_the_inverse_of_g(sys0):
     plan = sys0.net.index.plans["hand_over"]
     assert [step[:2] for step in plan.steps] == [
         ("match", "pending_orders"), ("match", "waiting"), ("preimage", "Y")]
+    # g(Y) = X holds by the inverse table and elm(Y) is residual, so the
+    # join checks nothing
+    assert not any(plan.checks) and plan.residual
     select = sys0.net.index.plans["select"]
     assert select.steps[-1][:2] == ("carrier", "X")
 
