@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event,
-                   Ident, InterfaceElement, ModelError, Module, Multiset, Place,
-                   SchematicNet, SchedulingPolicy, ScriptError, SetValue, Signature,
-                   SortName, Transition, canonical_equal, compose, compose_runs,
-                   empty_module, empty_run, enabled_bindings, final_cut, find_event, initial_cut,
+from hknet import (Arc, Atom, Binding, CompositionError, Condition, EvalError, Event,
+                   FiringError, Ident, InterfaceElement, Marking, ModelError, Module, Multiset,
+                   Place, SchematicNet, SchedulingPolicy, ScriptError, SetValue, Signature,
+                   SortName, Transition, TupleValue, canonical_equal, compose, compose_runs,
+                   empty_module, empty_run, enabled_bindings, final_cut, find_event, fire,
+                   initial_cut,
                    instantiate, linearize, make_structure, ordered, print_run,
                    random_policy, render_binding, scripted_policy, simulate,
                    validate_run)
@@ -18,8 +19,8 @@ from hknet.modules import PLACE, TRANSITION
 from hknet.nets import OccurrenceNet
 
 from conftest import synthetic
-from support import (digest, reference_linearize, reference_run, reference_simulate, replay,
-                     scan_condition, scan_event, scan_post, scan_pre,
+from support import (ReferenceMarking, digest, reference_fire, reference_linearize,
+                     reference_run, reference_simulate, replay, scan_condition, scan_event, scan_post, scan_pre,
                      scan_topo_levels)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -585,6 +586,134 @@ def test_event_outside_a_function_table_is_a_binding_violation(sys0, a0_simulate
     report = validate_run(with_event_outside_a_function_table(a0_simulated), sys0)
     assert [v.code for v in report] == ["binding"]
     assert cook.id in report[0].message and "pizza" in report[0].message
+
+
+# ---------------------------------------------------------------------------
+# Validation once per label: findings stay one per node, in node order
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def s12_run(branch):
+    """The branch on s_1_2 and a 100-event run of it: 17 distinct event
+    labels and 21 distinct condition labels."""
+    system = synthetic(branch, 1, 2)
+    return system, simulate(system, random_policy(seed=0, steps=100))
+
+
+def relabeled(run: Module, transition: str, old: Binding, new: Binding):
+    """``run`` with every event labeled ``(transition, old)`` bound by
+    ``new`` instead, and the ids of those events, of which there are
+    several."""
+    inner = run.inner
+    ids = [e.id for e in inner.events if e.transition == transition and e.binding == old]
+    assert len(ids) >= 2
+    events = tuple(replace(e, binding=new) if e.id in ids else e for e in inner.events)
+    return replace(run, inner=replace(inner, events=events)), ids
+
+
+def per_label_cases(run: Module) -> list[tuple[str, Module, list[tuple[str, str]]]]:
+    """``(case, broken run, its (code, message) findings in node order)``
+    per way a label can be bad; each bad label sits at two or more nodes."""
+    inner = run.inner
+    c1, t1, m1, m2 = (Atom(name) for name in ("c1", "t1", "m1", "m2"))
+    cases = []
+
+    # g(Y) = X is false for X = {m1} and Y = {m2}
+    bad, ids = relabeled(run, "hand_over",
+                         Binding({"X": SetValue([m1]), "Y": SetValue([m1]), "c": c1, "t": t1}),
+                         Binding({"X": SetValue([m1]), "Y": SetValue([m2]), "c": c1, "t": t1}))
+    cases.append(("false-guard", bad, [
+        ("guard", f"event {i}: guard of 'hand_over' is false under "
+                  "[X={m1}, Y={m2}, c=c1, t=t1]") for i in ids]))
+
+    # f has no entry for c1, so cook's input f(y) cannot be evaluated
+    bad, ids = relabeled(run, "cook", Binding({"y": m1}), Binding({"y": c1}))
+    cases.append(("outside-a-function-table", bad, [
+        ("binding", f"event {i}: kitchen.hk:24:29: function 'f' is undefined on (c1)")
+        for i in ids]))
+
+    bad, ids = relabeled(run, "leave", Binding({"c": c1, "t": t1}), Binding({"t": t1}))
+    cases.append(("wrong-variables", bad, [
+        ("binding", f"event {i}: the binding assigns [t], but 'leave' has the "
+                    "variables [c, t]") for i in ids]))
+
+    # two conditions on eating carry (c1, m1): each is reported, and so is
+    # the hand_over producing it and the leave consuming it
+    eating = [c.id for c in inner.conditions if c.place == "eating"][:2]
+    (first_made, first_taken), (second_made, second_taken) = (
+        (inner.pre(cid)[0], inner.post(cid)[0]) for cid in eating)
+    order = [e.id for e in inner.events]
+    assert (order.index(first_made) < order.index(first_taken)
+            < order.index(second_made) < order.index(second_taken))
+    conditions = tuple(replace(c, value=TupleValue([c1, m1])) if c.id in eating else c
+                       for c in inner.conditions)
+    mismatch = "{} ({}): {}-set does not match the evaluated arc inscriptions"
+    cases.append(("ill-sorted-conditions", replace(run, inner=replace(inner, conditions=conditions)), [
+        *[("token-sort", f"condition {cid} carries (c1, m1), outside the sort of 'eating'")
+          for cid in eating],
+        ("post-set", "event " + mismatch.format(first_made, "hand_over", "post")),
+        ("pre-set", "event " + mismatch.format(first_taken, "leave", "pre")),
+        ("post-set", "event " + mismatch.format(second_made, "hand_over", "post")),
+        ("pre-set", "event " + mismatch.format(second_taken, "leave", "pre"))]))
+
+    # of the cooks of m2, only the first loses its input arc
+    cooks = [e.id for e in inner.events
+             if e.transition == "cook" and e.binding == Binding({"y": m2})]
+    assert len(cooks) >= 2
+    flow = tuple(arc for arc in inner.flow if arc[1] != cooks[0])
+    cases.append(("one-pre-set-of-two", replace(run, inner=replace(inner, flow=flow)), [
+        ("pre-set", "event " + mismatch.format(cooks[0], "cook", "pre"))]))
+    return cases
+
+
+def test_a_bad_label_is_reported_at_each_of_its_nodes_in_node_order(s12_run):
+    system, run = s12_run
+    assert validate_run(run, system) == []
+    for case, bad, expected in per_label_cases(run):
+        got = [(v.code, v.message.replace(f"{CORPUS}{os.sep}", ""))
+               for v in validate_run(bad, system)]
+        assert got == expected, case
+
+
+def test_validation_keeps_no_label_verdict_between_calls(branch, s12_run):
+    # s_1_1 lacks m2, so under it the same labels break sorts, guards,
+    # function tables and the initial marking
+    system, run = s12_run
+    narrow = synthetic(branch, 1, 1)
+    reports = [validate_run(run, against) for against in (system, narrow, system)]
+    assert reports[0] == reports[2] == []
+    assert {v.code for v in reports[1]} == {"token-sort", "guard", "binding", "initial-cut"}
+
+
+def test_firing_each_label_of_the_broken_runs_fails_as_the_reference_does(s12_run):
+    # at the initial marking, where most are not enabled, and at one
+    # holding every token of the run; enter under c = m1 puts (m1, t1)
+    # outside the sort of clients_ready_to_order
+    system, run = s12_run
+    net, s = system.net, system.structure
+    labels = dict.fromkeys((e.transition, e.binding) for _, bad, _ in per_label_cases(run)
+                           for e in bad.inner.events)
+    labels[("enter", Binding({"c": Atom("m1"), "t": Atom("t1")}))] = None
+    everything: dict[str, list] = {}
+    for c in run.inner.conditions:
+        everything.setdefault(c.place, []).append(c.value)
+
+    def outcome(step):
+        try:
+            return step().rendered_entries()
+        except (FiringError, EvalError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    seen = []
+    for m in (system.initial, Marking(everything)):
+        ref = ReferenceMarking({p: list(ms) for p, ms in m.items()})
+        for name, b in labels:
+            got = outcome(lambda: fire(net, m, name, b, s))
+            assert got == outcome(lambda: reference_fire(net, ref, name, b, s)), (name, b)
+            seen.append(got)
+    for message in ("does not assign variable", "is false under", "lacks required tokens",
+                    "outside sort", "is undefined on"):
+        assert any(message in str(out) for out in seen), message
 
 
 # ---------------------------------------------------------------------------
