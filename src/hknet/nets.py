@@ -16,7 +16,6 @@ list per transition.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -189,11 +188,11 @@ class MatchPlan:
       unbound variables against the distinct tokens on its input place;
     * ``("preimage", name, function, term)`` draws a variable no pattern
       binds from the arguments that the unary ``function`` maps to the
-      value of ``term``, read off the structure's inverse table
-      (:func:`signature.inverse_table`) and kept only inside the
-      variable's carrier.  The guard equates ``function(name)`` with
-      ``term``, either way round, and every variable of ``term`` is bound
-      by an earlier step; if ``term`` fails to evaluate, nothing is bound;
+      value of ``term``, read off the structure's inverse table kept
+      within the variable's carrier (:func:`signature.inverse_table_in`).
+      The guard equates ``function(name)`` with ``term``, either way
+      round, and every variable of ``term`` is bound by an earlier step;
+      if ``term`` fails to evaluate, nothing is bound;
     * ``("carrier", name, sort)`` enumerates the carrier of any other
       variable no pattern binds: free-choice variables and those
       occurring only under a function, in a set term or in ``elm``.
@@ -760,19 +759,23 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
     """The :func:`occurrence` of an enabled ``(transition, b)`` at ``m``, or
     a FiringError for the first failing check of: ``b`` assigns every
     variable, the guard holds, ``m`` holds the consumed tokens, and the
-    produced ones lie in their places' sorts (the first, canonically)."""
+    produced ones lie in their places' sorts (the first, canonically).
+    One kernel checks the guard, evaluates the arcs and tests the sorts,
+    all on one dict of the binding."""
     t = _resolved(net, transition)
+    env = dict(b.pairs())
     for name, _ in t.variables:
-        if name not in b:
+        if name not in env:
             raise FiringError(
                 f"binding does not assign variable {name!r} of {t.name!r}")
-    found = guarded_occurrence(net, t.name, b, s)
-    if found is None:
+    kernel = _kernel(net, t.name, s)
+    if not kernel.holds(env):
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
+    found = kernel.occurrence(env)
     place = _lacking(m.get, found[0])
     if place is not None:
         raise FiringError(f"{t.name!r} is not enabled: {place!r} lacks required tokens")
-    _require_sorts(net, t.name, found[1], s)
+    _require_sorts(net, t.name, found[1], kernel.sorts)
     return found
 
 
@@ -783,11 +786,11 @@ def fire(net: SchematicNet, m: Marking, transition: Transition | str,
 
 
 def _require_sorts(net: SchematicNet, transition: str, produced: Tokens,
-                   s: Structure) -> None:
+                   tests: Mapping[str, Callable[[Value], bool]]) -> None:
     """Raise the FiringError of a transition that would put a value
     outside its place's sort, naming the first such value canonically;
-    the sorts are tested by the transition's kernel."""
-    tests = _kernel(net, transition, s).sorts
+    ``tests`` are the membership tests of the transition's kernel
+    (:attr:`compiled.Kernel.sorts`)."""
     for place_name, tokens in produced.items():
         test = tests.get(place_name)
         if test is None:
@@ -959,7 +962,8 @@ class Stepper:
             return move
         found = occurrence(self.net, name, b, self.structure)
         consumed, produced = found
-        _require_sorts(self.net, name, produced, self.structure)
+        _require_sorts(self.net, name, produced,
+                       _kernel(self.net, name, self.structure).sorts)
         changes = []
         for p in dict.fromkeys((*consumed, *produced)):
             remove, add = consumed.get(p, _NO_COUNTS), produced.get(p, _NO_COUNTS)
@@ -1032,7 +1036,11 @@ class Event:
 
 @dataclass(frozen=True)
 class OccurrenceNet:
-    """An acyclic condition/event net with unbranched conditions."""
+    """An acyclic condition/event net with unbranched conditions.
+
+    The net holds its nodes and arcs as given: :meth:`is_acyclic` and
+    ``runs.validate_run`` test the two properties, and :attr:`index`
+    looks nodes and their pre- and post-sets up by id."""
 
     conditions: tuple[Condition, ...] = ()
     events: tuple[Event, ...] = ()
@@ -1064,27 +1072,28 @@ class OccurrenceNet:
     def is_empty(self) -> bool:
         return not (self.conditions or self.events or self.flow)
 
-    def topo_levels(self) -> list[str] | None:
-        """All node ids in one topological order, smallest ready id
-        first, or None if cyclic.  Arcs from or into unknown nodes are
-        ignored."""
+    def is_acyclic(self) -> bool:
+        """Whether the flow relation has no cycle: one pass of Kahn's
+        algorithm over :attr:`OccurrenceIndex.post` that only counts the
+        nodes it reaches.  Arcs from or into unknown nodes are ignored.
+        An id counts as often as it is listed, so one that several nodes
+        share and some arc enters counts as a cycle."""
         ids = [c.id for c in self.conditions] + [e.id for e in self.events]
         indeg = dict.fromkeys(ids, 0)
         for src, tgt in self.flow:
             if src in indeg and tgt in indeg:
                 indeg[tgt] += 1
-        frontier = [i for i in ids if indeg[i] == 0]
-        heapq.heapify(frontier)
-        order: list[str] = []
-        while frontier:
-            node = heapq.heappop(frontier)
-            order.append(node)
-            for nxt in self.index.post.get(node, ()):
+        ready = [i for i in ids if indeg[i] == 0]
+        reached = len(ready)
+        post = self.index.post
+        while ready:
+            for nxt in post.get(ready.pop(), ()):
                 if nxt in indeg:
                     indeg[nxt] -= 1
                     if indeg[nxt] == 0:
-                        heapq.heappush(frontier, nxt)
-        return order if len(order) == len(ids) else None
+                        ready.append(nxt)
+                        reached += 1
+        return reached == len(ids)
 
 
 class OccurrenceIndex:

@@ -17,14 +17,14 @@ import random
 from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Mapping
 
 from .errors import (CompositionError, EvalError, ModelError, ScriptError,
                      Violation)
 from .modules import Module, PLACE, InterfaceElement, compose
-from .nets import (Condition, Event, Marking, OccurrenceNet, Stepper,
+from .nets import (Condition, Event, Marking, OccurrenceNet, SchematicNet, Stepper,
                    guarded_occurrence)
-from .signature import value_in_sort
+from .signature import Structure, value_in_sort
 from .systems import System
 from .terms import Binding, render_binding
 from .values import Multiset, Value, render_value
@@ -186,21 +186,21 @@ def _cut_interface(conds: list[Condition]) -> tuple[InterfaceElement, ...]:
 
 def initial_cut(run: Module) -> Marking:
     inner = _occurrence(run)
-    return _cut(inner.conditions, inner.pre)
+    return _cut(inner.conditions, inner.index.pre)
 
 
 def final_cut(run: Module) -> Marking:
     inner = _occurrence(run)
-    return _cut(inner.conditions, inner.post)
+    return _cut(inner.conditions, inner.index.post)
 
 
 def _cut(conditions: Iterable[Condition],
-         linked: Callable[[str], tuple[str, ...]]) -> Marking:
-    """The tokens of the conditions that ``linked`` (a pre- or post-set
-    lookup) connects to no event."""
+         linked: Mapping[str, tuple[str, ...]]) -> Marking:
+    """The tokens of the conditions that ``linked`` (the pre- or
+    post-sets of the run's index) links to no node."""
     per_place: dict[str, list[Value]] = {}
     for c in conditions:
-        if not linked(c.id):
+        if c.id not in linked:
             per_place.setdefault(c.place, []).append(c.value)
     return Marking({p: Multiset(vs) for p, vs in per_place.items()})
 
@@ -269,92 +269,121 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
     variables, guard true under it, pre- and post-sets matching the
     evaluated arc inscriptions), and that the initial cut is part of the
     initial marking.  Empty report iff valid.
+
+    What depends on a node's label alone is worked out once per distinct
+    label in the call: the place and its sort test per (place, value),
+    and the transition, its variables, its guard and the evaluated arc
+    inscriptions per (transition, binding).  Findings stay one per node,
+    in node order, so a bad label is reported at every node carrying it;
+    the flow, branching and pre-/post-set checks read each node's own
+    arcs from the run's index.
     """
     out: list[Violation] = []
     if not isinstance(run.inner, OccurrenceNet):
         return [Violation("not-a-run", f"module {run.name!r} has a schematic inner net")]
     inner = run.inner
     net, s = sys.net, sys.structure
+    index = inner.index
+    conditions, events, pre, post = index.conditions, index.events, index.pre, index.post
 
+    # per (place, value): (code, message after the condition's id), or () if fine
+    condition_findings: dict[tuple[str, Value], tuple[str, ...]] = {}
     for c in inner.conditions:
-        try:
-            place = net.place(c.place)
-        except KeyError:
-            out.append(Violation(
-                "unknown-place",
-                f"condition {c.id} is labeled with unknown place {c.place!r}"))
-            continue
-        if place.sort is not None and not value_in_sort(c.value, place.sort, s):
-            out.append(Violation(
-                "token-sort",
-                f"condition {c.id} carries {render_value(c.value)}, outside "
-                f"the sort of {c.place!r}"))
+        label = (c.place, c.value)
+        finding = condition_findings.get(label)
+        if finding is None:
+            finding = condition_findings[label] = _condition_finding(net, c.place, c.value, s)
+        if finding:
+            out.append(Violation(finding[0], f"condition {c.id}{finding[1]}"))
 
-    conditions, events = inner.index.conditions, inner.index.events
     for src, tgt in inner.flow:
         if not ((src in conditions and tgt in events)
                 or (src in events and tgt in conditions)):
             out.append(Violation(
                 "flow", f"flow arc {src} -> {tgt} must connect a condition "
                 "and an event"))
-    if inner.topo_levels() is None:
+    if not inner.is_acyclic():
         out.append(Violation("cycle", "the flow relation is cyclic"))
     for c in inner.conditions:
-        if len(inner.pre(c.id)) > 1:
+        if len(pre.get(c.id, ())) > 1:
             out.append(Violation(
                 "branching", f"condition {c.id} is produced by several events"))
-        if len(inner.post(c.id)) > 1:
+        if len(post.get(c.id, ())) > 1:
             out.append(Violation(
                 "branching", f"condition {c.id} is consumed by several events"))
 
+    verdicts: dict[tuple[str, Binding], tuple] = {}
     for e in inner.events:
-        try:
-            transition = net.transition(e.transition)
-        except KeyError:
-            out.append(Violation(
-                "unknown-transition",
-                f"event {e.id} is labeled with unknown transition {e.transition!r}"))
+        label = (e.transition, e.binding)
+        verdict = verdicts.get(label)
+        if verdict is None:
+            verdict = verdicts[label] = _event_verdict(net, e.transition, e.binding, s)
+        code, text, expected = verdict
+        if code is not None:
+            out.append(Violation(code, f"event {e.id}{text}"))
             continue
-        assigned = [name for name, _ in e.binding.pairs()]
-        declared = [name for name, _ in transition.variables]
-        if assigned != declared:
-            out.append(Violation(
-                "binding", f"event {e.id}: the binding assigns [{', '.join(assigned)}], "
-                f"but {e.transition!r} has the variables [{', '.join(declared)}]"))
-            continue
-        try:
-            found = guarded_occurrence(net, e.transition, e.binding, s)
-        except EvalError as exc:  # evaluation failure under this binding
-            out.append(Violation(
-                "binding", f"event {e.id}: {exc}"))
-            continue
-        if found is None:
-            out.append(Violation(
-                "guard", f"event {e.id}: guard of {e.transition!r} is false "
-                f"under {render_binding(e.binding)}"))
-            continue
-        consumed, produced = found
-        for label, expected, linked in (("pre", consumed, inner.pre(e.id)),
-                                        ("post", produced, inner.post(e.id))):
+        for side, wanted, linked in (("pre", expected[0], pre.get(e.id, ())),
+                                     ("post", expected[1], post.get(e.id, ()))):
             got: dict[str, dict[Value, int]] = {}
             for cid in linked:
                 c = conditions.get(cid)
                 if c is not None:
                     counts = got.setdefault(c.place, {})
                     counts[c.value] = counts.get(c.value, 0) + 1
-            if got != {p: counts for p, counts in expected.items() if counts}:
+            if got != wanted:
                 out.append(Violation(
-                    f"{label}-set",
-                    f"event {e.id} ({e.transition}): {label}-set does not match "
+                    f"{side}-set",
+                    f"event {e.id} ({e.transition}): {side}-set does not match "
                     "the evaluated arc inscriptions"))
 
-    start = initial_cut(run)
+    start = _cut(inner.conditions, pre)
     for place, tokens in start.items():
         if not tokens <= sys.initial.get(place):
             out.append(Violation(
                 "initial-cut",
                 f"initial cut puts tokens on {place!r} beyond the initial marking"))
     return out
+
+
+def _condition_finding(net: SchematicNet, place_name: str, value: Value,
+                       s: Structure) -> tuple[str, ...]:
+    """The violation code and the message after the condition's id of a
+    condition labeled ``(place_name, value)``, or () if the place exists
+    and its sort holds the value."""
+    try:
+        place = net.place(place_name)
+    except KeyError:
+        return ("unknown-place", f" is labeled with unknown place {place_name!r}")
+    if place.sort is not None and not value_in_sort(value, place.sort, s):
+        return ("token-sort", f" carries {render_value(value)}, outside "
+                f"the sort of {place_name!r}")
+    return ()
+
+
+def _event_verdict(net: SchematicNet, name: str, b: Binding, s: Structure) -> tuple:
+    """``(code, message after the event's id, None)`` for the first check
+    an event labeled ``(name, b)`` fails of: ``name`` is a transition,
+    ``b`` assigns exactly its variables, and the guard and the arc
+    inscriptions evaluate under ``b``, the guard to true; else
+    ``(None, "", (pre, post))`` with the ``{place: {value: count}}``
+    tokens its pre- and post-set must carry."""
+    try:
+        transition = net.transition(name)
+    except KeyError:
+        return ("unknown-transition", f" is labeled with unknown transition {name!r}", None)
+    assigned = [variable for variable, _ in b.pairs()]
+    declared = [variable for variable, _ in transition.variables]
+    if assigned != declared:
+        return ("binding", f": the binding assigns [{', '.join(assigned)}], "
+                f"but {name!r} has the variables [{', '.join(declared)}]", None)
+    try:
+        found = guarded_occurrence(net, name, b, s)
+    except EvalError as exc:  # evaluation failure under this binding
+        return ("binding", f": {exc}", None)
+    if found is None:
+        return ("guard", f": guard of {name!r} is false under {render_binding(b)}", None)
+    return (None, "", tuple({p: counts for p, counts in tokens.items() if counts}
+                            for tokens in found))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +396,13 @@ def compose_runs(r1: Module, r2: Module) -> Module:
     if not isinstance(result.inner, OccurrenceNet):
         return result  # one operand was the neutral empty module
     inner = result.inner
+    pre, post = inner.index.pre, inner.index.post
     for c in inner.conditions:
-        if len(inner.pre(c.id)) > 1 or len(inner.post(c.id)) > 1:
+        if len(pre.get(c.id, ())) > 1 or len(post.get(c.id, ())) > 1:
             raise CompositionError(
                 f"composing runs branches condition {c.id} "
                 f"({c.place}, {render_value(c.value)})")
-    if inner.topo_levels() is None:
+    if not inner.is_acyclic():
         raise CompositionError("composing runs creates a causal cycle")
     return result
 
@@ -380,18 +410,20 @@ def compose_runs(r1: Module, r2: Module) -> Module:
 def linearize(run: Module, seed: int = 0) -> list[tuple[str, Binding]]:
     """One admissible total order of the run's events (seed-dependent)."""
     inner = _occurrence(run)
-    if inner.topo_levels() is None:
+    if not inner.is_acyclic():
         raise ModelError("cannot linearize a cyclic run")
     # an event waits for the producer of each condition it consumes (of
     # several, the last in flow order); a producer that is no event never
     # occurs, so its consumers stay pending
-    conditions = inner.index.conditions
+    conditions, pre = inner.index.conditions, inner.index.pre
     pending = {e.id: e for e in inner.events}
     waiting: dict[str, int] = {}
     consumers: dict[str, list[str]] = {}
     for eid in pending:
-        producers = {inner.pre(cid)[-1] for cid in inner.pre(eid)
-                     if cid in conditions and inner.pre(cid)}
+        producers = set()
+        for cid in pre.get(eid, ()):
+            if cid in conditions and (made_by := pre.get(cid)):
+                producers.add(made_by[-1])
         waiting[eid] = len(producers)
         for producer in producers:
             consumers.setdefault(producer, []).append(eid)
