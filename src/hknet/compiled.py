@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING
 
 from .errors import EvalError
 from .signature import (PowSort, Sort, SortName, Structure, TupleSort,
-                        carrier_of, carrier_rank, inverse_table_in, value_in_sort)
-from .terms import (App, Binding, ConstRef, Elm, GuardAtom, Ident, SetTerm, SymbolRef,
-                    Term, TupleTerm, Var, eval_atom, evaluate)
+                        carrier_of, carrier_rank, inverse_table, value_in_sort)
+from .terms import (App, Binding, Elm, GuardAtom, SetTerm, Term, TupleTerm, Var,
+                    eval_atom, evaluate)
 from .values import Multiset, SetValue, TupleValue, Value, render_value
 
 if TYPE_CHECKING:
@@ -87,58 +87,45 @@ def _closures(atoms: Iterable[GuardAtom], arcs: Iterable[Arc], s: Structure,
     return closures
 
 
-def _value(term: Term, s: Structure, names: frozenset[str],
-           ground: set[int] | None = None) -> Callable[[Env], Value]:
+def _value(term: Term, s: Structure, names: frozenset[str]) -> Callable[[Env], Value]:
     """``evaluate(term, s, env)`` as a closure of ``env``, which assigns
     each of ``names`` when called; any other variable is left to the
-    interpreter.  A term without variables is evaluated here, once;
-    ``ground`` holds the ids of the subterms without variables of the
-    term compiled, found in one walk of it (:func:`_ground`)."""
-    if ground is None:
-        ground = set()
-        _ground(term, ground)
+    interpreter.  A term without variables is evaluated here, once."""
+    return _folded(term, s, names)[0]
+
+
+_NO_VALUE = object()  # what _folded gives for a term with variables or one that fails
+
+
+def _folded(term: Term, s: Structure,
+            names: frozenset[str]) -> tuple[Callable[[Env], Value], object]:
+    """:func:`_value` of ``term``, and its value if it has no variables
+    and evaluates, else ``_NO_VALUE``.  The parts are compiled first, and
+    a term whose parts all have values is evaluated from them, so no
+    subterm is walked twice."""
     if isinstance(term, Var):
-        return itemgetter(term.name) if term.name in names else partial(evaluate, term, s)
-    if id(term) in ground:
-        try:
-            value = evaluate(term, s)
-        except EvalError:
-            return partial(evaluate, term, s)
-        return lambda env: value
+        closure = itemgetter(term.name) if term.name in names else partial(evaluate, term, s)
+        return closure, _NO_VALUE
     if isinstance(term, App) and term.function in s.functions:
-        return _application(term, s.functions[term.function],
-                            [_value(a, s, names, ground) for a in term.args])
-    if isinstance(term, TupleTerm):
-        items = [_value(item, s, names, ground) for item in term.items]
-        return lambda env: TupleValue([item(env) for item in items])
-    if isinstance(term, SetTerm):
-        elements = [_value(e, s, names, ground) for e in term.elements]
-        return lambda env: SetValue([e(env) for e in elements])
-    return partial(evaluate, term, s)
-
-
-def _ground(term: Term, ground: set[int]) -> bool:
-    """Whether ``term`` has no variables (:func:`terms.term_variables` is
-    empty), adding its id and those of its subterms without variables to
-    ``ground``."""
-    if isinstance(term, (Var, Ident)):
-        return False
-    if isinstance(term, (ConstRef, SymbolRef)):
-        parts: tuple[Term, ...] = ()
-    elif isinstance(term, App):
-        parts = term.args
+        parts = [_folded(a, s, names) for a in term.args]
+        closure = _application(term, s.functions[term.function], [p for p, _ in parts])
     elif isinstance(term, TupleTerm):
-        parts = term.items
+        parts = [_folded(item, s, names) for item in term.items]
+        items = [p for p, _ in parts]
+        closure = lambda env: TupleValue([item(env) for item in items])
     elif isinstance(term, SetTerm):
-        parts = term.elements
-    elif isinstance(term, Elm):
-        parts = (term.inner,)
-    else:
-        raise TypeError(f"not a term: {term!r}")
-    if all([_ground(part, ground) for part in parts]):  # a list: walk every part
-        ground.add(id(term))
-        return True
-    return False
+        parts = [_folded(e, s, names) for e in term.elements]
+        elements = [p for p, _ in parts]
+        closure = lambda env: SetValue([e(env) for e in elements])
+    else:  # a constant or symbol; evaluate refuses elm, identifiers and unknown functions
+        parts, closure = [], partial(evaluate, term, s)
+    if any(value is _NO_VALUE for _, value in parts):
+        return closure, _NO_VALUE
+    try:
+        value = closure({})
+    except EvalError:
+        return partial(evaluate, term, s), _NO_VALUE
+    return (lambda env: value), value
 
 
 def _application(term: App, table: Mapping[tuple[Value, ...], Value],
@@ -377,9 +364,11 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
             shape.append(("M", slot[step[1]], readers[step[1]] == 1, pattern(step[2])))
             continue
         k = var[step[1]]
+        rank = ranks[k]
         bound.add(step[1])
         if step[0] == "preimage":
-            args.append(inverse_table_in(step[2], plan.sorts[k], s))
+            args.append({target: kept for target, values in inverse_table(step[2], s).items()
+                         if (kept := tuple(v for v in values if v in rank))})
             term = step[3]
             if isinstance(term, Var) and term.name in variables:  # read from its local
                 shape.append(("P", k, var[term.name]))
@@ -388,7 +377,7 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
                 shape.append(("P", k, -1))
                 shape[2] = True
         else:
-            rank, values = ranks[k], carrier_of(step[2], s)
+            values = carrier_of(step[2], s)
             args.append(rank.items() if len(rank) == len(values)
                         else tuple((v, rank[v]) for v in values))
             shape.append(("C", k))

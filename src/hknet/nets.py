@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
-from .compiled import Kernel, Tokens, TokensOn
+from .compiled import Env, Kernel, Tokens, TokensOn
 from .errors import FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         TupleSort, render_sort, sort_symbols, sorts_compatible,
@@ -188,11 +188,11 @@ class MatchPlan:
       unbound variables against the distinct tokens on its input place;
     * ``("preimage", name, function, term)`` draws a variable no pattern
       binds from the arguments that the unary ``function`` maps to the
-      value of ``term``, read off the structure's inverse table kept
-      within the variable's carrier (:func:`signature.inverse_table_in`).
-      The guard equates ``function(name)`` with ``term``, either way
-      round, and every variable of ``term`` is bound by an earlier step;
-      if ``term`` fails to evaluate, nothing is bound;
+      value of ``term``, read off the structure's inverse table
+      (:func:`signature.inverse_table`) and kept only inside the
+      variable's carrier.  The guard equates ``function(name)`` with
+      ``term``, either way round, and every variable of ``term`` is bound
+      by an earlier step; if ``term`` fails to evaluate, nothing is bound;
     * ``("carrier", name, sort)`` enumerates the carrier of any other
       variable no pattern binds: free-choice variables and those
       occurring only under a function, in a set term or in ``elm``.
@@ -750,7 +750,11 @@ def guarded_occurrence(net: SchematicNet, transition: str, b: Binding,
     """The :func:`occurrence` of ``(transition, b)`` if ``b``, which
     assigns every variable of the transition, satisfies its guard, else
     None; an EvalError propagates."""
-    kernel, env = _kernel(net, transition, s), dict(b.pairs())
+    return _guarded(_kernel(net, transition, s), dict(b.pairs()))
+
+
+def _guarded(kernel: Kernel, env: Env) -> tuple[Tokens, Tokens] | None:
+    """The occurrence ``kernel`` gives under ``env`` if its guard holds."""
     return kernel.occurrence(env) if kernel.holds(env) else None
 
 
@@ -769,9 +773,9 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
             raise FiringError(
                 f"binding does not assign variable {name!r} of {t.name!r}")
     kernel = _kernel(net, t.name, s)
-    if not kernel.holds(env):
+    found = _guarded(kernel, env)
+    if found is None:
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    found = kernel.occurrence(env)
     place = _lacking(m.get, found[0])
     if place is not None:
         raise FiringError(f"{t.name!r} is not enabled: {place!r} lacks required tokens")

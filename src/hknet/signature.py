@@ -177,8 +177,7 @@ class Structure:
     canonical value order.  Structures are immutable after construction
     and safe to share between concurrent readers: the tables below --
     carrier tables per sort, each carrier symbol's set value, the
-    inverse table of each unary function (also kept within the carrier
-    of each sort a preimage step asks for) and the compiled kernel of
+    inverse table of each unary function and the compiled kernel of
     each transition enabled or fired under it, dropped with its net --
     are derived from the fields on first use, and an entry, once added,
     is never changed.
@@ -216,11 +215,6 @@ class Structure:
     @cached_property
     def _inverse_tables(self) -> dict[str, dict[Value, tuple[Value, ...]]]:
         """Per function symbol: :func:`inverse_table`."""
-        return {}
-
-    @cached_property
-    def _inverse_tables_in(self) -> dict[tuple[str, Sort], dict[Value, tuple[Value, ...]]]:
-        """Per function symbol and sort: :func:`inverse_table_in`."""
         return {}
 
     @cached_property
@@ -288,21 +282,6 @@ def inverse_table(function: str, s: Structure) -> Mapping[Value, tuple[Value, ..
                 preimages.setdefault(result, []).append(args[0])
         table = {result: tuple(args) for result, args in preimages.items()}
         s._inverse_tables[function] = table
-    return table
-
-
-def inverse_table_in(function: str, sort: Sort,
-                     s: Structure) -> Mapping[Value, tuple[Value, ...]]:
-    """:func:`inverse_table` of ``function`` with only the arguments in
-    ``carrier_of(sort, s)``, leaving out the results left with none.
-    Memoised on ``s`` by function and sort, and capped like
-    :func:`carrier_of`."""
-    table = s._inverse_tables_in.get((function, sort))
-    if table is None:
-        rank = carrier_rank(sort, s)
-        table = {result: kept for result, args in inverse_table(function, s).items()
-                 if (kept := tuple(v for v in args if v in rank))}
-        s._inverse_tables_in[function, sort] = table
     return table
 
 

@@ -24,7 +24,7 @@ import pytest
 from hknet import (Atom, GuardAtom, Marking, bind_structure, carrier_of, enabled_bindings,
                    explore, explore_grounded, ground, instantiate, parse, resolve_net)
 from hknet import compiled, terms
-from hknet.signature import carrier_rank, inverse_table_in
+from hknet.signature import carrier_rank
 
 from support import brute_force_bindings, structure_text
 
@@ -263,8 +263,9 @@ def test_a_kernel_compiles_each_guard_atom_and_arc_term_once(keywords, sys0, mon
 
 
 def test_a_warm_build_finds_ground_subterms_without_term_variables(sys_small, monkeypatch):
-    # one walk per compiled term finds its subterms without variables;
-    # term_variables at each level of a nested term took 37 calls here
+    # a term is compiled bottom-up and folded to a constant when all its
+    # parts are; term_variables at each level of a nested term took 37
+    # calls here
     net, s = sys_small.net, sys_small.structure
     for t in net.transitions:
         compiled.Kernel(net.index, t.name, s)
@@ -280,32 +281,6 @@ def test_a_warm_build_finds_ground_subterms_without_term_variables(sys_small, mo
     for t in net.transitions:
         compiled.Kernel(net.index, t.name, s)
     assert len(net.transitions) == 7 and calls == []
-
-
-def test_builds_of_hand_over_read_one_kept_preimage_table(sys_small, monkeypatch):
-    # the inverse of g within the carrier of Y's sort is kept on the
-    # structure, not filtered again on each build
-    taken = []
-    factory = compiled._factory
-
-    def recording(shape):
-        make = factory(shape)
-
-        def made(*args):
-            taken.append(args)
-            return make(*args)
-        return made
-
-    monkeypatch.setattr(compiled, "_factory", recording)
-    net, s = sys_small.net, sys_small.structure
-    plan = net.index.plans["hand_over"]
-    (step,) = [step for step in plan.steps if step[0] == "preimage"]
-    for _ in range(2):
-        compiled.Kernel(net.index, "hand_over", s)
-    table = inverse_table_in(step[2], plan.sorts[plan.names.index(step[1])], s)
-    assert table and len(taken) == 2
-    for args in taken:
-        assert sum(arg is table for arg in args) == 1
 
 
 def test_a_plan_deeper_than_blocks_nest_still_joins():

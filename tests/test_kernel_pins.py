@@ -15,11 +15,11 @@ import random
 
 import pytest
 
-from hknet import (Atom, EvalError, Marking, SetValue, SortName, bind_structure,
+from hknet import (Atom, EvalError, Marking, SetValue, bind_structure,
                    enabled_bindings, explore, parse, parse_predicate,
                    print_run, random_policy, resolve_net, simulate)
 from hknet import compiled
-from hknet.signature import inverse_table, inverse_table_in
+from hknet.signature import inverse_table
 
 from conftest import synthetic
 from support import brute_force_bindings
@@ -245,16 +245,6 @@ def test_inverse_tables_list_every_argument_of_a_unary_function(pinned):
     assert inverse_table("part", s) == {a2: (b1, b3)}
     assert inverse_table("bin", s) == {} and inverse_table("none", s) == {}
     assert inverse_table("f", s) is inverse_table("f", s)
-
-
-def test_an_inverse_table_in_a_sort_keeps_the_arguments_in_its_carrier(pinned):
-    _, s = pinned
-    a1, a2, a3, b1, b2 = (Atom(n) for n in ("a1", "a2", "a3", "b1", "b2"))
-    assert inverse_table_in("g", SortName("B"), s) == {a1: (b1,), a3: (b2,)}
-    assert inverse_table_in("fs", SortName("Sub"), s) == {
-        a1: (SetValue(),), a2: (SetValue([b1]), SetValue([b1, b2]))}
-    assert inverse_table_in("part", SortName("A"), s) == {}
-    assert inverse_table_in("g", SortName("B"), s) is inverse_table_in("g", SortName("B"), s)
 
 
 def test_binding_through_the_inverse_skips_the_carrier(pinned, monkeypatch):
