@@ -10,6 +10,7 @@ from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
                    TupleValue, bind_structure, carrier_of, check_net,
                    enabled_bindings, fire, instantiate, make_structure,
                    marking_violations, parse, resolve_net, successors)
+from hknet.cli import main
 from hknet.spans import SourceSpan
 from hknet.terms import Elm
 
@@ -194,6 +195,117 @@ def test_a_subset_symbol_is_compatible_with_its_powerset_not_its_base(first, sec
                    "trans { t; } arcs { p -> t : x; q -> t : x; } }").body
     want = f"variable 'x' used both as {first} and as {second}"
     assert [v.message for v in check_net(module.inner, sig)] == ([want] if conflict else [])
+
+
+SHOP = """signature shop {
+  sets Menu, Tables;
+  subsets Orders of pow(Menu);
+  consts home: Tables;
+  fns f: Menu -> Tables;
+}
+"""
+
+UNSORTED = "cannot infer a sort for variable {!r} of transition 't'"
+
+
+def _shop_net(body):
+    """The net of ``module m of shop { body }``, or ``body`` if it is a net
+    already: the parser rejects some nets that code can build."""
+    return body if isinstance(body, SchematicNet) else parse(
+        f"module m of shop {{ {body} }}").body.inner
+
+
+# one small net per resolve_net violation code and variant, with the exact
+# (code, message) list check_net reports for it
+@pytest.mark.parametrize("body, findings", [
+    pytest.param(SchematicNet(places=(Place("p", SortName("Menu")),),
+                              transitions=(Transition("p"),)),
+                 [("duplicate-name", "duplicate element name 'p'")], id="duplicate-name"),
+    pytest.param("places { p: Nowhere; }",
+                 [("undeclared-sort", "place 'p': unknown sort symbol 'Nowhere'")],
+                 id="undeclared-place-sort"),
+    pytest.param("trans { t free x: pow(Nowhere); }",
+                 [("undeclared-sort", "free variable 'x': unknown sort symbol 'Nowhere'")],
+                 id="undeclared-free-sort"),
+    pytest.param(SchematicNet(places=(Place("p", SortName("Menu")), Place("q", SortName("Menu"))),
+                              arcs=(Arc("p", "q", (Ident("x"),)),)),
+                 [("arc-endpoints", "arc p -> q must connect a place and a transition")],
+                 id="arc-endpoints"),
+    pytest.param("places { p: Menu init x; }",
+                 [("open-init", "initial inscription of 'p' contains variable 'x'")],
+                 id="open-init"),
+    pytest.param("places { p: Menu; } trans { t; } arcs { t -> p : x; }",
+                 [("free-variable", "variable 'x' of transition 't' occurs only in outputs "
+                   "or the guard; declare it free or bind it on an input arc")],
+                 id="free-variable"),
+    pytest.param("places { p; } trans { t; } arcs { p -> t : x; }",
+                 [("unsorted-variable", UNSORTED.format("x"))], id="unsorted-variable"),
+    pytest.param("places { p: Tables; } trans { t; } arcs { p -> t : f; }",
+                 [("bare-function", "function symbol 'f' used without arguments"),
+                  ("unsorted-variable", UNSORTED.format("f"))], id="bare-function"),
+    pytest.param("places { p: Tables; } trans { t; } arcs { p -> t : h(x); }",
+                 [("unknown-function", "unknown function symbol 'h'"),
+                  ("unsorted-variable", UNSORTED.format("x"))], id="unknown-function"),
+    pytest.param("places { p: (Menu, Menu); } trans { t; } arcs { p -> t : (elm(x), y); }",
+                 [("nested-elm", "elm(...) is only permitted at the top level of an arc "
+                   "or initial-marking inscription")], id="nested-elm"),
+    pytest.param("places { p: Menu; q: Tables; } trans { t; } "
+                 "arcs { p -> t : x; q -> t : x; }",
+                 [("sort-conflict", "variable 'x' used both as Menu and as Tables")],
+                 id="sort-conflict-variable"),
+    pytest.param("places { p: Menu; } trans { t; } arcs { p -> t : home; }",
+                 [("sort-conflict", "constant 'home' of sort Tables used where Menu "
+                   "is expected")], id="sort-conflict-constant"),
+    pytest.param("places { p: Menu; } trans { t; } arcs { p -> t : Menu; }",
+                 [("sort-conflict", "symbol 'Menu' denotes a set of sort pow(Menu), used "
+                   "where Menu is expected")], id="sort-conflict-symbol"),
+    pytest.param("places { p: Menu; } trans { t; } arcs { p -> t : f(x); }",
+                 [("sort-conflict", "f(...) yields Tables, used where Menu is expected")],
+                 id="sort-conflict-application"),
+    pytest.param("places { p: Menu; } trans { t; } arcs { p -> t : (x, y); }",
+                 [("sort-conflict", "tuple term used where Menu is expected"),
+                  ("unsorted-variable", UNSORTED.format("x")),
+                  ("unsorted-variable", UNSORTED.format("y"))], id="sort-conflict-tuple"),
+    pytest.param("places { p: Tables; } trans { t; } arcs { p -> t : f(x, y); }",
+                 [("arity", "f expects 1 arguments, got 2"),
+                  ("unsorted-variable", UNSORTED.format("x")),
+                  ("unsorted-variable", UNSORTED.format("y"))], id="arity"),
+    # a set term takes its elements' sort from the subset symbol's base,
+    # or from the powerset, so x is a Menu here and conflicts with Tables
+    pytest.param("places { o: Orders; q: Tables; } trans { t; } "
+                 "arcs { o -> t : {x}; q -> t : x; }",
+                 [("sort-conflict", "variable 'x' used both as Menu and as Tables")],
+                 id="set-term-under-a-subset-sort"),
+    pytest.param("places { o: pow(Menu); q: Tables; } trans { t; } "
+                 "arcs { o -> t : {x}; q -> t : x; }",
+                 [("sort-conflict", "variable 'x' used both as Menu and as Tables")],
+                 id="set-term-under-a-powerset-sort"),
+])
+def test_each_resolution_rule_reports_its_finding(body, findings):
+    sig = parse(SHOP).body
+    assert [(v.code, v.message) for v in check_net(_shop_net(body), sig)] == findings
+
+
+def test_resolving_a_resolved_net_again_finds_nothing_new():
+    # its leaves are variables, constants and symbols already, kept as they are
+    sig = parse(SHOP).body
+    net, problems = resolve_net(_shop_net(
+        "places { p: Menu; q: Tables init home; r: pow(Menu); } trans { t; } "
+        "arcs { p -> t : x; r -> t : Menu; t -> q : f(x); }"), sig)
+    assert problems == []
+    assert resolve_net(net, sig) == (net, [])
+
+
+def test_hknet_check_prints_a_resolution_finding(tmp_path, capsys):
+    (tmp_path / "shop.hksig").write_text(SHOP)
+    module = tmp_path / "m.hk"
+    module.write_text("module m of shop {\n  places { p: Tables; }\n  trans { t; }\n"
+                      "  arcs { p -> t : f(x, y); }\n}\n")
+    assert main(["check", str(module)]) == 1
+    assert capsys.readouterr().out == (
+        f"{module}: {module}:4:19: [arity] f expects 1 arguments, got 2\n"
+        f"{module}: {module}:3:11: [unsorted-variable] {UNSORTED.format('x')}\n"
+        f"{module}: {module}:3:11: [unsorted-variable] {UNSORTED.format('y')}\n")
 
 
 def test_resolution_reports_unknown_sorts(sigma0):
