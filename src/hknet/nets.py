@@ -188,7 +188,7 @@ class MatchPlan:
       unbound variables against the distinct tokens on its input place;
     * ``("preimage", name, function, term)`` draws a variable no pattern
       binds from the arguments that the unary ``function`` maps to the
-      value of ``term``, read off the structure's inverse table
+      value of ``term``, read off an inverse table built per kernel
       (:func:`signature.inverse_table`) and kept only inside the
       variable's carrier.  The guard equates ``function(name)`` with
       ``term``, either way round, and every variable of ``term`` is bound
@@ -283,9 +283,10 @@ class Marking:
     """An immutable per-place multiset of values; hashable, canonical.
 
     It holds one ``{place: Multiset}`` dict of the marked places; the
-    canonical place order and the hash are computed on first use."""
+    canonical place order is computed on first use, the hash on each
+    call from the hashes its multisets keep."""
 
-    __slots__ = ("_places", "_entries", "_hash")
+    __slots__ = ("_places", "_entries")
 
     def __init__(self, per_place: Mapping[str, Multiset | Iterable[Value]] = ()):
         places: dict[str, Multiset] = {}
@@ -296,7 +297,6 @@ class Marking:
                 places[place] = ms
         self._places = places
         self._entries: tuple[tuple[str, Multiset], ...] | None = None
-        self._hash: int | None = None
 
     def get(self, place: str) -> Multiset:
         return self._places.get(place, _NO_TOKENS)
@@ -320,7 +320,6 @@ class Marking:
         m = cls.__new__(cls)
         m._places = places
         m._entries = None
-        m._hash = None
         return m
 
     def updated(self, remove: Mapping[str, Mapping[Value, int]],
@@ -343,9 +342,7 @@ class Marking:
         return isinstance(other, Marking) and other._places == self._places
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._places.items()))
-        return self._hash
+        return hash(frozenset(self._places.items()))
 
     def __reduce__(self):
         return (Marking, (self._places,))
@@ -821,20 +818,21 @@ class Stepper:
     its occurrence and one :class:`_Delta` per place it changes, the
     tokens it takes off and puts on there, shared by every equal change
     (:meth:`_move`), with the id each id it was applied to leads to.  A
-    repeated change therefore builds no multiset.  :meth:`enabled` and
-    :meth:`step` go through the same memo, and :meth:`fire` and
-    :meth:`step` apply the same moves, so ``simulate`` and ``explore``
-    share one stepping path.  None of them takes a marking: a state alone
-    says which multiset lies on each slot.
+    repeated change therefore builds no multiset.  Each path keeps its
+    own memo per ``(name, ids on its input slots)`` over one join memo:
+    :meth:`enabled` (``simulate``) the bindings, :meth:`step`
+    (``explore``) each binding with its changes.  :meth:`fire` and
+    :meth:`step` apply the same moves (:func:`_successor`).  None of them
+    takes a marking: a state alone says which multiset lies on each slot.
 
     It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
     then :func:`admit_bindings`, on the multisets the state's ids number,
-    looked up only when the memo misses.  For a plan with residual checks
+    looked up only when a path's memo misses.  For a plan with residual checks
     it also keeps each join per ``(name, ids on its matched slots)``
     (:attr:`NetIndex.join_ids`): where only the tokens on a place the
     transition checks change, the kept join is admitted again instead
     of joined anew.  For a plan without them both keys name the same
-    tokens, so a miss of the first memo joins at once.
+    tokens, so a miss of a path's memo joins at once.
 
     A binding that :func:`enabled_bindings` returns assigns every
     variable, satisfies the guard and finds its input tokens, so a move
@@ -858,6 +856,7 @@ class Stepper:
         self._keys, self._join_keys = index.input_ids, index.join_ids
         self._order = [(t.name, self._keys[t.name]) for t in self.transitions]
         self._ids = _Ids()
+        # (name, ids on its input slots) -> its bindings, for enabled
         self._bindings: dict[tuple, list[Binding]] = {}
         # (name, ids on its matched slots) -> join_bindings, for a plan
         # with residual checks
@@ -877,7 +876,7 @@ class Stepper:
         ids = (name, key(state))
         found = self._bindings.get(ids)
         if found is None:
-            found = self._enable(ids, state)
+            found = self._bindings[ids] = self._enable(name, state)
         return found
 
     def fire(self, state: tuple[int, ...], name: str,
@@ -886,10 +885,7 @@ class Stepper:
         at ``state``, and the state it leads to; read the maps, never
         change them."""
         found, changes = self._move(name, b)
-        succ = list(state)
-        for i, delta in changes:
-            succ[i] = delta[succ[i]]
-        return found, tuple(succ)
+        return found, _successor(state, changes)
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
         """All enabled (transition, binding) pairs with their successor
@@ -916,27 +912,19 @@ class Stepper:
         """``(name, binding, successor state)`` of every enabled
         occurrence at ``state``, in deterministic order."""
         out = []
-        bindings, fired = self._bindings, self._fired
+        fired = self._fired
         for name, key in self._order:
             ids = (name, key(state))
             moves = fired.get(ids)
             if moves is None:
-                found = bindings.get(ids)
-                if found is None:
-                    found = self._enable(ids, state)
-                moves = fired[ids] = ([(b, self._move(name, b)[1]) for b in found]
-                                      if found else _EMPTY)
+                moves = fired[ids] = [(b, self._move(name, b)[1])
+                                      for b in self._enable(name, state)] or _EMPTY
             for b, changes in moves:
-                succ = list(state)
-                for i, delta in changes:
-                    succ[i] = delta[succ[i]]
-                out.append((name, b, tuple(succ)))
+                out.append((name, b, _successor(state, changes)))
         return out
 
-    def _enable(self, ids: tuple, state: tuple[int, ...]) -> list[Binding]:
-        """Enable the transition named first in ``ids`` at ``state``, and
-        keep its bindings under ``ids``."""
-        name = ids[0]
+    def _enable(self, name: str, state: tuple[int, ...]) -> list[Binding]:
+        """The bindings of ``name`` at ``state``, kept by the caller."""
         multisets, slot_of = self._ids.multisets, self._slot_of
 
         def tokens_on(place: str) -> Multiset:
@@ -951,8 +939,7 @@ class Stepper:
             if joined is None:
                 joined = self._joins[at] = join_bindings(self.net, tokens_on, name,
                                                          self.structure)
-        found = self._bindings[ids] = admit_bindings(tokens_on, joined) or _EMPTY
-        return found
+        return admit_bindings(tokens_on, joined) or _EMPTY
 
     def _move(self, name: str, b: Binding) -> tuple:
         """``(occurrence, (slot, delta) pairs)`` of ``(name, b)``, which
@@ -980,6 +967,14 @@ class Stepper:
             changes.append((self._slot_of[p], delta))
         move = self._moves[(name, b)] = (found, tuple(changes))
         return move
+
+
+def _successor(state: tuple[int, ...], changes: tuple) -> tuple[int, ...]:
+    """``state`` with each ``(slot, delta)`` of a move applied."""
+    succ = list(state)
+    for i, delta in changes:
+        succ[i] = delta[succ[i]]
+    return tuple(succ)
 
 
 class _Ids(dict):

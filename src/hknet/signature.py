@@ -175,12 +175,11 @@ class Structure:
 
     Function tables are keyed by argument tuples; carriers are stored in
     canonical value order.  Structures are immutable after construction
-    and safe to share between concurrent readers: the tables below --
-    carrier tables per sort, each carrier symbol's set value, the
-    inverse table of each unary function and the compiled kernel of
-    each transition enabled or fired under it, dropped with its net --
-    are derived from the fields on first use, and an entry, once added,
-    is never changed.
+    and safe to share between concurrent readers.  Only two tables are
+    kept on one: the carrier table of each sort and the compiled kernel
+    of each transition enabled or fired under it, dropped with its net.
+    They are derived from the fields on first use, and an entry, once
+    added, is never changed.
     """
 
     name: str
@@ -196,25 +195,13 @@ class Structure:
             raise EvalError(f"no carrier for symbol {symbol!r} in structure {self.name!r}")
 
     def carrier_value(self, symbol: str) -> SetValue:
-        """The carrier of ``symbol`` as one set value, built once."""
-        value = self._carrier_values.get(symbol)
-        if value is None:
-            value = self._carrier_values[symbol] = SetValue(self.carrier(symbol))
-        return value
+        """The carrier of ``symbol`` as one set value, built on each call:
+        a kernel folds a symbol to its value once per build."""
+        return SetValue(self.carrier(symbol))
 
     @cached_property
     def _carrier_tables(self) -> dict[Sort, tuple[tuple[Value, ...], dict[Value, int]]]:
         """Per sort: :func:`carrier_of` and each value's position in it."""
-        return {}
-
-    @cached_property
-    def _carrier_values(self) -> dict[str, SetValue]:
-        """Per carrier symbol: :meth:`carrier_value`."""
-        return {}
-
-    @cached_property
-    def _inverse_tables(self) -> dict[str, dict[Value, tuple[Value, ...]]]:
-        """Per function symbol: :func:`inverse_table`."""
         return {}
 
     @cached_property
@@ -273,16 +260,12 @@ def inverse_table(function: str, s: Structure) -> Mapping[Value, tuple[Value, ..
     """Every result of the unary ``function`` under ``s`` with the
     arguments its table maps to it, in table order; entries of other
     arities are left out, and a function without a table has none.
-    Memoised on ``s``."""
-    table = s._inverse_tables.get(function)
-    if table is None:
-        preimages: dict[Value, list[Value]] = {}
-        for args, result in s.functions.get(function, {}).items():
-            if len(args) == 1:
-                preimages.setdefault(result, []).append(args[0])
-        table = {result: tuple(args) for result, args in preimages.items()}
-        s._inverse_tables[function] = table
-    return table
+    Built on each call: a kernel reads it once per build."""
+    preimages: dict[Value, list[Value]] = {}
+    for args, result in s.functions.get(function, {}).items():
+        if len(args) == 1:
+            preimages.setdefault(result, []).append(args[0])
+    return {result: tuple(args) for result, args in preimages.items()}
 
 
 def _build_carrier(sort: Sort, s: Structure) -> tuple[Value, ...]:

@@ -380,6 +380,30 @@ def test_explore_fires_on_interned_states(sys_small, monkeypatch):
     assert 0 < calls[Multiset] < len(graph.edges)
 
 
+def test_each_stepping_path_keeps_only_its_own_memo(sys_small):
+    # step (explore) keeps each key's moves and enabled (simulate) its
+    # bindings; neither fills the other's memo
+    net, s = sys_small.net, sys_small.structure
+    stepping = Stepper(net, s)
+    state, _ = stepping.encoding(sys_small.initial)
+    seen, frontier = {state}, [state]
+    while frontier and len(seen) < 200:
+        for _, _, succ in stepping.step(frontier.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    assert stepping._fired and not stepping._bindings
+    enabling = Stepper(net, s)
+    state, _ = enabling.encoding(sys_small.initial)
+    for _ in range(40):
+        options = [(t.name, b) for t in enabling.transitions
+                   for b in enabling.enabled(state, t.name)]
+        if not options:
+            break
+        _, state = enabling.fire(state, *options[len(options) // 2])
+    assert enabling._bindings and not enabling._fired
+
+
 def test_a_stepper_over_an_unresolved_net_raises_sort_error(sys_tiny):
     # the parsed module's net, whose transitions resolve_net has not typed
     net, s, m = sys_tiny.module.inner, sys_tiny.structure, sys_tiny.initial
