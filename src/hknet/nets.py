@@ -652,16 +652,13 @@ def _resolved(net: SchematicNet, transition: Transition | str) -> Transition:
     return t
 
 
-def _kernel(net: SchematicNet, name: Transition | str, s: Structure) -> Kernel:
+def _kernel(net: SchematicNet, name: str, s: Structure) -> Kernel:
     """The net's transition ``name`` compiled against ``s``: built on
-    first use and kept on ``s`` per :class:`MatchPlan`.  A Transition
-    stands for the net's node of its name, and an unknown or unresolved
-    transition is rejected, as by :func:`_resolved`."""
-    plans = net.index.plans
-    plan = plans.get(name)
+    first use and kept on ``s`` per :class:`MatchPlan`.  An unknown or
+    unresolved transition is rejected, as by :func:`_resolved`."""
+    plan = net.index.plans.get(name)
     if plan is None:
-        name = _resolved(net, name).name
-        plan = plans[name]
+        _resolved(net, name)  # raises: every resolved transition has a plan
     kernel = s._kernels.get(plan)
     if kernel is None:
         # two threads racing here build equal kernels; the first stored stays
@@ -1074,15 +1071,13 @@ class OccurrenceNet:
     def is_acyclic(self) -> bool:
         """Whether the flow relation has no cycle: one pass of Kahn's
         algorithm over :attr:`OccurrenceIndex.post` that only counts the
-        nodes it reaches.  Arcs from or into unknown nodes are ignored.
-        An id counts as often as it is listed, so one that several nodes
-        share and some arc enters counts as a cycle."""
-        ids = [c.id for c in self.conditions] + [e.id for e in self.events]
-        indeg = dict.fromkeys(ids, 0)
+        nodes it reaches.  Arcs from or into unknown nodes are ignored,
+        and an id that several nodes share counts once."""
+        indeg = dict.fromkeys([c.id for c in self.conditions] + [e.id for e in self.events], 0)
         for src, tgt in self.flow:
             if src in indeg and tgt in indeg:
                 indeg[tgt] += 1
-        ready = [i for i in ids if indeg[i] == 0]
+        ready = [i for i, n in indeg.items() if n == 0]
         reached = len(ready)
         post = self.index.post
         while ready:
@@ -1092,7 +1087,7 @@ class OccurrenceNet:
                     if indeg[nxt] == 0:
                         ready.append(nxt)
                         reached += 1
-        return reached == len(ids)
+        return reached == len(indeg)
 
 
 class OccurrenceIndex:

@@ -264,11 +264,11 @@ def _occurrence(run: Module) -> OccurrenceNet:
 def validate_run(run: Module, sys: System) -> list[Violation]:
     """Check that ``run`` is a distributed run of ``sys``.
 
-    Verifies graph shape (acyclic, unbranched conditions, bipartite
-    flow), per-event consistency (a binding of exactly the transition's
-    variables, guard true under it, pre- and post-sets matching the
-    evaluated arc inscriptions), and that the initial cut is part of the
-    initial marking.  Empty report iff valid.
+    Verifies graph shape (distinct node ids, acyclic, unbranched
+    conditions, bipartite flow), per-event consistency (a binding of
+    exactly the transition's variables, guard true under it, pre- and
+    post-sets matching the evaluated arc inscriptions), and that the
+    initial cut is part of the initial marking.  Empty report iff valid.
 
     What depends on a node's label alone is worked out once per distinct
     label in the call: the place and its sort test per (place, value),
@@ -285,6 +285,12 @@ def validate_run(run: Module, sys: System) -> list[Violation]:
     net, s = sys.net, sys.structure
     index = inner.index
     conditions, events, pre, post = index.conditions, index.events, index.pre, index.post
+
+    ids: set[str] = set()
+    for node in (*inner.conditions, *inner.events):
+        if node.id in ids:
+            out.append(Violation("duplicate-id", f"duplicate node id {node.id}"))
+        ids.add(node.id)
 
     # per (place, value): (code, message after the condition's id), or () if fine
     condition_findings: dict[tuple[str, Value], tuple[str, ...]] = {}

@@ -463,6 +463,14 @@ def test_fused_events_must_agree_on_bindings():
         compose(exposing("right", "e", "v"), exposing("left", "f", "w"))
 
 
+def test_fused_events_that_agree_become_one():
+    event = Event("e", "t", Binding({"x": Atom("v")}))
+    a, b = (Module("m", "", OccurrenceNet(events=(replace(event, id=node),)),
+                   **{side: (InterfaceElement(TRANSITION, "u", node),)})
+            for side, node in (("right", "e"), ("left", "f")))
+    assert compose(a, b).inner.events == (event,)
+
+
 def test_composing_runs_must_not_branch():
     sys_a = one_shot_system("pa", "ta", "qa", "va")
     run_a = simulate(sys_a, random_policy(seed=0, steps=1))
@@ -736,7 +744,10 @@ def assert_lookups_match_scans(net: OccurrenceNet) -> None:
                 assert str(got.value) == str(exc)
             else:
                 assert indexed(node) is expected
-    assert net.is_acyclic() == (scan_topo_levels(net) is not None)
+    # the scan counts an id as often as it is listed, is_acyclic once
+    ids = [c.id for c in net.conditions] + [e.id for e in net.events]
+    if len(set(ids)) == len(ids):
+        assert net.is_acyclic() == (scan_topo_levels(net) is not None)
 
 
 def test_lookups_match_scans_on_simulated_runs(sys0, sys_small):
@@ -835,3 +846,18 @@ def test_flow_arc_from_an_unknown_node_is_reported_not_a_cycle(sys0):
     assert [v.code for v in report] == ["flow"]
     assert "zz -> b0" in report[0].message
     assert linearize(run) == []
+
+
+def test_a_reused_node_id_is_reported_and_not_taken_for_a_cycle(sys0):
+    # two conditions b1, the second a copy of the first: the flow b0 ->
+    # e0 -> b1 is acyclic, and only the reused id is wrong
+    b0, b1 = Condition("b0", "free_tables", Atom("t1")), Condition("b1", "offered_tables", Atom("t1"))
+    twice = OccurrenceNet(conditions=(b0, b1, b1),
+                          events=(Event("e0", "offer_table", Binding({"t": Atom("t1")})),),
+                          flow=(("b0", "e0"), ("e0", "b1")))
+    # a condition and an event that share the id e0
+    shared = replace(twice, conditions=(b0, b1, Condition("e0", "free_tables", Atom("t2"))))
+    for inner, reused in ((twice, "b1"), (shared, "e0")):
+        assert inner.is_acyclic()
+        assert [(v.code, v.message) for v in validate_run(Module("r", sys0.name, inner), sys0)] \
+            == [("duplicate-id", f"duplicate node id {reused}")]
