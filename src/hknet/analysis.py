@@ -12,7 +12,7 @@ is plain breadth-first search over canonical markings with node/edge caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import gcd, lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
@@ -271,15 +271,29 @@ def in_span(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
 # Reachability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReachabilityGraph:
+class _Capped:
+    """A graph of a capped search: ``truncated_by`` names the cap hit
+    first, ``"nodes"`` or ``"edges"``, or is ``""``, and ``truncated`` is
+    whether one was hit.  The repr shows ``truncated`` after the first
+    two fields and hides ``truncated_by``."""
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
+
+    def __repr__(self) -> str:
+        shown = [(f.name, getattr(self, f.name)) for f in fields(self) if f.repr]
+        shown.insert(2, ("truncated", self.truncated))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in shown)})"
+
+
+@dataclass(frozen=True, repr=False)
+class ReachabilityGraph(_Capped):
     markings: tuple[Marking, ...]
     edges: tuple[tuple[int, str, Binding, int], ...]
-    truncated: bool
+    truncated_by: str = field(repr=False)
     deadlocks: tuple[int, ...]
     predicate_hits: tuple[int, ...]
-    # the cap hit first, "nodes" or "edges", or ""
-    truncated_by: str = field(default="", repr=False)
 
 
 def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
@@ -299,18 +313,15 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
     markings = tuple(map(decode, states))
     hits = () if predicate is None else tuple(
         i for i, m in enumerate(markings) if predicate(m))
-    return ReachabilityGraph(markings, edges, bool(truncated_by), deadlocks, hits,
-                             truncated_by)
+    return ReachabilityGraph(markings, edges, truncated_by, deadlocks, hits)
 
 
-@dataclass(frozen=True)
-class GroundedReachabilityGraph:
+@dataclass(frozen=True, repr=False)
+class GroundedReachabilityGraph(_Capped):
     vectors: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, int], ...]  # (source, transition index, target)
-    truncated: bool
+    truncated_by: str = field(repr=False)
     deadlocks: tuple[int, ...]
-    # the cap hit first, "nodes" or "edges", or ""
-    truncated_by: str = field(default="", repr=False)
 
 
 def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
@@ -326,8 +337,7 @@ def explore_grounded(g: GroundedNet, max_nodes: int = 10000,
 
     vectors, edges, truncated_by, deadlocks = _bfs(g.initial, successors,
                                                    max_nodes, max_edges)
-    return GroundedReachabilityGraph(vectors, edges, bool(truncated_by), deadlocks,
-                                     truncated_by)
+    return GroundedReachabilityGraph(vectors, edges, truncated_by, deadlocks)
 
 
 def _check_node_cap(max_nodes: int) -> None:
