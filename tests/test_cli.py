@@ -8,6 +8,7 @@ import pytest
 
 from hknet import cli
 from hknet.cli import main
+from hknet.errors import ParseError
 
 from conftest import CORPUS
 
@@ -476,3 +477,36 @@ def test_negative_counts_are_usage_errors(capsys, command, flag, value, message)
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith(f"usage: hknet {command}")
     assert err[-1] == f"hknet {command}: error: argument {flag}: {message}"
+
+
+def test_a_parse_error_without_a_span_gets_no_caret_lines(capsys):
+    assert cli._report(ParseError("no place to point at")) == 2
+    assert capsys.readouterr().err == "error: no place to point at\n"
+
+
+def test_a_document_of_another_kind_is_a_validation_error(workdir, capsys):
+    structure = workdir / "s0.hks"
+    assert run_cli("simulate", structure) == 1
+    assert capsys.readouterr().err == (
+        f"error: {structure}: expected a system document, found structure\n")
+    assert run_cli("export", structure, "--dot") == 1
+    assert capsys.readouterr().err == f"error: {structure}: cannot export a structure document\n"
+
+
+def test_check_finds_the_signature_given_or_next_to_the_file(workdir, tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    structure, module = elsewhere / "s0.hks", elsewhere / "kitchen.hk"
+    shutil.copy(workdir / "s0.hks", structure)
+    shutil.copy(workdir / "kitchen.hk", module)
+    assert run_cli("check", structure, "--sig", workdir / "sigma0.hksig") == 0
+    assert capsys.readouterr().out == f"{structure}: ok (structure)\n"
+    assert run_cli("check", structure) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot resolve signature 'sigma0': no {elsewhere / 'sigma0.hksig'} "
+        "(use --sig to point at the signature file)\n")
+    # a module whose signature is not found is checked for syntax only
+    assert run_cli("check", module) == 0
+    assert capsys.readouterr().out == (
+        f"{module}: note: signature 'sigma0' not found nearby, syntactic check only\n"
+        f"{module}: ok (module)\n")

@@ -7,7 +7,7 @@ import pytest
 from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event, Ident,
                    InterfaceElement, Marking, Module, OccurrenceNet, Place,
                    SchematicNet, Signature, SortName, Transition, Violation,
-                   canonical_equal, canonicalize, compose, enabled_bindings,
+                   canonical_equal, canonicalize, compose, compose_all, enabled_bindings,
                    empty_module, instantiate, interface_of, interface_violations,
                    rename_elements, resolve_net)
 from hknet.modules import PLACE, TRANSITION, _inner_ids
@@ -34,6 +34,10 @@ def test_entry_has_empty_left_interface(entry):
 def test_empty_module_interfaces():
     assert interface_of(empty_module(), "right") == []
     assert interface_of(empty_module(), "left") == []
+
+
+def test_composing_no_modules_gives_the_empty_module():
+    assert compose_all([]) == empty_module()
 
 
 def test_empty_module_is_neutral(entry, branch):

@@ -10,6 +10,8 @@ from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
                    TupleValue, bind_structure, carrier_of, check_net,
                    enabled_bindings, fire, instantiate, make_structure,
                    marking_violations, parse, resolve_net, successors)
+from hknet.errors import SortError
+from hknet.nets import occurrence
 from hknet.cli import main
 from hknet.spans import SourceSpan
 from hknet.terms import Elm
@@ -150,6 +152,22 @@ def test_marking_violations_flag_foreign_tokens(sys0):
     report = marking_violations(sys0.net, bad, sys0.structure)
     assert [v.code for v in report] == ["token-sort"]
     assert marking_violations(sys0.net, sys0.initial, sys0.structure) == []
+    stray = marking(nowhere=[Atom("t1")])
+    assert [(v.code, v.message) for v in marking_violations(sys0.net, stray, sys0.structure)] \
+        == [("unknown-place", "marking mentions 'nowhere'")]
+
+
+def test_enabling_or_an_occurrence_of_an_unknown_or_unresolved_transition_raises(sys_tiny):
+    net, s, m = sys_tiny.net, sys_tiny.structure, sys_tiny.initial
+    raw = sys_tiny.module.inner  # the parsed net, which resolve_net has not typed
+    first = raw.transitions[0].name
+    for target, name, error, message in (
+            (net, "nope", KeyError, "no transition 'nope'"),
+            (raw, first, SortError, f"transition '{first}' is unresolved")):
+        with pytest.raises(error, match=message):
+            enabled_bindings(target, m, name, s)
+        with pytest.raises(error, match=message):
+            occurrence(target, name, Binding(), s)
 
 
 def test_resolution_rejects_output_only_variables(sigma0):

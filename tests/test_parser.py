@@ -208,6 +208,14 @@ def test_predicate_connectives_and_tokens():
     assert not pred(Marking({"p": Multiset([Atom("a")] * 4)}))
 
 
+def test_parentheses_group_a_predicate():
+    grouped = parse_predicate("contains(p, a) and (count(p) = 0 or count(q) = 1)")
+    flat = parse_predicate("contains(p, a) and count(p) = 0 or count(q) = 1")
+    only_q = Marking({"q": Multiset([Atom("b")])})
+    assert not grouped(only_q) and flat(only_q)
+    assert grouped(Marking()) is flat(Marking()) is False
+
+
 def test_predicate_syntax_errors_carry_spans():
     with pytest.raises(ParseError) as err:
         parse_predicate("count(p) >=")

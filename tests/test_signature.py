@@ -3,6 +3,7 @@ import pytest
 from hknet import (Atom, PowSort, SetValue, Signature, SortName, SortError,
                    TupleValue, carrier_of, make_structure, validate_structure,
                    value_in_sort)
+from hknet.signature import TupleSort, sorts_compatible
 
 
 def test_corpus_structure_is_a_model(sigma0, s0):
@@ -94,3 +95,42 @@ def test_value_in_sort_checks_structure(s0):
     order = TupleValue([Atom("t1"), SetValue([Atom("rice")])])
     from hknet import TupleSort
     assert value_in_sort(order, TupleSort((SortName("Tables"), PowSort("Menu"))), s0)
+
+
+def test_validate_structure_reports_each_finding_in_order():
+    # B and U have no carrier; T is carved out of U; S breaks its base A;
+    # j and g have no interpretation, k lies outside A and f fails in
+    # three ways; m and h, whose sorts mention B, are not checked further
+    a, b, z = Atom("a"), Atom("b"), Atom("z")
+    sig = Signature("v", sets=("A", "B", "U"), subsets=(("S", "A"), ("T", "U"), ("W", "A")),
+                    constants=(("j", SortName("A")), ("k", SortName("A")), ("m", SortName("B"))),
+                    functions=(("f", (SortName("A"),), SortName("A")),
+                               ("g", (SortName("A"),), SortName("A")),
+                               ("h", (SortName("B"),), SortName("A"))))
+    s = make_structure("bad", sig, {"A": (a, b), "S": (a, SetValue([z])), "T": ()},
+                       {"f": {a: z, z: a}, "h": {}}, {"k": z, "m": a})
+    assert [(v.code, v.message) for v in validate_structure(sig, s)] == [
+        ("missing-carrier", "set symbol 'B' has no carrier"),
+        ("missing-carrier", "set symbol 'U' has no carrier"),
+        ("subset", "'S' contains non-set value a"),
+        ("subset", "'S' contains {z}, not a subset of 'A'"),
+        ("missing-carrier", "subset symbol 'W' has no carrier"),
+        ("missing-constant", "constant 'j' has no value"),
+        ("constant-sort", "constant 'k' = z is outside sort A"),
+        ("non-total-function", "function 'f' is undefined on (b)"),
+        ("codomain", "function 'f' maps into z, outside A"),
+        ("function-domain", "function 'f' has an entry outside its domain: (z)"),
+        ("missing-function", "function 'g' has no table")]
+
+
+@pytest.mark.parametrize("left, right, compatible", [
+    ((SortName("Orders"), SortName("Menu")), (PowSort("Menu"), SortName("Menu")), True),
+    ((SortName("Orders"), SortName("Menu")), (SortName("Menu"), SortName("Menu")), False),
+    ((SortName("Menu"),) * 2, (SortName("Menu"),) * 3, False),
+    ((SortName("Menu"),) * 2, SortName("Menu"), False),
+])
+def test_tuple_sorts_are_compatible_component_by_component(left, right, compatible):
+    sig = Signature("shop", sets=("Menu",), subsets=(("Orders", "Menu"),))
+    as_sort = (lambda s: TupleSort(s) if isinstance(s, tuple) else s)
+    assert sorts_compatible(as_sort(left), as_sort(right), sig) is compatible
+    assert sorts_compatible(as_sort(right), as_sort(left), sig) is compatible

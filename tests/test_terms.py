@@ -7,7 +7,7 @@ from hknet import (App, Atom, Binding, EvalError, Guard, GuardAtom, Multiset, Tu
                    PowSort, SetValue, SortName, SymbolRef, TupleValue, Var,
                    enumerate_bindings, eval_guard, evaluate, make_structure,
                    Signature)
-from hknet.terms import Elm, term_tokens
+from hknet.terms import Elm, render_guard, term_tokens
 
 
 def bind(**kwargs):
@@ -166,3 +166,19 @@ def test_tuple_term_evaluation(s0):
     t = TupleTerm((Var("c", SortName("Clients")), Var("t", SortName("Tables"))))
     assert evaluate(t, s0, bind(c=Atom("Alice"), t=Atom("t1"))) == \
         TupleValue([Atom("Alice"), Atom("t1")])
+
+
+def test_the_true_guard_renders_as_true():
+    assert render_guard(Guard()) == "true"
+
+
+def test_indexing_a_binding_by_a_name_it_lacks_raises_key_error():
+    b = Binding({"x": Atom("a")})
+    assert b["x"] == Atom("a")
+    with pytest.raises(KeyError, match="'y'"):
+        b["y"]
+
+
+def test_enumerating_a_variable_named_twice_raises(s0):
+    with pytest.raises(EvalError, match=r"duplicate variable names in \['t', 't'\]"):
+        list(enumerate_bindings([("t", SortName("Tables")), ("t", SortName("Menu"))], s0))
