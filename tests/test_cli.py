@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hknet import cli
+from hknet import ParseError, cli
 from hknet.cli import main
-from hknet.errors import ParseError
 
 from conftest import CORPUS
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hknet import (Arc, Atom, Binding, EvalError, FiringError, Ident,
                    Marking, ModelError, Module, Multiset, Place, PowSort,
-                   SchematicNet, SetValue, Signature, SortName, Transition,
+                   SchematicNet, SetValue, Signature, SortError, SortName, Transition,
                    TupleValue, bind_structure, carrier_of, check_net,
                    enabled_bindings, fire, instantiate, make_structure,
                    marking_violations, parse, resolve_net, successors)
-from hknet.errors import SortError
 from hknet.nets import occurrence
 from hknet.cli import main
 from hknet.spans import SourceSpan

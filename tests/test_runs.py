@@ -851,7 +851,8 @@ def test_flow_arc_from_an_unknown_node_is_reported_not_a_cycle(sys0):
 def test_a_reused_node_id_is_reported_and_not_taken_for_a_cycle(sys0):
     # two conditions b1, the second a copy of the first: the flow b0 ->
     # e0 -> b1 is acyclic, and only the reused id is wrong
-    b0, b1 = Condition("b0", "free_tables", Atom("t1")), Condition("b1", "offered_tables", Atom("t1"))
+    b0 = Condition("b0", "free_tables", Atom("t1"))
+    b1 = Condition("b1", "offered_tables", Atom("t1"))
     twice = OccurrenceNet(conditions=(b0, b1, b1),
                           events=(Event("e0", "offer_table", Binding({"t": Atom("t1")})),),
                           flow=(("b0", "e0"), ("e0", "b1")))
