@@ -44,6 +44,29 @@ def test_explore_edges_match_reference_successors(branch, sys_tiny, sys_small):
             assert stepper.successors(m) == want, (system.name, i)
 
 
+def test_fire_gives_the_occurrence_and_the_successor_that_step_gives(branch, sys_small):
+    # one stepper stepped as explore steps, another used only through
+    # enabled and fire, at every marking explore reaches
+    for system in (sys_small, synthetic(branch, 2, 3)):
+        net, s = system.net, system.structure
+        stepping, firing = Stepper(net, s), Stepper(net, s)
+        graph = explore(system)
+        assert not graph.truncated
+        fired_count = 0
+        for m in graph.markings:
+            state, decode = stepping.encoding(m)
+            at, decode_fired = firing.encoding(m)
+            fired = []
+            for t in firing.transitions:
+                for b in firing.enabled(at, t.name):
+                    found, succ = firing.fire(at, t.name, b)
+                    assert found == nets.occurrence(net, t.name, b, s), (system.name, t.name, b)
+                    fired.append((t.name, b, decode_fired(succ)))
+            assert fired == [(name, b, decode(succ)) for name, b, succ in stepping.step(state)]
+            fired_count += len(fired)
+        assert fired_count == len(graph.edges)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_successors_match_reference_on_random_markings(data, sys_tiny, sys_small):
