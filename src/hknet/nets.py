@@ -810,17 +810,18 @@ class Stepper:
     a small int id, and a state is the tuple of ids on the net's slots
     (:attr:`NetIndex.slots`); :meth:`encoding` turns a marking into one
     and back.  The bindings of a transition depend only on the tokens on
-    its input places, so they are kept per ``(name, ids on its input
-    slots)``.  The move of an enabled ``(name, binding)`` is kept once:
-    its occurrence and one :class:`_Delta` per place it changes, the
-    tokens it takes off and puts on there, shared by every equal change
-    (:meth:`_move`), with the id each id it was applied to leads to.  A
-    repeated change therefore builds no multiset.  Each path keeps its
-    own memo per ``(name, ids on its input slots)`` over one join memo:
-    :meth:`enabled` (``simulate``) the bindings, :meth:`step`
-    (``explore``) each binding with its changes.  :meth:`fire` and
-    :meth:`step` apply the same moves (:func:`_successor`).  None of them
-    takes a marking: a state alone says which multiset lies on each slot.
+    its input places, so each path keeps its own memo per ``(name, ids
+    on its input slots)`` over one join memo: :meth:`enabled`
+    (``simulate``) the bindings, :meth:`step` (``explore``) each binding
+    with its move.  :meth:`_changes` evaluates an occurrence, checks its
+    output sorts and lists each place whose take differs from its put; a
+    kept move (:meth:`_move`) holds a :class:`_Delta` per such place,
+    shared by equal changes, which maps each id it was applied to to the
+    id it leads to.  :meth:`step` keeps every move, :meth:`fire` one it
+    fires again, as a long run on few tokens does; a short run seldom
+    repeats a move, so fire applies the changes of a first firing to the
+    state at once and keeps them alone.  None of them takes a marking: a
+    state alone says which multiset lies on each slot.
 
     It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
     then :func:`admit_bindings`, on the multisets the state's ids number,
@@ -835,11 +836,11 @@ class Stepper:
     variable, satisfies the guard and finds its input tokens, so a move
     checks only the sorts of its output tokens; :meth:`fire` takes only
     such bindings.  A net with an unresolved transition is rejected when
-    the stepper is built, a name the net lacks when it is asked for.
-    Errors are not kept.  Nothing it keeps outlives the stepper; the
-    kernels it joins and evaluates occurrences through
-    (:class:`compiled.Kernel`) are kept on the structure, for every
-    later caller.
+    the stepper is built, a name the net lacks when it is asked
+    for.  Errors are not kept.  It joins and evaluates through the kernel
+    of each transition (:class:`compiled.Kernel`), fetched on first use
+    and kept on the structure for every later caller; nothing else it
+    keeps outlives the stepper.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
@@ -863,6 +864,8 @@ class Stepper:
         # (name, binding) -> (its occurrence, its (slot, delta) pairs)
         self._moves: dict[tuple[str, Binding], tuple] = {}
         self._deltas: dict[tuple, _Delta] = {}
+        self._once: dict[tuple, tuple] = {}  # (name, binding) -> _changes, fired once
+        self._kernels: dict[str, Kernel] = {}
 
     def enabled(self, state: tuple[int, ...], name: str) -> list[Binding]:
         """:func:`enabled_bindings` of ``name`` at ``state``; read the
@@ -881,7 +884,15 @@ class Stepper:
         """The occurrence of ``(name, b)``, which :meth:`enabled` returned
         at ``state``, and the state it leads to; read the maps, never
         change them."""
-        found, changes = self._move(name, b)
+        key = (name, b)
+        move = self._moves.get(key)
+        if move is None and key not in self._once:
+            found, changes = self._once[key] = self._changes(name, b)
+            succ, ids = list(state), self._ids
+            for i, remove, add in changes:
+                succ[i] = ids[ids.multisets[succ[i]].updated(remove, add)]
+            return found, tuple(succ)
+        found, changes = move or self._move(name, b)
         return found, _successor(state, changes)
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
@@ -929,40 +940,49 @@ class Stepper:
 
         join_key = self._join_keys.get(name)
         if join_key is None:
-            joined = join_bindings(self.net, tokens_on, name, self.structure)
+            joined = self._kernel(name).join(tokens_on)
         else:
             at = (name, join_key(state))
             joined = self._joins.get(at)
             if joined is None:
-                joined = self._joins[at] = join_bindings(self.net, tokens_on, name,
-                                                         self.structure)
+                joined = self._joins[at] = self._kernel(name).join(tokens_on)
         return admit_bindings(tokens_on, joined) or _EMPTY
 
-    def _move(self, name: str, b: Binding) -> tuple:
-        """``(occurrence, (slot, delta) pairs)`` of ``(name, b)``, which
-        :func:`enabled_bindings` returned, so that only the sorts of its
-        output tokens are left to check; one pair per slot it changes.
-        Changes whose maps list the same tokens in the same order share
-        one :class:`_Delta`: tuples of the pairs key it, as hashing them
-        costs less than building multisets or frozensets would."""
-        move = self._moves.get((name, b))
-        if move is not None:
-            return move
-        found = occurrence(self.net, name, b, self.structure)
-        consumed, produced = found
-        _require_sorts(self.net, name, produced,
-                       _kernel(self.net, name, self.structure).sorts)
+    def _kernel(self, name: str) -> Kernel:
+        """The kernel of ``name``, fetched by :func:`_kernel` on first use."""
+        kernel = self._kernels.get(name)
+        if kernel is None:
+            kernel = self._kernels[name] = _kernel(self.net, name, self.structure)
+        return kernel
+
+    def _changes(self, name: str, b: Binding) -> tuple[tuple[Tokens, Tokens], list[tuple]]:
+        """The occurrence of ``(name, b)``, an enabled binding, with its output
+        sorts checked, and ``(slot, remove, add)`` of each place it changes."""
+        kernel = self._kernel(name)
+        found = consumed, produced = kernel.occurrence(dict(b.pairs()))
+        _require_sorts(self.net, name, produced, kernel.sorts)
         changes = []
         for p in dict.fromkeys((*consumed, *produced)):
             remove, add = consumed.get(p, _NO_COUNTS), produced.get(p, _NO_COUNTS)
-            if not (remove or add):
-                continue
-            key = (tuple(remove.items()), tuple(add.items()))
-            delta = self._deltas.get(key)
-            if delta is None:
-                delta = self._deltas[key] = _Delta(self._ids, remove, add)
-            changes.append((self._slot_of[p], delta))
-        move = self._moves[(name, b)] = (found, tuple(changes))
+            if remove != add:
+                changes.append((self._slot_of[p], remove, add))
+        return found, changes
+
+    def _move(self, name: str, b: Binding) -> tuple:
+        """The occurrence of ``(name, b)`` and ``(slot, delta)`` of each of
+        its :meth:`_changes`.  Tuples of a change's pairs key its shared
+        :class:`_Delta`: hashing them costs less than building multisets."""
+        move = self._moves.get((name, b))
+        if move is None:
+            found, changes = self._once.pop((name, b), None) or self._changes(name, b)
+            shared = []
+            for slot, remove, add in changes:
+                key = (tuple(remove.items()), tuple(add.items()))
+                delta = self._deltas.get(key)
+                if delta is None:
+                    delta = self._deltas[key] = _Delta(self._ids, remove, add)
+                shared.append((slot, delta))
+            move = self._moves[(name, b)] = (found, tuple(shared))
         return move
 
 

@@ -22,6 +22,7 @@ from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
                    TupleSort, TupleTerm, TupleValue, Value, enabled_bindings,
                    enumerate_bindings, eval_guard, fire, inscription_tokens, render_sort, render_term,
                    render_binding, render_value, value_in_sort)
+from hknet import nets
 from hknet.modules import (PLACE, TRANSITION, _inner_ids, _normalize_module,
                            compose_all, rename_elements)
 from hknet.nets import Stepper
@@ -733,6 +734,31 @@ def stepper_disagreements(net, s, markings: Iterable[Marking]) -> list[tuple]:
         if stepper.successors(m) != reference_successors(net, m, s):
             out.append((i, None, m))
     return out
+
+
+def wrap_kernels(monkeypatch, net, s, slot: str, wrap) -> None:
+    """Replace ``slot`` (such as ``"join"`` or ``"occurrence"``) of
+    the kernel of each of ``net``'s transitions under ``s`` by ``wrap(name,
+    the function it held)``, in place, so that every caller that fetches
+    the kernel calls the wrapper until ``monkeypatch`` undoes it."""
+    for t in net.transitions:
+        kernel = nets._kernel(net, t.name, s)
+        monkeypatch.setattr(kernel, slot, wrap(t.name, getattr(kernel, slot)))
+
+
+def counting_occurrences(monkeypatch, net, s) -> list[tuple[str, Binding]]:
+    """The (transition, binding) of each occurrence that the kernels of
+    ``net`` under ``s`` evaluate from now on (:func:`wrap_kernels`)."""
+    calls = []
+
+    def wrap(name, occurrence):
+        def counted(env):
+            calls.append((name, Binding(env)))
+            return occurrence(env)
+        return counted
+
+    wrap_kernels(monkeypatch, net, s, "occurrence", wrap)
+    return calls
 
 
 def _outcome(step):

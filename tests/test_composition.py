@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -5,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from hknet import (Arc, Atom, Binding, CompositionError, Condition, Event, Ident,
-                   InterfaceElement, Marking, Module, OccurrenceNet, Place,
-                   SchematicNet, Signature, SortName, Transition, Violation,
-                   canonical_equal, canonicalize, compose, compose_all, enabled_bindings,
-                   empty_module, instantiate, interface_of, interface_violations,
-                   rename_elements, resolve_net)
+                   InterfaceElement, Marking, ModelDocument, ModelError, Module,
+                   OccurrenceNet, Place, SchematicNet, Signature, SortName, Transition,
+                   Violation, canonical_equal, canonicalize, compose, compose_all,
+                   enabled_bindings, empty_module, export_dot, instantiate, interface_of,
+                   interface_violations, print_document, print_run, rename_elements,
+                   resolve_net)
 from hknet.modules import PLACE, TRANSITION, _inner_ids
 from hknet.spans import SourceSpan
 
@@ -410,3 +412,36 @@ def test_fused_nodes_keep_the_left_operands_span(branch, sigma0):
     for name, found in on_fused.items():
         # file:line:col of the node's declaration
         assert {str(v.span) for v in found} == {str(nodes[name].span)}
+
+
+# One row per call on the wrong kind of input, or a path no other test
+# takes: the call, given the fixture lookup, and what it gives or raises.
+ODD_CALLS = {
+    "export_dot of a marking": (lambda get: export_dot(Marking()),
+                                "TypeError: cannot export Marking() to DOT"),
+    "print_document of an unknown kind": (
+        lambda get: print_document(ModelDocument("figure", get("branch"))),
+        "ValueError: unknown document kind 'figure'"),
+    "print_run of a schematic module": (lambda get: print_run(empty_module("e")),
+                                        "ValueError: module 'e' is not a run"),
+    "instantiate of a run": (lambda get: instantiate(get("a0"), get("s0")),
+                             "ModelError: module 'a0' is a run, not a schematic module"),
+    "compose of a run with a schematic module": (
+        lambda get: compose(get("a0"), get("branch")),
+        "CompositionError: cannot compose a run module with a schematic module"),
+    "interface_of the middle": (lambda get: interface_of(get("branch"), "middle"),
+                                "ValueError: side must be 'left' or 'right', got 'middle'"),
+    "pickle round trip of a marking": (
+        lambda get: pickle.loads(pickle.dumps(get("sys0").initial)) == get("sys0").initial,
+        True),
+}
+
+
+@pytest.mark.parametrize("case", ODD_CALLS)
+def test_odd_calls_raise_or_give_what_they_say(case, request):
+    call, want = ODD_CALLS[case]
+    try:
+        got = call(request.getfixturevalue)
+    except (CompositionError, ModelError, TypeError, ValueError) as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == want

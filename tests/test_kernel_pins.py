@@ -275,7 +275,7 @@ def test_binding_through_the_inverse_skips_the_carrier(pinned, monkeypatch):
     assert len(calls) == 3 * 4
 
 
-def test_a_carrier_symbol_evaluates_to_one_shared_set(s0):
+def test_a_carrier_symbol_evaluates_to_the_set_of_its_carrier(s0):
     menu = s0.carrier_value("Menu")
     assert menu == SetValue(s0.carrier("Menu"))
     with pytest.raises(EvalError, match="no carrier for symbol 'Nothing'"):

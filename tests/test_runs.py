@@ -14,14 +14,13 @@ from hknet import (Arc, Atom, Binding, CompositionError, Condition, EvalError, E
                    instantiate, linearize, make_structure, ordered, print_run,
                    random_policy, render_binding, scripted_policy, simulate,
                    validate_run)
-from hknet import nets
 from hknet.modules import PLACE, TRANSITION
 from hknet.nets import OccurrenceNet
 
 from conftest import synthetic
-from support import (ReferenceMarking, digest, reference_fire, reference_linearize,
-                     reference_run, reference_simulate, replay, scan_condition, scan_event, scan_post, scan_pre,
-                     scan_topo_levels)
+from support import (ReferenceMarking, counting_occurrences, digest, reference_fire,
+                     reference_linearize, reference_run, reference_simulate, replay,
+                     scan_condition, scan_event, scan_post, scan_pre, scan_topo_levels)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN.parent.parent / "corpus"
@@ -80,14 +79,7 @@ def test_simulated_runs_are_unchanged(sys_tiny, sys_small, sys0, a0_script):
 def test_simulate_evaluates_each_event_once(sys0, a0_script, monkeypatch):
     # at most once: an event repeating an earlier (transition, binding)
     # reuses its evaluated tokens
-    calls = []
-    evaluate = nets.occurrence
-
-    def counting(net, transition, b, s):
-        calls.append((transition, b))
-        return evaluate(net, transition, b, s)
-
-    monkeypatch.setattr(nets, "occurrence", counting)
+    calls = counting_occurrences(monkeypatch, sys0.net, sys0.structure)
     for policy in (random_policy(seed=3, steps=20), scripted_policy(a0_script)):
         calls.clear()
         run = simulate(sys0, policy)

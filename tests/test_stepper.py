@@ -3,6 +3,8 @@ successors against the oracle that enables and fires every transition
 afresh at each marking (``support.reference_successors``), its edges,
 and call counts that show what it saves."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,8 @@ from hknet import nets
 from hknet.nets import Stepper
 
 from conftest import synthetic
-from support import reference_successors, stepper_disagreements
+from support import (counting_occurrences, reference_successors,
+                     stepper_disagreements, wrap_kernels)
 
 
 def _outcome(step):
@@ -250,14 +253,14 @@ def test_failed_attempts_are_not_remembered(monkeypatch):
              xb: _outcome(lambda: fire(net, m, "t", xb, s))}
     assert wants[xa] == "FiringError: 't' would put z on 'q', outside sort A"
     assert wants[xb].startswith("EvalError: ")
-    calls = _count_calls(monkeypatch, "occurrence")
+    calls = counting_occurrences(monkeypatch, net, s)
     stepper = Stepper(net, s)
     state, _ = stepper.encoding(m)
     assert stepper.enabled(state, "t") == [xa, xb]
     for binding, want in wants.items():
         for _ in range(2):
             assert _outcome(lambda: stepper.fire(state, "t", binding)) == want
-    assert calls == [xa, xa, xb, xb]
+    assert [b for _, b in calls] == [xa, xa, xb, xb]
 
 
 def test_a_binding_enabled_at_the_marking_is_checked_for_output_sorts_only(monkeypatch):
@@ -301,35 +304,36 @@ def _slot_tokens(net, tokens_on):
     return tuple(map(tokens_on, net.index.slots))
 
 
-def _count_enabling(monkeypatch, net):
+def _count_enabling(monkeypatch, net, s):
     """The enabling a stepper runs: the (transition, tokens on its input
     places) of each call of ``nets.admit_bindings``, with the tokens on
     every slot it was called at, and the (transition, tokens on its
-    matched places) of each call of ``nets.join_bindings``."""
+    matched places) of each call of a kernel's ``join``."""
     admissions, joins = [], []
-    join, admit = nets.join_bindings, nets.admit_bindings
+    admit = nets.admit_bindings
     joined = {}  # id of a join's result -> (transition, the result), kept alive
 
-    def counting_join(net_, tokens_on, transition, s):
-        name = transition if isinstance(transition, str) else transition.name
-        joins.append(_matched_tokens(net, name, tokens_on))
-        found = join(net_, tokens_on, transition, s)
-        joined[id(found)] = (name, found)
-        return found
+    def wrap(name, join):
+        def counting_join(tokens_on):
+            joins.append(_matched_tokens(net, name, tokens_on))
+            found = join(tokens_on)
+            joined[id(found)] = (name, found)
+            return found
+        return counting_join
 
     def counting_admit(tokens_on, found):
         name, _ = joined[id(found)]
         admissions.append((_input_tokens(net, name, tokens_on), _slot_tokens(net, tokens_on)))
         return admit(tokens_on, found)
 
-    monkeypatch.setattr(nets, "join_bindings", counting_join)
+    wrap_kernels(monkeypatch, net, s, "join", wrap)
     monkeypatch.setattr(nets, "admit_bindings", counting_admit)
     return admissions, joins
 
 
 def test_explore_enables_once_per_transition_and_input_tokens(sys_small, monkeypatch):
     net = sys_small.net
-    calls, joins = _count_enabling(monkeypatch, net)
+    calls, joins = _count_enabling(monkeypatch, net, sys_small.structure)
     graph = explore(sys_small)
     keys = [key for key, _ in calls]
     distinct = {_input_tokens(net, t.name, m.get)
@@ -349,7 +353,7 @@ def test_explore_enables_once_per_transition_and_input_tokens(sys_small, monkeyp
 
 def test_simulate_enables_again_only_transitions_whose_inputs_changed(sys0, monkeypatch):
     net, s = sys0.net, sys0.structure
-    calls, joins = _count_enabling(monkeypatch, net)
+    calls, joins = _count_enabling(monkeypatch, net, s)
     run = simulate(sys0, random_policy(seed=3, steps=40))
     events = run.inner.events
     assert len(events) == 40
@@ -425,6 +429,52 @@ def test_each_stepping_path_keeps_only_its_own_memo(sys_small):
             break
         _, state = enabling.fire(state, *options[len(options) // 2])
     assert enabling._bindings and not enabling._fired
+
+
+def test_fire_keeps_only_the_moves_it_fires_again(branch):
+    # a long random run, as simulate takes it: fire applies the changes of
+    # a move to the state at once the first time, keeping them alone, and
+    # keeps the move, with its deltas, only when it fires it again
+    system = synthetic(branch, 64, 3)
+    stepper = Stepper(system.net, system.structure)
+    state, _ = stepper.encoding(system.initial)
+    rng = random.Random(1)
+    fired = Counter()
+    for _ in range(300):
+        options = [(t.name, b) for t in stepper.transitions
+                   for b in stepper.enabled(state, t.name)]
+        assert options
+        move = rng.choice(options)
+        fired[move] += 1
+        _, state = stepper.fire(state, *move)
+    again = {move for move, n in fired.items() if n > 1}
+    assert 0 < len(again) < len(fired) / 10
+    assert stepper._bindings and not stepper._fired
+    assert set(stepper._moves) == again
+    assert set(stepper._once) == set(fired) - again
+    kept = {id(delta) for _, changes in stepper._moves.values() for _, delta in changes}
+    assert {id(delta) for delta in stepper._deltas.values()} == kept
+
+
+def test_a_change_that_puts_back_what_it_takes_is_left_out(sys_small):
+    # select reads the menu token: it takes m off menu and puts m back.
+    # The occurrence keeps both, so a run still consumes and produces a
+    # menu condition, but neither path changes the slot of menu.
+    net, s = sys_small.net, sys_small.structure
+    stepper = Stepper(net, s)
+    state, decode = stepper.encoding(sys_small.initial)
+    while not (selects := stepper.enabled(state, "select")):
+        name = next(t.name for t in stepper.transitions if stepper.enabled(state, t.name))
+        _, state = stepper.fire(state, name, stepper.enabled(state, name)[0])
+    menu = net.index.slot_of["menu"]
+    for b in selects:
+        (consumed, produced), changes = stepper._changes("select", b)
+        assert consumed["menu"] == produced["menu"]
+        assert menu not in [slot for slot, _, _ in changes]
+        assert menu not in [slot for slot, _ in stepper._move("select", b)[1]]
+        _, succ = stepper.fire(state, "select", b)
+        assert succ[menu] == state[menu]
+        assert decode(succ) == fire(net, decode(state), "select", b, s)
 
 
 def test_a_stepper_over_an_unresolved_net_raises_sort_error(sys_tiny):
