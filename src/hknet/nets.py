@@ -836,11 +836,11 @@ class Stepper:
     variable, satisfies the guard and finds its input tokens, so a move
     checks only the sorts of its output tokens; :meth:`fire` takes only
     such bindings.  A net with an unresolved transition is rejected when
-    the stepper is built, a name the net lacks when it is asked
-    for.  Errors are not kept.  It joins and evaluates through the kernel
-    of each transition (:class:`compiled.Kernel`), fetched on first use
-    and kept on the structure for every later caller; nothing else it
-    keeps outlives the stepper.
+    the stepper is built, a name the net lacks when it is asked for.
+    Errors are not kept.  It joins and evaluates through the kernel of
+    each transition (:class:`compiled.Kernel`), fetched on first use and
+    kept on the structure for every later caller; nothing else it keeps
+    outlives the stepper.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
