@@ -169,6 +169,65 @@ def test_needs_of_checked_places_add_up_and_a_partial_table_enables_nothing():
     assert stepper_disagreements(net, structure, markings + markings[::-1]) == []
 
 
+# A net of its own: no match step reads pool.  take reads it with one
+# term and pair with two; elm of the empty set needs no token, so Y = {}
+# is enabled while pool is empty.
+CHECKED_ONLY = ("""
+signature checked { sets A; consts one: A, two: A; }
+""", """
+structure checked_s of checked { A = {a1, a2}; one = a1; two = a2; }
+""", """
+module checked_m of checked {
+  places { held : pow(A) init {}, {}, {one}, {one, two}; pool : A;
+           stock : A init one, one, two; done : pow(A); }
+  trans { take; pair; give; }
+  arcs {
+    held -> take : Y;  pool -> take : elm(Y);  take -> done : Y;
+    held -> pair : Y, Z;  pool -> pair : elm(Y), elm(Z);  pair -> done : Y, Z;
+    stock -> give : x;  give -> pool : x;
+  }
+}
+""")
+
+
+def _shared_needs_system():
+    """SHARED_NEEDS from tokens enough to fire t more than once; built
+    by hand, as instantiate refuses the partial k."""
+    sig_text, structure_text, module_text = SHARED_NEEDS
+    sig = parse(sig_text).body
+    structure = bind_structure(parse(structure_text).body, sig)
+    module = parse(module_text).body
+    net, problems = resolve_net(module.inner, sig)
+    assert problems == []
+    a1, a2 = Atom("a1"), Atom("a2")
+    initial = Marking({"src": [Atom("b1"), Atom("b2"), Atom("b3")],
+                       "r": [a1, a1, a1, a2], "s": [a1, a2, a2]})
+    return System("needs", module, structure, initial, net)
+
+
+def _system_of(texts):
+    sig_text, structure_text, module_text = texts
+    sig = parse(sig_text).body
+    return instantiate(parse(module_text).body, bind_structure(parse(structure_text).body, sig))
+
+
+def test_a_stepper_enables_as_the_definition_at_every_explored_state(branch, sys_small):
+    from test_generated_join import MODULE, SIGNATURE, STRUCTURE
+    checked = _system_of(CHECKED_ONLY)
+    for system in (sys_small, synthetic(branch, 1, 3), _system_of((SIGNATURE, STRUCTURE, MODULE)),
+                   _shared_needs_system(), checked):
+        graph = explore(system)
+        assert not graph.truncated and len(graph.edges) > len(graph.markings) > 1, system.name
+        assert stepper_disagreements(system.net, system.structure, graph.markings) == [], \
+            system.name
+    net, s = checked.net, checked.structure
+    markings = explore(checked).markings
+    assert any(not m.get("pool") and Binding({"Y": SetValue()}) in
+               enabled_bindings(net, m, "take", s) for m in markings)
+    assert any(not m.get("pool") and Binding({"Y": SetValue(), "Z": SetValue()}) in
+               enabled_bindings(net, m, "pair", s) for m in markings)
+
+
 def test_a_place_outside_the_net_is_kept_in_every_successor(sys_small):
     net, s = sys_small.net, sys_small.structure
     elsewhere = Multiset([Atom("x"), Atom("x"), Atom("y")])
