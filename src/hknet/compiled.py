@@ -41,8 +41,8 @@ Env = dict[str, Value]  # a binding as a plain dict; evaluate reads it too
 class Kernel:
     """One resolved transition compiled against one structure:
 
-    * ``join(tokens_on)`` is :func:`nets.join_bindings` at the tokens
-      ``tokens_on(place)`` gives;
+    * ``join(tokens_on)`` is :func:`nets.enabled_bindings` at the tokens
+      ``tokens_on(place)`` gives, such as a marking's ``get``;
     * ``holds(env)`` is :func:`terms.eval_guard` of its guard and
       ``occurrence(env)`` is :func:`nets.occurrence`, under a binding
       given as a dict that assigns every variable of the transition; a
@@ -231,7 +231,7 @@ def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc],
 # A join runs as Python source written from its plan's shape alone (see
 # _shape): one nested loop per step with its pattern tests inline, each
 # level's checks before its step, and a leaf that appends (rank key,
-# binding pairs[, needs]).  What the model gives (place and variable
+# binding pairs).  What the model gives (place and variable
 # names, ranks, carriers, constants, inverse tables, term and guard
 # closures) enters as an argument of the factory the source defines, so
 # the source names nothing of the model, and every plan of one shape,
@@ -256,7 +256,7 @@ def _factory(shape: tuple) -> Callable:
 
 def _compile(source: str) -> Callable:
     namespace = {"EvalError": EvalError, "TupleValue": TupleValue, "take": _take,
-                 "first": itemgetter(0), "from_sorted": Binding._from_sorted,
+                 "held": _held, "first": itemgetter(0), "from_sorted": Binding._from_sorted,
                  "NOTHING": object()}  # a preimage target no inverse table holds
     exec(compile(source, "<hknet join>", "exec"), namespace)
     return namespace["make"]
@@ -274,21 +274,31 @@ def _take(taken: dict[Value, int], have: Mapping[Value, int], tokens: Iterable[V
     return True
 
 
+def _held(have: Mapping[Value, int], tokens: Iterable[Value]) -> bool:
+    """Whether each of ``tokens`` is on a place holding ``have``: the
+    check of a term alone in reading its place, which wants each token
+    once, as a term yields one value or the distinct elements of a set."""
+    for v in tokens:
+        if v not in have:
+            return False
+    return True
+
+
 def _join(plan: MatchPlan, s: Structure, variables: frozenset[str],
-          closures: Mapping[int, Callable]) -> Callable[[TokensOn], tuple]:
-    """:func:`nets.join_bindings` of ``plan``, whose variables are
+          closures: Mapping[int, Callable]) -> Callable[[TokensOn], list[Binding]]:
+    """:func:`nets.enabled_bindings` of ``plan``, whose variables are
     ``variables``, under ``s`` as a function of the tokens on each place,
-    calling the :func:`_closures` of its checks and residual terms."""
+    calling the :func:`_closures` of its checks."""
     matched = plan.matched
     try:
         ranks = [carrier_rank(sort, s) for sort in plan.sorts]
     except EvalError as exc:
         message, span = exc.message, exc.span
 
-        def failing(tokens_on: TokensOn) -> tuple:
+        def failing(tokens_on: TokensOn) -> list[Binding]:
             if all(tokens_on(place) for place in matched):
                 raise EvalError(message, span)
-            return [], None
+            return []
         return failing
     shape, args = _shape(plan, s, variables, ranks, closures)
     return _factory(shape)(*args)
@@ -301,14 +311,16 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
     and tuples that name nothing of the model, and the arguments of the
     factory that source defines, in the order it takes them.
 
-    The shape starts with the number of matched places and of
+    The join reads every input place, the matched ones first.  The shape
+    starts with the number of matched places, of places read and of
     variables, whether closures are called (and so need the binding as
-    a dict) and the matched places whose taken tokens are counted, as
-    they are where a step is not alone in reading its place.  One entry
+    a dict) and the places whose taken tokens are counted, as they are
+    where a step or check is not alone in reading its place.  One entry
     per level follows, its checks first:
 
     * ``("K", kinds)``: one closure per check, ``-1`` for a guard atom,
-      else the matched place the term's tokens are taken off;
+      else the place the term's tokens are taken off, counted or, on a
+      place it alone reads, tested for membership;
     * ``("M", place, alone, pattern)``: a match step; ``pattern`` is
       ``("f", k)`` for a fresh variable ``k`` of ``plan.names``,
       ``("b", k)`` for a bound one, ``("c",)`` for a constant, taking its
@@ -316,12 +328,12 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
     * ``("P", k, j)``: a preimage step, taking its inverse table; its
       target is variable ``j``, or a closure taken next where ``j`` is -1;
     * ``("C", k)``: a carrier step, taking the (value, rank) pairs;
-    * ``("L", groups)``: the leaf, taking a closure per residual term
-      and then, per group of terms on one place, that place."""
+    * ``("L",)``: the leaf."""
     names, matched, steps = plan.names, plan.matched, plan.steps
+    read = matched + tuple([place for place in plan.places if place not in matched])
     var = {name: k for k, name in enumerate(names)}
-    slot = {place: i for i, place in enumerate(matched)}
-    readers = dict.fromkeys(matched, 0)  # the steps and checks reading each place
+    slot = {place: i for i, place in enumerate(read)}
+    readers = dict.fromkeys(read, 0)  # the steps and checks reading each place
     for step in steps:
         if step[0] == "match":
             readers[step[1]] += 1
@@ -330,9 +342,9 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
             if not isinstance(check, GuardAtom):
                 readers[check[0]] += 1
     # whether closures are called; a preimage step may yet call one
-    shape: list = [len(matched), len(names), bool(plan.residual or any(plan.checks)),
+    shape: list = [len(matched), len(read), len(names), any(plan.checks),
                    tuple([slot[place] for place, n in readers.items() if n > 1])]
-    args: list = [matched, names, ranks]
+    args: list = [read, names, ranks]
     bound: set[str] = set()
 
     def pattern(term: Term) -> tuple:
@@ -375,18 +387,13 @@ def _shape(plan: MatchPlan, s: Structure, variables: frozenset[str],
             else:
                 args.append(_value(term, s, variables))
                 shape.append(("P", k, -1))
-                shape[2] = True
+                shape[3] = True
         else:
             values = carrier_of(step[2], s)
             args.append(rank.items() if len(rank) == len(values)
                         else tuple((v, rank[v]) for v in values))
             shape.append(("C", k))
-    groups: dict[str, int] = {}
-    for place, term in plan.residual:
-        groups.setdefault(place, len(groups))
-        args.append(closures[id(term)])
-    args += groups
-    shape.append(("L", tuple([groups[place] for place, _ in plan.residual])))
+    shape.append(("L",))
     return tuple(shape), args
 
 
@@ -394,8 +401,8 @@ class _Source:
     """The join source ``text`` of one shape (see :func:`_shape`): it
     defines ``make``, which takes the arguments and returns the join.
 
-    In the join, ``h<i>`` holds the tokens on matched place ``i`` and
-    ``t<i>`` the counts taken off it, if they are counted; ``x<k>`` and
+    In the join, ``h<i>`` holds the tokens on place ``i`` and ``t<i>``
+    the counts taken off it, if they are counted; ``x<k>`` and
     ``r<k>`` hold the value and the carrier rank of variable ``k``, and
     ``b`` the same values by name, if closures are called.  A body
     nested ``_SPLIT`` levels deep goes on in a nested function, as
@@ -404,8 +411,8 @@ class _Source:
     _SPLIT = 12
 
     def __init__(self, shape: tuple):
-        places, self.count, self.env, counted = shape[:4]
-        self.ops = shape[4:]
+        matched, places, self.count, self.env, self.counted = shape[:5]
+        self.ops = shape[5:]
         self.params = ["places", "names", "ranks"]
         self.temps = 0
         self.frame: tuple[list[str], list[str]] = ([], [])  # (nested defs, body)
@@ -417,17 +424,16 @@ class _Source:
                 lines.append(f"    {', '.join(f'{prefix}{i}' for i in range(size))}, = {given}")
         lines.append("    def join(tokens_on):")
         lines += [f"        h{i} = tokens_on(p{i}).counts()" for i in range(places)]
-        if places:
-            empty = " or ".join(f"not h{i}" for i in range(places))
-            lines += [f"        if {empty}:", "            return [], None"]
-        lines += [f"        t{i} = {{}}" for i in counted]
+        if matched:
+            empty = " or ".join(f"not h{i}" for i in range(matched))
+            lines += [f"        if {empty}:", "            return []"]
+        lines += [f"        t{i} = {{}}" for i in self.counted]
         if self.env:
             lines.append("        b = {}")
         lines += ["        found = []", "        append = found.append"]
         lines += self.frame[0] + self.frame[1]
-        needs = "[e[2] for e in found]" if self.ops[-1][1] else "None"
         lines += ["        found.sort(key=first)",
-                  f"        return [from_sorted(e[1]) for e in found], {needs}",
+                  "        return [from_sorted(e[1]) for e in found]",
                   "    return join", ""]
         self.text = "\n".join(lines)
 
@@ -459,13 +465,14 @@ class _Source:
 
     def K(self, i: int, depth: int, base: int, kinds: tuple[int, ...]) -> None:
         """Run the levels below if every guard atom holds and the tokens
-        of every term are still on its matched place, taking them off
-        while they run; a check that raises fails."""
+        of every term are still on its place, taking them off while they
+        run where they are counted; a check that raises fails."""
         ok, took = f"ok{i}", f"took{i}"
         calls = [f"{self.arg('g')}(b)" if place < 0
                  else f"take(t{place}, h{place}, {self.arg('tk')}(b), {took})"
+                 if place in self.counted else f"held(h{place}, {self.arg('tk')}(b))"
                  for place in kinds]
-        counting = any(place >= 0 for place in kinds)
+        counting = any(place in self.counted for place in kinds)
         if counting:
             self.line(depth, f"{took} = []")
         self.line(depth, "try:")
@@ -555,24 +562,9 @@ class _Source:
         self.store((k,), depth + 1)
         self.level(i + 1, depth + 1, base)
 
-    def L(self, i: int, depth: int, base: int, groups: tuple[int, ...]) -> None:
-        """The rank key and the name-value pairs of a complete binding,
-        with the tokens its residual terms need if the plan has any; a
-        binding under which one of them raises is left out."""
+    def L(self, i: int, depth: int, base: int) -> None:
+        """The rank key and the name-value pairs of a complete binding."""
         count = self.count
         key = "r0" if count == 1 else f"({', '.join(f'r{k}' for k in range(count))})"
         pairs = f"({''.join(f'(n{k}, x{k}), ' for k in range(count))})"
-        if not groups:
-            self.line(depth, f"append(({key}, {pairs}))")
-            return
-        self.line(depth, "try:")
-        for g in range(max(groups) + 1):
-            self.line(depth + 1, f"need{g} = {{}}")
-        for g in groups:
-            self.line(depth + 1, f"for v in {self.arg('q')}(b):")
-            self.line(depth + 2, f"need{g}[v] = need{g}.get(v, 0) + 1")
-        wanted = ", ".join(f"{self.arg('w')}: need{g}" for g in range(max(groups) + 1))
-        self.line(depth, "except EvalError:")
-        self.line(depth + 1, "pass")
-        self.line(depth, "else:")
-        self.line(depth + 1, f"append(({key}, {pairs}, {{{wanted}}}))")
+        self.line(depth, f"append(({key}, {pairs}))")

@@ -123,10 +123,7 @@ class NetIndex:
     multiset id per slot.  ``input_ids`` gives, per resolved transition,
     the function that reads a state's ids on its plan's input places: one
     id, a tuple of them or ``()``, a memo key rather than a sequence.
-    ``join_ids`` gives the same on the matched places, but only for
-    plans with residual checks; without them both keys name the same
-    tokens.  These tables are built on first use, as only stepping reads
-    them."""
+    These tables are built on first use, as only stepping reads them."""
 
     def __init__(self, net: SchematicNet):
         self.places: dict[str, Place] = {}
@@ -159,11 +156,6 @@ class NetIndex:
     def input_ids(self) -> dict[str, Callable]:
         return {name: self._ids_on(plan.places) for name, plan in self.plans.items()}
 
-    @cached_property
-    def join_ids(self) -> dict[str, Callable]:
-        return {name: self._ids_on(plan.matched)
-                for name, plan in self.plans.items() if plan.residual}
-
     def _ids_on(self, places: tuple[str, ...]) -> Callable:
         if not places:
             return lambda state: ()
@@ -179,7 +171,7 @@ def _is_pattern(term: Term) -> bool:
 
 
 class MatchPlan:
-    """How :func:`join_bindings` binds one resolved transition.
+    """How :func:`enabled_bindings` binds one resolved transition.
 
     ``names`` and ``sorts`` list the transition's variables by name.
     ``steps`` bind them in order, each in one of three ways:
@@ -197,24 +189,24 @@ class MatchPlan:
       variable no pattern binds: free-choice variables and those
       occurring only under a function, in a set term or in ``elm``.
 
-    ``matched`` lists the places of the match steps; while one of them
-    is empty, nothing is enabled.
+    ``places`` lists the input places and ``matched`` those of the match
+    steps; while one of the matched places is empty, nothing is enabled.
+    An empty place that only checks read may still enable a binding, as
+    ``elm(Y)`` with ``Y = {}`` needs no token.
 
     ``checks[i]`` holds what becomes decidable once ``steps[:i]`` have
     bound their variables: guard atoms, but not the equation behind a
-    preimage step, which its inverse table guarantees, and input terms
-    on matched places that are not matched themselves, given as
-    ``(place, term)`` and counted against the tokens the match steps left.
-
-    ``residual`` holds the ``(place, term)`` input terms on the places
-    no match step reads, such as ``elm(Y)`` on a place only checked:
-    they are evaluated once every variable is bound, into the tokens a
-    binding needs there, which :func:`admit_bindings` looks up.
+    preimage step, which its inverse table guarantees, and every input
+    term that is not a match step, given as ``(place, term)``.  A term's
+    tokens are counted against those the other steps and checks on its
+    place take; on a place no match step reads, such as ``cooked`` for
+    ``elm(Y)`` in the restaurant's ``hand_over``, a term alone in reading
+    it only has its tokens tested for membership.
 
     A plan is fixed per net; under each structure, the transition's
     kernel (:class:`compiled.Kernel`) runs its steps and checks as one
-    function generated from the plan's shape, and :func:`join_bindings`
-    calls it.
+    function generated from the plan's shape, which returns the enabled
+    bindings.
     """
 
     def __init__(self, t: Transition, arcs: tuple[Arc, ...]):
@@ -246,18 +238,13 @@ class MatchPlan:
         pending += [(term_variables(atom.left) | term_variables(atom.right), atom)
                     for atom in t.guard.atoms if not any(atom is e for e in implied)]
         checks: list[list[object]] = [[] for _ in range(len(steps) + 1)]
-        residual: list[tuple[str, Term]] = []
         for used, check in pending:
-            if isinstance(check, tuple) and check[0] not in self.matched:
-                residual.append(check)
-                continue
             # a variable outside t.variables never gets bound: its check
             # goes last and fails there with an unbound-variable error
             ready = max((stage.get(n, len(steps) - 1) for n in used), default=-1)
             checks[ready + 1].append(check)
         self.steps = tuple(steps)
         self.checks = tuple(tuple(c) for c in checks)
-        self.residual = tuple(residual)
 
 
 def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple:
@@ -627,10 +614,8 @@ def _infer(term: Term, expected: Sort | None, env: dict[str, Sort | None],
         if isinstance(expected, SortName):
             inner_expected = PowSort(expected.name)
         _infer(term.inner, inner_expected, env, sig, violations)
-        return
-    if isinstance(term, Ident):
-        return
-    raise TypeError(f"not a term: {term!r}")
+    # an Ident left by _resolve_term, a bare function symbol, has no sort;
+    # _resolve_term has rejected anything that is no term
 
 
 def check_net(net: SchematicNet, sig: Signature) -> list[Violation]:
@@ -670,51 +655,25 @@ def enabled_bindings(net: SchematicNet, m: Marking,
                      transition: Transition | str, s: Structure) -> list[Binding]:
     """All total bindings of the transition's variables such that the
     guard holds and every evaluated input inscription is contained in
-    the marking: the candidates of :func:`join_bindings` that
-    :func:`admit_bindings` keeps.
+    the marking.
 
     The result is in lexicographic carrier order: by variable name, then
     by each value's position in the carrier of the variable's sort.
-    """
-    return admit_bindings(m.get, join_bindings(net, m.get, transition, s))
 
-
-def join_bindings(net: SchematicNet, tokens_on: TokensOn, transition: Transition | str,
-                  s: Structure) -> tuple[list[Binding], list[Tokens] | None]:
-    """The bindings that the tokens on the transition's matched places
-    allow (:attr:`MatchPlan.matched`), in the order of
-    :func:`enabled_bindings`, and the ``{place: {value: count}}`` tokens
-    the residual terms of each need (:attr:`MatchPlan.residual`), in the
-    same order, or None for a plan without residual terms.  The tokens
-    on a place are ``tokens_on(place)``, such as a marking's ``get``;
-    only the matched places are looked up.
-
-    The steps and checks of its plan (:class:`MatchPlan`) bind the
-    variables: a pattern's bound variable must agree with the token, a
-    fresh one takes the token's component if it lies in the variable's
-    carrier, and a check runs once its variables are bound, a term
-    against the tokens left over.  A function application outside its
-    table leaves the candidate out, also in a residual term.
-
-    The transition's kernel (:class:`compiled.Kernel`) runs the plan.  It
-    is built on the first call under ``s``, which looks up the carriers,
-    and kept on ``s``; a carrier that cannot be built, such as a
-    powerset over the cap, raises on every call whose matched places
-    all hold tokens.  A pattern on an empty input place joins nothing.
+    It is the join of the transition's kernel (:class:`compiled.Kernel`)
+    at ``m.get``, which runs the steps and checks of its plan
+    (:class:`MatchPlan`): a pattern's bound variable must agree with the
+    token, a fresh one takes the token's component if it lies in the
+    variable's carrier, and a check runs once its variables are bound, a
+    term against the tokens left over.  A function application outside
+    its table leaves the candidate out.  The kernel is built on the first
+    call under ``s``, which looks up the carriers, and kept on ``s``; a
+    carrier that cannot be built, such as a powerset over the cap, raises
+    on every call whose matched places all hold tokens.  A pattern on an
+    empty input place enables nothing.
     """
     name = transition if isinstance(transition, str) else transition.name
-    return _kernel(net, name, s).join(tokens_on)
-
-
-def admit_bindings(tokens_on: TokensOn,
-                   joined: tuple[list[Binding], list[Tokens] | None]) -> list[Binding]:
-    """The bindings of a :func:`join_bindings` result, in order, whose
-    needed tokens lie on their places, ``tokens_on(place)``: all of them
-    if none are needed."""
-    bindings, needs = joined
-    if needs is None:
-        return bindings
-    return [b for b, wanted in zip(bindings, needs) if _lacking(tokens_on, wanted) is None]
+    return _kernel(net, name, s).join(m.get)
 
 
 def _lacking(tokens_on: TokensOn, tokens: Tokens) -> str | None:
@@ -811,9 +770,8 @@ class Stepper:
     (:attr:`NetIndex.slots`); :meth:`encoding` turns a marking into one
     and back.  The bindings of a transition depend only on the tokens on
     its input places, so each path keeps its own memo per ``(name, ids
-    on its input slots)`` over one join memo: :meth:`enabled`
-    (``simulate``) the bindings, :meth:`step` (``explore``) each binding
-    with its move.  :meth:`_changes` evaluates an occurrence, checks its
+    on its input slots)``: :meth:`enabled` (``simulate``) the bindings,
+    :meth:`step` (``explore``) each binding with its move.  :meth:`_changes` evaluates an occurrence, checks its
     output sorts and lists each place whose take differs from its put; a
     kept move (:meth:`_move`) holds a :class:`_Delta` per such place,
     shared by equal changes, which maps each id it was applied to to the
@@ -823,14 +781,9 @@ class Stepper:
     state at once and keeps them alone.  None of them takes a marking: a
     state alone says which multiset lies on each slot.
 
-    It enables as :func:`enabled_bindings` does: :func:`join_bindings`,
-    then :func:`admit_bindings`, on the multisets the state's ids number,
-    looked up only when a path's memo misses.  For a plan with residual checks
-    it also keeps each join per ``(name, ids on its matched slots)``
-    (:attr:`NetIndex.join_ids`): where only the tokens on a place the
-    transition checks change, the kept join is admitted again instead
-    of joined anew.  For a plan without them both keys name the same
-    tokens, so a miss of a path's memo joins at once.
+    It enables as :func:`enabled_bindings` does: one join of the
+    transition's kernel per miss of a path's memo, on the multisets the
+    state's ids number.
 
     A binding that :func:`enabled_bindings` returns assigns every
     variable, satisfies the guard and finds its input tokens, so a move
@@ -851,14 +804,11 @@ class Stepper:
             _resolved(net, t)
         index = net.index
         self._slots, self._slot_of = index.slots, index.slot_of
-        self._keys, self._join_keys = index.input_ids, index.join_ids
+        self._keys = index.input_ids
         self._order = [(t.name, self._keys[t.name]) for t in self.transitions]
         self._ids = _Ids()
         # (name, ids on its input slots) -> its bindings, for enabled
         self._bindings: dict[tuple, list[Binding]] = {}
-        # (name, ids on its matched slots) -> join_bindings, for a plan
-        # with residual checks
-        self._joins: dict[tuple, tuple[list[Binding], list[Tokens] | None]] = {}
         # (name, ids on its input slots) -> [(binding, its changes)], for step
         self._fired: dict[tuple, list[tuple[Binding, tuple]]] = {}
         # (name, binding) -> (its occurrence, its (slot, delta) pairs)
@@ -938,15 +888,7 @@ class Stepper:
         def tokens_on(place: str) -> Multiset:
             return multisets[state[slot_of[place]]]
 
-        join_key = self._join_keys.get(name)
-        if join_key is None:
-            joined = self._kernel(name).join(tokens_on)
-        else:
-            at = (name, join_key(state))
-            joined = self._joins.get(at)
-            if joined is None:
-                joined = self._joins[at] = self._kernel(name).join(tokens_on)
-        return admit_bindings(tokens_on, joined) or _EMPTY
+        return self._kernel(name).join(tokens_on) or _EMPTY
 
     def _kernel(self, name: str) -> Kernel:
         """The kernel of ``name``, fetched by :func:`_kernel` on first use."""

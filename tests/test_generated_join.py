@@ -5,8 +5,9 @@ nothing a model names may reach that code as text.  The net below names
 its signature, sets, constants, function, places, transitions and
 variables with Python keywords, builtins and dunder names, and its plans
 take every step kind (match with a fresh, a bound and a constant
-component, preimage, carrier), a guard check, a token check on a matched
-place and a residual term.  Enabling must still be the definition
+component, preimage, carrier), a guard check and a token check of both
+forms: counted on a matched place, and a membership test on a place no
+match step reads.  Enabling must still be the definition
 (``support.brute_force_bindings``), and the high-level state space the
 grounded one (``explore_grounded``, through ``marking_vector``).
 
@@ -21,9 +22,10 @@ import re
 
 import pytest
 
-from hknet import (Atom, GuardAtom, Marking, bind_structure, carrier_of, enabled_bindings,
-                   explore, explore_grounded, ground, instantiate, parse, resolve_net)
-from hknet import compiled, terms
+from hknet import (Atom, Elm, GuardAtom, Marking, Var, bind_structure, carrier_of,
+                   enabled_bindings, explore, explore_grounded, ground, instantiate, parse,
+                   resolve_net)
+from hknet import compiled, nets, terms
 from hknet.signature import carrier_rank
 
 from support import brute_force_bindings, structure_text
@@ -95,7 +97,17 @@ def test_the_keyword_net_takes_every_step_and_check_kind(keywords):
     assert steps == {"match", "preimage", "carrier"} and checks == {GuardAtom, tuple}
     assert plans["try"].steps[1][2].items[0].name == "pass"  # bound before
     assert plans["with"].steps[0][2].items[0].name == "True"  # a constant
-    assert plans["global"].residual
+    # global checks elm(__builtins__) on found, which no match step reads
+    assert [check for level in plans["global"].checks for check in level] == [
+        ("found", Elm(Var("__builtins__", None)))]
+    assert "found" in plans["global"].places and "found" not in plans["global"].matched
+    forms = set()
+    for name in plans:
+        shape = shape_of(keywords.net, name, keywords.structure)[0]
+        counted = shape[4]
+        forms.update("counted" if place in counted else "membership"
+                     for op in shape[5:] if op[0] == "K" for place in op[1] if place >= 0)
+    assert forms == {"counted", "membership"}
 
 
 def test_enabling_on_the_keyword_net_matches_the_definition(keywords):
@@ -117,6 +129,17 @@ def test_enabling_on_the_keyword_net_matches_the_definition(keywords):
     assert enabled == {t.name for t in net.transitions}
 
 
+def test_a_kernels_join_returns_the_enabled_bindings_themselves(sys_small):
+    # no stage follows the join: every input term that is not a match
+    # step is one of its checks, so what it returns is final
+    net, s = sys_small.net, sys_small.structure
+    kernels = {t.name: nets._kernel(net, t.name, s) for t in net.transitions}
+    for m in explore(sys_small).markings:
+        for name, kernel in kernels.items():
+            found = kernel.join(m.get)
+            assert type(found) is list and found == enabled_bindings(net, m, name, s), (name, m)
+
+
 def test_the_keyword_net_explores_as_its_grounding(keywords):
     g = ground(keywords)
     high = explore(keywords)
@@ -134,9 +157,9 @@ TAGS = {"K", "M", "P", "C", "L", "f", "b", "c", "t"}
 # every name the generated source may use: its own locals and parameters,
 # the helpers of its namespace, builtins and methods of values it reads
 GENERATED = re.compile(r"(make|join|tokens_on|places|names|ranks|found|append|first|take"
-                       r"|from_sorted|NOTHING|EvalError|TupleValue|isinstance|len|counts"
+                       r"|held|from_sorted|NOTHING|EvalError|TupleValue|isinstance|len|counts"
                        r"|get|items|sort|key|b|e|n|v|y|taken"
-                       r"|(p|n|rk|h|t|x|r|v|ok|took|k|need|g|tk|c|iv|tg|cp|q|w)[0-9]+)")
+                       r"|(p|n|rk|h|t|x|r|v|ok|took|k|g|tk|c|iv|tg|cp)[0-9]+)")
 
 
 def shape_of(net, name, s):

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from hknet import (Atom, EvalError, Marking, SetValue, bind_structure,
+from hknet import (Atom, Elm, EvalError, Marking, SetValue, Var, bind_structure,
                    enabled_bindings, explore, parse, parse_predicate,
                    print_run, random_policy, resolve_net, simulate)
 from hknet import compiled
@@ -286,9 +286,10 @@ def test_hand_over_draws_the_meal_from_the_inverse_of_g(sys0):
     plan = sys0.net.index.plans["hand_over"]
     assert [step[:2] for step in plan.steps] == [
         ("match", "pending_orders"), ("match", "waiting"), ("preimage", "Y")]
-    # g(Y) = X holds by the inverse table and elm(Y) is residual, so the
-    # join checks nothing
-    assert not any(plan.checks) and plan.residual
+    # g(Y) = X holds by the inverse table, so the join checks only
+    # elm(Y) on cooked, which no match step reads, once Y is drawn
+    assert not any(plan.checks[:-1])
+    assert plan.checks[-1] == (("cooked", Elm(Var("Y", None))),)
     select = sys0.net.index.plans["select"]
     assert select.steps[-1][:2] == ("carrier", "X")
 
