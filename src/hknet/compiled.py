@@ -402,7 +402,10 @@ class _Source:
     defines ``make``, which takes the arguments and returns the join.
 
     In the join, ``h<i>`` holds the tokens on place ``i`` and ``t<i>``
-    the counts taken off it, if they are counted; ``x<k>`` and
+    the counts taken off it, if they are counted.  A check of a term
+    comes in two forms: ``take`` counts its tokens against those the
+    other readers of the place took, and ``held``, on a place the term
+    alone reads, tests each token for membership.  ``x<k>`` and
     ``r<k>`` hold the value and the carrier rank of variable ``k``, and
     ``b`` the same values by name, if closures are called.  A body
     nested ``_SPLIT`` levels deep goes on in a nested function, as

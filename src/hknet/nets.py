@@ -154,12 +154,9 @@ class NetIndex:
 
     @cached_property
     def input_ids(self) -> dict[str, Callable]:
-        return {name: self._ids_on(plan.places) for name, plan in self.plans.items()}
-
-    def _ids_on(self, places: tuple[str, ...]) -> Callable:
-        if not places:
-            return lambda state: ()
-        return itemgetter(*map(self.slot_of.__getitem__, places))
+        slot = self.slot_of.__getitem__
+        return {name: itemgetter(*map(slot, plan.places)) if plan.places else lambda state: ()
+                for name, plan in self.plans.items()}
 
 
 def _is_pattern(term: Term) -> bool:

@@ -22,6 +22,7 @@ from hknet.nets import Stepper
 from conftest import synthetic
 from support import (counting_occurrences, reference_successors,
                      stepper_disagreements, wrap_kernels)
+from test_generated_join import MODULE, SIGNATURE, STRUCTURE
 
 
 def _outcome(step):
@@ -212,7 +213,6 @@ def _system_of(texts):
 
 
 def test_a_stepper_enables_as_the_definition_at_every_explored_state(branch, sys_small):
-    from test_generated_join import MODULE, SIGNATURE, STRUCTURE
     checked = _system_of(CHECKED_ONLY)
     for system in (sys_small, synthetic(branch, 1, 3), _system_of((SIGNATURE, STRUCTURE, MODULE)),
                    _shared_needs_system(), checked):
