@@ -19,8 +19,9 @@ from hknet import (Arc, Atom, Binding, Condition, EvalError, Event, FiringError,
                    Multiset, OccurrenceNet, ParseError, Place, PowSort,
                    SchematicNet,
                    SetTerm, SetValue, Signature, SortName, Transition,
-                   TupleSort, TupleTerm, TupleValue, Value, enabled_bindings,
-                   enumerate_bindings, eval_guard, fire, inscription_tokens, render_sort, render_term,
+                   TupleSort, TupleTerm, TupleValue, Value, bind_structure,
+                   enabled_bindings, enumerate_bindings, eval_guard, fire,
+                   inscription_tokens, instantiate, parse, render_sort, render_term,
                    render_binding, render_value, value_in_sort)
 from hknet import nets
 from hknet.modules import (PLACE, TRANSITION, _inner_ids, _normalize_module,
@@ -711,6 +712,35 @@ def reference_successors(net, m: Marking, s) -> list[tuple[str, Binding, Marking
         for b in enabled_bindings(net, m, t, s):
             out.append((t.name, b, fire(net, m, t, b, s)))
     return out
+
+
+# A net of its own: no match step reads pool.  take reads it with one
+# term and pair with two; elm of the empty set needs no token, so Y = {}
+# is enabled while pool is empty.
+CHECKED_ONLY = ("""
+signature checked { sets A; consts one: A, two: A; }
+""", """
+structure checked_s of checked { A = {a1, a2}; one = a1; two = a2; }
+""", """
+module checked_m of checked {
+  places { held : pow(A) init {}, {}, {one}, {one, two}; pool : A;
+           stock : A init one, one, two; done : pow(A); }
+  trans { take; pair; give; }
+  arcs {
+    held -> take : Y;  pool -> take : elm(Y);  take -> done : Y;
+    held -> pair : Y, Z;  pool -> pair : elm(Y), elm(Z);  pair -> done : Y, Z;
+    stock -> give : x;  give -> pool : x;
+  }
+}
+""")
+
+
+def system_of(texts):
+    """The system of a ``(signature, structure, module)`` triple of
+    texts, instantiated on its initial marking."""
+    sig_text, structure_text, module_text = texts
+    sig = parse(sig_text).body
+    return instantiate(parse(module_text).body, bind_structure(parse(structure_text).body, sig))
 
 
 def stepper_disagreements(net, s, markings: Iterable[Marking]) -> list[tuple]:

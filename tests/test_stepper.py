@@ -20,8 +20,8 @@ from hknet import nets
 from hknet.nets import Stepper
 
 from conftest import synthetic
-from support import (counting_occurrences, reference_successors,
-                     stepper_disagreements, wrap_kernels)
+from support import (CHECKED_ONLY, counting_occurrences, reference_successors,
+                     stepper_disagreements, system_of, wrap_kernels)
 from test_generated_join import MODULE, SIGNATURE, STRUCTURE
 
 
@@ -170,27 +170,6 @@ def test_needs_of_checked_places_add_up_and_a_partial_table_enables_nothing():
     assert stepper_disagreements(net, structure, markings + markings[::-1]) == []
 
 
-# A net of its own: no match step reads pool.  take reads it with one
-# term and pair with two; elm of the empty set needs no token, so Y = {}
-# is enabled while pool is empty.
-CHECKED_ONLY = ("""
-signature checked { sets A; consts one: A, two: A; }
-""", """
-structure checked_s of checked { A = {a1, a2}; one = a1; two = a2; }
-""", """
-module checked_m of checked {
-  places { held : pow(A) init {}, {}, {one}, {one, two}; pool : A;
-           stock : A init one, one, two; done : pow(A); }
-  trans { take; pair; give; }
-  arcs {
-    held -> take : Y;  pool -> take : elm(Y);  take -> done : Y;
-    held -> pair : Y, Z;  pool -> pair : elm(Y), elm(Z);  pair -> done : Y, Z;
-    stock -> give : x;  give -> pool : x;
-  }
-}
-""")
-
-
 def _shared_needs_system():
     """SHARED_NEEDS from tokens enough to fire t more than once; built
     by hand, as instantiate refuses the partial k."""
@@ -206,15 +185,9 @@ def _shared_needs_system():
     return System("needs", module, structure, initial, net)
 
 
-def _system_of(texts):
-    sig_text, structure_text, module_text = texts
-    sig = parse(sig_text).body
-    return instantiate(parse(module_text).body, bind_structure(parse(structure_text).body, sig))
-
-
 def test_a_stepper_enables_as_the_definition_at_every_explored_state(branch, sys_small):
-    checked = _system_of(CHECKED_ONLY)
-    for system in (sys_small, synthetic(branch, 1, 3), _system_of((SIGNATURE, STRUCTURE, MODULE)),
+    checked = system_of(CHECKED_ONLY)
+    for system in (sys_small, synthetic(branch, 1, 3), system_of((SIGNATURE, STRUCTURE, MODULE)),
                    _shared_needs_system(), checked):
         graph = explore(system)
         assert not graph.truncated and len(graph.edges) > len(graph.markings) > 1, system.name
