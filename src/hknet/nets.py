@@ -768,15 +768,18 @@ class Stepper:
     and back.  The bindings of a transition depend only on the tokens on
     its input places, so each path keeps its own memo per ``(name, ids
     on its input slots)``: :meth:`enabled` (``simulate``) the bindings,
-    :meth:`step` (``explore``) each binding with its move.  :meth:`_changes` evaluates an occurrence, checks its
-    output sorts and lists each place whose take differs from its put; a
-    kept move (:meth:`_move`) holds a :class:`_Delta` per such place,
-    shared by equal changes, which maps each id it was applied to to the
-    id it leads to.  :meth:`step` keeps every move, :meth:`fire` one it
-    fires again, as a long run on few tokens does; a short run seldom
-    repeats a move, so fire applies the changes of a first firing to the
-    state at once and keeps them alone.  None of them takes a marking: a
-    state alone says which multiset lies on each slot.
+    :meth:`step` (``explore``) each binding with its move.  A move
+    (:meth:`_move`), kept per ``(name, binding)`` at its first firing by
+    either path, is the occurrence, with its output sorts checked, and a
+    change per place whose take differs from its put: the slot, the take,
+    the put and an ``after`` table from the id on the slot before a
+    firing to the id after it.  One :meth:`_successor` applies every
+    move, filling ``after`` on a miss, so a repeat from the same ids is a
+    lookup.  :meth:`step`'s equal changes share one ``after``;
+    :meth:`fire`'s each have their own, as a run seldom repeats a change
+    elsewhere and building the sharing key costs more than it saves.
+    None of them takes a marking: a state alone says which multiset lies
+    on each slot.
 
     It enables as :func:`enabled_bindings` does: one join of the
     transition's kernel per miss of a path's memo, on the multisets the
@@ -808,10 +811,10 @@ class Stepper:
         self._bindings: dict[tuple, list[Binding]] = {}
         # (name, ids on its input slots) -> [(binding, its changes)], for step
         self._fired: dict[tuple, list[tuple[Binding, tuple]]] = {}
-        # (name, binding) -> (its occurrence, its (slot, delta) pairs)
+        # (name, binding) -> (its occurrence, its (slot, remove, add, after) changes)
         self._moves: dict[tuple[str, Binding], tuple] = {}
-        self._deltas: dict[tuple, _Delta] = {}
-        self._once: dict[tuple, tuple] = {}  # (name, binding) -> _changes, fired once
+        # (remove pairs, add pairs) -> the after table of equal changes, for step
+        self._deltas: dict[tuple, dict[int, int]] = {}
         self._kernels: dict[str, Kernel] = {}
 
     def enabled(self, state: tuple[int, ...], name: str) -> list[Binding]:
@@ -831,16 +834,8 @@ class Stepper:
         """The occurrence of ``(name, b)``, which :meth:`enabled` returned
         at ``state``, and the state it leads to; read the maps, never
         change them."""
-        key = (name, b)
-        move = self._moves.get(key)
-        if move is None and key not in self._once:
-            found, changes = self._once[key] = self._changes(name, b)
-            succ, ids = list(state), self._ids
-            for i, remove, add in changes:
-                succ[i] = ids[ids.multisets[succ[i]].updated(remove, add)]
-            return found, tuple(succ)
-        found, changes = move or self._move(name, b)
-        return found, _successor(state, changes)
+        found, changes = self._moves.get((name, b)) or self._move(name, b, False)
+        return found, self._successor(state, changes)
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
         """All enabled (transition, binding) pairs with their successor
@@ -867,15 +862,15 @@ class Stepper:
         """``(name, binding, successor state)`` of every enabled
         occurrence at ``state``, in deterministic order."""
         out = []
-        fired = self._fired
+        fired, kept, successor = self._fired, self._moves.get, self._successor
         for name, key in self._order:
             ids = (name, key(state))
             moves = fired.get(ids)
             if moves is None:
-                moves = fired[ids] = [(b, self._move(name, b)[1])
+                moves = fired[ids] = [(b, (kept((name, b)) or self._move(name, b, True))[1])
                                       for b in self._enable(name, state)] or _EMPTY
             for b, changes in moves:
-                out.append((name, b, _successor(state, changes)))
+                out.append((name, b, successor(state, changes)))
         return out
 
     def _enable(self, name: str, state: tuple[int, ...]) -> list[Binding]:
@@ -894,9 +889,14 @@ class Stepper:
             kernel = self._kernels[name] = _kernel(self.net, name, self.structure)
         return kernel
 
-    def _changes(self, name: str, b: Binding) -> tuple[tuple[Tokens, Tokens], list[tuple]]:
-        """The occurrence of ``(name, b)``, an enabled binding, with its output
-        sorts checked, and ``(slot, remove, add)`` of each place it changes."""
+    def _move(self, name: str, b: Binding, share: bool) -> tuple:
+        """Keep and return the move of ``(name, b)``, an enabled binding:
+        its occurrence, with its output sorts checked, and ``(slot, remove,
+        add, after)`` of each place whose take differs from its put.
+        ``after`` maps the id on the slot before a firing to the id after
+        it, as :meth:`_successor` fills it.  With ``share``, equal changes
+        share one ``after``, keyed by tuples of their pairs: hashing them
+        costs less than building multisets."""
         kernel = self._kernel(name)
         found = consumed, produced = kernel.occurrence(dict(b.pairs()))
         _require_sorts(self.net, name, produced, kernel.sorts)
@@ -904,33 +904,27 @@ class Stepper:
         for p in dict.fromkeys((*consumed, *produced)):
             remove, add = consumed.get(p, _NO_COUNTS), produced.get(p, _NO_COUNTS)
             if remove != add:
-                changes.append((self._slot_of[p], remove, add))
-        return found, changes
-
-    def _move(self, name: str, b: Binding) -> tuple:
-        """The occurrence of ``(name, b)`` and ``(slot, delta)`` of each of
-        its :meth:`_changes`.  Tuples of a change's pairs key its shared
-        :class:`_Delta`: hashing them costs less than building multisets."""
-        move = self._moves.get((name, b))
-        if move is None:
-            found, changes = self._once.pop((name, b), None) or self._changes(name, b)
-            shared = []
-            for slot, remove, add in changes:
-                key = (tuple(remove.items()), tuple(add.items()))
-                delta = self._deltas.get(key)
-                if delta is None:
-                    delta = self._deltas[key] = _Delta(self._ids, remove, add)
-                shared.append((slot, delta))
-            move = self._moves[(name, b)] = (found, tuple(shared))
+                after = {}
+                if share:
+                    after = self._deltas.setdefault(
+                        (tuple(remove.items()), tuple(add.items())), after)
+                changes.append((self._slot_of[p], remove, add, after))
+        move = self._moves[(name, b)] = (found, tuple(changes))
         return move
 
-
-def _successor(state: tuple[int, ...], changes: tuple) -> tuple[int, ...]:
-    """``state`` with each ``(slot, delta)`` of a move applied."""
-    succ = list(state)
-    for i, delta in changes:
-        succ[i] = delta[succ[i]]
-    return tuple(succ)
+    def _successor(self, state: tuple[int, ...], changes: tuple) -> tuple[int, ...]:
+        """``state`` with each change of a move applied: the id in its
+        ``after`` table, or on a miss the id of the updated multiset,
+        interned and stored there."""
+        succ = list(state)
+        for i, remove, add, after in changes:
+            before = succ[i]
+            found = after.get(before)
+            if found is None:
+                ids = self._ids
+                found = after[before] = ids[ids.multisets[before].updated(remove, add)]
+            succ[i] = found
+        return tuple(succ)
 
 
 class _Ids(dict):
@@ -945,21 +939,6 @@ class _Ids(dict):
         found = self[ms] = len(self.multisets)
         self.multisets.append(ms)
         return found
-
-
-class _Delta(dict):
-    """The id of a multiset with ``remove`` taken off and ``add`` put on,
-    by the id of the multiset before; built and interned on first use."""
-
-    __slots__ = ("ids", "remove", "add")
-
-    def __init__(self, ids: _Ids, remove: Mapping[Value, int], add: Mapping[Value, int]):
-        self.ids, self.remove, self.add = ids, remove, add
-
-    def __missing__(self, before: int) -> int:
-        ids = self.ids
-        after = self[before] = ids[ids.multisets[before].updated(self.remove, self.add)]
-        return after
 
 
 def successors(net: SchematicNet, m: Marking,

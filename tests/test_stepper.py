@@ -4,7 +4,6 @@ afresh at each marking (``support.reference_successors``), its edges,
 and call counts that show what it saves."""
 
 import random
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -451,35 +450,43 @@ def test_each_stepping_path_keeps_only_its_own_memo(sys_small):
     assert enabling._bindings and not enabling._fired
 
 
-def test_fire_keeps_only_the_moves_it_fires_again(branch):
-    # a long random run, as simulate takes it: fire applies the changes of
-    # a move to the state at once the first time, keeping them alone, and
-    # keeps the move, with its deltas, only when it fires it again
+def test_fire_keeps_each_move_it_fires_and_repeats_it_by_lookup(branch, monkeypatch):
+    # a long random run, as simulate takes it: fire keeps the move of each
+    # binding it fires, with after tables of its own that its first firing
+    # seeds, so firing it again from the ids it left from builds no
+    # multiset
     system = synthetic(branch, 64, 3)
     stepper = Stepper(system.net, system.structure)
     state, _ = stepper.encoding(system.initial)
     rng = random.Random(1)
-    fired = Counter()
+    left_from = {}
     for _ in range(300):
         options = [(t.name, b) for t in stepper.transitions
                    for b in stepper.enabled(state, t.name)]
         assert options
         move = rng.choice(options)
-        fired[move] += 1
+        left_from.setdefault(move, state)
         _, state = stepper.fire(state, *move)
-    again = {move for move, n in fired.items() if n > 1}
-    assert 0 < len(again) < len(fired) / 10
-    assert stepper._bindings and not stepper._fired
-    assert set(stepper._moves) == again
-    assert set(stepper._once) == set(fired) - again
-    kept = {id(delta) for _, changes in stepper._moves.values() for _, delta in changes}
-    assert {id(delta) for delta in stepper._deltas.values()} == kept
+    assert set(stepper._moves) == set(left_from)
+    assert stepper._bindings and not stepper._fired and not stepper._deltas
+    calls = []
+    original = Multiset.updated
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Multiset, "updated", counting)
+    for move, before in left_from.items():
+        stepper.fire(before, *move)
+    assert calls == []
 
 
 def test_a_change_that_puts_back_what_it_takes_is_left_out(sys_small):
     # select reads the menu token: it takes m off menu and puts m back.
     # The occurrence keeps both, so a run still consumes and produces a
-    # menu condition, but neither path changes the slot of menu.
+    # menu condition, but no move, kept by fire or by step, changes the
+    # slot of menu.
     net, s = sys_small.net, sys_small.structure
     stepper = Stepper(net, s)
     state, decode = stepper.encoding(sys_small.initial)
@@ -487,12 +494,15 @@ def test_a_change_that_puts_back_what_it_takes_is_left_out(sys_small):
         name = next(t.name for t in stepper.transitions if stepper.enabled(state, t.name))
         _, state = stepper.fire(state, name, stepper.enabled(state, name)[0])
     menu = net.index.slot_of["menu"]
+    stepping = Stepper(net, s)
+    at, _ = stepping.encoding(decode(state))
+    stepping.step(at)
     for b in selects:
-        (consumed, produced), changes = stepper._changes("select", b)
-        assert consumed["menu"] == produced["menu"]
-        assert menu not in [slot for slot, _, _ in changes]
-        assert menu not in [slot for slot, _ in stepper._move("select", b)[1]]
         _, succ = stepper.fire(state, "select", b)
+        for kept in (stepper, stepping):
+            (consumed, produced), changes = kept._moves[("select", b)]
+            assert consumed["menu"] == produced["menu"]
+            assert changes and menu not in [slot for slot, _, _, _ in changes]
         assert succ[menu] == state[menu]
         assert decode(succ) == fire(net, decode(state), "select", b, s)
 
