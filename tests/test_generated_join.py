@@ -22,9 +22,9 @@ import re
 
 import pytest
 
-from hknet import (Atom, Elm, GuardAtom, Marking, Var, bind_structure, carrier_of,
-                   enabled_bindings, explore, explore_grounded, ground, instantiate, parse,
-                   resolve_net)
+from hknet import (Atom, Elm, GuardAtom, Marking, SetValue, System, TupleValue, Var,
+                   bind_structure, carrier_of, enabled_bindings, explore, explore_grounded,
+                   ground, instantiate, parse, resolve_net)
 from hknet import compiled, nets, terms
 from hknet.signature import carrier_rank
 
@@ -147,6 +147,101 @@ def test_the_keyword_net_explores_as_its_grounding(keywords):
     assert not high.truncated and not low.truncated
     assert (len(high.markings), len(high.edges)) == (len(low.vectors), len(low.edges))
     assert {g.marking_vector(m) for m in high.markings} == set(low.vectors)
+
+
+# ---------------------------------------------------------------------------
+# The branch's join shapes on tokens the restaurant never holds
+# ---------------------------------------------------------------------------
+
+# unfold, select and hand_over as the branch has them, but reading places
+# without a sort, so a tuple pattern meets atoms and tuples of other
+# arities whose components lie in its variables' carriers, and with
+# select's guard on the menu it read, which fails for a larger X
+MIXED_STRUCTURE = """
+structure mixed_s of sigma0 {
+  Clients = {ca, cb};
+  Tables = {ca, cb};
+  Menu = {ma, mb};
+  Meal_items = {ma, mb};
+  Orders = pow(Menu);
+  Meals = pow(Meal_items);
+  f = {ma -> ma, mb -> mb};
+  g = {{} -> {}, {ma} -> {ma}, {mb} -> {mb}, {ma, mb} -> {ma, mb}};
+}
+"""
+
+MIXED_MODULE = """
+module mixed of sigma0 {
+  places { orders; clients; menu; waiting; pending; cooked : Meal_items; done; }
+  trans {
+    unfold free t : Tables, X : Orders;
+    select guard X sub m free c : Clients, t : Tables, m : pow(Menu), X : pow(Menu);
+    hand_over guard g(Y) = X free c : Clients, t : Tables, X : Orders;
+  }
+  arcs {
+    orders -> unfold : (t, X);  unfold -> done : t;
+    clients -> select : (c, t);  menu -> select : m;  select -> menu : m;
+    select -> done : c;
+    pending -> hand_over : (t, X);  waiting -> hand_over : (c, t, X);
+    cooked -> hand_over : elm(Y);  hand_over -> done : c;
+  }
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def mixed(sigma0):
+    s = bind_structure(parse(MIXED_STRUCTURE).body, sigma0)
+    module = parse(MIXED_MODULE).body
+    net, problems = resolve_net(module.inner, sigma0)
+    assert problems == []
+    ca, cb, ma, mb = (Atom(n) for n in ("ca", "cb", "ma", "mb"))
+    none, a, b, both = SetValue(), SetValue([ma]), SetValue([mb]), SetValue([ma, mb])
+
+    def tup(*items):
+        return TupleValue(items)
+
+    initial = Marking({
+        "orders": [ca, tup(ca, a), tup(cb, none), tup(ca, cb), tup(ca, a, ca)],
+        "clients": [ca, tup(ca, cb), tup(cb, ca), tup(ca, cb, ca), tup(ca, a)],
+        "menu": [a, ca, tup(ca, cb), tup(a, b)],
+        "pending": [ca, tup(ca, a), tup(cb, b), tup(ca, a, ca), tup(ca, cb)],
+        "waiting": [ca, tup(cb, ca, a), tup(ca, cb, b), tup(ca, cb), tup(ca, cb, b, ca)],
+        "cooked": [ma, mb],
+    })
+    return System("mixed", module, s, initial, net)
+
+
+def test_the_mixed_net_takes_the_branchs_join_shapes(mixed, sys_small):
+    for name in ("unfold", "select", "hand_over"):
+        assert shape_of(mixed.net, name, mixed.structure)[0] == \
+            shape_of(sys_small.net, name, sys_small.structure)[0], name
+
+
+def test_tuple_patterns_enable_only_tokens_of_their_arity(mixed):
+    # every read place holds an atom and tuples of two and three items
+    net, s = mixed.net, mixed.structure
+    graph = explore(mixed)
+    assert not graph.truncated
+    enabled = set()
+    for m in graph.markings:
+        for t in net.transitions:
+            found = enabled_bindings(net, m, t, s)
+            assert found == brute_force_bindings(net, m, t, s), (t.name, m)
+            enabled.update(t.name for _ in found[:1])
+    assert enabled == {"unfold", "select", "hand_over"}
+    unfold = enabled_bindings(net, mixed.initial, "unfold", s)
+    assert [(b["t"], b["X"]) for b in unfold] == [
+        (Atom("cb"), SetValue()), (Atom("ca"), SetValue([Atom("ma")]))]
+
+
+def test_a_guard_of_selects_shape_that_fails_leaves_its_binding_out(mixed):
+    # X sub m holds for two of the four X under m = {ma}
+    net, s = mixed.net, mixed.structure
+    found = enabled_bindings(net, mixed.initial, "select", s)
+    assert {b["X"] for b in found} == {SetValue(), SetValue([Atom("ma")])}
+    assert len(found) == 4 == len(brute_force_bindings(net, mixed.initial,
+                                                       net.transition("select"), s))
 
 
 # ---------------------------------------------------------------------------
