@@ -45,23 +45,25 @@ def main(argv: list[str] | None = None) -> int:
         return _report(exc)
 
 
-def _report(exc: OSError | ModelError) -> int:
+def _report(exc: OSError | ModelError, source: str | None = None) -> int:
     """Print ``exc`` as an ``error:`` line, with caret lines under the span
-    of a parse error, and return its exit code."""
+    of a parse error, and return its exit code.  The caret lines quote
+    ``source``, the text parsed, if given, else the span's file."""
     print(f"error: {exc}", file=sys.stderr)
     if isinstance(exc, ParseError):
-        for line in _caret_lines(exc):
+        for line in _caret_lines(exc, source):
             print(line, file=sys.stderr)
     return USAGE_ERROR if isinstance(exc, (OSError, ParseError)) else VALIDATION_ERROR
 
 
-def _caret_lines(exc: ParseError) -> list[str]:
+def _caret_lines(exc: ParseError, source: str | None) -> list[str]:
     span = exc.span
     if span is None:
         return []
     try:
-        source_line = Path(span.file).read_text(
-            encoding="utf-8").splitlines()[span.line - 1]
+        if source is None:
+            source = Path(span.file).read_text(encoding="utf-8")
+        source_line = source.splitlines()[span.line - 1]
     except (OSError, IndexError, UnicodeDecodeError):
         return []
     width = max(span.end_col - span.col, 1) if span.end_line == span.line else 1
@@ -381,8 +383,11 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_reach(args) -> int:
     system = load_system_file(args.system)
-    predicate = (parse_predicate(args.pred, places=system.net.index.places)
-                 if args.pred else None)
+    try:
+        predicate = (parse_predicate(args.pred, places=system.net.index.places)
+                     if args.pred else None)
+    except ParseError as exc:
+        return _report(exc, args.pred)
     graph = explore(system, max_nodes=args.max_nodes, max_edges=args.max_edges,
                     predicate=predicate)
     print(f"nodes: {len(graph.markings)}")

@@ -84,6 +84,11 @@ from .values import Atom, Multiset, SetValue, TupleValue, Value
 
 T = TypeVar("T")
 
+# brackets (and predicate ``not``s) open at once; the recursive descent
+# stays this far from Python's recursion limit, and so do the recursive
+# walks of what it builds
+MAX_NESTING = 100
+
 
 # ---------------------------------------------------------------------------
 # Documents
@@ -223,6 +228,7 @@ class _Parser:
         self.tokens = _lex(source, filename, line)
         self.lines = _Lines(source, line)
         self.pos = 0
+        self.depth = 0  # brackets open
 
     # token plumbing -------------------------------------------------------
 
@@ -251,6 +257,13 @@ class _Parser:
 
     def error(self, message: str, token: _Token | None = None) -> ParseError:
         return ParseError(message, self.span(token or self.peek()))
+
+    def nest(self, tok: _Token) -> None:
+        """Count the bracket ``tok`` as open: one past :data:`MAX_NESTING`
+        is a ParseError at it.  Its closing takes ``depth`` down again."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested more than {MAX_NESTING} deep", self.span(tok))
 
     def span(self, tok: _Token) -> SourceSpan:
         return self.lines.span(self.filename, tok[2], tok[2], max(len(tok[1]), 1))
@@ -418,9 +431,11 @@ class _Parser:
             base = self.expect("IDENT", what="sort symbol")[1]
             self.expect(")")
             return PowSort(base)
-        if self.accept("("):
+        if tok := self.accept("("):
+            self.nest(tok)
             components = self.comma_list(self.sort)
             self.expect(")")
+            self.depth -= 1
             if len(components) < 2:
                 raise self.error("a tuple sort needs at least two components")
             return TupleSort(tuple(components))
@@ -471,14 +486,14 @@ class _Parser:
         return (key, self.value())
 
     def value(self) -> Value:
-        start = self.pos
+        start, depth = self.pos, self.depth
         try:
             return self.term(ground=True)
         except _NotGround as exc:
             app_at = exc.args[0]
         # an error anywhere in the whole term comes first; else its first
         # application is what makes it no ground value
-        self.pos = start
+        self.pos, self.depth = start, depth
         self.term()
         self.pos = app_at
         app = self.term()
@@ -498,9 +513,11 @@ class _Parser:
                 return Atom(tok[1]) if ground else Ident(tok[1], self.span(tok))
             if ground:
                 raise _NotGround(self.pos - 1)
+            self.nest(tokens[self.pos])
             self.pos += 1
             args = self.comma_list(self.term)
             self.expect(")")
+            self.depth -= 1
             span = self.span_from(tok)
             if tok[1] == "elm":
                 if len(args) != 1:
@@ -509,13 +526,14 @@ class _Parser:
             return App(tok[1], tuple(args), span)
         if kind != "(" and kind != "{":
             raise self.error("expected a term")
+        self.nest(tok)
         self.pos += 1
         part = (lambda: self.term(True)) if ground else self.term
         items = [] if kind == "{" and tokens[self.pos][0] == "}" else self.comma_list(part)
+        self.expect("}" if kind == "{" else ")")
+        self.depth -= 1
         if kind == "{":
-            self.expect("}")
             return SetValue(items) if ground else SetTerm(tuple(items), self.span_from(tok))
-        self.expect(")")
         if len(items) < 2:
             raise ParseError("a tuple needs at least two components",
                              self.span_from(tok))
@@ -876,12 +894,16 @@ def _parse_pred_and(p: _Parser, places: Collection[str] | None):
 
 
 def _parse_pred_unary(p: _Parser, places: Collection[str] | None):
-    if p.accept("IDENT", "not"):
+    if tok := p.accept("IDENT", "not"):
+        p.nest(tok)
         inner = _parse_pred_unary(p, places)
+        p.depth -= 1
         return lambda m: not inner(m)
-    if p.accept("("):
+    if tok := p.accept("("):
+        p.nest(tok)
         inner = _parse_pred_or(p, places)
         p.expect(")")
+        p.depth -= 1
         return inner
     head = p.expect("IDENT", what="contains, count, or tokens")
     if head[1] not in ("contains", "count", "tokens"):

@@ -1,4 +1,5 @@
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hknet import ParseError, cli
+from hknet.parser import MAX_NESTING
 from hknet.cli import main
 
 from conftest import CORPUS
@@ -49,6 +51,15 @@ def test_check_accepts_the_corpus(workdir, capsys):
     assert run_cli("check", *files) == 0
     out = capsys.readouterr().out
     assert out.count(": ok") == 5
+
+
+def test_python_dash_m_hknet_runs_the_cli_in_this_process(monkeypatch, capsys):
+    # what ``python -m hknet check ...`` runs, without a subprocess
+    monkeypatch.setattr(sys, "argv", ["hknet", "check", str(CORPUS / "entry.hk")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("hknet", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.count(": ok") == 1
 
 
 def test_check_flags_invalid_structures(workdir, capsys):
@@ -245,7 +256,8 @@ def test_reach_rejects_a_non_decimal_digit_in_a_predicate(workdir, capsys):
     capsys.readouterr()
     assert run_cli("reach", workdir / "tiny.hksys", "--pred", "count(p) = ²") == 2
     assert capsys.readouterr().err == \
-        "error: <predicate>:1:12: unexpected character '²'\n"
+        "error: <predicate>:1:12: unexpected character '²'\n  count(p) = ²\n" \
+        "             ^\n"
 
 
 def test_reach_rejects_a_predicate_on_an_unknown_place(workdir, capsys):
@@ -261,7 +273,8 @@ def test_reach_rejects_a_predicate_on_an_unknown_place(workdir, capsys):
         assert captured.out == ""
         column = pred.index("nowhere") + 1
         assert captured.err == \
-            f"error: <predicate>:1:{column}: unknown place 'nowhere'\n"
+            f"error: <predicate>:1:{column}: unknown place 'nowhere'\n  {pred}\n" \
+            f"  {' ' * (column - 1)}^~~~~~~\n"
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
@@ -275,7 +288,8 @@ def test_reach_rejects_a_number_too_long_to_convert(workdir, capsys):
     pred = "count(eating) < " + "9" * 5000
     assert run_cli("reach", workdir / "tiny.hksys", "--pred", pred) == 2
     assert capsys.readouterr().err == \
-        "error: <predicate>:1:17: number too long: 5000 digits\n"
+        f"error: <predicate>:1:17: number too long: 5000 digits\n  {pred}\n" \
+        f"  {' ' * 16}^{'~' * 4999}\n"
 
 
 def test_reach_truncation_flag(workdir, capsys):
@@ -476,6 +490,44 @@ def test_negative_counts_are_usage_errors(capsys, command, flag, value, message)
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith(f"usage: hknet {command}")
     assert err[-1] == f"hknet {command}: error: argument {flag}: {message}"
+
+
+def _nested(depth: int, opening: str, inner: str, closing: str) -> str:
+    return opening * depth + inner + closing * depth
+
+
+# (file, the text before the nested part, the nested part, the text after
+# it): each nests brackets deeper than the parser follows them
+TOO_DEEP = {
+    "module init": ("deep.hk", "module deep of sigma0 {\n  places { p : Tables init ",
+                    _nested(329, "{", "t1", "}"), "; }\n}\n"),
+    "structure value": ("deep.hks", "structure deep of sigma0 {\n  Clients = ",
+                        _nested(350, "(Alice, ", "Alice", ")"), ";\n}\n"),
+    "run binding": ("deep.hkrun", "run deep of branch_s0 {\n  events { e1 = enter [c=",
+                    _nested(350, "{", "Alice", "}"), "]; }\n}\n"),
+    "predicate": (None, "", _nested(400, "(", "count(eating) >= 0", ")"), ""),
+}
+
+
+@pytest.mark.parametrize("row", TOO_DEEP)
+def test_nesting_past_the_limit_is_a_parse_error_with_a_caret(workdir, capsys, row):
+    name, before, nested, after = TOO_DEEP[row]
+    text = before + nested + after
+    if name is None:
+        command = ["reach", build_system(workdir), "--pred", text]
+        capsys.readouterr()
+    else:
+        (workdir / name).write_text(text, encoding="utf-8")
+        command = ["check", workdir / name]
+    assert run_cli(*command) == 2
+    # the error is at the first bracket past the limit
+    line = before.count("\n") + 1
+    column = len(before.rsplit("\n", 1)[-1]) + 1 + \
+        [i for i, c in enumerate(nested) if c in "({"][MAX_NESTING]
+    message, quoted, caret = capsys.readouterr().err.splitlines()
+    assert message.endswith(f":{line}:{column}: nested more than {MAX_NESTING} deep")
+    assert quoted == "  " + text.splitlines()[line - 1]
+    assert caret == "  " + " " * (column - 1) + "^"
 
 
 def test_a_parse_error_without_a_span_gets_no_caret_lines(capsys):

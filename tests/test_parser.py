@@ -6,6 +6,8 @@ from hknet import (Atom, Binding, Marking, Multiset, ParseError, SetValue,
                    bind_structure, parse, parse_predicate, parse_script,
                    print_document, print_structure, structure_to_doc)
 
+from hknet.parser import MAX_NESTING
+
 from conftest import CORPUS
 from support import random_document
 
@@ -336,3 +338,28 @@ def test_a_free_variable_declared_twice_is_a_parse_error(second):
 def test_distinct_free_variables_are_kept_sorted_by_name():
     doc = parse("module m { trans { t free y: B, x: A; } }")
     assert [name for name, _ in doc.body.inner.transitions[0].free] == ["x", "y"]
+
+
+# a text nesting ``depth`` brackets of each kind the parser reads
+NESTINGS = {
+    "term": lambda depth: parse(
+        "module m of s { places { p; } trans { t; } arcs { t -> p : "
+        + "f(" * depth + "x" + ")" * depth + "; } }"),
+    "value": lambda depth: parse(
+        "structure st of s { k = " + "(a, " * depth + "a" + ")" * depth + "; }"),
+    "sort": lambda depth: parse(
+        "module m of s { places { p : " + "(A, " * depth + "A" + ")" * depth + "; } }"),
+    "predicate": lambda depth: parse_predicate(
+        "not " * (depth // 2) + "(" * (depth - depth // 2) + "count(p) >= 0"
+        + ")" * (depth - depth // 2)),
+    "predicate value": lambda depth: parse_predicate(
+        "(" * (depth // 2) + "contains(p, " + "{" * (depth - depth // 2) + "a"
+        + "}" * (depth - depth // 2) + ")" + ")" * (depth // 2)),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_is_read_up_to_its_limit(kind):
+    NESTINGS[kind](MAX_NESTING)
+    with pytest.raises(ParseError, match=f": nested more than {MAX_NESTING} deep$"):
+        NESTINGS[kind](MAX_NESTING + 1)
