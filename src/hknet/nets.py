@@ -834,7 +834,7 @@ class Stepper:
         """The occurrence of ``(name, b)``, which :meth:`enabled` returned
         at ``state``, and the state it leads to; read the maps, never
         change them."""
-        found, changes = self._moves.get((name, b)) or self._move(name, b, False)
+        found, changes = self._moves.get((name, b)) or self._move(name, b, share=False)
         return found, self._successor(state, changes)
 
     def successors(self, m: Marking) -> list[tuple[str, Binding, Marking]]:
@@ -867,8 +867,9 @@ class Stepper:
             ids = (name, key(state))
             moves = fired.get(ids)
             if moves is None:
-                moves = fired[ids] = [(b, (kept((name, b)) or self._move(name, b, True))[1])
-                                      for b in self._enable(name, state)] or _EMPTY
+                moves = fired[ids] = [
+                    (b, (kept((name, b)) or self._move(name, b, share=True))[1])
+                    for b in self._enable(name, state)] or _EMPTY
             for b, changes in moves:
                 out.append((name, b, successor(state, changes)))
         return out
@@ -919,11 +920,11 @@ class Stepper:
         succ = list(state)
         for i, remove, add, after in changes:
             before = succ[i]
-            found = after.get(before)
-            if found is None:
+            if before in after:
+                succ[i] = after[before]
+            else:
                 ids = self._ids
-                found = after[before] = ids[ids.multisets[before].updated(remove, add)]
-            succ[i] = found
+                succ[i] = after[before] = ids[ids.multisets[before].updated(remove, add)]
         return tuple(succ)
 
 
