@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
-from .compiled import Env, Kernel, Tokens, TokensOn
+from .compiled import Kernel, Tokens
 from .errors import FiringError, SortError, Violation
 from .signature import (PowSort, Signature, Sort, SortName, Structure,
                         TupleSort, render_sort, sort_symbols, sorts_compatible,
@@ -439,7 +439,7 @@ def resolve_net(net: SchematicNet, sig: Signature) -> tuple[SchematicNet, list[V
             _, terms = merged.setdefault((arc.source, arc.target), (arc, []))
             for raw in arc.inscription:
                 term = _resolve_term(raw, sig, top_level=True, violations=violations)
-                _infer(term, sort, env, sig, violations, top_level=True)
+                _infer(term, sort, env, sig, violations)
                 seen |= term_variables(term)
                 terms.append(term)
 
@@ -530,7 +530,7 @@ def _resolve_term(t: Term, sig: Signature, top_level: bool,
 
 
 def _infer(term: Term, expected: Sort | None, env: dict[str, Sort | None],
-           sig: Signature, violations: list[Violation], top_level: bool = False) -> None:
+           sig: Signature, violations: list[Violation]) -> None:
     """Propagate expected sorts into variables; record conflicts."""
     if isinstance(term, Var):
         known = env.get(term.name)
@@ -673,18 +673,6 @@ def enabled_bindings(net: SchematicNet, m: Marking,
     return _kernel(net, name, s).join(m.get)
 
 
-def _lacking(tokens_on: TokensOn, tokens: Tokens) -> str | None:
-    """The first place on which ``tokens_on(place)`` holds fewer of some
-    value than the ``{place: {value: count}}`` ``tokens``, or None.  Plain
-    loops: a generator per call costs about twice the time."""
-    for place, counts in tokens.items():
-        have = tokens_on(place).counts()
-        for v, n in counts.items():
-            if have.get(v, 0) < n:
-                return place
-    return None
-
-
 def occurrence(net: SchematicNet, transition: str, b: Binding,
                s: Structure) -> tuple[Tokens, Tokens]:
     """The occurrence rule: the tokens ``transition`` under ``b``, which
@@ -695,27 +683,13 @@ def occurrence(net: SchematicNet, transition: str, b: Binding,
     return _kernel(net, transition, s).occurrence(dict(b.pairs()))
 
 
-def guarded_occurrence(net: SchematicNet, transition: str, b: Binding,
-                       s: Structure) -> tuple[Tokens, Tokens] | None:
-    """The :func:`occurrence` of ``(transition, b)`` if ``b``, which
-    assigns every variable of the transition, satisfies its guard, else
-    None; an EvalError propagates."""
-    return _guarded(_kernel(net, transition, s), dict(b.pairs()))
-
-
-def _guarded(kernel: Kernel, env: Env) -> tuple[Tokens, Tokens] | None:
-    """The occurrence ``kernel`` gives under ``env`` if its guard holds."""
-    return kernel.occurrence(env) if kernel.holds(env) else None
-
-
-def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | str,
-                       b: Binding, s: Structure) -> tuple[Tokens, Tokens]:
-    """The :func:`occurrence` of an enabled ``(transition, b)`` at ``m``, or
-    a FiringError for the first failing check of: ``b`` assigns every
-    variable, the guard holds, ``m`` holds the consumed tokens, and the
-    produced ones lie in their places' sorts (the first, canonically).
-    One kernel checks the guard, evaluates the arcs and tests the sorts,
-    all on one dict of the binding."""
+def fire(net: SchematicNet, m: Marking, transition: Transition | str,
+         b: Binding, s: Structure) -> Marking:
+    """Fire one transition occurrence; pure.  A FiringError names the
+    first failing check of: ``b`` assigns every variable, the guard
+    holds, ``m`` holds the consumed tokens (the first place lacking some,
+    in arc order), and the produced ones lie in their places' sorts (the
+    first, canonically).  The kernel runs the last three on one dict."""
     t = _resolved(net, transition)
     env = dict(b.pairs())
     for name, _ in t.variables:
@@ -723,20 +697,18 @@ def checked_occurrence(net: SchematicNet, m: Marking, transition: Transition | s
             raise FiringError(
                 f"binding does not assign variable {name!r} of {t.name!r}")
     kernel = _kernel(net, t.name, s)
-    found = _guarded(kernel, env)
-    if found is None:
+    if not kernel.holds(env):
         raise FiringError(f"guard of {t.name!r} is false under {b!r}")
-    place = _lacking(m.get, found[0])
-    if place is not None:
-        raise FiringError(f"{t.name!r} is not enabled: {place!r} lacks required tokens")
-    _require_sorts(net, t.name, found[1], kernel.sorts)
-    return found
-
-
-def fire(net: SchematicNet, m: Marking, transition: Transition | str,
-         b: Binding, s: Structure) -> Marking:
-    """Fire one transition occurrence; pure, raises if not enabled."""
-    return m.updated(*checked_occurrence(net, m, transition, b, s))
+    consumed, produced = kernel.occurrence(env)
+    # plain loops: a generator per call costs about twice the time
+    for place, counts in consumed.items():
+        have = m.get(place).counts()
+        for v, n in counts.items():
+            if have.get(v, 0) < n:
+                raise FiringError(
+                    f"{t.name!r} is not enabled: {place!r} lacks required tokens")
+    _require_sorts(net, t.name, produced, kernel.sorts)
+    return m.updated(consumed, produced)
 
 
 def _require_sorts(net: SchematicNet, transition: str, produced: Tokens,

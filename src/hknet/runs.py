@@ -23,7 +23,7 @@ from .errors import (CompositionError, EvalError, ModelError, ScriptError,
                      Violation)
 from .modules import Module, PLACE, InterfaceElement, compose
 from .nets import (Condition, Event, Marking, OccurrenceNet, SchematicNet, Stepper,
-                   guarded_occurrence)
+                   _kernel)
 from .signature import Structure, value_in_sort
 from .systems import System
 from .terms import Binding, render_binding
@@ -372,7 +372,8 @@ def _event_verdict(net: SchematicNet, name: str, b: Binding, s: Structure) -> tu
     ``b`` assigns exactly its variables, and the guard and the arc
     inscriptions evaluate under ``b``, the guard to true; else
     ``(None, "", (pre, post))`` with the ``{place: {value: count}}``
-    tokens its pre- and post-set must carry."""
+    tokens its pre- and post-set must carry.  The kernel tests the guard
+    and evaluates the arcs on one dict of ``b``, as :func:`nets.fire` does."""
     try:
         transition = net.transition(name)
     except KeyError:
@@ -383,11 +384,12 @@ def _event_verdict(net: SchematicNet, name: str, b: Binding, s: Structure) -> tu
         return ("binding", f": the binding assigns [{', '.join(assigned)}], "
                 f"but {name!r} has the variables [{', '.join(declared)}]", None)
     try:
-        found = guarded_occurrence(net, name, b, s)
+        kernel, env = _kernel(net, name, s), dict(b.pairs())
+        if not kernel.holds(env):
+            return ("guard", f": guard of {name!r} is false under {render_binding(b)}", None)
+        found = kernel.occurrence(env)
     except EvalError as exc:  # evaluation failure under this binding
         return ("binding", f": {exc}", None)
-    if found is None:
-        return ("guard", f": guard of {name!r} is false under {render_binding(b)}", None)
     return (None, "", tuple({p: counts for p, counts in tokens.items() if counts}
                             for tokens in found))
 

@@ -314,7 +314,7 @@ def test_a_binding_enabled_at_the_marking_is_checked_for_output_sorts_only(monke
     net, s, a, b = _partial()
     m, xa, xb = Marking({"p": [a, b]}), Binding({"x": a}), Binding({"x": b})
     wants = {x: _outcome(lambda: fire(net, m, "t", x, s)) for x in (xa, xb)}
-    calls = _count_calls(monkeypatch, "checked_occurrence")
+    calls = _count_calls(monkeypatch, "fire")
     stepper = Stepper(net, s)
     state, _ = stepper.encoding(m)
     assert stepper.enabled(state, "t") == [xa, xb]
