@@ -878,19 +878,34 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 
 def _parse_pred_or(p: _Parser, places: Collection[str] | None):
-    left = _parse_pred_and(p, places)
+    parts = [_parse_pred_and(p, places)]
     while p.accept("IDENT", "or"):
-        right = _parse_pred_and(p, places)
-        left = (lambda f, g: lambda m: f(m) or g(m))(left, right)
-    return left
+        parts.append(_parse_pred_and(p, places))
+    if len(parts) == 1:
+        return parts[0]
+
+    def any_holds(m) -> bool:
+        # a loop, not nested closures: a long chain stays off the stack
+        for part in parts:
+            if part(m):
+                return True
+        return False
+    return any_holds
 
 
 def _parse_pred_and(p: _Parser, places: Collection[str] | None):
-    left = _parse_pred_unary(p, places)
+    parts = [_parse_pred_unary(p, places)]
     while p.accept("IDENT", "and"):
-        right = _parse_pred_unary(p, places)
-        left = (lambda f, g: lambda m: f(m) and g(m))(left, right)
-    return left
+        parts.append(_parse_pred_unary(p, places))
+    if len(parts) == 1:
+        return parts[0]
+
+    def all_hold(m) -> bool:
+        for part in parts:
+            if not part(m):
+                return False
+        return True
+    return all_hold
 
 
 def _parse_pred_unary(p: _Parser, places: Collection[str] | None):

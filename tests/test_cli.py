@@ -228,6 +228,21 @@ def test_reach_report_with_predicate(workdir, capsys):
     assert out == (GOLDEN / "reach_tiny_pred.txt").read_text(encoding="utf-8")
 
 
+def test_reach_reads_a_predicate_of_1500_clauses_as_its_one_clause(workdir, capsys):
+    run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
+            workdir / "kitchen.hk", "-o", workdir / "branch.hk")
+    run_cli("instantiate", workdir / "branch.hk", workdir / "s0_tiny.hks",
+            "--name", "branch_tiny", "-o", workdir / "tiny.hksys")
+    capsys.readouterr()
+    clause = "count(eating) >= 1"
+    outputs = []
+    for pred in (clause, " and ".join([clause] * 1500)):
+        assert run_cli("reach", workdir / "tiny.hksys", "--pred", pred) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert "predicate hits: 0" not in outputs[0]
+
+
 def test_reach_output_does_not_depend_on_the_hash_seed(workdir, capsys):
     run_cli("compose", workdir / "entry.hk", workdir / "guest_area.hk",
             workdir / "kitchen.hk", "-o", workdir / "branch.hk")

@@ -363,3 +363,44 @@ def test_nesting_is_read_up_to_its_limit(kind):
     NESTINGS[kind](MAX_NESTING)
     with pytest.raises(ParseError, match=f": nested more than {MAX_NESTING} deep$"):
         NESTINGS[kind](MAX_NESTING + 1)
+
+
+# clauses that depend on the marking; together they hold at some marking
+# and fail at another, and so does any one of them
+DEPENDENT = ("count(p) >= 2", "tokens(p, a) >= 1", "contains(q, a)", "count(p) = 3")
+CHAIN_MARKINGS = [Marking({"p": Multiset([Atom("a")] * n), "q": Multiset(q)})
+                  for n in range(5) for q in ([], [Atom("a")])]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_long_chain_of_ands_or_ors_evaluates_as_all_or_any_of_its_parts(seed):
+    rng = random.Random(seed)
+    for joiner, neutral, fold in (("and", "count(p) >= 0", all), ("or", "count(p) < 0", any)):
+        clauses = [neutral] * 1500
+        for i in rng.sample(range(1500), 4):
+            clauses[i] = rng.choice(DEPENDENT)
+        chain = parse_predicate(f" {joiner} ".join(clauses))
+        parts = [parse_predicate(clause) for clause in clauses]
+        verdicts = [chain(m) for m in CHAIN_MARKINGS]
+        assert verdicts == [fold(part(m) for part in parts) for m in CHAIN_MARKINGS]
+        assert len(set(verdicts)) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_long_mixed_chain_binds_and_tighter_than_or(seed):
+    # 1 500 clauses in and-groups of one to three joined by or, about
+    # 1 200 groups; each holds one clause that depends on the marking or
+    # is false
+    rng = random.Random(seed)
+    text, groups = [], []
+    while sum(map(len, groups)) < 1500:
+        size = min(rng.choice((1, 1, 1, 1, 1, 1, 2, 3)), 1500 - sum(map(len, groups)))
+        group = ["count(p) >= 0"] * size
+        group[rng.randrange(size)] = rng.choice([*DEPENDENT, "count(p) < 0"])
+        text.append(" and ".join(group))
+        groups.append([parse_predicate(clause) for clause in group])
+    chain = parse_predicate(" or ".join(text))
+    verdicts = [chain(m) for m in CHAIN_MARKINGS]
+    assert verdicts == [any(all(part(m) for part in group) for group in groups)
+                        for m in CHAIN_MARKINGS]
+    assert len(set(verdicts)) == 2
