@@ -885,7 +885,7 @@ def _parse_pred_or(p: _Parser, places: Collection[str] | None):
         return parts[0]
 
     def any_holds(m) -> bool:
-        # a loop, not nested closures: a long chain stays off the stack
+        # one loop, not a closure per operator: a long chain does not recurse
         for part in parts:
             if part(m):
                 return True
