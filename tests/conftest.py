@@ -8,6 +8,13 @@ from hknet import (bind_structure, compose_all, instantiate, parse,
 from support import structure_text
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# the committed corpus files; the README session writes its outputs into
+# corpus/ as well, and no test reads those
+CORPUS_FILES = ("a0.hkrun", "a0.steps", "a0_begin.hkrun", "a0_end.hkrun",
+                "a0_middle.hkrun", "entry.hk", "guest_area.hk", "kitchen.hk",
+                "s0.hks", "s0_small.hks", "s0_tiny.hks", "sigma0.hksig")
+# the documents among them: all but the simulation script
+CORPUS_DOCUMENTS = tuple(name for name in CORPUS_FILES if not name.endswith(".steps"))
 
 
 def load(name: str):

@@ -11,15 +11,15 @@ from hknet import ParseError, cli
 from hknet.parser import MAX_NESTING
 from hknet.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_FILES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
 def workdir(tmp_path):
-    for f in CORPUS.iterdir():
-        shutil.copy(f, tmp_path / f.name)
+    for name in CORPUS_FILES:
+        shutil.copy(CORPUS / name, tmp_path / name)
     return tmp_path
 
 

@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 from hknet import ParseError
 from hknet.parser import _lex
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_FILES
 from support import reference_lex
 
-CORPUS_TEXTS = {p.name: p.read_text(encoding="utf-8")
-                for p in sorted(CORPUS.iterdir())}
+CORPUS_TEXTS = {name: (CORPUS / name).read_text(encoding="utf-8")
+                for name in CORPUS_FILES}
 # string.punctuation holds '"', '\\', '#' and '_'
 ALPHABET = string.punctuation + "\t\n" + string.ascii_letters + \
     string.digits + "é²Ⅻ"

@@ -29,7 +29,7 @@ from hknet import (ParseError, bind_structure, compose_all, explore,
                    print_document, print_structure, structure_to_doc)
 from hknet.cli import main
 
-from conftest import CORPUS, load
+from conftest import CORPUS, CORPUS_FILES, load
 from support import attached_spans, digest, mutate_source
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_mutants.txt"
@@ -42,11 +42,6 @@ PREDICATES = (
     "count(waiting) >= 2",
 )
 PER_FILE, PER_PREDICATE = 24, 28
-# the committed corpus, not whatever else lies in corpus/ (the README
-# session writes its outputs there)
-CORPUS_FILES = ("a0.hkrun", "a0.steps", "a0_begin.hkrun", "a0_end.hkrun",
-                "a0_middle.hkrun", "entry.hk", "guest_area.hk", "kitchen.hk",
-                "s0.hks", "s0_small.hks", "s0_tiny.hks", "sigma0.hksig")
 # what the 'structure' rows below are bound against
 STRUCTURE_SIGNATURE = ("signature g { sets A, B; subsets S of pow(B); "
                        "consts k: A; fns f: A -> A; }")

@@ -20,7 +20,7 @@ from hknet import (bind_structure, compose_all, instantiate, parse,
                    structure_to_doc)
 from hknet.parser import SystemDoc
 
-from conftest import CORPUS, load
+from conftest import CORPUS, CORPUS_DOCUMENTS, load
 from support import attached_spans, structure_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_spans.txt"
@@ -31,8 +31,8 @@ SIMULATED = (((1, 2), 100), ((2, 2), 250))
 
 def documents() -> list[tuple[str, str]]:
     """(name, text) of every document whose spans the golden pins."""
-    docs = [(p.name, p.read_text(encoding="utf-8"))
-            for p in sorted(CORPUS.glob("*.hk*"))]
+    docs = [(name, (CORPUS / name).read_text(encoding="utf-8"))
+            for name in CORPUS_DOCUMENTS]
     sigma0 = load("sigma0.hksig").body
     branch = compose_all([load(f).body for f in
                           ("entry.hk", "guest_area.hk", "kitchen.hk")])

@@ -8,11 +8,8 @@ from hknet import (Atom, Binding, Marking, Multiset, ParseError, SetValue,
 
 from hknet.parser import MAX_NESTING
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_DOCUMENTS
 from support import random_document
-
-CORPUS_FILES = sorted(p.name for p in CORPUS.glob("*.hk*"))
-
 
 def test_signature_file_declares_the_expected_symbols(sigma0):
     assert len(sigma0.sets) == 4
@@ -29,7 +26,7 @@ def test_empty_input_reports_expected_document_kind():
         parse("   # only a comment\n")
 
 
-@pytest.mark.parametrize("name", CORPUS_FILES)
+@pytest.mark.parametrize("name", CORPUS_DOCUMENTS)
 def test_round_trip_over_corpus(name):
     text = (CORPUS / name).read_text(encoding="utf-8")
     doc = parse(text, name)
@@ -389,8 +386,8 @@ def test_a_long_chain_of_ands_or_ors_evaluates_as_all_or_any_of_its_parts(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_a_long_mixed_chain_binds_and_tighter_than_or(seed):
     # 1 500 clauses in and-groups of one to three joined by or, about
-    # 1 200 groups; each holds one clause that depends on the marking or
-    # is false
+    # 1 100 groups, more than Python's default recursion limit; each
+    # group holds one clause that depends on the marking or is false
     rng = random.Random(seed)
     text, groups = [], []
     while sum(map(len, groups)) < 1500:

@@ -1,7 +1,7 @@
 """The README's "A full session:" block, byte for byte.
 
 Each command of the ``sh`` block under "A full session:" in README.md
-runs through ``cli.main`` in a temporary copy of ``corpus/``;
+runs through ``cli.main`` in a temporary copy of the committed corpus;
 ``golden/readme_session.txt`` pins each command's exit code and stdout
 and a digest of each file it writes or changes.
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from hknet.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, CORPUS_FILES
 
 README = CORPUS.parent / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_session.txt"
@@ -42,10 +42,12 @@ def _digests(directory: Path) -> dict[str, str]:
 
 
 def session_lines(workdir: Path) -> list[str]:
-    """Run the session in a copy of ``corpus/`` under ``workdir``: per
-    command, its line, its exit code, its stdout and the digest of each
-    file it wrote or changed."""
-    shutil.copytree(CORPUS, workdir / "corpus")
+    """Run the session in ``workdir/corpus``, a copy of the committed
+    corpus: per command, its line, its exit code, its stdout and the
+    digest of each file it wrote or changed."""
+    (workdir / "corpus").mkdir()
+    for name in CORPUS_FILES:
+        shutil.copy(CORPUS / name, workdir / "corpus" / name)
     out: list[str] = []
     before = os.getcwd()
     os.chdir(workdir)
