@@ -3,17 +3,21 @@
 The terms of a resolved transition and the structure that interprets
 them are fixed, so :class:`Kernel` turns each guard atom and arc term
 into one closure, once, looking up carriers, constants and function
-tables as it is built.  The join runs as one Python function per
-transition, generated from the shape of its :class:`nets.MatchPlan`
-alone: a nested loop per step, pattern tests inline, each level's
-checks calling those closures.  Everything the model gives enters that
-function as an argument, so its source names nothing of the model, and
-the compiled code is kept once per process for every plan of the same
-shape.  :func:`terms.evaluate`, :func:`terms.eval_atom` and
-:func:`signature.value_in_sort` stay the definition: what the closures
-do not handle, and every lookup that fails when they are built, is left
-to them, so an error arises when and where they raise it.  ``nets``
-keeps one kernel per transition on the structure (``nets._kernel``).
+tables as it is built.  The join and the occurrence rule each run as
+one Python function per transition, generated from a shape alone: the
+join's from its :class:`nets.MatchPlan`, a nested loop per step with
+pattern tests inline and each level's checks calling those closures;
+the occurrence's from its arcs, straight-line code that reads the
+binding, builds tuples and counts tokens inline, calling a closure only
+for a term it does not write out.  Everything the model gives enters
+these functions as arguments, so their sources name nothing of the
+model, and the compiled code is kept once per process for every
+transition of the same shape.  :func:`terms.evaluate`,
+:func:`terms.eval_atom` and :func:`signature.value_in_sort` stay the
+definition: what the closures do not handle, and every lookup that
+fails when they are built, is left to them, so an error arises when
+and where they raise it.  ``nets`` keeps one kernel per transition on
+the structure (``nets._kernel``).
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ class Kernel:
 
     The three share one closure per guard atom and arc term
     (:func:`_closures`).  ``join`` is generated from the shape of the
-    plan; its compiled code, shared by every plan of that shape, holds
-    nothing of the model, which it gets as arguments.  The functions
-    keep nothing between calls, nor the net or its plan, so that the
+    plan and ``occurrence`` from the shape of the arcs; their compiled
+    code, shared by every transition of the same shape, holds nothing
+    of the model, which it gets as arguments.  The functions keep
+    nothing between calls, nor the net or its plan, so that the
     structure, which holds a kernel only as long as its plan lives,
     drops it with the net; a kernel never changes once built."""
 
@@ -65,26 +70,29 @@ class Kernel:
         names = frozenset(plan.names)
         atoms = index.transitions[name].guard.atoms
         into, out_of = index.arcs_into.get(name, ()), index.arcs_out_of.get(name, ())
-        closures = _closures(atoms, into + out_of, s, names)
+        closures, constants = _closures(atoms, into + out_of, s, names)
         self.join = _join(plan, s, names, closures)
         self.holds = _conjunction([closures[id(atom)] for atom in atoms])
-        self.occurrence = _occurrence(into, out_of, closures)
+        self.occurrence = _occurrence(into, out_of, names, closures, constants)
         self.sorts = {a.target: _member(place.sort, s) for a in out_of
                       if (place := index.places.get(a.target)) is not None
                       and place.sort is not None}
 
 
 def _closures(atoms: Iterable[GuardAtom], arcs: Iterable[Arc], s: Structure,
-              names: frozenset[str]) -> dict[int, Callable]:
+              names: frozenset[str]) -> tuple[dict[int, Callable], dict[int, Value]]:
     """One closure per guard atom (:func:`_atom`) and per term on ``arcs``
-    (:func:`_tokens`), keyed by identity: hashing terms costs more."""
-    closures = {}
+    (:func:`_tokens`), and the value of each term on ``arcs`` that folds
+    to a constant, keyed by identity: hashing terms costs more."""
+    closures, constants = {}, {}
     for atom in atoms:
         closures[id(atom)] = _atom(atom, s, names)
     for arc in arcs:
         for term in arc.inscription:
-            closures[id(term)] = _tokens(term, s, names)
-    return closures
+            closures[id(term)], value = _tokens(term, s, names)
+            if value is not _NO_VALUE:
+                constants[id(term)] = value
+    return closures, constants
 
 
 def _value(term: Term, s: Structure, names: frozenset[str]) -> Callable[[Env], Value]:
@@ -143,11 +151,13 @@ def _application(term: App, table: Mapping[tuple[Value, ...], Value],
 
 
 def _tokens(term: Term, s: Structure,
-            names: frozenset[str]) -> Callable[[Env], tuple[Value, ...]]:
-    """``term_tokens(term, s, env)`` as a closure of ``env``."""
+            names: frozenset[str]) -> tuple[Callable[[Env], tuple[Value, ...]], object]:
+    """``term_tokens(term, s, env)`` as a closure of ``env``, and the
+    term's value if it folds to a constant (:func:`_folded`), else
+    ``_NO_VALUE``."""
     if not isinstance(term, Elm):
-        value = _value(term, s, names)
-        return lambda env: (value(env),)
+        value, folded = _folded(term, s, names)
+        return (lambda env: (value(env),)), folded
     inner, span = _value(term.inner, s, names), term.span
 
     def elements(env: Env) -> tuple[Value, ...]:
@@ -155,7 +165,7 @@ def _tokens(term: Term, s: Structure,
         if not isinstance(v, SetValue):
             raise EvalError(f"elm expects a set value, got {render_value(v)}", span)
         return v.elements
-    return elements
+    return elements, _NO_VALUE
 
 
 def _conjunction(atoms: list[Callable[[Env], bool]]) -> Callable[[Env], bool]:
@@ -203,50 +213,43 @@ def _member(sort: Sort, s: Structure) -> Callable[[Value], bool]:
             return lambda v: isinstance(v, SetValue) and all(map(base.__contains__, v))
         if isinstance(sort, TupleSort):
             parts = [_member(c, s) for c in sort.components]
-            return lambda v: (isinstance(v, TupleValue) and len(v.items) == len(parts)
-                              and all(p(x) for p, x in zip(parts, v.items)))
+            arity = len(parts)
+
+            def member(v: Value) -> bool:
+                # a plain loop: a generator per call costs about twice the time
+                if not isinstance(v, TupleValue) or len(v.items) != arity:
+                    return False
+                for part, x in zip(parts, v.items):
+                    if not part(x):
+                        return False
+                return True
+            return member
     except EvalError:
         pass
     return lambda v: value_in_sort(v, sort, s)
 
 
-def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc],
-                closures: Mapping[int, Callable]) -> Callable[[Env], tuple[Tokens, Tokens]]:
-    inputs = [(a.source, [closures[id(t)] for t in a.inscription]) for a in into]
-    outputs = [(a.target, [closures[id(t)] for t in a.inscription]) for a in out_of]
+# A join and an occurrence run as Python source written from a shape
+# alone (see _shape and _firing_shape): the join is one nested loop per
+# step with its pattern tests inline, each level's checks before its
+# step, and a leaf that appends (rank key, binding pairs); the
+# occurrence is straight-line code in term order.  What the model gives
+# (place and variable names, ranks, carriers, constants, inverse tables,
+# term and guard closures) enters as an argument of the factory the
+# source defines, so the source names nothing of the model, and every
+# transition of one shape, under any structure, shares one compiled
+# factory.
 
-    def occurrence(env: Env) -> tuple[Tokens, Tokens]:
-        consumed: Tokens = {}
-        produced: Tokens = {}
-        for tokens, arcs in ((consumed, inputs), (produced, outputs)):
-            for place, terms in arcs:
-                counts = tokens.setdefault(place, {})
-                for term in terms:
-                    for v in term(env):
-                        counts[v] = counts.get(v, 0) + 1
-        return consumed, produced
-    return occurrence
-
-
-# A join runs as Python source written from its plan's shape alone (see
-# _shape): one nested loop per step with its pattern tests inline, each
-# level's checks before its step, and a leaf that appends (rank key,
-# binding pairs).  What the model gives (place and variable
-# names, ranks, carriers, constants, inverse tables, term and guard
-# closures) enters as an argument of the factory the source defines, so
-# the source names nothing of the model, and every plan of one shape,
-# under any structure, shares one compiled factory.
-
-_FACTORIES_MAX = 256  # join factories kept compiled per process
+_FACTORIES_MAX = 256  # join and firing factories kept compiled per process
 _factories: dict[tuple, Callable] = {}
 
 
 def _factory(shape: tuple) -> Callable:
-    """The factory ``make`` of the join source of ``shape``, compiled on
-    first use."""
+    """The factory ``make`` of the source of ``shape``, a firing's if it
+    is tagged ``"F"``, else a join's, compiled on first use."""
     factory = _factories.get(shape)
     if factory is None:
-        factory = _compile(_Source(shape).text)
+        factory = _compile(_firing_source(shape) if shape[0] == "F" else _Source(shape).text)
         if len(_factories) >= _FACTORIES_MAX:
             _factories.clear()
         # two threads racing here compile equal code; the first stored stays
@@ -258,7 +261,7 @@ def _compile(source: str) -> Callable:
     namespace = {"EvalError": EvalError, "TupleValue": TupleValue, "take": _take,
                  "held": _held, "first": itemgetter(0), "from_sorted": Binding._from_sorted,
                  "NOTHING": object()}  # a preimage target no inverse table holds
-    exec(compile(source, "<hknet join>", "exec"), namespace)
+    exec(compile(source, "<hknet kernel>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -571,3 +574,131 @@ class _Source:
         key = "r0" if count == 1 else f"({', '.join(f'r{k}' for k in range(count))})"
         pairs = f"({''.join(f'(n{k}, x{k}), ' for k in range(count))})"
         self.line(depth, f"append(({key}, {pairs}))")
+
+
+def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc], names: frozenset[str],
+                closures: Mapping[int, Callable],
+                constants: Mapping[int, Value]) -> Callable[[Env], tuple[Tokens, Tokens]]:
+    """:func:`nets.occurrence` of the arcs ``into`` and ``out_of`` a
+    transition whose kernel binds ``names``, as a function of the
+    binding, calling the :func:`_closures` of the terms its source does
+    not write out."""
+    shape, args = _firing_shape(into, out_of, names, closures, constants)
+    return _factory(shape)(*args)
+
+
+def _firing_shape(into: Iterable[Arc], out_of: Iterable[Arc], names: frozenset[str],
+                  closures: Mapping[int, Callable],
+                  constants: Mapping[int, Value]) -> tuple[tuple, list]:
+    """Every choice the firing source of a transition's arcs makes, as
+    strings and ints that name nothing of the model, and the arguments
+    of the factory that source defines, in the order it takes them: the
+    places, the variables, then one constant or closure per entry that
+    takes one.
+
+    The shape is ``"F"`` and one tuple per side, inputs first, holding
+    per arc, in order, the slot of its place (numbered by first
+    appearance, inputs first, so a place on both sides has two slots)
+    and one entry per term, in inscription order:
+
+    * ``("v", k)``: a variable the kernel binds, numbered ``k`` by first
+      use;
+    * ``("t", k, ...)``: a tuple of such variables;
+    * ``("c",)``: a constant folded by :func:`_folded`, taking its value;
+    * ``("a",)``: any other term but ``elm`` (an application, a set
+      literal, a variable the kernel does not bind), taking its closure,
+      which gives one token;
+    * ``("e",)``: an ``elm``, taking its closure, which gives the
+      elements of a set."""
+    places: list[str] = []
+    variables: dict[str, int] = {}
+    taken: list = []
+
+    def entry(term: Term) -> tuple:
+        if id(term) in constants:
+            taken.append(constants[id(term)])
+            return ("c",)
+        if isinstance(term, Var) and term.name in names:
+            return ("v", variables.setdefault(term.name, len(variables)))
+        if isinstance(term, TupleTerm) and all(
+                isinstance(item, Var) and item.name in names for item in term.items):
+            return ("t", *[variables.setdefault(item.name, len(variables))
+                           for item in term.items])
+        taken.append(closures[id(term)])
+        return ("e",) if isinstance(term, Elm) else ("a",)
+
+    sides = []
+    for arcs, end in ((into, "source"), (out_of, "target")):
+        slots: dict[str, int] = {}
+        side = []
+        for arc in arcs:
+            place = getattr(arc, end)
+            if place not in slots:
+                slots[place] = len(places)
+                places.append(place)
+            side.append((slots[place], tuple([entry(term) for term in arc.inscription])))
+        sides.append(tuple(side))
+    return ("F", *sides), [places, list(variables), *taken]
+
+
+def _firing_source(shape: tuple) -> str:
+    """The firing source of ``shape`` (see :func:`_firing_shape`): it
+    defines ``make``, which takes the arguments and returns the
+    occurrence.
+
+    Terms are evaluated in order, so the first that fails raises, as
+    :func:`terms.term_tokens` would.  ``x<k>`` holds variable ``k``,
+    read from the binding where a term first uses it, so a variable the
+    binding leaves out raises KeyError there, and ``a<i>`` holds the
+    counts of the tokens on place ``i``, made at its first term; the
+    elements of a set are distinct, so an ``elm`` there counts each
+    once."""
+    _, inputs, outputs = shape
+    params, body, read, made = ["places", "names"], [], set(), set()
+
+    def tokens(entry: tuple) -> str:
+        kind = entry[0]
+        if kind in ("v", "t"):
+            for k in entry[1:]:
+                if k not in read:
+                    read.add(k)
+                    body.append(f"x{k} = env[n{k}]")
+            if kind == "v":
+                return f"x{entry[1]}"
+            return f"TupleValue(({''.join(f'x{k}, ' for k in entry[1:])}))"
+        name = f"{'c' if kind == 'c' else 'tk'}{len(params)}"
+        params.append(name)
+        return name if kind == "c" else f"{name}(env)[0]" if kind == "a" else f"{name}(env)"
+
+    for slot, entries in inputs + outputs:
+        counts = f"a{slot}"
+        for entry in entries:
+            value = tokens(entry)
+            if slot not in made:
+                made.add(slot)
+                body.append(f"{counts} = dict.fromkeys({value}, 1)" if entry[0] == "e"
+                            else f"{counts} = {{{value}: 1}}")
+            elif entry[0] == "e":
+                body += [f"for v in {value}:", f"    {counts}[v] = {counts}.get(v, 0) + 1"]
+            else:
+                if not value.isidentifier():
+                    body.append(f"v = {value}")
+                    value = "v"
+                body.append(f"{counts}[{value}] = {counts}.get({value}, 0) + 1")
+        if slot not in made:
+            made.add(slot)
+            body.append(f"{counts} = {{}}")
+
+    def mapping(side: tuple) -> str:
+        slots = dict.fromkeys(slot for slot, _ in side)
+        return f"{{{', '.join(f'p{i}: a{i}' for i in slots)}}}"
+
+    lines = [f"def make({', '.join(params)}):"]
+    for prefix, size, given in (("p", len(made), "places"), ("n", len(read), "names")):
+        if size:
+            lines.append(f"    {', '.join(f'{prefix}{i}' for i in range(size))}, = {given}")
+    lines.append("    def occurrence(env):")
+    lines += [f"        {line}" for line in body]
+    lines += [f"        return {mapping(inputs)}, {mapping(outputs)}",
+              "    return occurrence", ""]
+    return "\n".join(lines)

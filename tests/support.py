@@ -703,6 +703,20 @@ def reference_fire(net, m: ReferenceMarking, transition, b: Binding, s) -> Refer
     return m.updated(consumed, produced)
 
 
+def reference_occurrence(net, name, b, s):
+    """The tokens each arc of ``name`` takes and puts under ``b``, term
+    by term, inputs first."""
+    consumed, produced = {}, {}
+    for arcs, side, tokens in ((net.arcs_into(name), "source", consumed),
+                               (net.arcs_out_of(name), "target", produced)):
+        for arc in arcs:
+            counts = tokens.setdefault(getattr(arc, side), {})
+            for term in arc.inscription:
+                for v in term_tokens(term, s, b):
+                    counts[v] = counts.get(v, 0) + 1
+    return consumed, produced
+
+
 def reference_successors(net, m: Marking, s) -> list[tuple[str, Binding, Marking]]:
     """All enabled (transition, binding) pairs with their successor
     markings, in deterministic order: every transition enabled and every
@@ -730,6 +744,36 @@ module checked_m of checked {
     held -> take : Y;  pool -> take : elm(Y);  take -> done : Y;
     held -> pair : Y, Z;  pool -> pair : elm(Y), elm(Z);  pair -> done : Y, Z;
     stock -> give : x;  give -> pool : x;
+  }
+}
+""")
+
+
+# A net of its own: t matches y on src and binds z only under functions.
+# On r it needs h(y) and h(z), which h may map to one token, so both
+# count; on s it needs k(z), undefined at b3.
+SHARED_NEEDS = ("""
+signature needs {
+  sets A, B;
+  fns h: B -> A;
+  fns k: B -> A;
+}
+""", """
+structure needs_s of needs {
+  A = {a1, a2};
+  B = {b1, b2, b3};
+  h = {b1 -> a1, b2 -> a1, b3 -> a2};
+  k = {b1 -> a2, b2 -> a1};
+}
+""", """
+module needs_m of needs {
+  places { src : B; r : A; s : A; out : A; }
+  trans { t; }
+  arcs {
+    src -> t : y;
+    r -> t : h(y), h(z);
+    s -> t : k(z);
+    t -> out : h(z);
   }
 }
 """)

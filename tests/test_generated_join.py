@@ -13,7 +13,10 @@ grounded one (``explore_grounded``, through ``marking_vector``).
 
 Below that: shapes hold nothing of the model, the compiled code is kept
 once per process for every plan of one shape, and a plan deeper than
-Python lets blocks nest still joins.
+Python lets blocks nest still joins.  Last, a transition's occurrence
+also runs as code made from the shape of its arcs: the nets here reach
+every entry of that shape, and each occurrence is the definition's
+(``support.reference_occurrence``), errors included.
 """
 
 import ast
@@ -22,13 +25,15 @@ import re
 
 import pytest
 
-from hknet import (Atom, Elm, GuardAtom, Marking, SetValue, System, TupleValue, Var,
-                   bind_structure, carrier_of, enabled_bindings, explore, explore_grounded,
-                   ground, instantiate, parse, resolve_net)
+from hknet import (Arc, Atom, Elm, EvalError, GuardAtom, Marking, Place, SchematicNet,
+                   SetValue, System, TupleValue, Var, bind_structure, carrier_of,
+                   enabled_bindings, enumerate_bindings, explore, explore_grounded, ground,
+                   instantiate, parse, resolve_net)
 from hknet import compiled, nets, terms
 from hknet.signature import carrier_rank
 
-from support import brute_force_bindings, structure_text
+from support import (CHECKED_ONLY, SHARED_NEEDS, brute_force_bindings,
+                     reference_occurrence, structure_text)
 
 
 SIGNATURE = """
@@ -249,12 +254,15 @@ def test_a_guard_of_selects_shape_that_fails_leaves_its_binding_out(mixed):
 # ---------------------------------------------------------------------------
 
 TAGS = {"K", "M", "P", "C", "L", "f", "b", "c", "t"}
+FIRING_TAGS = {"F", "v", "t", "c", "a", "e"}
 # every name the generated source may use: its own locals and parameters,
 # the helpers of its namespace, builtins and methods of values it reads
 GENERATED = re.compile(r"(make|join|tokens_on|places|names|ranks|found|append|first|take"
                        r"|held|from_sorted|NOTHING|EvalError|TupleValue|isinstance|len|counts"
                        r"|get|items|sort|key|b|e|n|v|y|taken"
                        r"|(p|n|rk|h|t|x|r|v|ok|took|k|g|tk|c|iv|tg|cp)[0-9]+)")
+FIRED = re.compile(r"(make|occurrence|env|places|names|TupleValue|dict|fromkeys|get|v"
+                   r"|(p|n|x|a|c|tk)[0-9]+)")
 
 
 def shape_of(net, name, s):
@@ -262,16 +270,27 @@ def shape_of(net, name, s):
     of its factory, as the transition's kernel makes them."""
     plan, t = net.index.plans[name], net.transition(name)
     names = frozenset(plan.names)
-    closures = compiled._closures(t.guard.atoms, (*net.arcs_into(name), *net.arcs_out_of(name)),
-                                  s, names)
+    closures, _ = compiled._closures(
+        t.guard.atoms, (*net.arcs_into(name), *net.arcs_out_of(name)), s, names)
     return compiled._shape(plan, s, names, [carrier_rank(sort, s) for sort in plan.sorts],
                            closures)
 
 
-def shapes(system):
+def firing_shape_of(net, name, s):
+    """The shape of the occurrence of ``name`` under ``s``, and the
+    arguments of its factory, as the transition's kernel makes them."""
+    names = frozenset(net.index.plans[name].names)
+    into, out_of = net.arcs_into(name), net.arcs_out_of(name)
+    closures, constants = compiled._closures(net.transition(name).guard.atoms,
+                                             (*into, *out_of), s, names)
+    return compiled._firing_shape(into, out_of, names, closures, constants)
+
+
+def all_shapes(system):
+    """The join and firing shapes of every transition of ``system``."""
     net, s = system.net, system.structure
-    for t in net.transitions:
-        yield t.name, shape_of(net, t.name, s)
+    return {shape for t in net.transitions
+            for shape, _ in (shape_of(net, t.name, s), firing_shape_of(net, t.name, s))}
 
 
 def leaves(shape):
@@ -282,18 +301,29 @@ def leaves(shape):
             yield part
 
 
+def words(text):
+    """The names the source ``text`` uses or defines; it holds no string."""
+    for node in ast.walk(ast.parse(text)):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, str))
+        word = node.name if isinstance(node, ast.FunctionDef) else (
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None))
+        if word is not None:
+            yield word
+
+
 def test_join_source_holds_only_generated_names(keywords, sys0):
-    for system in (keywords, sys0):
-        for name, (shape, args) in shapes(system):
-            assert all(type(leaf) in (int, bool) or leaf in TAGS for leaf in leaves(shape)), name
-            tree = ast.parse(compiled._Source(shape).text)
-            for node in ast.walk(tree):
-                assert not (isinstance(node, ast.Constant) and isinstance(node.value, str)), name
-                word = getattr(node, "id", None) or getattr(node, "attr", None) or \
-                    getattr(node, "arg", None)
-                if isinstance(node, ast.FunctionDef):
-                    word = node.name
-                assert word is None or GENERATED.fullmatch(word), (name, word)
+    # and the firing sources, of every net the occurrence tests below use
+    systems = [(system.net, system.structure) for system in (keywords, sys0)]
+    for net, s in systems + [resolved(texts) for texts in (SHARED_NEEDS, CHECKED_ONLY, FIRING)]:
+        for t in net.transitions:
+            join, firing = shape_of(net, t.name, s)[0], firing_shape_of(net, t.name, s)[0]
+            for shape, tags, text, allowed in (
+                    (join, TAGS, compiled._Source(join).text, GENERATED),
+                    (firing, FIRING_TAGS, compiled._firing_source(firing), FIRED)):
+                assert all(type(leaf) in (int, bool) or leaf in tags
+                           for leaf in leaves(shape)), t.name
+                for word in words(text):
+                    assert allowed.fullmatch(word), (t.name, word)
 
 
 @pytest.fixture
@@ -317,10 +347,13 @@ def fresh_structure(sigma0, n=1, k=2):
 def test_a_shape_compiles_once_per_process(branch, sigma0, counted_compiles):
     system = instantiate(branch, fresh_structure(sigma0))
     explore(system)
-    distinct = {shape for _, (shape, _) in shapes(system)}
+    distinct = all_shapes(system)
     assert len(counted_compiles) == len(distinct) == len(compiled._factories)
+    firing = {shape for shape in distinct if shape[0] == "F"}
+    assert 0 < len(firing) == sum("def occurrence(env):" in text for text in counted_compiles)
     # the same net under a second structure, and a second instantiation
-    # under a third one, build kernels of their own and compile nothing
+    # under a third one, build kernels of their own and compile nothing,
+    # neither joins nor occurrences
     other = fresh_structure(sigma0, 2, 2)
     for t in system.net.transitions:
         enabled_bindings(system.net, system.initial, t, other)
@@ -332,32 +365,50 @@ def test_a_shape_compiles_once_per_process(branch, sigma0, counted_compiles):
 
 
 def test_instantiating_and_exploring_again_keeps_the_table_size(branch, sigma0):
-    explore(instantiate(branch, fresh_structure(sigma0, 1, 1)))
+    # the table holds the joins and the occurrences, which explore and
+    # ground both fire through
+    system = instantiate(branch, fresh_structure(sigma0, 1, 1))
+    explore(system)
     size = len(compiled._factories)
+    assert all_shapes(system) <= set(compiled._factories)
     for _ in range(200):
-        explore(instantiate(branch, fresh_structure(sigma0, 1, 1)))
+        system = instantiate(branch, fresh_structure(sigma0, 1, 1))
+        explore(system)
+        ground(system)
     assert len(compiled._factories) == size
 
 
 def test_a_full_code_table_is_cleared_and_joins_stay_right(branch, sigma0, counted_compiles,
                                                            monkeypatch):
     # a table capped at two shapes: the third shape compiled clears it,
-    # and the kernels built meanwhile keep the factories they took
+    # and the kernels built meanwhile keep the factories they took, for
+    # their joins and their occurrences alike
     monkeypatch.setattr(compiled, "_FACTORIES_MAX", 2)
+    sizes = []  # the table's size at each compile
+    counting = compiled._compile
+
+    def sized(source):
+        sizes.append(len(compiled._factories))
+        return counting(source)
+    monkeypatch.setattr(compiled, "_compile", sized)
     system = instantiate(branch, fresh_structure(sigma0, 1, 1))
     net, s = system.net, system.structure
-    sizes = []
     for t in net.transitions:
         enabled_bindings(net, system.initial, t, s)
-        sizes.append(len(compiled._factories))
-    assert len({shape for _, (shape, _) in shapes(system)}) >= 3
+    assert len(sizes) >= len(all_shapes(system)) >= 3
     assert max(sizes) == 2 and any(b < a for a, b in zip(sizes, sizes[1:])), sizes
     graph = explore(system)
     assert len(compiled._factories) <= 2
+    occurrences = 0
     for m in graph.markings:
         for t in net.transitions:
-            assert enabled_bindings(net, m, t, s) == brute_force_bindings(net, m, t, s), \
-                (t.name, m)
+            found = enabled_bindings(net, m, t, s)
+            assert found == brute_force_bindings(net, m, t, s), (t.name, m)
+            for b in found:
+                assert ordered(nets.occurrence(net, t.name, b, s)) == \
+                    ordered(reference_occurrence(net, t.name, b, s)), (t.name, b)
+                occurrences += 1
+    assert occurrences
 
 
 def test_a_kernel_compiles_each_guard_atom_and_arc_term_once(keywords, sys0, monkeypatch):
@@ -433,3 +484,122 @@ def test_a_plan_deeper_than_blocks_nest_still_joins():
         assert enabled == brute_force_bindings(net, m, t, s), m
         found += len(enabled)
     assert found
+
+
+# ---------------------------------------------------------------------------
+# The generated occurrence
+# ---------------------------------------------------------------------------
+
+# A net of its own for what the nets above lack: folded constants, one
+# twice on a place, set literals, a tuple with a constant and elm of {}.
+# p and q are partial, so that under y = b3 an input term fails before
+# an output term does, and under y = b1 only an output term fails; p(y)
+# on got comes before w on more, so a binding without w fails at p(b3).
+FIRING = ("""
+signature firing { sets A, B; consts one: A; fns p: B -> A, q: B -> A; }
+""", """
+structure firing_s of firing {
+  A = {a1, a2}; B = {b1, b2, b3}; one = a1; p = {b1 -> a1, b2 -> a2}; q = {b2 -> a1, b3 -> a2};
+}
+""", """
+module firing_m of firing {
+  places { src : B; got : A; more : B; out : A; sets; pairs; nothing; }
+  trans { t; }
+  arcs {
+    src -> t : y;  got -> t : p(y), one;  more -> t : w;
+    t -> out : one, q(y), one;  t -> sets : {p(y), one}, {y}, {one};
+    t -> pairs : (y, w);  t -> pairs : (y, one);  t -> nothing : elm({});
+  }
+}
+""")
+
+
+def resolved(texts):
+    """The resolved net of a ``(signature, structure, module)`` triple of
+    texts and its structure; instantiate would refuse a partial table."""
+    sig_text, structure_text_, module_text = texts
+    sig = parse(sig_text).body
+    net, problems = resolve_net(parse(module_text).body.inner, sig)
+    assert problems == []
+    return net, bind_structure(parse(structure_text_).body, sig)
+
+
+def with_arcs_no_parser_makes(net):
+    """``net`` with what only a hand-built net can hold: a second arc
+    from a place its transition already reads, and an arc with no term,
+    to a place of its own."""
+    t = net.transitions[0].name
+    first = net.arcs_into(t)[0]
+    arcs = (*net.arcs, Arc(first.source, t, first.inscription[:1]), Arc(t, "blank", ()))
+    return SchematicNet((*net.places, Place("blank")), net.transitions, arcs)
+
+
+def ordered(tokens):
+    """Consumed and produced tokens as lists, so that insertion order
+    counts when compared."""
+    return [[(place, list(counts.items())) for place, counts in side.items()]
+            for side in tokens]
+
+
+def fired(step):
+    """The ordered tokens ``step()`` gives, or the error it raises: a
+    KeyError's variable, an EvalError's message and span."""
+    try:
+        return ("ok", ordered(step()))
+    except KeyError as exc:
+        return ("KeyError", exc.args[0])
+    except EvalError as exc:
+        return ("EvalError", exc.message, exc.span)
+
+
+def expected(net, name, b, s):
+    """What the occurrence of ``name`` under ``b`` gives by the
+    definition, where an unbound variable that the kernel binds is the
+    KeyError of a dict that leaves it out."""
+    want = fired(lambda: reference_occurrence(net, name, b, s))
+    prefix = "unbound variable "
+    if want[0] == "EvalError" and want[1].startswith(prefix):
+        variable = ast.literal_eval(want[1][len(prefix):])
+        if variable in net.index.plans[name].names:
+            return ("KeyError", variable)
+    return want
+
+
+def test_every_firing_entry_occurs_and_fires_as_the_definition(sys_small, keywords, mixed):
+    # under every total binding, and each with one variable left out, on
+    # the branch, the keyword and mixed nets, SHARED_NEEDS, CHECKED_ONLY,
+    # FIRING and FIRING with arcs no parser makes: values, order and the
+    # first error alike
+    entries, widths, empty, spans = set(), set(), False, set()
+    systems = [(system.net, system.structure) for system in (sys_small, keywords, mixed)]
+    systems += [resolved(texts) for texts in (SHARED_NEEDS, CHECKED_ONLY, FIRING)]
+    net, s = systems[-1]
+    systems.append((with_arcs_no_parser_makes(net), s))
+    for net, s in systems:
+        for t in net.transitions:
+            (_, *sides), _ = firing_shape_of(net, t.name, s)
+            arcs = (net.arcs_into(t.name), net.arcs_out_of(t.name))
+            for side, side_arcs in zip(sides, arcs):
+                terms_on = {}
+                for (slot, kinds), arc in zip(side, side_arcs):
+                    entries.update((kind[0], type(term).__name__)
+                                   for kind, term in zip(kinds, arc.inscription))
+                    terms_on[slot] = terms_on.get(slot, 0) + len(kinds)
+                widths.update(min(n, 2) for n in terms_on.values())
+            occurrence = nets._kernel(net, t.name, s).occurrence
+            for b in enumerate_bindings(t.variables, s):
+                pairs = b.pairs()
+                for env in [dict(pairs)] + [dict(pairs[:i] + pairs[i + 1:])
+                                            for i in range(len(pairs))]:
+                    got = fired(lambda: occurrence(env))
+                    assert got == expected(net, t.name, terms.Binding(env), s), (t.name, env)
+                    if got[0] == "ok":
+                        empty = empty or any(not counts for side in got[1]
+                                             for _, counts in side)
+                    elif got[0] == "EvalError":
+                        spans.add(got[2])
+    assert entries == {("v", "Var"), ("t", "TupleTerm"), ("c", "ConstRef"), ("c", "SetTerm"),
+                       ("a", "App"), ("a", "SetTerm"), ("a", "TupleTerm"), ("e", "Elm")}
+    assert widths == {0, 1, 2} and empty
+    # FIRING fails at both partial applications, and SHARED_NEEDS at k(z)
+    assert len(spans) >= 3

@@ -35,7 +35,7 @@ from hknet.signature import SortName, value_in_sort
 from hknet.terms import Binding, GuardAtom, eval_atom, eval_guard, term_tokens
 
 from support import (ReferenceMarking, brute_force_bindings, reference_fire,
-                     structure_text)
+                     reference_occurrence, structure_text)
 
 
 SIGNATURE = """
@@ -143,20 +143,6 @@ def outcome(step):
         return ("ok", step())
     except (EvalError, FiringError) as exc:
         return (type(exc).__name__, exc.message, exc.span)
-
-
-def reference_occurrence(net, name, b, s):
-    """The tokens each arc of ``name`` takes and puts under ``b``, term
-    by term, inputs first."""
-    consumed, produced = {}, {}
-    for arcs, side, tokens in ((net.arcs_into(name), "source", consumed),
-                               (net.arcs_out_of(name), "target", produced)):
-        for arc in arcs:
-            counts = tokens.setdefault(getattr(arc, side), {})
-            for term in arc.inscription:
-                for v in term_tokens(term, s, b):
-                    counts[v] = counts.get(v, 0) + 1
-    return consumed, produced
 
 
 def bindings_of(t, s):
@@ -331,7 +317,7 @@ def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
                  for term in arc.inscription]
         terms += [side for atom in t.guard.atoms for side in (atom.left, atom.right)]
         values = [(compiled._value(term, s, names), term) for term in terms]
-        tokens = [(compiled._tokens(term, s, names), term) for term in terms]
+        tokens = [(compiled._tokens(term, s, names)[0], term) for term in terms]
         atoms = [(compiled._atom(atom, s, names), atom) for atom in t.guard.atoms]
         holds = nets._kernel(net, t.name, s).holds
         for b in enumerate_bindings(t.variables, s):

@@ -19,7 +19,7 @@ from hknet import nets
 from hknet.nets import Stepper
 
 from conftest import synthetic
-from support import (CHECKED_ONLY, counting_occurrences, reference_successors,
+from support import (CHECKED_ONLY, SHARED_NEEDS, counting_occurrences, reference_successors,
                      stepper_disagreements, system_of, wrap_kernels)
 from test_generated_join import MODULE, SIGNATURE, STRUCTURE
 
@@ -113,36 +113,6 @@ def test_a_stepper_keeps_no_enabling_that_only_the_input_places_it_reads_decide(
     assert [len(enabled_bindings(net, m, "hand_over", s)) for m in markings] == \
         [0, 0, 1, 2, 1, 2, 0]
     assert stepper_disagreements(net, s, markings + markings[::-1]) == []
-
-
-# A net of its own: t matches y on src and binds z only under functions.
-# On r it needs h(y) and h(z), which h may map to one token, so both
-# count; on s it needs k(z), undefined at b3.
-SHARED_NEEDS = ("""
-signature needs {
-  sets A, B;
-  fns h: B -> A;
-  fns k: B -> A;
-}
-""", """
-structure needs_s of needs {
-  A = {a1, a2};
-  B = {b1, b2, b3};
-  h = {b1 -> a1, b2 -> a1, b3 -> a2};
-  k = {b1 -> a2, b2 -> a1};
-}
-""", """
-module needs_m of needs {
-  places { src : B; r : A; s : A; out : A; }
-  trans { t; }
-  arcs {
-    src -> t : y;
-    r -> t : h(y), h(z);
-    s -> t : k(z);
-    t -> out : h(z);
-  }
-}
-""")
 
 
 def test_needs_of_checked_places_add_up_and_a_partial_table_enables_nothing():
