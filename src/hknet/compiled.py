@@ -70,29 +70,26 @@ class Kernel:
         names = frozenset(plan.names)
         atoms = index.transitions[name].guard.atoms
         into, out_of = index.arcs_into.get(name, ()), index.arcs_out_of.get(name, ())
-        closures, constants = _closures(atoms, into + out_of, s, names)
+        closures = _closures(atoms, into + out_of, s, names)
         self.join = _join(plan, s, names, closures)
         self.holds = _conjunction([closures[id(atom)] for atom in atoms])
-        self.occurrence = _occurrence(into, out_of, names, closures, constants)
+        self.occurrence = _occurrence(into, out_of, names, closures)
         self.sorts = {a.target: _member(place.sort, s) for a in out_of
                       if (place := index.places.get(a.target)) is not None
                       and place.sort is not None}
 
 
 def _closures(atoms: Iterable[GuardAtom], arcs: Iterable[Arc], s: Structure,
-              names: frozenset[str]) -> tuple[dict[int, Callable], dict[int, Value]]:
+              names: frozenset[str]) -> dict[int, Callable]:
     """One closure per guard atom (:func:`_atom`) and per term on ``arcs``
-    (:func:`_tokens`), and the value of each term on ``arcs`` that folds
-    to a constant, keyed by identity: hashing terms costs more."""
-    closures, constants = {}, {}
+    (:func:`_tokens`), keyed by identity: hashing terms costs more."""
+    closures = {}
     for atom in atoms:
         closures[id(atom)] = _atom(atom, s, names)
     for arc in arcs:
         for term in arc.inscription:
-            closures[id(term)], value = _tokens(term, s, names)
-            if value is not _NO_VALUE:
-                constants[id(term)] = value
-    return closures, constants
+            closures[id(term)] = _tokens(term, s, names)
+    return closures
 
 
 def _value(term: Term, s: Structure, names: frozenset[str]) -> Callable[[Env], Value]:
@@ -151,13 +148,11 @@ def _application(term: App, table: Mapping[tuple[Value, ...], Value],
 
 
 def _tokens(term: Term, s: Structure,
-            names: frozenset[str]) -> tuple[Callable[[Env], tuple[Value, ...]], object]:
-    """``term_tokens(term, s, env)`` as a closure of ``env``, and the
-    term's value if it folds to a constant (:func:`_folded`), else
-    ``_NO_VALUE``."""
+            names: frozenset[str]) -> Callable[[Env], tuple[Value, ...]]:
+    """``term_tokens(term, s, env)`` as a closure of ``env``."""
     if not isinstance(term, Elm):
-        value, folded = _folded(term, s, names)
-        return (lambda env: (value(env),)), folded
+        value = _value(term, s, names)
+        return lambda env: (value(env),)
     inner, span = _value(term.inner, s, names), term.span
 
     def elements(env: Env) -> tuple[Value, ...]:
@@ -165,7 +160,7 @@ def _tokens(term: Term, s: Structure,
         if not isinstance(v, SetValue):
             raise EvalError(f"elm expects a set value, got {render_value(v)}", span)
         return v.elements
-    return elements, _NO_VALUE
+    return elements
 
 
 def _conjunction(atoms: list[Callable[[Env], bool]]) -> Callable[[Env], bool]:
@@ -240,7 +235,9 @@ def _member(sort: Sort, s: Structure) -> Callable[[Value], bool]:
 # transition of one shape, under any structure, shares one compiled
 # factory.
 
-_FACTORIES_MAX = 256  # join and firing factories kept compiled per process
+# join and firing factories kept compiled per process: two per transition,
+# so shapes for 256 transitions
+_FACTORIES_MAX = 512
 _factories: dict[tuple, Callable] = {}
 
 
@@ -577,24 +574,21 @@ class _Source:
 
 
 def _occurrence(into: Iterable[Arc], out_of: Iterable[Arc], names: frozenset[str],
-                closures: Mapping[int, Callable],
-                constants: Mapping[int, Value]) -> Callable[[Env], tuple[Tokens, Tokens]]:
+                closures: Mapping[int, Callable]) -> Callable[[Env], tuple[Tokens, Tokens]]:
     """:func:`nets.occurrence` of the arcs ``into`` and ``out_of`` a
     transition whose kernel binds ``names``, as a function of the
     binding, calling the :func:`_closures` of the terms its source does
     not write out."""
-    shape, args = _firing_shape(into, out_of, names, closures, constants)
+    shape, args = _firing_shape(into, out_of, names, closures)
     return _factory(shape)(*args)
 
 
 def _firing_shape(into: Iterable[Arc], out_of: Iterable[Arc], names: frozenset[str],
-                  closures: Mapping[int, Callable],
-                  constants: Mapping[int, Value]) -> tuple[tuple, list]:
+                  closures: Mapping[int, Callable]) -> tuple[tuple, list]:
     """Every choice the firing source of a transition's arcs makes, as
     strings and ints that name nothing of the model, and the arguments
     of the factory that source defines, in the order it takes them: the
-    places, the variables, then one constant or closure per entry that
-    takes one.
+    places, the variables, then one closure per entry that takes one.
 
     The shape is ``"F"`` and one tuple per side, inputs first, holding
     per arc, in order, the slot of its place (numbered by first
@@ -604,10 +598,10 @@ def _firing_shape(into: Iterable[Arc], out_of: Iterable[Arc], names: frozenset[s
     * ``("v", k)``: a variable the kernel binds, numbered ``k`` by first
       use;
     * ``("t", k, ...)``: a tuple of such variables;
-    * ``("c",)``: a constant folded by :func:`_folded`, taking its value;
-    * ``("a",)``: any other term but ``elm`` (an application, a set
-      literal, a variable the kernel does not bind), taking its closure,
-      which gives one token;
+    * ``("a",)``: any other term but ``elm`` (a constant, an
+      application, a set literal, a variable the kernel does not bind),
+      taking its closure, which gives one token, a folded constant's
+      without evaluating;
     * ``("e",)``: an ``elm``, taking its closure, which gives the
       elements of a set."""
     places: list[str] = []
@@ -615,9 +609,6 @@ def _firing_shape(into: Iterable[Arc], out_of: Iterable[Arc], names: frozenset[s
     taken: list = []
 
     def entry(term: Term) -> tuple:
-        if id(term) in constants:
-            taken.append(constants[id(term)])
-            return ("c",)
         if isinstance(term, Var) and term.name in names:
             return ("v", variables.setdefault(term.name, len(variables)))
         if isinstance(term, TupleTerm) and all(
@@ -666,9 +657,9 @@ def _firing_source(shape: tuple) -> str:
             if kind == "v":
                 return f"x{entry[1]}"
             return f"TupleValue(({''.join(f'x{k}, ' for k in entry[1:])}))"
-        name = f"{'c' if kind == 'c' else 'tk'}{len(params)}"
+        name = f"tk{len(params)}"
         params.append(name)
-        return name if kind == "c" else f"{name}(env)[0]" if kind == "a" else f"{name}(env)"
+        return f"{name}(env)[0]" if kind == "a" else f"{name}(env)"
 
     for slot, entries in inputs + outputs:
         counts = f"a{slot}"

@@ -254,7 +254,7 @@ def test_a_guard_of_selects_shape_that_fails_leaves_its_binding_out(mixed):
 # ---------------------------------------------------------------------------
 
 TAGS = {"K", "M", "P", "C", "L", "f", "b", "c", "t"}
-FIRING_TAGS = {"F", "v", "t", "c", "a", "e"}
+FIRING_TAGS = {"F", "v", "t", "a", "e"}
 # every name the generated source may use: its own locals and parameters,
 # the helpers of its namespace, builtins and methods of values it reads
 GENERATED = re.compile(r"(make|join|tokens_on|places|names|ranks|found|append|first|take"
@@ -262,7 +262,7 @@ GENERATED = re.compile(r"(make|join|tokens_on|places|names|ranks|found|append|fi
                        r"|get|items|sort|key|b|e|n|v|y|taken"
                        r"|(p|n|rk|h|t|x|r|v|ok|took|k|g|tk|c|iv|tg|cp)[0-9]+)")
 FIRED = re.compile(r"(make|occurrence|env|places|names|TupleValue|dict|fromkeys|get|v"
-                   r"|(p|n|x|a|c|tk)[0-9]+)")
+                   r"|(p|n|x|a|tk)[0-9]+)")
 
 
 def shape_of(net, name, s):
@@ -270,7 +270,7 @@ def shape_of(net, name, s):
     of its factory, as the transition's kernel makes them."""
     plan, t = net.index.plans[name], net.transition(name)
     names = frozenset(plan.names)
-    closures, _ = compiled._closures(
+    closures = compiled._closures(
         t.guard.atoms, (*net.arcs_into(name), *net.arcs_out_of(name)), s, names)
     return compiled._shape(plan, s, names, [carrier_rank(sort, s) for sort in plan.sorts],
                            closures)
@@ -281,9 +281,9 @@ def firing_shape_of(net, name, s):
     arguments of its factory, as the transition's kernel makes them."""
     names = frozenset(net.index.plans[name].names)
     into, out_of = net.arcs_into(name), net.arcs_out_of(name)
-    closures, constants = compiled._closures(net.transition(name).guard.atoms,
-                                             (*into, *out_of), s, names)
-    return compiled._firing_shape(into, out_of, names, closures, constants)
+    closures = compiled._closures(net.transition(name).guard.atoms,
+                                  (*into, *out_of), s, names)
+    return compiled._firing_shape(into, out_of, names, closures)
 
 
 def all_shapes(system):
@@ -598,8 +598,9 @@ def test_every_firing_entry_occurs_and_fires_as_the_definition(sys_small, keywor
                                              for _, counts in side)
                     elif got[0] == "EvalError":
                         spans.add(got[2])
-    assert entries == {("v", "Var"), ("t", "TupleTerm"), ("c", "ConstRef"), ("c", "SetTerm"),
-                       ("a", "App"), ("a", "SetTerm"), ("a", "TupleTerm"), ("e", "Elm")}
+    # a constant or a set literal of constants is folded by its closure
+    assert entries == {("v", "Var"), ("t", "TupleTerm"), ("a", "ConstRef"), ("a", "App"),
+                       ("a", "SetTerm"), ("a", "TupleTerm"), ("e", "Elm")}
     assert widths == {0, 1, 2} and empty
     # FIRING fails at both partial applications, and SHARED_NEEDS at k(z)
     assert len(spans) >= 3

@@ -317,7 +317,7 @@ def test_compiled_terms_tokens_and_guards_equal_the_interpreter(kinds):
                  for term in arc.inscription]
         terms += [side for atom in t.guard.atoms for side in (atom.left, atom.right)]
         values = [(compiled._value(term, s, names), term) for term in terms]
-        tokens = [(compiled._tokens(term, s, names)[0], term) for term in terms]
+        tokens = [(compiled._tokens(term, s, names), term) for term in terms]
         atoms = [(compiled._atom(atom, s, names), atom) for atom in t.guard.atoms]
         holds = nets._kernel(net, t.name, s).holds
         for b in enumerate_bindings(t.variables, s):
