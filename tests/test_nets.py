@@ -91,6 +91,25 @@ def test_fire_rejects_disabled_binding(sys0):
         fire(sys0.net, Marking(), "offer_table", b, sys0.structure)
 
 
+def test_fire_rejects_a_non_tuple_or_wrong_arity_token_for_a_tuple_sorted_place():
+    # fire does not check a binding against its variables' sorts, only the
+    # produced tokens against their places' sorts: x is free over (A, A)
+    sig = parse("signature pairs { sets A; }").body
+    s = bind_structure(parse("structure pairs_s of pairs { A = {a, b}; }").body, sig)
+    system = instantiate(parse("""
+        module pairs_m of pairs {
+          places { out : (A, A); }
+          trans { put free x : (A, A); }
+          arcs { put -> out : x; }
+        }""").body, s)
+    a = Atom("a")
+    for x in (a, TupleValue([a, a, a])):
+        with pytest.raises(FiringError, match=r"outside sort \(A, A\)$"):
+            system.fire(system.initial, "put", Binding({"x": x}))
+    after = system.fire(system.initial, "put", Binding({"x": TupleValue([a, a])}))
+    assert after.get("out").total() == 1
+
+
 def test_fire_conserves_tokens_on_plain_relay():
     sig = Signature("relay", sets=("A",))
     s = make_structure("one", sig, {"A": (Atom("a"), Atom("b"))})
