@@ -7,7 +7,9 @@ entries read off the evaluated arc inscriptions.  Place and transition
 invariants are integer bases of the left and right null-spaces of the
 incidence matrix, read off one sparse, fraction-free elimination over
 integer rows and verified by multiplication.  Reachability exploration
-is plain breadth-first search over canonical markings with node/edge caps.
+is plain breadth-first search over the interned states of a
+:class:`nets.Stepper` with node/edge caps; each node's marking reads its
+places off its state.
 """
 
 from __future__ import annotations
@@ -289,6 +291,14 @@ class _Capped:
 
 @dataclass(frozen=True, repr=False)
 class ReachabilityGraph(_Capped):
+    """The graph of a capped :func:`explore`: one marking per node, in
+    discovery order, and the edges ``(source, transition, binding,
+    target)`` by node index.  Each marking keeps its node's state, a
+    tuple of multiset ids, and one table that all of them share, holding
+    the multisets their states number; a place's tokens are read off
+    the state, and the place dict is built only when something other
+    than ``get`` asks for it."""
+
     markings: tuple[Marking, ...]
     edges: tuple[tuple[int, str, Binding, int], ...]
     truncated_by: str = field(repr=False)
@@ -305,11 +315,20 @@ def explore(sys: System, max_nodes: int = 10000, max_edges: int = 100000,
     The initial marking is always kept, so ``max_nodes`` must be at
     least 1 (a ValueError otherwise).  Deadlock markings and predicate
     hits are reported by node index.
+
+    The search steps on the states of one :class:`nets.Stepper`, and
+    each node's marking is its state read through the table of
+    :meth:`nets.Stepper.encoding`, so ``predicate`` reads a place's
+    tokens off the state and nothing builds a place dict.  A search cut
+    off by ``max_nodes`` numbered multisets for the states it dropped
+    too; the graph keeps only those its states hold.
     """
     _check_node_cap(max_nodes)
     stepper = Stepper(sys.net, sys.structure)
     root, decode = stepper.encoding(sys.initial)
     states, edges, truncated_by, deadlocks = _bfs(root, stepper.step, max_nodes, max_edges)
+    if len(states) == max_nodes:
+        decode = decode.held_by(states)  # let go of what only dropped states held
     markings = tuple(map(decode, states))
     hits = () if predicate is None else tuple(
         i for i, m in enumerate(markings) if predicate(m))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 
 from .compiled import Kernel, Tokens
@@ -266,11 +266,14 @@ def _pinned_by(name: str, guard: Guard, bound: Iterable[str]) -> tuple:
 class Marking:
     """An immutable per-place multiset of values; hashable, canonical.
 
-    It holds one ``{place: Multiset}`` dict of the marked places; the
-    canonical place order is computed on first use, the hash on each
-    call from the hashes its multisets keep."""
+    It holds one ``{place: Multiset}`` dict of the marked places, or a
+    :class:`Stepper` state and the :class:`_StateTable` of the call that
+    numbered it.  Such a marking reads a place's tokens off the state;
+    its place dict is built on first use by any other method.  The
+    canonical place order is computed on first use, the hash on each call
+    from the hashes its multisets keep."""
 
-    __slots__ = ("_places", "_entries")
+    __slots__ = ("_places", "_entries", "_state", "_table")
 
     def __init__(self, per_place: Mapping[str, Multiset | Iterable[Value]] = ()):
         places: dict[str, Multiset] = {}
@@ -279,23 +282,39 @@ class Marking:
             ms = tokens if isinstance(tokens, Multiset) else Multiset(tokens)
             if ms:
                 places[place] = ms
-        self._places = places
+        self._places: dict[str, Multiset] | None = places
         self._entries: tuple[tuple[str, Multiset], ...] | None = None
+        self._state = self._table = None
 
     def get(self, place: str) -> Multiset:
-        return self._places.get(place, _NO_TOKENS)
+        places = self._places
+        if places is None:
+            table = self._table
+            slot = table.slot_of.get(place)
+            if slot is None:
+                return table.outside.get(place, _NO_TOKENS)
+            return table.multisets[self._state[slot]]
+        return places.get(place, _NO_TOKENS)
+
+    def _by_place(self) -> dict[str, Multiset]:
+        """The ``{place: Multiset}`` dict of the marked places, built off
+        the state on first use and kept in one attribute assignment."""
+        places = self._places
+        if places is None:
+            places = self._places = self._table.places(self._state)
+        return places
 
     def items(self) -> tuple[tuple[str, Multiset], ...]:
         """``(place, tokens)`` per marked place, by place name."""
         if self._entries is None:
-            self._entries = tuple(sorted(self._places.items(), key=itemgetter(0)))
+            self._entries = tuple(sorted(self._by_place().items(), key=itemgetter(0)))
         return self._entries
 
     def places(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.items())
 
     def total(self) -> int:
-        return sum(ms.total() for ms in self._places.values())
+        return sum(ms.total() for ms in self._by_place().values())
 
     @classmethod
     def _from_places(cls, places: dict[str, Multiset]) -> "Marking":
@@ -303,7 +322,7 @@ class Marking:
         non-empty; the caller must not change the dict afterwards."""
         m = cls.__new__(cls)
         m._places = places
-        m._entries = None
+        m._entries = m._state = m._table = None
         return m
 
     def updated(self, remove: Mapping[str, Mapping[Value, int]],
@@ -312,7 +331,7 @@ class Marking:
         taken off and ``add`` put on.  Each place they name is copied
         once, and dropped if it ends up empty; the others are shared with
         this marking."""
-        places = self._places.copy()
+        places = self._by_place().copy()
         for place in (*remove, *(p for p in add if p not in remove)):
             tokens = places.get(place, _NO_TOKENS).updated(
                 remove.get(place, _NO_COUNTS), add.get(place, _NO_COUNTS))
@@ -323,13 +342,13 @@ class Marking:
         return Marking._from_places(places)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Marking) and other._places == self._places
+        return isinstance(other, Marking) and other._by_place() == self._by_place()
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._places.items()))
+        return hash(frozenset(self._by_place().items()))
 
     def __reduce__(self):
-        return (Marking, (self._places,))
+        return (Marking, (self._by_place(),))
 
     def rendered_entries(self) -> list[str]:
         """``place: v1, v2`` per marked place, in canonical order."""
@@ -737,9 +756,10 @@ class Stepper:
     It steps on interned states: each distinct multiset on a place gets
     a small int id, and a state is the tuple of ids on the net's slots
     (:attr:`NetIndex.slots`); :meth:`encoding` turns a marking into one
-    and back.  The bindings of a transition depend only on the tokens on
-    its input places, so each path keeps its own memo per ``(name, ids
-    on its input slots)``: :meth:`enabled` (``simulate``) the bindings,
+    and gives the table through which a state reads as a marking.  The
+    bindings of a transition depend only on the tokens on its input
+    places, so each path keeps its own memo per ``(name, ids on its
+    input slots)``: :meth:`enabled` (``simulate``) the bindings,
     :meth:`step` (``explore``) each binding with its move.  A move
     (:meth:`_move`), kept per ``(name, binding)`` at its first firing by
     either path, is the occurrence, with its output sorts checked, and a
@@ -764,8 +784,9 @@ class Stepper:
     the stepper is built, a name the net lacks when it is asked for.
     Errors are not kept.  It joins and evaluates through the kernel of
     each transition (:class:`compiled.Kernel`), fetched on first use and
-    kept on the structure for every later caller; nothing else it keeps
-    outlives the stepper.
+    kept on the structure for every later caller.  Of the rest, only its
+    numbered multisets can outlive the stepper, held by the markings that
+    its encoding tables make.
     """
 
     def __init__(self, net: SchematicNet, s: Structure):
@@ -815,20 +836,17 @@ class Stepper:
         state, decode = self.encoding(m)
         return [(name, b, decode(succ)) for name, b, succ in self.step(state)]
 
-    def encoding(self, m: Marking) -> tuple[tuple[int, ...], Callable]:
-        """The state of ``m`` and the function that turns a state back
-        into a marking, keeping ``m``'s places outside the slots, which no
-        firing touches."""
-        outside = {p: ms for p, ms in m._places.items() if p not in self._slot_of}
-        slots, multisets = self._slots, self._ids.multisets
-
-        def decode(state: tuple[int, ...]) -> Marking:
-            places = dict(compress(zip(slots, map(multisets.__getitem__, state)), state))
-            places.update(outside)
-            return Marking._from_places(places)
-
-        get, ids = m._places.get, self._ids
-        return tuple([ids[get(p, _NO_TOKENS)] for p in slots]), decode
+    def encoding(self, m: Marking) -> tuple[tuple[int, ...], "_StateTable"]:
+        """The state of ``m``, and the table that turns a state into its
+        marking when called on it: the net's slots, this stepper's
+        numbered multisets and ``m``'s places outside the slots, which no
+        firing touches.  Every marking it makes reads its places off its
+        state through this one table."""
+        slot_of, ids = self._slot_of, self._ids
+        outside = {p: ms for p, ms in m._by_place().items() if p not in slot_of}
+        get = m.get
+        return (tuple([ids[get(p)] for p in self._slots]),
+                _StateTable(self._slots, slot_of, ids.multisets, outside))
 
     def step(self, state: tuple[int, ...]) -> list[tuple[str, Binding, tuple[int, ...]]]:
         """``(name, binding, successor state)`` of every enabled
@@ -912,6 +930,42 @@ class _Ids(dict):
         found = self[ms] = len(self.multisets)
         self.multisets.append(ms)
         return found
+
+
+class _StateTable:
+    """What the markings of one :meth:`Stepper.encoding` share, read only:
+    ``slots`` and ``slot_of`` of the net, the stepper's ``multisets`` by
+    id and the ``outside`` places of the encoded marking.  Called on a
+    state, it returns the marking that reads its places off the state."""
+
+    __slots__ = ("slots", "slot_of", "multisets", "outside")
+
+    def __init__(self, slots: tuple[str, ...], slot_of: dict[str, int],
+                 multisets: list, outside: dict[str, Multiset]):
+        self.slots, self.slot_of = slots, slot_of
+        self.multisets, self.outside = multisets, outside
+
+    def __call__(self, state: tuple[int, ...]) -> Marking:
+        m = Marking.__new__(Marking)
+        m._places = m._entries = None
+        m._state, m._table = state, self
+        return m
+
+    def places(self, state: tuple[int, ...]) -> dict[str, Multiset]:
+        """The ``{place: Multiset}`` dict of the places ``state`` marks."""
+        places = dict(compress(zip(self.slots, map(self.multisets.__getitem__, state)), state))
+        places.update(self.outside)
+        return places
+
+    def held_by(self, states: Iterable[tuple[int, ...]]) -> "_StateTable":
+        """This table with only the multisets that ``states`` hold, for
+        their markings: the other ids keep None, so the states read as
+        before and the rest can be let go."""
+        multisets = self.multisets
+        kept: list = [None] * len(multisets)
+        for i in set(chain.from_iterable(states)):
+            kept[i] = multisets[i]
+        return _StateTable(self.slots, self.slot_of, kept, self.outside)
 
 
 def successors(net: SchematicNet, m: Marking,

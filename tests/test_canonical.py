@@ -26,6 +26,7 @@ from hknet import modules
 from conftest import load
 from support import (compatible_triple, digest, identical_copies, reference_leaves,
                      random_relabeling, reference_canonicalize,
+                     _canonical_search as reference_search,
                      structure_text, _random_module_doc, _random_run_doc)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "canonical_forms.txt"
@@ -196,6 +197,56 @@ def test_a_later_leaf_with_a_lesser_certificate_becomes_the_form(monkeypatch):
     rng = random.Random(6)
     for _ in range(5):
         assert canonicalize(random_relabeling(m, rng)) == canon
+
+
+# Six nodes of one decoration and arcs of two labels, ``(source, target,
+# label)``.  Colour refinement cannot tell the nodes apart, and
+# individualising node 0 alone, or node 5 and then node 0, gives the same
+# discrete colouring: two leaves with one certificate at depths 1 and 2.
+# The automorphism found there cannot map the one path onto the other, so
+# the search goes on past the later leaf instead of returning to where
+# the paths part.  A random search over millions of small bipartite
+# place/transition graphs found none that does this, so the search runs on
+# this graph directly.
+UNEVEN_LEAVES = ((0, 2, 1), (0, 3, 0), (0, 5, 0), (0, 5, 1), (1, 2, 0), (1, 3, 1),
+                 (1, 4, 0), (1, 4, 1), (2, 0, 1), (2, 1, 0), (2, 4, 0), (2, 4, 1),
+                 (3, 0, 0), (3, 1, 1), (3, 5, 0), (3, 5, 1), (4, 1, 0), (4, 1, 1),
+                 (4, 2, 0), (4, 2, 1), (5, 0, 0), (5, 0, 1), (5, 3, 0), (5, 3, 1))
+
+
+def test_equal_leaves_at_different_depths_keep_the_search_going(monkeypatch):
+    n, arcs = 6, list(UNEVEN_LEAVES)
+    decor = [0] * n
+    outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, t, label in arcs:  # as _labelling_graph lays them out
+        base = label * (2 * n + 1) + n
+        outs[s].append((base, t))
+        ins[t].append((base, s))
+    leaves = []
+    certificate = modules._certificate
+
+    def recording(order, *args):
+        leaves.append(tuple(order))
+        return certificate(order, *args)
+
+    monkeypatch.setattr(modules, "_certificate", recording)
+    order, generators = modules._canonical_search(decor, arcs, outs, ins)
+    monkeypatch.undo()
+    # one colouring reached twice, and the search went on after it
+    again = next(i for i, leaf in enumerate(leaves) if leaf in leaves[:i])
+    assert again < len(leaves) - 1
+    assert generators
+    # the least certificate over every leaf, as the exhaustive reference
+    # search finds it
+    ids = [str(v) for v in range(n)]
+    out_adj = {v: [(str(t), str(label)) for s, t, label in arcs if str(s) == v] for v in ids}
+    in_adj = {v: [(str(s), str(label)) for s, t, label in arcs if str(t) == v] for v in ids}
+    _, least = reference_search(ids, dict.fromkeys(ids, 0), dict.fromkeys(ids, ""),
+                                out_adj, in_adj)
+    assert certificate(order, decor, arcs) == certificate([int(v) for v in least], decor, arcs)
+    for gamma in generators:
+        assert {(gamma[s], gamma[t], label) for s, t, label in arcs} == set(arcs)
 
 
 def orbit_product(generators: list[dict[str, str]], base: list[str]) -> int:

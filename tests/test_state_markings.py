@@ -164,3 +164,26 @@ def test_the_predicates_both_hit_and_miss(systems):
     for text in PREDICATES:
         hits = [parse_predicate(text)(m) for m in graph.markings]
         assert any(hits) and not all(hits), text
+
+
+def numbered(graph) -> tuple[list, set[int]]:
+    """The multisets by id that ``graph``'s markings share, and the ids
+    their states hold."""
+    tables = {id(m._table): m._table for m in graph.markings}
+    assert len(tables) == 1
+    return next(iter(tables.values())).multisets, {i for m in graph.markings for i in m._state}
+
+
+def test_a_node_capped_graph_keeps_only_the_multisets_its_states_hold(sys0):
+    graph = explore(sys0, max_nodes=120)
+    multisets, held = numbered(graph)
+    assert len(held) < len(multisets)  # the search numbered more for dropped states
+    assert {i for i, ms in enumerate(multisets) if ms is not None} == held
+
+
+@pytest.mark.parametrize("caps", [{}, {"max_edges": 150}])
+def test_a_search_that_drops_no_state_holds_every_multiset_it_numbered(sys_small, caps):
+    graph = explore(sys_small, **caps)
+    assert graph.truncated == bool(caps)
+    multisets, held = numbered(graph)
+    assert held == set(range(len(multisets)))
