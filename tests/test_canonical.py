@@ -13,12 +13,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hknet import (Arc, Ident, Module, Place, SchematicNet, SortName, Transition,
+from hknet import (Arc, Guard, Ident, Module, Place, SchematicNet, SortName, Transition,
                    bind_structure, canonicalize, compose, compose_all, instantiate,
                    parse, print_module, random_policy, rename_elements, simulate)
 from hknet import modules
@@ -349,3 +350,84 @@ def test_the_search_depth_does_not_reach_the_recursion_limit():
 
 if __name__ == "__main__":
     print("\n".join(golden_lines(reference_canonicalize)))
+
+
+# ---------------------------------------------------------------------------
+# Orders without meaning
+# ---------------------------------------------------------------------------
+
+UNORDERED = """module m of sigma0 {
+  left { place in = q; trans go = u; }
+  right { place out = p; }
+  places {
+    p : Clients init Bob, {Bob, Alice}, Alice;
+    q : pow(Clients) init {Bob, Alice, Carol}, {};
+  }
+  trans {
+    u guard X sub {Bob, Alice} and c in X and {c} sub X free c : Clients, X : pow(Clients);
+    v guard c = Bob and X = {Carol, Alice};
+  }
+  arcs {
+    q -> u : X;
+    p -> u : c, Bob;
+    u -> p : {c, Alice}, c;
+    p -> v : c;
+    v -> q : X;
+  }
+}
+"""
+
+CANONICAL_UNORDERED = """module _ {
+  left {
+    place in = p1;
+    trans go = t1;
+  }
+  right {
+    place out = p0;
+  }
+  places {
+    p0 : Clients init Alice, Bob, {Alice, Bob};
+    p1 : pow(Clients) init {Alice, Bob, Carol}, {};
+  }
+  trans {
+    t0 guard X = {Alice, Carol} and c = Bob;
+    t1 guard X sub {Alice, Bob} and c in X and {c} sub X free X: pow(Clients), c: Clients;
+  }
+  arcs {
+    p0 -> t0 : c;
+    p0 -> t1 : Bob, c;
+    p1 -> t1 : X;
+    t0 -> p1 : X;
+    t1 -> p0 : c, {Alice, c};
+  }
+}
+"""
+
+
+def reversed_orders(m: Module) -> Module:
+    """``m`` with its initial terms, guard atoms, free variables and
+    inscriptions in reverse order, as no parser would leave them."""
+    net = m.inner
+    return Module(m.name, m.sig, SchematicNet(
+        tuple(replace(p, init=p.init[::-1]) for p in net.places),
+        tuple(replace(t, guard=Guard(t.guard.atoms[::-1]), free=t.free[::-1])
+              for t in net.transitions),
+        tuple(replace(a, inscription=a.inscription[::-1]) for a in net.arcs)),
+        m.left, m.right)
+
+
+def test_canonicalize_sorts_initial_terms_guard_atoms_and_set_literals():
+    m = parse(UNORDERED, "m.hk").body
+    assert print_module(canonicalize(m)) == CANONICAL_UNORDERED
+    shuffled = reversed_orders(m)
+    assert shuffled != m
+    assert print_module(canonicalize(shuffled)) == CANONICAL_UNORDERED
+    # the same module written with other ids and set literals in other orders
+    renamed = (UNORDERED.replace("{Bob, Alice}", "{Alice, Bob}")
+               .replace("{Carol, Alice}", "{Alice, Carol}")
+               .replace("{Bob, Alice, Carol}", "{Carol, Alice, Bob}")
+               .replace("{c, Alice}", "{Alice, c}"))
+    assert renamed != UNORDERED
+    again = parse(renamed.replace(" u", " w"), "m2.hk").body
+    assert print_module(canonicalize(again)) == CANONICAL_UNORDERED
+    assert modules.canonical_equal(shuffled, again)

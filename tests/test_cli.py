@@ -576,3 +576,48 @@ def test_check_finds_the_signature_given_or_next_to_the_file(workdir, tmp_path, 
     assert capsys.readouterr().out == (
         f"{module}: note: signature 'sigma0' not found nearby, syntactic check only\n"
         f"{module}: ok (module)\n")
+
+
+def test_compose_summary_prints_an_empty_interface_side(workdir, capsys):
+    assert run_cli("compose", workdir / "entry.hk", "-o", workdir / "solo.hk") == 0
+    assert capsys.readouterr().out == (
+        "composed 1 modules into solo\n"
+        "left interface: (empty)\n"
+        "right interface: place free_tables, place offered_tables\n")
+    written = (workdir / "solo.hk").read_text(encoding="utf-8")
+    assert written.startswith("module solo of sigma0 {\n  right {\n")
+    assert written.endswith("  arcs {\n    free_tables -> offer_table : t;\n"
+                            "    offer_table -> offered_tables : t;\n  }\n}\n")
+    assert run_cli("compose", workdir / "kitchen.hk", "-o", workdir / "k.hk") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "left interface: place orders, transition hand_over",
+        "right interface: (empty)"]
+
+
+def test_compose_runs_without_output_prints_the_composed_run_only(workdir, capsys):
+    assert run_cli("compose-runs", workdir / "a0_begin.hkrun",
+                   workdir / "a0_middle.hkrun") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("run a0_begin__a0_middle of branch_s0 {\n")
+    assert out.endswith("}\n") and "composed" not in out
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(CORPUS_FILES)
+
+
+def test_transition_invariants_print_coefficients_other_than_one(tmp_path, capsys):
+    (tmp_path / "one.hksig").write_text("signature one {\n  sets A;\n}\n")
+    (tmp_path / "one.hks").write_text("structure one_a of one {\n  A = {a};\n}\n")
+    (tmp_path / "double.hk").write_text(
+        "module double of one {\n"
+        "  places { p : A; }\n"
+        "  trans { make free x : A; take; }\n"
+        "  arcs { make -> p : x, x; p -> take : x; }\n"
+        "}\n")
+    assert run_cli("instantiate", tmp_path / "double.hk", tmp_path / "one.hks",
+                   "-o", tmp_path / "double.hksys") == 0
+    capsys.readouterr()
+    assert run_cli("invariants", tmp_path / "double.hksys", "--transitions") == 0
+    assert capsys.readouterr().out == (
+        "grounded net: 1 places, 2 transitions\n"
+        "place invariants: 0\n"
+        "transition invariants: 1\n"
+        "  make[x=a] + 2*take[x=a]\n")

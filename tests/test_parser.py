@@ -215,6 +215,21 @@ def test_parentheses_group_a_predicate():
     assert grouped(Marking()) is flat(Marking()) is False
 
 
+def test_a_predicate_chain_mixes_and_or_not_and_parentheses():
+    # ``and`` binds tighter than ``or``, ``not`` tighter than both
+    pred = parse_predicate("not contains(p, a) and count(q) >= 1 or "
+                           "(count(p) = 2 or not tokens(q, b) = 0) and not count(r) > 0")
+    a, b = Atom("a"), Atom("b")
+    for p in ([], [a], [b, b], [a, a]):
+        for q in ([], [a], [b]):
+            for r in ([], [a]):
+                m = Marking({name: Multiset(tokens) for name, tokens
+                             in (("p", p), ("q", q), ("r", r)) if tokens})
+                expected = ((a not in p and len(q) >= 1)
+                            or ((len(p) == 2 or q.count(b) != 0) and not len(r) > 0))
+                assert pred(m) is expected, (p, q, r)
+
+
 def test_predicate_syntax_errors_carry_spans():
     with pytest.raises(ParseError) as err:
         parse_predicate("count(p) >=")
