@@ -19,14 +19,14 @@ from .analysis import explore, ground, place_invariants, transition_invariants
 from .dot import export_dot
 from .errors import ModelError, ParseError
 from .modules import Module, compose_all
-from .nets import SchematicNet, check_net
+from .nets import check_net
 from .parser import (ModelDocument, SystemDoc, bind_structure, is_identifier,
                      parse, parse_predicate, parse_script)
 from .printer import print_module, print_run, print_system, structure_to_doc
 from .runs import compose_runs, random_policy, scripted_policy, simulate, \
     validate_run
 from .signature import Signature, validate_structure
-from .spans import SourceSpan
+from .spans import SourceSpan, source_lines
 from .systems import System, instantiate
 
 USAGE_ERROR = 2
@@ -63,7 +63,7 @@ def _caret_lines(exc: ParseError, source: str | None) -> list[str]:
     try:
         if source is None:
             source = Path(span.file).read_text(encoding="utf-8")
-        source_line = source.splitlines()[span.line - 1]
+        source_line = source_lines(source)[span.line - 1]
     except (OSError, IndexError, UnicodeDecodeError):
         return []
     width = max(span.end_col - span.col, 1) if span.end_line == span.line else 1
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose module files left to right")
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--output", type=named_output)
-    p.set_defaults(handler=_cmd_compose)
+    p.set_defaults(handler=_cmd_compose, kind="module")
 
     p = sub.add_parser("instantiate", help="instantiate a module with a structure")
     p.add_argument("module")
@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose-runs", help="compose run files left to right")
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--output", type=named_output)
-    p.set_defaults(handler=_cmd_compose_runs)
+    p.set_defaults(handler=_cmd_compose, kind="run")
 
     p = sub.add_parser("invariants", help="place/transition invariants of a system")
     p.add_argument("system")
@@ -180,9 +180,8 @@ def _read_source(path: str | Path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, line_start) + 1
-        col = len(data[line_start:exc.start].decode("utf-8")) + 1
+        *before, last = source_lines(data[:exc.start].decode("utf-8"))
+        line, col = len(before) + 1, len(last) + 1
         raise ParseError(f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
                          SourceSpan(str(path), line, col, line, col + 1)) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
@@ -273,7 +272,7 @@ def _check_file(name: str, explicit_sig: str | None) -> int:
                 sig = None
                 print(f"{name}: note: signature {module.sig!r} not found "
                       "nearby, syntactic check only")
-            if sig is not None and isinstance(module.inner, SchematicNet):
+            if sig is not None:
                 problems += check_net(module.inner, sig)
     elif doc.kind == "system":
         _system_of(doc.body, name)
@@ -286,20 +285,25 @@ def _check_file(name: str, explicit_sig: str | None) -> int:
 
 
 def _cmd_compose(args) -> int:
-    modules = [_load(name, "module") for name in args.files]
-    result = compose_all(modules)
+    """Compose the files, all modules or all runs (``args.kind``), left to
+    right; with ``-o``, name the result after the file and summarize it."""
+    parts = [_load(name, args.kind) for name in args.files]
+    result = compose_all(parts) if args.kind == "module" else reduce(compose_runs, parts)
     if args.output:
         result = Module(Path(args.output).stem, result.sig, result.inner,
                         result.left, result.right)
     _write_output(print_module(result), args.output)
-    if args.output:
-        left = ", ".join(f"{k} {lbl}" for k, lbl in
-                         [(e.kind, e.label) for e in result.left]) or "(empty)"
-        right = ", ".join(f"{k} {lbl}" for k, lbl in
-                          [(e.kind, e.label) for e in result.right]) or "(empty)"
-        print(f"composed {len(modules)} modules into {result.name}")
-        print(f"left interface: {left}")
-        print(f"right interface: {right}")
+    if not args.output:
+        return 0
+    if args.kind == "run":
+        inner = result.inner
+        print(f"composed {len(parts)} runs: {len(inner.events)} events, "
+              f"{len(inner.conditions)} conditions")
+        return 0
+    print(f"composed {len(parts)} modules into {result.name}")
+    for side, elements in (("left", result.left), ("right", result.right)):
+        listed = ", ".join(f"{e.kind} {e.label}" for e in elements)
+        print(f"{side} interface: {listed or '(empty)'}")
     return 0
 
 
@@ -344,20 +348,6 @@ def _cmd_validate_run(args) -> int:
     return 0
 
 
-def _cmd_compose_runs(args) -> int:
-    runs = [_load(name, "run") for name in args.files]
-    result = reduce(compose_runs, runs)
-    if args.output:
-        result = Module(Path(args.output).stem, result.sig, result.inner,
-                        result.left, result.right)
-    _write_output(print_run(result), args.output)
-    if args.output:
-        inner = result.inner
-        print(f"composed {len(runs)} runs: {len(inner.events)} events, "
-              f"{len(inner.conditions)} conditions")
-    return 0
-
-
 def _cmd_invariants(args) -> int:
     system = load_system_file(args.system)
     grounded = ground(system)
@@ -366,19 +356,21 @@ def _cmd_invariants(args) -> int:
           f"{len(grounded.transitions)} transitions")
     print(f"place invariants: {len(basis)}")
     for vec in basis:
-        terms = [f"{'' if c == 1 else str(c) + '*'}{grounded.place_label(i)}"
-                 for i, c in enumerate(vec) if c]
         weight = sum(c * m for c, m in zip(vec, grounded.initial))
-        print("  " + " + ".join(terms) + f" = {weight}")
+        print(f"  {_weighted_sum(vec, grounded.place_label)} = {weight}")
     if args.transitions:
         tbasis = transition_invariants(grounded)
         print(f"transition invariants: {len(tbasis)}")
         for vec in tbasis:
-            terms = [f"{'' if c == 1 else str(c) + '*'}"
-                     f"{grounded.transition_label(i)}"
-                     for i, c in enumerate(vec) if c]
-            print("  " + " + ".join(terms))
+            print(f"  {_weighted_sum(vec, grounded.transition_label)}")
     return 0
+
+
+def _weighted_sum(vec, label) -> str:
+    """An invariant as ``c*label(i) + ...`` over its nonzero entries, a
+    coefficient of 1 left out."""
+    return " + ".join(f"{'' if c == 1 else str(c) + '*'}{label(i)}"
+                      for i, c in enumerate(vec) if c)
 
 
 def _cmd_reach(args) -> int:

@@ -71,12 +71,9 @@ def _module_dot(module: Module, marking, title: str) -> str:
 
     right_refs = sorted({e.ref for e in module.right})
     left_refs = sorted({e.ref for e in module.left} - set(right_refs))
-    if left_refs:
-        lines.append("    { rank=min; "
-                     + " ".join(f"{_quote(r)};" for r in left_refs) + " }")
-    if right_refs:
-        lines.append("    { rank=max; "
-                     + " ".join(f"{_quote(r)};" for r in right_refs) + " }")
-    lines.append("  }")
-    lines.append("}")
+    for rank, refs in (("min", left_refs), ("max", right_refs)):
+        if refs:
+            lines.append(f"    {{ rank={rank}; "
+                         + " ".join(f"{_quote(r)};" for r in refs) + " }")
+    lines += ["  }", "}"]
     return "\n".join(lines) + "\n"

@@ -507,7 +507,9 @@ def _labelling_graph(m: Module):
     in-neighbours as ``(base, neighbour)``.
 
     A decoration renders a node's kind, labels and interface tags; an
-    edge label renders its inscription.  Ranks follow the order of these
+    edge label renders its inscription.  ``m`` comes from
+    :func:`_normalize_module`, so its initial terms, guard atoms, free
+    variables and inscriptions are rendered in their one order.  Ranks follow the order of these
     strings, and among equal strings that of the sorted tags, as a label
     may hold the ``;`` that joins them.  A run renders each distinct
     (place, value) and (transition, binding) once.  A node's colour lies
@@ -519,16 +521,14 @@ def _labelling_graph(m: Module):
     if isinstance(inner, SchematicNet):
         for p in inner.places:
             sort = render_sort(p.sort) if p.sort is not None else ""
-            init = ",".join(sorted(render_term(t) for t in p.init))
+            init = ",".join(map(render_term, p.init))
             decor[p.name] = (f"place|{sort}|{init}", ())
         for t in inner.transitions:
-            guard = " and ".join(sorted(
-                f"{render_term(a.left)} {a.op} {render_term(a.right)}"
-                for a in t.guard.atoms))
-            free = ",".join(f"{n}:{render_sort(s)}" for n, s in sorted(t.free))
+            guard = " and ".join(f"{render_term(a.left)} {a.op} {render_term(a.right)}"
+                                 for a in t.guard.atoms)
+            free = ",".join(f"{n}:{render_sort(s)}" for n, s in t.free)
             decor[t.name] = (f"trans|{guard}|{free}", ())
-        labelled = [(a.source, a.target,
-                     ",".join(sorted(render_term(t) for t in a.inscription)), a)
+        labelled = [(a.source, a.target, ",".join(map(render_term, a.inscription)), a)
                     for a in inner.arcs]
     else:
         conditions: dict = {}

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter
+from typing import TypeVar
 
 from .compiled import Kernel, Tokens
 from .errors import FiringError, SortError, Violation
@@ -33,10 +34,20 @@ from .terms import (App, Binding, ConstRef, Elm, Guard, GuardAtom, Ident,
                     guard_variables, term_variables)
 from .values import Multiset, Value, render_value
 
+_Node = TypeVar("_Node")
+
 
 # ---------------------------------------------------------------------------
 # Schematic nets
 # ---------------------------------------------------------------------------
+
+def _lookup(table: Mapping[str, _Node], key: str, kind: str) -> _Node:
+    """``table[key]``, else a KeyError that names the ``kind`` missing."""
+    try:
+        return table[key]
+    except KeyError:
+        raise KeyError(f"no {kind} {key!r}") from None
+
 
 @dataclass(frozen=True)
 class Place:
@@ -85,16 +96,10 @@ class SchematicNet:
         return NetIndex(self)
 
     def place(self, name: str) -> Place:
-        try:
-            return self.index.places[name]
-        except KeyError:
-            raise KeyError(f"no place {name!r}") from None
+        return _lookup(self.index.places, name, "place")
 
     def transition(self, name: str) -> Transition:
-        try:
-            return self.index.transitions[name]
-        except KeyError:
-            raise KeyError(f"no transition {name!r}") from None
+        return _lookup(self.index.transitions, name, "transition")
 
     def has_place(self, name: str) -> bool:
         return name in self.index.places
@@ -1013,16 +1018,10 @@ class OccurrenceNet:
         return OccurrenceIndex(self)
 
     def condition(self, node_id: str) -> Condition:
-        try:
-            return self.index.conditions[node_id]
-        except KeyError:
-            raise KeyError(f"no condition {node_id!r}") from None
+        return _lookup(self.index.conditions, node_id, "condition")
 
     def event(self, node_id: str) -> Event:
-        try:
-            return self.index.events[node_id]
-        except KeyError:
-            raise KeyError(f"no event {node_id!r}") from None
+        return _lookup(self.index.events, node_id, "event")
 
     def pre(self, node_id: str) -> tuple[str, ...]:
         return self.index.pre.get(node_id, ())

@@ -77,7 +77,7 @@ from .nets import Arc, Condition, Event, Marking, OccurrenceNet, Place, \
     SchematicNet, Transition, arc_endpoint_violations, name_violations
 from .signature import PowSort, Signature, Sort, SortName, Structure, \
     TupleSort, make_structure, powerset, sort_symbols
-from .spans import SourceSpan
+from .spans import SourceSpan, source_lines
 from .terms import App, Binding, Elm, Guard, GuardAtom, Ident, SetTerm, Term, \
     TupleTerm, canonical_guard, canonical_terms, render_term
 from .values import Atom, Multiset, SetValue, TupleValue, Value
@@ -847,9 +847,10 @@ def bind_structure(doc: StructureDoc, sig: Signature) -> Structure:
 # ---------------------------------------------------------------------------
 
 def parse_script(text: str, filename: str = "<script>") -> list[tuple[str, Binding]]:
-    """A simulation script: one ``transition [name=value ...]`` per line."""
+    """A simulation script: one ``transition [name=value ...]`` per line,
+    a line ending at a newline (:func:`spans.source_lines`)."""
     steps: list[tuple[str, Binding]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(source_lines(text), start=1):
         p = _Parser(line, filename, lineno)
         if p.peek()[0] != "EOF":
             name = p.expect("IDENT", what="transition name")[1]
@@ -868,7 +869,7 @@ def parse_predicate(text: str, filename: str = "<predicate>",
     name; without, any name is read.
     """
     p = _Parser(text, filename)
-    pred = _parse_pred_or(p, places)
+    pred = _parse_pred_chain(p, places)
     p.expect("EOF", what="end of predicate")
     return pred
 
@@ -877,35 +878,28 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _parse_pred_or(p: _Parser, places: Collection[str] | None):
-    parts = [_parse_pred_and(p, places)]
-    while p.accept("IDENT", "or"):
-        parts.append(_parse_pred_and(p, places))
+def _parse_pred_chain(p: _Parser, places: Collection[str] | None, keyword: str = "or"):
+    """Operands joined by ``keyword``: ``or`` joins ``and`` chains, which
+    join unary predicates.  A lone operand is returned as it is; a chain
+    is one test that stops at the first operand that is ``ends``: true for
+    ``or``, false for ``and``."""
+    ends = keyword == "or"
+    parts: list = []
+    while not parts or p.accept("IDENT", keyword):
+        # the operand parser called here, not passed in, keeps a bracket
+        # three frames deep
+        parts.append(_parse_pred_chain(p, places, "and") if ends
+                     else _parse_pred_unary(p, places))
     if len(parts) == 1:
         return parts[0]
 
-    def any_holds(m) -> bool:
+    def chain(m) -> bool:
         # one loop, not a closure per operator: a long chain does not recurse
         for part in parts:
-            if part(m):
-                return True
-        return False
-    return any_holds
-
-
-def _parse_pred_and(p: _Parser, places: Collection[str] | None):
-    parts = [_parse_pred_unary(p, places)]
-    while p.accept("IDENT", "and"):
-        parts.append(_parse_pred_unary(p, places))
-    if len(parts) == 1:
-        return parts[0]
-
-    def all_hold(m) -> bool:
-        for part in parts:
-            if not part(m):
-                return False
-        return True
-    return all_hold
+            if part(m) == ends:
+                return ends
+        return not ends
+    return chain
 
 
 def _parse_pred_unary(p: _Parser, places: Collection[str] | None):
@@ -916,7 +910,7 @@ def _parse_pred_unary(p: _Parser, places: Collection[str] | None):
         return lambda m: not inner(m)
     if tok := p.accept("("):
         p.nest(tok)
-        inner = _parse_pred_or(p, places)
+        inner = _parse_pred_chain(p, places)
         p.expect(")")
         p.depth -= 1
         return inner

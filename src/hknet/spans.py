@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+_NEWLINE = re.compile(r"\r\n|\r|\n")
+
+
+def source_lines(text: str) -> list[str]:
+    """The lines of ``text``, which end at ``\\n``, ``\\r\\n`` or ``\\r``
+    only: not at the other breaks :meth:`str.splitlines` knows, such as
+    U+000C or U+2028, which a comment or quoted label may hold."""
+    return _NEWLINE.split(text)
 
 
 @dataclass(frozen=True)

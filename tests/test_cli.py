@@ -621,3 +621,22 @@ def test_transition_invariants_print_coefficients_other_than_one(tmp_path, capsy
         "place invariants: 0\n"
         "transition invariants: 1\n"
         "  make[x=a] + 2*take[x=a]\n")
+
+
+def test_caret_lines_quote_the_line_the_lexer_numbers(tmp_path, capsys):
+    # a comment may hold U+2028, which str.splitlines would end a line at
+    sig = tmp_path / "u.hksig"
+    sig.write_text("signature s { # note\u2028more\n  sets A, ;\n}\n", encoding="utf-8")
+    assert run_cli("check", sig) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sig}:2:11: expected set symbol, found ';'\n"
+        "    sets A, ;\n"
+        "            ^\n")
+
+
+def test_an_undecodable_byte_is_placed_after_carriage_return_newlines(tmp_path, capsys):
+    sig = tmp_path / "cr.hksig"
+    sig.write_bytes(b"signature s {\r  sets A;\r  caf\xe9\r}\r")
+    assert run_cli("check", sig) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sig}:3:6: not UTF-8 text: cannot decode byte 0xe9\n")

@@ -184,6 +184,18 @@ def test_parse_script_lines(tmp_path):
                      ("enter", Binding({"c": Atom("Alice"), "t": Atom("t1")}))]
 
 
+def test_a_script_line_ends_at_a_newline_only():
+    # str.splitlines would also break at U+2028, U+000C and the like
+    for brk in ("\u2028", "\x0c", "\x0b", "\x1c", "\x85", "\u2029"):
+        steps = parse_script(f"offer_table t=t1 # note{brk}enter c=Alice\n")
+        assert steps == [("offer_table", Binding({"t": Atom("t1")}))]
+    with pytest.raises(ParseError) as err:
+        parse_script("offer_table t=t1\n# a\x0cb\nleave c=x y\n", "steps")
+    assert str(err.value) == "steps:3:12: expected '=', found 'end of input'"
+    steps = parse_script("offer_table t=t1\r\nenter c=Alice\rleave c=Alice")
+    assert [name for name, _ in steps] == ["offer_table", "enter", "leave"]
+
+
 def test_parse_script_with_set_values():
     steps = parse_script("select X={meat, rice} c=Alice\n")
     assert steps[0][1]["X"] == SetValue([Atom("meat"), Atom("rice")])

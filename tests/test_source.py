@@ -1,5 +1,6 @@
-"""``python -O`` drops ``assert`` statements, so the library must not use
-them for checks; CI also runs the suite under ``-O``."""
+"""Rules the library's source keeps: no ``assert`` (``python -O`` drops
+them, and CI also runs the suite under ``-O``), one line split, no dead
+code, and tracer targets that resolve."""
 
 import ast
 import importlib
@@ -14,6 +15,17 @@ def test_library_has_no_assert_statements():
              for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_splits_lines_in_one_place():
+    # str.splitlines also ends a line at U+000C, U+2028 and the like, where
+    # the lexer does not; spans.source_lines is the one split
+    package = Path(hknet.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
     assert found == []
 
 
