@@ -18,7 +18,7 @@ from typing import Any
 from .analysis import explore, ground, place_invariants, transition_invariants
 from .dot import export_dot
 from .errors import ModelError, ParseError
-from .modules import Module, compose_all
+from .modules import Module, compose
 from .nets import check_net
 from .parser import (ModelDocument, SystemDoc, bind_structure, is_identifier,
                      parse, parse_predicate, parse_script)
@@ -184,7 +184,7 @@ def _read_source(path: str | Path) -> str:
         line, col = len(before) + 1, len(last) + 1
         raise ParseError(f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
                          SourceSpan(str(path), line, col, line, col + 1)) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return "\n".join(source_lines(text))
 
 
 def load_document(path: str | Path) -> ModelDocument:
@@ -288,22 +288,20 @@ def _cmd_compose(args) -> int:
     """Compose the files, all modules or all runs (``args.kind``), left to
     right; with ``-o``, name the result after the file and summarize it."""
     parts = [_load(name, args.kind) for name in args.files]
-    result = compose_all(parts) if args.kind == "module" else reduce(compose_runs, parts)
+    result = reduce(compose if args.kind == "module" else compose_runs, parts)
     if args.output:
         result = Module(Path(args.output).stem, result.sig, result.inner,
                         result.left, result.right)
     _write_output(print_module(result), args.output)
-    if not args.output:
-        return 0
-    if args.kind == "run":
+    if args.output and args.kind == "run":
         inner = result.inner
         print(f"composed {len(parts)} runs: {len(inner.events)} events, "
               f"{len(inner.conditions)} conditions")
-        return 0
-    print(f"composed {len(parts)} modules into {result.name}")
-    for side, elements in (("left", result.left), ("right", result.right)):
-        listed = ", ".join(f"{e.kind} {e.label}" for e in elements)
-        print(f"{side} interface: {listed or '(empty)'}")
+    elif args.output:
+        print(f"composed {len(parts)} modules into {result.name}")
+        for side, elements in (("left", result.left), ("right", result.right)):
+            listed = ", ".join(f"{e.kind} {e.label}" for e in elements)
+            print(f"{side} interface: {listed or '(empty)'}")
     return 0
 
 
@@ -375,11 +373,14 @@ def _weighted_sum(vec, label) -> str:
 
 def _cmd_reach(args) -> int:
     system = load_system_file(args.system)
+    # with universal newlines, as a file is read: the lexer ends a line at
+    # \n alone, and the caret lines quote the line it numbers
+    text = "\n".join(source_lines(args.pred)) if args.pred else None
     try:
-        predicate = (parse_predicate(args.pred, places=system.net.index.places)
-                     if args.pred else None)
+        predicate = (parse_predicate(text, places=system.net.index.places)
+                     if text else None)
     except ParseError as exc:
-        return _report(exc, args.pred)
+        return _report(exc, text)
     graph = explore(system, max_nodes=args.max_nodes, max_edges=args.max_edges,
                     predicate=predicate)
     print(f"nodes: {len(graph.markings)}")

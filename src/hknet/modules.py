@@ -509,9 +509,9 @@ def _labelling_graph(m: Module):
     A decoration renders a node's kind, labels and interface tags; an
     edge label renders its inscription.  ``m`` comes from
     :func:`_normalize_module`, so its initial terms, guard atoms, free
-    variables and inscriptions are rendered in their one order.  Ranks follow the order of these
-    strings, and among equal strings that of the sorted tags, as a label
-    may hold the ``;`` that joins them.  A run renders each distinct
+    variables and inscriptions are rendered in their one order.  Ranks
+    follow the order of these strings, and among equal strings that of
+    the sorted tags, as a label may hold the ``;`` that joins them.  A run renders each distinct
     (place, value) and (transition, binding) once.  A node's colour lies
     in ``[-n, n)``, so ``base + colour`` with ``base = label * (2n + 1) +
     n`` orders the neighbours of one node as ``(label, colour)`` pairs

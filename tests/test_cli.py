@@ -177,6 +177,8 @@ def test_compose_runs_output_is_byte_identical(workdir, capsys):
                    workdir / "a0_middle.hkrun", workdir / "a0_end.hkrun") == 0
     golden = GOLDEN / "compose_runs_a0.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    # without -o nothing is written
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(CORPUS_FILES)
 
 
 def test_simulation_is_deterministic_per_seed(workdir, capsys):
@@ -594,15 +596,6 @@ def test_compose_summary_prints_an_empty_interface_side(workdir, capsys):
         "right interface: (empty)"]
 
 
-def test_compose_runs_without_output_prints_the_composed_run_only(workdir, capsys):
-    assert run_cli("compose-runs", workdir / "a0_begin.hkrun",
-                   workdir / "a0_middle.hkrun") == 0
-    out = capsys.readouterr().out
-    assert out.startswith("run a0_begin__a0_middle of branch_s0 {\n")
-    assert out.endswith("}\n") and "composed" not in out
-    assert sorted(p.name for p in workdir.iterdir()) == sorted(CORPUS_FILES)
-
-
 def test_transition_invariants_print_coefficients_other_than_one(tmp_path, capsys):
     (tmp_path / "one.hksig").write_text("signature one {\n  sets A;\n}\n")
     (tmp_path / "one.hks").write_text("structure one_a of one {\n  A = {a};\n}\n")
@@ -640,3 +633,14 @@ def test_an_undecodable_byte_is_placed_after_carriage_return_newlines(tmp_path, 
     assert run_cli("check", sig) == 2
     assert capsys.readouterr().err == (
         f"error: {sig}:3:6: not UTF-8 text: cannot decode byte 0xe9\n")
+
+
+def test_a_predicate_error_after_a_carriage_return_quotes_its_own_line(workdir, capsys):
+    system = build_system(workdir)
+    capsys.readouterr()
+    for newline in ("\r", "\r\n", "\n"):
+        assert run_cli("reach", system, "--pred", f"count(eating) >= 1 or{newline}count(@)") == 2
+        assert capsys.readouterr().err == (
+            "error: <predicate>:2:7: unexpected character '@'\n"
+            "  count(@)\n"
+            "        ^\n")
