@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import subprocess
@@ -7,8 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hknet import Atom, Marking, Multiset, SetValue, TupleValue, render_value
+from hknet import (Atom, Binding, Marking, Multiset, SetValue, TupleValue, nets, parse,
+                   render_value)
+from hknet.signature import PowSort, carrier_of, powerset
 
+from conftest import load
 from support import ReferenceMultiset
 
 values = st.recursive(
@@ -145,3 +149,60 @@ def test_pickled_values_and_markings_hash_like_fresh_ones():
     for place in ("p", "q"):
         assert hash(loaded.get(place)) == hash(fresh.get(place))
         assert [hash(v) for v in loaded.get(place)] == [hash(v) for v in fresh.get(place)]
+
+
+# ---------------------------------------------------------------------------
+# One value, however it is built
+# ---------------------------------------------------------------------------
+
+def same(u, v) -> bool:
+    """Whether ``u`` and ``v`` are the same value."""
+    return u == v and hash(u) == hash(v)
+
+
+A, B = Atom("a"), Atom("b")
+
+
+def test_equal_values_built_by_their_constructors_are_the_same():
+    assert same(Atom("a"), A)
+    assert same(TupleValue([A, B]), TupleValue(iter((A, B))))
+    assert same(SetValue([B, A, B]), SetValue((A, B)))
+    assert same(SetValue(v for v in (A, A, B)), SetValue([B, A]))
+    assert same(SetValue(), SetValue([]))
+    nested = TupleValue([A, SetValue([B, TupleValue([A, A])])])
+    assert same(nested, TupleValue((Atom("a"), SetValue([TupleValue([A, A]), B, B]))))
+    assert same(SetValue([SetValue([B, A]), SetValue()]),
+                SetValue([SetValue(), SetValue([A, B]), SetValue([A, B])]))
+
+
+def test_parsed_values_are_the_built_ones():
+    doc = parse("structure s of g { A = {b, a, b}; g = {{a, b} -> (a, {b, a})}; }", "s.hks").body
+    entries = {e.symbol: e for e in doc.entries}
+    assert same(entries["A"].value, SetValue([A, B]))
+    [(arg, result)] = entries["g"].table
+    assert same(arg, SetValue([B, A])) and same(result, TupleValue([A, SetValue([A, B])]))
+    run = load("a0.hkrun").body
+    waiting = next(c.value for c in run.inner.conditions if c.id == "b10")
+    meat, rice = Atom("meat"), Atom("rice")
+    assert same(waiting, TupleValue([Atom("Alice"), Atom("t1"), SetValue([rice, meat])]))
+
+
+def test_carriers_powersets_and_occurrences_give_the_built_values(s0, sys0):
+    menu = s0.carrier("Menu")
+    subsets = powerset("Menu", menu)
+    assert all(same(c, SetValue(c.elements)) for c in carrier_of(PowSort("Menu"), s0))
+    assert all(same(u, v) for u, v in zip(subsets, carrier_of(PowSort("Menu"), s0)))
+    assert same(s0.carrier_value("Menu"), SetValue(reversed(menu)))
+    t1, meat, rice = Atom("t1"), Atom("meat"), Atom("rice")
+    taken, put = nets.occurrence(sys0.net, "unfold",
+                                 Binding({"t": t1, "X": SetValue([rice, meat])}), s0)
+    [order] = put["pending_orders"]
+    assert same(order, TupleValue([t1, SetValue([meat, rice])]))
+    assert [same(v, w) for v, w in zip(sorted(put["ordered_items"]), (meat, rice))] == [True] * 2
+
+
+@given(values)
+def test_copied_and_unpickled_values_are_the_originals(v):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert same(pickle.loads(pickle.dumps(v, protocol)), v)
+    assert same(copy.copy(v), v) and same(copy.deepcopy(v), v)
