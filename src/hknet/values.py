@@ -1,15 +1,15 @@
 """Ground values (atoms, tuples, finite sets) and multisets of them.
 
-All values are immutable, hashable, and totally ordered by a canonical
-key: atoms by name, tuples lexicographically, sets by their sorted
-element sequence, with the kind as first tie-breaker.  This single order
-is what makes enumeration, marking iteration, and printing deterministic
-everywhere in the kernel.
+All values are immutable and totally ordered by a canonical key: atoms
+by name, tuples lexicographically, sets by their sorted element
+sequence, with the kind as first tie-breaker.  This single order is what
+makes enumeration, marking iteration, and printing deterministic.
 
-Values and multisets are hashed on every marking lookup, so a value
-computes its hash once, when it is built, and a multiset keeps a
-``{value: count}`` dict whose sorted view and hash are computed on first
-use.  Dict and set order never reaches output.
+Values are hash-consed: a constructor returns the one object of its
+value, kept in its class's table (published by ``dict.setdefault``, and
+never shrinking), so equality and hashing are ``object``'s, by identity.
+A multiset keeps a ``{value: count}`` dict whose sorted view and hash
+are computed on first use.  Dict and set order never reaches output.
 """
 
 from __future__ import annotations
@@ -32,23 +32,26 @@ class Value:
         return self.key() <= other.key()
 
 
+_atoms: dict[str, "Atom"] = {}
+_tuples: dict[tuple, "TupleValue"] = {}
+_sets: dict[frozenset, "SetValue"] = {}
+
+
 class Atom(Value):
     """An opaque named element, e.g. ``t1`` or ``Alice``."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash((Atom, name))
+    def __new__(cls, name: str):
+        atom = _atoms.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            atom.name = name
+            atom = _atoms.setdefault(name, atom)
+        return atom
 
     def key(self) -> tuple:
         return (0, self.name)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Atom) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (Atom, (self.name,))
@@ -60,20 +63,19 @@ class Atom(Value):
 class TupleValue(Value):
     """An ordered, fixed-arity grouping of values."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items",)
 
-    def __init__(self, items: Iterable[Value]):
-        self.items = tuple(items)
-        self._hash = hash((TupleValue, self.items))
+    def __new__(cls, items: Iterable[Value]):
+        items = tuple(items)
+        value = _tuples.get(items)
+        if value is None:
+            value = object.__new__(cls)
+            value.items = items
+            value = _tuples.setdefault(items, value)
+        return value
 
     def key(self) -> tuple:
         return (1, tuple(v.key() for v in self.items))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TupleValue) and other.items == self.items
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (TupleValue, (self.items,))
@@ -86,38 +88,29 @@ class SetValue(Value):
     """An unordered, duplicate-free collection of values.
 
     Elements are stored sorted by canonical key, so iteration order is
-    deterministic and equality is structural.
+    deterministic.
     """
 
-    __slots__ = ("elements", "_hash", "_members")
+    __slots__ = ("elements", "_members")
 
-    def __init__(self, elements: Iterable[Value] = ()):
-        seen = {}
-        for v in elements:
-            seen[v] = None
-        self.elements = tuple(sorted(seen, key=lambda v: v.key()))
-        self._hash = hash((SetValue, self.elements))
-        self._members: frozenset[Value] | None = None
+    def __new__(cls, elements: Iterable[Value] = ()):
+        members = frozenset(elements)
+        value = _sets.get(members)
+        if value is None:
+            value = object.__new__(cls)
+            value.elements = tuple(sorted(members, key=lambda v: v.key()))
+            value._members = members
+            value = _sets.setdefault(members, value)
+        return value
 
     def key(self) -> tuple:
         return (2, tuple(v.key() for v in self.elements))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SetValue) and other.elements == self.elements
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
         return (SetValue, (self.elements,))
 
-    def _member_set(self) -> frozenset[Value]:
-        if self._members is None:
-            self._members = frozenset(self.elements)
-        return self._members
-
     def __contains__(self, v: Value) -> bool:
-        return v in self._member_set()
+        return v in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -126,7 +119,7 @@ class SetValue(Value):
         return iter(self.elements)
 
     def issubset(self, other: "SetValue") -> bool:
-        return self._member_set() <= other._member_set()
+        return self._members <= other._members
 
     def __repr__(self) -> str:
         return f"SetValue({list(self.elements)!r})"

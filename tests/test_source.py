@@ -1,6 +1,7 @@
 """Rules the library's source keeps: no ``assert`` (``python -O`` drops
-them, and CI also runs the suite under ``-O``), one line split, no dead
-code, and tracer targets that resolve."""
+them, and CI also runs the suite under ``-O``), one line split, values
+built through their constructors, no dead code, and tracer targets that
+resolve."""
 
 import ast
 import importlib
@@ -28,6 +29,29 @@ def test_library_splits_lines_in_one_place():
              if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
     assert found == []
 
+
+
+def test_only_values_builds_a_value_bypassing_its_constructor():
+    # a value compares by identity, which holds only while its class's
+    # constructor returns the one object of each value; a ``cls`` is read
+    # as the class it is written in
+    value_classes = {"Value", "Atom", "TupleValue", "SetValue"}
+    package = Path(hknet.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "values.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__new__"):
+                    names = {n.id for n in (node.func.value, *node.args[:1])
+                             if isinstance(n, ast.Name)}
+                    names = {owner if n == "cls" else n for n in names}
+                    if names & value_classes:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 # ---------------------------------------------------------------------------
 # Dead code: unused imports and unreferenced private definitions

@@ -156,8 +156,14 @@ def test_pickled_values_and_markings_hash_like_fresh_ones():
 # ---------------------------------------------------------------------------
 
 def same(u, v) -> bool:
-    """Whether ``u`` and ``v`` are the same value."""
-    return u == v and hash(u) == hash(v)
+    """Whether ``u`` and ``v`` are the same value: one object."""
+    return u is v
+
+
+def test_values_compare_and_hash_by_identity():
+    for cls in (Atom, TupleValue, SetValue):
+        assert not {"__eq__", "__hash__", "_hash"} & {
+            name for klass in cls.__mro__[:-1] for name in vars(klass)}, cls
 
 
 A, B = Atom("a"), Atom("b")
