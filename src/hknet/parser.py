@@ -43,9 +43,10 @@ literals ``{a, b}``, and top-level ``elm(...)``.  Guard atoms are
 Lexically, an identifier is a letter or ``_`` followed by letters, digits
 and ``_`` (``str.isalpha``, ``str.isalnum``); an integer is a run of
 decimal digits (``str.isdecimal``); a quoted label ``"..."`` holds any
-characters but a newline, a backslash taking the next character
+characters but a line end, a backslash taking the next character
 literally (``\\"``, ``\\\\``); ``#`` starts a comment that runs to the end
-of the line; blanks are space, tab, carriage return and newline; and
+of the line; blanks are space, tab, carriage return and newline; a line
+ends at ``\\n``, ``\\r\\n`` or ``\\r`` (:func:`spans.source_lines`); and
 the punctuation is ``-> <= >= != { } ( ) [ ] , ; : = < >``.  Any other
 character, a digit that is not decimal among them, is an ``unexpected
 character``.
@@ -77,7 +78,7 @@ from .nets import Arc, Condition, Event, Marking, OccurrenceNet, Place, \
     SchematicNet, Transition, arc_endpoint_violations, name_violations
 from .signature import PowSort, Signature, Sort, SortName, Structure, \
     TupleSort, make_structure, powerset, sort_symbols
-from .spans import SourceSpan, source_lines
+from .spans import NEWLINE, SourceSpan, source_lines
 from .terms import App, Binding, Elm, Guard, GuardAtom, Ident, SetTerm, Term, \
     TupleTerm, canonical_guard, canonical_terms, render_term
 from .values import Atom, Multiset, SetValue, TupleValue, Value
@@ -137,13 +138,13 @@ class ModelDocument:
 # A comment runs to the end of its line and some alternative (at worst
 # ``other`` or ``EOF``) matches after the prefix, so it never backtracks.
 _TOKEN_RE = re.compile(r"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    [ \t\r\n]*(?:\#[^\r\n]*[ \t\r\n]*)*
     (?: (?P<IDENT>[A-Za-z_]\w*)
       | (?P<punctuation>->|<=|>=|!=|[{}()\[\],;:=<>])
       | (?P<INT>\d+)
-      | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+      | (?P<STRING>"(?:[^"\\\r\n]|\\[^\r\n])*")
       | (?P<word>\w+)
-      | (?P<unterminated>"(?:[^"\\\n]|\\.)*\\?)
+      | (?P<unterminated>"(?:[^"\\\r\n]|\\[^\r\n])*\\?)
       | (?P<EOF>\Z)
       | (?P<other>.))
 """, re.VERBOSE)
@@ -158,7 +159,7 @@ class _Lines:
     bisection which line holds an offset.  ``first`` numbers the first line."""
 
     def __init__(self, source: str, first: int = 1):
-        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+        self.starts = [0, *(m.end() for m in NEWLINE.finditer(source))]
         self.first = first
 
     def span(self, filename: str, start: int, end: int, width: int) -> SourceSpan:
@@ -194,7 +195,8 @@ def _lex(source: str, filename: str, line: int = 1) -> list[_Token]:
             raise ParseError(f"unexpected character {text[0]!r}",
                              _Lines(source, line).span(filename, at, at, 1))
     # a comment that ends the input leaves the end position at its '#'
-    comment = source.find("#", max(source.rfind("\n", 0, at) + 1, m.start()))
+    line_start = max(source.rfind("\n", 0, at), source.rfind("\r", 0, at)) + 1
+    comment = source.find("#", max(line_start, m.start()))
     append(("EOF", "", at if comment < 0 else comment))
     return tokens
 

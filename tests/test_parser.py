@@ -196,6 +196,30 @@ def test_a_script_line_ends_at_a_newline_only():
     assert [name for name, _ in steps] == ["offer_table", "enter", "leave"]
 
 
+
+def _parse_error(text: str) -> str:
+    with pytest.raises(ParseError) as err:
+        parse(text, "x.hksig")
+    return str(err.value)
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+def test_a_document_line_ends_at_any_newline(nl):
+    # spans count lines as spans.source_lines splits them
+    assert _parse_error(f"signature s {{{nl}  sets A, ;{nl}}}{nl}") == \
+        "x.hksig:2:11: expected set symbol, found ';'"
+    # the end of the input after a comment is at the comment's '#'
+    assert _parse_error(f"signature s {{{nl}  sets A;{nl}# c") == \
+        "x.hksig:3:1: expected sets, subsets, consts, or fns"
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+def test_a_comment_or_quoted_label_ends_at_any_newline(nl):
+    assert _parse_error(f"signature s {{ # c{nl}  sets A, ;{nl}}}{nl}") == \
+        "x.hksig:2:11: expected set symbol, found ';'"
+    assert _parse_error(f'signature s {{ sets A; }}{nl}structure "a{nl}b"') == \
+        "x.hksig:2:11: unterminated string"
+
 def test_parse_script_with_set_values():
     steps = parse_script("select X={meat, rice} c=Alice\n")
     assert steps[0][1]["X"] == SetValue([Atom("meat"), Atom("rice")])
