@@ -3,6 +3,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import uuid
 from pathlib import Path
 
 import pytest
@@ -133,8 +135,8 @@ def test_set_membership_and_subsets():
 
 
 def test_pickled_values_and_markings_hash_like_fresh_ones():
-    # hashes are cached at construction; a pickle made under another
-    # hash seed must not carry them over
+    # a multiset keeps its hash once computed; a pickle made in another
+    # process, under another hash seed, must carry no hash over
     built = ("Marking({'p': [Atom('a'), TupleValue([Atom('a'), SetValue([Atom('b')])])],"
              " 'q': [SetValue([Atom('a'), Atom('c')])] * 2})")
     code = ("import pickle, sys; from hknet import *; "
@@ -212,3 +214,26 @@ def test_copied_and_unpickled_values_are_the_originals(v):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert same(pickle.loads(pickle.dumps(v, protocol)), v)
     assert same(copy.copy(v), v) and same(copy.deepcopy(v), v)
+
+
+def test_threads_racing_on_first_builds_get_one_object_each():
+    # names no other test builds, so every build races on a table miss
+    names = [f"{uuid.uuid4().hex}{i}" for i in range(3000)]
+    built = []
+    start = threading.Barrier(8)
+
+    def build():
+        start.wait()
+        built.append([SetValue([TupleValue([Atom(n), Atom(n)])]) for n in names])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == 8
+    assert all(u is v for values in built[1:] for u, v in zip(values, built[0]))
